@@ -1,6 +1,6 @@
 (* The reproduction harness.
 
-   Part 1 regenerates every experiment in DESIGN.md's index (E1-E13):
+   Part 1 regenerates every experiment in DESIGN.md's index (E1-E30):
    the paper has no numbered tables or figures, so each experiment
    operationalizes one qualitative claim from the text, prints the
    table, and checks the claim's shape.
@@ -18,17 +18,13 @@
              --report <file>         (write the battery report JSON)
              --fault-seed <n>        (seed for fault-injecting experiments)
              --timeout-s <s>         (per-experiment watchdog; default off)
-             --sweep                 (statistical sweep instead of the battery)
-             --sweep-seed <n> | --sweep-runs <n> | --alpha <a>
-                                     (sweep parameters; validated even
-                                      without --sweep, exit 2 on garbage)
-             --search                (adversarial fault-plan search instead
-                                      of the battery; seeded by --sweep-seed)
-             --backend <name> | --budget <n>
-                                     (search parameters; validated even
-                                      without --search, exit 2 on garbage) *)
+   Flag values go through the same parsers as the tussle CLI's: garbage
+   prints "main: FLAG: MSG" and exits 2.  Statistical sweeps and the
+   fault-plan search are `tussle sweep` and `tussle search`. *)
 
 module Rng = Tussle_prelude.Rng
+module Pool = Tussle_prelude.Pool
+module Registry = Tussle_experiments.Registry
 module Graph = Tussle_prelude.Graph
 module Engine = Tussle_netsim.Engine
 module Topology = Tussle_netsim.Topology
@@ -245,19 +241,11 @@ let microbenchmarks () =
 
 (* ------------------------------------------------------------------ *)
 
+let ( let* ) = Result.bind
+
 let () =
   Printexc.record_backtrace true;
   let args = Array.to_list Sys.argv in
-  let experiments_only = List.mem "--experiments-only" args in
-  let bench_only = List.mem "--bench-only" args in
-  let single =
-    let rec find = function
-      | "--experiment" :: id :: _ -> Some id
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
   let flag_value name =
     let prefix = name ^ "=" in
     let plen = String.length prefix in
@@ -271,213 +259,57 @@ let () =
     in
     find args
   in
-  let domains =
-    if List.mem "--seq" args then Some 1
-    else
-      match flag_value "--domains" with
-      | None -> None
-      | Some s -> (
-        (* Reject garbage with exit 2, like --domains 0: a typo must
-           never silently fall back to the default domain count. *)
-        match Tussle_prelude.Pool.domains_of_string s with
-        | Ok d -> Some d
-        | Error msg ->
-          prerr_endline ("main: --domains: " ^ msg);
-          exit 2)
-  in
-  let timeout_s =
-    match flag_value "--timeout-s" with
-    | None -> None
-    | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some t when t > 0.0 && Float.is_finite t -> Some t
-      | Some _ | None ->
-        Printf.eprintf
-          "main: --timeout-s: invalid timeout %S (expected a positive \
-           number of seconds)\n" s;
-        exit 2)
-  in
-  (match flag_value "--fault-seed" with
-  | None -> ()
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n -> Tussle_fault.Seed.set n
-    | None ->
-      Printf.eprintf "main: --fault-seed: invalid fault seed %S (expected \
-                      an integer)\n" s;
-      exit 2));
-  (* Sweep flags are validated whenever present — same exit-2
-     convention as --domains — so a typo never silently runs the
-     default sweep. *)
-  let sweep_mode = List.mem "--sweep" args in
-  let sweep_seed =
-    match flag_value "--sweep-seed" with
-    | None -> 1031
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> n
-      | None ->
-        Printf.eprintf
-          "main: --sweep-seed: invalid seed %S (expected an integer)\n" s;
-        exit 2)
-  in
-  let sweep_runs =
-    match flag_value "--sweep-runs" with
-    | None -> 12
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 2 -> n
-      | Some _ | None ->
-        Printf.eprintf
-          "main: --sweep-runs: invalid run count %S (expected an integer >= \
-           2)\n" s;
-        exit 2)
-  in
-  let alpha =
-    match flag_value "--alpha" with
-    | None -> 0.01
-    | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some a when a > 0.0 && a < 1.0 -> a
-      | Some _ | None ->
-        Printf.eprintf
-          "main: --alpha: invalid significance level %S (expected a number \
-           strictly between 0 and 1)\n" s;
-        exit 2)
-  in
-  (* Search flags: validated whenever present, same convention. *)
-  let search_mode = List.mem "--search" args in
-  let search_backend =
-    match flag_value "--backend" with
-    | None -> "mutate"
-    | Some s ->
-      let b = String.trim s in
-      if List.mem b Tussle_search.Driver.backend_names then b
-      else begin
-        Printf.eprintf "main: --backend: invalid backend %S (expected %s)\n" s
-          (String.concat " or " Tussle_search.Driver.backend_names);
-        exit 2
-      end
-  in
-  let search_budget =
-    match flag_value "--budget" with
-    | None -> 200
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None ->
-        Printf.eprintf
-          "main: --budget: invalid budget %S (expected an integer >= 1)\n" s;
-        exit 2)
-  in
-  let trace_file = flag_value "--trace" in
-  let report_file = flag_value "--report" in
-  let metrics = List.mem "--metrics" args in
-  if metrics || report_file <> None then Tussle_obs.Metrics.enable ();
-  if trace_file <> None then Tussle_obs.Trace.enable ();
-  let emit_report ~wall_s outcomes =
-    match report_file with
-    | None -> ()
-    | Some file ->
-      let domains =
-        match domains with
-        | Some d -> d
-        | None -> Tussle_prelude.Pool.default_domains ()
-      in
-      let r = Tussle_experiments.Registry.report ~domains ~wall_s outcomes in
-      (try Tussle_obs.Report.write file r
-       with Sys_error msg ->
-         prerr_endline ("main: --report: " ^ msg);
-         exit 2);
-      print_newline ();
-      print_string (Tussle_obs.Report.summary r)
-  in
-  let finish code =
-    (match trace_file with
-    | Some f -> Tussle_obs.Trace.write_chrome f
-    | None -> ());
-    if metrics then begin
-      print_newline ();
-      print_string (Tussle_obs.Metrics.render (Tussle_obs.Metrics.snapshot ()))
-    end;
-    exit code
-  in
-  if sweep_mode then begin
-    (* statistical sweep instead of the battery/microbenchmarks: same
-       driver, summary and gates as `tussle sweep` *)
-    let report, errors =
-      Tussle_sweep.Driver.run_sweep ?domains ?timeout_s ~seed:sweep_seed
-        ~runs:sweep_runs ~alpha
-        (Tussle_experiments.Registry.sweepables ())
-    in
-    print_string (Tussle_obs.Sweep_report.summary report);
-    List.iter
-      (fun e -> prerr_endline ("main: " ^ Tussle_sweep.Driver.error_string e))
-      errors;
-    let violations = Tussle_sweep.Driver.check_report report in
-    List.iter
-      (fun v ->
-        prerr_endline
-          ("main: report invariant violated: "
-          ^ Tussle_chaos.Invariant.violation_string v))
-      violations;
-    let total, passed = Tussle_obs.Sweep_report.count_verdicts report in
-    finish
-      (if errors <> [] || violations <> [] || passed < total then 1 else 0)
-  end;
-  if search_mode then begin
-    (* adversarial fault-plan search instead of the battery: same
-       driver, summary and gates as `tussle search`, without corpus
-       persistence (bench never writes into the repo) *)
+  let domains, timeout_s, fault_seed =
     match
-      Tussle_search.Driver.run ?domains ~backend:search_backend
-        ~seed:sweep_seed ~budget:search_budget ()
+      let* domains =
+        Pool.domains_flag ~seq:(List.mem "--seq" args) (flag_value "--domains")
+      in
+      let* timeout_s =
+        Pool.flag "--timeout-s" Pool.seconds_of_string (flag_value "--timeout-s")
+      in
+      let* fault_seed =
+        Pool.flag "--fault-seed" (Pool.seed_of_string ~what:"fault seed")
+          (flag_value "--fault-seed")
+      in
+      Ok (domains, timeout_s, fault_seed)
     with
+    | Ok flags -> flags
     | Error msg ->
-      prerr_endline ("main: --backend: " ^ msg);
+      prerr_endline ("main: " ^ msg);
       exit 2
-    | Ok (report, _) ->
-      print_string (Tussle_obs.Search_report.summary report);
-      let violations = Tussle_chaos.Invariant.check_search_report report in
-      List.iter
-        (fun v ->
-          prerr_endline
-            ("main: report invariant violated: "
-            ^ Tussle_chaos.Invariant.violation_string v))
-        violations;
-      finish
-        (if violations <> [] || report.Tussle_obs.Search_report.findings <> []
-         then 1
-         else 0)
-  end;
-  match single with
+  in
+  Option.iter Tussle_fault.Seed.set fault_seed;
+  let emit_report, finish =
+    Registry.telemetry ~cmd:"main" ?domains
+      ~metrics:(List.mem "--metrics" args) ~trace:(flag_value "--trace")
+      ~report:(flag_value "--report") ()
+  in
+  match flag_value "--experiment" with
   | Some id -> begin
-    match Tussle_experiments.Registry.run_one ?timeout_s id with
+    match Registry.run_one ?timeout_s id with
     | Ok o ->
       emit_report ~wall_s:o.Tussle_experiments.Experiment.wall_s [ o ];
-      finish (if Tussle_experiments.Experiment.held o then 0 else 1)
+      exit (finish (if Tussle_experiments.Experiment.held o then 0 else 1))
     | Error msg ->
       prerr_endline msg;
       exit 2
   end
   | None ->
     let ok =
-      if bench_only then true
+      if List.mem "--bench-only" args then true
       else begin
         Printf.printf
           "# Tussle in Cyberspace: reproduction harness\n\n\
            The paper is a position paper with no tables or figures; each\n\
            experiment below regenerates one of its qualitative claims\n\
            (see DESIGN.md section 3 for the index).\n\n";
-        let ok, outcomes, wall_s =
-          Tussle_experiments.Registry.run_battery ?domains ?timeout_s ()
-        in
+        let ok, outcomes, wall_s = Registry.run_battery ?domains ?timeout_s () in
         emit_report ~wall_s outcomes;
         ok
       end
     in
-    if not experiments_only then begin
+    if not (List.mem "--experiments-only" args) then begin
       print_newline ();
       microbenchmarks ()
     end;
-    finish (if ok then 0 else 1)
+    exit (finish (if ok then 0 else 1))

@@ -7,19 +7,41 @@
      search                adversarial search over fault-plan space
      explain PLAN-FILE     replay a reproducer and narrate every drop
      trends REPORT         append to the benchmark history, diff vs baseline
-     report FILE           validate and summarize a battery or sweep report
+     report FILE           validate and summarize a report or flow trace
      perfgate BASE REPORT  fail on wall/alloc regressions vs. a baseline
      scenario              run the actor/mechanism tussle engine
      market                run the access-provider market model
      policy FILE REQUEST   evaluate a policy compliance query *)
 
 open Cmdliner
-module Obs_metrics = Tussle_obs.Metrics
-module Obs_trace = Tussle_obs.Trace
+module Pool = Tussle_prelude.Pool
+module Registry = Tussle_experiments.Registry
 module Obs_report = Tussle_obs.Report
 module Obs_sweep_report = Tussle_obs.Sweep_report
 module Obs_search_report = Tussle_obs.Search_report
 module Obs_json = Tussle_obs.Json
+module Trends = Tussle_obs.Trends
+
+let ( let* ) = Result.bind
+
+(* The exit-2 convention: [checked] is a subcommand's one [let*] chain
+   over its flags (and anything else it must reject before running);
+   an [Error] prints "CMD: MSG" — "CMD: FLAG: MSG" for a flag value —
+   and the subcommand exits 2. *)
+let with_checked cmd checked run =
+  match checked with
+  | Ok v -> run v
+  | Error msg ->
+    prerr_endline (cmd ^ ": " ^ msg);
+    2
+
+(* Write the artifact a flag names; an unwritable path is the same
+   "CMD: FLAG: MSG" and exit 2. *)
+let write_artifact cmd flag write file artifact =
+  try write file artifact
+  with Sys_error msg ->
+    prerr_endline (cmd ^ ": " ^ flag ^ ": " ^ msg);
+    exit 2
 
 (* ---------- experiments ---------- *)
 
@@ -74,90 +96,32 @@ let experiments_cmd =
     Arg.(value & opt (some string) None & info [ "fault-seed" ] ~doc ~docv:"SEED")
   in
   let run id domains seq metrics trace report timeout_s fault_seed =
-    let domains_result =
-      if seq then Ok (Some 1)
-      else
-        match domains with
-        | None -> Ok None
-        | Some s -> Result.map Option.some (Tussle_prelude.Pool.domains_of_string s)
+    with_checked "experiments"
+      (let* domains = Pool.domains_flag ~seq domains in
+       let* timeout_s = Pool.flag "--timeout-s" Pool.seconds_of_string timeout_s in
+       let* fault_seed =
+         Pool.flag "--fault-seed" (Pool.seed_of_string ~what:"fault seed")
+           fault_seed
+       in
+       Ok (domains, timeout_s, fault_seed))
+    @@ fun (domains, timeout_s, fault_seed) ->
+    Option.iter Tussle_fault.Seed.set fault_seed;
+    let emit_report, finish =
+      Registry.telemetry ~cmd:"experiments" ?domains ~metrics ~trace ~report ()
     in
-    let timeout_result =
-      match timeout_s with
-      | None -> Ok None
-      | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some t when t > 0.0 && Float.is_finite t -> Ok (Some t)
-        | Some _ | None ->
-          Error
-            (Printf.sprintf "invalid timeout %S (expected a positive number \
-                             of seconds)" s))
-    in
-    let fault_seed_result =
-      match fault_seed with
-      | None -> Ok None
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n -> Ok (Some n)
-        | None ->
-          Error (Printf.sprintf "invalid fault seed %S (expected an integer)" s))
-    in
-    match (domains_result, timeout_result, fault_seed_result) with
-    | Error msg, _, _ ->
-      prerr_endline ("experiments: --domains: " ^ msg);
-      2
-    | _, Error msg, _ ->
-      prerr_endline ("experiments: --timeout-s: " ^ msg);
-      2
-    | _, _, Error msg ->
-      prerr_endline ("experiments: --fault-seed: " ^ msg);
-      2
-    | Ok domains, Ok timeout_s, Ok fault_seed -> (
-      (match fault_seed with
-      | Some s -> Tussle_fault.Seed.set s
-      | None -> ());
-      if metrics || report <> None then Obs_metrics.enable ();
-      if trace <> None then Obs_trace.enable ();
-      let emit_report ~wall_s outcomes =
-        match report with
-        | None -> ()
-        | Some file ->
-          let domains =
-            match domains with
-            | Some d -> d
-            | None -> Tussle_prelude.Pool.default_domains ()
-          in
-          let r = Tussle_experiments.Registry.report ~domains ~wall_s outcomes in
-          (try Obs_report.write file r
-           with Sys_error msg ->
-             prerr_endline ("experiments: --report: " ^ msg);
-             exit 2);
-          print_newline ();
-          print_string (Obs_report.summary r)
-      in
-      let finish code =
-        (match trace with Some f -> Obs_trace.write_chrome f | None -> ());
-        if metrics then begin
-          print_newline ();
-          print_string (Obs_metrics.render (Obs_metrics.snapshot ()))
-        end;
-        code
-      in
-      match id with
-      | None ->
-        let ok, outcomes, wall_s =
-          Tussle_experiments.Registry.run_battery ?domains ?timeout_s ()
-        in
-        emit_report ~wall_s outcomes;
-        finish (if ok then 0 else 1)
-      | Some id -> begin
-        match Tussle_experiments.Registry.run_one ?timeout_s id with
-        | Ok o ->
-          emit_report ~wall_s:o.Tussle_experiments.Experiment.wall_s [ o ];
-          finish (if Tussle_experiments.Experiment.held o then 0 else 1)
-        | Error msg ->
-          prerr_endline msg;
-          2
-      end)
+    match id with
+    | None ->
+      let ok, outcomes, wall_s = Registry.run_battery ?domains ?timeout_s () in
+      emit_report ~wall_s outcomes;
+      finish (if ok then 0 else 1)
+    | Some id -> (
+      match Registry.run_one ?timeout_s id with
+      | Ok o ->
+        emit_report ~wall_s:o.Tussle_experiments.Experiment.wall_s [ o ];
+        finish (if Tussle_experiments.Experiment.held o then 0 else 1)
+      | Error msg ->
+        prerr_endline msg;
+        2)
   in
   let doc = "regenerate the paper's experiments (E1..E30)" in
   Cmd.v (Cmd.info "experiments" ~doc)
@@ -205,160 +169,136 @@ let chaos_cmd =
     let module Sweep = Tussle_chaos.Sweep in
     let module Invariant = Tussle_chaos.Invariant in
     let module Corpus = Tussle_chaos.Corpus in
-    let seed_result =
-      match seed with
-      | None -> Ok Tussle_fault.Seed.default
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n -> Ok n
-        | None ->
-          Error (Printf.sprintf "invalid chaos seed %S (expected an integer)" s))
-    in
-    let runs_result =
-      match runs with
-      | None -> Ok 200
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> Ok n
-        | Some _ | None ->
-          Error
-            (Printf.sprintf "invalid run count %S (expected an integer >= 1)" s))
-    in
-    let domains_result =
-      if seq then Ok (Some 1)
-      else
-        match domains with
-        | None -> Ok None
-        | Some s -> Result.map Option.some (Tussle_prelude.Pool.domains_of_string s)
-    in
-    match (seed_result, runs_result, domains_result) with
-    | Error msg, _, _ ->
-      prerr_endline ("chaos: --chaos-seed: " ^ msg);
-      2
-    | _, Error msg, _ ->
-      prerr_endline ("chaos: --chaos-runs: " ^ msg);
-      2
-    | _, _, Error msg ->
-      prerr_endline ("chaos: --domains: " ^ msg);
-      2
-    | Ok seed, Ok runs, Ok domains -> (
-      match replay with
-      | Some dir -> (
-        (* reject entries naming a scenario we don't have with a clean
-           LOAD ERROR line instead of letting them raise downstream *)
-        let known =
-          List.map
-            (fun (s : Tussle_chaos.Scenario.t) -> s.Tussle_chaos.Scenario.name)
-            Tussle_chaos.Scenario.all
-        in
-        let entries = Corpus.load_dir ~known dir in
-        Printf.printf "chaos replay: %d corpus entr%s under %s\n"
-          (List.length entries)
-          (if List.length entries = 1 then "y" else "ies")
-          dir;
-        let bad = ref 0 in
-        List.iter
-          (fun (path, entry) ->
-            match entry with
+    with_checked "chaos"
+      (let* seed =
+         Pool.flag "--chaos-seed" (Pool.seed_of_string ~what:"chaos seed") seed
+       in
+       let* runs =
+         Pool.flag "--chaos-runs" (Pool.int_at_least ~what:"run count" 1) runs
+       in
+       let* domains = Pool.domains_flag ~seq domains in
+       Ok
+         ( Option.value seed ~default:Tussle_fault.Seed.default,
+           Option.value runs ~default:200,
+           domains ))
+    @@ fun (seed, runs, domains) ->
+    match replay with
+    | Some dir -> (
+      (* reject entries naming a scenario we don't have with a clean
+         LOAD ERROR line instead of letting them raise downstream *)
+      let known =
+        List.map
+          (fun (s : Tussle_chaos.Scenario.t) -> s.Tussle_chaos.Scenario.name)
+          Tussle_chaos.Scenario.all
+      in
+      let entries = Corpus.load_dir ~known dir in
+      Printf.printf "chaos replay: %d corpus entr%s under %s\n"
+        (List.length entries)
+        (if List.length entries = 1 then "y" else "ies")
+        dir;
+      let bad = ref 0 in
+      List.iter
+        (fun (path, entry) ->
+          match entry with
+          | Error msg ->
+            incr bad;
+            Printf.printf "  %s: LOAD ERROR %s\n" (Filename.basename path) msg
+          | Ok e -> (
+            match Sweep.replay e with
             | Error msg ->
               incr bad;
-              Printf.printf "  %s: LOAD ERROR %s\n" (Filename.basename path) msg
-            | Ok e -> (
-              match Sweep.replay e with
-              | Error msg ->
-                incr bad;
-                Printf.printf "  %s: %s\n" (Filename.basename path) msg
-              | Ok [] ->
-                Printf.printf "  %s: ok (%s, seed %d, %d episode%s)\n"
-                  (Filename.basename path) e.Corpus.scenario e.Corpus.seed
-                  (List.length e.Corpus.plan)
-                  (if List.length e.Corpus.plan = 1 then "" else "s")
-              | Ok violations ->
-                incr bad;
-                Printf.printf "  %s: VIOLATION\n" (Filename.basename path);
-                List.iter
-                  (fun v ->
-                    Printf.printf "    %s\n" (Invariant.violation_string v))
-                  violations))
-          entries;
-        if !bad = 0 then begin
-          Printf.printf "chaos replay: all clean\n";
-          0
-        end
-        else begin
-          Printf.printf "chaos replay: %d failing entr%s\n" !bad
-            (if !bad = 1 then "y" else "ies");
-          1
-        end)
-      | None ->
-        let results = Sweep.run_sweep ?domains ~seed ~runs () in
-        let failures = Sweep.failures results in
-        Printf.printf
-          "chaos sweep: %d runs from seed %d over %s; invariants: %s\n" runs
-          seed
-          (String.concat ", "
-             (List.map
-                (fun (s : Tussle_chaos.Scenario.t) -> s.Tussle_chaos.Scenario.name)
-                Tussle_chaos.Scenario.all))
-          (String.concat ", " Invariant.names);
-        List.iter
-          (fun (r : Sweep.run) ->
-            Printf.printf "run %04d %s seed=%d episodes=%d: VIOLATION\n"
-              r.Sweep.index r.Sweep.scenario r.Sweep.seed r.Sweep.episodes;
-            List.iter
-              (fun v -> Printf.printf "  %s\n" (Invariant.violation_string v))
-              r.Sweep.violations;
-            let minimal = Sweep.shrink_run r in
-            Printf.printf "  shrunk %d -> %d episode%s:\n"
-              (List.length r.Sweep.plan) (List.length minimal)
-              (if List.length minimal = 1 then "" else "s");
-            String.split_on_char '\n' (Tussle_fault.Plan.to_string minimal)
-            |> List.iter (fun line ->
-                   if line <> "" then Printf.printf "    %s\n" line);
-            let entry =
-              {
-                Corpus.scenario = r.Sweep.scenario;
-                seed = r.Sweep.seed;
-                plan = minimal;
-              }
+              Printf.printf "  %s: %s\n" (Filename.basename path) msg
+            | Ok [] ->
+              Printf.printf "  %s: ok (%s, seed %d, %d episode%s)\n"
+                (Filename.basename path) e.Corpus.scenario e.Corpus.seed
+                (List.length e.Corpus.plan)
+                (if List.length e.Corpus.plan = 1 then "" else "s")
+            | Ok violations ->
+              incr bad;
+              Printf.printf "  %s: VIOLATION\n" (Filename.basename path);
+              List.iter
+                (fun v ->
+                  Printf.printf "    %s\n" (Invariant.violation_string v))
+                violations))
+        entries;
+      if !bad = 0 then begin
+        Printf.printf "chaos replay: all clean\n";
+        0
+      end
+      else begin
+        Printf.printf "chaos replay: %d failing entr%s\n" !bad
+          (if !bad = 1 then "y" else "ies");
+        1
+      end)
+    | None ->
+      let results = Sweep.run_sweep ?domains ~seed ~runs () in
+      let failures = Sweep.failures results in
+      Printf.printf
+        "chaos sweep: %d runs from seed %d over %s; invariants: %s\n" runs
+        seed
+        (String.concat ", "
+           (List.map
+              (fun (s : Tussle_chaos.Scenario.t) -> s.Tussle_chaos.Scenario.name)
+              Tussle_chaos.Scenario.all))
+        (String.concat ", " Invariant.names);
+      List.iter
+        (fun (r : Sweep.run) ->
+          Printf.printf "run %04d %s seed=%d episodes=%d: VIOLATION\n"
+            r.Sweep.index r.Sweep.scenario r.Sweep.seed r.Sweep.episodes;
+          List.iter
+            (fun v -> Printf.printf "  %s\n" (Invariant.violation_string v))
+            r.Sweep.violations;
+          let minimal = Sweep.shrink_run r in
+          Printf.printf "  shrunk %d -> %d episode%s:\n"
+            (List.length r.Sweep.plan) (List.length minimal)
+            (if List.length minimal = 1 then "" else "s");
+          String.split_on_char '\n' (Tussle_fault.Plan.to_string minimal)
+          |> List.iter (fun line ->
+                 if line <> "" then Printf.printf "    %s\n" line);
+          let entry =
+            {
+              Corpus.scenario = r.Sweep.scenario;
+              seed = r.Sweep.seed;
+              plan = minimal;
+            }
+          in
+          (* replay the shrunk reproducer with the flight recorder on
+             and attach the offending flows' causal records to each
+             violation *)
+          let attachment =
+            match Tussle_chaos.Explain.run entry with
+            | Error msg -> Printf.sprintf "  explain: %s\n" msg
+            | Ok er ->
+              String.concat ""
+                (List.map
+                   (fun v ->
+                     Tussle_chaos.Explain.narrative_of_violation ~entry
+                       ~events:er.Tussle_chaos.Explain.events v)
+                   (if er.Tussle_chaos.Explain.violations = [] then
+                      r.Sweep.violations
+                    else er.Tussle_chaos.Explain.violations))
+          in
+          String.split_on_char '\n' attachment
+          |> List.iter (fun line ->
+                 if line <> "" then Printf.printf "  %s\n" line);
+          match corpus with
+          | None -> ()
+          | Some dir ->
+            let path = Corpus.save ~dir entry in
+            Printf.printf "  saved %s\n" path;
+            let explain_path =
+              Filename.remove_extension path ^ ".explain.txt"
             in
-            (* replay the shrunk reproducer with the flight recorder on
-               and attach the offending flows' causal records to each
-               violation *)
-            let attachment =
-              match Tussle_chaos.Explain.run entry with
-              | Error msg -> Printf.sprintf "  explain: %s\n" msg
-              | Ok er ->
-                String.concat ""
-                  (List.map
-                     (fun v ->
-                       Tussle_chaos.Explain.narrative_of_violation ~entry
-                         ~events:er.Tussle_chaos.Explain.events v)
-                     (if er.Tussle_chaos.Explain.violations = [] then
-                        r.Sweep.violations
-                      else er.Tussle_chaos.Explain.violations))
-            in
-            String.split_on_char '\n' attachment
-            |> List.iter (fun line ->
-                   if line <> "" then Printf.printf "  %s\n" line);
-            match corpus with
-            | None -> ()
-            | Some dir ->
-              let path = Corpus.save ~dir entry in
-              Printf.printf "  saved %s\n" path;
-              let explain_path =
-                Filename.remove_extension path ^ ".explain.txt"
-              in
-              let oc = open_out explain_path in
-              output_string oc attachment;
-              close_out oc;
-              Printf.printf "  saved %s\n" explain_path)
-          failures;
-        let n_fail = List.length failures in
-        Printf.printf "chaos sweep: %d/%d runs clean, %d violation%s\n"
-          (runs - n_fail) runs n_fail
-          (if n_fail = 1 then "" else "s");
-        if n_fail = 0 then 0 else 1)
+            let oc = open_out explain_path in
+            output_string oc attachment;
+            close_out oc;
+            Printf.printf "  saved %s\n" explain_path)
+        failures;
+      let n_fail = List.length failures in
+      Printf.printf "chaos sweep: %d/%d runs clean, %d violation%s\n"
+        (runs - n_fail) runs n_fail
+        (if n_fail = 1 then "" else "s");
+      if n_fail = 0 then 0 else 1
   in
   let doc =
     "run seeded random fault plans against the scenario checkers and \
@@ -394,41 +334,20 @@ let explain_cmd =
     Arg.(value & flag & info [ "seq" ] ~doc)
   in
   let run file json_out domains seq =
-    let module Corpus = Tussle_chaos.Corpus in
     let module Explain = Tussle_chaos.Explain in
-    let domains_result =
-      if seq then Ok (Some 1)
-      else
-        match domains with
-        | None -> Ok None
-        | Some s -> Result.map Option.some (Tussle_prelude.Pool.domains_of_string s)
-    in
-    match domains_result with
-    | Error msg ->
-      prerr_endline ("explain: --domains: " ^ msg);
-      2
-    | Ok _ -> (
-      match Corpus.load file with
-      | Error msg ->
-        Printf.eprintf "explain: %s\n" msg;
-        2
-      | Ok entry -> (
-        match Explain.run entry with
-        | Error msg ->
-          Printf.eprintf "explain: %s\n" msg;
-          2
-        | Ok r ->
-          print_string r.Explain.narrative;
-          (match json_out with
-          | None -> ()
-          | Some out ->
-            (try Obs_json.to_file out (Explain.to_json r)
-             with Sys_error msg ->
-               Printf.eprintf "explain: --json: %s\n" msg;
-               exit 2);
-            Printf.printf "flow trace written to %s (%d events)\n" out
-              (List.length r.Explain.events));
-          if r.Explain.violations = [] then 0 else 1))
+    with_checked "explain"
+      (let* _ = Pool.domains_flag ~seq domains in
+       let* entry = Tussle_chaos.Corpus.load file in
+       Explain.run entry)
+    @@ fun r ->
+    print_string r.Explain.narrative;
+    (match json_out with
+    | None -> ()
+    | Some out ->
+      write_artifact "explain" "--json" Obs_json.to_file out (Explain.to_json r);
+      Printf.printf "flow trace written to %s (%d events)\n" out
+        (List.length r.Explain.events));
+    if r.Explain.violations = [] then 0 else 1
   in
   let doc =
     "replay a chaos corpus reproducer with the flow-level flight recorder \
@@ -457,140 +376,23 @@ let trends_cmd =
     Arg.(value & opt (some string) None & info [ "baseline" ] ~doc ~docv:"FILE")
   in
   let run file history baseline =
-    let load file =
-      match
-        let ic = open_in_bin file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with
-      | exception Sys_error msg -> Error msg
-      | contents -> (
-        match Obs_json.parse contents with
-        | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
-        | Ok json -> (
-          match Obs_report.validate json with
-          | Error msg ->
-            Error (Printf.sprintf "%s: invalid battery report: %s" file msg)
-          | Ok () -> Ok json))
-    in
-    let experiments json =
-      match Option.bind (Obs_json.member "experiments" json) Obs_json.to_list with
-      | None -> []
-      | Some entries ->
-        List.filter_map
-          (fun e ->
-            let str name = Option.bind (Obs_json.member name e) Obs_json.to_str in
-            let fl name = Option.bind (Obs_json.member name e) Obs_json.to_float in
-            match (str "id", fl "wall_s", fl "allocated_bytes") with
-            | Some id, Some w, Some a -> Some (id, w, a)
-            | _ -> None)
-          entries
-    in
-    match load file with
-    | Error msg ->
-      prerr_endline ("trends: " ^ msg);
-      2
-    | Ok json -> (
-      let top name conv = Option.bind (Obs_json.member name json) conv in
-      let exps = experiments json in
-      let line =
-        Obs_json.Obj
-          [
-            ("schema", Obs_json.Str "tussle.bench-history/1");
-            ( "label",
-              Obs_json.Str (Option.value ~default:"?" (top "label" Obs_json.to_str)) );
-            ( "generated_at",
-              Obs_json.Float
-                (Option.value ~default:0.0 (top "generated_at" Obs_json.to_float)) );
-            ( "domains",
-              Obs_json.Int (Option.value ~default:0 (top "domains" Obs_json.to_int)) );
-            ( "wall_s",
-              Obs_json.Float
-                (Option.value ~default:0.0 (top "wall_s" Obs_json.to_float)) );
-            ( "experiments",
-              Obs_json.List
-                (List.map
-                   (fun (id, w, a) ->
-                     Obs_json.Obj
-                       [
-                         ("id", Obs_json.Str id);
-                         ("wall_s", Obs_json.Float w);
-                         ("allocated_bytes", Obs_json.Float a);
-                       ])
-                   exps) );
-          ]
-      in
-      match
-        let oc = open_out_gen [ Open_append; Open_creat ] 0o644 history in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            output_string oc (Obs_json.to_string ~minify:true line);
-            output_char oc '\n')
-      with
-      | exception Sys_error msg ->
-        prerr_endline ("trends: --history: " ^ msg);
-        2
-      | () -> (
-        (* round-trip the whole history: every line must still parse *)
-        let reread =
-          let ic = open_in_bin history in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        let lines =
-          String.split_on_char '\n' reread
-          |> List.filter (fun l -> String.trim l <> "")
-        in
-        let bad = ref [] in
-        List.iteri
-          (fun i l ->
-            match Obs_json.parse l with
-            | Error msg -> bad := (i + 1, msg) :: !bad
-            | Ok j ->
-              if
-                Option.bind (Obs_json.member "schema" j) Obs_json.to_str
-                <> Some "tussle.bench-history/1"
-              then bad := (i + 1, "missing bench-history schema tag") :: !bad)
-          lines;
-        match List.rev !bad with
-        | (lineno, msg) :: _ ->
-          Printf.eprintf "trends: %s:%d: %s\n" history lineno msg;
-          2
-        | [] ->
-          Printf.printf "trends: appended %s to %s (%d entr%s)\n" file history
-            (List.length lines)
-            (if List.length lines = 1 then "y" else "ies");
-          (match baseline with
-          | None -> 0
-          | Some bfile -> (
-            match load bfile with
-            | Error msg ->
-              prerr_endline ("trends: --baseline: " ^ msg);
-              2
-            | Ok bjson ->
-              let base = experiments bjson in
-              let delta b c = if b > 0.0 then 100.0 *. (c -. b) /. b else 0.0 in
-              Printf.printf "%-5s %12s %12s %8s %12s %12s %8s\n" "id"
-                "wall_base" "wall_now" "d%" "alloc_base" "alloc_now" "d%";
-              List.iter
-                (fun (id, w, a) ->
-                  match
-                    List.find_opt (fun (bid, _, _) -> bid = id) base
-                  with
-                  | None ->
-                    Printf.printf "%-5s %12s %12.3f %8s %12s %12.1f %8s\n" id
-                      "-" w "new" "-" (a /. 1.048576e6) "new"
-                  | Some (_, bw, ba) ->
-                    Printf.printf
-                      "%-5s %11.3fs %11.3fs %+7.1f%% %10.1fMB %10.1fMB \
-                       %+7.1f%%\n"
-                      id bw w (delta bw w) (ba /. 1.048576e6)
-                      (a /. 1.048576e6) (delta ba a))
-                exps;
-              0))))
+    with_checked "trends"
+      (let* json, exps = Trends.load file in
+       let* () =
+         Result.map_error (( ^ ) "--history: ")
+           (Trends.append ~history (Trends.history_line json exps))
+       in
+       let* entries = Trends.check_history history in
+       Ok (exps, entries))
+    @@ fun (exps, entries) ->
+    Printf.printf "trends: appended %s to %s (%d entr%s)\n" file history entries
+      (if entries = 1 then "y" else "ies");
+    with_checked "trends" (Pool.flag "--baseline" Trends.load baseline)
+    @@ function
+    | None -> 0
+    | Some (_, base) ->
+      print_string (Trends.deltas ~base exps);
+      0
   in
   let doc =
     "append a battery report to the benchmark history (JSONL, validated \
@@ -607,91 +409,77 @@ let report_cmd =
      garbage-input convention), not cmdliner's generic CLI error. *)
   let file =
     Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"REPORT-FILE" ~doc:"Battery report JSON to check.")
+         & info [] ~docv:"REPORT-FILE"
+             ~doc:"Battery, sweep or search report, or flow trace, JSON to \
+                   check.")
+  in
+  (* One row per artifact schema: what to call it, its validator, and
+     the fields of its summary line (name, path from the root). *)
+  let top k = (k, [ k ]) and summary k = (k, [ "summary"; k ]) in
+  let battery =
+    ( Obs_report.schema_tag,
+      "battery report",
+      Obs_report.validate,
+      [ top "label"; ("experiments", [ "summary"; "total" ]); summary "held";
+        summary "violated"; summary "failed" ] )
+  in
+  let kinds =
+    [
+      ( Obs_search_report.schema_tag,
+        "search report",
+        Obs_search_report.validate,
+        [ top "label"; top "backend"; summary "runs"; summary "frontier";
+          summary "violations"; summary "corpus_added" ] );
+      ( Obs_sweep_report.schema_tag,
+        "sweep report",
+        Obs_sweep_report.validate,
+        [ top "label"; summary "experiments"; summary "verdicts";
+          summary "passed" ] );
+      ( Tussle_chaos.Explain.schema,
+        "flow trace",
+        Tussle_chaos.Explain.validate_json,
+        [ top "scenario"; top "seed"; top "clean"; top "events_recorded" ] );
+      battery;
+    ]
+  in
+  let show json (name, path) =
+    let v =
+      List.fold_left (fun j k -> Option.bind j (Obs_json.member k)) (Some json)
+        path
+    in
+    name ^ "="
+    ^
+    match v with
+    | Some (Obs_json.Str s) -> s
+    | Some j -> Obs_json.to_string j
+    | None -> "?"
   in
   let run file =
-    match
-      (* covers both failure surfaces: open (missing / permission) and
-         read (e.g. the path is a directory) *)
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error msg ->
-      Printf.eprintf "report: %s\n" msg;
-      2
-    | contents -> (
+    (* the read error and the parse error keep their own prefixes *)
+    with_checked "report" (Obs_json.read_file file) @@ fun contents ->
     match Obs_json.parse contents with
     | Error msg ->
       Printf.eprintf "%s: %s\n" file msg;
       2
     | Ok json -> (
-      (* dispatch on the schema tag: the same checker validates
-         battery reports and sweep reports *)
-      let str name = Option.bind (Obs_json.member name json) Obs_json.to_str in
-      let intf path node =
-        Option.bind (Obs_json.member path node) Obs_json.to_int
+      let tag = Option.bind (Obs_json.member "schema" json) Obs_json.to_str in
+      let tag, name, validate, fields =
+        Option.value ~default:battery
+          (List.find_opt (fun (t, _, _, _) -> Some t = tag) kinds)
       in
-      match str "schema" with
-      | Some tag when tag = Obs_search_report.schema_tag -> (
-        match Obs_search_report.validate json with
-        | Error msg ->
-          Printf.eprintf "%s: invalid search report: %s\n" file msg;
-          2
-        | Ok () ->
-          Printf.printf "%s: valid %s\n" file tag;
-          (match Obs_json.member "summary" json with
-          | Some s ->
-            Printf.printf
-              "label=%s backend=%s runs=%d frontier=%d violations=%d \
-               corpus_added=%d\n"
-              (Option.value ~default:"?" (str "label"))
-              (Option.value ~default:"?" (str "backend"))
-              (Option.value ~default:0 (intf "runs" s))
-              (Option.value ~default:0 (intf "frontier" s))
-              (Option.value ~default:0 (intf "violations" s))
-              (Option.value ~default:0 (intf "corpus_added" s))
-          | None -> ());
-          0)
-      | Some tag when tag = Obs_sweep_report.schema_tag -> (
-        match Obs_sweep_report.validate json with
-        | Error msg ->
-          Printf.eprintf "%s: invalid sweep report: %s\n" file msg;
-          2
-        | Ok () ->
-          Printf.printf "%s: valid %s\n" file tag;
-          (match Obs_json.member "summary" json with
-          | Some s ->
-            Printf.printf "label=%s experiments=%d verdicts=%d passed=%d\n"
-              (Option.value ~default:"?" (str "label"))
-              (Option.value ~default:0 (intf "experiments" s))
-              (Option.value ~default:0 (intf "verdicts" s))
-              (Option.value ~default:0 (intf "passed" s))
-          | None -> ());
-          0)
-      | _ -> (
-        match Obs_report.validate json with
-        | Error msg ->
-          Printf.eprintf "%s: invalid battery report: %s\n" file msg;
-          2
-        | Ok () ->
-          let summary = Obs_json.member "summary" json in
-          Printf.printf "%s: valid %s\n" file
-            (Option.value ~default:"battery report" (str "schema"));
-          (match summary with
-          | Some s ->
-            Printf.printf
-              "label=%s experiments=%d held=%d violated=%d failed=%d\n"
-              (Option.value ~default:"?" (str "label"))
-              (Option.value ~default:0 (intf "total" s))
-              (Option.value ~default:0 (intf "held" s))
-              (Option.value ~default:0 (intf "violated" s))
-              (Option.value ~default:0 (intf "failed" s))
-          | None -> ());
-          0)))
+      match validate json with
+      | Error msg ->
+        Printf.eprintf "%s: invalid %s: %s\n" file name msg;
+        2
+      | Ok () ->
+        Printf.printf "%s: valid %s\n%s\n" file tag
+          (String.concat " " (List.map (show json) fields));
+        0)
   in
-  let doc = "validate and summarize a battery or sweep report JSON file" in
+  let doc =
+    "validate and summarize a battery, sweep or search report or a flow \
+     trace JSON file"
+  in
   Cmd.v (Cmd.info "report" ~doc) Term.(const run $ file)
 
 (* ---------- sweep ---------- *)
@@ -749,113 +537,64 @@ let sweep_cmd =
     Arg.(value & opt (some string) None & info [ "report" ] ~doc ~docv:"FILE")
   in
   let run ids sweep_seed sweep_runs alpha domains seq timeout_s report =
-    let fail flag msg =
-      prerr_endline (Printf.sprintf "sweep: %s: %s" flag msg);
-      2
+    let sweepable id =
+      match Registry.find id with
+      | None -> Error (Printf.sprintf "unknown experiment %S" id)
+      | Some e when e.Tussle_experiments.Experiment.sweep = None ->
+        Error
+          (Printf.sprintf
+             "experiment %s has no sweep surface (no per-run metrics to test)"
+             e.Tussle_experiments.Experiment.id)
+      | Some e -> Ok e
     in
-    let seed_result =
-      match sweep_seed with
-      | None -> Ok 1031
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "invalid seed %S (expected an integer)" s))
+    with_checked "sweep"
+      (let* seed =
+         Pool.flag "--sweep-seed" (Pool.seed_of_string ~what:"seed") sweep_seed
+       in
+       let* runs =
+         Pool.flag "--sweep-runs" (Pool.int_at_least ~what:"run count" 2)
+           sweep_runs
+       in
+       let* alpha = Pool.flag "--alpha" Pool.probability_of_string alpha in
+       let* domains = Pool.domains_flag ~seq domains in
+       let* timeout_s = Pool.flag "--timeout-s" Pool.seconds_of_string timeout_s in
+       let* experiments =
+         Pool.flag "--experiments"
+           (fun s ->
+             String.split_on_char ',' s |> List.map String.trim
+             |> Obs_json.list sweepable)
+           ids
+       in
+       Ok
+         ( Option.value seed ~default:1031,
+           Option.value runs ~default:100,
+           Option.value alpha ~default:0.01,
+           domains,
+           timeout_s,
+           Option.value experiments ~default:(Registry.sweepables ()) ))
+    @@ fun (seed, runs, alpha, domains, timeout_s, experiments) ->
+    let sweep_report, errors =
+      Tussle_sweep.Driver.run_sweep ?domains ?timeout_s ~seed ~runs ~alpha
+        experiments
     in
-    let runs_result =
-      match sweep_runs with
-      | None -> Ok 100
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 2 -> Ok n
-        | Some _ | None ->
-          Error (Printf.sprintf "invalid run count %S (expected an integer >= 2)" s))
-    in
-    let alpha_result =
-      match alpha with
-      | None -> Ok 0.01
-      | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some a when a > 0.0 && a < 1.0 -> Ok a
-        | Some _ | None ->
-          Error
-            (Printf.sprintf "invalid significance level %S (expected a number \
-                             strictly between 0 and 1)" s))
-    in
-    let domains_result =
-      if seq then Ok (Some 1)
-      else
-        match domains with
-        | None -> Ok None
-        | Some s -> Result.map Option.some (Tussle_prelude.Pool.domains_of_string s)
-    in
-    let timeout_result =
-      match timeout_s with
-      | None -> Ok None
-      | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some t when t > 0.0 && Float.is_finite t -> Ok (Some t)
-        | Some _ | None ->
-          Error
-            (Printf.sprintf "invalid timeout %S (expected a positive number \
-                             of seconds)" s))
-    in
-    match (seed_result, runs_result, alpha_result, domains_result, timeout_result) with
-    | Error msg, _, _, _, _ -> fail "--sweep-seed" msg
-    | _, Error msg, _, _, _ -> fail "--sweep-runs" msg
-    | _, _, Error msg, _, _ -> fail "--alpha" msg
-    | _, _, _, Error msg, _ -> fail "--domains" msg
-    | _, _, _, _, Error msg -> fail "--timeout-s" msg
-    | Ok seed, Ok runs, Ok alpha, Ok domains, Ok timeout_s -> (
-      let experiments_result =
-        match ids with
-        | None -> Ok (Tussle_experiments.Registry.sweepables ())
-        | Some s ->
-          let ids = String.split_on_char ',' s |> List.map String.trim in
-          List.fold_left
-            (fun acc id ->
-              Result.bind acc (fun es ->
-                  match Tussle_experiments.Registry.find id with
-                  | None -> Error (Printf.sprintf "unknown experiment %S" id)
-                  | Some e when e.Tussle_experiments.Experiment.sweep = None ->
-                    Error
-                      (Printf.sprintf
-                         "experiment %s has no sweep surface (no per-run \
-                          metrics to test)"
-                         e.Tussle_experiments.Experiment.id)
-                  | Some e -> Ok (es @ [ e ])))
-            (Ok []) ids
-      in
-      match experiments_result with
-      | Error msg -> fail "--experiments" msg
-      | Ok experiments ->
-        let sweep_report, errors =
-          Tussle_sweep.Driver.run_sweep ?domains ?timeout_s ~seed ~runs ~alpha
-            experiments
-        in
-        print_string (Obs_sweep_report.summary sweep_report);
-        List.iter
-          (fun e ->
-            prerr_endline
-              ("sweep: " ^ Tussle_sweep.Driver.error_string e))
-          errors;
-        let violations = Tussle_sweep.Driver.check_report sweep_report in
-        List.iter
-          (fun v ->
-            prerr_endline
-              ("sweep: report invariant violated: "
-              ^ Tussle_chaos.Invariant.violation_string v))
-          violations;
-        (match report with
-        | None -> ()
-        | Some file -> (
-          try
-            Obs_sweep_report.write file sweep_report;
-            Printf.printf "\nreport written to %s\n" file
-          with Sys_error msg ->
-            prerr_endline ("sweep: --report: " ^ msg);
-            exit 2));
-        let total, passed = Obs_sweep_report.count_verdicts sweep_report in
-        if errors <> [] || violations <> [] || passed < total then 1 else 0)
+    print_string (Obs_sweep_report.summary sweep_report);
+    List.iter
+      (fun e -> prerr_endline ("sweep: " ^ Tussle_sweep.Driver.error_string e))
+      errors;
+    let violations = Tussle_sweep.Driver.check_report sweep_report in
+    List.iter
+      (fun v ->
+        prerr_endline
+          ("sweep: report invariant violated: "
+          ^ Tussle_chaos.Invariant.violation_string v))
+      violations;
+    Option.iter
+      (fun file ->
+        write_artifact "sweep" "--report" Obs_sweep_report.write file sweep_report;
+        Printf.printf "\nreport written to %s\n" file)
+      report;
+    let total, passed = Obs_sweep_report.count_verdicts sweep_report in
+    if errors <> [] || violations <> [] || passed < total then 1 else 0
   in
   let doc =
     "statistical verdicts: sweep experiments across seeds and hypothesis-test \
@@ -916,74 +655,40 @@ let search_cmd =
   in
   let run backend budget sweep_seed domains seq corpus report =
     let module Driver = Tussle_search.Driver in
-    let fail flag msg =
-      prerr_endline (Printf.sprintf "search: %s: %s" flag msg);
-      2
-    in
-    let backend_result =
-      let b = String.trim backend in
-      if List.mem b Driver.backend_names then Ok b
-      else
-        Error
-          (Printf.sprintf "invalid backend %S (expected %s)" backend
-             (String.concat " or " Driver.backend_names))
-    in
-    let budget_result =
-      match budget with
-      | None -> Ok 200
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> Ok n
-        | Some _ | None ->
-          Error (Printf.sprintf "invalid budget %S (expected an integer >= 1)" s))
-    in
-    let seed_result =
-      match sweep_seed with
-      | None -> Ok 1031
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "invalid seed %S (expected an integer)" s))
-    in
-    let domains_result =
-      if seq then Ok (Some 1)
-      else
-        match domains with
-        | None -> Ok None
-        | Some s -> Result.map Option.some (Tussle_prelude.Pool.domains_of_string s)
-    in
-    match (backend_result, budget_result, seed_result, domains_result) with
-    | Error msg, _, _, _ -> fail "--backend" msg
-    | _, Error msg, _, _ -> fail "--budget" msg
-    | _, _, Error msg, _ -> fail "--sweep-seed" msg
-    | _, _, _, Error msg -> fail "--domains" msg
-    | Ok backend, Ok budget, Ok seed, Ok domains -> (
-      let corpus_dir = if String.trim corpus = "" then None else Some corpus in
-      match Driver.run ?domains ?corpus_dir ~backend ~seed ~budget () with
-      | Error msg -> fail "--backend" msg
-      | Ok (search_report, _outcome) ->
-        print_string (Obs_search_report.summary search_report);
-        let violations =
-          Tussle_chaos.Invariant.check_search_report search_report
-        in
-        List.iter
-          (fun v ->
-            prerr_endline
-              ("search: report invariant violated: "
-              ^ Tussle_chaos.Invariant.violation_string v))
-          violations;
-        (match report with
-        | None -> ()
-        | Some file -> (
-          try
-            Obs_search_report.write file search_report;
-            Printf.printf "\nreport written to %s\n" file
-          with Sys_error msg ->
-            prerr_endline ("search: --report: " ^ msg);
-            exit 2));
-        if violations <> [] || search_report.Obs_search_report.findings <> []
-        then 1
-        else 0)
+    with_checked "search"
+      (let* backend =
+         Result.map_error (( ^ ) "--backend: ")
+           (Pool.backend_of_string Driver.backend_names backend)
+       in
+       let* budget =
+         Pool.flag "--budget" (Pool.int_at_least ~what:"budget" 1) budget
+       in
+       let* seed =
+         Pool.flag "--sweep-seed" (Pool.seed_of_string ~what:"seed") sweep_seed
+       in
+       let* domains = Pool.domains_flag ~seq domains in
+       let corpus_dir = if String.trim corpus = "" then None else Some corpus in
+       Result.map_error (( ^ ) "--backend: ")
+         (Driver.run ?domains ?corpus_dir ~backend
+            ~seed:(Option.value seed ~default:1031)
+            ~budget:(Option.value budget ~default:200)
+            ()))
+    @@ fun (search_report, _outcome) ->
+    print_string (Obs_search_report.summary search_report);
+    let violations = Tussle_chaos.Invariant.check_search_report search_report in
+    List.iter
+      (fun v ->
+        prerr_endline
+          ("search: report invariant violated: "
+          ^ Tussle_chaos.Invariant.violation_string v))
+      violations;
+    Option.iter
+      (fun file ->
+        write_artifact "search" "--report" Obs_search_report.write file search_report;
+        Printf.printf "\nreport written to %s\n" file)
+      report;
+    if violations <> [] || search_report.Obs_search_report.findings <> [] then 1
+    else 0
   in
   let doc =
     "adversarial search over fault-plan space: coverage-guided mutation or \
@@ -1018,110 +723,39 @@ let perfgate_cmd =
     Arg.(value & opt (some string) None & info [ "tolerance" ] ~doc ~docv:"FRAC")
   in
   let run baseline candidate ids tolerance =
-    let tolerance_result =
-      match tolerance with
-      | None -> Ok 0.25
-      | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some t when t >= 0.0 && Float.is_finite t -> Ok t
-        | Some _ | None ->
-          Error
-            (Printf.sprintf
-               "invalid tolerance %S (expected a non-negative number)" s))
+    let tolerance_of_string s =
+      match float_of_string_opt (String.trim s) with
+      | Some t when t >= 0.0 && Float.is_finite t -> Ok t
+      | Some _ | None ->
+        Error
+          (Printf.sprintf
+             "invalid tolerance %S (expected a non-negative number)" s)
     in
-    let load file =
-      match
-        let ic = open_in_bin file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with
-      | exception Sys_error msg -> Error msg
-      | contents -> (
-        match Obs_json.parse contents with
-        | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
-        | Ok json -> (
-          match Obs_report.validate json with
-          | Error msg ->
-            Error (Printf.sprintf "%s: invalid battery report: %s" file msg)
-          | Ok () -> Ok json))
-    in
-    (* experiment id -> (wall_s, allocated_bytes) *)
-    let experiment_metrics json id =
-      match Option.bind (Obs_json.member "experiments" json) Obs_json.to_list with
-      | None -> None
-      | Some entries ->
-        List.find_map
-          (fun e ->
-            match Option.bind (Obs_json.member "id" e) Obs_json.to_str with
-            | Some i when i = id ->
-              let fl name = Option.bind (Obs_json.member name e) Obs_json.to_float in
-              Option.bind (fl "wall_s") (fun w ->
-                  Option.map (fun a -> (w, a)) (fl "allocated_bytes"))
-            | _ -> None)
-          entries
-    in
-    match tolerance_result with
-    | Error msg ->
-      prerr_endline ("perfgate: --tolerance: " ^ msg);
+    with_checked "perfgate"
+      (let* tolerance = Pool.flag "--tolerance" tolerance_of_string tolerance in
+       let* _, base = Trends.load baseline in
+       let* _, cand = Trends.load candidate in
+       match
+         String.split_on_char ',' ids |> List.map String.trim
+         |> List.filter (fun s -> s <> "")
+       with
+       | [] -> Error "--ids: no experiment ids given"
+       | ids -> Ok (Option.value tolerance ~default:0.25, base, cand, ids))
+    @@ fun (tolerance, base, cand, ids) ->
+    Printf.printf "perfgate: %s vs %s, tolerance %.0f%%\n" candidate baseline
+      (100.0 *. tolerance);
+    let lines, verdict = Trends.gate ~tolerance ~ids ~base cand in
+    print_string lines;
+    match verdict with
+    | Trends.Missing ->
+      prerr_endline "perfgate: experiment missing from a report";
       2
-    | Ok tol -> (
-      match (load baseline, load candidate) with
-      | Error msg, _ | _, Error msg ->
-        prerr_endline ("perfgate: " ^ msg);
-        2
-      | Ok base_json, Ok cand_json ->
-        let ids =
-          String.split_on_char ',' ids
-          |> List.map String.trim
-          |> List.filter (fun s -> s <> "")
-        in
-        if ids = [] then begin
-          prerr_endline "perfgate: --ids: no experiment ids given";
-          2
-        end
-        else begin
-          let missing = ref false in
-          let regressed = ref false in
-          Printf.printf "perfgate: %s vs %s, tolerance %.0f%%\n" candidate
-            baseline (100.0 *. tol);
-          List.iter
-            (fun id ->
-              match (experiment_metrics base_json id, experiment_metrics cand_json id) with
-              | None, _ ->
-                missing := true;
-                Printf.printf "  %-4s MISSING in baseline\n" id
-              | _, None ->
-                missing := true;
-                Printf.printf "  %-4s MISSING in report\n" id
-              | Some (bw, ba), Some (cw, ca) ->
-                let gate metric base cand fmt =
-                  (* a zero baseline gates nothing: any positive value
-                     would be an infinite ratio *)
-                  let limit = base *. (1.0 +. tol) in
-                  let bad = base > 0.0 && cand > limit in
-                  if bad then regressed := true;
-                  Printf.printf "  %-4s %-15s %s -> %s (limit %s)%s\n" id metric
-                    (fmt base) (fmt cand) (fmt limit)
-                    (if bad then "  REGRESSION" else "")
-                in
-                gate "wall_s" bw cw (Printf.sprintf "%.3fs");
-                gate "allocated_bytes" ba ca (fun b ->
-                    Printf.sprintf "%.1fMB" (b /. 1.048576e6)))
-            ids;
-          if !missing then begin
-            prerr_endline "perfgate: experiment missing from a report";
-            2
-          end
-          else if !regressed then begin
-            print_endline "perfgate: FAIL (performance regression)";
-            1
-          end
-          else begin
-            print_endline "perfgate: ok";
-            0
-          end
-        end)
+    | Trends.Regression ->
+      print_endline "perfgate: FAIL (performance regression)";
+      1
+    | Trends.Pass ->
+      print_endline "perfgate: ok";
+      0
   in
   let doc =
     "gate a fresh battery report against a committed baseline: fail when a \
@@ -1237,7 +871,7 @@ let market_cmd =
 
 let policy_cmd =
   let file =
-    Arg.(required & pos 0 (some file) None
+    Arg.(required & pos 0 (some string) None
          & info [] ~docv:"POLICY-FILE" ~doc:"Policy file to load.")
   in
   let request =
@@ -1253,15 +887,9 @@ let policy_cmd =
          & info [ "a"; "attr" ] ~doc:"Attribute binding name=value (int or string).")
   in
   let run file request root attrs =
-    let read_file path =
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
+    with_checked "policy" (Obs_json.read_file file) @@ fun text ->
     try
-      let policy = Tussle_policy.Parser.parse (read_file file) in
+      let policy = Tussle_policy.Parser.parse text in
       match String.split_on_char ':' request with
       | [ subject; action; resource ] ->
         let attributes =

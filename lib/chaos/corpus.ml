@@ -71,14 +71,7 @@ let of_file_string ?known s =
           | _ -> Ok { scenario; seed; plan }))))
 
 let load ?known path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> of_file_string ?known s
-  | exception Sys_error m -> Error m
+  Result.bind (Tussle_obs.Json.read_file path) (of_file_string ?known)
 
 let load_dir ?known dir =
   match Sys.readdir dir with

@@ -357,69 +357,62 @@ let to_json r =
       ("events", Json.List (List.map event_to_json r.events));
     ]
 
-let require what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "flow-trace: missing or ill-typed %s" what)
+let ( let* ) = Json.( let* )
 
-let ( let* ) r f = Stdlib.Result.bind r f
+(* Every decoding error reads "flow-trace: missing or ill-typed PATH";
+   the path is only formatted once a field has failed. *)
+let ill_typed path = Error ("flow-trace: missing or ill-typed " ^ path)
+
+let field what conv j =
+  match Json.field what conv j with Ok v -> Ok v | Error _ -> ill_typed what
 
 let validate_event i ev =
-  let field what conv =
-    require
-      (Printf.sprintf "events[%d].%s" i what)
-      (Option.bind (Json.member what ev) conv)
+  let check what conv =
+    match Json.field what conv ev with
+    | Ok _ -> Ok ()
+    | Error _ -> ill_typed (Printf.sprintf "events[%d].%s" i what)
   in
-  let* _ = field "t" Json.to_float in
-  let* _ = field "flow" Json.to_int in
-  let* _ = field "kind" Json.to_str in
-  let* _ = field "node" Json.to_int in
-  let* _ = field "peer" Json.to_int in
-  let* _ = field "detail" Json.to_str in
-  let* _ = field "value" Json.to_float in
-  Ok ()
+  let* () = check "t" Json.to_float in
+  let* () = check "flow" Json.to_int in
+  let* () = check "kind" Json.to_str in
+  let* () = check "node" Json.to_int in
+  let* () = check "peer" Json.to_int in
+  let* () = check "detail" Json.to_str in
+  check "value" Json.to_float
 
 let validate_json j =
-  let field what conv = require what (Option.bind (Json.member what j) conv) in
-  let* tag = field "schema" Json.to_str in
+  let* tag = field "schema" Json.to_str j in
   if tag <> schema then
     Error (Printf.sprintf "flow-trace: schema %S, expected %S" tag schema)
   else
-    let* _ = field "scenario" Json.to_str in
-    let* _ = field "seed" Json.to_int in
-    let* plan = field "plan" Json.to_list in
+    let* _ = field "scenario" Json.to_str j in
+    let* _ = field "seed" Json.to_int j in
+    let* plan = field "plan" Json.to_list j in
     let* () =
       if List.for_all (fun p -> Json.to_str p <> None) plan then Ok ()
       else Error "flow-trace: plan contains a non-string episode"
     in
+    let* _ = field "clean" Json.to_bool j in
+    let* ledger = field "ledger" Option.some j in
     let* _ =
-      require "clean"
-        (match Json.member "clean" j with
-        | Some (Json.Bool b) -> Some b
-        | _ -> None)
-    in
-    let* ledger = require "ledger" (Json.member "ledger" j) in
-    let* () =
-      List.fold_left
-        (fun acc what ->
-          let* () = acc in
-          let* _ =
-            require ("ledger." ^ what)
-              (Option.bind (Json.member what ledger) Json.to_int)
-          in
-          Ok ())
-        (Ok ())
+      Json.list
+        (fun what ->
+          match Json.field what Json.to_int ledger with
+          | Ok n -> Ok n
+          | Error _ -> ill_typed ("ledger." ^ what))
         [ "injected"; "delivered"; "dropped"; "in_flight"; "engine_pending" ]
     in
-    let* events = field "events" Json.to_list in
-    let* recorded = field "events_recorded" Json.to_int in
+    let* events = field "events" Json.to_list j in
+    let* recorded = field "events_recorded" Json.to_int j in
     if recorded <> List.length events then
       Error
         (Printf.sprintf "flow-trace: events_recorded %d but %d events"
            recorded (List.length events))
     else
-      List.fold_left
-        (fun acc (i, ev) ->
-          let* () = acc in
-          validate_event i ev)
-        (Ok ())
-        (List.mapi (fun i ev -> (i, ev)) events)
+      let rec each i = function
+        | [] -> Ok ()
+        | ev :: rest ->
+          let* () = validate_event i ev in
+          each (i + 1) rest
+      in
+      each 0 events

@@ -44,6 +44,9 @@ val narrative_of_violation :
     flows' causal records (the same "flows of interest" section the
     full narrative carries), headed by the violation itself. *)
 
+val schema : string
+(** ["tussle.flow-trace/1"] *)
+
 val to_json : result -> Tussle_obs.Json.t
 (** The [tussle.flow-trace/1] artifact. *)
 

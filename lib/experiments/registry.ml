@@ -133,3 +133,36 @@ let report ?(label = "battery") ~domains ~wall_s outcomes =
   let metrics = Tussle_obs.Metrics.snapshot () in
   Tussle_obs.Report.make ~label ?pool ~metrics ~domains ~wall_s
     (List.map exp_of_outcome outcomes)
+
+(* ---------- telemetry epilogue ---------- *)
+
+let telemetry ~cmd ?domains ~metrics ~trace ~report:file () =
+  if metrics || file <> None then Tussle_obs.Metrics.enable ();
+  if trace <> None then Tussle_obs.Trace.enable ();
+  let emit_report ~wall_s outcomes =
+    match file with
+    | None -> ()
+    | Some file ->
+      let domains =
+        match domains with
+        | Some d -> d
+        | None -> Tussle_prelude.Pool.default_domains ()
+      in
+      let r = report ~domains ~wall_s outcomes in
+      (try Tussle_obs.Report.write file r
+       with Sys_error msg ->
+         prerr_endline (cmd ^ ": --report: " ^ msg);
+         exit 2);
+      print_newline ();
+      print_string (Tussle_obs.Report.summary r)
+  in
+  let finish code =
+    Option.iter Tussle_obs.Trace.write_chrome trace;
+    if metrics then begin
+      print_newline ();
+      print_string
+        (Tussle_obs.Metrics.render (Tussle_obs.Metrics.snapshot ()))
+    end;
+    code
+  in
+  (emit_report, finish)

@@ -67,3 +67,22 @@ val report :
     current {!Tussle_prelude.Pool.last_stats} and
     {!Tussle_obs.Metrics.snapshot}.  Call it right after the battery,
     before anything else touches the pool or the metric sinks. *)
+
+val telemetry :
+  cmd:string ->
+  ?domains:int ->
+  metrics:bool ->
+  trace:string option ->
+  report:string option ->
+  unit ->
+  (wall_s:float -> Experiment.outcome list -> unit) * (int -> int)
+(** The [--metrics]/[--trace]/[--report] handling both battery entry
+    points share.  Enables the metric sinks when [metrics] or [report]
+    is set and tracing when [trace] is, then returns
+    [(emit_report, finish)]:
+    - [emit_report ~wall_s outcomes] writes the battery report (built
+      by {!report} with [domains], default
+      {!Tussle_prelude.Pool.default_domains}) and prints its summary;
+      an unwritable file prints [CMD: --report: MSG] and exits 2;
+    - [finish code] writes the Chrome trace, prints the metrics table
+      when asked, and returns [code]. *)

@@ -1,7 +1,3 @@
-(* Per-domain event rings merged at export time (same discipline as
-   Trace: plain mutable cells behind Domain.DLS, a mutex only around
-   ring registration, reset, and export). *)
-
 type event = {
   seq : int;
   sim_t : float;
@@ -13,8 +9,11 @@ type event = {
   value : float;
 }
 
-let enabled_flag = Atomic.make false
-let capacity = Atomic.make 65536
+let ring =
+  Ring.create ~compare:(fun a b ->
+      match compare a.sim_t b.sim_t with 0 -> compare a.seq b.seq | c -> c)
+
+let enabled_flag = Ring.flag ring
 
 (* Transfer flow ids: -2, -3, ...  (-1 is the control-plane flow, and
    non-negative ids belong to packets.)  Only drawn while enabled, so
@@ -25,70 +24,18 @@ let control_flow = -1
 
 let new_flow () = Atomic.fetch_and_add flow_counter (-1)
 
-let enable ?capacity:(cap = 65536) () =
-  Atomic.set capacity (max 1 cap);
-  Atomic.set enabled_flag true
-
-let disable () = Atomic.set enabled_flag false
+let enable ?capacity () = Ring.enable ring ?capacity ()
+let disable () = Ring.disable ring
 let enabled () = Atomic.get enabled_flag
 
-type ring = {
-  buf : event option array;
-  mutable next : int; (* slot for the next write *)
-  mutable written : int; (* total pushed since last reset *)
-}
-
-let registry_mutex = Mutex.create ()
-let rings : ring list ref = ref []
-
-let locked f =
-  Mutex.lock registry_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) f
-
-let new_ring () =
-  let r =
-    { buf = Array.make (Atomic.get capacity) None; next = 0; written = 0 }
-  in
-  locked (fun () -> rings := r :: !rings);
-  r
-
-let ring_key = Domain.DLS.new_key new_ring
-
 let emit ~sim_t ~flow ~node ~peer ~detail ~value kind =
-  if enabled () then begin
-    let r = Domain.DLS.get ring_key in
-    r.buf.(r.next) <-
-      Some { seq = r.written; sim_t; flow; kind; node; peer; detail; value };
-    r.next <- (r.next + 1) mod Array.length r.buf;
-    r.written <- r.written + 1
-  end
+  if enabled () then
+    Ring.push ring
+      { seq = Ring.pushed ring; sim_t; flow; kind; node; peer; detail; value }
 
 let reset () =
   Atomic.set flow_counter (-2);
-  locked (fun () ->
-      List.iter
-        (fun r ->
-          Array.fill r.buf 0 (Array.length r.buf) None;
-          r.next <- 0;
-          r.written <- 0)
-        !rings)
+  Ring.reset ring
 
-let events () =
-  let collected =
-    locked (fun () ->
-        List.concat_map
-          (fun r -> Array.to_list r.buf |> List.filter_map Fun.id)
-          !rings)
-  in
-  List.sort
-    (fun a b ->
-      match compare a.sim_t b.sim_t with
-      | 0 -> compare a.seq b.seq
-      | c -> c)
-    collected
-
-let dropped () =
-  locked (fun () ->
-      List.fold_left
-        (fun acc r -> acc + max 0 (r.written - Array.length r.buf))
-        0 !rings)
+let events () = Ring.events ring
+let dropped () = Ring.dropped ring

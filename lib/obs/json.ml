@@ -284,3 +284,41 @@ let to_float = function
 
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function List xs -> Some xs | _ -> None
+let to_bool = function Bool b -> Some b | _ -> None
+
+(* ---------- decoders ---------- *)
+
+let ( let* ) = Result.bind
+
+let field name extract node =
+  match member name node with
+  | None -> Error (Printf.sprintf "missing field %S" name)
+  | Some v -> (
+    match extract v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "field %S has the wrong type" name))
+
+let list decode xs =
+  List.fold_left
+    (fun acc x ->
+      let* acc = acc in
+      let* y = decode x in
+      Ok (y :: acc))
+    (Ok []) xs
+  |> Result.map List.rev
+
+(* ---------- files ---------- *)
+
+let read_file path =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | contents -> Ok contents
+  | exception Sys_error msg -> Error msg
+
+let of_file path =
+  let* contents = read_file path in
+  Result.map_error (fun msg -> path ^ ": " ^ msg) (parse contents)

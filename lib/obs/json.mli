@@ -43,3 +43,33 @@ val to_float : t -> float option
 val to_str : t -> string option
 
 val to_list : t -> t list option
+
+val to_bool : t -> bool option
+
+(** {1 Decoders}
+
+    One idiom for every artifact reader: [let*] over [result], a
+    {!field} lookup per required field and {!list} over arrays.  An
+    artifact's [validate] is its decoder followed by the semantic
+    checks. *)
+
+val ( let* ) : ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
+
+val field : string -> (t -> 'a option) -> t -> ('a, string) result
+(** [field name extract node] is the [name] member of [node] run
+    through [extract]; errors read [missing field "name"] or
+    [field "name" has the wrong type]. *)
+
+val list : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
+(** Decode (or check) every element in order; the first error wins. *)
+
+(** {1 Files} *)
+
+val read_file : string -> (string, string) result
+(** The whole file as a string.  [Sys_error] (missing file, a
+    directory, a failed read) comes back as [Error] with its message;
+    the channel is closed either way. *)
+
+val of_file : string -> (t, string) result
+(** {!read_file} then {!parse}; a parse error is prefixed with the
+    path ([path: JSON parse error at byte ...]). *)

@@ -183,34 +183,40 @@ let summary t =
          (100.0 *. imbalance p)));
   Buffer.contents buf
 
-(* ---------- validation ---------- *)
+(* ---------- decoding ---------- *)
 
-let validate json =
-  let ( let* ) r f = Result.bind r f in
-  let require name extract node =
-    match Json.member name node with
-    | None -> Error (Printf.sprintf "missing field %S" name)
-    | Some v -> (
-      match extract v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "field %S has the wrong type" name))
-  in
-  let* schema = require "schema" Json.to_str json in
+let ( let* ) = Json.( let* )
+
+let exp_of_json j =
+  let* id = Json.field "id" Json.to_str j in
+  let* status = Json.field "status" Json.to_str j in
+  let* title = Json.field "title" Json.to_str j in
+  let* detail = Json.field "detail" Json.to_str j in
+  let* wall_s = Json.field "wall_s" Json.to_float j in
+  let* events_executed = Json.field "events_executed" Json.to_int j in
+  let* allocated_bytes = Json.field "allocated_bytes" Json.to_float j in
+  match status with
+  | "held" | "violated" | "failed" ->
+    Ok { id; title; status; detail; wall_s; events_executed; allocated_bytes }
+  | s -> Error (Printf.sprintf "experiment %s: unknown status %S" id s)
+
+let experiments_of_json json =
+  let* schema = Json.field "schema" Json.to_str json in
   let* () =
     if schema = schema_tag then Ok ()
     else Error (Printf.sprintf "unknown schema %S (expected %S)" schema schema_tag)
   in
-  let* _label = require "label" Json.to_str json in
-  let* _at = require "generated_at" Json.to_float json in
-  let* domains = require "domains" Json.to_int json in
+  let* _label = Json.field "label" Json.to_str json in
+  let* _at = Json.field "generated_at" Json.to_float json in
+  let* domains = Json.field "domains" Json.to_int json in
   let* () = if domains >= 1 then Ok () else Error "domains must be >= 1" in
-  let* _wall = require "wall_s" Json.to_float json in
-  let* summary = require "summary" Option.some json in
-  let* total = require "total" Json.to_int summary in
-  let* held = require "held" Json.to_int summary in
-  let* violated = require "violated" Json.to_int summary in
-  let* failed = require "failed" Json.to_int summary in
-  let* exps = require "experiments" Json.to_list json in
+  let* _wall = Json.field "wall_s" Json.to_float json in
+  let* summary = Json.field "summary" Option.some json in
+  let* total = Json.field "total" Json.to_int summary in
+  let* held = Json.field "held" Json.to_int summary in
+  let* violated = Json.field "violated" Json.to_int summary in
+  let* failed = Json.field "failed" Json.to_int summary in
+  let* exps = Json.field "experiments" Json.to_list json in
   let* () =
     if List.length exps = total then Ok ()
     else
@@ -218,34 +224,19 @@ let validate json =
         (Printf.sprintf "summary.total=%d but %d experiments listed" total
            (List.length exps))
   in
-  let* statuses =
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        let* id = require "id" Json.to_str e in
-        let* status = require "status" Json.to_str e in
-        let* _ = require "title" Json.to_str e in
-        let* _ = require "detail" Json.to_str e in
-        let* _ = require "wall_s" Json.to_float e in
-        let* _ = require "events_executed" Json.to_int e in
-        let* _ = require "allocated_bytes" Json.to_float e in
-        match status with
-        | "held" | "violated" | "failed" -> Ok (status :: acc)
-        | s -> Error (Printf.sprintf "experiment %s: unknown status %S" id s))
-      (Ok []) exps
-  in
-  let n s = List.length (List.filter (String.equal s) statuses) in
+  let* exps = Json.list exp_of_json exps in
   let* () =
-    if n "held" = held && n "violated" = violated && n "failed" = failed then
-      Ok ()
+    if count_status exps = (held, violated, failed) then Ok ()
     else Error "summary counts do not match experiment statuses"
   in
   match Json.member "pool" json with
-  | None -> Ok ()
+  | None -> Ok exps
   | Some p ->
-    let* workers = require "workers" Json.to_int p in
-    let* tasks = require "tasks" Json.to_list p in
-    let* busy = require "busy_s" Json.to_list p in
-    let* _ = require "imbalance" Json.to_float p in
-    if List.length tasks = workers && List.length busy = workers then Ok ()
+    let* workers = Json.field "workers" Json.to_int p in
+    let* tasks = Json.field "tasks" Json.to_list p in
+    let* busy = Json.field "busy_s" Json.to_list p in
+    let* _ = Json.field "imbalance" Json.to_float p in
+    if List.length tasks = workers && List.length busy = workers then Ok exps
     else Error "pool arrays do not match worker count"
+
+let validate json = Result.map ignore (experiments_of_json json)

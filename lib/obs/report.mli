@@ -59,6 +59,9 @@ type t = {
   metrics : (string * Metrics.value) list;
 }
 
+val schema_tag : string
+(** ["tussle.battery-report/1"] *)
+
 val make :
   ?label:string ->
   ?pool:pool ->
@@ -80,8 +83,14 @@ val summary : t -> string
 (** Human-readable: one table row per experiment (status, wall,
     events, allocation), totals line, pool balance line. *)
 
+val experiments_of_json : Json.t -> (exp list, string) result
+(** Check a parsed JSON value against the schema above — schema tag,
+    required fields with the right types, a known status per
+    experiment, and summary and pool counts consistent with the lists
+    — and decode its experiment list.  The one reader of battery
+    reports: {!validate}, [tussle trends] and [tussle perfgate] all go
+    through it. *)
+
 val validate : Json.t -> (unit, string) result
-(** Check a parsed JSON value against the schema above: schema tag,
-    required fields with the right types, and summary counts
-    consistent with the experiment list.  Used by [tussle report FILE]
-    and the CI smoke script. *)
+(** {!experiments_of_json}, keeping only the verdict.  Used by
+    [tussle report FILE] and the CI smoke script. *)

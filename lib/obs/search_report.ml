@@ -1,6 +1,6 @@
 (* Search report: the `tussle.search-report/1` artifact emitted by
    `tussle search`.  Same discipline as the sweep report: schema tag,
-   atomic write, validator in the [let*]/[require] style, and no
+   atomic write, decoder built from [Json]'s combinators, and no
    wall-clock or domain-count field anywhere — the search's contract
    is byte-identical output across --domains and across repeated runs
    at the same seed, so everything derives from (seed, config) alone. *)
@@ -91,73 +91,54 @@ let write path t = Json.to_file path (to_json t)
 
 (* ---------- parsing ---------- *)
 
-let ( let* ) r f = Result.bind r f
-
-let require name extract node =
-  match Json.member name node with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-    match extract v with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "field %S has the wrong type" name))
-
-let map_result f xs =
-  List.fold_left
-    (fun acc x ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    (Ok []) xs
-  |> Result.map List.rev
+let ( let* ) = Json.( let* )
 
 let finding_of_json j =
-  let* scenario = require "scenario" Json.to_str j in
-  let* seed = require "seed" Json.to_int j in
-  let* found_episodes = require "found_episodes" Json.to_int j in
-  let* minimal_plan = require "minimal_plan" Json.to_str j in
-  let* invariants = require "invariants" Json.to_list j in
+  let* scenario = Json.field "scenario" Json.to_str j in
+  let* seed = Json.field "seed" Json.to_int j in
+  let* found_episodes = Json.field "found_episodes" Json.to_int j in
+  let* minimal_plan = Json.field "minimal_plan" Json.to_str j in
+  let* invariants = Json.field "invariants" Json.to_list j in
   let* invariants =
-    map_result
+    Json.list
       (fun n ->
         match Json.to_str n with
         | Some s -> Ok s
         | None -> Error "finding: non-string invariant name")
       invariants
   in
-  let* corpus_file = require "corpus_file" Json.to_str j in
+  let* corpus_file = Json.field "corpus_file" Json.to_str j in
   Ok { scenario; seed; found_episodes; minimal_plan; invariants; corpus_file }
 
 let of_json json =
-  let* schema = require "schema" Json.to_str json in
+  let* schema = Json.field "schema" Json.to_str json in
   let* () =
     if schema = schema_tag then Ok ()
     else
       Error (Printf.sprintf "unknown schema %S (expected %S)" schema schema_tag)
   in
-  let* label = require "label" Json.to_str json in
-  let* backend = require "backend" Json.to_str json in
-  let* search_seed = require "search_seed" Json.to_int json in
-  let* budget = require "budget" Json.to_int json in
-  let* runs = require "runs" Json.to_int json in
-  let* seeded = require "seeded" Json.to_int json in
-  let* space = require "space" Json.to_int json in
-  let* certified =
-    require "certified" (function Json.Bool b -> Some b | _ -> None) json
-  in
-  let* frontier = require "frontier" Json.to_list json in
+  let* label = Json.field "label" Json.to_str json in
+  let* backend = Json.field "backend" Json.to_str json in
+  let* search_seed = Json.field "search_seed" Json.to_int json in
+  let* budget = Json.field "budget" Json.to_int json in
+  let* runs = Json.field "runs" Json.to_int json in
+  let* seeded = Json.field "seeded" Json.to_int json in
+  let* space = Json.field "space" Json.to_int json in
+  let* certified = Json.field "certified" Json.to_bool json in
+  let* frontier = Json.field "frontier" Json.to_list json in
   let* frontier =
-    map_result
+    Json.list
       (fun n ->
         match Json.to_int n with
         | Some i -> Ok i
         | None -> Error "frontier: non-integer entry")
       frontier
   in
-  let* corpus_dir = require "corpus_dir" Json.to_str json in
-  let* findings = require "findings" Json.to_list json in
-  let* findings = map_result finding_of_json findings in
-  let* summary = require "summary" Option.some json in
-  let* corpus_added = require "corpus_added" Json.to_int summary in
+  let* corpus_dir = Json.field "corpus_dir" Json.to_str json in
+  let* findings = Json.field "findings" Json.to_list json in
+  let* findings = Json.list finding_of_json findings in
+  let* summary = Json.field "summary" Option.some json in
+  let* corpus_added = Json.field "corpus_added" Json.to_int summary in
   Ok
     {
       label;
@@ -178,11 +159,11 @@ let of_json json =
 
 let validate json =
   let* t = of_json json in
-  let* summary = require "summary" Option.some json in
-  let* s_runs = require "runs" Json.to_int summary in
-  let* s_frontier = require "frontier" Json.to_int summary in
-  let* s_violations = require "violations" Json.to_int summary in
-  let* s_added = require "corpus_added" Json.to_int summary in
+  let* summary = Json.field "summary" Option.some json in
+  let* s_runs = Json.field "runs" Json.to_int summary in
+  let* s_frontier = Json.field "frontier" Json.to_int summary in
+  let* s_violations = Json.field "violations" Json.to_int summary in
+  let* s_added = Json.field "corpus_added" Json.to_int summary in
   let* () =
     if t.budget >= 1 then Ok ()
     else Error (Printf.sprintf "budget must be >= 1 (got %d)" t.budget)
@@ -221,7 +202,7 @@ let validate json =
       Error "certified search cannot carry findings"
     else Ok ()
   in
-  map_result
+  Json.list
     (fun (f : finding) ->
       if f.scenario = "" then Error "finding with empty scenario name"
       else if f.minimal_plan = "" then

@@ -1,6 +1,6 @@
 (* Sweep report: the `tussle.sweep-report/1` artifact emitted by
    `tussle sweep`.  Same discipline as the battery report (schema tag,
-   atomic write, validator in the [let*]/[require] style) with one
+   atomic write, decoder built from [Json]'s combinators) with one
    deliberate difference: no [generated_at] or any other wall-clock
    field — the sweep's contract is byte-identical output across
    --domains and across repeated runs at the same seed, so everything
@@ -127,35 +127,18 @@ let write path t = Json.to_file path (to_json t)
 
 (* ---------- parsing ---------- *)
 
-let ( let* ) r f = Result.bind r f
-
-let require name extract node =
-  match Json.member name node with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-    match extract v with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "field %S has the wrong type" name))
-
-let map_result f xs =
-  List.fold_left
-    (fun acc x ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    (Ok []) xs
-  |> Result.map List.rev
+let ( let* ) = Json.( let* )
 
 let metric_of_json j =
-  let* name = require "name" Json.to_str j in
-  let* n = require "n" Json.to_int j in
-  let* mean = require "mean" Json.to_float j in
-  let* stddev = require "stddev" Json.to_float j in
-  let* ci_lo = require "ci_lo" Json.to_float j in
-  let* ci_hi = require "ci_hi" Json.to_float j in
-  let* samples = require "samples" Json.to_list j in
+  let* name = Json.field "name" Json.to_str j in
+  let* n = Json.field "n" Json.to_int j in
+  let* mean = Json.field "mean" Json.to_float j in
+  let* stddev = Json.field "stddev" Json.to_float j in
+  let* ci_lo = Json.field "ci_lo" Json.to_float j in
+  let* ci_hi = Json.field "ci_hi" Json.to_float j in
+  let* samples = Json.field "samples" Json.to_list j in
   let* samples =
-    map_result
+    Json.list
       (fun s ->
         match Json.to_float s with
         | Some f -> Ok f
@@ -168,38 +151,36 @@ let metric_of_json j =
   else Ok { name; samples; mean; stddev; ci_lo; ci_hi }
 
 let verdict_of_json j =
-  let* claim = require "claim" Json.to_str j in
-  let* test = require "test" Json.to_str j in
-  let* statistic = require "statistic" stat_of_json j in
-  let* df = require "df" Json.to_float j in
-  let* pvalue = require "pvalue" Json.to_float j in
-  let* alpha = require "alpha" Json.to_float j in
-  let* pass =
-    require "pass" (function Json.Bool b -> Some b | _ -> None) j
-  in
+  let* claim = Json.field "claim" Json.to_str j in
+  let* test = Json.field "test" Json.to_str j in
+  let* statistic = Json.field "statistic" stat_of_json j in
+  let* df = Json.field "df" Json.to_float j in
+  let* pvalue = Json.field "pvalue" Json.to_float j in
+  let* alpha = Json.field "alpha" Json.to_float j in
+  let* pass = Json.field "pass" Json.to_bool j in
   Ok { claim; test; statistic; df; pvalue; alpha; pass }
 
 let exp_of_json j =
-  let* id = require "id" Json.to_str j in
-  let* title = require "title" Json.to_str j in
-  let* runs = require "runs" Json.to_int j in
-  let* metrics = require "metrics" Json.to_list j in
-  let* metrics = map_result metric_of_json metrics in
-  let* verdicts = require "verdicts" Json.to_list j in
-  let* verdicts = map_result verdict_of_json verdicts in
+  let* id = Json.field "id" Json.to_str j in
+  let* title = Json.field "title" Json.to_str j in
+  let* runs = Json.field "runs" Json.to_int j in
+  let* metrics = Json.field "metrics" Json.to_list j in
+  let* metrics = Json.list metric_of_json metrics in
+  let* verdicts = Json.field "verdicts" Json.to_list j in
+  let* verdicts = Json.list verdict_of_json verdicts in
   Ok { id; title; runs; metrics; verdicts }
 
 let of_json json =
-  let* schema = require "schema" Json.to_str json in
+  let* schema = Json.field "schema" Json.to_str json in
   let* () =
     if schema = schema_tag then Ok ()
     else Error (Printf.sprintf "unknown schema %S (expected %S)" schema schema_tag)
   in
-  let* label = require "label" Json.to_str json in
-  let* sweep_seed = require "sweep_seed" Json.to_int json in
-  let* runs = require "runs" Json.to_int json in
-  let* exps = require "experiments" Json.to_list json in
-  let* experiments = map_result exp_of_json exps in
+  let* label = Json.field "label" Json.to_str json in
+  let* sweep_seed = Json.field "sweep_seed" Json.to_int json in
+  let* runs = Json.field "runs" Json.to_int json in
+  let* exps = Json.field "experiments" Json.to_list json in
+  let* experiments = Json.list exp_of_json exps in
   Ok { label; sweep_seed; runs; experiments }
 
 (* ---------- validation ---------- *)
@@ -207,10 +188,10 @@ let of_json json =
 let validate json =
   let* t = of_json json in
   let* () = if t.runs >= 2 then Ok () else Error "runs must be >= 2" in
-  let* summary = require "summary" Option.some json in
-  let* s_exps = require "experiments" Json.to_int summary in
-  let* s_verdicts = require "verdicts" Json.to_int summary in
-  let* s_passed = require "passed" Json.to_int summary in
+  let* summary = Json.field "summary" Option.some json in
+  let* s_exps = Json.field "experiments" Json.to_int summary in
+  let* s_verdicts = Json.field "verdicts" Json.to_int summary in
+  let* s_passed = Json.field "passed" Json.to_int summary in
   let* () =
     if List.length t.experiments = s_exps then Ok ()
     else
@@ -223,7 +204,7 @@ let validate json =
     if total = s_verdicts && passed = s_passed then Ok ()
     else Error "summary verdict counts do not match experiment verdicts"
   in
-  map_result
+  Json.list
     (fun (e : exp) ->
       let* () =
         if e.runs = t.runs then Ok ()
@@ -232,7 +213,7 @@ let validate json =
             (Printf.sprintf "experiment %s: runs=%d but sweep runs=%d" e.id
                e.runs t.runs)
       in
-      map_result
+      Json.list
         (fun (v : verdict) ->
           if v.pass = (v.pvalue < v.alpha) then Ok ()
           else

@@ -1,7 +1,3 @@
-(* Per-domain span rings merged at export time (same discipline as
-   Metrics: plain mutable cells behind Domain.DLS, a mutex only around
-   ring registration and export). *)
-
 type event = {
   name : string;
   cat : string;
@@ -11,41 +7,16 @@ type event = {
   domain : int;
 }
 
-let enabled_flag = Atomic.make false
-let capacity = Atomic.make 65536
+let ring =
+  Ring.create ~compare:(fun a b ->
+      match Int64.compare a.ts_ns b.ts_ns with
+      | 0 -> Int64.compare b.dur_ns a.dur_ns
+      | c -> c)
 
-let enable ?capacity:(cap = 65536) () =
-  Atomic.set capacity (max 1 cap);
-  Atomic.set enabled_flag true
-
-let disable () = Atomic.set enabled_flag false
+let enabled_flag = Ring.flag ring
+let enable ?capacity () = Ring.enable ring ?capacity ()
+let disable () = Ring.disable ring
 let enabled () = Atomic.get enabled_flag
-
-type ring = {
-  buf : event option array;
-  mutable next : int; (* slot for the next write *)
-  mutable written : int; (* total pushed since last reset *)
-}
-
-let registry_mutex = Mutex.create ()
-let rings : ring list ref = ref []
-
-let locked f =
-  Mutex.lock registry_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) f
-
-let new_ring () =
-  let r = { buf = Array.make (Atomic.get capacity) None; next = 0; written = 0 } in
-  locked (fun () -> rings := r :: !rings);
-  r
-
-let ring_key = Domain.DLS.new_key new_ring
-
-let push ev =
-  let r = Domain.DLS.get ring_key in
-  r.buf.(r.next) <- Some ev;
-  r.next <- (r.next + 1) mod Array.length r.buf;
-  r.written <- r.written + 1
 
 type span = {
   sp_name : string;
@@ -63,7 +34,7 @@ let begin_span ?(cat = "") ?(args = []) name =
 let end_span sp =
   if sp.sp_t0 >= 0L && enabled () then
     let t1 = Clock.now_ns () in
-    push
+    Ring.push ring
       {
         name = sp.sp_name;
         cat = sp.sp_cat;
@@ -87,35 +58,9 @@ let with_span ?cat ?args name f =
       Printexc.raise_with_backtrace e bt
   end
 
-let reset () =
-  locked (fun () ->
-      List.iter
-        (fun r ->
-          Array.fill r.buf 0 (Array.length r.buf) None;
-          r.next <- 0;
-          r.written <- 0)
-        !rings)
-
-let events () =
-  let collected =
-    locked (fun () ->
-        List.concat_map
-          (fun r ->
-            Array.to_list r.buf |> List.filter_map Fun.id)
-          !rings)
-  in
-  List.sort
-    (fun a b ->
-      match Int64.compare a.ts_ns b.ts_ns with
-      | 0 -> Int64.compare b.dur_ns a.dur_ns
-      | c -> c)
-    collected
-
-let dropped () =
-  locked (fun () ->
-      List.fold_left
-        (fun acc r -> acc + max 0 (r.written - Array.length r.buf))
-        0 !rings)
+let reset () = Ring.reset ring
+let events () = Ring.events ring
+let dropped () = Ring.dropped ring
 
 let to_chrome () =
   let evs = events () in

@@ -31,6 +31,53 @@ let domains_of_string s =
     Error (Printf.sprintf "domain count must be >= 1 (got %d)" d)
   | Some d -> Ok d
 
+let seed_of_string ~what s =
+  match int_of_string_opt (String.trim s) with
+  | Some n -> Ok n
+  | None -> Error (Printf.sprintf "invalid %s %S (expected an integer)" what s)
+
+let int_at_least ~what k s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when n >= k -> Ok n
+  | Some _ | None ->
+    Error (Printf.sprintf "invalid %s %S (expected an integer >= %d)" what s k)
+
+let seconds_of_string s =
+  match float_of_string_opt (String.trim s) with
+  | Some t when t > 0.0 && Float.is_finite t -> Ok t
+  | Some _ | None ->
+    Error
+      (Printf.sprintf
+         "invalid timeout %S (expected a positive number of seconds)" s)
+
+let probability_of_string s =
+  match float_of_string_opt (String.trim s) with
+  | Some a when a > 0.0 && a < 1.0 -> Ok a
+  | Some _ | None ->
+    Error
+      (Printf.sprintf
+         "invalid significance level %S (expected a number strictly between \
+          0 and 1)"
+         s)
+
+let backend_of_string names s =
+  let b = String.trim s in
+  if List.mem b names then Ok b
+  else
+    Error
+      (Printf.sprintf "invalid backend %S (expected %s)" s
+         (String.concat " or " names))
+
+let flag name parse = function
+  | None -> Ok None
+  | Some s -> (
+    match parse s with
+    | Ok v -> Ok (Some v)
+    | Error msg -> Error (name ^ ": " ^ msg))
+
+let domains_flag ~seq domains =
+  if seq then Ok (Some 1) else flag "--domains" domains_of_string domains
+
 type stats = {
   workers : int;
   tasks : int array;

@@ -22,6 +22,38 @@ val domains_of_string : string -> (int, string) result
     the one place both [bench/main] and the CLI validate the flag, so
     garbage can never silently fall back to the default. *)
 
+(** {1 Flag values}
+
+    The other value parsers the entry points share.  Each trims its
+    input and names the rejected string in its [Error]. *)
+
+val seed_of_string : what:string -> string -> (int, string) result
+(** Any integer; [what] names the seed in the error
+    ([invalid fault seed "x" (expected an integer)]). *)
+
+val int_at_least : what:string -> int -> string -> (int, string) result
+(** [int_at_least ~what k s]: an integer [>= k]. *)
+
+val seconds_of_string : string -> (float, string) result
+(** A finite timeout [> 0] in seconds. *)
+
+val probability_of_string : string -> (float, string) result
+(** A significance level strictly between 0 and 1. *)
+
+val backend_of_string : string list -> string -> (string, string) result
+(** One of the given backend names. *)
+
+val flag :
+  string -> (string -> ('a, string) result) -> string option ->
+  ('a option, string) result
+(** [flag name parse value]: [Ok None] when the flag was not given.
+    A rejected value reads ["NAME: MSG"]; each entry point prefixes
+    its own ["CMD: "], prints the line to stderr and exits 2. *)
+
+val domains_flag : seq:bool -> string option -> (int option, string) result
+(** [--seq] pins one domain; otherwise [--domains] through
+    {!domains_of_string} and {!flag}. *)
+
 type stats = {
   workers : int;
   tasks : int array;  (** items executed per worker *)

@@ -409,11 +409,40 @@ let test_explain_deterministic_and_causal () =
       match Explain.validate_json j with
       | Ok () -> ()
       | Error e -> Alcotest.fail e));
-    (match
-       Explain.validate_json (Obs_json.Obj [ ("schema", Obs_json.Str "nope") ])
-     with
-    | Error _ -> ()
-    | Ok () -> Alcotest.fail "bad schema tag accepted")
+    (* corrupted artifacts are rejected with the exact message *)
+    let retype_flow i ev =
+      match ev with
+      | Obs_json.Obj fields when i = 3 ->
+        Obs_json.Obj
+          (List.map
+             (fun (k, v) -> if k = "flow" then (k, Obs_json.Str "x") else (k, v))
+             fields)
+      | ev -> ev
+    in
+    let corrupt_event =
+      match artifact with
+      | Obs_json.Obj fields ->
+        Obs_json.Obj
+          (List.map
+             (function
+               | "events", Obs_json.List evs ->
+                 ("events", Obs_json.List (List.mapi retype_flow evs))
+               | field -> field)
+             fields)
+      | _ -> Alcotest.fail "artifact is not an object"
+    in
+    List.iter
+      (fun (label, bad, expected) ->
+        Alcotest.(check (result unit string)) label (Error expected)
+          (Explain.validate_json bad))
+      [
+        ( "bad schema tag",
+          Obs_json.Obj [ ("schema", Obs_json.Str "nope") ],
+          {|flow-trace: schema "nope", expected "tussle.flow-trace/1"|} );
+        ( "wrong-typed flow",
+          corrupt_event,
+          "flow-trace: missing or ill-typed events[3].flow" );
+      ]
 
 let test_violation_narrative () =
   (* the attachment the sweep prints for each violation: pure, so it

@@ -8,6 +8,7 @@ module Metrics = Tussle_obs.Metrics
 module Trace = Tussle_obs.Trace
 module Flight = Tussle_obs.Flight
 module Report = Tussle_obs.Report
+module Trends = Tussle_obs.Trends
 module Experiment = Tussle_experiments.Experiment
 module Registry = Tussle_experiments.Registry
 module Pool = Tussle_prelude.Pool
@@ -360,6 +361,93 @@ let test_report_summary_and_imbalance () =
        { Report.workers = 2; tasks = [| 1; 1 |]; busy_s = [| 0.5; 0.25 |];
          pool_wall_s = 1.0 })
 
+(* ---------- trends and perfgate ---------- *)
+
+let sample_exps () =
+  match Report.experiments_of_json (Report.to_json (sample_report ())) with
+  | Ok exps -> exps
+  | Error msg -> Alcotest.fail msg
+
+let scale_e1 ~wall ~alloc exps =
+  List.map
+    (fun (e : Report.exp) ->
+      if e.id = "E1" then
+        { e with wall_s = wall *. e.wall_s; allocated_bytes = alloc *. e.allocated_bytes }
+      else e)
+    exps
+
+let check_gate label expected ?(ids = [ "E1"; "E3" ]) ~base cand =
+  let _, verdict = Trends.gate ~tolerance:0.25 ~ids ~base cand in
+  Alcotest.(check bool) label true (verdict = expected)
+
+let test_gate_planted_regression () =
+  let base = sample_exps () in
+  check_gate "identical reports pass" Trends.Pass ~base base;
+  let slow = scale_e1 ~wall:2.0 ~alloc:1.0 base in
+  check_gate "2x wall on E1 fails" Trends.Regression ~base slow;
+  check_gate "ungated ids ignore it" Trends.Pass ~ids:[ "E2"; "E3" ] ~base slow;
+  let lines, _ = Trends.gate ~tolerance:0.25 ~ids:[ "E1" ] ~base slow in
+  Alcotest.(check string) "gate lines"
+    "  E1   wall_s          0.250s -> 0.500s (limit 0.312s)  REGRESSION\n\
+    \  E1   allocated_bytes 0.0MB -> 0.0MB (limit 0.0MB)\n"
+    lines
+
+let test_gate_zero_baseline () =
+  let base = scale_e1 ~wall:0.0 ~alloc:0.0 (sample_exps ()) in
+  let cand = scale_e1 ~wall:1e6 ~alloc:1e6 (sample_exps ()) in
+  check_gate "zero baseline gates nothing" Trends.Pass ~ids:[ "E1" ] ~base cand
+
+let test_gate_missing_id () =
+  let base = sample_exps () in
+  check_gate "unknown id" Trends.Missing ~ids:[ "E1"; "E9" ] ~base base;
+  let without_e3 = List.filter (fun (e : Report.exp) -> e.id <> "E3") base in
+  check_gate "missing in report" Trends.Missing ~base without_e3;
+  check_gate "missing in baseline" Trends.Missing ~base:without_e3
+    (scale_e1 ~wall:2.0 ~alloc:1.0 base)
+
+let test_history_round_trip () =
+  let history = Filename.temp_file "tussle-history" ".jsonl" in
+  let json = Report.to_json (sample_report ()) in
+  let line = Trends.history_line json (sample_exps ()) in
+  for _ = 1 to 3 do
+    match Trends.append ~history line with
+    | Ok () -> ()
+    | Error msg -> Alcotest.fail msg
+  done;
+  (match Trends.check_history history with
+  | Ok n -> Alcotest.(check int) "every line kept" 3 n
+  | Error msg -> Alcotest.fail msg);
+  (match Json.read_file history with
+  | Error msg -> Alcotest.fail msg
+  | Ok text ->
+    String.split_on_char '\n' text
+    |> List.filter (( <> ) "")
+    |> List.iter (fun l ->
+           Alcotest.(check (result string string))
+             "line parses back" (Ok (Json.to_string line))
+             (Result.map Json.to_string (Json.parse l))));
+  Sys.remove history
+
+let test_history_corrupt_line () =
+  let history = Filename.temp_file "tussle-history" ".jsonl" in
+  let good =
+    Json.to_string ~minify:true
+      (Trends.history_line (Report.to_json (sample_report ())) (sample_exps ()))
+  in
+  let check label lines expected =
+    let oc = open_out history in
+    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+    close_out oc;
+    Alcotest.(check (result int string)) label expected
+      (Trends.check_history history)
+  in
+  check "bad json on line 2" [ good; "not json"; good ]
+    (Error (history ^ ":2: JSON parse error at byte 0: expected null"));
+  check "untagged line 3" [ good; good; "{}" ]
+    (Error (history ^ ":3: missing bench-history schema tag"));
+  check "blank lines skipped" [ good; ""; good ] (Ok 2);
+  Sys.remove history
+
 (* ---------- determinism guard ---------- *)
 
 let fast id =
@@ -438,6 +526,18 @@ let () =
             test_report_validate_rejects;
           Alcotest.test_case "summary and imbalance" `Quick
             test_report_summary_and_imbalance;
+        ] );
+      ( "trends",
+        [
+          Alcotest.test_case "planted regression fails the gate" `Quick
+            test_gate_planted_regression;
+          Alcotest.test_case "zero baseline gates nothing" `Quick
+            test_gate_zero_baseline;
+          Alcotest.test_case "missing id is an error" `Quick
+            test_gate_missing_id;
+          Alcotest.test_case "history round-trip" `Quick test_history_round_trip;
+          Alcotest.test_case "corrupt history line" `Quick
+            test_history_corrupt_line;
         ] );
       ( "determinism",
         [

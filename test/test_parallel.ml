@@ -40,9 +40,11 @@ let test_pool_default_domains () =
   Alcotest.(check bool) "within [1,8]" true (d >= 1 && d <= 8)
 
 let test_domains_of_string () =
-  (* Shared by bench/main.ml and the CLI's --domains flag: garbage must
-     produce an error (the entry points exit 2), never a silent
-     fall-through to the default domain count. *)
+  (* The flag-value parsers bench/main.ml and every tussle subcommand
+     share: garbage must produce an error (the entry points print it
+     and exit 2), never a silent fall-through to a default.  Each
+     rejection below is a value scripts/ci.sh feeds, with the exact
+     text the entry points print. *)
   let ok s expected =
     match Pool.domains_of_string s with
     | Ok d -> Alcotest.(check int) (Printf.sprintf "parse %S" s) expected d
@@ -56,7 +58,85 @@ let test_domains_of_string () =
   ok "1" 1;
   ok "4" 4;
   ok " 8 " 8;
-  List.iter rejected [ "nope"; ""; "0"; "-3"; "4.5"; "2x"; "⑂" ]
+  List.iter rejected [ "nope"; ""; "0"; "-3"; "4.5"; "2x"; "⑂" ];
+  let rejects parse cases =
+    List.iter
+      (fun (s, msg) ->
+        Alcotest.(check (result reject string))
+          (Printf.sprintf "reject %S" s) (Error msg) (parse s))
+      cases
+  in
+  rejects Pool.domains_of_string
+    [
+      ("nope", {|invalid domain count "nope" (expected an integer)|});
+      ("0", "domain count must be >= 1 (got 0)");
+      ("-3", "domain count must be >= 1 (got -3)");
+    ];
+  let timeout = {|(expected a positive number of seconds)|} in
+  rejects Pool.seconds_of_string
+    [
+      ("nope", {|invalid timeout "nope" |} ^ timeout);
+      ("0", {|invalid timeout "0" |} ^ timeout);
+      ("-1", {|invalid timeout "-1" |} ^ timeout);
+    ];
+  rejects (Pool.seed_of_string ~what:"fault seed")
+    [
+      ("nope", {|invalid fault seed "nope" (expected an integer)|});
+      ("1.5", {|invalid fault seed "1.5" (expected an integer)|});
+    ];
+  rejects (Pool.seed_of_string ~what:"chaos seed")
+    [
+      ("nope", {|invalid chaos seed "nope" (expected an integer)|});
+      ("1.5", {|invalid chaos seed "1.5" (expected an integer)|});
+    ];
+  rejects (Pool.seed_of_string ~what:"seed")
+    [
+      ("nope", {|invalid seed "nope" (expected an integer)|});
+      ("1.5", {|invalid seed "1.5" (expected an integer)|});
+    ];
+  rejects (Pool.int_at_least ~what:"run count" 1)
+    [
+      ("nope", {|invalid run count "nope" (expected an integer >= 1)|});
+      ("0", {|invalid run count "0" (expected an integer >= 1)|});
+      ("-3", {|invalid run count "-3" (expected an integer >= 1)|});
+    ];
+  rejects (Pool.int_at_least ~what:"run count" 2)
+    [
+      ("nope", {|invalid run count "nope" (expected an integer >= 2)|});
+      ("1", {|invalid run count "1" (expected an integer >= 2)|});
+      ("-3", {|invalid run count "-3" (expected an integer >= 2)|});
+    ];
+  rejects (Pool.int_at_least ~what:"budget" 1)
+    [
+      ("nope", {|invalid budget "nope" (expected an integer >= 1)|});
+      ("0", {|invalid budget "0" (expected an integer >= 1)|});
+      ("-3", {|invalid budget "-3" (expected an integer >= 1)|});
+    ];
+  let level = {|(expected a number strictly between 0 and 1)|} in
+  rejects Pool.probability_of_string
+    [
+      ("nope", {|invalid significance level "nope" |} ^ level);
+      ("0", {|invalid significance level "0" |} ^ level);
+      ("1", {|invalid significance level "1" |} ^ level);
+      ("2", {|invalid significance level "2" |} ^ level);
+    ];
+  rejects
+    (Pool.backend_of_string [ "mutate"; "exhaust" ])
+    [ ("bogus", {|invalid backend "bogus" (expected mutate or exhaust)|}) ];
+  Alcotest.(check (result int string)) "accepted values are trimmed" (Ok 7)
+    (Pool.seed_of_string ~what:"seed" " 7 ");
+  Alcotest.(check (result (float 0.0) string)) "alpha" (Ok 0.01)
+    (Pool.probability_of_string "0.01");
+  Alcotest.(check (result string string)) "backend" (Ok "exhaust")
+    (Pool.backend_of_string [ "mutate"; "exhaust" ] " exhaust ");
+  (* [flag] names the flag; --seq pins one domain before --domains is read *)
+  Alcotest.(check (result (option int) string)) "absent flag" (Ok None)
+    (Pool.flag "--budget" (Pool.int_at_least ~what:"budget" 1) None);
+  Alcotest.(check (result (option int) string)) "flag error"
+    (Error {|--budget: invalid budget "0" (expected an integer >= 1)|})
+    (Pool.flag "--budget" (Pool.int_at_least ~what:"budget" 1) (Some "0"));
+  Alcotest.(check (result (option int) string)) "--seq wins" (Ok (Some 1))
+    (Pool.domains_flag ~seq:true (Some "nope"))
 
 let test_pool_exception_first () =
   (* all items still run; the earliest failing input's exception wins *)
