@@ -5,7 +5,7 @@
    operationalizes one qualitative claim from the text, prints the
    table, and checks the claim's shape.
 
-   Part 2 runs bechamel microbenchmarks (B1-B13) over the substrate hot
+   Part 2 runs bechamel microbenchmarks (B1-B14) over the substrate hot
    paths: the event loop, Dijkstra, path-vector convergence, the Nash
    solver, policy evaluation, trust-graph queries, and the
    million-consumer market best-response loop.
@@ -60,6 +60,27 @@ let dijkstra_graph =
 let bench_dijkstra () =
   let g = Lazy.force dijkstra_graph in
   ignore (Graph.dijkstra g ~weight:(fun e -> e.Topology.latency) ~source:0)
+
+let dijkstra_graph_10k =
+  lazy
+    (let rng = Rng.create 9009 in
+     Topology.barabasi_albert rng 10_000 2)
+
+let bench_dijkstra_10k () =
+  let g = Lazy.force dijkstra_graph_10k in
+  ignore (Graph.dijkstra g ~weight:(fun e -> e.Topology.latency) ~source:0)
+
+let linkstate_links =
+  lazy
+    (let rng = Rng.create 9010 in
+     Topology.to_links (Topology.barabasi_albert rng 1000 2))
+
+let bench_linkstate () =
+  (* B14: what a reconvergence costs the control plane before any
+     traffic moves: snapshot the live link costs, then the first
+     forwarding decision, which computes that router's tree *)
+  let t = Linkstate.compute_live (Lazy.force linkstate_links) ~metric:`Latency in
+  ignore (Linkstate.next_hop t ~node:0 ~dst:999)
 
 let pv_topology =
   lazy
@@ -202,6 +223,7 @@ let microbenchmarks () =
       [
         test "B1 event-loop (10k events)" bench_engine;
         test "B2 dijkstra (BA-500)" bench_dijkstra;
+        test "B2b dijkstra (BA-10^4)" bench_dijkstra_10k;
         test "B3 path-vector convergence (64 AS)" bench_pathvector;
         test "B4 nash support enumeration" bench_nash;
         test "B5 zero-sum fictitious play (1k iters)" bench_zerosum;
@@ -214,6 +236,7 @@ let microbenchmarks () =
         test "B11 self-heal reconvergence (12-ring outage)" bench_selfheal;
         test "B12 chaos run (plan + sim + invariants)" bench_chaos_run;
         test "B13 market best-response (10^6 consumers)" bench_market_1m;
+        test "B14 link-state table + first next hop (BA-1000)" bench_linkstate;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

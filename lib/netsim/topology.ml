@@ -82,18 +82,28 @@ let barabasi_albert ?(edge = default_edge) rng n m =
       endpoints := u :: v :: !endpoints
     done
   done;
-  let eps = ref (Array.of_list !endpoints) in
+  (* The multiset only grows, by two endpoints per edge, to a size
+     known up front; draws read its live prefix as [Rng.choice] would
+     read the whole array. *)
+  let eps = Array.make ((m * (m + 1)) + (2 * m * (n - m - 1))) 0 in
+  let len = ref 0 in
+  let push x =
+    eps.(!len) <- x;
+    incr len
+  in
+  List.iter push !endpoints;
   for u = m + 1 to n - 1 do
     let chosen = Hashtbl.create m in
     while Hashtbl.length chosen < m do
-      let v = Rng.choice rng !eps in
+      let v = eps.(Rng.int rng !len) in
       if v <> u then Hashtbl.replace chosen v ()
     done;
     let added = Hashtbl.fold (fun v () acc -> v :: acc) chosen [] in
     List.iter
       (fun v ->
         Graph.add_undirected g u v edge;
-        eps := Array.append !eps [| u; v |])
+        push u;
+        push v)
       added
   done;
   g

@@ -43,6 +43,18 @@ val dijkstra :
     ([-1] for the source and unreachable nodes).  [weight] must be
     non-negative; a negative weight raises [Invalid_argument]. *)
 
+type weights
+(** One cost per edge of a graph, evaluated once and then fixed: later
+    changes to whatever the costs were read from do not reach it. *)
+
+val weights : 'e t -> (int -> int -> 'e -> float) -> weights
+(** [weights g cost] evaluates [cost u v label] once per edge, in
+    {!iter_edges} order. *)
+
+val dijkstra_weights : 'e t -> weights -> source:int -> float array * int array
+(** {!dijkstra} against costs taken by {!weights} from the same graph.
+    Raises [Invalid_argument] if [g] has gained edges since. *)
+
 val shortest_path :
   'e t -> weight:('e -> float) -> int -> int -> (float * int list) option
 (** [shortest_path g ~weight u v] is [Some (dist, path)] where [path] is the

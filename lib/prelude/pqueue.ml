@@ -20,31 +20,19 @@ type 'a t = {
    representation stays consistent. *)
 let dummy : 'a. unit -> 'a = fun () -> Obj.magic 0
 
-let create () =
-  { keys = [||]; seqs = [||]; vals = [||]; size = 0; next_seq = 0 }
+let create ?(capacity = 0) () =
+  if capacity < 0 then invalid_arg "Pqueue.create: negative capacity";
+  {
+    keys = Array.make capacity nan;
+    seqs = Array.make capacity (-1);
+    vals = Array.make capacity (dummy ());
+    size = 0;
+    next_seq = 0;
+  }
 
 let length q = q.size
 
 let is_empty q = q.size = 0
-
-(* element i sorts before element j: smaller key first, then earlier
-   seq (FIFO among equal keys, which discrete-event simulation
-   requires for determinism) *)
-let[@inline] before q i j =
-  let ki = Array.unsafe_get q.keys i and kj = Array.unsafe_get q.keys j in
-  ki < kj
-  || (ki = kj && Array.unsafe_get q.seqs i < Array.unsafe_get q.seqs j)
-
-let[@inline] swap q i j =
-  let k = q.keys.(i) in
-  q.keys.(i) <- q.keys.(j);
-  q.keys.(j) <- k;
-  let s = q.seqs.(i) in
-  q.seqs.(i) <- q.seqs.(j);
-  q.seqs.(j) <- s;
-  let v = q.vals.(i) in
-  q.vals.(i) <- q.vals.(j);
-  q.vals.(j) <- v
 
 let grow q =
   let cap = Array.length q.keys in
@@ -61,24 +49,62 @@ let grow q =
     q.vals <- nvals
   end
 
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before q i parent then begin
-      swap q i parent;
-      sift_up q parent
+(* Order: smaller key first, then earlier seq (FIFO among equal keys,
+   which discrete-event simulation requires for determinism).  The
+   sifts move a hole instead of swapping: the moving element is held
+   in locals and written once where it lands, which halves the array
+   writes (and the payload write barriers) per level. *)
+let sift_up q i =
+  let keys = q.keys and seqs = q.seqs and vals = q.vals in
+  let k = keys.(i) and s = seqs.(i) and v = vals.(i) in
+  let hole = ref i and moving = ref true in
+  while !moving && !hole > 0 do
+    let p = (!hole - 1) / 2 in
+    let pk = keys.(p) in
+    if k < pk || (k = pk && s < seqs.(p)) then begin
+      keys.(!hole) <- pk;
+      seqs.(!hole) <- seqs.(p);
+      vals.(!hole) <- vals.(p);
+      hole := p
     end
-  end
+    else moving := false
+  done;
+  keys.(!hole) <- k;
+  seqs.(!hole) <- s;
+  vals.(!hole) <- v
 
-let rec sift_down q i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < q.size && before q l !smallest then smallest := l;
-  if r < q.size && before q r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap q i !smallest;
-    sift_down q !smallest
-  end
+let sift_down q i =
+  let keys = q.keys and seqs = q.seqs and vals = q.vals and size = q.size in
+  let k = keys.(i) and s = seqs.(i) and v = vals.(i) in
+  let hole = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !hole) + 1 in
+    (* the smallest of the held element and the hole's children *)
+    let c = ref !hole and ck = ref k and cs = ref s in
+    if l < size then begin
+      let lk = keys.(l) in
+      if lk < k || (lk = k && seqs.(l) < s) then begin
+        c := l;
+        ck := lk;
+        cs := seqs.(l)
+      end
+    end;
+    let r = l + 1 in
+    if r < size then begin
+      let rk = keys.(r) in
+      if rk < !ck || (rk = !ck && seqs.(r) < !cs) then c := r
+    end;
+    if !c = !hole then moving := false
+    else begin
+      keys.(!hole) <- keys.(!c);
+      seqs.(!hole) <- seqs.(!c);
+      vals.(!hole) <- vals.(!c);
+      hole := !c
+    end
+  done;
+  keys.(!hole) <- k;
+  seqs.(!hole) <- s;
+  vals.(!hole) <- v
 
 let push_tagged q key value =
   let seq = q.next_seq in

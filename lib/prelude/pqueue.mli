@@ -13,8 +13,11 @@
 
 type 'a t
 
-val create : unit -> 'a t
-(** Empty queue with float keys. *)
+val create : ?capacity:int -> unit -> 'a t
+(** Empty queue with float keys and room for [capacity] elements
+    (default 0) before its arrays first grow.  A caller that knows a
+    bound on the queue's size, as Dijkstra does, allocates once.
+    Raises [Invalid_argument] on a negative capacity. *)
 
 val length : 'a t -> int
 

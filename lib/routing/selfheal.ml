@@ -127,30 +127,36 @@ type t = {
   mutable probes_failed : int;
 }
 
+(* One pass buckets every link twice: by adjacency (either
+   orientation) and by directed pair.  Each bucket keeps its links in
+   first-seen edge order, without duplicates. *)
 let build_watches links =
-  let tbl = Hashtbl.create 16 in
+  let pairs = Hashtbl.create 16 and directed = Hashtbl.create 16 in
   let order = ref [] in
+  let add tbl key l =
+    match Hashtbl.find_opt tbl key with
+    | None ->
+      Hashtbl.replace tbl key [ l ];
+      true
+    | Some ls ->
+      if not (List.memq l ls) then Hashtbl.replace tbl key (l :: ls);
+      false
+  in
   Graph.iter_edges links (fun a b l ->
       let key = if a <= b then (a, b) else (b, a) in
-      (match Hashtbl.find_opt tbl key with
-      | None ->
-        Hashtbl.replace tbl key [ l ];
-        order := key :: !order
-      | Some ls -> if not (List.memq l ls) then Hashtbl.replace tbl key (l :: ls)));
-  let directed u v =
-    let acc = ref [] in
-    Graph.iter_edges links (fun a b l ->
-        if a = u && b = v && not (List.memq l !acc) then acc := l :: !acc);
-    List.rev !acc
+      if add pairs key l then order := key :: !order;
+      ignore (add directed (a, b) l));
+  let bucket tbl key =
+    match Hashtbl.find_opt tbl key with Some ls -> List.rev ls | None -> []
   in
   List.rev_map
     (fun ((u, v) as key) ->
       {
         u;
         v;
-        links = List.rev (Hashtbl.find tbl key);
-        uv_links = directed u v;
-        vu_links = directed v u;
+        links = bucket pairs key;
+        uv_links = bucket directed (u, v);
+        vu_links = bucket directed (v, u);
         missed = 0;
         declared_down = false;
         dp_down = false;

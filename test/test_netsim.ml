@@ -345,6 +345,47 @@ let test_topology_barabasi_albert () =
   Alcotest.(check int) "nodes" 50 (Graph.node_count g);
   Alcotest.(check bool) "connected" true (Graph.is_connected g)
 
+(* A naive copy of the generator as it was when it grew its endpoint
+   multiset with [Array.append] per edge, kept as a pin: the buffered
+   generator must lay down the same graph, edge for edge. *)
+let reference_barabasi_albert rng n m =
+  let g = Graph.create n in
+  let endpoints = ref [] in
+  for u = 0 to m do
+    for v = u + 1 to m do
+      Graph.add_undirected g u v Topology.default_edge;
+      endpoints := u :: v :: !endpoints
+    done
+  done;
+  let eps = ref (Array.of_list !endpoints) in
+  for u = m + 1 to n - 1 do
+    let chosen = Hashtbl.create m in
+    while Hashtbl.length chosen < m do
+      let v = Rng.choice rng !eps in
+      if v <> u then Hashtbl.replace chosen v ()
+    done;
+    let added = Hashtbl.fold (fun v () acc -> v :: acc) chosen [] in
+    List.iter
+      (fun v ->
+        Graph.add_undirected g u v Topology.default_edge;
+        eps := Array.append !eps [| u; v |])
+      added
+  done;
+  g
+
+let test_topology_barabasi_albert_pinned () =
+  let edges g =
+    List.rev (Graph.fold_edges g ~init:[] ~f:(fun acc u v _ -> (u, v) :: acc))
+  in
+  List.iter
+    (fun (seed, n, m) ->
+      let name = Printf.sprintf "seed %d n %d m %d" seed n m in
+      let g = Topology.barabasi_albert (Rng.create seed) n m in
+      let r = reference_barabasi_albert (Rng.create seed) n m in
+      Alcotest.(check (list (pair int int))) name (edges r) (edges g))
+    [ (1, 10, 1); (7, 10, 2); (42, 10, 3); (1, 1000, 2); (9001, 1000, 3);
+      (123, 1000, 1) ]
+
 let test_topology_erdos_renyi_dense () =
   let rng = Rng.create 5 in
   let g = Topology.erdos_renyi rng 20 1.0 in
@@ -1083,6 +1124,8 @@ let () =
           Alcotest.test_case "grid" `Quick test_topology_grid;
           Alcotest.test_case "tree" `Quick test_topology_tree;
           Alcotest.test_case "barabasi-albert" `Quick test_topology_barabasi_albert;
+          Alcotest.test_case "barabasi-albert pinned" `Quick
+            test_topology_barabasi_albert_pinned;
           Alcotest.test_case "erdos-renyi dense" `Quick test_topology_erdos_renyi_dense;
           Alcotest.test_case "two-tier" `Quick test_topology_two_tier;
           Alcotest.test_case "two-tier relationships" `Quick

@@ -288,6 +288,19 @@ let test_pqueue_pop_releases () =
       false (Weak.check w i)
   done
 
+let test_pqueue_capacity () =
+  (* a preallocated queue behaves like a grown one, past its capacity
+     too, FIFO ties included *)
+  let q = Pqueue.create ~capacity:2 () in
+  List.iter (fun (k, v) -> Pqueue.push q k v)
+    [ (2.0, "c"); (1.0, "a"); (2.0, "d"); (1.0, "b"); (0.5, "z") ];
+  Alcotest.(check (list (pair (float 0.0) string))) "order"
+    [ (0.5, "z"); (1.0, "a"); (1.0, "b"); (2.0, "c"); (2.0, "d") ]
+    (Pqueue.to_sorted_list q);
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Pqueue.create: negative capacity") (fun () ->
+      ignore (Pqueue.create ~capacity:(-1) ()))
+
 let test_pqueue_drain_after_leak_fix () =
   (* Slot clearing must not change observable behaviour: same length
      accounting, same drain order, and the queue stays reusable. *)
@@ -368,6 +381,34 @@ let test_graph_negative_weight () =
   Alcotest.check_raises "negative"
     (Invalid_argument "Graph.dijkstra: negative weight") (fun () ->
       ignore (Graph.dijkstra g ~weight:Fun.id ~source:0))
+
+(* Float labels stay a flat float array as the edge arrays grow past
+   their first capacity, and read back unchanged in insertion order. *)
+let test_graph_float_labels_grow () =
+  let g = Graph.create 2 in
+  let labels = List.init 40 (fun i -> float_of_int i +. 0.5) in
+  List.iter (fun w -> Graph.add_edge g 0 1 w) labels;
+  Alcotest.(check (list (float 0.0))) "labels" labels
+    (List.map snd (Graph.succ g 0));
+  Alcotest.(check (option (float 0.0))) "first" (Some 0.5) (Graph.find_edge g 0 1);
+  let dist, pred = Graph.dijkstra g ~weight:Fun.id ~source:0 in
+  check_float "cheapest parallel edge" 0.5 dist.(1);
+  Alcotest.(check int) "pred" 0 pred.(1)
+
+let test_graph_weights_snapshot () =
+  let g = Graph.create 3 in
+  Graph.add_edge g 0 1 ();
+  Graph.add_edge g 1 2 ();
+  let seen = ref [] in
+  let w = Graph.weights g (fun u v () -> seen := (u, v) :: !seen; 2.0) in
+  Alcotest.(check (list (pair int int))) "iter order" [ (0, 1); (1, 2) ]
+    (List.rev !seen);
+  let dist, _ = Graph.dijkstra_weights g w ~source:0 in
+  check_float "two hops" 4.0 dist.(2);
+  Graph.add_edge g 0 2 ();
+  Alcotest.check_raises "stale"
+    (Invalid_argument "Graph.dijkstra_weights: weights of another graph")
+    (fun () -> ignore (Graph.dijkstra_weights g w ~source:0))
 
 let test_graph_bfs_connected () =
   let g = Graph.create 4 in
@@ -487,11 +528,111 @@ let prop_percentile_monotone =
       and p75 = Stats.percentile xs 75.0 in
       p25 <= p75 +. 1e-9)
 
+(* Pqueue against a sorted-list model under interleaved pushes and
+   pops, with keys from a small set so ties are common: each pop must
+   return the smallest key, earliest pushed among equals. *)
+let prop_pqueue_matches_model =
+  QCheck2.Test.make ~name:"pqueue equals a sorted-list model" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 300) (option (int_range 0 5)))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let model = ref [] and seq = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | Some k ->
+            Pqueue.push q (float_of_int k) !seq;
+            (* stable insert after every element with key <= k *)
+            let rec ins = function
+              | (k', s') :: rest when k' <= k -> (k', s') :: ins rest
+              | rest -> (k, !seq) :: rest
+            in
+            model := ins !model;
+            incr seq;
+            true
+          | None -> (
+            match (Pqueue.pop q, !model) with
+            | None, [] -> true
+            | Some (k, v), (k', v') :: rest ->
+              model := rest;
+              k = float_of_int k' && v = v'
+            | _ -> false))
+        ops
+      && Pqueue.length q = List.length !model)
+
+(* A naive copy of the list-based Dijkstra that the flat graph
+   replaced, kept here as an oracle: adjacency lists in reverse
+   insertion order, one option/tuple per pop, a closure per relaxation.
+   It shares [Pqueue], so ties break on the same (key, seq) order. *)
+let reference_dijkstra n edges ~source =
+  let adj = Array.make n [] in
+  List.iter (fun (u, v, w) -> adj.(u) <- (v, w) :: adj.(u)) edges;
+  let dist = Array.make n infinity in
+  let pred = Array.make n (-1) in
+  let visited = Array.make n false in
+  let frontier = Pqueue.create () in
+  dist.(source) <- 0.0;
+  Pqueue.push frontier 0.0 source;
+  let rec loop () =
+    match Pqueue.pop frontier with
+    | None -> ()
+    | Some (d, u) ->
+      if not visited.(u) then begin
+        visited.(u) <- true;
+        let relax (v, w) =
+          let nd = d +. w in
+          if nd < dist.(v) then begin
+            dist.(v) <- nd;
+            pred.(v) <- u;
+            Pqueue.push frontier nd v
+          end
+        in
+        List.iter relax adj.(u)
+      end;
+      loop ()
+  in
+  loop ();
+  (dist, pred)
+
+(* Small graphs, so multi-edges and unreachable nodes are common, with
+   weights drawn from the cases that stress tie-breaking and masking:
+   zero, a shared unit weight, infinity, and arbitrary values.  With
+   [equal] every weight is 1.0, as on the unit-latency BA topologies. *)
+let graph_gen =
+  QCheck2.Gen.(
+    let weight =
+      oneof
+        [ return 0.0; return 1.0; return infinity; float_bound_inclusive 10.0 ]
+    in
+    int_range 1 12 >>= fun n ->
+    bool >>= fun equal ->
+    list_size (int_range 0 40)
+      (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) weight)
+    >|= fun edges ->
+    (n, List.map (fun (u, v, w) -> (u, v, if equal then 1.0 else w)) edges))
+
+let print_graph (n, edges) =
+  Printf.sprintf "n=%d %s" n
+    (String.concat " "
+       (List.map (fun (u, v, w) -> Printf.sprintf "%d>%d:%h" u v w) edges))
+
+let prop_dijkstra_matches_reference =
+  QCheck2.Test.make ~name:"flat dijkstra equals the list reference" ~count:500
+    ~print:print_graph graph_gen (fun (n, edges) ->
+      let g = Graph.create n in
+      List.iter (fun (u, v, w) -> Graph.add_edge g u v w) edges;
+      List.for_all
+        (fun source ->
+          Graph.dijkstra g ~weight:Fun.id ~source
+          = reference_dijkstra n edges ~source)
+        (List.init n Fun.id))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_rng_int_bounds; prop_shuffle_preserves_multiset;
       prop_pqueue_pop_sorted; prop_gini_bounds; prop_percentile_monotone;
+      prop_pqueue_matches_model; prop_dijkstra_matches_reference;
     ]
 
 
@@ -580,6 +721,7 @@ let () =
             test_pqueue_pop_releases;
           Alcotest.test_case "drain after leak fix" `Quick
             test_pqueue_drain_after_leak_fix;
+          Alcotest.test_case "capacity" `Quick test_pqueue_capacity;
         ] );
       ( "graph",
         [
@@ -589,6 +731,9 @@ let () =
           Alcotest.test_case "dijkstra shortcut" `Quick test_graph_dijkstra_shortcut;
           Alcotest.test_case "unreachable" `Quick test_graph_unreachable;
           Alcotest.test_case "negative weight" `Quick test_graph_negative_weight;
+          Alcotest.test_case "float labels grow" `Quick
+            test_graph_float_labels_grow;
+          Alcotest.test_case "weights snapshot" `Quick test_graph_weights_snapshot;
           Alcotest.test_case "bfs/connected" `Quick test_graph_bfs_connected;
           Alcotest.test_case "transpose" `Quick test_graph_transpose;
           Alcotest.test_case "map edges" `Quick test_graph_map_edges;

@@ -50,6 +50,113 @@ let test_linkstate_disconnected () =
   Alcotest.(check (option (float 1e-9))) "no distance" None
     (Linkstate.distance ls ~src:0 ~dst:2)
 
+(* The eager all-pairs table that the lazy one replaced, kept as an
+   oracle: it withdraws [down] links by a list scan, runs Dijkstra from
+   every source up front, and reads next hops off full paths. *)
+module Eager = struct
+  module Link = Tussle_netsim.Link
+
+  type t = {
+    dist : float array array;
+    pred : int array array;
+    costs : (int * int * float) list;
+  }
+
+  let compute_live ?(down = []) links ~metric =
+    let norm (u, v) = if u <= v then (u, v) else (v, u) in
+    let dead = List.map norm down in
+    let n = Graph.node_count links in
+    let g = Graph.create n in
+    Graph.iter_edges links (fun u v l ->
+        let cost =
+          if List.mem (norm (u, v)) dead then infinity
+          else match metric with `Latency -> Link.latency l | `Hops -> 1.0
+        in
+        Graph.add_edge g u v cost);
+    let rows =
+      Array.init n (fun source -> Graph.dijkstra g ~weight:Fun.id ~source)
+    in
+    let costs =
+      Graph.fold_edges g ~init:[] ~f:(fun acc u v w ->
+          if Float.is_finite w then (u, v, w) :: acc else acc)
+      |> List.rev
+    in
+    { dist = Array.map fst rows; pred = Array.map snd rows; costs }
+
+  let path t ~src ~dst =
+    if t.dist.(src).(dst) = infinity then None
+    else begin
+      let rec build node acc =
+        if node = src then src :: acc
+        else build t.pred.(src).(node) (node :: acc)
+      in
+      Some (build dst [])
+    end
+
+  let next_hop t ~node ~dst =
+    if node = dst then None
+    else
+      match path t ~src:node ~dst with
+      | Some (_ :: hop :: _) -> Some hop
+      | Some _ | None -> None
+
+  let distance t ~src ~dst =
+    let d = t.dist.(src).(dst) in
+    if d = infinity then None else Some d
+end
+
+(* A seeded random link graph: parallel links, one-way links and tied
+   latencies, and a random withdrawn set that names some pairs in
+   either orientation, some with no link, and one with no node. *)
+let random_live_graph seed =
+  let rng = Rng.create seed in
+  let n = 2 + Rng.int rng 24 in
+  let links = Graph.create n in
+  let latency () = 0.001 *. float_of_int (1 + Rng.int rng 3) in
+  for _ = 1 to Rng.int rng (3 * n) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    let l = Tussle_netsim.Link.make ~latency:(latency ()) ~bandwidth_bps:1e6 () in
+    if Rng.bool rng then Graph.add_undirected links u v l
+    else Graph.add_edge links u v l
+  done;
+  let pairs =
+    Graph.fold_edges links ~init:[] ~f:(fun acc u v _ -> (u, v) :: acc)
+  in
+  let down =
+    List.filter (fun _ -> Rng.int rng 4 = 0) pairs
+    @ [ (Rng.int rng n, Rng.int rng n); (n + 2, 0) ]
+  in
+  (rng, links, down)
+
+let prop_linkstate_matches_eager =
+  QCheck2.Test.make ~name:"lazy linkstate equals the eager all-pairs table"
+    ~count:200 ~print:string_of_int QCheck2.Gen.small_nat (fun seed ->
+      let rng, links, down = random_live_graph seed in
+      let n = Graph.node_count links in
+      List.for_all
+        (fun metric ->
+          let lz = Linkstate.compute_live ~down links ~metric in
+          let eager = Eager.compute_live ~down links ~metric in
+          (* every query, in an order that leaves rows to be computed at
+             random points, so no answer may depend on which row came
+             first *)
+          let queries =
+            Array.init (3 * n * n) (fun i -> (i mod 3, i / 3 / n, i / 3 mod n))
+          in
+          Rng.shuffle rng queries;
+          let agrees (kind, src, dst) =
+            match kind with
+            | 0 ->
+              Linkstate.next_hop lz ~node:src ~dst
+              = Eager.next_hop eager ~node:src ~dst
+            | 1 -> Linkstate.path lz ~src ~dst = Eager.path eager ~src ~dst
+            | _ ->
+              Linkstate.distance lz ~src ~dst = Eager.distance eager ~src ~dst
+          in
+          Linkstate.visible_link_costs lz = eager.costs
+          && Array.for_all agrees queries)
+        [ `Hops; `Latency ])
+
 let test_linkstate_exposure () =
   let g = Topology.line 4 in
   let ls = Linkstate.compute g ~metric:`Hops in
@@ -535,6 +642,7 @@ let () =
           Alcotest.test_case "latency metric" `Quick test_linkstate_latency_metric;
           Alcotest.test_case "disconnected" `Quick test_linkstate_disconnected;
           Alcotest.test_case "full exposure" `Quick test_linkstate_exposure;
+          QCheck_alcotest.to_alcotest prop_linkstate_matches_eager;
         ] );
       ( "pathvector",
         [
