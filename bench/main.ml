@@ -5,10 +5,11 @@
    operationalizes one qualitative claim from the text, prints the
    table, and checks the claim's shape.
 
-   Part 2 runs bechamel microbenchmarks (B1-B14) over the substrate hot
+   Part 2 runs bechamel microbenchmarks (B1-B16) over the substrate hot
    paths: the event loop, Dijkstra, path-vector convergence, the Nash
-   solver, policy evaluation, trust-graph queries, and the
-   million-consumer market best-response loop.
+   solver, policy evaluation, trust-graph queries, the
+   million-consumer market best-response loop, raw Rng draws and the
+   traceback marking kernel.
 
    Run with: dune exec bench/main.exe
    Options:  --experiments-only | --bench-only | --experiment <id>
@@ -215,6 +216,27 @@ let bench_market_1m () =
   let r = Tussle_econ.Market.run (Rng.create 9008) cfg in
   assert (r.Tussle_econ.Market.subscribed_ratio > 0.0)
 
+let bench_rng_draws () =
+  (* B15: the draw mix of the traceback and fault layers; with the
+     state unboxed neither draw allocates *)
+  let rng = Rng.create 9015 in
+  let acc = ref 0 in
+  for _ = 1 to 1_000_000 do
+    if Rng.bernoulli rng 0.2 then incr acc;
+    acc := !acc + Rng.int rng 1000
+  done;
+  assert (!acc > 0)
+
+let bench_traceback () =
+  (* B16: E17's marking kernel at one of its packet counts; every
+     packet draws one bernoulli per hop *)
+  let obs =
+    Tussle_trust.Traceback.simulate (Rng.create 9016)
+      ~path:[ 101; 102; 103; 104; 105; 106; 107; 108 ]
+      ~p:0.2 ~packets:10_000
+  in
+  assert (List.length obs = 8)
+
 let microbenchmarks () =
   let open Bechamel in
   let test name f = Test.make ~name (Staged.stage f) in
@@ -237,6 +259,8 @@ let microbenchmarks () =
         test "B12 chaos run (plan + sim + invariants)" bench_chaos_run;
         test "B13 market best-response (10^6 consumers)" bench_market_1m;
         test "B14 link-state table + first next hop (BA-1000)" bench_linkstate;
+        test "B15 Rng draws (10^6 bernoulli + int)" bench_rng_draws;
+        test "B16 traceback simulate (8 hops, 10^4 packets)" bench_traceback;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

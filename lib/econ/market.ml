@@ -49,9 +49,14 @@ let validate cfg =
      || cfg.switching_cost < 0.0
   then invalid_arg "Market: negative cost"
 
+(* Not [Float.min]: its NaN and signed-zero handling costs a
+   [caml_signbit] C call per consumer x provider x period.  Positions
+   are in [0,1), so neither operand is NaN or -0.0 and the result is
+   the same. *)
 let[@inline] circle_distance a b =
   let d = Float.abs (a -. b) in
-  Float.min d (1.0 -. d)
+  let e = 1.0 -. d in
+  if e < d then e else d
 
 let price_grid cfg =
   (* Rounding (not truncating) the span/step quotient keeps awkward
@@ -83,8 +88,14 @@ let salop_price cfg =
    none).  [est] is a closed-form estimate from the uniform spacing;
    the bounded fix-up loops make the answer exact against the actual
    grid values (the last point is pinned to the ceiling, and float
-   rounding can push the estimate off by one). *)
-let[@inline] last_lt grid g est t =
+   rounding can push the estimate off by one).
+
+   The [float] annotations are load-bearing.  Left generic in [grid],
+   [<]/[>=] compile to the polymorphic [caml_lessthan]/
+   [caml_greaterequal] C calls, which box both operands: without
+   flambda that is an allocation per consumer x provider x period,
+   inlined or not. *)
+let[@inline] last_lt (grid : float array) g est (t : float) =
   let i = ref (if est < -1 then -1 else if est > g - 1 then g - 1 else est) in
   while !i + 1 < g && Array.unsafe_get grid (!i + 1) < t do
     incr i
@@ -266,7 +277,13 @@ let run rng cfg =
         acc.(1) <- acc.(1) +. (Array.unsafe_get prices bj -. cost)
       end
     done;
-    price_history.(period) <- Stats.mean prices;
+    (* [Stats.mean prices], summed in the same order but without a
+       boxed float per element *)
+    let sum = ref 0.0 in
+    for k = 0 to m - 1 do
+      sum := !sum +. Array.unsafe_get prices k
+    done;
+    price_history.(period) <- !sum /. float_of_int m;
     stable := not (!price_moved || !subs_moved)
     end
   done;

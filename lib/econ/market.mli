@@ -56,10 +56,13 @@ val run : Tussle_prelude.Rng.t -> config -> result
 
     The period loop is struct-of-arrays with preallocated scratch
     (int-indexed consumers/providers, a flat utility-base matrix, a
-    demand histogram over the price grid), so a run allocates O(n*m)
-    once up front and nothing per period: at the default n=600 this is
-    ~1000x less GC allocation than the per-candidate [choose] loop it
-    replaced, and 10^5-10^6 consumers are practical.  Initial prices
+    demand histogram over the price grid) with float-typed compares
+    throughout, so the period loop allocates nothing.  A run allocates
+    once up front: the m x n utility base, five n-sized arrays
+    (positions, subscriptions, three scratch), small grid-, m- and
+    period-sized ones and the result, about (m + 7) * n words in all
+    (each position is also boxed once while it is drawn).  10^5-10^6
+    consumers are practical.  Initial prices
     are snapped to the nearest grid point (the textbook Salop anchor is
     generally off-grid) and every posted price is a [price_grid]
     member. *)

@@ -1,42 +1,60 @@
 (* SplitMix64.  Reference: Steele, Lea & Flood, "Fast Splittable
-   Pseudorandom Number Generators", OOPSLA 2014. *)
+   Pseudorandom Number Generators", OOPSLA 2014.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in an 8-byte [Bytes.t], read and
+   written with the [%caml_bytes_get64u]/[%caml_bytes_set64u]
+   primitives (native-endian, unchecked: the buffer is always 8 bytes
+   and only this module touches it).  A mutable [int64] record field
+   would box on every write without flambda; here, with the mixer
+   inlined, an [int64] consumed at once ([bits], [float], [bernoulli],
+   [int]) never leaves a register. *)
+
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = int64 t }
+let[@inline] int64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix64 s
 
-let copy t = { state = t.state }
+let split t = of_state (int64 t)
 
-let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
+let copy t = Bytes.copy t
+
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling to avoid modulo bias. *)
-  let rec draw () =
-    let r = bits t in
-    let v = r mod n in
-    if r - v > max_int - n + 1 then draw () else v
-  in
-  draw ()
+  let r = ref (bits t) in
+  let v = ref (!r mod n) in
+  while !r - !v > max_int - n + 1 do
+    r := bits t;
+    v := !r mod n
+  done;
+  !v
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t x =
+let[@inline] float t x =
   (* 53 random bits mapped to [0,1). *)
   let r = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   x *. (r /. 9007199254740992.0)
@@ -45,38 +63,32 @@ let uniform t lo hi = lo +. float t (hi -. lo)
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
-let bernoulli t p =
+let[@inline] bernoulli t p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
   else float t 1.0 < p
 
+(* A uniform in (0,1): redraws the measure-zero 0.0 that [log] and
+   [**] cannot take. *)
+let rec nonzero t =
+  let u = float t 1.0 in
+  if u > 0.0 then u else nonzero t
+
 let gaussian t ~mu ~sigma =
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u > 0.0 then u else nonzero ()
-  in
   (* Bind u1 before u2: [let _ and _] has unspecified evaluation order,
      which made the draw sequence compiler-dependent. *)
-  let u1 = nonzero () in
+  let u1 = nonzero t in
   let u2 = float t 1.0 in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
 let exponential t ~rate =
   if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u > 0.0 then u else nonzero ()
-  in
-  -.log (nonzero ()) /. rate
+  -.log (nonzero t) /. rate
 
 let pareto t ~alpha ~x_min =
   if alpha <= 0.0 || x_min <= 0.0 then
     invalid_arg "Rng.pareto: parameters must be positive";
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u > 0.0 then u else nonzero ()
-  in
-  x_min /. (nonzero () ** (1.0 /. alpha))
+  x_min /. (nonzero t ** (1.0 /. alpha))
 
 let choice t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";

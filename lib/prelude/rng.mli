@@ -3,10 +3,16 @@
     All randomness in the framework flows through this module so that every
     simulation and experiment is reproducible bit-for-bit from an explicit
     seed.  The generator is SplitMix64 (Steele, Lea & Flood 2014): fast,
-    64-bit, splittable, and good enough for simulation workloads. *)
+    64-bit, splittable, and good enough for simulation workloads.
+
+    The state is one unboxed 64-bit word in an 8-byte buffer and the
+    mixer is inlined, so even without flambda [bits], [int], [bool]
+    and [bernoulli] allocate nothing per draw.  A draw that returns a
+    [float] or [int64] allocates only its boxed result.  [create],
+    [split] and [copy] allocate the buffer. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state (8 bytes). *)
 
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed.  Equal seeds

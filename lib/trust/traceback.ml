@@ -2,24 +2,34 @@ module Rng = Tussle_prelude.Rng
 
 type observation = (int * int) list
 
-let simulate rng ~path ~p ~packets =
+let simulate rng ~(path : int list) ~p ~packets =
   if p <= 0.0 || p >= 1.0 then invalid_arg "Traceback.simulate: p not in (0,1)";
   if packets <= 0 then invalid_arg "Traceback.simulate: no packets";
   if path = [] then invalid_arg "Traceback.simulate: empty path";
-  let counts = Hashtbl.create 16 in
-  List.iter (fun r -> Hashtbl.replace counts r 0) path;
+  let hops = Array.of_list path in
+  let k = Array.length hops in
+  (* [slot.(i)] is the first position of router [hops.(i)], so a router
+     listed twice keeps one count *)
+  let slot =
+    Array.init k (fun i ->
+        let j = ref 0 in
+        while hops.(!j) <> hops.(i) do
+          incr j
+        done;
+        !j)
+  in
+  let counts = Array.make k 0 in
   for _ = 1 to packets do
     (* the packet travels attacker -> victim; each router overwrites the
-       mark with probability p *)
-    let mark = ref None in
-    List.iter (fun r -> if Rng.bernoulli rng p then mark := Some r) path;
-    match !mark with
-    | Some r ->
-      Hashtbl.replace counts r (1 + Option.value ~default:0 (Hashtbl.find_opt counts r))
-    | None -> ()
+       mark with probability p.  [mark] is a slot, -1 for unmarked: no
+       allocation per packet. *)
+    let mark = ref (-1) in
+    for i = 0 to k - 1 do
+      if Rng.bernoulli rng p then mark := slot.(i)
+    done;
+    if !mark >= 0 then counts.(!mark) <- counts.(!mark) + 1
   done;
-  List.map (fun r -> (r, Option.value ~default:0 (Hashtbl.find_opt counts r))) path
-  |> List.sort compare
+  List.init k (fun i -> (hops.(i), counts.(slot.(i)))) |> List.sort compare
 
 let reconstruct obs =
   (* victim-closest routers are marked most; the attacker-to-victim

@@ -142,6 +142,231 @@ let test_prohibitive_switching_cost_freezes_churn () =
   let r = run cfg in
   check_float "zero churn" 0.0 r.Market.churn_rate
 
+(* ---------- bit-exact pins ---------- *)
+
+(* Every [result] field of the sweep-scale E1 configs (the five
+   addressing schemes' switching costs) and the E3 market structures,
+   at n = 2,000 on the battery seeds, printed with [%h] so any change
+   to the arithmetic or its order shows.  [price_history] is
+   run-length encoded as [value*periods].  The battery prints two
+   decimals, so these are what keep kernel rewrites honest. *)
+let render r =
+  let h = r.Market.price_history in
+  let n = Array.length h in
+  let runs = ref [] and i = ref 0 in
+  while !i < n do
+    let j = ref !i in
+    while !j + 1 < n && Int64.bits_of_float h.(!j + 1) = Int64.bits_of_float h.(!i) do
+      incr j
+    done;
+    runs := Printf.sprintf "%h*%d" h.(!i) (!j - !i + 1) :: !runs;
+    i := !j + 1
+  done;
+  List.map (Printf.sprintf "%h")
+    [
+      r.Market.mean_price; r.Market.mean_markup; r.Market.churn_rate;
+      r.Market.consumer_surplus; r.Market.provider_profit; r.Market.hhi;
+      r.Market.subscribed_ratio;
+    ]
+  @ [ String.concat " " (List.rev !runs) ]
+
+let e1_pins =
+  [
+    ( 0.0,
+      [
+        "0x1.8p+0";
+        "0x1p-1";
+        "0x0p+0";
+        "0x1.05cc5efda91cap+14";
+        "0x1.f4p+9";
+        "0x1.00cf398e97072p-2";
+        "0x1p+0";
+        "0x1.8p+0*30";
+      ] );
+    ( 0.5,
+      [
+        "0x1.0cccccccccccdp+1";
+        "0x1.199999999999ap+0";
+        "0x1.1a0902de00d1bp-2";
+        "0x1.e2d4e06b730fp+13";
+        "0x1.1b3ffffffffbfp+11";
+        "0x1.12658c4bd33d2p-2";
+        "0x1p+0";
+        "0x1.8p+0*1 0x1.1333333333333p+1*1 0x1.6666666666666p+1*1 \
+         0x1.2cccccccccccdp+1*1 0x1.e666666666668p+0*1 0x1.3333333333334p+1*1 \
+         0x1.0333333333334p+1*1 0x1.d99999999999ap+0*1 0x1.2cccccccccccdp+1*1 \
+         0x1p+1*1 0x1.b333333333334p+0*1 0x1.399999999999ap+1*1 \
+         0x1.1666666666667p+1*1 0x1.1p+1*1 0x1.0cccccccccccdp+1*1 \
+         0x1.ecccccccccccep+0*1 0x1.4666666666667p+1*1 0x1.2666666666667p+1*1 \
+         0x1.4333333333334p+1*1 0x1.0666666666667p+1*1 0x1.1333333333334p+1*1 \
+         0x1.d333333333334p+0*1 0x1p+1*1 0x1.299999999999ap+1*1 \
+         0x1.e666666666666p+0*1 0x1.ap+0*1 0x1.0666666666667p+1*1 \
+         0x1.e666666666667p+0*1 0x1.499999999999ap+1*1 0x1.0cccccccccccdp+1*1";
+      ] );
+    ( 1.0,
+      [
+        "0x1.b333333333334p+0";
+        "0x1.6666666666668p-1";
+        "0x1.07c84b5dcc63fp-4";
+        "0x1.ee46ca63de8b5p+13";
+        "0x1.a4d9999999919p+10";
+        "0x1.63d9cae21101ap-2";
+        "0x1p+0";
+        "0x1.8p+0*1 0x1.6p+1*1 0x1.ccccccccccccdp+1*1 \
+         0x1.9000000000001p+1*1 0x1.ap+0*1 0x1.5cccccccccccdp+1*1 \
+         0x1.cp+0*1 0x1.f99999999999ap+0*1 0x1.599999999999ap+1*1 \
+         0x1.1333333333334p+1*1 0x1.a99999999999ap+1*1 0x1.4p+1*1 \
+         0x1.9000000000001p+1*1 0x1.cp+0*1 0x1.a666666666668p+0*1 \
+         0x1.d333333333334p+0*1 0x1.7000000000001p+1*1 0x1.9cccccccccccdp+1*1 \
+         0x1.3p+1*1 0x1.ep+0*1 0x1.b333333333334p+0*10";
+      ] );
+    ( 3.0,
+      [
+        "0x1.8cccccccccccep+1";
+        "0x1.0cccccccccccep+1";
+        "0x0p+0";
+        "0x1.7c038d9dec184p+13";
+        "0x1.4450000000037p+12";
+        "0x1.834edb2f661f2p-2";
+        "0x1p+0";
+        "0x1.8p+0*1 0x1.5p+2*1 0x1.3cccccccccccdp+2*1 \
+         0x1.1333333333334p+2*1 0x1.e666666666667p+1*1 0x1.a666666666666p+1*1 \
+         0x1.999999999999ap+1*1 0x1.8cccccccccccep+1*23";
+      ] );
+    ( 6.0,
+      [
+        "0x1.3666666666667p+3";
+        "0x1.1666666666667p+3";
+        "0x0p+0";
+        "0x1.6317bf6a472b9p+8";
+        "0x1.0fe00000000b2p+14";
+        "0x1.00cf398e97072p-2";
+        "0x1p+0";
+        "0x1.8p+0*1 0x1.019999999999ap+3*1 0x1.3666666666667p+3*28";
+      ] );
+  ]
+
+let e3_pins =
+  [
+    ( 1,
+      [
+        "0x1.2p+3";
+        "0x1p+3";
+        "0x0p+0";
+        "0x1.f32f37e5893d1p+9";
+        "0x1.f4p+13";
+        "0x1p+0";
+        "0x1p+0";
+        "0x1.2p+3*30";
+      ] );
+    ( 2,
+      [
+        "0x1.0666666666666p+1";
+        "0x1.0ccccccccccccp+0";
+        "0x1.89374bc6a7efap-4";
+        "0x1.e17f508a9e8ebp+13";
+        "0x1.052ffffffffb9p+11";
+        "0x1.02d288ce703bp-1";
+        "0x1p+0";
+        "0x1.0666666666666p+1*30";
+      ] );
+    ( 4,
+      [
+        "0x1.8p+0";
+        "0x1p-1";
+        "0x0p+0";
+        "0x1.05c64dbea8339p+14";
+        "0x1.f4p+9";
+        "0x1.0011f4f50a02cp-2";
+        "0x1p+0";
+        "0x1.8p+0*30";
+      ] );
+    ( 8,
+      [
+        "0x1.3cccccccccccep+0";
+        "0x1.e66666666667p-3";
+        "0x0p+0";
+        "0x1.0fe54a1b86ad8p+14";
+        "0x1.d219999999939p+8";
+        "0x1.03bf727136a4p-3";
+        "0x1p+0";
+        "0x1.4666666666667p+0*1 0x1.4333333333334p+0*1 0x1.3cccccccccccep+0*28";
+      ] );
+    ( 16,
+      [
+        "0x1.1999999999999p+0";
+        "0x1.999999999999p-4";
+        "0x0p+0";
+        "0x1.15215c8e232dfp+14";
+        "0x1.8ffffffffff07p+7";
+        "0x1.014727dcbddb9p-4";
+        "0x1p+0";
+        "0x1.1999999999999p+0*30";
+      ] );
+  ]
+
+let test_pinned_e1 () =
+  List.iter
+    (fun (sc, expected) ->
+      let cfg =
+        { Market.default_config with Market.switching_cost = sc; n_consumers = 2_000 }
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "switching cost %g" sc)
+        expected
+        (render (run ~seed:1001 cfg)))
+    e1_pins
+
+let test_pinned_e3 () =
+  List.iter
+    (fun (m, expected) ->
+      let cfg =
+        { Market.default_config with Market.n_providers = m; n_consumers = 2_000 }
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d providers" m)
+        expected
+        (render (run ~seed:1003 cfg)))
+    e3_pins
+
+(* ---------- allocation (native only) ---------- *)
+
+(* At n = 20,000, m = 4 and switching cost 0.5 prices cycle for all
+   30 periods, so the steady-state replay never kicks in.  A run may
+   allocate its O(n*m) scratch and result once; the bound is linear in
+   n and does not grow with [periods].  A boxed float anywhere in the
+   per-consumer passes costs 2-4 words per consumer x provider x period
+   (about 10^7 words here) and fails it. *)
+let test_run_allocation_linear_in_n () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 20_000 and m = 4 in
+    let cfg =
+      { Market.default_config with
+        Market.n_consumers = n; n_providers = m; switching_cost = 0.5 }
+    in
+    (* minor + major - promoted: every word allocated, including the
+       scratch arrays too large for the minor heap *)
+    let allocated () =
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    let words cfg =
+      let rng = Rng.create 5 in
+      let before = allocated () in
+      ignore (Market.run rng cfg);
+      allocated () -. before
+    in
+    let bound = float_of_int (((m + 8) * n) + 4096) in
+    let w = words cfg in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f words <= %.0f" w bound)
+      true (w <= bound);
+    let w2 = words { cfg with Market.periods = 2 * cfg.Market.periods } in
+    Alcotest.(check bool)
+      (Printf.sprintf "doubling periods: %.0f words <= %.0f" w2 bound)
+      true (w2 <= bound)
+  end
+
 (* ---------- population-scale stability (qcheck) ---------- *)
 
 (* The SoA rewrite exists to run the same economics at 100x the
@@ -211,6 +436,16 @@ let () =
           Alcotest.test_case "across configs" `Quick test_invariants_across_configs;
           Alcotest.test_case "prohibitive switching cost: zero churn" `Quick
             test_prohibitive_switching_cost_freezes_churn;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "E1 sweep configs, every field" `Quick test_pinned_e1;
+          Alcotest.test_case "E3 structures, every field" `Quick test_pinned_e3;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "run is linear in n, flat in periods" `Quick
+            test_run_allocation_linear_in_n;
         ] );
       ( "scale",
         [ QCheck_alcotest.to_alcotest prop_population_scale_stable ] );

@@ -178,6 +178,277 @@ let test_rng_weighted_zero_tail () =
       (Rng.weighted_index rng [| 0.0; 5.0; 0.0 |])
   done
 
+(* The boxed-record SplitMix64 that the unboxed [Rng] replaced, kept
+   verbatim as an oracle: the property below drives both through the
+   same random interleaving of every draw function, [split] and [copy]
+   included, and they must agree draw for draw. *)
+module Boxed_rng = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+
+  let mix64 z =
+    let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+    Int64.(logxor z (shift_right_logical z 31))
+
+  let create seed = { state = mix64 (Int64.of_int seed) }
+
+  let int64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    mix64 t.state
+
+  let split t = { state = int64 t }
+  let copy t = { state = t.state }
+  let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
+
+  let int t n =
+    if n <= 0 then invalid_arg "Rng.int: bound must be positive";
+    let rec draw () =
+      let r = bits t in
+      let v = r mod n in
+      if r - v > max_int - n + 1 then draw () else v
+    in
+    draw ()
+
+  let int_in t lo hi =
+    if hi < lo then invalid_arg "Rng.int_in: empty range";
+    lo + int t (hi - lo + 1)
+
+  let float t x =
+    let r = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
+    x *. (r /. 9007199254740992.0)
+
+  let uniform t lo hi = lo +. float t (hi -. lo)
+  let bool t = Int64.logand (int64 t) 1L = 1L
+
+  let bernoulli t p =
+    if p <= 0.0 then false else if p >= 1.0 then true else float t 1.0 < p
+
+  let rec nonzero t =
+    let u = float t 1.0 in
+    if u > 0.0 then u else nonzero t
+
+  let gaussian t ~mu ~sigma =
+    let u1 = nonzero t in
+    let u2 = float t 1.0 in
+    mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
+
+  let exponential t ~rate =
+    if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
+    -.log (nonzero t) /. rate
+
+  let pareto t ~alpha ~x_min =
+    if alpha <= 0.0 || x_min <= 0.0 then
+      invalid_arg "Rng.pareto: parameters must be positive";
+    x_min /. (nonzero t ** (1.0 /. alpha))
+
+  let choice t arr =
+    if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
+    arr.(int t (Array.length arr))
+
+  let choice_list t l =
+    match l with
+    | [] -> invalid_arg "Rng.choice_list: empty list"
+    | _ -> List.nth l (int t (List.length l))
+
+  let weighted_index t w =
+    let n = Array.length w in
+    if n = 0 then invalid_arg "Rng.weighted_index: empty weights";
+    let total =
+      Array.fold_left
+        (fun acc x ->
+          if x < 0.0 then invalid_arg "Rng.weighted_index: negative weight"
+          else acc +. x)
+        0.0 w
+    in
+    if total <= 0.0 then invalid_arg "Rng.weighted_index: zero total weight";
+    let target = float t total in
+    let rec scan i acc last_pos =
+      if i = n then last_pos
+      else
+        let acc = acc +. w.(i) in
+        let last_pos = if w.(i) > 0.0 then i else last_pos in
+        if target < acc then last_pos else scan (i + 1) acc last_pos
+    in
+    scan 0 0.0 (-1)
+
+  let shuffle t arr =
+    for i = Array.length arr - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    done
+
+  let shuffle_list t l =
+    let arr = Array.of_list l in
+    shuffle t arr;
+    Array.to_list arr
+
+  let sample t k arr =
+    let n = Array.length arr in
+    if k < 0 || k > n then invalid_arg "Rng.sample: k out of range";
+    let pool = Array.copy arr in
+    for i = 0 to k - 1 do
+      let j = i + int t (n - i) in
+      let tmp = pool.(i) in
+      pool.(i) <- pool.(j);
+      pool.(j) <- tmp
+    done;
+    Array.sub pool 0 k
+end
+
+type draw =
+  | D_int64
+  | D_bits
+  | D_int of int
+  | D_int_in of int * int
+  | D_float of float
+  | D_uniform of float * float
+  | D_bool
+  | D_bernoulli of float
+  | D_gaussian of float * float
+  | D_exponential of float
+  | D_pareto of float * float
+  | D_choice of int
+  | D_choice_list of int
+  | D_weighted of float list
+  | D_shuffle of int
+  | D_shuffle_list of int
+  | D_sample of int * int
+  | D_split
+  | D_copy
+
+(* One interleaving step: draw from generator [i] (mod the pool size)
+   of a pool that [D_split]/[D_copy] grow, and render the result
+   exactly ([%h] for floats). *)
+(* Spelled out: [module type of Rng] would fix [t] to [Rng.t]. *)
+module type RNG = sig
+  type t
+
+  val create : int -> t
+  val split : t -> t
+  val copy : t -> t
+  val int64 : t -> int64
+  val bits : t -> int
+  val int : t -> int -> int
+  val int_in : t -> int -> int -> int
+  val float : t -> float -> float
+  val uniform : t -> float -> float -> float
+  val bool : t -> bool
+  val bernoulli : t -> float -> bool
+  val gaussian : t -> mu:float -> sigma:float -> float
+  val exponential : t -> rate:float -> float
+  val pareto : t -> alpha:float -> x_min:float -> float
+  val choice : t -> 'a array -> 'a
+  val choice_list : t -> 'a list -> 'a
+  val weighted_index : t -> float array -> int
+  val shuffle : t -> 'a array -> unit
+  val shuffle_list : t -> 'a list -> 'a list
+  val sample : t -> int -> 'a array -> 'a array
+end
+
+module Drive (R : RNG) = struct
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+  let iota n = Array.init n Fun.id
+
+  let step pool (i, d) =
+    let g = !pool.(i mod Array.length !pool) in
+    let grow g' = pool := Array.append !pool [| g' |] in
+    match d with
+    | D_int64 -> Int64.to_string (R.int64 g)
+    | D_bits -> string_of_int (R.bits g)
+    | D_int n -> string_of_int (R.int g n)
+    | D_int_in (lo, hi) -> string_of_int (R.int_in g lo hi)
+    | D_float x -> Printf.sprintf "%h" (R.float g x)
+    | D_uniform (lo, hi) -> Printf.sprintf "%h" (R.uniform g lo hi)
+    | D_bool -> string_of_bool (R.bool g)
+    | D_bernoulli p -> string_of_bool (R.bernoulli g p)
+    | D_gaussian (mu, sigma) -> Printf.sprintf "%h" (R.gaussian g ~mu ~sigma)
+    | D_exponential rate -> Printf.sprintf "%h" (R.exponential g ~rate)
+    | D_pareto (alpha, x_min) -> Printf.sprintf "%h" (R.pareto g ~alpha ~x_min)
+    | D_choice n -> string_of_int (R.choice g (iota n))
+    | D_choice_list n -> string_of_int (R.choice_list g (List.init n Fun.id))
+    | D_weighted w -> string_of_int (R.weighted_index g (Array.of_list w))
+    | D_shuffle n ->
+      let a = iota n in
+      R.shuffle g a;
+      ints a
+    | D_shuffle_list n -> ints (Array.of_list (R.shuffle_list g (List.init n Fun.id)))
+    | D_sample (k, n) -> ints (R.sample g k (iota n))
+    | D_split -> grow (R.split g); "split"
+    | D_copy -> grow (R.copy g); "copy"
+
+  let run seed ops =
+    let pool = ref [| R.create seed |] in
+    List.map (step pool) ops
+end
+
+module Drive_unboxed = Drive (Rng)
+module Drive_boxed = Drive (Boxed_rng)
+
+let draw_gen =
+  QCheck2.Gen.(
+    let pos = float_range 0.01 10.0 in
+    (* bounds past max_int / 2 make [int]'s rejection loop redraw often *)
+    let bound =
+      oneof [ int_range 1 1000; map (fun k -> (max_int / 2) + 1 + k) (int_bound 1000) ]
+    in
+    let weights =
+      list_size (int_range 1 6) (oneof [ return 0.0; float_bound_inclusive 5.0 ])
+      >|= fun w -> if List.for_all (( = ) 0.0) w then 1.0 :: w else w
+    in
+    oneof
+      [
+        return D_int64; return D_bits; map (fun n -> D_int n) bound;
+        map2 (fun lo span -> D_int_in (lo, lo + span)) (int_range (-1000) 1000)
+          (int_bound 2000);
+        map (fun x -> D_float x) (float_range (-5.0) 5.0);
+        map2 (fun lo hi -> D_uniform (lo, hi)) (float_range (-5.0) 5.0)
+          (float_range (-5.0) 5.0);
+        return D_bool;
+        map (fun p -> D_bernoulli p) (oneof [ float_range (-0.5) 1.5; float_bound_inclusive 1.0 ]);
+        map2 (fun mu sigma -> D_gaussian (mu, sigma)) (float_range (-5.0) 5.0) pos;
+        map (fun r -> D_exponential r) pos;
+        map2 (fun a x -> D_pareto (a, x)) pos pos;
+        map (fun n -> D_choice n) (int_range 1 20);
+        map (fun n -> D_choice_list n) (int_range 1 20);
+        map (fun w -> D_weighted w) weights;
+        map (fun n -> D_shuffle n) (int_range 0 20);
+        map (fun n -> D_shuffle_list n) (int_range 0 20);
+        map2 (fun n k -> D_sample (k mod (n + 1), n)) (int_range 0 20) nat;
+        return D_split; return D_copy;
+      ])
+
+let prop_rng_matches_boxed_oracle =
+  QCheck2.Test.make ~name:"rng equals the boxed SplitMix64 oracle" ~count:300
+    QCheck2.Gen.(pair int (list_size (int_range 0 200) (pair nat draw_gen)))
+    (fun (seed, ops) -> Drive_unboxed.run seed ops = Drive_boxed.run seed ops)
+
+(* Allocation regressions: native code only (bytecode boxes every
+   int64 and float).  The counts repeat exactly, so the bound is 0. *)
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_rng_draws_allocate_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let rng = Rng.create 99 in
+    let draws name f =
+      Alcotest.(check (float 0.0)) name 0.0
+        (minor_words_during (fun () ->
+             for _ = 1 to 100_000 do
+               f ()
+             done))
+    in
+    draws "bernoulli" (fun () -> ignore (Rng.bernoulli rng 0.3));
+    draws "int" (fun () -> ignore (Rng.int rng 1000));
+    draws "bits" (fun () -> ignore (Rng.bits rng));
+    draws "bool" (fun () -> ignore (Rng.bool rng))
+  end
+
 (* ---------- Stats ---------- *)
 
 let test_stats_mean () = check_float "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |])
@@ -633,6 +904,7 @@ let qcheck_cases =
       prop_rng_int_bounds; prop_shuffle_preserves_multiset;
       prop_pqueue_pop_sorted; prop_gini_bounds; prop_percentile_monotone;
       prop_pqueue_matches_model; prop_dijkstra_matches_reference;
+      prop_rng_matches_boxed_oracle;
     ]
 
 
@@ -695,6 +967,8 @@ let () =
             test_rng_weighted_index_pinned;
           Alcotest.test_case "weighted zero tail" `Quick
             test_rng_weighted_zero_tail;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
         ] );
       ( "stats",
         [

@@ -271,6 +271,70 @@ let test_traceback_validation () =
       ignore (Traceback.simulate rng ~path:[] ~p:0.5 ~packets:10))
 
 
+(* The Hashtbl/option [simulate] that the array kernel replaced, kept
+   as an oracle: same draws in the same order, one count per distinct
+   router. *)
+let reference_simulate rng ~path ~p ~packets =
+  let counts = Hashtbl.create 16 in
+  List.iter (fun r -> Hashtbl.replace counts r 0) path;
+  for _ = 1 to packets do
+    let mark = ref None in
+    List.iter (fun r -> if Rng.bernoulli rng p then mark := Some r) path;
+    match !mark with
+    | Some r ->
+      Hashtbl.replace counts r
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts r))
+    | None -> ()
+  done;
+  List.map (fun r -> (r, Option.value ~default:0 (Hashtbl.find_opt counts r))) path
+  |> List.sort compare
+
+(* Router ids from a small range so paths often list a router twice. *)
+let prop_traceback_matches_reference =
+  QCheck2.Test.make ~name:"simulate equals the Hashtbl reference" ~count:300
+    ~print:(fun (seed, path, p, packets) ->
+      Printf.sprintf "seed=%d path=[%s] p=%h packets=%d" seed
+        (String.concat ";" (List.map string_of_int path))
+        p packets)
+    QCheck2.Gen.(
+      quad int
+        (list_size (int_range 1 12) (int_range 0 6))
+        (float_range 0.001 0.999) (int_range 1 2000))
+    (fun (seed, path, p, packets) ->
+      Traceback.simulate (Rng.create seed) ~path ~p ~packets
+      = reference_simulate (Rng.create seed) ~path ~p ~packets)
+
+let test_traceback_duplicate_router_shares_count () =
+  let obs = Traceback.simulate (Rng.create 5) ~path:[ 3; 4; 3 ] ~p:0.5 ~packets:500 in
+  match obs with
+  | [ (3, a); (3, b); (4, _) ] -> Alcotest.(check int) "one count" a b
+  | _ -> Alcotest.fail "expected two entries for router 3"
+
+(* The E17 configuration at 1,000 packets, pinned mark for mark. *)
+let test_traceback_e17_pinned () =
+  Alcotest.(check (list (pair int int)))
+    "seed 1017, 8 hops, p 0.2"
+    [
+      (101, 34); (102, 52); (103, 74); (104, 67); (105, 109); (106, 136);
+      (107, 151); (108, 199);
+    ]
+    (Traceback.simulate (Rng.create 1017)
+       ~path:[ 101; 102; 103; 104; 105; 106; 107; 108 ]
+       ~p:0.2 ~packets:1000)
+
+(* Native only (bytecode boxes every float): a run allocates its
+   arrays and the result list, nothing per packet. *)
+let test_traceback_allocation_flat_in_packets () =
+  if Sys.backend_type = Sys.Native then begin
+    let words packets =
+      let rng = Rng.create 9 in
+      let before = Gc.minor_words () in
+      ignore (Traceback.simulate rng ~path:attack_path ~p:0.2 ~packets);
+      Gc.minor_words () -. before
+    in
+    Alcotest.(check (float 0.0)) "10 vs 10^4 packets" (words 10) (words 10_000)
+  end
+
 (* ---------- Firewall control ---------- *)
 
 module Fc = Tussle_trust.Firewall_control
@@ -403,6 +467,12 @@ let () =
           Alcotest.test_case "mark distribution" `Quick
             test_traceback_mark_distribution;
           Alcotest.test_case "validation" `Quick test_traceback_validation;
+          Alcotest.test_case "duplicate router shares a count" `Quick
+            test_traceback_duplicate_router_shares_count;
+          Alcotest.test_case "E17 config pinned" `Quick test_traceback_e17_pinned;
+          Alcotest.test_case "allocation flat in packets" `Quick
+            test_traceback_allocation_flat_in_packets;
+          QCheck_alcotest.to_alcotest prop_traceback_matches_reference;
         ] );
       ( "mediator",
         [
