@@ -838,30 +838,52 @@ let scenario_cmd =
 (* ---------- market ---------- *)
 
 let market_cmd =
+  let module Market = Tussle_econ.Market in
+  (* Taken as strings so bad values exit 2, like every other flag. *)
   let providers =
-    Arg.(value & opt int 4 & info [ "providers" ] ~doc:"Number of providers.")
+    Arg.(value & opt (some string) None
+         & info [ "providers" ] ~docv:"N" ~doc:"Number of providers (default 4).")
   in
   let switching =
-    Arg.(value & opt float 0.0 & info [ "switching-cost" ] ~doc:"Lock-in cost.")
+    Arg.(value & opt (some string) None
+         & info [ "switching-cost" ] ~docv:"COST"
+             ~doc:"Lock-in cost, a finite number >= 0 (default 0).")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
+  let seed =
+    Arg.(value & opt (some string) None
+         & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed (default 42).")
+  in
   let run providers switching seed =
+    with_checked "market"
+      (let* providers =
+         Pool.flag "--providers" (Pool.int_at_least ~what:"provider count" 1)
+           providers
+       in
+       let* switching =
+         Pool.flag "--switching-cost"
+           (Pool.non_negative_of_string ~what:"switching cost") switching
+       in
+       let* seed = Pool.flag "--seed" (Pool.seed_of_string ~what:"seed") seed in
+       Ok
+         ( Option.value providers ~default:4,
+           Option.value switching ~default:0.0,
+           Option.value seed ~default:42 ))
+    @@ fun (providers, switching, seed) ->
     let cfg =
       {
-        Tussle_econ.Market.default_config with
-        Tussle_econ.Market.n_providers = providers;
+        Market.default_config with
+        Market.n_providers = providers;
         switching_cost = switching;
       }
     in
-    let r = Tussle_econ.Market.run (Tussle_prelude.Rng.create seed) cfg in
-    Printf.printf "price      %.3f (salop benchmark %.3f)\n"
-      r.Tussle_econ.Market.mean_price
-      (Tussle_econ.Market.salop_price cfg);
-    Printf.printf "markup     %.3f\n" r.Tussle_econ.Market.mean_markup;
-    Printf.printf "churn      %.1f%%\n" (100.0 *. r.Tussle_econ.Market.churn_rate);
-    Printf.printf "surplus    %.1f\n" r.Tussle_econ.Market.consumer_surplus;
-    Printf.printf "profit     %.1f\n" r.Tussle_econ.Market.provider_profit;
-    Printf.printf "HHI        %.3f\n" r.Tussle_econ.Market.hhi;
+    let r = Market.run (Tussle_prelude.Rng.create seed) cfg in
+    Printf.printf "price      %.3f (salop benchmark %.3f)\n" r.Market.mean_price
+      (Market.salop_price cfg);
+    Printf.printf "markup     %.3f\n" r.Market.mean_markup;
+    Printf.printf "churn      %.1f%%\n" (100.0 *. r.Market.churn_rate);
+    Printf.printf "surplus    %.1f\n" r.Market.consumer_surplus;
+    Printf.printf "profit     %.1f\n" r.Market.provider_profit;
+    Printf.printf "HHI        %.3f\n" r.Market.hhi;
     0
   in
   let doc = "run the access-provider market model" in

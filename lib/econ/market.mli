@@ -51,21 +51,41 @@ type result = {
 }
 
 val run : Tussle_prelude.Rng.t -> config -> result
-(** Simulate to the horizon.  Raises [Invalid_argument] on nonsensical
-    configs (no providers, empty grid, negative costs...).
+(** Simulate to the horizon.
 
-    The period loop is struct-of-arrays with preallocated scratch
-    (int-indexed consumers/providers, a flat utility-base matrix, a
-    demand histogram over the price grid) with float-typed compares
-    throughout, so the period loop allocates nothing.  A run allocates
-    once up front: the m x n utility base, five n-sized arrays
-    (positions, subscriptions, three scratch), small grid-, m- and
-    period-sized ones and the result, about (m + 7) * n words in all
-    (each position is also boxed once while it is drawn).  10^5-10^6
-    consumers are practical.  Initial prices
-    are snapped to the nearest grid point (the textbook Salop anchor is
+    Layout.  The period loop is struct-of-arrays with preallocated
+    scratch (int-indexed consumers/providers, a flat m x n utility-base
+    matrix, a demand histogram over the price grid) with float-typed
+    compares throughout, so it allocates nothing.  Consumers are held
+    sorted by position: the draws are counting-sorted once per run
+    into [min n 4096] buckets, so neighbouring slots have
+    neighbouring utilities and the per-consumer branches run in long
+    predictable stretches.  The base matrix is built once; after that
+    only the m entries of a consumer whose subscription changed are
+    rewritten.
+
+    Order independence.  Sorting changes no result bit: every pass
+    over consumers is a per-consumer maximum, an integer histogram or
+    an integer count, none of which depends on the order consumers are
+    visited in, and the only order-sensitive values, the float sums
+    [consumer_surplus] and [provider_profit], are taken once after the
+    loop in draw order (the positions are drawn again from a copy of
+    the generator to recover it).  [rng] advances by exactly
+    [n_consumers] [float] draws, as it always has.
+
+    Allocation.  A run allocates once up front: the m x n base, five
+    n-sized arrays (positions and subscriptions by slot, three scratch
+    that also carry the sort), small grid-, m- and period-sized ones
+    and the result: about (m + 5) * n words in all, nothing per
+    period.  10^5-10^6 consumers are practical.  Initial prices are
+    snapped to the nearest grid point (the textbook Salop anchor is
     generally off-grid) and every posted price is a [price_grid]
-    member. *)
+    member.
+
+    Raises [Invalid_argument] on nonsensical configs: no consumers,
+    providers or periods, a non-finite float field, a non-positive
+    step, an empty grid or one with more points than an array can
+    hold, a negative cost. *)
 
 val price_grid : config -> float array
 (** The best-response price grid: [price_floor] upward in [price_step]

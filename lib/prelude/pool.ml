@@ -50,6 +50,13 @@ let seconds_of_string s =
       (Printf.sprintf
          "invalid timeout %S (expected a positive number of seconds)" s)
 
+let non_negative_of_string ~what s =
+  match float_of_string_opt (String.trim s) with
+  | Some x when x >= 0.0 && Float.is_finite x -> Ok x
+  | Some _ | None ->
+    Error
+      (Printf.sprintf "invalid %s %S (expected a finite number >= 0)" what s)
+
 let probability_of_string s =
   match float_of_string_opt (String.trim s) with
   | Some a when a > 0.0 && a < 1.0 -> Ok a

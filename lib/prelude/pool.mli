@@ -37,6 +37,9 @@ val int_at_least : what:string -> int -> string -> (int, string) result
 val seconds_of_string : string -> (float, string) result
 (** A finite timeout [> 0] in seconds. *)
 
+val non_negative_of_string : what:string -> string -> (float, string) result
+(** A finite number [>= 0]. *)
+
 val probability_of_string : string -> (float, string) result
 (** A significance level strictly between 0 and 1. *)
 

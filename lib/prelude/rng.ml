@@ -59,6 +59,13 @@ let[@inline] float t x =
   let r = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   x *. (r /. 9007199254740992.0)
 
+(* The [float array] annotation makes the store an unboxed one: with
+   [float] inlined, a draw never leaves a register. *)
+let fill_float t (a : float array) x =
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set a i (float t x)
+  done
+
 let uniform t lo hi = lo +. float t (hi -. lo)
 
 let bool t = Int64.logand (int64 t) 1L = 1L

@@ -9,7 +9,8 @@
     mixer is inlined, so even without flambda [bits], [int], [bool]
     and [bernoulli] allocate nothing per draw.  A draw that returns a
     [float] or [int64] allocates only its boxed result.  [create],
-    [split] and [copy] allocate the buffer. *)
+    [split] and [copy] allocate the buffer; {!fill_float} draws floats
+    without boxing them. *)
 
 type t
 (** Mutable generator state (8 bytes). *)
@@ -41,6 +42,12 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
+
+val fill_float : t -> float array -> float -> unit
+(** [fill_float t a x] stores [Array.length a] successive [float t x]
+    draws in [a.(0)], [a.(1)], ...: the stream of [Array.init
+    (Array.length a) (fun _ -> float t x)], with nothing allocated per
+    draw. *)
 
 val uniform : t -> float -> float -> float
 (** [uniform t lo hi] is uniform in [\[lo, hi)]. *)

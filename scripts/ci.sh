@@ -128,6 +128,11 @@ done <<ROWS
 2 $CLI search --sweep-seed=1.5
 2 $CLI search --domains=0
 2 $CLI perfgate BENCH_baseline.json $report --tolerance=nope
+2 $CLI market --providers=0
+2 $CLI market --providers=-3
+2 $CLI market --switching-cost=nan
+2 $CLI market --switching-cost=-1
+2 $CLI market --seed=nope
 2 $CLI policy $TMP/definitely-missing.policy a:b:c
 2 $CLI policy / a:b:c
 ROWS

@@ -6,6 +6,7 @@
    lock-in raises markup, etc.; this file owns the mechanics.) *)
 
 module Rng = Tussle_prelude.Rng
+module Stats = Tussle_prelude.Stats
 module Market = Tussle_econ.Market
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -141,6 +142,50 @@ let test_prohibitive_switching_cost_freezes_churn () =
   in
   let r = run cfg in
   check_float "zero churn" 0.0 r.Market.churn_rate
+
+(* ---------- validation ---------- *)
+
+let raises_invalid_arg what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+(* Regression: a NaN price bound died on [Assert_failure], a NaN step
+   returned garbage and an infinite ceiling a mean price of infinity.
+   Each float field is checked on its own. *)
+let non_finite_cases =
+  let d = Market.default_config in
+  [
+    ("wtp", fun x -> { d with Market.wtp = x });
+    ("transport_cost", fun x -> { d with Market.transport_cost = x });
+    ("switching_cost", fun x -> { d with Market.switching_cost = x });
+    ("provider_cost", fun x -> { d with Market.provider_cost = x });
+    ("price_floor", fun x -> { d with Market.price_floor = x });
+    ("price_ceiling", fun x -> { d with Market.price_ceiling = x });
+    ("price_step", fun x -> { d with Market.price_step = x });
+  ]
+  |> List.map (fun (name, set) ->
+         Alcotest.test_case ("non-finite " ^ name) `Quick (fun () ->
+             List.iter
+               (fun x ->
+                 raises_invalid_arg
+                   (Printf.sprintf "%s = %g" name x)
+                   (fun () -> run (set x)))
+               [ nan; infinity; neg_infinity ]))
+
+(* Regression: a step of 1e-300 overflowed the point count and
+   silently collapsed the grid. *)
+let test_grid_too_large () =
+  List.iter
+    (fun (floor, ceiling, step) ->
+      raises_invalid_arg
+        (Printf.sprintf "grid %g..%g step %g" floor ceiling step)
+        (fun () ->
+          run
+            { Market.default_config with
+              Market.price_floor = floor; price_ceiling = ceiling;
+              price_step = step }))
+    [ (0.0, 10.0, 1e-300); (0.0, 10.0, 1e-17); (-1e308, 1e308, 1.0) ]
 
 (* ---------- bit-exact pins ---------- *)
 
@@ -305,29 +350,366 @@ let e3_pins =
       ] );
   ]
 
-let test_pinned_e1 () =
+(* E1 runs the five switching costs on seed 1001, E3 the five market
+   structures on seed 1003. *)
+let check_e1_pins ~n pins =
   List.iter
     (fun (sc, expected) ->
       let cfg =
-        { Market.default_config with Market.switching_cost = sc; n_consumers = 2_000 }
+        { Market.default_config with Market.switching_cost = sc; n_consumers = n }
       in
       Alcotest.(check (list string))
-        (Printf.sprintf "switching cost %g" sc)
+        (Printf.sprintf "E1 switching cost %g, n = %d" sc n)
         expected
         (render (run ~seed:1001 cfg)))
-    e1_pins
+    pins
 
-let test_pinned_e3 () =
+let check_e3_pins ~n pins =
   List.iter
     (fun (m, expected) ->
       let cfg =
-        { Market.default_config with Market.n_providers = m; n_consumers = 2_000 }
+        { Market.default_config with Market.n_providers = m; n_consumers = n }
       in
       Alcotest.(check (list string))
-        (Printf.sprintf "%d providers" m)
+        (Printf.sprintf "E3 %d providers, n = %d" m n)
         expected
         (render (run ~seed:1003 cfg)))
-    e3_pins
+    pins
+
+let test_pinned_e1 () = check_e1_pins ~n:2_000 e1_pins
+
+let test_pinned_e3 () = check_e3_pins ~n:2_000 e3_pins
+
+(* The battery's own E1 and E3 runs, n = 100,000 on seeds 1001 and
+   1003: the scale at which the consumer sort and the incremental base
+   do their work. *)
+let e1_battery_pins =
+  [
+    ( 0.0,
+      [
+        "0x1.8p+0";
+        "0x1p-1";
+        "0x0p+0";
+        "0x1.98ecb5f1b6174p+19";
+        "0x1.86ap+15";
+        "0x1.0000a3c93050ap-2";
+        "0x1p+0";
+        "0x1.8p+0*30";
+      ] );
+    ( 0.5,
+      [
+        "0x1.099999999999ap+1";
+        "0x1.1333333333334p+0";
+        "0x1.879fa97e132b5p-3";
+        "0x1.7c7421e3ddadcp+19";
+        "0x1.8cb7e666662f9p+16";
+        "0x1.1d96b944a3abcp-2";
+        "0x1p+0";
+        "0x1.8p+0*1 0x1.1p+1*1 0x1.6p+1*1 \
+         0x1.0cccccccccccdp+1*1 0x1.3333333333334p+1*1 0x1.3666666666667p+1*1 \
+         0x1.d99999999999ap+0*1 0x1.6p+1*1 0x1.1cccccccccccdp+1*1 \
+         0x1.5cccccccccccdp+1*1 0x1.ecccccccccccep+0*1 0x1.f99999999999bp+0*1 \
+         0x1.d99999999999bp+0*1 0x1.4666666666667p+1*1 0x1.0cccccccccccdp+1*1 \
+         0x1.4p+1*1 0x1.099999999999ap+1*1 0x1.799999999999ap+0*1 \
+         0x1.2cccccccccccdp+1*1 0x1.cp+0*1 0x1.6p+1*1 \
+         0x1.0333333333333p+1*1 0x1.4cccccccccccdp+1*1 0x1.c666666666666p+0*1 \
+         0x1.099999999999ap+1*1 0x1.d99999999999ap+0*1 0x1.3666666666667p+1*1 \
+         0x1.c666666666667p+0*1 0x1.3cccccccccccep+1*1 0x1.099999999999ap+1*1";
+      ] );
+    ( 1.0,
+      [
+        "0x1.7000000000001p+1";
+        "0x1.e000000000002p+0";
+        "0x1.3c393682730c6p-5";
+        "0x1.4d9af041d2e9dp+19";
+        "0x1.7edb999998de2p+17";
+        "0x1.1b2534b6ceb04p-2";
+        "0x1p+0";
+        "0x1.8p+0*1 0x1.6p+1*1 0x1.ccccccccccccdp+1*1 \
+         0x1.9333333333334p+1*1 0x1.9333333333334p+0*1 0x1.ecccccccccccdp+0*1 \
+         0x1.f333333333334p+0*1 0x1.199999999999ap+1*1 0x1.ep+0*1 \
+         0x1.b99999999999ap+0*1 0x1.9333333333334p+1*1 0x1.399999999999ap+1*1 \
+         0x1.f99999999999ap+0*1 0x1.5333333333334p+1*1 0x1.3cccccccccccdp+1*1 \
+         0x1.099999999999ap+1*1 0x1.d666666666667p+1*1 0x1.5666666666667p+1*1 \
+         0x1.3p+1*1 0x1.dp+1*1 0x1.499999999999ap+1*1 \
+         0x1p+1*1 0x1.d666666666666p+1*1 0x1.5666666666667p+1*1 \
+         0x1.199999999999ap+1*1 0x1.f333333333334p+1*1 0x1.6cccccccccccdp+1*1 \
+         0x1.2p+1*1 0x1.f666666666666p+1*1 0x1.7000000000001p+1*1";
+      ] );
+    ( 3.0,
+      [
+        "0x1.8cccccccccccep+1";
+        "0x1.0cccccccccccep+1";
+        "0x0p+0";
+        "0x1.293aa6bbac294p+19";
+        "0x1.fc048000036fep+17";
+        "0x1.7f76d1a64cf1ap-2";
+        "0x1p+0";
+        "0x1.8p+0*1 0x1.5p+2*1 0x1.3cccccccccccdp+2*1 \
+         0x1.1333333333334p+2*1 0x1.e666666666667p+1*1 0x1.a666666666666p+1*1 \
+         0x1.999999999999ap+1*1 0x1.8cccccccccccep+1*23";
+      ] );
+    ( 6.0,
+      [
+        "0x1.3666666666667p+3";
+        "0x1.1666666666667p+3";
+        "0x0p+0";
+        "0x1.1116be36c37cbp+14";
+        "0x1.a8cdfffffd287p+19";
+        "0x1.0000a3c93050ap-2";
+        "0x1p+0";
+        "0x1.8p+0*1 0x1.019999999999ap+3*1 0x1.3666666666667p+3*28";
+      ] );
+  ]
+
+let e3_battery_pins =
+  [
+    ( 1,
+      [
+        "0x1.2p+3";
+        "0x1p+3";
+        "0x0p+0";
+        "0x1.85eb61a53e215p+15";
+        "0x1.86ap+19";
+        "0x1p+0";
+        "0x1p+0";
+        "0x1.2p+3*30";
+      ] );
+    ( 2,
+      [
+        "0x1p+1";
+        "0x1p+0";
+        "0x0p+0";
+        "0x1.7a6cd0ea0a679p+19";
+        "0x1.86ap+16";
+        "0x1.0000b6b431a06p-1";
+        "0x1p+0";
+        "0x1p+1*30";
+      ] );
+    ( 4,
+      [
+        "0x1.8p+0";
+        "0x1p-1";
+        "0x0p+0";
+        "0x1.98ed4218dd3dfp+19";
+        "0x1.86ap+15";
+        "0x1.0001329ed2826p-2";
+        "0x1p+0";
+        "0x1.8p+0*30";
+      ] );
+    ( 8,
+      [
+        "0x1.4cccccccccccdp+0";
+        "0x1.3333333333334p-2";
+        "0x0p+0";
+        "0x1.a5c3661a82c57p+19";
+        "0x1.d4bffffffcaf9p+14";
+        "0x1.00020e2feb159p-3";
+        "0x1p+0";
+        "0x1.4cccccccccccdp+0*30";
+      ] );
+    ( 16,
+      [
+        "0x1.1999999999999p+0";
+        "0x1.999999999999p-4";
+        "0x0p+0";
+        "0x1.b10b5b8f8e247p+19";
+        "0x1.388000000287ap+13";
+        "0x1.0007415bcdadbp-4";
+        "0x1p+0";
+        "0x1.1999999999999p+0*30";
+      ] );
+  ]
+
+let test_pinned_battery () =
+  check_e1_pins ~n:100_000 e1_battery_pins;
+  check_e3_pins ~n:100_000 e3_battery_pins
+
+(* ---------- naive oracle (qcheck) ---------- *)
+
+(* The model written out the slow way: positions in draw order, the
+   utility base recomputed from the subscriptions for every use, and
+   demand at every grid price counted consumer by consumer from the
+   strict rule "c buys from j at price p iff base_j(c) - p >
+   max(0, alt)", where [alt] is c's best utility from the other
+   providers at their current prices.  O(n * m * grid) per best
+   response; no sorting, bucketing, histogram, incremental base or
+   replay of stable periods.
+
+   The rule is evaluated in the form the model defines it,
+   [p < base_j(c) - max(0, alt)].  The algebraically equal
+   [base_j(c) - p > max(0, alt)] rounds differently where the
+   threshold lands on a grid point, which happens structurally (a
+   consumer whose best alternative lies beyond [j] has a threshold of
+   transport_cost / m plus a grid price): on 3,000 random configs of
+   [small_config_gen] that form disagrees with [Market.run] on 60. *)
+let naive_run rng cfg =
+  let open Market in
+  let n = cfg.n_consumers and m = cfg.n_providers in
+  let grid = price_grid cfg in
+  let g = Array.length grid in
+  let pos = Array.init n (fun _ -> Rng.float rng 1.0) in
+  let dist c k =
+    let d = Float.abs (pos.(c) -. (float_of_int k /. float_of_int m)) in
+    Float.min d (1.0 -. d)
+  in
+  let current = Array.make n (-1) in
+  let base c k =
+    let pain =
+      if current.(c) >= 0 && current.(c) <> k then cfg.switching_cost else 0.0
+    in
+    cfg.wtp -. (cfg.transport_cost *. dist c k) -. pain
+  in
+  let idx =
+    let i =
+      int_of_float
+        (Float.round ((salop_price cfg -. cfg.price_floor) /. cfg.price_step))
+    in
+    Array.make m (max 0 (min (g - 1) i))
+  in
+  let price k = grid.(idx.(k)) in
+  let history = Array.make cfg.periods 0.0 in
+  let switches = ref 0 and counted = ref 0 in
+  let choice = Array.make n (-1) and utility = Array.make n 0.0 in
+  for period = 0 to cfg.periods - 1 do
+    for j = 0 to m - 1 do
+      let alt =
+        Array.init n (fun c ->
+            let a = ref 0.0 in
+            for k = 0 to m - 1 do
+              if k <> j then a := Float.max !a (base c k -. price k)
+            done;
+            !a)
+      in
+      let profit i =
+        let d = ref 0 in
+        for c = 0 to n - 1 do
+          if grid.(i) < base c j -. alt.(c) then incr d
+        done;
+        float_of_int !d *. (grid.(i) -. cfg.provider_cost)
+      in
+      let best = ref idx.(j) in
+      let best_profit = ref (profit idx.(j)) in
+      for i = 0 to g - 1 do
+        let p = profit i in
+        if p > !best_profit +. 1e-9 then begin
+          best := i;
+          best_profit := p
+        end
+      done;
+      idx.(j) <- !best
+    done;
+    (* the best positive utility, the lowest provider index on ties *)
+    for c = 0 to n - 1 do
+      choice.(c) <- -1;
+      utility.(c) <- 0.0;
+      for k = 0 to m - 1 do
+        let u = base c k -. price k in
+        if u > utility.(c) then begin
+          choice.(c) <- k;
+          utility.(c) <- u
+        end
+      done
+    done;
+    if period >= cfg.periods / 3 then begin
+      incr counted;
+      for c = 0 to n - 1 do
+        if choice.(c) >= 0 && current.(c) >= 0 && choice.(c) <> current.(c)
+        then incr switches
+      done
+    end;
+    Array.blit choice 0 current 0 n;
+    history.(period) <- Stats.mean (Array.init m price)
+  done;
+  let surplus = ref 0.0 and profit = ref 0.0 and subs = Array.make m 0 in
+  Array.iteri
+    (fun c k ->
+      if k >= 0 then begin
+        surplus := !surplus +. utility.(c);
+        profit := !profit +. (price k -. cfg.provider_cost);
+        subs.(k) <- subs.(k) + 1
+      end)
+    current;
+  let shares =
+    Array.of_list
+      (List.filter_map
+         (fun s -> if s > 0 then Some (float_of_int s) else None)
+         (Array.to_list subs))
+  in
+  let prices = Array.init m price in
+  let subscribed = Array.fold_left (fun a k -> if k >= 0 then a + 1 else a) 0 current in
+  {
+    mean_price = Stats.mean prices;
+    mean_markup = Stats.mean prices -. cfg.provider_cost;
+    churn_rate =
+      (if !counted = 0 then 0.0
+       else float_of_int !switches /. float_of_int (n * !counted));
+    consumer_surplus = !surplus;
+    provider_profit = !profit;
+    hhi = (if Array.length shares = 0 then 0.0 else Stats.hhi shares);
+    subscribed_ratio = float_of_int subscribed /. float_of_int n;
+    price_history = history;
+  }
+
+(* Small random configs, including the knife edges the fast path must
+   get right: transport cost 0 (every consumer ties), switching costs
+   0-4 and steps that do and do not divide the span. *)
+let small_config_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 40 in
+    let* m = int_range 1 5 in
+    let* tc = oneofl [ 0.0; 0.5; 1.0; 2.0; 3.7 ] in
+    let* sc = oneofl [ 0.0; 0.5; 1.0; 2.0; 3.0; 4.0 ] in
+    let* step = oneofl [ 0.05; 0.25; 0.3; 1.0 ] in
+    let* wtp = oneofl [ 0.5; 3.0; 10.0; 20.0 ] in
+    let* cost = oneofl [ 0.0; 1.0 ] in
+    let* ceiling = oneofl [ 3.0; 10.0 ] in
+    let* periods = int_range 1 12 in
+    let* seed = int_range 0 100_000 in
+    return
+      ( seed,
+        {
+          Market.n_consumers = n;
+          n_providers = m;
+          wtp;
+          transport_cost = tc;
+          switching_cost = sc;
+          provider_cost = cost;
+          periods;
+          price_floor = 0.0;
+          price_ceiling = ceiling;
+          price_step = step;
+        } ))
+
+let prop_matches_naive =
+  QCheck2.Test.make ~count:400 ~name:"run = naive oracle, every field (%h)"
+    ~print:(fun (seed, c) ->
+      Printf.sprintf "seed %d n %d m %d tc %g sc %g step %g wtp %g cost %g \
+                      ceiling %g periods %d"
+        seed c.Market.n_consumers c.n_providers c.transport_cost
+        c.switching_cost c.price_step c.wtp c.provider_cost c.price_ceiling
+        c.periods)
+    small_config_gen
+    (fun (seed, cfg) ->
+      render (Market.run (Rng.create seed) cfg)
+      = render (naive_run (Rng.create seed) cfg))
+
+(* Past 4,096 consumers the sort caps its bucket count, so buckets
+   hold several consumers in draw order; the random configs above
+   never get there. *)
+let test_matches_naive_capped_buckets () =
+  List.iter
+    (fun (m, tc, sc, step) ->
+      let cfg =
+        { Market.default_config with
+          Market.n_consumers = 5_000; n_providers = m; transport_cost = tc;
+          switching_cost = sc; price_step = step; periods = 4 }
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "m %d tc %g sc %g step %g" m tc sc step)
+        (render (naive_run (Rng.create 17) cfg))
+        (render (Market.run (Rng.create 17) cfg)))
+    [ (3, 0.0, 0.0, 1.0); (4, 2.0, 0.5, 0.25); (5, 1.0, 3.0, 0.3) ]
 
 (* ---------- allocation (native only) ---------- *)
 
@@ -345,18 +727,23 @@ let test_run_allocation_linear_in_n () =
         Market.n_consumers = n; n_providers = m; switching_cost = 0.5 }
     in
     (* minor + major - promoted: every word allocated, including the
-       scratch arrays too large for the minor heap *)
+       scratch arrays too large for the minor heap.  The minor heap is
+       emptied first: on OCaml 5.1 a minor collection inside the
+       window over-counts minor words by up to the heap's unused part
+       (the same run measured anywhere from 2.0e5 to 4.0e5 words,
+       depending only on unrelated earlier allocation). *)
     let allocated () =
       let minor, promoted, major = Gc.counters () in
       minor +. major -. promoted
     in
     let words cfg =
       let rng = Rng.create 5 in
+      Gc.minor ();
       let before = allocated () in
       ignore (Market.run rng cfg);
       allocated () -. before
     in
-    let bound = float_of_int (((m + 8) * n) + 4096) in
+    let bound = float_of_int (((m + 7) * n) + 4096) in
     let w = words cfg in
     Alcotest.(check bool)
       (Printf.sprintf "%.0f words <= %.0f" w bound)
@@ -437,10 +824,21 @@ let () =
           Alcotest.test_case "prohibitive switching cost: zero churn" `Quick
             test_prohibitive_switching_cost_freezes_churn;
         ] );
+      ( "validation",
+        non_finite_cases
+        @ [ Alcotest.test_case "grid too large" `Quick test_grid_too_large ] );
       ( "pinned",
         [
           Alcotest.test_case "E1 sweep configs, every field" `Quick test_pinned_e1;
           Alcotest.test_case "E3 structures, every field" `Quick test_pinned_e3;
+          Alcotest.test_case "E1 and E3 battery runs, every field" `Quick
+            test_pinned_battery;
+        ] );
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest prop_matches_naive;
+          Alcotest.test_case "capped buckets, n = 5,000" `Quick
+            test_matches_naive_capped_buckets;
         ] );
       ( "allocation",
         [

@@ -449,6 +449,27 @@ let test_rng_draws_allocate_nothing () =
     draws "bool" (fun () -> ignore (Rng.bool rng))
   end
 
+(* [fill_float] is [Array.init] over [float]: the same values in the
+   same order, and the generator left in the same state. *)
+let prop_fill_float_matches_float =
+  QCheck2.Test.make ~name:"fill_float equals repeated float" ~count:300
+    QCheck2.Gen.(triple int (int_range 0 100) (float_range (-5.0) 5.0))
+    (fun (seed, len, x) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let filled = Array.make len nan in
+      Rng.fill_float a filled x;
+      let drawn = Array.init len (fun _ -> Rng.float b x) in
+      Array.map Int64.bits_of_float filled = Array.map Int64.bits_of_float drawn
+      && Rng.int64 a = Rng.int64 b)
+
+let test_fill_float_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let rng = Rng.create 99 in
+    let a = Array.make 100_000 0.0 in
+    Alcotest.(check (float 0.0)) "10^5 draws" 0.0
+      (minor_words_during (fun () -> Rng.fill_float rng a 1.0))
+  end
+
 (* ---------- Stats ---------- *)
 
 let test_stats_mean () = check_float "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |])
@@ -969,6 +990,9 @@ let () =
             test_rng_weighted_zero_tail;
           Alcotest.test_case "draws allocate nothing" `Quick
             test_rng_draws_allocate_nothing;
+          QCheck_alcotest.to_alcotest prop_fill_float_matches_float;
+          Alcotest.test_case "fill_float allocates nothing" `Quick
+            test_fill_float_allocates_nothing;
         ] );
       ( "stats",
         [
