@@ -1,6 +1,7 @@
 module Flight = Tussle_obs.Flight
 module Json = Tussle_obs.Json
 module Plan = Tussle_fault.Plan
+module Net = Tussle_netsim.Net
 
 type result = {
   entry : Corpus.entry;
@@ -29,63 +30,53 @@ let in_window (w : Plan.window) t = t >= w.Plan.from_s && t < w.Plan.until_s
 
 let edge_eq u v n p = (u = n && v = p) || (u = p && v = n)
 
-(* Route-dependent drops (no-route, ttl-exceeded, queue-full) are a
-   global consequence of the topology a fault carved up, so any open
-   topology episode explains them; wire-level drops must match the
-   faulted link itself. *)
-let episode_explains (e : Flight.event) (spec : Plan.spec) =
-  let t = e.Flight.sim_t in
-  let indirect =
-    match e.Flight.detail with
-    | "no-route" | "ttl-exceeded" | "queue-full" -> true
-    | _ -> false
+(* An episode explains a drop inside its window when the drop sits on
+   the faulted link or node.  Route-dependent drops (no route, ttl
+   exceeded, full queue) are a global consequence of the topology a
+   fault carved up, so any open topology episode explains them.  A
+   link-down drop on a flapping edge inside the window can only have
+   happened during a down phase, so no phase arithmetic is needed; a
+   unidirectional outage only explains drops in its own direction,
+   since drops carry the sending direction. *)
+let episode_explains ~t (drop : Net.drop_reason) (spec : Plan.spec) =
+  let window =
+    match (spec, drop) with
+    | (Plan.Link_down { u; v; w } | Plan.Link_flap { u; v; w; _ }),
+      Net.Link_down (a, b)
+    | Plan.Link_loss { u; v; w; _ }, Net.Fault_loss (a, b)
+    | Plan.Link_corrupt { u; v; w; _ }, Net.Corrupted (a, b)
+    | Plan.Gray_loss { u; v; w; _ }, Net.Gray_loss (a, b)
+      when edge_eq u v a b ->
+      Some w
+    | Plan.Unidirectional_down { u; v; w }, Net.Link_down (a, b)
+      when a = u && b = v ->
+      Some w
+    | Plan.Node_crash { node; w }, Net.Link_down (a, b)
+      when a = node || b = node ->
+      Some w
+    | Plan.Middlebox_break { node; w; _ }, Net.Filtered (name, n)
+      when name = Plan.broken_device_name && n = node ->
+      Some w
+    | Plan.Blackhole { node; w }, Net.Blackholed n when n = node -> Some w
+    | ( ( Plan.Link_down { w; _ }
+        | Plan.Link_flap { w; _ }
+        | Plan.Unidirectional_down { w; _ }
+        | Plan.Node_crash { w; _ }
+        | Plan.Blackhole { w; _ } ),
+        (Net.No_route | Net.Ttl_exceeded | Net.Queue_full _) ) ->
+      Some w
+    | _ -> None
   in
-  match spec with
-  | Plan.Link_down { u; v; w } ->
-    in_window w t
-    && ((e.Flight.detail = "link-down" && edge_eq u v e.Flight.node e.Flight.peer)
-       || indirect)
-  | Plan.Link_loss { u; v; w; _ } ->
-    e.Flight.detail = "fault-loss" && in_window w t
-    && edge_eq u v e.Flight.node e.Flight.peer
-  | Plan.Link_corrupt { u; v; w; _ } ->
-    e.Flight.detail = "corrupted" && in_window w t
-    && edge_eq u v e.Flight.node e.Flight.peer
-  | Plan.Latency_spike _ -> false
-  | Plan.Node_crash { node; w } ->
-    in_window w t
-    && ((e.Flight.detail = "link-down"
-        && (e.Flight.node = node || e.Flight.peer = node))
-       || indirect)
-  | Plan.Middlebox_break { node; w; _ } ->
-    in_window w t
-    && e.Flight.detail = "filtered:" ^ Plan.broken_device_name
-    && e.Flight.node = node
-  | Plan.Gray_loss { u; v; w; _ } ->
-    e.Flight.detail = "gray-loss" && in_window w t
-    && edge_eq u v e.Flight.node e.Flight.peer
-  | Plan.Unidirectional_down { u; v; w } ->
-    (* drops carry the sending direction (node -> peer), so only the
-       faulted direction matches — the healthy reverse path never
-       gets blamed *)
-    in_window w t
-    && ((e.Flight.detail = "link-down"
-        && e.Flight.node = u && e.Flight.peer = v)
-       || indirect)
-  | Plan.Link_flap { u; v; w; _ } ->
-    (* a "link-down" drop on this edge inside the window can only have
-       happened during a down phase, so no phase arithmetic is needed *)
-    in_window w t
-    && ((e.Flight.detail = "link-down" && edge_eq u v e.Flight.node e.Flight.peer)
-       || indirect)
-  | Plan.Blackhole { node; w } ->
-    in_window w t
-    && ((e.Flight.detail = "blackholed" && e.Flight.node = node) || indirect)
+  match window with Some w -> in_window w t | None -> false
 
 let attribution plan (e : Flight.event) =
   let hits =
-    List.mapi (fun i spec -> (i, spec)) plan
-    |> List.filter (fun (_, spec) -> episode_explains e spec)
+    match Net.drop_of_flight e with
+    | None -> []
+    | Some drop ->
+      List.mapi (fun i spec -> (i, spec)) plan
+      |> List.filter (fun (_, spec) ->
+             episode_explains ~t:e.Flight.sim_t drop spec)
   in
   match hits with
   | [] -> "no episode open at this time"
@@ -235,7 +226,7 @@ let render ~(entry : Corpus.entry) ~(obs : Invariant.obs) ~violations
        engine-pending %d\n"
     obs.Invariant.injected obs.Invariant.delivered obs.Invariant.dropped
     obs.Invariant.in_flight obs.Invariant.engine_pending;
-  (match obs.Invariant.drops_by_reason with
+  (match Net.losses_by_label obs.Invariant.losses with
   | [] -> add "drops by reason: none\n"
   | reasons ->
     add "drops by reason:\n";
@@ -351,7 +342,7 @@ let to_json r =
         Json.Obj
           (List.map
              (fun (label, n) -> (label, Json.Int n))
-             r.obs.Invariant.drops_by_reason) );
+             (Net.losses_by_label r.obs.Invariant.losses)) );
       ("events_recorded", Json.Int (List.length r.events));
       ("events_overwritten", Json.Int r.overwritten);
       ("events", Json.List (List.map event_to_json r.events));

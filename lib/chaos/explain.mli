@@ -35,6 +35,14 @@ val run : Corpus.entry -> (result, string) Stdlib.result
     scenario.  The recorder is reset before and disabled after the
     replay, whatever state it was in. *)
 
+val attribution : Tussle_fault.Plan.t -> Tussle_obs.Flight.event -> string
+(** The narrative's verdict on one drop event: ["during episode [i]
+    SPEC"] for every episode of the plan whose window and location
+    explain the drop (joined by [", "]), or ["no episode open at this
+    time"].  Wire-level drops must sit on the faulted link or node;
+    route-dependent drops (no route, ttl exceeded, queue full) are
+    explained by any open topology episode. *)
+
 val narrative_of_violation :
   entry:Corpus.entry ->
   events:Tussle_obs.Flight.event list ->

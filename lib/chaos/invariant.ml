@@ -13,7 +13,7 @@ type obs = {
   engine_pending : int;
   clock_start : float;
   clock_end : float;
-  drops_by_reason : (string * int) list;
+  losses : (Net.drop_reason * int) list;
   link_fault_drops : int;
   link_corrupted : int;
   link_gray_drops : int;
@@ -46,7 +46,7 @@ let observe ?(transfers = []) ?(reconvergences = 0) ?covert_budget
     engine_pending = Engine.pending engine;
     clock_start;
     clock_end = Engine.now engine;
-    drops_by_reason = Net.losses_by_reason net;
+    losses = Net.losses net;
     link_fault_drops =
       fold_links links ~init:0 ~f:(fun acc l -> acc + Link.fault_drops l);
     link_corrupted =
@@ -62,8 +62,7 @@ let observe ?(transfers = []) ?(reconvergences = 0) ?covert_budget
 
 type violation = { invariant : string; detail : string }
 
-let reason_count o label =
-  Option.value ~default:0 (List.assoc_opt label o.drops_by_reason)
+let count o matches = Net.count_losses matches o.losses
 
 (* The registry.  Each invariant returns [Some detail] on violation.
    This list is the intended home for future correctness checks: a new
@@ -93,13 +92,15 @@ let all : (string * (obs -> string option)) list =
                o.clock_end) );
     ( "drop-accounting",
       fun o ->
-        let by_reason =
-          List.fold_left (fun acc (_, n) -> acc + n) 0 o.drops_by_reason
-        in
+        let by_reason = count o (fun _ -> true) in
         let attributed =
-          reason_count o "link-down" + reason_count o "fault-loss"
+          count o (function
+            | Net.Link_down _ | Net.Fault_loss _ -> true
+            | _ -> false)
         in
-        let corrupted = reason_count o "corrupted" in
+        let corrupted =
+          count o (function Net.Corrupted _ -> true | _ -> false)
+        in
         if by_reason <> o.dropped then
           Some
             (Printf.sprintf "per-reason drops %d <> lost packets %d" by_reason
@@ -123,7 +124,7 @@ let all : (string * (obs -> string option)) list =
             (Printf.sprintf "%d transfer(s) neither completed nor abandoned"
                (List.length stuck)) );
     (* Covert drops must never be silently lost: every gray drop the
-       links counted has to surface as an attributed "gray-loss"
+       links counted has to surface as an attributed [Gray_loss]
        outcome, and — when the scenario stakes a claim — the total
        covert damage (gray + Byzantine discard) must stay within its
        declared budget.  A hello-only control plane that routes a flow
@@ -131,7 +132,7 @@ let all : (string * (obs -> string option)) list =
        data-plane-verified one detects and reroutes. *)
     ( "no-silent-blackhole",
       fun o ->
-        let gray = reason_count o "gray-loss" in
+        let gray = count o (function Net.Gray_loss _ -> true | _ -> false) in
         if o.link_gray_drops <> gray then
           Some
             (Printf.sprintf "links counted %d gray drops, net attributed %d"
@@ -140,7 +141,9 @@ let all : (string * (obs -> string option)) list =
           match o.covert_budget with
           | None -> None
           | Some budget ->
-            let blackholed = reason_count o "blackholed" in
+            let blackholed =
+              count o (function Net.Blackholed _ -> true | _ -> false)
+            in
             if gray + blackholed > budget then
               Some
                 (Printf.sprintf
@@ -154,7 +157,7 @@ let all : (string * (obs -> string option)) list =
        reconvergence are expected and exempt. *)
     ( "no-forwarding-loop",
       fun o ->
-        let ttl = reason_count o "ttl-exceeded" in
+        let ttl = count o (( = ) Net.Ttl_exceeded) in
         if ttl > 0 && o.reconvergences = 0 then
           Some
             (Printf.sprintf

@@ -22,7 +22,8 @@ type obs = {
   engine_pending : int;  (** events still queued after the run *)
   clock_start : float;
   clock_end : float;
-  drops_by_reason : (string * int) list;  (** [Net.losses_by_reason] *)
+  losses : (Tussle_netsim.Net.drop_reason * int) list;
+      (** [Net.losses]: the typed ledger the drop invariants match on *)
   link_fault_drops : int;  (** summed over distinct physical links *)
   link_corrupted : int;
   link_gray_drops : int;  (** covert drops the links themselves counted *)
@@ -31,7 +32,7 @@ type obs = {
   reconvergences : int;  (** self-healing recomputes; 0 without a control plane *)
   covert_budget : int option;
       (** the scenario's claim, if it makes one: covert drops
-          (gray-loss + blackholed) must not exceed this.  [None] (the
+          ([Gray_loss] + [Blackholed]) must not exceed this.  [None] (the
           default) asserts nothing — a random plan may legitimately
           gray out every path. *)
   fault_transitions : int option;
@@ -69,7 +70,7 @@ val all : (string * (obs -> string option)) list
     monotone clock, drop accounting (per-reason sums match totals and
     the links' own fault counters), no hung transfer,
     no-silent-blackhole (every link-counted gray drop is attributed as
-    ["gray-loss"], and covert drops stay within [covert_budget] when
+    [Gray_loss], and covert drops stay within [covert_budget] when
     one is declared), no-forwarding-loop (a ttl-exceeded drop with
     zero reconvergences means static tables looped), and
     damping-bounds-reconvergence ([reconvergences <= 4t + 4] against

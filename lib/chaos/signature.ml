@@ -5,6 +5,8 @@
    distinct drop profiles, transfer outcomes, healing activity, or
    event-queue pressure — rather than "has different bytes". *)
 
+module Net = Tussle_netsim.Net
+
 (* log2 buckets, like the obs histograms: 0, 1, 2, 3-4, 5-8, ... —
    exact counts would make every plan "novel" and dissolve the
    signal. *)
@@ -28,19 +30,19 @@ let transfer_counts transfers =
     (0, 0, 0) transfers
 
 let of_obs (o : Invariant.obs) =
+  (* per label, summed over locations, then bucketed *)
   let drops =
-    o.Invariant.drops_by_reason
+    Net.losses_by_label o.Invariant.losses
     |> List.filter (fun (_, n) -> n > 0)
-    |> List.map (fun (reason, n) -> (reason, bucket n))
-    |> List.sort compare
-    |> List.map (fun (reason, b) -> Printf.sprintf "%s:%d" reason b)
+    |> List.map (fun (label, n) -> Printf.sprintf "%s:%d" label (bucket n))
     |> String.concat ","
   in
   let completed, abandoned, active = transfer_counts o.Invariant.transfers in
   let covert =
     o.Invariant.link_gray_drops
-    + Option.value ~default:0
-        (List.assoc_opt "blackholed" o.Invariant.drops_by_reason)
+    + Net.count_losses
+        (function Net.Blackholed _ -> true | _ -> false)
+        o.Invariant.losses
   in
   Printf.sprintf "drops[%s] xfer[%d/%d/%d] heal:%d covert:%d hw:%d inflight:%d"
     drops completed abandoned active

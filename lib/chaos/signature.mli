@@ -15,4 +15,6 @@ val bucket : int -> int
 
 val of_obs : Invariant.obs -> string
 (** Canonical signature; equal ledgers yield equal strings, whatever
-    order [drops_by_reason] arrived in. *)
+    order [losses] arrived in.  Drops are counted per artifact label
+    ({!Tussle_netsim.Net.losses_by_label}), so one label's drops at
+    several locations form one bucket. *)

@@ -98,15 +98,7 @@ let run_transfer ~item_seed ~plan =
   (* the horizon is a hang guard only: backoff + max_retries must end
      the transfer (completed or abandoned) long before it *)
   Engine.run ~until:600.0 engine;
-  let fault_drops =
-    List.fold_left
-      (fun acc (reason, n) ->
-        match reason with
-        | "link-down" | "fault-loss" | "corrupted" -> acc + n
-        | _ -> acc)
-      0
-      (Net.losses_by_reason net)
-  in
+  let fault_drops = Net.count_losses Net.is_fault_drop (Net.losses net) in
   {
     index = 0;
     episodes;
@@ -126,6 +118,18 @@ let sweep_plan rng =
   :: Plan.random rng
        ~links:[ (0, 1); (1, 2); (2, 3) ]
        ~horizon:plan_horizon ~episodes:3
+
+(* The sweep's faulted transfers at [fault_seed], in plan order. *)
+let faulted_sweep ~fault_seed =
+  let plan_rng = Rng.create fault_seed in
+  let items =
+    List.init sweep_size (fun k ->
+        (k, fault_seed + (1009 * (k + 1)), sweep_plan plan_rng))
+  in
+  Pool.map
+    (fun (k, item_seed, plan) ->
+      { (run_transfer ~item_seed ~plan:(Some plan)) with index = k })
+    items
 
 let status_string = function
   | Transport.Completed -> "completed"
@@ -150,20 +154,10 @@ let run () =
     [ ("revealing (device confesses)", revealing);
       ("covert (silent drop)", covert) ];
   (* part B *)
-  let plan_rng = Rng.create fault_seed in
-  let items =
-    List.init sweep_size (fun k ->
-        (k, fault_seed + (1009 * (k + 1)), sweep_plan plan_rng))
-  in
   let healthy =
     run_transfer ~item_seed:(fault_seed + 7) ~plan:None
   in
-  let faulted =
-    Pool.map
-      (fun (k, item_seed, plan) ->
-        { (run_transfer ~item_seed ~plan:(Some plan)) with index = k })
-      items
-  in
+  let faulted = faulted_sweep ~fault_seed in
   let tb =
     Table.create
       ~aligns:

@@ -118,8 +118,9 @@ let run_mode ~seed ~plan ~fault_at mode =
     delivered = Net.delivered_count net;
     injected = Net.injected_count net;
     link_down_drops =
-      Option.value ~default:0
-        (List.assoc_opt "link-down" (Net.losses_by_reason net));
+      Net.count_losses
+        (function Net.Link_down _ -> true | _ -> false)
+        (Net.losses net);
     reconvergences =
       (match heal with Some h -> Selfheal.reconvergences h | None -> 0);
     convergence_s =

@@ -5,8 +5,13 @@
     episode, in plan order — so equal seed + plan means equal streams),
     and schedules set/restore events on the engine.  Faults then take
     effect as the simulation crosses their windows; drops they cause
-    are attributed by {!Tussle_netsim.Net.losses_by_reason} and the
-    [net.drops.*] metrics.
+    land in the typed ledger {!Tussle_netsim.Net.losses} and the
+    [net.drops.*] metrics.  [Link_down], [Node_crash],
+    [Unidirectional_down] and [Link_flap] drop as [Net.Link_down],
+    [Link_loss] as [Fault_loss], [Link_corrupt] as [Corrupted],
+    [Gray_loss] as [Gray_loss] and [Blackhole] as [Blackholed]: the
+    five reasons {!Tussle_netsim.Net.is_fault_drop} accepts.
+    [Middlebox_break] drops as [Filtered] under the device's name.
 
     Link episodes apply to {e every} link between the two endpoints in
     both directions (deduplicated by physical identity, so a shared
@@ -22,7 +27,7 @@
     its own split stream, like [Link_loss] — but drops while the link's
     control-plane view stays up.  [Blackhole] flips the net's Byzantine
     bit for the node: hellos keep flowing, transit traffic silently
-    dies, attributed as ["blackholed"].
+    dies, attributed as [Blackholed].
 
     [Middlebox_break] attaches a device named
     {!Plan.broken_device_name} at the node immediately (it forwards

@@ -83,16 +83,23 @@ let m_drop_gray_loss = Metrics.counter "net.drops.gray_loss"
 let m_drop_blackholed = Metrics.counter "net.drops.blackholed"
 let m_delivered = Metrics.counter "net.delivered"
 
+let filtered_prefix = "filtered:"
+
 let drop_reason_label = function
   | No_route -> "no-route"
   | Queue_full _ -> "queue-full"
-  | Filtered (name, _) -> "filtered:" ^ name
+  | Filtered (name, _) -> filtered_prefix ^ name
   | Ttl_exceeded -> "ttl-exceeded"
   | Link_down _ -> "link-down"
   | Fault_loss _ -> "fault-loss"
   | Corrupted _ -> "corrupted"
   | Gray_loss _ -> "gray-loss"
   | Blackholed _ -> "blackholed"
+
+let is_fault_drop = function
+  | Link_down _ | Fault_loss _ | Corrupted _ | Gray_loss _ | Blackholed _ ->
+    true
+  | No_route | Queue_full _ | Filtered _ | Ttl_exceeded -> false
 
 let count_outcome = function
   | Delivered _ -> Metrics.incr m_delivered
@@ -130,6 +137,22 @@ let record_finish ~now ~at p outcome =
     in
     Flight.emit ~sim_t:now ~flow:p.Packet.id ~node ~peer
       ~detail:(drop_reason_label reason) ~value:0.0 "drop"
+
+(* The inverse of the "drop" record above: the label names the kind,
+   the node/peer fields restore its location. *)
+let drop_of_flight (e : Flight.event) =
+  if e.Flight.kind <> "drop" then None
+  else
+    let u = e.Flight.node and v = e.Flight.peer and label = e.Flight.detail in
+    if String.starts_with ~prefix:filtered_prefix label then
+      let n = String.length filtered_prefix in
+      Some (Filtered (String.sub label n (String.length label - n), u))
+    else
+      List.find_opt
+        (fun r -> drop_reason_label r = label)
+        [ No_route; Queue_full (u, v); Ttl_exceeded; Link_down (u, v);
+          Fault_loss (u, v); Corrupted (u, v); Gray_loss (u, v);
+          Blackholed u ]
 
 let finish t ~now ~at p outcome =
   Hashtbl.remove t.transits p.Packet.id;
@@ -270,18 +293,29 @@ let mean_latency t =
   | [] -> None
   | _ -> Some (Tussle_prelude.Stats.mean (Array.of_list latencies))
 
-let losses_by_reason t =
+(* Sum the counts of equal keys, sorted by key. *)
+let tally keyed =
   let tbl = Hashtbl.create 8 in
   List.iter
-    (fun (_, o) ->
-      match o with
-      | Delivered _ -> ()
-      | Lost r ->
-        let label = drop_reason_label r in
-        let cur = Option.value ~default:0 (Hashtbl.find_opt tbl label) in
-        Hashtbl.replace tbl label (cur + 1))
-    t.outcomes;
+    (fun (k, n) ->
+      let cur = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+      Hashtbl.replace tbl k (cur + n))
+    keyed;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+
+let losses t =
+  tally
+    (List.filter_map
+       (function _, Lost r -> Some (r, 1) | _, Delivered _ -> None)
+       t.outcomes)
+
+let count_losses matches ledger =
+  List.fold_left (fun acc (r, n) -> if matches r then acc + n else acc) 0 ledger
+
+let losses_by_label ledger =
+  tally (List.map (fun (r, n) -> (drop_reason_label r, n)) ledger)
+
+let losses_by_reason t = losses_by_label (losses t)
 
 let clear_outcomes t = t.outcomes <- []
 

@@ -25,7 +25,18 @@ type drop_reason =
       (** Byzantine discard: the node silently ate transit traffic
           while answering hellos — distinct from [Filtered] so covert
           middlebox failure and Byzantine forwarding are separable in
-          {!losses_by_reason} *)
+          {!losses} *)
+(** Why a packet died.  This type is the drop taxonomy: every consumer
+    (experiments, chaos invariants, signatures, [tussle explain])
+    matches its constructors.  The string form ({!drop_reason_label})
+    exists only for artifacts that print or serialize a drop. *)
+
+val is_fault_drop : drop_reason -> bool
+(** [true] exactly for the five injected-fault reasons: [Link_down],
+    [Fault_loss], [Corrupted], [Gray_loss] and [Blackholed].  The
+    reasons a healthy network also produces (no route, full queue,
+    ttl, a middlebox filter) are not — including the [Filtered] drop of
+    an injected [Middlebox_break], which names the device instead. *)
 
 type outcome =
   | Delivered of { latency : float; degraded : bool; tapped : bool }
@@ -94,10 +105,9 @@ val delivery_ratio : t -> float
 val mean_latency : t -> float option
 (** Mean end-to-end latency over delivered packets. *)
 
-val losses_by_reason : t -> (string * int) list
-(** Aggregated loss counts keyed by a stable reason label.  Fault
-    reasons use the labels ["link-down"], ["fault-loss"],
-    ["corrupted"], ["gray-loss"] and ["blackholed"].  When
+val losses : t -> (drop_reason * int) list
+(** The typed loss ledger: one entry per distinct reason (constructor
+    and location), with its count, sorted.  When
     {!Tussle_obs.Metrics} is enabled every completion also bumps a
     per-reason counter
     ([net.delivered], [net.drops.no_route], [net.drops.queue_full],
@@ -106,8 +116,33 @@ val losses_by_reason : t -> (string * int) list
     [net.drops.corrupted], [net.drops.gray_loss],
     [net.drops.blackholed]), attributing drops to their fault. *)
 
+val count_losses : (drop_reason -> bool) -> (drop_reason * int) list -> int
+(** [count_losses p ledger] sums the counts of the reasons matching
+    [p], e.g. [count_losses is_fault_drop (losses net)]. *)
+
+val losses_by_label : (drop_reason * int) list -> (string * int) list
+(** The label view of a ledger, for artifacts only: counts summed per
+    {!drop_reason_label} (so one label gathers every location), sorted
+    by label. *)
+
+val losses_by_reason : t -> (string * int) list
+(** [losses_by_label (losses t)]. *)
+
 val clear_outcomes : t -> unit
 
 val links : t -> Link.t Tussle_prelude.Graph.t
 
 val drop_reason_label : drop_reason -> string
+(** The stable artifact label of a reason, one per constructor:
+    [no-route], [queue-full], [filtered:NAME], [ttl-exceeded],
+    [link-down], [fault-loss], [corrupted], [gray-loss] and
+    [blackholed].  Written into flight records, narratives and JSON;
+    never matched on outside this module. *)
+
+val drop_of_flight : Tussle_obs.Flight.event -> drop_reason option
+(** Decode a flight-recorder ["drop"] event back into its reason: the
+    inverse of the record [Net] writes when a packet dies.  The detail
+    label gives the kind, [node]/[peer] the location (link [(node,
+    peer)], or node [node]); [filtered:NAME] decodes to
+    [Filtered (NAME, node)], whatever NAME contains.  [None] for any
+    other event kind or an unknown label. *)

@@ -8,7 +8,8 @@
 #     files for report, explain, trends and policy, a corrupt history,
 #     unsweepable or unknown sweep ids — each exits 2
 #   - fault battery smoke: E28 is deterministic per fault seed and
-#     differs across seeds
+#     differs across seeds, and its shape holds at fault seeds 11 and
+#     38, where every drop of one plan is a blackhole's
 #   - watchdog: a hung experiment becomes FAILED (timeout), exit 1
 #   - chaos smoke: a fixed-seed sweep over the extended fault grammar
 #     (gray loss, unidirectional, flap, blackhole included) is clean
@@ -148,6 +149,11 @@ if cmp -s "$TMP/tussle-e28-seed7a.out" "$TMP/tussle-e28-seed8.out"; then
   exit 1
 fi
 echo "E28 deterministic per fault seed, differs across seeds"
+for seed in 11 38; do
+  "$CLI" experiments -e E28 --fault-seed "$seed" > "$TMP/tussle-e28-seed$seed.out"
+  grep -q 'shape check: HOLDS' "$TMP/tussle-e28-seed$seed.out"
+done
+echo "E28 shape holds at fault seeds 11 and 38 (blackhole drops counted)"
 
 echo "== watchdog converts a hung experiment into FAILED (timeout) =="
 set +e

@@ -34,7 +34,7 @@ let clean_obs =
     engine_pending = 0;
     clock_start = 0.0;
     clock_end = 5.0;
-    drops_by_reason = [ ("link-down", 2); ("no-route", 1) ];
+    losses = [ (Net.Link_down (1, 2), 2); (Net.No_route, 1) ];
     link_fault_drops = 2;
     link_corrupted = 0;
     transfers = [ Invariant.Completed; Invariant.Abandoned ];
@@ -69,7 +69,7 @@ let test_invariants_on_ledgers () =
   (* ... and a declared covert budget caps gray + blackholed damage *)
   let covert_obs =
     { clean_obs with
-      Invariant.drops_by_reason = [ ("gray-loss", 2); ("blackholed", 1) ];
+      Invariant.losses = [ (Net.Gray_loss (1, 2), 2); (Net.Blackholed 3, 1) ];
       link_gray_drops = 2;
       link_fault_drops = 0;
       covert_budget = Some 2 }
@@ -84,7 +84,7 @@ let test_invariants_on_ledgers () =
   (* a ttl death without any reconvergence means static tables looped *)
   let loop_obs =
     { clean_obs with
-      Invariant.drops_by_reason = [ ("ttl-exceeded", 3) ];
+      Invariant.losses = [ (Net.Ttl_exceeded, 3) ];
       link_fault_drops = 0;
       reconvergences = 0 }
   in
@@ -470,6 +470,140 @@ let test_violation_narrative () =
     [ "violation: packet-conservation"; "packet 3"; "DROPPED at link 1-2";
       "during episode [0]" ]
 
+(* Every committed reproducer's narrative, byte for byte: the
+   [tussle explain] stdout for [../chaos/corpus/NAME.plan] is pinned in
+   [explain_golden/NAME.txt], and every reproducer has one. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let stems dir suffix =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter_map (Filename.chop_suffix_opt ~suffix)
+  |> List.sort compare
+
+let test_explain_golden_corpus () =
+  let goldens = stems "explain_golden" ".txt" in
+  Alcotest.(check (list string)) "a golden narrative per reproducer"
+    (stems "../chaos/corpus" ".plan") goldens;
+  List.iter
+    (fun stem ->
+      match Corpus.load (Printf.sprintf "../chaos/corpus/%s.plan" stem) with
+      | Error e -> Alcotest.fail e
+      | Ok entry -> (
+        match Explain.run entry with
+        | Error e -> Alcotest.fail e
+        | Ok r ->
+          Alcotest.(check string) stem
+            (read_file (Printf.sprintf "explain_golden/%s.txt" stem))
+            r.Explain.narrative))
+    goldens
+
+(* The attribution table: one episode of each kind on link 1-2 (or
+   node 1), open over [1, 2), judged against a synthetic drop of every
+   reason at three locations and four times.  Link reasons sit on the
+   directed link 1->2, its reverse 2->1, or the unrelated 2->3; node
+   reasons at node 1, 2 or 3. *)
+let w12 = Plan.window 1.0 2.0
+
+let attribution_specs =
+  [
+    Plan.Link_down { u = 1; v = 2; w = w12 };
+    Plan.Link_loss { u = 1; v = 2; w = w12; prob = 0.5 };
+    Plan.Link_corrupt { u = 1; v = 2; w = w12; prob = 0.5 };
+    Plan.Latency_spike { u = 1; v = 2; w = w12; extra_s = 0.1 };
+    Plan.Node_crash { node = 1; w = w12 };
+    Plan.Middlebox_break { node = 1; w = w12; covert = true };
+    Plan.Gray_loss { u = 1; v = 2; w = w12; prob = 0.5 };
+    Plan.Unidirectional_down { u = 1; v = 2; w = w12 };
+    Plan.Link_flap { u = 1; v = 2; w = w12; period_s = 0.4; duty = 0.5 };
+    Plan.Blackhole { node = 1; w = w12 };
+  ]
+
+let link_sites = [ (1, 2); (2, 1); (2, 3) ]
+let node_sites = [ (1, -1); (2, -1); (3, -1) ]
+
+(* (reason as the recorder writes it, the locations it can sit at) *)
+let attribution_reasons =
+  [
+    (Net.No_route, node_sites);
+    (Net.Queue_full (0, 0), link_sites);
+    (Net.Filtered (Plan.broken_device_name, 0), node_sites);
+    (Net.Filtered ("firewall", 0), node_sites);
+    (Net.Ttl_exceeded, node_sites);
+    (Net.Link_down (0, 0), link_sites);
+    (Net.Fault_loss (0, 0), link_sites);
+    (Net.Corrupted (0, 0), link_sites);
+    (Net.Gray_loss (0, 0), link_sites);
+    (Net.Blackholed 0, node_sites);
+  ]
+
+let drop_event ~sim_t ~node ~peer reason =
+  { Flight.seq = 0; sim_t; flow = 0; kind = "drop"; node; peer;
+    detail = Net.drop_reason_label reason; value = 0.0 }
+
+let site_string (node, peer) =
+  if peer < 0 then string_of_int node else Printf.sprintf "%d-%d" node peer
+
+(* For one spec: every (reason@site) the episode explains at t = 1.5,
+   after checking that t = 1.0 agrees and that t = 0.5 and t = 2.0
+   (outside the half-open window) explain nothing. *)
+let explained_by spec =
+  let plan = [ spec ] in
+  let hit ~sim_t (node, peer) reason =
+    Explain.attribution plan (drop_event ~sim_t ~node ~peer reason)
+    <> "no episode open at this time"
+  in
+  List.concat_map
+    (fun (reason, sites) ->
+      List.filter_map
+        (fun site ->
+          let label =
+            Printf.sprintf "%s@%s" (Net.drop_reason_label reason)
+              (site_string site)
+          in
+          if hit ~sim_t:0.5 site reason || hit ~sim_t:2.0 site reason then
+            Alcotest.failf "%s explained outside its window by %s" label
+              (Plan.spec_string spec);
+          let inside = hit ~sim_t:1.5 site reason in
+          if hit ~sim_t:1.0 site reason <> inside then
+            Alcotest.failf "%s: window start disagrees for %s" label
+              (Plan.spec_string spec);
+          if inside then Some label else None)
+        sites)
+    attribution_reasons
+  |> String.concat " "
+
+let test_attribution_table () =
+  let route = "no-route@1 no-route@2 no-route@3 queue-full@1-2 queue-full@2-1 \
+               queue-full@2-3 ttl-exceeded@1 ttl-exceeded@2 ttl-exceeded@3" in
+  let expected =
+    [
+      route ^ " link-down@1-2 link-down@2-1";
+      "fault-loss@1-2 fault-loss@2-1";
+      "corrupted@1-2 corrupted@2-1";
+      "";
+      route ^ " link-down@1-2 link-down@2-1";
+      "filtered:broken-device@1";
+      "gray-loss@1-2 gray-loss@2-1";
+      route ^ " link-down@1-2";
+      route ^ " link-down@1-2 link-down@2-1";
+      route ^ " blackholed@1";
+    ]
+  in
+  List.iter2
+    (fun spec want ->
+      Alcotest.(check string) (Plan.spec_string spec) want (explained_by spec))
+    attribution_specs expected;
+  (* the verdict's exact wording, for a miss, a hit and a double hit *)
+  let down = List.nth attribution_specs 0 and crash = List.nth attribution_specs 4 in
+  let ev = drop_event ~sim_t:1.5 ~node:1 ~peer:2 (Net.Link_down (0, 0)) in
+  Alcotest.(check string) "miss" "no episode open at this time"
+    (Explain.attribution [ down ] { ev with Flight.sim_t = 3.0 });
+  Alcotest.(check string) "hit" "during episode [0] link 1-2 down [1, 2)"
+    (Explain.attribution [ down ] ev);
+  Alcotest.(check string) "two episodes"
+    "during episode [0] link 1-2 down [1, 2), episode [2] node 1 crash [1, 2)"
+    (Explain.attribution [ down; List.nth attribution_specs 1; crash ] ev)
+
 let test_explain_unknown_scenario () =
   match Explain.run { Corpus.scenario = "no-such"; seed = 1; plan = [] } with
   | Error _ -> ()
@@ -526,6 +660,10 @@ let () =
             test_explain_deterministic_and_causal;
           Alcotest.test_case "violation attachment" `Quick
             test_violation_narrative;
+          Alcotest.test_case "golden narratives for the corpus" `Quick
+            test_explain_golden_corpus;
+          Alcotest.test_case "attribution table" `Quick
+            test_attribution_table;
           Alcotest.test_case "unknown scenario rejected" `Quick
             test_explain_unknown_scenario;
           Alcotest.test_case "recorder never perturbs a run" `Quick

@@ -17,6 +17,7 @@ module Inject = Tussle_fault.Inject
 module Seed = Tussle_fault.Seed
 module Experiment = Tussle_experiments.Experiment
 module Registry = Tussle_experiments.Registry
+module E28 = Tussle_experiments.E28_faults
 
 (* ---------- Plan ---------- *)
 
@@ -455,6 +456,32 @@ let test_e28_deterministic_per_seed () =
   let c = with_fault_seed 2028 run in
   Alcotest.(check bool) "different fault seed, different output" true (a <> c)
 
+(* Every fault the sweep injects is counted: each retransmission
+   answers exactly one fault drop, at every fault seed. *)
+let test_e28_counts_every_fault_drop () =
+  for seed = 0 to 99 do
+    let held =
+      with_fault_seed seed (fun () -> Experiment.held (Experiment.run (e28 ())))
+    in
+    if not held then Alcotest.failf "E28 shape fails at fault seed %d" seed;
+    List.iter
+      (fun (r : E28.sweep_result) ->
+        if r.E28.fault_drops <> r.E28.retransmissions then
+          Alcotest.failf "seed %d plan %d: %d fault drops, %d retransmissions"
+            seed r.E28.index r.E28.fault_drops r.E28.retransmissions)
+      (E28.faulted_sweep ~fault_seed:seed)
+  done;
+  let fault_drops seed =
+    List.map (fun (r : E28.sweep_result) -> r.E28.fault_drops)
+      (E28.faulted_sweep ~fault_seed:seed)
+  in
+  (* seed 11, plan 6: a blackhole at node 1 eats all 30 drops before the
+     fixed outage opens *)
+  Alcotest.(check int) "seed 11, plan 6" 30 (List.nth (fault_drops 11) 6);
+  Alcotest.(check (list int)) "default seed"
+    [ 27; 28; 45; 29; 110; 28; 41; 118 ]
+    (fault_drops Seed.default)
+
 (* ---------- watchdog ---------- *)
 
 let quick_experiment =
@@ -548,6 +575,8 @@ let () =
         [
           Alcotest.test_case "E28 byte-identical per fault seed" `Slow
             test_e28_deterministic_per_seed;
+          Alcotest.test_case "E28 counts every fault drop" `Slow
+            test_e28_counts_every_fault_drop;
           Alcotest.test_case "seed roundtrip" `Quick test_seed_roundtrip;
         ] );
       ( "watchdog",

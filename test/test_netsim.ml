@@ -590,6 +590,88 @@ let test_net_queue_loss () =
   | [ ("queue-full", n) ] -> Alcotest.(check bool) "reason count" true (n > 0)
   | _ -> Alcotest.fail "expected queue-full losses"
 
+(* The flight recorder's "drop" record round-trips: for one real drop
+   of every reason, [Net.drop_of_flight] of the event the net wrote is
+   exactly the reason in its outcome ledger. *)
+let test_drop_of_flight_roundtrip () =
+  let module Flight = Tussle_obs.Flight in
+  let recorded ?ttl ?(forwarding = line_forwarding) ?(packets = 1) arm =
+    let links = line_links 4 in
+    let net = Net.create ?ttl links forwarding in
+    arm net (fun u v -> Option.get (Graph.find_edge links u v));
+    let engine = Engine.create () in
+    Flight.enable ();
+    Flight.reset ();
+    let events =
+      Fun.protect
+        ~finally:(fun () ->
+          Flight.disable ();
+          Flight.reset ())
+        (fun () ->
+          for id = 0 to packets - 1 do
+            Net.inject net engine
+              (Packet.make ~id ~src:0 ~dst:3 ~created:0.0 ())
+          done;
+          Engine.run engine;
+          Flight.events ())
+    in
+    let lost =
+      List.filter_map
+        (function _, Net.Lost r -> Some r | _, Net.Delivered _ -> None)
+        (Net.outcomes net)
+    in
+    (events, lost)
+  in
+  let faulty set = fun _ link ->
+    let l = link 1 2 in
+    Link.set_fault_rng l (Rng.create 1);
+    set l
+  in
+  let cases =
+    [
+      ( Net.No_route,
+        recorded
+          ~forwarding:(fun ~node ~target:_ _ -> if node = 0 then Some 1 else None)
+          (fun _ _ -> ()) );
+      (Net.Queue_full (0, 1), recorded ~packets:100 (fun _ _ -> ()));
+      ( Net.Filtered ("odd:name:", 1),
+        recorded (fun net _ ->
+            Net.add_middlebox net 1
+              (Middlebox.make ~name:"odd:name:" (fun _ -> Middlebox.Drop))) );
+      (Net.Ttl_exceeded, recorded ~ttl:2 (fun _ _ -> ()));
+      (Net.Link_down (1, 2), recorded (fun _ link -> Link.set_up (link 1 2) false));
+      (Net.Fault_loss (1, 2), recorded (faulty (fun l -> Link.set_loss_prob l 1.0)));
+      (Net.Corrupted (1, 2), recorded (faulty (fun l -> Link.set_corrupt_prob l 1.0)));
+      ( Net.Gray_loss (1, 2),
+        recorded (faulty (fun l -> Link.set_gray_loss_prob l 1.0)) );
+      (Net.Blackholed 1, recorded (fun net _ -> Net.set_blackhole net 1 true));
+    ]
+  in
+  List.iter
+    (fun (want, (events, lost)) ->
+      let label = Net.drop_reason_label want in
+      let drops = List.filter (fun e -> e.Flight.kind = "drop") events in
+      Alcotest.(check bool) (label ^ ": dropped as expected") true
+        (lost <> [] && List.for_all (( = ) want) lost);
+      Alcotest.(check bool) (label ^ ": every record decodes") true
+        (List.map Net.drop_of_flight drops = List.map Option.some lost))
+    cases;
+  (* anything but a drop record, or an unknown label, is not a drop *)
+  let ev kind detail =
+    { Flight.seq = 0; sim_t = 0.0; flow = 0; kind; node = 1; peer = 2;
+      detail; value = 0.0 }
+  in
+  let link_down = Net.drop_reason_label (Net.Link_down (1, 2)) in
+  List.iter
+    (fun (what, e) ->
+      Alcotest.(check bool) what true (Net.drop_of_flight e = None))
+    [
+      ("retransmission timer", ev "xfer-timer" link_down);
+      ("delivery", ev "deliver" "");
+      ("unknown label", ev "drop" "vanished");
+      ("filtered without a name separator", ev "drop" "filtered");
+    ]
+
 let test_net_degraded_flag () =
   let mb = Middlebox.qos_stripper ~honor:(fun _ -> false) () in
   let net = Net.create (line_links 4) line_forwarding in
@@ -1141,6 +1223,8 @@ let () =
         ] );
       ( "net",
         [
+          Alcotest.test_case "drop record round-trips" `Quick
+            test_drop_of_flight_roundtrip;
           Alcotest.test_case "delivery" `Quick test_net_delivery;
           Alcotest.test_case "filter drop" `Quick test_net_filter_drop;
           Alcotest.test_case "no route" `Quick test_net_no_route;

@@ -469,6 +469,47 @@ let test_corpus_unknown_scenario_rejected () =
   | [ (_, Error _) ] -> ()
   | _ -> Alcotest.fail "load_dir must surface the rejection"
 
+(* ---------- behavior signature ---------- *)
+
+(* One label at two locations: the signature sums a label's drops over
+   every link or node that produced them, then buckets the total.  Here
+   link-down drops come from links 0-1 (3) and 2-3 (2), and blackholed
+   ones from nodes 5 (3) and 7 (2): each label is one bucket of 5. *)
+let test_signature_sums_labels_across_locations () =
+  let line_forwarding ~node ~target _ =
+    if target > node then Some (node + 1)
+    else if target < node then Some (node - 1)
+    else None
+  in
+  let net =
+    Net.create (Topology.to_links (Topology.line 9)) line_forwarding
+  in
+  let engine = Engine.create () in
+  Inject.install ~seed:3
+    ~plan:
+      [
+        Plan.Link_down { u = 0; v = 1; w = Plan.always };
+        Plan.Link_down { u = 2; v = 3; w = Plan.always };
+        Plan.Blackhole { node = 5; w = Plan.always };
+        Plan.Blackhole { node = 7; w = Plan.always };
+      ]
+    engine net;
+  List.iteri
+    (fun id (src, dst) ->
+      ignore
+        (Engine.schedule engine 0.5 (fun engine ->
+             Net.inject net engine
+               (Tussle_netsim.Packet.make ~id ~src ~dst ~created:0.5 ()))))
+    [ (0, 2); (0, 2); (0, 2); (2, 4); (2, 4);
+      (4, 6); (4, 6); (4, 6); (6, 8); (6, 8) ];
+  Engine.run engine;
+  let obs = Invariant.observe ~clock_start:0.0 engine net in
+  Alcotest.(check int) "every packet dropped" 10 obs.Invariant.dropped;
+  Alcotest.(check string) "one bucket per label"
+    "drops[blackholed:4,link-down:4] xfer[0/0/0] heal:0 covert:4 hw:5 \
+     inflight:0"
+    (Signature.of_obs obs)
+
 let () =
   Alcotest.run "search"
     [
@@ -502,6 +543,11 @@ let () =
         [
           Alcotest.test_case "round-trip + tampering" `Quick
             test_report_roundtrip_and_tampering;
+        ] );
+      ( "signature",
+        [
+          Alcotest.test_case "labels summed across locations" `Quick
+            test_signature_sums_labels_across_locations;
         ] );
       ( "corpus-hygiene",
         [
