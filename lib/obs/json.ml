@@ -9,10 +9,16 @@ type t =
 
 (* ---------- serializer ---------- *)
 
+(* Runs of bytes that need no escape are copied whole. *)
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
@@ -21,33 +27,90 @@ let escape buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
+(* What [Printf.sprintf "%.12g"] and ["%.17g"] end in, without the
+   format interpretation around it. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* The text of a finite float: the shortest representation that
+   round-trips; %.17g always does, but prefer the readable %.12g form
+   when it is exact.  An integral value under 1e12 has at most 12
+   digits, so %.12g prints it exactly as [string_of_int] does; -0.0 is
+   the one integral value whose text ("-0") is not its [int]'s. *)
 let float_repr f =
-  if not (Float.is_finite f) then "null"
+  if Float.is_integer f && Float.abs f < 1e12 && not (f = 0.0 && Float.sign_bit f)
+  then string_of_int (int_of_float f)
   else
-    (* Shortest representation that round-trips; %.17g always does,
-       but prefer the readable form when it is exact. *)
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.12g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
+
+(* Float text is memoised per [to_string] call in a 16-entry
+   direct-mapped table, a slot per value of a multiplicative hash's top
+   4 bits: consecutive flight events repeat their [sim_t].  The key is
+   the bit pattern, not [=]: 0.0 and -0.0 share a slot and are equal,
+   but print differently.  Empty slots hold a NaN, which no memoised
+   (finite) float matches. *)
+let memo_slot bits = (Int64.to_int bits * 0x2545F4914F6CDD1D) lsr 59
+
+let spaces = String.make 64 ' '
+
+(* [string_of_int n]'s bytes, written straight into [buf] through the
+   20-byte [scratch] (min_int has 19 digits and a sign). *)
+let add_int buf scratch n =
+  if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    let i = ref 20 and m = ref (abs n) in
+    while
+      decr i;
+      Bytes.unsafe_set scratch !i (Char.unsafe_chr (48 + (!m mod 10)));
+      m := !m / 10;
+      !m > 0
+    do
+      ()
+    done;
+    if n < 0 then Buffer.add_char buf '-';
+    Buffer.add_subbytes buf scratch !i (20 - !i)
+  end
 
 let to_string ?(minify = false) t =
   let buf = Buffer.create 1024 in
+  let memo_keys = Array.make 16 Float.nan in
+  let memo_text = Array.make 16 "" in
+  let scratch = Bytes.create 20 in
+  let float f =
+    if not (Float.is_finite f) then "null"
+    else
+      let bits = Int64.bits_of_float f in
+      let i = memo_slot bits in
+      if Int64.equal (Int64.bits_of_float memo_keys.(i)) bits then memo_text.(i)
+      else begin
+        let s = float_repr f in
+        memo_keys.(i) <- f;
+        memo_text.(i) <- s;
+        s
+      end
+  in
+  let rec indent_by k =
+    let m = min k (String.length spaces) in
+    Buffer.add_substring buf spaces 0 m;
+    if k > m then indent_by (k - m)
+  in
   let nl indent =
     if not minify then begin
       Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make indent ' ')
+      indent_by indent
     end
   in
   let rec go indent = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int n -> Buffer.add_string buf (string_of_int n)
-    | Float f -> Buffer.add_string buf (float_repr f)
+    | Int n -> add_int buf scratch n
+    | Float f -> Buffer.add_string buf (float f)
     | Str s -> escape buf s
     | List [] -> Buffer.add_string buf "[]"
     | List xs ->
@@ -97,115 +160,172 @@ let to_file path t =
 
 exception Bad of int * string
 
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+let is_num_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+
+(* Whether [s] holds [sub] at byte [start]. *)
+let holds_at s start sub =
+  let m = String.length sub in
+  start + m <= String.length s
+  &&
+  let i = ref 0 in
+  while !i < m && String.unsafe_get s (start + !i) = String.unsafe_get sub !i do
+    incr i
+  done;
+  !i = m
+
+(* Every [fail] reports the byte offset [pos] holds at that moment. *)
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
   let fail msg = raise (Bad (!pos, msg)) in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
+  let at c = !pos < n && String.unsafe_get s !pos = c in
+  (* Scans run on a local index, which stays in a register. *)
+  let skip_ws () =
+    let i = ref !pos in
+    while !i < n && is_ws (String.unsafe_get s !i) do
+      incr i
+    done;
+    pos := !i
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
+  let expect c = if at c then incr pos else fail (Printf.sprintf "expected %C" c) in
   let literal word value =
-    let m = String.length word in
-    if !pos + m <= n && String.sub s !pos m = word then begin
-      pos := !pos + m;
+    if holds_at s !pos word then begin
+      pos := !pos + String.length word;
       value
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  (* The rest of a string from [pos], once it has an escape. *)
+  let rec escaped buf =
+    if !pos >= n then fail "unterminated string"
+    else
+      let c = s.[!pos] in
+      incr pos;
+      match c with
+      | '"' -> Buffer.contents buf
+      | '\\' -> begin
+        if !pos >= n then fail "unterminated escape";
+        let e = s.[!pos] in
+        incr pos;
+        (match e with
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '/' -> Buffer.add_char buf '/'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'u' ->
+          if !pos + 4 > n then fail "truncated \\u escape";
+          let d k = hex_digit s.[!pos + k] in
+          let d0 = d 0 and d1 = d 1 and d2 = d 2 and d3 = d 3 in
+          pos := !pos + 4;
+          if d0 lor d1 lor d2 lor d3 < 0 then fail "bad \\u escape";
+          let code = (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3 in
+          (* Encode the code point as UTF-8; surrogate halves are
+             stored as-is (we never emit them). *)
+          if code < 0x80 then Buffer.add_char buf (Char.chr code)
+          else if code < 0x800 then begin
+            Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+          end
+          else begin
+            Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+            Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+          end
+        | _ -> fail "bad escape");
+        escaped buf
+      end
+      | c ->
+        Buffer.add_char buf c;
+        escaped buf
+  in
+  (* A string without escapes is one [String.sub]. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string"
-      else
-        let c = s.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents buf
-        | '\\' -> begin
-          if !pos >= n then fail "unterminated escape";
-          let e = s.[!pos] in
-          advance ();
-          (match e with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            let code =
-              match int_of_string_opt ("0x" ^ hex) with
-              | Some c -> c
-              | None -> fail "bad \\u escape"
-            in
-            (* Encode the code point as UTF-8; surrogate halves are
-               stored as-is (we never emit them). *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf
-                (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-          | _ -> fail "bad escape");
-          loop ()
-        end
-        | c -> Buffer.add_char buf c; loop ()
-    in
-    loop ()
+    let start = !pos in
+    let stop = ref start in
+    while
+      !stop < n && String.unsafe_get s !stop <> '"' && String.unsafe_get s !stop <> '\\'
+    do
+      incr stop
+    done;
+    pos := !stop;
+    if at '"' then begin
+      incr pos;
+      String.sub s start (!stop - start)
+    end
+    else begin
+      let buf = Buffer.create (!stop - start + 16) in
+      Buffer.add_substring buf s start (!stop - start);
+      escaped buf
+    end
   in
+  (* The last float lexeme and its node: consecutive records repeat
+     their timestamps. *)
+  let last_lexeme = ref "" and last_float = ref Null in
   let parse_number () =
     let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
+    let stop = ref start and floaty = ref false in
+    while !stop < n && is_num_char (String.unsafe_get s !stop) do
+      (match String.unsafe_get s !stop with
+      | '.' | 'e' | 'E' -> floaty := true
+      | _ -> ());
+      incr stop
     done;
-    let lexeme = String.sub s start (!pos - start) in
-    let floaty =
-      String.exists (function '.' | 'e' | 'E' -> true | _ -> false) lexeme
-    in
-    if floaty then
-      match float_of_string_opt lexeme with
-      | Some f -> Float f
-      | None -> fail "bad number"
-    else
-      match int_of_string_opt lexeme with
-      | Some i -> Int i
-      | None -> fail "bad number"
+    pos := !stop;
+    let len = !stop - start in
+    if !floaty then begin
+      if not (String.length !last_lexeme = len && holds_at s start !last_lexeme) then begin
+        let lexeme = String.sub s start len in
+        match float_of_string_opt lexeme with
+        | Some f ->
+          last_lexeme := lexeme;
+          last_float := Float f
+        | None -> fail "bad number"
+      end;
+      !last_float
+    end
+    else begin
+      (* Up to 18 digits cannot overflow an [int]; anything else (a
+         stray sign, more digits) goes to [int_of_string_opt]. *)
+      let first = if s.[start] = '-' then start + 1 else start in
+      let acc = ref 0 and i = ref first in
+      while !i < !stop && is_digit (String.unsafe_get s !i) do
+        acc := (10 * !acc) + Char.code (String.unsafe_get s !i) - 48;
+        incr i
+      done;
+      if !i = !stop && !stop > first && !stop - first <= 18 then
+        Int (if first > start then - !acc else !acc)
+      else
+        match int_of_string_opt (String.sub s start len) with
+        | Some i -> Int i
+        | None -> fail "bad number"
+    end
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-      advance ();
+    if !pos >= n then fail "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | '{' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
+      if at '}' then begin
+        incr pos;
         Obj []
       end
       else begin
@@ -216,45 +336,47 @@ let parse s =
           expect ':';
           let v = parse_value () in
           skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
+          if at ',' then begin
+            incr pos;
             fields ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
+          end
+          else if at '}' then begin
+            incr pos;
             Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
+          end
+          else fail "expected ',' or '}'"
         in
         fields []
       end
-    | Some '[' ->
-      advance ();
+    | '[' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
+      if at ']' then begin
+        incr pos;
         List []
       end
       else begin
         let rec elems acc =
           let v = parse_value () in
           skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
+          if at ',' then begin
+            incr pos;
             elems (v :: acc)
-          | Some ']' ->
-            advance ();
+          end
+          else if at ']' then begin
+            incr pos;
             List (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
+          end
+          else fail "expected ',' or ']'"
         in
         elems []
       end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected %C" c)
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '-' | '0' .. '9' -> parse_number ()
+    | c -> fail (Printf.sprintf "unexpected %C" c)
   in
   match
     let v = parse_value () in
@@ -268,8 +390,14 @@ let parse s =
 
 (* ---------- accessors ---------- *)
 
+(* [String.equal], not [List.assoc_opt]'s polymorphic [compare]. *)
 let member key = function
-  | Obj fields -> List.assoc_opt key fields
+  | Obj fields ->
+    let rec find = function
+      | [] -> None
+      | (k, v) :: rest -> if String.equal k key then Some v else find rest
+    in
+    find fields
   | _ -> None
 
 let to_int = function

@@ -17,7 +17,13 @@ type t =
 
 val to_string : ?minify:bool -> t -> string
 (** Render; [minify:false] (default) pretty-prints with 2-space
-    indents so committed reports diff cleanly. *)
+    indents so committed reports diff cleanly.
+
+    A finite [Float] prints as [%.12g] when that text reads back as
+    the same float, else as [%.17g] (which always does).  An integral
+    value under 1e12 in magnitude, other than [-0.0], prints through
+    [string_of_int]: the same bytes [%.12g] gives.  Non-finite floats
+    print as [null]. *)
 
 val to_file : string -> t -> unit
 (** [to_string ~minify:false] plus a trailing newline, written
@@ -28,8 +34,10 @@ val to_file : string -> t -> unit
 val parse : string -> (t, string) result
 (** Recursive-descent parser for the subset we emit (all of JSON minus
     [\uXXXX] surrogate pairs, which decode as-is into the string).
-    Numbers without [.], [e] or [E] become [Int]; others [Float].
-    Errors carry a byte offset. *)
+    Numbers without [.], [e] or [E] become [Int]; others [Float].  A
+    float literal that overflows, such as [1e309], parses to an
+    infinity, which {!to_string} re-emits as [null].  A [\u] escape
+    takes exactly four hex digits.  Errors carry a byte offset. *)
 
 val member : string -> t -> t option
 (** Field lookup; [None] on missing field or non-[Obj]. *)

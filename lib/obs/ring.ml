@@ -57,20 +57,30 @@ let push t ev =
   r.next <- (r.next + 1) mod Array.length r.buf;
   r.written <- r.written + 1
 
+(* Slots [0, retained r) hold every event since the last reset: a
+   ring is written from slot 0 and wraps only once full. *)
+let retained r = min r.written (Array.length r.buf)
+
 let reset t =
   locked t.mutex (fun () ->
       List.iter
         (fun r ->
-          Array.fill r.buf 0 (Array.length r.buf) None;
+          Array.fill r.buf 0 (retained r) None;
           r.next <- 0;
           r.written <- 0)
         !(t.rings))
 
+(* Each ring's events in slot order, rings in registration order:
+   [List.sort] is stable, so this order settles ties. *)
 let events t =
-  locked t.mutex (fun () ->
-      List.concat_map
-        (fun r -> Array.to_list r.buf |> List.filter_map Fun.id)
-        !(t.rings))
+  let collect acc r =
+    let acc = ref acc in
+    for i = retained r - 1 downto 0 do
+      match r.buf.(i) with Some ev -> acc := ev :: !acc | None -> ()
+    done;
+    !acc
+  in
+  locked t.mutex (fun () -> List.fold_right (fun r acc -> collect acc r) !(t.rings) [])
   |> List.sort t.compare
 
 let dropped t =

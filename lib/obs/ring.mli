@@ -31,10 +31,12 @@ val push : 'a t -> 'a -> unit
 (** Record one event in the calling domain's ring. *)
 
 val reset : 'a t -> unit
-(** Empty every ring and zero its counts; the flag is unchanged. *)
+(** Empty every ring and zero its counts; the flag is unchanged.
+    Costs O(retained events), not O(capacity). *)
 
 val events : 'a t -> 'a list
-(** Every retained event, merged across domains, sorted. *)
+(** Every retained event, merged across domains, sorted.  Costs
+    O(retained events), not O(capacity): only written slots are read. *)
 
 val dropped : 'a t -> int
 (** Events overwritten since the last {!reset}. *)

@@ -19,8 +19,8 @@
 #     across --domains 1/2/4
 #   - tussle explain: every committed corpus reproducer yields a
 #     deterministic causal narrative (byte-identical across
-#     --domains 1/2/4) plus a flow-trace artifact that tussle report
-#     validates
+#     --domains 1/2/4) plus a flow-trace artifact, byte-identical
+#     across --domains 1/2, that tussle report validates
 #   - tussle trends: history lines round-trip; the battery-smoke
 #     report is appended to the committed BENCH_history.jsonl with
 #     deltas vs BENCH_baseline.json
@@ -196,7 +196,9 @@ for plan in chaos/corpus/*.plan; do
   cmp "$TMP/tussle-explain-d1.out" "$TMP/tussle-explain-d2.out"
   cmp "$TMP/tussle-explain-d1.out" "$TMP/tussle-explain-d4.out"
   grep -q 'DROPPED at\|flows of interest: none' "$TMP/tussle-explain-d1.out"
-  "$CLI" explain "$plan" --json "$TMP/tussle-flowtrace.json" > /dev/null
+  "$CLI" explain "$plan" --domains 1 --json "$TMP/tussle-flowtrace.json" > /dev/null
+  "$CLI" explain "$plan" --domains 2 --json "$TMP/tussle-flowtrace-d2.json" > /dev/null
+  cmp "$TMP/tussle-flowtrace.json" "$TMP/tussle-flowtrace-d2.json"
   "$CLI" report "$TMP/tussle-flowtrace.json" | grep -q 'valid tussle.flow-trace/1'
   echo "explain ok: $(basename "$plan")"
 done

@@ -497,6 +497,38 @@ let test_explain_golden_corpus () =
             r.Explain.narrative))
     goldens
 
+(* The [tussle explain --json] artifact of every committed reproducer,
+   pinned by MD5 ([Digest.string]) of the file's bytes: the artifacts
+   are 60 KB to 1.1 MB, too big to commit, and any change to the
+   emitter or to what the flight recorder retains moves a digest. *)
+let artifact_digests =
+  [
+    ("grid-static-23-39652dfe", "4c65c43c0fc201c2bd0f5b3a74ab1351");
+    ("line-transfer-5-07d08a99", "7d49225c516e1905cc383eec93695ad5");
+    ("ring-selfheal-17-39ea501a", "8d33b81d8a18dbf35aca321e26c4473a");
+    ("ring-verified-21-2f443a96", "297deba0e5f008f99497f1afd4883699");
+  ]
+
+let test_explain_artifact_digests () =
+  Alcotest.(check (list string)) "a digest per reproducer"
+    (stems "../chaos/corpus" ".plan") (List.map fst artifact_digests);
+  List.iter
+    (fun (stem, digest) ->
+      match Corpus.load (Printf.sprintf "../chaos/corpus/%s.plan" stem) with
+      | Error e -> Alcotest.fail e
+      | Ok entry -> (
+        match Explain.run entry with
+        | Error e -> Alcotest.fail e
+        | Ok r ->
+          let path = Filename.temp_file "flowtrace" ".json" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Obs_json.to_file path (Explain.to_json r);
+              Alcotest.(check string) stem digest
+                (Digest.to_hex (Digest.string (read_file path))))))
+    artifact_digests
+
 (* The attribution table: one episode of each kind on link 1-2 (or
    node 1), open over [1, 2), judged against a synthetic drop of every
    reason at three locations and four times.  Link reasons sit on the
@@ -662,6 +694,8 @@ let () =
             test_violation_narrative;
           Alcotest.test_case "golden narratives for the corpus" `Quick
             test_explain_golden_corpus;
+          Alcotest.test_case "artifact digests for the corpus" `Quick
+            test_explain_artifact_digests;
           Alcotest.test_case "attribution table" `Quick
             test_attribution_table;
           Alcotest.test_case "unknown scenario rejected" `Quick

@@ -1,12 +1,15 @@
-(* Tests for tussle.obs: JSON round-trips, histogram bucket pins,
-   counter/gauge merging across domains, span nesting and ring
-   overwrite, Chrome trace / battery report well-formedness, and the
-   guard that telemetry never perturbs battery output. *)
+(* Tests for tussle.obs: JSON round-trips, the Json codec against the
+   untuned one in [Json_oracle], histogram bucket pins, counter/gauge
+   merging across domains, span nesting and ring overwrite, the ring
+   against a list model, Chrome trace / battery report
+   well-formedness, and the guard that telemetry never perturbs
+   battery output. *)
 
 module Json = Tussle_obs.Json
 module Metrics = Tussle_obs.Metrics
 module Trace = Tussle_obs.Trace
 module Flight = Tussle_obs.Flight
+module Ring = Tussle_obs.Ring
 module Report = Tussle_obs.Report
 module Trends = Tussle_obs.Trends
 module Experiment = Tussle_experiments.Experiment
@@ -53,11 +56,282 @@ let test_json_parse_basics () =
   (match Json.parse "{\"a\":}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad object accepted");
+  (* a repeated key is kept; lookup finds the first *)
+  (match Json.parse "{\"a\": 1, \"b\": 2, \"a\": 3}" with
+  | Ok j ->
+    Alcotest.(check bool) "first of a repeated key" true (Json.member "a" j = Some (Json.Int 1))
+  | Error msg -> Alcotest.fail msg);
   (* non-finite floats serialize as null, keeping output valid JSON *)
   match Json.parse (Json.to_string (Json.Float infinity)) with
   | Ok Json.Null -> ()
   | Ok other -> Alcotest.failf "inf became %s" (Json.to_string other)
   | Error msg -> Alcotest.fail msg
+
+(* ---------- Json against the untuned codec ---------- *)
+
+(* Trees are equal when their floats are equal bit for bit. *)
+let rec same_tree a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys ->
+    List.length xs = List.length ys && List.for_all2 same_tree xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (l, y) -> k = l && same_tree x y) xs ys
+  | (Json.Null | Json.Bool _ | Json.Int _ | Json.Str _), _ -> a = b
+  | _ -> false
+
+let same_result a b =
+  match (a, b) with
+  | Ok x, Ok y -> same_tree x y
+  | Error x, Error y -> x = y
+  | _ -> false
+
+let show_result = function
+  | Ok t -> "Ok " ^ Json_oracle.to_string ~minify:true t
+  | Error e -> "Error " ^ e
+
+(* The float text's edges: the integer path's bounds and sign, the
+   %.12g/%.17g split, subnormals, the extremes and non-finite values. *)
+let edge_floats =
+  [ 0.0; -0.0; 1.0; -1.0; 0.5; 1e12; -1e12; 999999999999.; -999999999999.;
+    1e12 +. 1.; 1e11; 5e-324; 2.2250738585072014e-308; max_float; -.max_float;
+    min_float; 0.1 +. 0.2; 0.1; 1. /. 3.; 2. ** 53.; -.(2. ** 53.);
+    (2. ** 53.) -. 1.; 1e15; 1e16 +. 2.; 123456.789; 1e-5; 1e-7; Float.nan;
+    Float.infinity; Float.neg_infinity ]
+
+let gen_float =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl edge_floats;
+        float;
+        map float_of_int (int_range (-(1 lsl 53)) (1 lsl 53));
+        map (fun i -> float_of_int i /. 1000.) (int_range (-1_000_000) 1_000_000);
+        (* Text that differs from its neighbours' in the last digit. *)
+        map (fun i -> float_of_int i /. 100.) (int_range 1 19);
+      ])
+
+(* Strings over every byte value, and short ones from a small pool so
+   that object keys repeat. *)
+let gen_string =
+  QCheck2.Gen.(
+    oneof
+      [
+        string_size ~gen:char (int_range 0 12);
+        oneofl [ ""; "a"; "sim_t"; "k\"q"; "back\\slash"; "\x00\x1f\x7f\xff" ];
+      ])
+
+let gen_leaf floats =
+  QCheck2.Gen.(
+    oneof
+      [
+        pure Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i)
+          (oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int ] ]);
+        map (fun f -> Json.Float f) (oneof [ gen_float; oneofl floats ]);
+        map (fun s -> Json.Str s) gen_string;
+      ])
+
+(* A small pool of floats per tree makes repeats (the emitter's memo,
+   the parser's last-lexeme reuse) common; a chain of up to 40
+   containers takes the pretty-printer's indent past 64 columns. *)
+let gen_tree =
+  QCheck2.Gen.(
+    list_size (int_range 1 4) gen_float >>= fun floats ->
+    let leaf = gen_leaf floats in
+    let tree =
+      sized_size (int_range 0 6)
+      @@ fix (fun self n ->
+             if n = 0 then leaf
+             else
+               frequency
+                 [
+                   (1, leaf);
+                   (2, map (fun xs -> Json.List xs) (list_size (int_range 0 5) (self (n - 1))));
+                   ( 2,
+                     map (fun kvs -> Json.Obj kvs)
+                       (list_size (int_range 0 5) (pair gen_string (self (n - 1)))) );
+                 ])
+    in
+    let nest t depth =
+      List.fold_left
+        (fun t i -> if i land 1 = 0 then Json.List [ t ] else Json.Obj [ ("k", t) ])
+        t (List.init depth Fun.id)
+    in
+    map2 nest tree (frequency [ (4, pure 0); (1, int_range 1 40) ]))
+
+(* Every edge float after every other, both ways round, so each pair
+   meets in the memo (0.0 and -0.0 share a slot); then the ints whose
+   digits or sign an in-place writer could get wrong. *)
+let test_json_edge_numbers () =
+  let floats = List.map (fun f -> Json.Float f) edge_floats in
+  let ints =
+    List.map (fun i -> Json.Int i)
+      [ 0; 1; -1; 9; -9; 10; -10; 99; 100; -100; 123456789; max_int; min_int; min_int + 1 ]
+  in
+  let t = Json.List (floats @ List.rev floats @ floats @ ints) in
+  List.iter
+    (fun minify ->
+      Alcotest.(check string) "edge numbers" (Json_oracle.to_string ~minify t)
+        (Json.to_string ~minify t))
+    [ false; true ]
+
+let print_tree t = Json_oracle.to_string ~minify:true t
+
+let prop_emit_matches_oracle =
+  QCheck2.Test.make ~name:"to_string equals the untuned emitter" ~count:1000
+    ~print:print_tree gen_tree (fun t ->
+      List.for_all
+        (fun minify -> Json.to_string ~minify t = Json_oracle.to_string ~minify t)
+        [ false; true ])
+
+(* Bytes a JSON document is made of, plus a few it never is. *)
+let json_alphabet = "{}[],:\" \n\t\\/-+.eE0123456789abfnrtuxlsA_\x00\x80\xff"
+
+let gen_alphabet_char =
+  QCheck2.Gen.(map (String.get json_alphabet) (int_bound (String.length json_alphabet - 1)))
+
+(* An emitted document with up to three edits: a byte replaced,
+   inserted or deleted, or the tail cut off. *)
+let gen_mutated_doc =
+  QCheck2.Gen.(
+    pair gen_tree bool >>= fun (t, minify) ->
+    let doc = Json_oracle.to_string ~minify t in
+    let edit doc =
+      let n = String.length doc in
+      int_bound (max 0 n) >>= fun i ->
+      gen_alphabet_char >>= fun c ->
+      oneofl
+        [
+          (if i < n then String.mapi (fun j d -> if j = i then c else d) doc else doc);
+          String.sub doc 0 i ^ String.make 1 c ^ String.sub doc i (n - i);
+          (if i < n then String.sub doc 0 i ^ String.sub doc (i + 1) (n - i - 1) else doc);
+          String.sub doc 0 i;
+        ]
+    in
+    int_range 0 3 >>= fun edits ->
+    let rec apply k doc = if k = 0 then pure doc else edit doc >>= apply (k - 1) in
+    apply edits doc)
+
+let gen_alphabet_doc = QCheck2.Gen.(string_size ~gen:gen_alphabet_char (int_range 0 40))
+
+(* A list of tokens drawn from a small per-document pool, so tokens
+   repeat and nearly repeat: numbers of up to 21 digits with optional
+   fraction and exponent (and stray signs), strings with [\u] escapes
+   over hex digits and a few non-hex bytes, and literals. *)
+let gen_token_doc =
+  QCheck2.Gen.(
+    let chars set len = string_size ~gen:(oneofl (List.of_seq (String.to_seq set))) len in
+    let digits = chars "0123456789" (int_range 1 21) in
+    let number =
+      map
+        (fun (sign, int, frac, exp) -> sign ^ int ^ frac ^ exp)
+        (quad (oneofl [ ""; "-"; "-"; "+"; "--" ]) digits
+           (oneof [ pure ""; map (( ^ ) ".") digits; pure "." ])
+           (oneof
+              [
+                pure "";
+                map2 ( ^ )
+                  (oneofl [ "e"; "E"; "e+"; "e-"; "e+-" ])
+                  (chars "0123456789" (int_range 0 3));
+              ]))
+    in
+    let piece =
+      oneof
+        [
+          chars "ab/ " (int_range 1 3);
+          map (( ^ ) "\\u") (chars "0123456789abcdefABCDEF_g+" (pure 4));
+          oneofl [ "\\n"; "\\\""; "\\/"; "\\x"; "\\u12" ];
+        ]
+    in
+    let str =
+      map (fun ps -> "\"" ^ String.concat "" ps ^ "\"") (list_size (int_range 0 3) piece)
+    in
+    let token =
+      frequency [ (4, number); (2, str); (1, oneofl [ "true"; "false"; "null"; "tru" ]) ]
+    in
+    list_size (int_range 1 4) token >>= fun pool ->
+    map (fun ts -> "[" ^ String.concat "," ts ^ "]") (list_size (int_range 1 8) (oneofl pool)))
+
+(* Unshrunk: shrinking through the generators' binds can take
+   minutes, and the failure message already names the document. *)
+let prop_parse_matches_oracle name gen =
+  QCheck2.Test.make ~name ~count:2000 ~print:String.escaped (QCheck2.Gen.no_shrink gen)
+    (fun doc ->
+      let got = Json.parse doc and want = Json_oracle.parse doc in
+      same_result got want
+      || QCheck2.Test.fail_reportf "parse %S: %s, oracle %s" doc (show_result got)
+           (show_result want))
+
+let prop_parse_mutated =
+  prop_parse_matches_oracle "parse equals the untuned parser (edited documents)"
+    gen_mutated_doc
+
+let prop_parse_tokens =
+  prop_parse_matches_oracle "parse equals the untuned parser (number and escape tokens)"
+    gen_token_doc
+
+let prop_parse_alphabet =
+  prop_parse_matches_oracle "parse equals the untuned parser (JSON-alphabet bytes)"
+    gen_alphabet_doc
+
+(* Edges of the number grammar, the escapes and the error offsets, one
+   line per input: what [parse] gives, which the untuned parser gives
+   too. *)
+let test_json_pinned_numbers () =
+  let deep = 100_000 in
+  let nested = String.make deep '[' ^ String.make deep ']' in
+  let cases =
+    [
+      ("-", Error "JSON parse error at byte 1: bad number");
+      ("01", Ok (Json.Int 1));
+      ("-.5", Ok (Json.Float (-0.5)));
+      ("1e309", Ok (Json.Float Float.infinity));
+      ("-1e309", Ok (Json.Float Float.neg_infinity));
+      ("4611686018427387904", Error "JSON parse error at byte 19: bad number");
+      ("-4611686018427387904", Ok (Json.Int min_int));
+      ("4611686018427387903", Ok (Json.Int max_int));
+      ("123456789012345678", Ok (Json.Int 123456789012345678));
+      ("-0", Ok (Json.Int 0));
+      ("1.5e", Error "JSON parse error at byte 4: bad number");
+      ("[1.5,1.5,2.5,1.5,1.25,1.26,1e5,1e6]",
+       Ok
+         (Json.List
+            (List.map (fun f -> Json.Float f) [ 1.5; 1.5; 2.5; 1.5; 1.25; 1.26; 1e5; 1e6 ])));
+      ("\"\\u0041\\u00e9\\u20AC\"", Ok (Json.Str "A\xc3\xa9\xe2\x82\xac"));
+      ("\"\\u0_41\"", Error "JSON parse error at byte 7: bad \\u escape");
+      ("\"\\u004\"", Error "JSON parse error at byte 7: bad \\u escape");
+      ("\"\\u00\"", Error "JSON parse error at byte 3: truncated \\u escape");
+      ("\"abc", Error "JSON parse error at byte 4: unterminated string");
+      ("\"a\\", Error "JSON parse error at byte 3: unterminated escape");
+      ("[tru]", Error "JSON parse error at byte 1: expected true");
+    ]
+  in
+  List.iter
+    (fun (doc, want) ->
+      let got = Json.parse doc in
+      Alcotest.(check bool)
+        (Printf.sprintf "parse %S = %s (got %s)" doc (show_result want) (show_result got))
+        true (same_result got want);
+      Alcotest.(check bool)
+        (Printf.sprintf "oracle agrees on %S" doc)
+        true (same_result got (Json_oracle.parse doc)))
+    cases;
+  (* The overflowing literal reads as infinity and re-emits as null. *)
+  (match Json.parse "[1e309,-1e309]" with
+  | Ok t ->
+    Alcotest.(check string) "1e309 re-emitted" "[null,null]" (Json.to_string ~minify:true t)
+  | Error e -> Alcotest.fail e);
+  (* 10^5 levels parse and re-emit without a stack overflow. *)
+  match Json.parse nested with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+    Alcotest.(check bool) "deep nesting re-emits" true
+      (Json.to_string ~minify:true t = nested);
+    Alcotest.(check bool) "unclosed deep nesting is an error" true
+      (Result.is_error (Json.parse (String.make deep '{')))
 
 (* ---------- histogram buckets ---------- *)
 
@@ -277,6 +551,78 @@ let test_flight_flow_ids () =
   Alcotest.(check int) "reset restarts ids" (-2) (Flight.new_flow ());
   flight_off ()
 
+(* ---------- ring ---------- *)
+
+(* The ring against a list model.  Events are (key, id) and [compare]
+   sees only the key, so ties keep the order the ring hands to the
+   stable sort: each ring's slot order, push i sitting in slot
+   i mod capacity. *)
+let by_key (a, _) (b, _) = Int.compare a b
+
+let ring_model ~cap pushes =
+  let n = List.length pushes in
+  List.filteri (fun i _ -> i >= n - cap) pushes
+  |> List.mapi (fun j ev -> ((max 0 (n - cap) + j) mod cap, ev))
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd |> List.stable_sort by_key
+
+let prop_ring_matches_model =
+  QCheck2.Test.make ~name:"events/dropped/reset equal the list model" ~count:300
+    QCheck2.Gen.(
+      int_range 1 8 >>= fun cap ->
+      let batch = list_size (int_range 0 ((2 * cap) + 3)) (int_bound 3) in
+      triple (pure cap) batch batch)
+    (fun (cap, first, second) ->
+      let r = Ring.create ~compare:by_key in
+      Ring.enable r ~capacity:cap ();
+      let agrees keys =
+        let pushes = List.mapi (fun id k -> (k, id)) keys in
+        List.iter (Ring.push r) pushes;
+        Ring.events r = ring_model ~cap pushes
+        && Ring.dropped r = max 0 (List.length keys - cap)
+        && Ring.pushed r = List.length keys
+      in
+      let ok = agrees first in
+      Ring.reset r;
+      ok && Ring.events r = [] && Ring.dropped r = 0 && agrees second)
+
+(* Reset lets go of what the ring held. *)
+let test_ring_reset_releases () =
+  let r = Ring.create ~compare:compare in
+  Ring.enable r ~capacity:8 ();
+  let weak = Weak.create 5 in
+  let push_fresh i =
+    let ev = Bytes.make 16 (Char.chr (65 + i)) in
+    Weak.set weak i (Some ev);
+    Ring.push r ev
+  in
+  for i = 0 to 4 do
+    push_fresh i
+  done;
+  Ring.reset r;
+  Gc.full_major ();
+  for i = 0 to 4 do
+    Alcotest.(check bool) (Printf.sprintf "event %d collected" i) false (Weak.check weak i)
+  done
+
+(* [events] costs O(retained), not O(capacity): a 65,536-slot ring
+   holding 10 events.  Native only (bytecode allocates differently);
+   [Gc.minor] first, so no collection falls inside the window. *)
+let test_ring_events_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let r = Ring.create ~compare:Int.compare in
+    Ring.enable r ~capacity:65536 ();
+    for i = 1 to 10 do
+      Ring.push r i
+    done;
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    let evs = Ring.events r in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check (list int)) "events" (List.init 10 succ) evs;
+    Alcotest.(check bool) (Printf.sprintf "%.0f words, at most 300" words) true (words <= 300.)
+  end
+
 (* ---------- battery report ---------- *)
 
 let sample_report () =
@@ -493,6 +839,13 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse basics" `Quick test_json_parse_basics;
+          Alcotest.test_case "pinned numbers, escapes, nesting" `Quick
+            test_json_pinned_numbers;
+          Alcotest.test_case "edge numbers" `Quick test_json_edge_numbers;
+          QCheck_alcotest.to_alcotest prop_emit_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_parse_mutated;
+          QCheck_alcotest.to_alcotest prop_parse_tokens;
+          QCheck_alcotest.to_alcotest prop_parse_alphabet;
         ] );
       ( "metrics",
         [
@@ -517,6 +870,13 @@ let () =
           Alcotest.test_case "ring overwrite keeps newest" `Quick
             test_flight_ring_overwrite;
           Alcotest.test_case "flow ids and reset" `Quick test_flight_flow_ids;
+        ] );
+      ( "ring",
+        [
+          QCheck_alcotest.to_alcotest prop_ring_matches_model;
+          Alcotest.test_case "reset releases events" `Quick test_ring_reset_releases;
+          Alcotest.test_case "events allocate O(retained)" `Quick
+            test_ring_events_allocation;
         ] );
       ( "report",
         [
