@@ -1,31 +1,14 @@
-(* The reproduction harness.
+(* The microbenchmark harness: bechamel runs (B1-B16) over the
+   substrate hot paths: the event loop, Dijkstra, path-vector
+   convergence, the Nash solver, policy evaluation, trust-graph
+   queries, the million-consumer market best-response loop, raw Rng
+   draws and the traceback marking kernel.  Several benchmarks assert
+   their result, so a run also smoke-tests those kernels.
 
-   Part 1 regenerates every experiment in DESIGN.md's index (E1-E30):
-   the paper has no numbered tables or figures, so each experiment
-   operationalizes one qualitative claim from the text, prints the
-   table, and checks the claim's shape.
-
-   Part 2 runs bechamel microbenchmarks (B1-B16) over the substrate hot
-   paths: the event loop, Dijkstra, path-vector convergence, the Nash
-   solver, policy evaluation, trust-graph queries, the
-   million-consumer market best-response loop, raw Rng draws and the
-   traceback marking kernel.
-
-   Run with: dune exec bench/main.exe
-   Options:  --experiments-only | --bench-only | --experiment <id>
-             --domains <n> | --seq   (parallel experiment runner)
-             --metrics               (print the telemetry table)
-             --trace <file>          (write Chrome trace-event JSON)
-             --report <file>         (write the battery report JSON)
-             --fault-seed <n>        (seed for fault-injecting experiments)
-             --timeout-s <s>         (per-experiment watchdog; default off)
-   Flag values go through the same parsers as the tussle CLI's: garbage
-   prints "main: FLAG: MSG" and exits 2.  Statistical sweeps and the
-   fault-plan search are `tussle sweep` and `tussle search`. *)
+   Run with: dune exec bench/main.exe   (no flags; prints the table)
+   The experiment battery is `tussle experiments`. *)
 
 module Rng = Tussle_prelude.Rng
-module Pool = Tussle_prelude.Pool
-module Registry = Tussle_experiments.Registry
 module Graph = Tussle_prelude.Graph
 module Engine = Tussle_netsim.Engine
 module Topology = Tussle_netsim.Topology
@@ -37,9 +20,6 @@ module Zerosum = Tussle_gametheory.Zerosum
 module Parser = Tussle_policy.Parser
 module Eval = Tussle_policy.Eval
 module Trust_graph = Tussle_trust.Trust_graph
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: microbenchmarks *)
 
 let bench_engine () =
   (* B1: schedule + run 10k chained events *)
@@ -202,8 +182,8 @@ let bench_chaos_run () =
 
 let bench_market_1m () =
   (* B13: the million-consumer price-competition run the experiments
-     stop short of (E1/E3 run at 10^5); bench-only so the battery's
-     wall budget is unaffected.  Few periods: the point is the
+     stop short of (E1/E3 run at 10^5); run only here so the
+     battery's wall budget is unaffected.  Few periods: the point is the
      per-period O(n*m) inner loop, not convergence. *)
   let cfg =
     {
@@ -269,94 +249,17 @@ let microbenchmarks () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        let estimate =
-          match Analyze.OLS.estimates result with
-          | Some (est :: _) -> Printf.sprintf "%15.1f" est
-          | Some [] | None -> Printf.sprintf "%15s" "n/a"
-        in
-        (name, estimate) :: acc)
-      results []
-    |> List.sort compare
+  let estimate name =
+    match Analyze.OLS.estimates (Hashtbl.find results name) with
+    | Some (est :: _) -> Printf.sprintf "%15.1f" est
+    | Some [] | None -> Printf.sprintf "%15s" "n/a"
   in
   Printf.printf "## Microbenchmarks (bechamel, monotonic clock)\n\n";
   Printf.printf "%-50s %15s\n" "benchmark" "ns/run";
   Printf.printf "%s\n" (String.make 66 '-');
-  List.iter (fun (name, est) -> Printf.printf "%-50s %s\n" name est) rows
+  (* declaration order, which is B-number order *)
+  List.iter
+    (fun name -> Printf.printf "%-50s %s\n" name (estimate name))
+    (Test.names tests)
 
-(* ------------------------------------------------------------------ *)
-
-let ( let* ) = Result.bind
-
-let () =
-  Printexc.record_backtrace true;
-  let args = Array.to_list Sys.argv in
-  let flag_value name =
-    let prefix = name ^ "=" in
-    let plen = String.length prefix in
-    let rec find = function
-      | flag :: v :: _ when flag = name -> Some v
-      | flag :: _
-        when String.length flag >= plen && String.sub flag 0 plen = prefix ->
-        Some (String.sub flag plen (String.length flag - plen))
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let domains, timeout_s, fault_seed =
-    match
-      let* domains =
-        Pool.domains_flag ~seq:(List.mem "--seq" args) (flag_value "--domains")
-      in
-      let* timeout_s =
-        Pool.flag "--timeout-s" Pool.seconds_of_string (flag_value "--timeout-s")
-      in
-      let* fault_seed =
-        Pool.flag "--fault-seed" (Pool.seed_of_string ~what:"fault seed")
-          (flag_value "--fault-seed")
-      in
-      Ok (domains, timeout_s, fault_seed)
-    with
-    | Ok flags -> flags
-    | Error msg ->
-      prerr_endline ("main: " ^ msg);
-      exit 2
-  in
-  Option.iter Tussle_fault.Seed.set fault_seed;
-  let emit_report, finish =
-    Registry.telemetry ~cmd:"main" ?domains
-      ~metrics:(List.mem "--metrics" args) ~trace:(flag_value "--trace")
-      ~report:(flag_value "--report") ()
-  in
-  match flag_value "--experiment" with
-  | Some id -> begin
-    match Registry.run_one ?timeout_s id with
-    | Ok o ->
-      emit_report ~wall_s:o.Tussle_experiments.Experiment.wall_s [ o ];
-      exit (finish (if Tussle_experiments.Experiment.held o then 0 else 1))
-    | Error msg ->
-      prerr_endline msg;
-      exit 2
-  end
-  | None ->
-    let ok =
-      if List.mem "--bench-only" args then true
-      else begin
-        Printf.printf
-          "# Tussle in Cyberspace: reproduction harness\n\n\
-           The paper is a position paper with no tables or figures; each\n\
-           experiment below regenerates one of its qualitative claims\n\
-           (see DESIGN.md section 3 for the index).\n\n";
-        let ok, outcomes, wall_s = Registry.run_battery ?domains ?timeout_s () in
-        emit_report ~wall_s outcomes;
-        ok
-      end
-    in
-    if not (List.mem "--experiments-only" args) then begin
-      print_newline ();
-      microbenchmarks ()
-    end;
-    exit (finish (if ok then 0 else 1))
+let () = microbenchmarks ()

@@ -107,7 +107,7 @@ let experiments_cmd =
     @@ fun (domains, timeout_s, fault_seed) ->
     Option.iter Tussle_fault.Seed.set fault_seed;
     let emit_report, finish =
-      Registry.telemetry ~cmd:"experiments" ?domains ~metrics ~trace ~report ()
+      Registry.telemetry ?domains ~metrics ~trace ~report ()
     in
     match id with
     | None ->
@@ -199,27 +199,26 @@ let chaos_cmd =
       let bad = ref 0 in
       List.iter
         (fun (path, entry) ->
-          match entry with
+          let name = Filename.basename path in
+          (* an entry that does not load or does not fit its scenario
+             is a LOAD ERROR *)
+          match
+            Result.bind entry (fun e ->
+                Result.map (fun vs -> (e, vs)) (Sweep.replay e))
+          with
           | Error msg ->
             incr bad;
-            Printf.printf "  %s: LOAD ERROR %s\n" (Filename.basename path) msg
-          | Ok e -> (
-            match Sweep.replay e with
-            | Error msg ->
-              incr bad;
-              Printf.printf "  %s: %s\n" (Filename.basename path) msg
-            | Ok [] ->
-              Printf.printf "  %s: ok (%s, seed %d, %d episode%s)\n"
-                (Filename.basename path) e.Corpus.scenario e.Corpus.seed
-                (List.length e.Corpus.plan)
-                (if List.length e.Corpus.plan = 1 then "" else "s")
-            | Ok violations ->
-              incr bad;
-              Printf.printf "  %s: VIOLATION\n" (Filename.basename path);
-              List.iter
-                (fun v ->
-                  Printf.printf "    %s\n" (Invariant.violation_string v))
-                violations))
+            Printf.printf "  %s: LOAD ERROR %s\n" name msg
+          | Ok (e, []) ->
+            Printf.printf "  %s: ok (%s, seed %d, %d episode%s)\n" name
+              e.Corpus.scenario e.Corpus.seed (List.length e.Corpus.plan)
+              (if List.length e.Corpus.plan = 1 then "" else "s")
+          | Ok (_, violations) ->
+            incr bad;
+            Printf.printf "  %s: VIOLATION\n" name;
+            List.iter
+              (fun v -> Printf.printf "    %s\n" (Invariant.violation_string v))
+              violations)
         entries;
       if !bad = 0 then begin
         Printf.printf "chaos replay: all clean\n";

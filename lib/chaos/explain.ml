@@ -270,10 +270,9 @@ let narrative_of_violation ~(entry : Corpus.entry) ~events violation =
 (* ---------- the replay ---------- *)
 
 let run (entry : Corpus.entry) =
-  match Scenario.find entry.Corpus.scenario with
-  | None ->
-    Error (Printf.sprintf "unknown scenario %S" entry.Corpus.scenario)
-  | Some sc ->
+  match Scenario.bind entry.Corpus.scenario entry.Corpus.plan with
+  | Error _ as e -> e
+  | Ok sc ->
     (* The scenario runs in the calling domain: single-threaded, so
        the event stream — and hence the narrative — is identical
        whatever domain count the CLI was invoked with. *)

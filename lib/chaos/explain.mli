@@ -31,9 +31,10 @@ type result = {
 }
 
 val run : Corpus.entry -> (result, string) Stdlib.result
-(** Replay the entry with the recorder on.  [Error] names an unknown
-    scenario.  The recorder is reset before and disabled after the
-    replay, whatever state it was in. *)
+(** Replay the entry with the recorder on.  [Error] when
+    {!Scenario.bind} rejects the entry: an unknown scenario, or a plan
+    naming a link or node the scenario lacks.  The recorder is reset
+    before and disabled after the replay, whatever state it was in. *)
 
 val attribution : Tussle_fault.Plan.t -> Tussle_obs.Flight.event -> string
 (** The narrative's verdict on one drop event: ["during episode [i]

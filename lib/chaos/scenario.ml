@@ -165,3 +165,27 @@ let grid_static =
 let all = [ line_transfer; ring_selfheal; ring_verified; grid_static ]
 
 let find name = List.find_opt (fun s -> s.name = name) all
+
+let fits t plan =
+  let has_node n = List.exists (fun (a, b) -> a = n || b = n) t.links in
+  let misfit spec =
+    match Plan.target spec with
+    | `Link (u, v) ->
+      if List.mem (u, v) t.links || List.mem (v, u) t.links then None
+      else Some (Printf.sprintf "no link %d-%d" u v)
+    | `Node n -> if has_node n then None else Some (Printf.sprintf "no node %d" n)
+  in
+  match
+    List.find_map
+      (fun spec -> Option.map (fun m -> (spec, m)) (misfit spec))
+      plan
+  with
+  | None -> Ok ()
+  | Some (spec, m) ->
+    Error
+      (Printf.sprintf "%s has %s (episode %S)" t.name m (Plan.spec_string spec))
+
+let bind name plan =
+  match find name with
+  | None -> Error (Printf.sprintf "unknown scenario %S" name)
+  | Some t -> Result.map (fun () -> t) (fits t plan)

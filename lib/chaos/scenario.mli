@@ -44,3 +44,16 @@ val grid_static : t
 val all : t list
 
 val find : string -> t option
+
+val fits : t -> Tussle_fault.Plan.t -> (unit, string) result
+(** [Ok ()] when every episode acts on one of the scenario's [links]
+    (either direction) or on a node they span — what
+    {!Tussle_fault.Inject.install} needs to compile the plan onto the
+    scenario's network.  Otherwise [Error] naming the first episode
+    that does not, e.g. [line-transfer has no link 0-99 (episode "link
+    0-99 down [1, 2)")]. *)
+
+val bind : string -> Tussle_fault.Plan.t -> (t, string) result
+(** The named scenario, provided the plan {!fits} it: how a corpus
+    entry is bound to its scenario before it runs.  [Error] on an
+    unknown name or a plan that does not fit. *)

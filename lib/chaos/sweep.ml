@@ -53,6 +53,6 @@ let shrink_run r =
   | Some s -> Shrink.shrink ~still_fails:(still_fails s ~seed:r.seed) r.plan
 
 let replay (e : Corpus.entry) =
-  match Scenario.find e.scenario with
-  | None -> Error (Printf.sprintf "unknown scenario %S" e.scenario)
-  | Some s -> Ok (Invariant.check (s.run ~seed:e.seed ~plan:e.plan))
+  Result.map
+    (fun (s : Scenario.t) -> Invariant.check (s.run ~seed:e.seed ~plan:e.plan))
+    (Scenario.bind e.scenario e.plan)

@@ -41,4 +41,5 @@ val shrink_run : run -> Tussle_fault.Plan.t
 val replay : Corpus.entry -> (Invariant.violation list, string) result
 (** Re-run a corpus entry against its scenario; [Ok []] means the
     once-failing reproducer now passes every invariant.  [Error] if
-    the scenario name is unknown. *)
+    {!Scenario.bind} rejects the entry: an unknown scenario name or a
+    plan that does not fit the scenario. *)

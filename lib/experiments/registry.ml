@@ -87,10 +87,6 @@ let run_battery ?domains ?timeout_s () =
     (if ok then "ALL HOLD" else "SOME FAILED");
   (ok, outcomes, Tussle_obs.Clock.now_s () -. wall0)
 
-let run_all ?domains ?timeout_s () =
-  let ok, _, _ = run_battery ?domains ?timeout_s () in
-  ok
-
 let run_one ?timeout_s id =
   match find id with
   | None -> Error (Printf.sprintf "unknown experiment %S" id)
@@ -101,7 +97,7 @@ let run_one ?timeout_s id =
 
 (* ---------- battery report ---------- *)
 
-let report ?(label = "battery") ~domains ~wall_s outcomes =
+let report ~domains ~wall_s outcomes =
   let exp_of_outcome (o : Experiment.outcome) =
     let status, detail =
       match o.Experiment.status with
@@ -131,12 +127,12 @@ let report ?(label = "battery") ~domains ~wall_s outcomes =
       (Tussle_prelude.Pool.last_stats ())
   in
   let metrics = Tussle_obs.Metrics.snapshot () in
-  Tussle_obs.Report.make ~label ?pool ~metrics ~domains ~wall_s
+  Tussle_obs.Report.make ~label:"battery" ?pool ~metrics ~domains ~wall_s
     (List.map exp_of_outcome outcomes)
 
 (* ---------- telemetry epilogue ---------- *)
 
-let telemetry ~cmd ?domains ~metrics ~trace ~report:file () =
+let telemetry ?domains ~metrics ~trace ~report:file () =
   if metrics || file <> None then Tussle_obs.Metrics.enable ();
   if trace <> None then Tussle_obs.Trace.enable ();
   let emit_report ~wall_s outcomes =
@@ -151,7 +147,7 @@ let telemetry ~cmd ?domains ~metrics ~trace ~report:file () =
       let r = report ~domains ~wall_s outcomes in
       (try Tussle_obs.Report.write file r
        with Sys_error msg ->
-         prerr_endline (cmd ^ ": --report: " ^ msg);
+         prerr_endline ("experiments: --report: " ^ msg);
          exit 2);
       print_newline ();
       print_string (Tussle_obs.Report.summary r)

@@ -7,7 +7,7 @@
     byte-identical for any domain count. *)
 
 val all : Experiment.t list
-(** E1 through E28 in order. *)
+(** E1 through E30 in order. *)
 
 val hang_probe : Experiment.t
 (** "E99": a deliberately-hung toy experiment ({e not} part of {!all})
@@ -39,50 +39,47 @@ val run_list :
     watchdog of {!Experiment.run} — a runaway one becomes
     [FAILED (timeout)] while the rest of the batch carries on. *)
 
-val run_all : ?domains:int -> ?timeout_s:float -> unit -> bool
-(** Run and print every experiment to stdout in registry order;
-    [true] iff every shape check held (a [Failed] experiment counts as
-    not holding). *)
-
 val run_battery :
   ?domains:int ->
   ?timeout_s:float ->
   unit ->
   bool * Experiment.outcome list * float
-(** Like {!run_all} but also returns the outcomes (for report
-    building) and the battery wall clock in seconds.  The whole run is
-    wrapped in a ["battery"] span when tracing is enabled. *)
+(** Run every experiment via {!run_list} and print each output to
+    stdout in registry order, then the summary line.  Returns [true]
+    iff every shape check held (a [Failed] experiment counts as not
+    holding), the outcomes (for report building) and the battery wall
+    clock in seconds.  The whole run is wrapped in a ["battery"] span
+    when tracing is enabled. *)
 
 val run_one : ?timeout_s:float -> string -> (Experiment.outcome, string) result
 (** Print one experiment by id (fault-isolated and watchdog-guarded
-    like {!run_all}) and return its outcome. *)
+    like {!run_battery}) and return its outcome. *)
 
 val report :
-  ?label:string ->
   domains:int ->
   wall_s:float ->
   Experiment.outcome list ->
   Tussle_obs.Report.t
-(** Assemble the structured battery report from outcomes plus the
-    current {!Tussle_prelude.Pool.last_stats} and
+(** Assemble the structured battery report (label ["battery"]) from
+    outcomes plus the current {!Tussle_prelude.Pool.last_stats} and
     {!Tussle_obs.Metrics.snapshot}.  Call it right after the battery,
     before anything else touches the pool or the metric sinks. *)
 
 val telemetry :
-  cmd:string ->
   ?domains:int ->
   metrics:bool ->
   trace:string option ->
   report:string option ->
   unit ->
   (wall_s:float -> Experiment.outcome list -> unit) * (int -> int)
-(** The [--metrics]/[--trace]/[--report] handling both battery entry
-    points share.  Enables the metric sinks when [metrics] or [report]
-    is set and tracing when [trace] is, then returns
+(** The [--metrics]/[--trace]/[--report] handling of
+    [tussle experiments].  Enables the metric sinks when [metrics] or
+    [report] is set and tracing when [trace] is, then returns
     [(emit_report, finish)]:
     - [emit_report ~wall_s outcomes] writes the battery report (built
       by {!report} with [domains], default
       {!Tussle_prelude.Pool.default_domains}) and prints its summary;
-      an unwritable file prints [CMD: --report: MSG] and exits 2;
+      an unwritable file prints [experiments: --report: MSG] and exits
+      2;
     - [finish code] writes the Chrome trace, prints the metrics table
       when asked, and returns [code]. *)

@@ -54,19 +54,8 @@ let schedule_window engine (w : Plan.window) ~on_open ~on_close =
    stream (flow = [Flight.control_flow]) so a narrative can interleave
    "fault opened/closed" with the drops it caused.  [value] carries the
    episode's index in the plan, [detail] its [Plan.spec_string]. *)
-let located = function
-  | Plan.Link_down { u; v; _ }
-  | Plan.Link_loss { u; v; _ }
-  | Plan.Link_corrupt { u; v; _ }
-  | Plan.Latency_spike { u; v; _ }
-  | Plan.Gray_loss { u; v; _ }
-  | Plan.Unidirectional_down { u; v; _ }
-  | Plan.Link_flap { u; v; _ } ->
-    (u, v)
-  | Plan.Node_crash { node; _ }
-  | Plan.Middlebox_break { node; _ }
-  | Plan.Blackhole { node; _ } ->
-    (node, -1)
+let located spec =
+  match Plan.target spec with `Link (u, v) -> (u, v) | `Node node -> (node, -1)
 
 let install ~seed ~plan engine net =
   Plan.validate plan;

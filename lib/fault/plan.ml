@@ -38,42 +38,64 @@ let check_prob p =
   if not (p >= 0.0 && p <= 1.0) then
     invalid_arg "Fault plan: probability outside [0,1]"
 
+let check_node n = if n < 0 then invalid_arg "Fault plan: negative node id"
+
 let check_endpoints u v =
+  check_node u;
+  check_node v;
   if u = v then invalid_arg "Fault plan: link endpoints must differ"
+
+let target = function
+  | Link_down { u; v; _ }
+  | Link_loss { u; v; _ }
+  | Link_corrupt { u; v; _ }
+  | Latency_spike { u; v; _ }
+  | Gray_loss { u; v; _ }
+  | Unidirectional_down { u; v; _ }
+  | Link_flap { u; v; _ } ->
+    `Link (u, v)
+  | Node_crash { node; _ } | Middlebox_break { node; _ } | Blackhole { node; _ }
+    ->
+    `Node node
+
+let spec_window = function
+  | Link_down { w; _ }
+  | Link_loss { w; _ }
+  | Link_corrupt { w; _ }
+  | Latency_spike { w; _ }
+  | Node_crash { w; _ }
+  | Middlebox_break { w; _ }
+  | Gray_loss { w; _ }
+  | Unidirectional_down { w; _ }
+  | Link_flap { w; _ }
+  | Blackhole { w; _ } ->
+    w
 
 let validate plan =
   List.iter
-    (function
-      | Link_down { u; v; w } ->
-        check_endpoints u v;
-        check_window w
-      | Link_loss { u; v; w; prob } | Link_corrupt { u; v; w; prob } ->
-        check_endpoints u v;
-        check_window w;
+    (fun spec ->
+      (match target spec with
+      | `Link (u, v) -> check_endpoints u v
+      | `Node node -> check_node node);
+      let w = spec_window spec in
+      check_window w;
+      match spec with
+      | Link_loss { prob; _ } | Link_corrupt { prob; _ } | Gray_loss { prob; _ }
+        ->
         check_prob prob
-      | Latency_spike { u; v; w; extra_s } ->
-        check_endpoints u v;
-        check_window w;
+      | Latency_spike { extra_s; _ } ->
         if not (extra_s >= 0.0) then
           invalid_arg "Fault plan: negative latency spike"
-      | Node_crash { w; _ } | Middlebox_break { w; _ } | Blackhole { w; _ } ->
-        check_window w
-      | Gray_loss { u; v; w; prob } ->
-        check_endpoints u v;
-        check_window w;
-        check_prob prob
-      | Unidirectional_down { u; v; w } ->
-        check_endpoints u v;
-        check_window w
-      | Link_flap { u; v; w; period_s; duty } ->
-        check_endpoints u v;
-        check_window w;
+      | Link_flap { period_s; duty; _ } ->
         if not (Float.is_finite w.until_s) then
           invalid_arg "Fault plan: flap window must be finite";
         if not (Float.is_finite period_s && period_s > 0.0) then
           invalid_arg "Fault plan: flap period must be finite and positive";
         if not (duty > 0.0 && duty < 1.0) then
-          invalid_arg "Fault plan: flap duty outside (0,1)")
+          invalid_arg "Fault plan: flap duty outside (0,1)"
+      | Link_down _ | Node_crash _ | Middlebox_break _ | Unidirectional_down _
+      | Blackhole _ ->
+        ())
     plan
 
 (* How many control-observable state flips an episode drives: a finite
@@ -150,19 +172,6 @@ let random ?(extended = true) rng ~links ~horizon ~episodes =
    generations cannot creep toward the chaos guard horizon and turn
    every mutant into a trivial "still faulted at guard time" finding. *)
 let mutation_horizon_factor = 4.0
-
-let spec_window = function
-  | Link_down { w; _ }
-  | Link_loss { w; _ }
-  | Link_corrupt { w; _ }
-  | Latency_spike { w; _ }
-  | Node_crash { w; _ }
-  | Middlebox_break { w; _ }
-  | Gray_loss { w; _ }
-  | Unidirectional_down { w; _ }
-  | Link_flap { w; _ }
-  | Blackhole { w; _ } ->
-    w
 
 let with_window spec w =
   match spec with
@@ -322,6 +331,10 @@ let to_string plan = String.concat "\n" (List.map spec_string plan)
 
 let parse_float what s =
   match float_of_string_opt s with
+  | Some x when Float.is_nan x ->
+    (* "nan(123)" carries a payload [float_repr] cannot print: keep
+       only what it prints, the sign, so the text round-trips *)
+    Ok (float_of_string (float_repr x))
   | Some x -> Ok x
   | None -> Error (Printf.sprintf "bad %s %S" what s)
 
@@ -343,10 +356,15 @@ let parse_window ta tb =
   let* until_s = parse_float "window end" sb in
   Ok { from_s; until_s }
 
+(* A node id is >= 0: a hex or unsigned spelling past max_int wraps
+   negative, and "u-v" cannot print a negative endpoint. *)
+let node_of_string tok =
+  match int_of_string_opt tok with Some n when n >= 0 -> Some n | _ -> None
+
 let parse_pair tok =
   match String.split_on_char '-' tok with
   | [ a; b ] -> begin
-    match (int_of_string_opt a, int_of_string_opt b) with
+    match (node_of_string a, node_of_string b) with
     | Some u, Some v -> Ok (u, v)
     | _ -> Error (Printf.sprintf "bad link endpoints %S" tok)
   end
@@ -358,16 +376,16 @@ let parse_directed_pair tok =
   | Some i when i > 0 && tok.[i - 1] = '-' -> begin
     let a = String.sub tok 0 (i - 1) in
     let b = String.sub tok (i + 1) (String.length tok - i - 1) in
-    match (int_of_string_opt a, int_of_string_opt b) with
+    match (node_of_string a, node_of_string b) with
     | Some u, Some v -> Some (u, v)
     | _ -> None
   end
   | _ -> None
 
-let parse_int what tok =
-  match int_of_string_opt tok with
+let parse_node tok =
+  match node_of_string tok with
   | Some n -> Ok n
-  | None -> Error (Printf.sprintf "bad %s %S" what tok)
+  | None -> Error (Printf.sprintf "bad node %S" tok)
 
 let parse_spec line =
   let ( let* ) = Result.bind in
@@ -418,15 +436,15 @@ let parse_spec line =
     let* w = parse_window ta tb in
     Ok (Link_flap { u; v; w; period_s; duty })
   | [ "node"; n; "blackhole"; ta; tb ] ->
-    let* node = parse_int "node" n in
+    let* node = parse_node n in
     let* w = parse_window ta tb in
     Ok (Blackhole { node; w })
   | [ "node"; n; "crash"; ta; tb ] ->
-    let* node = parse_int "node" n in
+    let* node = parse_node n in
     let* w = parse_window ta tb in
     Ok (Node_crash { node; w })
   | [ "middlebox"; n; mode; ta; tb ] ->
-    let* node = parse_int "node" n in
+    let* node = parse_node n in
     let* covert =
       match mode with
       | "covert" -> Ok true

@@ -61,8 +61,14 @@ val always : window
 val validate : t -> unit
 (** Raises [Invalid_argument] on a malformed plan: negative or
     non-finite [from_s], [until_s <= from_s], probability outside
-    [0,1], negative latency spike, [u = v], an infinite flap window,
-    a non-positive flap period, or a flap duty outside (0,1). *)
+    [0,1], negative latency spike, a negative node id, [u = v], an
+    infinite flap window, a non-positive flap period, or a flap duty
+    outside (0,1). *)
+
+val target : spec -> [ `Link of int * int | `Node of int ]
+(** What an episode acts on: the link [(u, v)] of a link-scoped
+    episode ([u -> v] for [Unidirectional_down]), or the node of a
+    [Node_crash], [Middlebox_break] or [Blackhole]. *)
 
 val transitions : t -> int
 (** Total control-observable fault transitions the plan drives: each
@@ -127,5 +133,8 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Parse the [to_string] format back into a plan.  Blank lines and
     lines starting with [#] are skipped (corpus files carry headers as
-    comments).  [Error] names the first offending line.  The result is
+    comments).  Node ids must be [>= 0]; a NaN keeps its sign but not
+    its payload (["nan(123)"] reads as ["nan"]), so whatever parses
+    survives [to_string] bit for bit.  [Error] is ["line N: MSG"] for
+    the first offending line; it never raises.  The result is
     {e not} validated: run {!validate} before installing it. *)

@@ -18,13 +18,13 @@ val default_domains : unit -> int
 
 val domains_of_string : string -> (int, string) result
 (** Parse a [--domains] argument: trimmed decimal integer [>= 1].
-    [Error] carries the message entry points print before exiting 2 —
-    the one place both [bench/main] and the CLI validate the flag, so
-    garbage can never silently fall back to the default. *)
+    [Error] carries the message the CLI prints before exiting 2 — the
+    one place every subcommand validates the flag, so garbage can never
+    silently fall back to the default. *)
 
 (** {1 Flag values}
 
-    The other value parsers the entry points share.  Each trims its
+    The other value parsers the CLI's subcommands share.  Each trims its
     input and names the rejected string in its [Error]. *)
 
 val seed_of_string : what:string -> string -> (int, string) result

@@ -90,7 +90,8 @@ module type BACKEND = sig
     outcome
   (* Evaluate up to [budget] plans against [scenarios], deriving all
      randomness from [(seed, index)].  [seeds] primes backends that
-     use a corpus; [corpus_dir] enables persistence of new 1-minimal
+     use a corpus (an entry that does not {!Scenario.fits} its
+     scenario is skipped); [corpus_dir] enables persistence of new 1-minimal
      reproducers.  Raises [Invalid_argument] on [budget < 1] or an
      empty scenario list. *)
 end

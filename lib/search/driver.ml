@@ -1,9 +1,8 @@
 (* Backend dispatch + report assembly: load the seed corpus, run the
    named backend over the chaos scenario registry, and package the
    outcome as a `tussle.search-report/1` artifact.  Everything the
-   caller prints comes from the report, so the CLI and bench entry
-   points emit byte-identical text for the same (backend, seed,
-   budget) whatever --domains is. *)
+   caller prints comes from the report, so the text is byte-identical
+   for the same (backend, seed, budget) whatever --domains is. *)
 
 module Plan = Tussle_fault.Plan
 module Scenario = Tussle_chaos.Scenario
@@ -29,7 +28,7 @@ let finding_of_found (f : Backend.found) =
     corpus_file = Option.value ~default:"" f.Backend.file;
   }
 
-let run ?domains ?corpus_dir ?(label = "search") ~backend ~seed ~budget () =
+let run ?domains ?corpus_dir ~backend ~seed ~budget () =
   match backend_of_name backend with
   | None ->
     Error
@@ -51,7 +50,7 @@ let run ?domains ?corpus_dir ?(label = "search") ~backend ~seed ~budget () =
       List.length (List.filter (fun f -> f.Backend.fresh) o.Backend.found)
     in
     let report =
-      Search_report.make ~label ?corpus_dir ~backend:o.Backend.backend
+      Search_report.make ~label:"search" ?corpus_dir ~backend:o.Backend.backend
         ~search_seed:seed ~budget ~runs:o.Backend.runs ~seeded:o.Backend.seeded
         ~space:o.Backend.space ~certified:o.Backend.certified
         ~frontier:o.Backend.frontier ~corpus_added

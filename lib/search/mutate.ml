@@ -32,15 +32,16 @@ let search ?domains ?corpus_dir ?(seeds = []) ~scenarios ~seed ~budget () =
   let find_scenario name =
     List.find_opt (fun s -> s.Scenario.name = name) scenarios
   in
-  (* Phase 0 candidate list: corpus entries we have a scenario for,
-     then one fresh random draw per scenario.  Truncated to the budget
-     and counted against it — seeding is not free. *)
+  (* Phase 0 candidate list: corpus entries whose plan fits a scenario
+     we have, then one fresh random draw per scenario.  Truncated to
+     the budget and counted against it — seeding is not free. *)
   let seed_cands =
     List.filter_map
       (fun (e : Corpus.entry) ->
-        Option.map
-          (fun s -> (s, Some e.Corpus.plan))
-          (find_scenario e.Corpus.scenario))
+        match find_scenario e.Corpus.scenario with
+        | Some s when Scenario.fits s e.Corpus.plan = Ok () ->
+          Some (s, Some e.Corpus.plan)
+        | _ -> None)
       seeds
     @ List.map (fun s -> (s, None)) scenarios
   in

@@ -121,8 +121,7 @@ let judge_experiment ~alpha (e : Experiment.t) judge samples =
         message = Printf.sprintf "judge raised: %s" (Printexc.to_string exn);
       }
 
-let run_sweep ?domains ?timeout_s ?(label = "sweep") ~seed ~runs ~alpha
-    experiments =
+let run_sweep ?domains ?timeout_s ~seed ~runs ~alpha experiments =
   if runs < 2 then invalid_arg "Driver.run_sweep: runs must be >= 2";
   if not (alpha > 0.0 && alpha < 1.0) then
     invalid_arg "Driver.run_sweep: alpha must be in (0, 1)";
@@ -187,7 +186,7 @@ let run_sweep ?domains ?timeout_s ?(label = "sweep") ~seed ~runs ~alpha
               (exps @ [ exp ], errors, remaining)))
       ([], [], results) sweepable
   in
-  let report = Sweep_report.make ~label ~sweep_seed:seed ~runs exps in
+  let report = Sweep_report.make ~label:"sweep" ~sweep_seed:seed ~runs exps in
   (report, errors)
 
 let error_string e = Printf.sprintf "%s: %s" e.exp_id e.message

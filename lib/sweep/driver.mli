@@ -28,7 +28,6 @@ val run_seed : seed:int -> int -> int
 val run_sweep :
   ?domains:int ->
   ?timeout_s:float ->
-  ?label:string ->
   seed:int ->
   runs:int ->
   alpha:float ->

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the observability battery smoke:
 #   - dune build && dune runtest
+#   - microbenchmark smoke: bench/main.exe runs B1-B16 (and the
+#     asserts inside them) and prints every row, numeric, in B order
 #   - battery run with --report/--trace, schema validation of both
 #   - telemetry must not perturb battery stdout
 #   - one table of bad inputs and their exit codes: garbage flag values
-#     on both entry points and every subcommand, missing/unreadable
-#     files for report, explain, trends and policy, a corrupt history,
-#     unsweepable or unknown sweep ids — each exits 2
+#     on every subcommand, missing/unreadable files for report,
+#     explain, trends and policy, a corrupt history, unsweepable or
+#     unknown sweep ids — each exits 2; a corpus plan naming a link or
+#     node its scenario lacks — explain exits 2, chaos --replay 1
 #   - fault battery smoke: E28 is deterministic per fault seed and
 #     differs across seeds, and its shape holds at fault seeds 11 and
 #     38, where every drop of one plan is a blackhole's
@@ -51,8 +54,19 @@ TMP="${TMPDIR:-/tmp}"
 report="$TMP/tussle-report.json"
 trace="$TMP/tussle-trace.json"
 
+echo "== microbenchmark smoke (B1-B16, numeric, in B order) =="
+"$BENCH" > "$TMP/tussle-bench.out"
+want="B1 B2 B2b B3 B4 B5 B6a B6b B7 B8 B9 B10 B11 B12 B13 B14 B15 B16"
+got=$(awk '/^tussle B/ && $NF ~ /^[0-9]+\.[0-9]+$/ { print $2 }' \
+  "$TMP/tussle-bench.out" | xargs)
+if [ "$got" != "$want" ]; then
+  echo "FAIL: microbenchmark rows with a numeric ns/run: '$got'" >&2
+  exit 1
+fi
+echo "all 18 microbenchmarks ran and printed a numeric ns/run"
+
 echo "== battery smoke (report + trace) =="
-"$BENCH" --experiments-only --seq --report "$report" --trace "$trace" \
+"$CLI" experiments --seq --report "$report" --trace "$trace" \
   > "$TMP/tussle-battery-obs.out"
 "$CLI" report "$report"
 # structural JSON validation of the trace is covered by test_obs; here
@@ -61,16 +75,24 @@ grep -q '"traceEvents"' "$trace"
 echo "trace written: $(wc -c < "$trace") bytes"
 
 echo "== telemetry does not perturb stdout =="
-"$BENCH" --experiments-only --seq > "$TMP/tussle-battery-plain.out"
-"$BENCH" --experiments-only --seq --trace "$trace" > "$TMP/tussle-battery-traced.out"
+"$CLI" experiments --seq > "$TMP/tussle-battery-plain.out"
+"$CLI" experiments --seq --trace "$trace" > "$TMP/tussle-battery-traced.out"
 cmp "$TMP/tussle-battery-plain.out" "$TMP/tussle-battery-traced.out"
 echo "battery stdout byte-identical with tracing enabled"
 
 echo "== bad input: one table of expected exit codes =="
 echo "not json" > "$TMP/tussle-bad-history.jsonl"
+# corpus plans naming a link and a node line-transfer lacks
+bad_corpus="$TMP/tussle-bad-corpus"
+rm -rf "$bad_corpus"
+mkdir -p "$bad_corpus"
+printf 'scenario: line-transfer\nseed: 5\nlink 0-99 down [1, 2)\n' \
+  > "$bad_corpus/link.plan"
+printf 'scenario: line-transfer\nseed: 5\nnode 99 blackhole [1, 2)\n' \
+  > "$bad_corpus/node.plan"
 # Rows: expected code, command, arguments.  Flag values use the
 # --flag=X form: cmdliner would otherwise read a bare "-3" as an
-# unknown option; bench/main parses both forms the same way.
+# unknown option.
 while read -r want cmd args; do
   set +e
   # shellcheck disable=SC2086
@@ -82,14 +104,6 @@ while read -r want cmd args; do
     exit 1
   fi
 done <<ROWS
-2 $BENCH --experiments-only --domains=nope
-2 $BENCH --experiments-only --domains=0
-2 $BENCH --experiments-only --domains=-3
-2 $BENCH --experiments-only --timeout-s=nope
-2 $BENCH --experiments-only --timeout-s=0
-2 $BENCH --experiments-only --timeout-s=-1
-2 $BENCH --experiments-only --fault-seed=nope
-2 $BENCH --experiments-only --fault-seed=1.5
 2 $CLI experiments --domains=nope
 2 $CLI experiments --domains=0
 2 $CLI experiments --domains=-3
@@ -103,6 +117,9 @@ done <<ROWS
 2 $CLI explain $TMP/definitely-missing.plan
 2 $CLI explain README.md
 2 $CLI explain chaos/corpus --domains=0
+2 $CLI explain $bad_corpus/link.plan
+2 $CLI explain $bad_corpus/node.plan
+1 $CLI chaos --replay $bad_corpus
 2 $CLI trends $TMP/definitely-missing-report.json --history $TMP/tussle-history.jsonl
 2 $CLI trends $report --history $TMP/tussle-bad-history.jsonl
 2 $CLI chaos --chaos-seed=nope
@@ -181,9 +198,9 @@ echo "== chaos corpus replay =="
 echo "committed reproducers all replay clean"
 
 echo "== flight recorder off: battery byte-identical across domains =="
-"$BENCH" --experiments-only --domains 1 > "$TMP/tussle-battery-dom1.out"
-"$BENCH" --experiments-only --domains 2 > "$TMP/tussle-battery-dom2.out"
-"$BENCH" --experiments-only --domains 4 > "$TMP/tussle-battery-dom4.out"
+"$CLI" experiments --domains 1 > "$TMP/tussle-battery-dom1.out"
+"$CLI" experiments --domains 2 > "$TMP/tussle-battery-dom2.out"
+"$CLI" experiments --domains 4 > "$TMP/tussle-battery-dom4.out"
 cmp "$TMP/tussle-battery-dom1.out" "$TMP/tussle-battery-dom2.out"
 cmp "$TMP/tussle-battery-dom1.out" "$TMP/tussle-battery-dom4.out"
 echo "battery stdout byte-identical with the recorder disabled"
@@ -283,7 +300,7 @@ echo "== append battery smoke to the committed benchmark history =="
   --baseline BENCH_baseline.json
 
 echo "== regenerate BENCH_baseline.json =="
-"$BENCH" --experiments-only --seq --report BENCH_baseline.json > /dev/null
+"$CLI" experiments --seq --report BENCH_baseline.json > /dev/null
 "$CLI" report BENCH_baseline.json
 
 echo "CI OK"

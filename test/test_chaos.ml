@@ -641,6 +641,85 @@ let test_explain_unknown_scenario () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown scenario accepted"
 
+(* ---------- plans that do not fit their scenario ---------- *)
+
+(* line-transfer is the 4-node line 0-1-2-3: no link 0-99, no node 99 *)
+let misfit_link =
+  { Corpus.scenario = "line-transfer"; seed = 5;
+    plan = [ Plan.Link_down { u = 0; v = 99; w = Plan.window 1.0 2.0 } ] }
+
+let misfit_node =
+  { misfit_link with
+    Corpus.plan = [ Plan.Blackhole { node = 99; w = Plan.window 1.0 2.0 } ] }
+
+let misfit_messages =
+  [ (misfit_link, "line-transfer has no link 0-99 (episode \"link 0-99 down [1, 2)\")");
+    (misfit_node, "line-transfer has no node 99 (episode \"node 99 blackhole [1, 2)\")") ]
+
+let test_fits_random_draws () =
+  (* every plan a scenario's own links can produce fits it, in either
+     link orientation *)
+  List.iter
+    (fun (s : Scenario.t) ->
+      let rng = Rng.create 77 in
+      let flipped = List.map (fun (u, v) -> (v, u)) s.Scenario.links in
+      for _ = 1 to 50 do
+        List.iter
+          (fun links ->
+            let plan =
+              Plan.random rng ~links ~horizon:s.Scenario.horizon ~episodes:4
+            in
+            Alcotest.(check (result unit string)) s.Scenario.name (Ok ())
+              (Scenario.fits s plan))
+          [ s.Scenario.links; flipped ]
+      done)
+    Scenario.all
+
+let test_misfit_explain () =
+  (* what `tussle explain FILE` prints as "explain: MSG", exit 2 *)
+  List.iter
+    (fun (entry, msg) ->
+      match Explain.run entry with
+      | Error m -> Alcotest.(check string) "explain error" msg m
+      | Ok _ -> Alcotest.fail "misfit plan explained")
+    misfit_messages
+
+let test_misfit_replay () =
+  (* `tussle chaos --replay DIR`: a misfit entry loads, then Sweep.replay
+     rejects it — a LOAD ERROR line, not an exception that aborts the
+     replay of the entries after it *)
+  let dir = fresh_corpus_dir () in
+  let paths = List.map (fun (e, _) -> Corpus.save ~dir e) misfit_messages in
+  let good = Corpus.save ~dir line_entry in
+  Alcotest.(check int) "three files" 3 (List.length (Corpus.load_dir dir));
+  List.iter
+    (fun (path, entry) ->
+      match Result.bind entry Sweep.replay with
+      | Error m ->
+        Alcotest.(check bool) ("misfit " ^ path) true (List.mem path paths);
+        Alcotest.(check bool) "names the scenario" true
+          (String.starts_with ~prefix:"line-transfer has no " m)
+      | Ok vs ->
+        Alcotest.(check string) "the fitting entry replays" good path;
+        Alcotest.(check int) "clean" 0 (List.length vs))
+    (Corpus.load_dir dir)
+
+let test_misfit_search () =
+  (* `tussle search --corpus DIR`: a misfit entry is not a seed, so it
+     never reaches Inject.install inside Pool.map, where it would raise *)
+  let dir = fresh_corpus_dir () in
+  List.iter (fun (e, _) -> ignore (Corpus.save ~dir e)) misfit_messages;
+  ignore (Corpus.save ~dir line_entry);
+  match
+    Tussle_search.Driver.run ~domains:1 ~corpus_dir:dir ~backend:"mutate"
+      ~seed:11 ~budget:8 ()
+  with
+  | Error m -> Alcotest.fail m
+  | Ok (_, o) ->
+    Alcotest.(check int) "one corpus seed + one draw per scenario"
+      (1 + List.length Scenario.all)
+      o.Tussle_search.Backend.seeded
+
 let test_recorder_zero_perturbation () =
   (* the flight recorder observes the simulation; it must not change
      what the simulation does *)
@@ -702,6 +781,13 @@ let () =
             test_explain_unknown_scenario;
           Alcotest.test_case "recorder never perturbs a run" `Quick
             test_recorder_zero_perturbation;
+        ] );
+      ( "misfit-plans",
+        [
+          Alcotest.test_case "random draws fit" `Quick test_fits_random_draws;
+          Alcotest.test_case "explain rejects" `Quick test_misfit_explain;
+          Alcotest.test_case "replay reports" `Quick test_misfit_replay;
+          Alcotest.test_case "search skips" `Quick test_misfit_search;
         ] );
       ( "hang-probe-guard",
         [

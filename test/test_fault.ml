@@ -24,6 +24,9 @@ module E28 = Tussle_experiments.E28_faults
 let test_plan_validation () =
   let w = Plan.window 1.0 2.0 in
   Plan.validate [ Plan.Link_down { u = 0; v = 1; w } ];
+  Alcotest.check_raises "negative node"
+    (Invalid_argument "Fault plan: negative node id") (fun () ->
+      Plan.validate [ Plan.Blackhole { node = -1; w } ]);
   Alcotest.check_raises "reversed window"
     (Invalid_argument "Fault plan: window must end after it starts")
     (fun () ->
@@ -180,6 +183,190 @@ let prop_random_plans_validate =
       Plan.validate
         (Plan.random (Rng.create seed) ~links ~horizon:50.0 ~episodes);
       true)
+
+(* ---------- Plan.of_string fuzz ---------- *)
+
+(* Bitwise: [=] has nan <> nan and -0.0 = 0.0; marshalled bytes carry
+   every float's bits. *)
+let plan_bits (p : Plan.t) = Marshal.to_string p [ Marshal.No_sharing ]
+
+(* "line N: MSG" with N a line of [s] *)
+let names_a_line s msg =
+  match String.index_opt msg ':' with
+  | Some i when String.starts_with ~prefix:"line " msg -> (
+    match int_of_string_opt (String.sub msg 5 (i - 5)) with
+    | Some n ->
+      n >= 1
+      && n <= List.length (String.split_on_char '\n' s)
+      && String.length msg > i + 1
+      && msg.[i + 1] = ' '
+    | None -> false)
+  | _ -> false
+
+(* What every input must do: parse to a plan that survives
+   [to_string] bit for bit, or name the offending line; never raise. *)
+let of_string_contract s =
+  match Plan.of_string s with
+  | exception e ->
+    QCheck2.Test.fail_reportf "of_string %S raised %s" s (Printexc.to_string e)
+  | Error msg ->
+    names_a_line s msg
+    || QCheck2.Test.fail_reportf "of_string %S: error %S names no line" s msg
+  | Ok p -> (
+    let text = Plan.to_string p in
+    match Plan.of_string text with
+    | Ok q when plan_bits q = plan_bits p -> true
+    | Ok _ ->
+      QCheck2.Test.fail_reportf "of_string %S: re-parsing %S changed the plan"
+        s text
+    | Error msg ->
+      QCheck2.Test.fail_reportf "of_string %S: re-parsing %S failed: %s" s text
+        msg
+    | exception e ->
+      QCheck2.Test.fail_reportf "of_string %S: re-parsing %S raised %s" s text
+        (Printexc.to_string e))
+
+(* Lexemes the grammar's number slots might meet: special floats
+   (nan with and without payload or sign, infinities, -0, overflow to
+   inf, subnormals), and integer spellings OCaml accepts or rejects
+   (hex, binary, unsigned, underscores, signs, 2^62 overflow). *)
+let float_lexemes =
+  [ "0"; "0.5"; "1"; "2.5"; "nan"; "-nan"; "+nan"; "nan(123)"; "-nan(7)";
+    "NaN"; "inf"; "-inf"; "infinity"; "-0"; "-0.0"; "1e309"; "-1e309";
+    "4.9e-324"; "1.7976931348623157e308"; "0x1p-3"; "1_0"; "+1"; ".5";
+    "5."; "1e"; "--1"; "0.1.2"; "" ]
+
+let int_lexemes =
+  [ "0"; "1"; "2"; "-1"; "+3"; "0x10"; "0b11"; "0o7"; "0u1"; "1_000";
+    "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+    "0x7fffffffffffffff"; "1.5"; "a"; "" ]
+
+(* Bytes plan text is made of, plus a few it never is. *)
+let plan_alphabet =
+  "linkdowsprcathlmbxgyvefu-> []()=,.+#0123456789\n\t\r_\x00\x80\xff"
+
+let plan_tokens =
+  [ "link "; "node "; "middlebox "; " down "; " loss "; " corrupt ";
+    " latency "; " gray "; " flap "; " crash "; " blackhole "; " covert ";
+    " revealing "; "->"; "-"; "p="; "period="; "duty="; "+"; "s"; "[";
+    ", "; ")"; "\n"; "# "; "  " ]
+  @ float_lexemes
+
+let gen_plan_char =
+  QCheck2.Gen.(
+    frequency
+      [ (3, map (String.get plan_alphabet) (int_bound (String.length plan_alphabet - 1)));
+        (1, char) ])
+
+(* [doc] with up to three edits: a byte replaced, a byte or grammar
+   token inserted, a byte deleted, or the tail cut off. *)
+let gen_edited doc =
+  QCheck2.Gen.(
+    let edit doc =
+      let n = String.length doc in
+      int_bound n >>= fun i ->
+      gen_plan_char >>= fun c ->
+      oneofl plan_tokens >>= fun tok ->
+      oneofl
+        [
+          (if i < n then String.mapi (fun j d -> if j = i then c else d) doc else doc);
+          String.sub doc 0 i ^ String.make 1 c ^ String.sub doc i (n - i);
+          String.sub doc 0 i ^ tok ^ String.sub doc i (n - i);
+          (if i < n then String.sub doc 0 i ^ String.sub doc (i + 1) (n - i - 1) else doc);
+          String.sub doc 0 i;
+        ]
+    in
+    int_range 0 3 >>= fun edits ->
+    let rec apply k doc = if k = 0 then pure doc else edit doc >>= apply (k - 1) in
+    apply edits doc)
+
+let gen_random_plan_text =
+  QCheck2.Gen.(
+    let* seed = int_range 0 100_000 in
+    let* episodes = int_range 0 6 in
+    let links = [ (0, 1); (1, 2); (12, 3) ] in
+    let* plan =
+      oneofl
+        [ Plan.random (Rng.create seed) ~links ~horizon:25.0 ~episodes;
+          every_constructor_plan ]
+    in
+    gen_edited (Plan.to_string plan))
+
+(* One episode of every shape with its number slots drawn from the
+   lexeme pools, several to a document, then edited. *)
+let gen_lexeme_plan_text =
+  QCheck2.Gen.(
+    let f = oneofl float_lexemes and i = oneofl int_lexemes in
+    let window = map2 (Printf.sprintf "[%s, %s)") f f in
+    let episode =
+      oneof
+        [
+          map3 (Printf.sprintf "link %s-%s down %s") i i window;
+          map3 (Printf.sprintf "link %s->%s down %s") i i window;
+          map3
+            (fun (u, v) (kind, p) w -> Printf.sprintf "link %s-%s %s p=%s %s" u v kind p w)
+            (pair i i) (pair (oneofl [ "loss"; "corrupt"; "gray" ]) f) window;
+          map3 (fun (u, v) x w -> Printf.sprintf "link %s-%s latency +%ss %s" u v x w)
+            (pair i i) f window;
+          map3
+            (fun (u, v) (per, duty) w ->
+              Printf.sprintf "link %s-%s flap period=%ss duty=%s %s" u v per duty w)
+            (pair i i) (pair f f) window;
+          map3 (Printf.sprintf "node %s %s %s") i (oneofl [ "crash"; "blackhole" ]) window;
+          map3 (Printf.sprintf "middlebox %s %s %s") i (oneofl [ "covert"; "revealing" ])
+            window;
+        ]
+    in
+    list_size (int_range 1 4) episode >>= fun eps ->
+    gen_edited (String.concat "\n" eps))
+
+let gen_arbitrary_bytes = QCheck2.Gen.(string_size ~gen:gen_plan_char (int_range 0 60))
+
+(* Inputs the properties below once failed on. *)
+let test_of_string_pinned () =
+  List.iter
+    (fun s -> ignore (of_string_contract s))
+    [
+      (* a nan payload the emitter cannot print must not survive the
+         parse, or the re-parsed plan differs in its bits *)
+      "node 0b11 blackhole [+nan, nan(123))\nmiddlebox 0o7 revealing [-0, 1)";
+      "link 0-1 loss p=-nan(7) [0, 1)";
+      (* a hex spelling past max_int wraps to node -1, which "u-v"
+         cannot print: a parse error *)
+      "link 0u1-0x7fffffffffffffff flap period=0.5s duty=.5 [1_0, -0)";
+    ];
+  List.iter
+    (fun s ->
+      match Plan.of_string s with
+      | Error m -> Alcotest.(check bool) m true (names_a_line s m)
+      | Ok _ -> Alcotest.failf "negative node id parsed: %S" s)
+    [ "link 0x7fffffffffffffff-1 down [0, 1)";
+      "link 0x4000000000000000->1 down [0, 1)"; "node -1 crash [0, 1)" ];
+  match Plan.of_string "link 0-1 loss p=-nan(7) [nan(1), 1e309)" with
+  | Ok [ Plan.Link_loss { prob; w; _ } ] ->
+    Alcotest.(check int64) "sign kept, payload dropped"
+      (Int64.bits_of_float (float_of_string "-nan")) (Int64.bits_of_float prob);
+    Alcotest.(check int64) "canonical nan"
+      (Int64.bits_of_float (float_of_string "nan"))
+      (Int64.bits_of_float w.Plan.from_s);
+    Alcotest.(check (float 0.0)) "1e309 is inf" infinity w.Plan.until_s
+  | _ -> Alcotest.fail "expected one loss episode"
+
+(* Unshrunk, like the Json parse properties: the failure message
+   already names the input. *)
+let prop_of_string_contract name gen =
+  QCheck2.Test.make ~name ~count:2000 ~print:String.escaped (QCheck2.Gen.no_shrink gen)
+    of_string_contract
+
+let prop_of_string_bytes =
+  prop_of_string_contract "of_string contract (arbitrary bytes)" gen_arbitrary_bytes
+
+let prop_of_string_edited =
+  prop_of_string_contract "of_string contract (edited to_string output)"
+    gen_random_plan_text
+
+let prop_of_string_lexemes =
+  prop_of_string_contract "of_string contract (number lexemes)" gen_lexeme_plan_text
 
 (* ---------- Inject ---------- *)
 
@@ -554,6 +741,11 @@ let () =
             test_plan_of_string_errors;
           QCheck_alcotest.to_alcotest prop_random_plans_roundtrip;
           QCheck_alcotest.to_alcotest prop_random_plans_validate;
+          Alcotest.test_case "of_string pinned inputs" `Quick
+            test_of_string_pinned;
+          QCheck_alcotest.to_alcotest prop_of_string_bytes;
+          QCheck_alcotest.to_alcotest prop_of_string_edited;
+          QCheck_alcotest.to_alcotest prop_of_string_lexemes;
         ] );
       ( "inject",
         [

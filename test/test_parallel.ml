@@ -40,11 +40,11 @@ let test_pool_default_domains () =
   Alcotest.(check bool) "within [1,8]" true (d >= 1 && d <= 8)
 
 let test_domains_of_string () =
-  (* The flag-value parsers bench/main.ml and every tussle subcommand
-     share: garbage must produce an error (the entry points print it
-     and exit 2), never a silent fall-through to a default.  Each
-     rejection below is a value scripts/ci.sh feeds, with the exact
-     text the entry points print. *)
+  (* The flag-value parsers every tussle subcommand shares: garbage
+     must produce an error (the subcommand prints it and exits 2),
+     never a silent fall-through to a default.  Each rejection below
+     is a value scripts/ci.sh feeds, with the exact text the CLI
+     prints. *)
   let ok s expected =
     match Pool.domains_of_string s with
     | Ok d -> Alcotest.(check int) (Printf.sprintf "parse %S" s) expected d
@@ -182,7 +182,7 @@ let test_failed_isolated () =
 (* ---------- determinism across domain counts ---------- *)
 
 let test_parallel_battery_identical () =
-  (* cheap subset of the battery; bench/main.ml exercises all 28 *)
+  (* cheap subset of the battery; `tussle experiments` runs all 30 *)
   let batch =
     List.map fast [ "E4"; "E6"; "E7"; "E8"; "E19"; "E23"; "E25"; "E26" ]
   in
