@@ -43,19 +43,17 @@ let write_artifact cmd flag write file artifact =
     prerr_endline (cmd ^ ": " ^ flag ^ ": " ^ msg);
     exit 2
 
-(* ---------- experiments ---------- *)
+(* Flags shared by several subcommands.  Values are taken as strings so
+   garbage is rejected with exit 2 (like --domains 0) instead of
+   cmdliner's generic CLI error; each term yields the validated value
+   for the subcommand's [let*] chain. *)
 
-let experiments_cmd =
-  let id =
-    let doc = "Run a single experiment (E1..E30)." in
-    Arg.(value & opt (some string) None & info [ "e"; "experiment" ] ~doc)
-  in
+(* --domains/--seq: set the process's domain budget (Pool). *)
+let domain_budget =
   let domains =
-    (* Taken as a string so garbage is rejected with exit 2 (like
-       --domains 0) instead of cmdliner's generic CLI error. *)
     let doc =
-      "Number of domains for the parallel experiment runner (default: the \
-       recommended domain count).  Output is byte-identical for any value."
+      "Number of domains for the parallel fan-out (default: the recommended \
+       domain count).  Output is byte-identical for any value."
     in
     Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N")
   in
@@ -63,6 +61,29 @@ let experiments_cmd =
     let doc = "Run strictly sequentially (same as --domains 1); pins \
                determinism for CI." in
     Arg.(value & flag & info [ "seq" ] ~doc)
+  in
+  let set seq domains =
+    Result.map (Option.iter Pool.set_domains) (Pool.domains_flag ~seq domains)
+  in
+  Term.(const set $ seq $ domains)
+
+let timeout_s =
+  let doc =
+    "Arm the per-run watchdog: an experiment, or a sweep's probe replicate, \
+     still running after $(docv) seconds becomes a FAILED (timeout) outcome \
+     while the rest carry on.  Off by default."
+  in
+  Term.(
+    const (Pool.flag "--timeout-s" Pool.seconds_of_string)
+    $ Arg.(value & opt (some string) None
+           & info [ "timeout-s" ] ~doc ~docv:"SECONDS"))
+
+(* ---------- experiments ---------- *)
+
+let experiments_cmd =
+  let id =
+    let doc = "Run a single experiment (E1..E30)." in
+    Arg.(value & opt (some string) None & info [ "e"; "experiment" ] ~doc)
   in
   let metrics =
     let doc = "Collect telemetry and print the metrics table after the run." in
@@ -78,15 +99,6 @@ let experiments_cmd =
                print its summary table." in
     Arg.(value & opt (some string) None & info [ "report" ] ~doc ~docv:"FILE")
   in
-  let timeout_s =
-    (* Taken as a string for the same exit-2 convention as --domains. *)
-    let doc =
-      "Arm the per-experiment watchdog: an experiment still running after \
-       $(docv) seconds becomes a FAILED (timeout) outcome while the rest \
-       of the battery carries on.  Off by default."
-    in
-    Arg.(value & opt (some string) None & info [ "timeout-s" ] ~doc ~docv:"SECONDS")
-  in
   let fault_seed =
     let doc =
       "Seed for the fault-injection substrate (experiments that inject \
@@ -95,23 +107,21 @@ let experiments_cmd =
     in
     Arg.(value & opt (some string) None & info [ "fault-seed" ] ~doc ~docv:"SEED")
   in
-  let run id domains seq metrics trace report timeout_s fault_seed =
+  let run id domain_budget metrics trace report timeout_s fault_seed =
     with_checked "experiments"
-      (let* domains = Pool.domains_flag ~seq domains in
-       let* timeout_s = Pool.flag "--timeout-s" Pool.seconds_of_string timeout_s in
+      (let* () = domain_budget in
+       let* timeout_s = timeout_s in
        let* fault_seed =
          Pool.flag "--fault-seed" (Pool.seed_of_string ~what:"fault seed")
            fault_seed
        in
-       Ok (domains, timeout_s, fault_seed))
-    @@ fun (domains, timeout_s, fault_seed) ->
+       Ok (timeout_s, fault_seed))
+    @@ fun (timeout_s, fault_seed) ->
     Option.iter Tussle_fault.Seed.set fault_seed;
-    let emit_report, finish =
-      Registry.telemetry ?domains ~metrics ~trace ~report ()
-    in
+    let emit_report, finish = Registry.telemetry ~metrics ~trace ~report () in
     match id with
     | None ->
-      let ok, outcomes, wall_s = Registry.run_battery ?domains ?timeout_s () in
+      let ok, outcomes, wall_s = Registry.run_battery ?timeout_s () in
       emit_report ~wall_s outcomes;
       finish (if ok then 0 else 1)
     | Some id -> (
@@ -125,8 +135,8 @@ let experiments_cmd =
   in
   let doc = "regenerate the paper's experiments (E1..E30)" in
   Cmd.v (Cmd.info "experiments" ~doc)
-    Term.(const run $ id $ domains $ seq $ metrics $ trace $ report
-          $ timeout_s $ fault_seed)
+    Term.(const run $ id $ domain_budget $ metrics $ trace $ report $ timeout_s
+          $ fault_seed)
 
 (* ---------- chaos ---------- *)
 
@@ -142,15 +152,6 @@ let chaos_cmd =
     let doc = "Number of random fault plans to run (default 200)." in
     Arg.(value & opt (some string) None & info [ "chaos-runs" ] ~doc ~docv:"N")
   in
-  let domains =
-    let doc = "Number of domains for the sweep (default: the recommended \
-               domain count).  Output is byte-identical for any value." in
-    Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N")
-  in
-  let seq =
-    let doc = "Run strictly sequentially (same as --domains 1)." in
-    Arg.(value & flag & info [ "seq" ] ~doc)
-  in
   let corpus =
     let doc =
       "Persist the shrunk reproducer of every invariant violation under \
@@ -165,7 +166,7 @@ let chaos_cmd =
     in
     Arg.(value & opt (some string) None & info [ "replay" ] ~doc ~docv:"DIR")
   in
-  let run seed runs domains seq corpus replay =
+  let run seed runs domain_budget corpus replay =
     let module Sweep = Tussle_chaos.Sweep in
     let module Invariant = Tussle_chaos.Invariant in
     let module Corpus = Tussle_chaos.Corpus in
@@ -176,22 +177,14 @@ let chaos_cmd =
        let* runs =
          Pool.flag "--chaos-runs" (Pool.int_at_least ~what:"run count" 1) runs
        in
-       let* domains = Pool.domains_flag ~seq domains in
+       let* () = domain_budget in
        Ok
          ( Option.value seed ~default:Tussle_fault.Seed.default,
-           Option.value runs ~default:200,
-           domains ))
-    @@ fun (seed, runs, domains) ->
+           Option.value runs ~default:200 ))
+    @@ fun (seed, runs) ->
     match replay with
     | Some dir -> (
-      (* reject entries naming a scenario we don't have with a clean
-         LOAD ERROR line instead of letting them raise downstream *)
-      let known =
-        List.map
-          (fun (s : Tussle_chaos.Scenario.t) -> s.Tussle_chaos.Scenario.name)
-          Tussle_chaos.Scenario.all
-      in
-      let entries = Corpus.load_dir ~known dir in
+      let entries = Corpus.load_dir dir in
       Printf.printf "chaos replay: %d corpus entr%s under %s\n"
         (List.length entries)
         (if List.length entries = 1 then "y" else "ies")
@@ -200,8 +193,8 @@ let chaos_cmd =
       List.iter
         (fun (path, entry) ->
           let name = Filename.basename path in
-          (* an entry that does not load or does not fit its scenario
-             is a LOAD ERROR *)
+          (* an entry that does not load, names an unknown scenario or
+             does not fit its scenario is a LOAD ERROR *)
           match
             Result.bind entry (fun e ->
                 Result.map (fun vs -> (e, vs)) (Sweep.replay e))
@@ -230,7 +223,7 @@ let chaos_cmd =
         1
       end)
     | None ->
-      let results = Sweep.run_sweep ?domains ~seed ~runs () in
+      let results = Sweep.run_sweep ~seed ~runs () in
       let failures = Sweep.failures results in
       Printf.printf
         "chaos sweep: %d runs from seed %d over %s; invariants: %s\n" runs
@@ -304,7 +297,7 @@ let chaos_cmd =
      validate every simulation invariant (see also --replay)"
   in
   Cmd.v (Cmd.info "chaos" ~doc)
-    Term.(const run $ seed $ runs $ domains $ seq $ corpus $ replay)
+    Term.(const run $ seed $ runs $ domain_budget $ corpus $ replay)
 
 (* ---------- explain ---------- *)
 
@@ -320,22 +313,12 @@ let explain_cmd =
     let doc = "Also write the tussle.flow-trace/1 JSON artifact to $(docv)." in
     Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
   in
-  let domains =
-    let doc =
-      "Accepted for symmetry with the other subcommands and validated; the \
-       replay itself is a single-threaded simulation, so the narrative is \
-       byte-identical for any value."
-    in
-    Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N")
-  in
-  let seq =
-    let doc = "Same as --domains 1." in
-    Arg.(value & flag & info [ "seq" ] ~doc)
-  in
-  let run file json_out domains seq =
+  (* --domains/--seq are accepted for symmetry and validated; the replay
+     is a single-threaded simulation. *)
+  let run file json_out domain_budget =
     let module Explain = Tussle_chaos.Explain in
     with_checked "explain"
-      (let* _ = Pool.domains_flag ~seq domains in
+      (let* () = domain_budget in
        let* entry = Tussle_chaos.Corpus.load file in
        Explain.run entry)
     @@ fun r ->
@@ -354,7 +337,7 @@ let explain_cmd =
      episode that explains it, plus the control-plane timeline"
   in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(const run $ file $ json_out $ domains $ seq)
+    Term.(const run $ file $ json_out $ domain_budget)
 
 (* ---------- trends ---------- *)
 
@@ -512,30 +495,11 @@ let sweep_cmd =
     in
     Arg.(value & opt (some string) None & info [ "alpha" ] ~doc ~docv:"ALPHA")
   in
-  let domains =
-    let doc =
-      "Number of domains for the probe fan-out (default: the recommended \
-       domain count).  Output is byte-identical for any value."
-    in
-    Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N")
-  in
-  let seq =
-    let doc = "Run strictly sequentially (same as --domains 1)." in
-    Arg.(value & flag & info [ "seq" ] ~doc)
-  in
-  let timeout_s =
-    let doc =
-      "Arm the per-run watchdog: a probe replicate still running after \
-       $(docv) seconds fails that experiment's sweep while the others carry \
-       on.  Off by default."
-    in
-    Arg.(value & opt (some string) None & info [ "timeout-s" ] ~doc ~docv:"SECONDS")
-  in
   let report =
     let doc = "Write the tussle.sweep-report/1 JSON artifact to $(docv)." in
     Arg.(value & opt (some string) None & info [ "report" ] ~doc ~docv:"FILE")
   in
-  let run ids sweep_seed sweep_runs alpha domains seq timeout_s report =
+  let run ids sweep_seed sweep_runs alpha domain_budget timeout_s report =
     let sweepable id =
       match Registry.find id with
       | None -> Error (Printf.sprintf "unknown experiment %S" id)
@@ -555,8 +519,8 @@ let sweep_cmd =
            sweep_runs
        in
        let* alpha = Pool.flag "--alpha" Pool.probability_of_string alpha in
-       let* domains = Pool.domains_flag ~seq domains in
-       let* timeout_s = Pool.flag "--timeout-s" Pool.seconds_of_string timeout_s in
+       let* () = domain_budget in
+       let* timeout_s = timeout_s in
        let* experiments =
          Pool.flag "--experiments"
            (fun s ->
@@ -568,13 +532,11 @@ let sweep_cmd =
          ( Option.value seed ~default:1031,
            Option.value runs ~default:100,
            Option.value alpha ~default:0.01,
-           domains,
            timeout_s,
            Option.value experiments ~default:(Registry.sweepables ()) ))
-    @@ fun (seed, runs, alpha, domains, timeout_s, experiments) ->
+    @@ fun (seed, runs, alpha, timeout_s, experiments) ->
     let sweep_report, errors =
-      Tussle_sweep.Driver.run_sweep ?domains ?timeout_s ~seed ~runs ~alpha
-        experiments
+      Tussle_sweep.Driver.run_sweep ?timeout_s ~seed ~runs ~alpha experiments
     in
     print_string (Obs_sweep_report.summary sweep_report);
     List.iter
@@ -600,7 +562,7 @@ let sweep_cmd =
      the claims"
   in
   Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(const run $ ids $ sweep_seed $ sweep_runs $ alpha $ domains $ seq
+    Term.(const run $ ids $ sweep_seed $ sweep_runs $ alpha $ domain_budget
           $ timeout_s $ report)
 
 (* ---------- search ---------- *)
@@ -629,17 +591,6 @@ let search_cmd =
     in
     Arg.(value & opt (some string) None & info [ "sweep-seed" ] ~doc ~docv:"SEED")
   in
-  let domains =
-    let doc =
-      "Number of domains for the candidate fan-out (default: the recommended \
-       domain count).  Output is byte-identical for any value."
-    in
-    Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N")
-  in
-  let seq =
-    let doc = "Run strictly sequentially (same as --domains 1)." in
-    Arg.(value & flag & info [ "seq" ] ~doc)
-  in
   let corpus =
     let doc =
       "Corpus directory: seeds the mutate backend and receives every new \
@@ -652,7 +603,7 @@ let search_cmd =
     let doc = "Write the tussle.search-report/1 JSON artifact to $(docv)." in
     Arg.(value & opt (some string) None & info [ "report" ] ~doc ~docv:"FILE")
   in
-  let run backend budget sweep_seed domains seq corpus report =
+  let run backend budget sweep_seed domain_budget corpus report =
     let module Driver = Tussle_search.Driver in
     with_checked "search"
       (let* backend =
@@ -665,10 +616,10 @@ let search_cmd =
        let* seed =
          Pool.flag "--sweep-seed" (Pool.seed_of_string ~what:"seed") sweep_seed
        in
-       let* domains = Pool.domains_flag ~seq domains in
+       let* () = domain_budget in
        let corpus_dir = if String.trim corpus = "" then None else Some corpus in
        Result.map_error (( ^ ) "--backend: ")
-         (Driver.run ?domains ?corpus_dir ~backend
+         (Driver.run ?corpus_dir ~backend
             ~seed:(Option.value seed ~default:1031)
             ~budget:(Option.value budget ~default:200)
             ()))
@@ -694,7 +645,7 @@ let search_cmd =
      bounded-exhaustive enumeration against the invariant registry"
   in
   Cmd.v (Cmd.info "search" ~doc)
-    Term.(const run $ backend $ budget $ sweep_seed $ domains $ seq $ corpus
+    Term.(const run $ backend $ budget $ sweep_seed $ domain_budget $ corpus
           $ report)
 
 (* ---------- perfgate ---------- *)

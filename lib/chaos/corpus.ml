@@ -36,7 +36,7 @@ let parse_header ~key line =
             (String.length line - String.length prefix)))
   else None
 
-let of_file_string ?known s =
+let of_file_string s =
   let lines = String.split_on_char '\n' s in
   let scenario = ref None and seed = ref None and body = Buffer.create 256 in
   List.iter
@@ -62,18 +62,11 @@ let of_file_string ?known s =
       | Ok plan -> (
         match Plan.validate plan with
         | exception Invalid_argument m -> Error ("invalid plan: " ^ m)
-        | () -> (
-          match known with
-          | Some names when not (List.mem scenario names) ->
-            Error
-              (Printf.sprintf "unknown scenario %S (known: %s)" scenario
-                 (String.concat ", " (List.sort compare names)))
-          | _ -> Ok { scenario; seed; plan }))))
+        | () -> Ok { scenario; seed; plan })))
 
-let load ?known path =
-  Result.bind (Tussle_obs.Json.read_file path) (of_file_string ?known)
+let load path = Result.bind (Tussle_obs.Json.read_file path) of_file_string
 
-let load_dir ?known dir =
+let load_dir dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | names ->
@@ -84,7 +77,7 @@ let load_dir ?known dir =
     List.map
       (fun n ->
         let path = Filename.concat dir n in
-        (path, load ?known path))
+        (path, load path))
       (List.sort compare plans)
 
 (* Two entries are the same reproducer when scenario and plan text

@@ -29,16 +29,13 @@ val save : dir:string -> entry -> string
     different seed), the existing file's path is returned and nothing
     is written — a re-found violation must not create a second file. *)
 
-val load : ?known:string list -> string -> (entry, string) result
+val load : string -> (entry, string) result
 (** Parse one corpus file.  The plan is validated; [Error] carries a
     human-readable reason (missing header, bad seed, malformed or
-    invalid plan, unreadable file).  When [known] is given, an entry
-    whose scenario name is not in the list is rejected with a clean
-    ["unknown scenario ..."] error instead of surviving to raise
-    somewhere downstream. *)
+    invalid plan, unreadable file).  The scenario name is not checked
+    here: {!Scenario.bind} rejects an unknown one (and a plan that does
+    not fit) when the entry is run. *)
 
-val load_dir :
-  ?known:string list -> string -> (string * (entry, string) result) list
+val load_dir : string -> (string * (entry, string) result) list
 (** All [*.plan] files under a directory in sorted filename order
-    (deterministic replay order); [[]] if the directory is missing.
-    [known] is applied to each entry as in {!load}. *)
+    (deterministic replay order); [[]] if the directory is missing. *)

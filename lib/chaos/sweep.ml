@@ -38,9 +38,9 @@ let run_one ~master_seed index =
     violations = Invariant.check obs;
   }
 
-let run_sweep ?domains ~seed ~runs () =
+let run_sweep ~seed ~runs () =
   if runs < 1 then invalid_arg "Sweep.run_sweep: runs must be >= 1";
-  Pool.map ?domains (run_one ~master_seed:seed) (List.init runs Fun.id)
+  Pool.map (run_one ~master_seed:seed) (List.init runs Fun.id)
 
 let failures runs = List.filter (fun r -> r.violations <> []) runs
 

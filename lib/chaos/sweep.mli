@@ -21,7 +21,7 @@ val run_one : master_seed:int -> int -> run
 (** One sweep run by index: derive scenario + plan + seed, simulate,
     check the registry.  [run_sweep] is [Pool.map] over this. *)
 
-val run_sweep : ?domains:int -> seed:int -> runs:int -> unit -> run list
+val run_sweep : seed:int -> runs:int -> unit -> run list
 (** Run [runs] chaos runs derived from master [seed], in index order.
     Raises [Invalid_argument] if [runs < 1]. *)
 

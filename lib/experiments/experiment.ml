@@ -58,6 +58,11 @@ let run_sync t =
   @@ fun () ->
   Metrics.incr m_experiments;
   let events0 = Metrics.local_count m_engine_events in
+  (* Start from an empty minor heap: where the window's minor
+     collections fall then depends on this run alone, not on what the
+     process allocated before it, and OCaml 5.1's per-collection
+     minor-word count repeats exactly. *)
+  Gc.minor ();
   let alloc0 = Gc.allocated_bytes () in
   let wall0 = Clock.now_s () in
   let finish status output =

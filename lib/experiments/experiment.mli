@@ -62,11 +62,13 @@ type outcome = {
   wall_s : float;  (** wall clock of this [run] (monotonic) *)
   events_executed : int;
       (** engine events attributed to this run via the domain-local
-          [engine.events_executed] counter delta; 0 while
-          {!Tussle_obs.Metrics} is disabled *)
+          [engine.events_executed] counter delta (a [Pool.map] inside
+          the run executes inline on its domain, so every event counts);
+          0 while {!Tussle_obs.Metrics} is disabled *)
   allocated_bytes : float;
-      (** [Gc.allocated_bytes] delta of the running domain (approximate
-          under parallelism) *)
+      (** [Gc.allocated_bytes] delta of the running domain, measured from
+          an emptied minor heap: exact and repeatable on one domain,
+          approximate while other domains' collections interrupt it *)
 }
 
 val run : ?timeout_s:float -> t -> outcome

@@ -71,11 +71,11 @@ let run_list ?domains ?timeout_s experiments =
     (fun e -> Experiment.run ?timeout_s e)
     experiments
 
-let run_battery ?domains ?timeout_s () =
+let run_battery ?timeout_s () =
   let wall0 = Tussle_obs.Clock.now_s () in
   let outcomes =
     Tussle_obs.Trace.with_span ~cat:"battery" "battery" (fun () ->
-        run_list ?domains ?timeout_s all)
+        run_list ?timeout_s all)
   in
   List.iter
     (fun o ->
@@ -97,7 +97,7 @@ let run_one ?timeout_s id =
 
 (* ---------- battery report ---------- *)
 
-let report ~domains ~wall_s outcomes =
+let report ~wall_s outcomes =
   let exp_of_outcome (o : Experiment.outcome) =
     let status, detail =
       match o.Experiment.status with
@@ -127,24 +127,20 @@ let report ~domains ~wall_s outcomes =
       (Tussle_prelude.Pool.last_stats ())
   in
   let metrics = Tussle_obs.Metrics.snapshot () in
-  Tussle_obs.Report.make ~label:"battery" ?pool ~metrics ~domains ~wall_s
+  Tussle_obs.Report.make ~label:"battery" ?pool ~metrics
+    ~domains:(Tussle_prelude.Pool.domains ()) ~wall_s
     (List.map exp_of_outcome outcomes)
 
 (* ---------- telemetry epilogue ---------- *)
 
-let telemetry ?domains ~metrics ~trace ~report:file () =
+let telemetry ~metrics ~trace ~report:file () =
   if metrics || file <> None then Tussle_obs.Metrics.enable ();
   if trace <> None then Tussle_obs.Trace.enable ();
   let emit_report ~wall_s outcomes =
     match file with
     | None -> ()
     | Some file ->
-      let domains =
-        match domains with
-        | Some d -> d
-        | None -> Tussle_prelude.Pool.default_domains ()
-      in
-      let r = report ~domains ~wall_s outcomes in
+      let r = report ~wall_s outcomes in
       (try Tussle_obs.Report.write file r
        with Sys_error msg ->
          prerr_endline ("experiments: --report: " ^ msg);

@@ -30,17 +30,18 @@ val run_list :
   ?timeout_s:float ->
   Experiment.t list ->
   Experiment.outcome list
-(** Run a batch of experiments on [domains] domains (default
-    {!Tussle_prelude.Pool.default_domains}; [~domains:1] is strictly
-    sequential in the calling domain) and return their outcomes in
-    input order.  Fault-isolated: a raising experiment yields a
-    [Failed] outcome instead of killing the batch, and with
+(** Run a batch of experiments on at most [domains] domains (default
+    the process budget, {!Tussle_prelude.Pool.domains}; [~domains:1] is
+    strictly sequential in the calling domain) and return their
+    outcomes in input order.  A [Pool.map] inside an experiment runs
+    inline on that experiment's domain.  Fault-isolated: a raising
+    experiment yields a [Failed] outcome instead of killing the batch,
+    and with
     [?timeout_s] set each experiment additionally runs under the
     watchdog of {!Experiment.run} — a runaway one becomes
     [FAILED (timeout)] while the rest of the batch carries on. *)
 
 val run_battery :
-  ?domains:int ->
   ?timeout_s:float ->
   unit ->
   bool * Experiment.outcome list * float
@@ -56,17 +57,16 @@ val run_one : ?timeout_s:float -> string -> (Experiment.outcome, string) result
     like {!run_battery}) and return its outcome. *)
 
 val report :
-  domains:int ->
   wall_s:float ->
   Experiment.outcome list ->
   Tussle_obs.Report.t
 (** Assemble the structured battery report (label ["battery"]) from
-    outcomes plus the current {!Tussle_prelude.Pool.last_stats} and
+    outcomes plus the budget ({!Tussle_prelude.Pool.domains}), the
+    current {!Tussle_prelude.Pool.last_stats} and
     {!Tussle_obs.Metrics.snapshot}.  Call it right after the battery,
     before anything else touches the pool or the metric sinks. *)
 
 val telemetry :
-  ?domains:int ->
   metrics:bool ->
   trace:string option ->
   report:string option ->
@@ -77,8 +77,7 @@ val telemetry :
     [report] is set and tracing when [trace] is, then returns
     [(emit_report, finish)]:
     - [emit_report ~wall_s outcomes] writes the battery report (built
-      by {!report} with [domains], default
-      {!Tussle_prelude.Pool.default_domains}) and prints its summary;
+      by {!report}) and prints its summary;
       an unwritable file prints [experiments: --report: MSG] and exits
       2;
     - [finish code] writes the Chrome trace, prints the metrics table

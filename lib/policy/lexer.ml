@@ -82,10 +82,12 @@ let tokenize input =
         let close = scan (i + 1) in
         let s = String.sub input (i + 1) (close - i - 1) in
         go (close + 1) (STRING s :: acc)
-      | c when is_digit c ->
+      | c when is_digit c -> (
         let rec scan j = if j < n && is_digit input.[j] then scan (j + 1) else j in
         let stop = scan i in
-        go stop (INT (int_of_string (String.sub input i (stop - i))) :: acc)
+        match int_of_string_opt (String.sub input i (stop - i)) with
+        | Some v -> go stop (INT v :: acc)
+        | None -> raise (Lex_error ("integer literal out of range", i)))
       | c when is_ident_start c ->
         let rec scan j =
           if j < n && is_ident_char input.[j] then scan (j + 1) else j

@@ -32,7 +32,7 @@ exception Lex_error of string * int
 
 val tokenize : string -> token list
 (** Whole-input tokenization, ending with [EOF].  Comments run from ['#']
-    to end of line.  Raises {!Lex_error} on an illegal character or an
-    unterminated string. *)
+    to end of line.  Raises {!Lex_error} on an illegal character, an
+    unterminated string or an integer literal past [max_int]. *)
 
 val token_to_string : token -> string

@@ -10,11 +10,25 @@
 
     Intended for workloads whose items share no mutable state (each
     experiment in the registry builds its own [Rng] and [Engine]); the
-    pool itself adds no synchronization around [f]. *)
+    pool itself adds no synchronization around [f].
 
-val default_domains : unit -> int
-(** Domains used when [?domains] is omitted:
-    [Domain.recommended_domain_count ()] clamped to [\[1, 8\]]. *)
+    {1 The domain budget}
+
+    A process has one domain budget, which the CLI sets once from
+    [--domains]/[--seq] before any work runs.  Every [map] without
+    [?domains] fans out over the budget, and a [map] called from inside
+    another map's item runs inline: on the domain already running that
+    item, spawning nothing, however many workers the outer map had.  So
+    nesting never multiplies domains, [--seq] means one domain end to
+    end, and each item's domain-local counters ([Gc.allocated_bytes],
+    {!Tussle_obs.Metrics.local_count}) see all the work the item did. *)
+
+val domains : unit -> int
+(** The budget: [Domain.recommended_domain_count ()] clamped to
+    [\[1, 8\]] until {!set_domains} changes it. *)
+
+val set_domains : int -> unit
+(** Set the budget.  Raises [Invalid_argument] if [n < 1]. *)
 
 val domains_of_string : string -> (int, string) result
 (** Parse a [--domains] argument: trimmed decimal integer [>= 1].
@@ -77,12 +91,17 @@ val last_stats : unit -> stats option
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?domains f xs] applies [f] to every element of [xs] using up
-    to [domains] domains (the calling domain participates as one of
-    them) and returns the results in input order.
+    to [domains] domains (default {!domains}[ ()]; the calling domain
+    participates as one of them) and returns the results in input
+    order.  [?domains] caps this one call; it does not change the
+    budget.
 
-    [~domains:1] — or a single-element or empty [xs] — runs
-    sequentially in the calling domain with no domain spawned at all,
-    which is the determinism-pinning mode CI uses.
+    One worker — [~domains:1], a budget of 1, a single-element or
+    empty [xs], or a call nested inside another map's item — runs every
+    item in the calling domain with no domain spawned at all.  Items
+    run in index order then, and a nested map's items run on the outer
+    item's domain; a domain spawned from inside an item (the watchdog's
+    child) counts as nested too.
 
     If [f] raises on some elements, all remaining work still completes,
     and then the exception of the {e earliest} failing input (with its

@@ -80,7 +80,6 @@ module type BACKEND = sig
   val name : string
 
   val search :
-    ?domains:int ->
     ?corpus_dir:string ->
     ?seeds:Corpus.entry list ->
     scenarios:Scenario.t list ->

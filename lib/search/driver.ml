@@ -28,7 +28,7 @@ let finding_of_found (f : Backend.found) =
     corpus_file = Option.value ~default:"" f.Backend.file;
   }
 
-let run ?domains ?corpus_dir ~backend ~seed ~budget () =
+let run ?corpus_dir ~backend ~seed ~budget () =
   match backend_of_name backend with
   | None ->
     Error
@@ -36,16 +36,15 @@ let run ?domains ?corpus_dir ~backend ~seed ~budget () =
          (String.concat " or " backend_names))
   | Some (module B) ->
     let scenarios = Scenario.all in
-    let known = List.map (fun s -> s.Scenario.name) scenarios in
     let seeds =
       match corpus_dir with
       | None -> []
       | Some dir ->
         List.filter_map
           (fun (_, r) -> Result.to_option r)
-          (Corpus.load_dir ~known dir)
+          (Corpus.load_dir dir)
     in
-    let o = B.search ?domains ?corpus_dir ~seeds ~scenarios ~seed ~budget () in
+    let o = B.search ?corpus_dir ~seeds ~scenarios ~seed ~budget () in
     let corpus_added =
       List.length (List.filter (fun f -> f.Backend.fresh) o.Backend.found)
     in

@@ -74,7 +74,7 @@ let plans s =
 let space scenarios =
   List.fold_left (fun acc s -> acc + List.length (plans s)) 0 scenarios
 
-let search ?domains ?corpus_dir ?(seeds = []) ~scenarios ~seed ~budget () =
+let search ?corpus_dir ?(seeds = []) ~scenarios ~seed ~budget () =
   ignore (seeds : Corpus.entry list);
   if budget < 1 then invalid_arg "Exhaust.search: budget must be >= 1";
   if scenarios = [] then invalid_arg "Exhaust.search: no scenarios";
@@ -95,7 +95,7 @@ let search ?domains ?corpus_dir ?(seeds = []) ~scenarios ~seed ~budget () =
       let chunk = List.filteri (fun i _ -> i < batch) cands in
       let rest = List.filteri (fun i _ -> i >= batch) cands in
       let results =
-        Pool.map ?domains
+        Pool.map
           (fun (s, plan, inj) -> Backend.evaluate s ~seed:inj plan)
           chunk
       in

@@ -26,7 +26,7 @@ let batch = 32
 
 type live = { scenario : Scenario.t; plan : Plan.t }
 
-let search ?domains ?corpus_dir ?(seeds = []) ~scenarios ~seed ~budget () =
+let search ?corpus_dir ?(seeds = []) ~scenarios ~seed ~budget () =
   if budget < 1 then invalid_arg "Mutate.search: budget must be >= 1";
   if scenarios = [] then invalid_arg "Mutate.search: no scenarios";
   let find_scenario name =
@@ -62,7 +62,7 @@ let search ?domains ?corpus_dir ?(seeds = []) ~scenarios ~seed ~budget () =
       seed_cands
   in
   let eval cands =
-    Pool.map ?domains
+    Pool.map
       (fun (s, plan, inj) -> Backend.evaluate s ~seed:inj plan)
       cands
   in

@@ -121,7 +121,7 @@ let judge_experiment ~alpha (e : Experiment.t) judge samples =
         message = Printf.sprintf "judge raised: %s" (Printexc.to_string exn);
       }
 
-let run_sweep ?domains ?timeout_s ~seed ~runs ~alpha experiments =
+let run_sweep ?timeout_s ~seed ~runs ~alpha experiments =
   if runs < 2 then invalid_arg "Driver.run_sweep: runs must be >= 2";
   if not (alpha > 0.0 && alpha < 1.0) then
     invalid_arg "Driver.run_sweep: alpha must be in (0, 1)";
@@ -141,7 +141,7 @@ let run_sweep ?domains ?timeout_s ~seed ~runs ~alpha experiments =
       sweepable
   in
   let results =
-    Pool.map ?domains
+    Pool.map
       (fun (e, (s : Experiment.sweep), i) ->
         run_probe ?timeout_s e s.Experiment.probe ~seed i)
       items

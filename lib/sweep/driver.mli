@@ -26,7 +26,6 @@ val run_seed : seed:int -> int -> int
 (** The per-run seed derivation, exposed so tests can pin it. *)
 
 val run_sweep :
-  ?domains:int ->
   ?timeout_s:float ->
   seed:int ->
   runs:int ->

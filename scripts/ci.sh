@@ -5,11 +5,15 @@
 #     asserts inside them) and prints every row, numeric, in B order
 #   - battery run with --report/--trace, schema validation of both
 #   - telemetry must not perturb battery stdout
+#   - one domain budget: two plain --seq battery reports agree on every
+#     experiment's allocated_bytes and events_executed
 #   - one table of bad inputs and their exit codes: garbage flag values
 #     on every subcommand, missing/unreadable files for report,
 #     explain, trends and policy, a corrupt history, unsweepable or
-#     unknown sweep ids — each exits 2; a corpus plan naming a link or
-#     node its scenario lacks — explain exits 2, chaos --replay 1
+#     unknown sweep ids, an integer literal past max_int in a policy —
+#     each exits 2; a corpus plan naming a link or node its scenario
+#     lacks — explain exits 2, chaos --replay 1; a corpus plan naming an
+#     unknown scenario — chaos --replay 1
 #   - fault battery smoke: E28 is deterministic per fault seed and
 #     differs across seeds, and its shape holds at fault seeds 11 and
 #     38, where every drop of one plan is a blackhole's
@@ -79,6 +83,8 @@ echo "== telemetry does not perturb stdout =="
 "$CLI" experiments --seq --trace "$trace" > "$TMP/tussle-battery-traced.out"
 cmp "$TMP/tussle-battery-plain.out" "$TMP/tussle-battery-traced.out"
 echo "battery stdout byte-identical with tracing enabled"
+# without --trace: spans allocate, so only a plain run's counters compare
+"$CLI" experiments --seq --report "$TMP/tussle-report-plain.json" > /dev/null
 
 echo "== bad input: one table of expected exit codes =="
 echo "not json" > "$TMP/tussle-bad-history.jsonl"
@@ -90,6 +96,14 @@ printf 'scenario: line-transfer\nseed: 5\nlink 0-99 down [1, 2)\n' \
   > "$bad_corpus/link.plan"
 printf 'scenario: line-transfer\nseed: 5\nnode 99 blackhole [1, 2)\n' \
   > "$bad_corpus/node.plan"
+# a corpus plan naming a scenario there is none of
+unknown_corpus="$TMP/tussle-unknown-corpus"
+rm -rf "$unknown_corpus"
+mkdir -p "$unknown_corpus"
+printf 'scenario: no-such-scenario\nseed: 5\nlink 0-1 down [1, 2)\n' \
+  > "$unknown_corpus/unknown.plan"
+printf 'root says allow a b on c where x == 99999999999999999999999.\n' \
+  > "$TMP/tussle-big-int.policy"
 # Rows: expected code, command, arguments.  Flag values use the
 # --flag=X form: cmdliner would otherwise read a bare "-3" as an
 # unknown option.
@@ -120,6 +134,7 @@ done <<ROWS
 2 $CLI explain $bad_corpus/link.plan
 2 $CLI explain $bad_corpus/node.plan
 1 $CLI chaos --replay $bad_corpus
+1 $CLI chaos --replay $unknown_corpus
 2 $CLI trends $TMP/definitely-missing-report.json --history $TMP/tussle-history.jsonl
 2 $CLI trends $report --history $TMP/tussle-bad-history.jsonl
 2 $CLI chaos --chaos-seed=nope
@@ -153,8 +168,13 @@ done <<ROWS
 2 $CLI market --seed=nope
 2 $CLI policy $TMP/definitely-missing.policy a:b:c
 2 $CLI policy / a:b:c
+2 $CLI policy $TMP/tussle-big-int.policy a:b:c
 ROWS
 echo "every bad-input row exits with its expected code"
+"$CLI" chaos --replay "$unknown_corpus" > "$TMP/tussle-unknown-replay.out" || true
+grep -q 'unknown.plan: LOAD ERROR unknown scenario "no-such-scenario"$' \
+  "$TMP/tussle-unknown-replay.out"
+echo "an unknown scenario is one LOAD ERROR line"
 
 echo "== fault battery smoke (E28, seeded) =="
 "$CLI" experiments -e E28 --fault-seed 7 > "$TMP/tussle-e28-seed7a.out"
@@ -302,5 +322,18 @@ echo "== append battery smoke to the committed benchmark history =="
 echo "== regenerate BENCH_baseline.json =="
 "$CLI" experiments --seq --report BENCH_baseline.json > /dev/null
 "$CLI" report BENCH_baseline.json
+
+echo "== --seq battery counters repeat exactly =="
+# under --seq every experiment, nested Pool.maps included, runs on one
+# domain, so its domain-local counters see all of its work
+counters() { grep -E '^ *"(id|events_executed|allocated_bytes)":' "$1"; }
+counters "$TMP/tussle-report-plain.json" > "$TMP/tussle-counters-a"
+counters BENCH_baseline.json > "$TMP/tussle-counters-b"
+if [ "$(grep -c '"id"' "$TMP/tussle-counters-a")" -ne 30 ]; then
+  echo "FAIL: expected 30 experiments in the plain --seq report" >&2
+  exit 1
+fi
+cmp "$TMP/tussle-counters-a" "$TMP/tussle-counters-b"
+echo "allocated_bytes and events_executed equal for all 30 ids across two runs"
 
 echo "CI OK"

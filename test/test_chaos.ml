@@ -137,7 +137,10 @@ let render_runs runs =
        runs)
 
 let test_sweep_clean_and_deterministic () =
-  let a = Sweep.run_sweep ~domains:1 ~seed:42 ~runs:60 () in
+  let sweep domains seed =
+    Budget.with_domains domains (fun () -> Sweep.run_sweep ~seed ~runs:60 ())
+  in
+  let a = sweep 1 42 in
   Alcotest.(check int) "60 runs" 60 (List.length a);
   Alcotest.(check int) "zero violations" 0 (List.length (Sweep.failures a));
   Alcotest.(check bool) "every scenario exercised" true
@@ -145,10 +148,10 @@ let test_sweep_clean_and_deterministic () =
        (fun (s : Scenario.t) ->
          List.exists (fun r -> r.Sweep.scenario = s.Scenario.name) a)
        Scenario.all);
-  let b = Sweep.run_sweep ~domains:2 ~seed:42 ~runs:60 () in
+  let b = sweep 2 42 in
   Alcotest.(check string) "identical across domain counts" (render_runs a)
     (render_runs b);
-  let c = Sweep.run_sweep ~domains:1 ~seed:43 ~runs:60 () in
+  let c = sweep 1 43 in
   Alcotest.(check bool) "different seed, different sweep" true
     (render_runs a <> render_runs c)
 
@@ -358,7 +361,9 @@ let test_hang_probe_not_swept () =
          && not (List.mem s.Scenario.name ids))
        Scenario.all);
   (* a whole sweep never touches an experiment id at all *)
-  let runs = Sweep.run_sweep ~domains:1 ~seed:1 ~runs:9 () in
+  let runs =
+    Budget.with_domains 1 (fun () -> Sweep.run_sweep ~seed:1 ~runs:9 ())
+  in
   Alcotest.(check bool) "sweep targets are scenarios only" true
     (List.for_all
        (fun r -> Scenario.find r.Sweep.scenario <> None)
@@ -471,9 +476,18 @@ let test_violation_narrative () =
       "during episode [0]" ]
 
 (* Every committed reproducer's narrative, byte for byte: the
-   [tussle explain] stdout for [../chaos/corpus/NAME.plan] is pinned in
-   [explain_golden/NAME.txt], and every reproducer has one. *)
+   [tussle explain] stdout for [chaos/corpus/NAME.plan] is pinned in
+   [test/explain_golden/NAME.txt], and every reproducer has one. *)
 let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Both directories sit where dune's [deps] stanza copies them, beside
+   the test binary, so the tests pass from any working directory. *)
+let beside_binary rel =
+  Filename.concat (Filename.dirname Sys.executable_name) rel
+
+let corpus_dir = beside_binary "../chaos/corpus"
+let golden_dir = beside_binary "explain_golden"
+let corpus_plan stem = Filename.concat corpus_dir (stem ^ ".plan")
 
 let stems dir suffix =
   Sys.readdir dir |> Array.to_list
@@ -481,19 +495,19 @@ let stems dir suffix =
   |> List.sort compare
 
 let test_explain_golden_corpus () =
-  let goldens = stems "explain_golden" ".txt" in
+  let goldens = stems golden_dir ".txt" in
   Alcotest.(check (list string)) "a golden narrative per reproducer"
-    (stems "../chaos/corpus" ".plan") goldens;
+    (stems corpus_dir ".plan") goldens;
   List.iter
     (fun stem ->
-      match Corpus.load (Printf.sprintf "../chaos/corpus/%s.plan" stem) with
+      match Corpus.load (corpus_plan stem) with
       | Error e -> Alcotest.fail e
       | Ok entry -> (
         match Explain.run entry with
         | Error e -> Alcotest.fail e
         | Ok r ->
           Alcotest.(check string) stem
-            (read_file (Printf.sprintf "explain_golden/%s.txt" stem))
+            (read_file (Filename.concat golden_dir (stem ^ ".txt")))
             r.Explain.narrative))
     goldens
 
@@ -511,10 +525,10 @@ let artifact_digests =
 
 let test_explain_artifact_digests () =
   Alcotest.(check (list string)) "a digest per reproducer"
-    (stems "../chaos/corpus" ".plan") (List.map fst artifact_digests);
+    (stems corpus_dir ".plan") (List.map fst artifact_digests);
   List.iter
     (fun (stem, digest) ->
-      match Corpus.load (Printf.sprintf "../chaos/corpus/%s.plan" stem) with
+      match Corpus.load (corpus_plan stem) with
       | Error e -> Alcotest.fail e
       | Ok entry -> (
         match Explain.run entry with
@@ -691,10 +705,17 @@ let test_misfit_replay () =
   let dir = fresh_corpus_dir () in
   let paths = List.map (fun (e, _) -> Corpus.save ~dir e) misfit_messages in
   let good = Corpus.save ~dir line_entry in
-  Alcotest.(check int) "three files" 3 (List.length (Corpus.load_dir dir));
+  (* an unknown scenario loads too; Scenario.bind is the one check *)
+  let unknown =
+    Corpus.save ~dir { misfit_link with Corpus.scenario = "no-such-scenario" }
+  in
+  Alcotest.(check int) "four files" 4 (List.length (Corpus.load_dir dir));
   List.iter
     (fun (path, entry) ->
       match Result.bind entry Sweep.replay with
+      | Error m when path = unknown ->
+        Alcotest.(check string) "the LOAD ERROR message"
+          {|unknown scenario "no-such-scenario"|} m
       | Error m ->
         Alcotest.(check bool) ("misfit " ^ path) true (List.mem path paths);
         Alcotest.(check bool) "names the scenario" true
@@ -711,8 +732,9 @@ let test_misfit_search () =
   List.iter (fun (e, _) -> ignore (Corpus.save ~dir e)) misfit_messages;
   ignore (Corpus.save ~dir line_entry);
   match
-    Tussle_search.Driver.run ~domains:1 ~corpus_dir:dir ~backend:"mutate"
-      ~seed:11 ~budget:8 ()
+    Budget.with_domains 1
+      (Tussle_search.Driver.run ~corpus_dir:dir ~backend:"mutate" ~seed:11
+         ~budget:8)
   with
   | Error m -> Alcotest.fail m
   | Ok (_, o) ->

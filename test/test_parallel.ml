@@ -1,6 +1,7 @@
 (* Tests for the domain-pool experiment runner: Pool.map ordering and
-   fault behaviour, registry fault isolation, and byte-identical
-   sequential vs. parallel batteries. *)
+   fault behaviour, the process domain budget and inline nested maps,
+   registry fault isolation, and byte-identical sequential vs. parallel
+   batteries. *)
 
 module Pool = Tussle_prelude.Pool
 module Experiment = Tussle_experiments.Experiment
@@ -36,8 +37,15 @@ let test_pool_edge_cases () =
       ignore (Pool.map ~domains:0 succ [ 1 ]))
 
 let test_pool_default_domains () =
-  let d = Pool.default_domains () in
-  Alcotest.(check bool) "within [1,8]" true (d >= 1 && d <= 8)
+  let d = Pool.domains () in
+  Alcotest.(check bool) "within [1,8]" true (d >= 1 && d <= 8);
+  Alcotest.check_raises "zero budget"
+    (Invalid_argument "Pool.set_domains: domains must be >= 1") (fun () ->
+      Pool.set_domains 0);
+  Alcotest.(check int) "rejected value leaves the budget" d (Pool.domains ());
+  Budget.with_domains 3 (fun () ->
+      Alcotest.(check int) "budget set" 3 (Pool.domains ()));
+  Alcotest.(check int) "budget restored" d (Pool.domains ())
 
 let test_domains_of_string () =
   (* The flag-value parsers every tussle subcommand shares: garbage
@@ -139,10 +147,99 @@ let test_domains_of_string () =
     (Pool.domains_flag ~seq:true (Some "nope"))
 
 let test_pool_exception_first () =
-  (* all items still run; the earliest failing input's exception wins *)
-  let f x = if x mod 10 = 0 then failwith (string_of_int x) else x in
-  Alcotest.check_raises "earliest failure wins" (Failure "10") (fun () ->
-      ignore (Pool.map ~domains:4 f (List.init 35 (fun i -> i + 1))))
+  (* all items still run; the earliest failing input's exception wins,
+     with one worker as with several *)
+  List.iter
+    (fun domains ->
+      let ran = Atomic.make 0 in
+      let f x =
+        Atomic.incr ran;
+        if x mod 10 = 0 then failwith (string_of_int x) else x
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "earliest failure wins (%d domains)" domains)
+        (Failure "10") (fun () ->
+          ignore (Pool.map ~domains f (List.init 35 (fun i -> i + 1))));
+      Alcotest.(check int)
+        (Printf.sprintf "every item ran (%d domains)" domains)
+        35 (Atomic.get ran))
+    [ 1; 4 ]
+
+(* ---------- nested maps run inline ---------- *)
+
+(* A nested map whose items all ran on the calling domain.  Each item
+   sleeps, so a map that spawned helpers would hand them some items. *)
+let nested_on_self ?domains () =
+  let self = Domain.self () in
+  List.for_all
+    (fun d -> d = self)
+    (Pool.map ?domains
+       (fun _ ->
+         Unix.sleepf 0.001;
+         Domain.self ())
+       (List.init 16 Fun.id))
+
+(* Whether a top-level two-item map runs on two domains at once: item 0
+   waits (at most 5 s) for item 1 to start, which only another domain
+   can do while item 0 waits. *)
+let fans_out () =
+  let started = Atomic.make false in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec wait () =
+    Atomic.get started
+    || Unix.gettimeofday () < deadline
+       && begin
+            Domain.cpu_relax ();
+            wait ()
+          end
+  in
+  match
+    Pool.map ~domains:2
+      (fun i ->
+        if i = 1 then begin
+          Atomic.set started true;
+          true
+        end
+        else wait ())
+      [ 0; 1 ]
+  with
+  | [ saw; _ ] -> saw
+  | _ -> false
+
+let test_nested_inline () =
+  Alcotest.(check (list bool)) "budget 1: nested map on the outer domain"
+    [ true; true ]
+    (Budget.with_domains 1 (fun () ->
+         Pool.map (fun _ -> nested_on_self ()) [ 1; 2 ]));
+  Budget.with_domains 4 (fun () ->
+      Alcotest.(check (list bool)) "inside a ~domains:2 worker"
+        [ true; true; true ]
+        (Pool.map ~domains:2 (fun _ -> nested_on_self ()) [ 1; 2; 3 ]);
+      Alcotest.(check (list bool)) "even with an explicit cap" [ true; true ]
+        (Pool.map ~domains:1 (fun _ -> nested_on_self ~domains:4 ()) [ 1; 2 ]);
+      (* the watchdog runs the experiment in a child domain spawned from
+         the worker; the child inherits the inline flag *)
+      let watched =
+        {
+          Experiment.id = "EN";
+          title = "nested map under the watchdog";
+          paper_claim = "";
+          run = (fun () -> ("", nested_on_self ()));
+          sweep = None;
+        }
+      in
+      match
+        Registry.run_list ~domains:2 ~timeout_s:30.0 [ watched; watched ]
+      with
+      | [ a; b ] ->
+        Alcotest.(check bool) "inside a watchdog child" true
+          (Experiment.held a && Experiment.held b)
+      | _ -> Alcotest.fail "expected two outcomes");
+  Alcotest.(check bool) "a top-level map after nesting still fans out" true
+    (fans_out ());
+  (try ignore (Pool.map ~domains:2 (fun _ -> failwith "boom") [ 1; 2 ])
+   with Failure _ -> ());
+  Alcotest.(check bool) "and after a raising map" true (fans_out ())
 
 (* ---------- registry fault isolation ---------- *)
 
@@ -193,6 +290,22 @@ let test_parallel_battery_identical () =
   let parallel = render (Registry.run_list ~domains:4 batch) in
   Alcotest.(check string) "byte-identical output" sequential parallel
 
+let test_nested_counters_repeat () =
+  (* E28-E30 each map over their own sweep; run inline, every engine
+     event lands on the experiment's domain, so the counts repeat *)
+  Tussle_obs.Metrics.enable ();
+  Fun.protect ~finally:Tussle_obs.Metrics.disable @@ fun () ->
+  let events () =
+    List.map
+      (fun o -> (o.Experiment.exp_id, o.Experiment.events_executed))
+      (Registry.run_list (List.map fast [ "E28"; "E29"; "E30" ]))
+  in
+  let first = events () in
+  Alcotest.(check bool) "events counted" true
+    (List.for_all (fun (_, n) -> n > 0) first);
+  Alcotest.(check (list (pair string int))) "events_executed repeat" first
+    (events ())
+
 let () =
   Alcotest.run "parallel"
     [
@@ -205,6 +318,7 @@ let () =
             test_domains_of_string;
           Alcotest.test_case "first exception wins" `Quick
             test_pool_exception_first;
+          Alcotest.test_case "nested maps run inline" `Quick test_nested_inline;
         ] );
       ( "registry",
         [
@@ -212,5 +326,7 @@ let () =
             test_failed_isolated;
           Alcotest.test_case "seq/parallel byte-identical" `Slow
             test_parallel_battery_identical;
+          Alcotest.test_case "E28-E30 counters repeat" `Slow
+            test_nested_counters_repeat;
         ] );
     ]

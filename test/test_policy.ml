@@ -46,11 +46,23 @@ let test_lexer_errors () =
      ignore (Lexer.tokenize "@");
      Alcotest.fail "should raise"
    with Lexer.Lex_error (_, 0) -> ());
-  try
-    ignore (Lexer.tokenize "\"unterminated");
-    Alcotest.fail "should raise"
-  with Lexer.Lex_error (msg, _) ->
-    Alcotest.(check string) "msg" "unterminated string" msg
+  (try
+     ignore (Lexer.tokenize "\"unterminated");
+     Alcotest.fail "should raise"
+   with Lexer.Lex_error (msg, _) ->
+     Alcotest.(check string) "msg" "unterminated string" msg);
+  (* past max_int: once an uncaught Failure out of int_of_string *)
+  (match Lexer.tokenize "x == 4611686018427387903" with
+  | [ _; _; Lexer.INT n; Lexer.EOF ] -> Alcotest.(check int) "max_int" max_int n
+  | _ -> Alcotest.fail "max_int literal");
+  List.iter
+    (fun (text, at) ->
+      match Lexer.tokenize text with
+      | _ -> Alcotest.failf "accepted %S" text
+      | exception Lexer.Lex_error (msg, pos) ->
+        Alcotest.(check (pair string int)) text
+          ("integer literal out of range", at) (msg, pos))
+    [ ("x == 99999999999999999999999", 5); ("4611686018427387904", 0) ]
 
 (* ---------- Parser ---------- *)
 
@@ -326,8 +338,153 @@ let prop_pp_parse_roundtrip =
       let printed = Format.asprintf "%a" Ast.pp_assertion a in
       Parser.parse_assertion printed = a)
 
+(* ---------- Parser.parse fuzz ---------- *)
+
+(* What every input must do: parse, or raise Parse_error, or raise
+   Lex_error at an offset inside the input; never anything else. *)
+let parse_contract s =
+  match Parser.parse s with
+  | _ -> true
+  | exception Parser.Parse_error _ -> true
+  | exception Lexer.Lex_error (_, pos) ->
+    (pos >= 0 && pos < String.length s)
+    || QCheck2.Test.fail_reportf "parse %S: Lex_error at %d" s pos
+  | exception e ->
+    QCheck2.Test.fail_reportf "parse %S raised %s" s (Printexc.to_string e)
+
+(* Bytes policy text is made of, plus a few it never is. *)
+let policy_alphabet =
+  "abdeghilnorstwxy_-0123456789 \n\t\"#()*.=!<>\x00\x80\xff"
+
+(* Lexemes the lexer's slots might meet: keywords, operators and their
+   halves, integers at and past max_int, spellings OCaml's
+   int_of_string would read another way, strings, comments. *)
+let policy_lexemes =
+  [ "says"; "allow"; "deny"; "on"; "where"; "delegable"; "and"; "or"; "not";
+    "true"; "false"; "=="; "="; "!="; "!"; "<"; "<="; ">"; ">="; "("; ")";
+    "."; "*"; "0"; "007"; "4611686018427387903"; "4611686018427387904";
+    "99999999999999999999999"; "-1"; "0x10"; "1_0"; "1e309"; "nan"; "inf";
+    "\"\""; "\"a b\""; "\"unterminated"; "# c\n"; "x-y"; "_"; " "; "\n" ]
+
+let gen_policy_char =
+  QCheck2.Gen.(
+    frequency
+      [ (3, map (String.get policy_alphabet)
+              (int_bound (String.length policy_alphabet - 1)));
+        (1, char) ])
+
+(* [doc] with up to three edits: a byte replaced, a byte or lexeme
+   inserted, a byte deleted, or the tail cut off. *)
+let gen_edited doc =
+  QCheck2.Gen.(
+    let edit doc =
+      let n = String.length doc in
+      int_bound n >>= fun i ->
+      gen_policy_char >>= fun c ->
+      oneofl policy_lexemes >>= fun lex ->
+      oneofl
+        [
+          (if i < n then String.mapi (fun j d -> if j = i then c else d) doc
+           else doc);
+          String.sub doc 0 i ^ String.make 1 c ^ String.sub doc i (n - i);
+          String.sub doc 0 i ^ " " ^ lex ^ " " ^ String.sub doc i (n - i);
+          (if i < n then String.sub doc 0 i ^ String.sub doc (i + 1) (n - i - 1)
+           else doc);
+          String.sub doc 0 i;
+        ]
+    in
+    int_range 0 3 >>= fun edits ->
+    let rec apply k doc =
+      if k = 0 then pure doc else edit doc >>= apply (k - 1)
+    in
+    apply edits doc)
+
+let gen_expr =
+  QCheck2.Gen.(
+    let leaf =
+      map3
+        (fun op attr v -> Ast.Cmp (op, Ast.Attr attr, Ast.Const (Ast.Int v)))
+        (oneofl [ Ast.Eq; Ast.Neq; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ])
+        ident_gen (int_range 0 1000)
+    in
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             oneof
+               [ leaf;
+                 map2 (fun l r -> Ast.And (l, r)) (self (n / 2)) (self (n / 2));
+                 map2 (fun l r -> Ast.Or (l, r)) (self (n / 2)) (self (n / 2));
+                 map (fun e -> Ast.Not e) (self (n - 1)) ]))
+
+(* Printed valid policies (one to three assertions, nested
+   conditions), then edited. *)
+let gen_printed_policy =
+  QCheck2.Gen.(
+    let assertion =
+      map2
+        (fun a c -> { a with Ast.condition = c })
+        assertion_gen (opt gen_expr)
+    in
+    list_size (int_range 1 3) assertion >>= fun policy ->
+    gen_edited
+      (String.concat "\n"
+         (List.map (Format.asprintf "%a" Ast.pp_assertion) policy)))
+
+(* Lexemes strung together, then edited. *)
+let gen_lexeme_policy =
+  QCheck2.Gen.(
+    list_size (int_range 1 12) (oneofl policy_lexemes) >>= fun lexemes ->
+    gen_edited (String.concat " " lexemes))
+
+let gen_policy_bytes =
+  QCheck2.Gen.(string_size ~gen:gen_policy_char (int_range 0 60))
+
+(* Unshrunk: the failure message already names the input. *)
+let prop_parse_contract name gen =
+  QCheck2.Test.make ~name ~count:2000 ~print:String.escaped
+    (QCheck2.Gen.no_shrink gen) parse_contract
+
+let prop_parse_bytes =
+  prop_parse_contract "parse contract (arbitrary bytes)" gen_policy_bytes
+
+let prop_parse_printed =
+  prop_parse_contract "parse contract (edited printed policies)"
+    gen_printed_policy
+
+let prop_parse_lexemes =
+  prop_parse_contract "parse contract (edge lexemes)" gen_lexeme_policy
+
+(* [not] and parentheses nested up to 10^5 deep: balanced nests parse
+   to exactly that depth, an unclosed one is a Parse_error. *)
+let rec not_depth = function Ast.Not e -> 1 + not_depth e | _ -> 0
+
+let prop_parse_deep =
+  QCheck2.Test.make ~name:"parse contract (nested 10^5 deep)" ~count:20
+    ~print:(fun (shape, k) -> Printf.sprintf "%s x %d" shape k)
+    QCheck2.Gen.(
+      pair (oneofl [ "not"; "parens"; "unclosed" ]) (int_range 1 100_000))
+    (fun (shape, k) ->
+      let text cond = Printf.sprintf "a says allow b c on d where %s." cond in
+      let rep s = String.concat "" (List.init k (fun _ -> s)) in
+      match shape with
+      | "not" -> (
+        match Parser.parse (text (rep "not " ^ "x == 1")) with
+        | [ { Ast.condition = Some e; _ } ] -> not_depth e = k
+        | _ -> false)
+      | "parens" -> (
+        match Parser.parse (text (rep "(" ^ "x == 1" ^ rep ")")) with
+        | [ { Ast.condition = Some (Ast.Cmp _); _ } ] -> true
+        | _ -> false)
+      | _ -> (
+        match Parser.parse (text (rep "(" ^ "x == 1")) with
+        | _ -> false
+        | exception Parser.Parse_error _ -> true))
+
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_pp_parse_roundtrip ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_pp_parse_roundtrip; prop_parse_bytes; prop_parse_printed;
+      prop_parse_lexemes; prop_parse_deep ]
 
 let () =
   Alcotest.run "policy"

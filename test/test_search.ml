@@ -24,11 +24,6 @@ module Driver = Tussle_search.Driver
 module Search_report = Tussle_obs.Search_report
 module Json = Tussle_obs.Json
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
 let fresh_corpus_dir () =
   let stamp = Filename.temp_file "tussle-search" "" in
   Sys.remove stamp;
@@ -324,8 +319,10 @@ let test_exhaust_certifies_clean_box () =
 let report_string (r : Search_report.t) =
   Json.to_string (Search_report.to_json r) ^ "\n" ^ Search_report.summary r
 
-let run_driver ?domains backend =
-  match Driver.run ?domains ~backend ~seed:11 ~budget:48 () with
+let run_driver ?(domains = Tussle_prelude.Pool.domains ()) backend =
+  match
+    Budget.with_domains domains (Driver.run ~backend ~seed:11 ~budget:48)
+  with
   | Error e -> Alcotest.fail e
   | Ok (report, _) -> report
 
@@ -454,20 +451,19 @@ let test_corpus_unknown_scenario_rejected () =
     }
   in
   let path = Corpus.save ~dir entry in
-  (* permissive by default: tests persist plans for private scenarios *)
-  (match Corpus.load path with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  (* with a known-scenario registry the entry is cleanly rejected *)
-  let known = List.map (fun s -> s.Scenario.name) Scenario.all in
-  (match Corpus.load ~known path with
-  | Error e ->
-    Alcotest.(check bool) "error names the bad scenario" true
-      (contains e "no-such-scenario")
-  | Ok _ -> Alcotest.fail "unknown scenario must be rejected");
-  match Corpus.load_dir ~known dir with
-  | [ (_, Error _) ] -> ()
-  | _ -> Alcotest.fail "load_dir must surface the rejection"
+  (* the entry loads (tests persist plans for private scenarios); one
+     check, Scenario.bind, rejects it when it is run *)
+  let loaded =
+    match Corpus.load path with Ok e -> e | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (result reject string)) "replay rejects it"
+    (Error {|unknown scenario "no-such-scenario"|})
+    (Sweep.replay loaded);
+  match Driver.run ~corpus_dir:dir ~backend:"mutate" ~seed:11 ~budget:8 () with
+  | Error e -> Alcotest.fail e
+  | Ok (_, o) ->
+    Alcotest.(check int) "search skips it as a seed" (List.length Scenario.all)
+      o.Backend.seeded
 
 (* ---------- behavior signature ---------- *)
 

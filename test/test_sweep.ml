@@ -38,8 +38,9 @@ let synthetic ?(id = "SYN") ?(probe_exn = false) ?(judge_metric = "x") () =
     sweep = Some { Experiment.probe; judge };
   }
 
-let run_synthetic ?domains ?(runs = 8) () =
-  Driver.run_sweep ?domains ~seed:1031 ~runs ~alpha:0.01 [ synthetic () ]
+let run_synthetic ?(domains = Tussle_prelude.Pool.domains ()) ?(runs = 8) () =
+  Budget.with_domains domains (fun () ->
+      Driver.run_sweep ~seed:1031 ~runs ~alpha:0.01 [ synthetic () ])
 
 (* ---------- determinism ---------- *)
 
@@ -67,7 +68,10 @@ let test_real_experiments_deterministic () =
     match Registry.find "E29" with Some e -> e | None -> Alcotest.fail "no E29"
   in
   let run domains =
-    let r, errs = Driver.run_sweep ~domains ~seed:7 ~runs:3 ~alpha:0.05 [ e29 ] in
+    let r, errs =
+      Budget.with_domains domains (fun () ->
+          Driver.run_sweep ~seed:7 ~runs:3 ~alpha:0.05 [ e29 ])
+    in
     Alcotest.(check int) "no errors" 0 (List.length errs);
     Json.to_string (Sweep_report.to_json r)
   in
@@ -113,7 +117,8 @@ let test_report_infinite_statistic_roundtrip () =
      carry it through JSON (which renders bare non-finite floats as
      null) *)
   let r, errs =
-    Driver.run_sweep ~domains:1 ~seed:3 ~runs:4 ~alpha:0.01
+    Budget.with_domains 1 @@ fun () ->
+    Driver.run_sweep ~seed:3 ~runs:4 ~alpha:0.01
       [
         {
           (synthetic ()) with
@@ -281,7 +286,8 @@ let test_probe_failure_isolated () =
   let bad = synthetic ~id:"BAD" ~probe_exn:true () in
   let good = synthetic ~id:"GOOD" () in
   let r, errors =
-    Driver.run_sweep ~domains:1 ~seed:1031 ~runs:4 ~alpha:0.01 [ bad; good ]
+    Budget.with_domains 1 (fun () ->
+        Driver.run_sweep ~seed:1031 ~runs:4 ~alpha:0.01 [ bad; good ])
   in
   Alcotest.(check bool) "errors reported" true (errors <> []);
   List.iter
@@ -295,7 +301,10 @@ let test_probe_failure_isolated () =
 
 let test_judge_unknown_metric () =
   let e = synthetic ~id:"JUDGE" ~judge_metric:"zz" () in
-  let r, errors = Driver.run_sweep ~domains:1 ~seed:1031 ~runs:4 ~alpha:0.01 [ e ] in
+  let r, errors =
+    Budget.with_domains 1 (fun () ->
+        Driver.run_sweep ~seed:1031 ~runs:4 ~alpha:0.01 [ e ])
+  in
   Alcotest.(check int) "experiment dropped" 0 (List.length r.Sweep_report.experiments);
   match errors with
   | [ err ] -> Alcotest.(check string) "error owner" "JUDGE" err.Driver.exp_id
@@ -313,8 +322,12 @@ let test_alpha_controls_pass () =
   (* borderline p: make a weak effect, then check the pass flag tracks
      alpha rather than a hardcoded threshold *)
   let e = synthetic () in
-  let strict, _ = Driver.run_sweep ~domains:1 ~seed:1031 ~runs:4 ~alpha:1e-12 [ e ] in
-  let lax, _ = Driver.run_sweep ~domains:1 ~seed:1031 ~runs:4 ~alpha:0.5 [ e ] in
+  let run alpha =
+    Budget.with_domains 1 (fun () ->
+        Driver.run_sweep ~seed:1031 ~runs:4 ~alpha [ e ])
+  in
+  let strict, _ = run 1e-12 in
+  let lax, _ = run 0.5 in
   let verdict r =
     match r.Sweep_report.experiments with
     | [ e ] -> List.hd e.Sweep_report.verdicts
