@@ -269,27 +269,28 @@ let narrative_of_violation ~(entry : Corpus.entry) ~events violation =
 
 (* ---------- the replay ---------- *)
 
+let run_on (sc : Scenario.t) (entry : Corpus.entry) =
+  (* The scenario runs in the calling domain: single-threaded, so the
+     event stream — and hence the narrative — is identical whatever
+     domain count the CLI was invoked with. *)
+  Flight.enable ();
+  Flight.reset ();
+  let obs =
+    Fun.protect
+      ~finally:(fun () -> Flight.disable ())
+      (fun () -> sc.Scenario.run ~seed:entry.Corpus.seed ~plan:entry.Corpus.plan)
+  in
+  let events = Flight.events () in
+  let overwritten = Flight.dropped () in
+  Flight.reset ();
+  let violations = Invariant.check obs in
+  let narrative = render ~entry ~obs ~violations ~events ~overwritten in
+  { entry; obs; violations; events; overwritten; narrative }
+
 let run (entry : Corpus.entry) =
-  match Scenario.bind entry.Corpus.scenario entry.Corpus.plan with
-  | Error _ as e -> e
-  | Ok sc ->
-    (* The scenario runs in the calling domain: single-threaded, so
-       the event stream — and hence the narrative — is identical
-       whatever domain count the CLI was invoked with. *)
-    Flight.enable ();
-    Flight.reset ();
-    let obs =
-      Fun.protect
-        ~finally:(fun () -> Flight.disable ())
-        (fun () ->
-          sc.Scenario.run ~seed:entry.Corpus.seed ~plan:entry.Corpus.plan)
-    in
-    let events = Flight.events () in
-    let overwritten = Flight.dropped () in
-    Flight.reset ();
-    let violations = Invariant.check obs in
-    let narrative = render ~entry ~obs ~violations ~events ~overwritten in
-    Ok { entry; obs; violations; events; overwritten; narrative }
+  Result.map
+    (fun sc -> run_on sc entry)
+    (Scenario.bind entry.Corpus.scenario entry.Corpus.plan)
 
 (* ---------- the artifact ---------- *)
 

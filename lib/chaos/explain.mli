@@ -36,6 +36,10 @@ val run : Corpus.entry -> (result, string) Stdlib.result
     naming a link or node the scenario lacks.  The recorder is reset
     before and disabled after the replay, whatever state it was in. *)
 
+val run_on : Scenario.t -> Corpus.entry -> result
+(** {!run} against a given scenario, which need not be registered: the
+    entry's scenario name is not looked up, and its plan must fit. *)
+
 val attribution : Tussle_fault.Plan.t -> Tussle_obs.Flight.event -> string
 (** The narrative's verdict on one drop event: ["during episode [i]
     SPEC"] for every episode of the plan whose window and location

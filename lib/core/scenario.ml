@@ -165,3 +165,22 @@ let ending_to_string = function
   | Cycle { start; period } ->
     Printf.sprintf "cycle (start=%d, period=%d)" start period
   | Horizon -> "horizon reached"
+
+let render r =
+  let b = Buffer.create 512 in
+  List.iter
+    (fun round ->
+      match
+        List.filter_map
+          (fun (id, m) ->
+            if m = Pass then None
+            else Some (Printf.sprintf "%d:%s" id (move_to_string m)))
+          round.moves
+      with
+      | [] -> ()
+      | moves ->
+        Printf.bprintf b "round %2d | %s\n" round.index (String.concat "; " moves))
+    r.rounds;
+  Printf.bprintf b "ending: %s\n" (ending_to_string r.ending);
+  Buffer.add_string b (Format.asprintf "outcome: %a\n" Interest.pp r.final_outcome);
+  Buffer.contents b

@@ -48,3 +48,8 @@ val run :
 val move_to_string : move -> string
 
 val ending_to_string : ending -> string
+
+val render : result -> string
+(** What [tussle scenario] prints: one line per round in which some
+    actor moved (its non-[Pass] moves as [id:move]), then the ending
+    and the final outcome. *)

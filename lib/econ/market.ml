@@ -404,3 +404,14 @@ let run rng cfg =
     subscribed_ratio = float_of_int subscribed /. float_of_int n;
     price_history;
   }
+
+let summary cfg r =
+  Printf.sprintf
+    "price      %.3f (salop benchmark %.3f)\n\
+     markup     %.3f\n\
+     churn      %.1f%%\n\
+     surplus    %.1f\n\
+     profit     %.1f\n\
+     HHI        %.3f\n"
+    r.mean_price (salop_price cfg) r.mean_markup (100.0 *. r.churn_rate)
+    r.consumer_surplus r.provider_profit r.hhi

@@ -97,3 +97,7 @@ val price_grid : config -> float array
 val salop_price : config -> float
 (** The textbook benchmark [provider_cost +. transport_cost /.
     n_providers] for comparison with simulated outcomes. *)
+
+val summary : config -> result -> string
+(** What [tussle market] prints: price (beside {!salop_price}), markup,
+    churn, surplus, profit and HHI, one per line. *)

@@ -62,6 +62,16 @@ let find id =
     (fun e -> String.lowercase_ascii e.Experiment.id = wanted)
     (all @ [ hang_probe ])
 
+let sweepable id =
+  match find id with
+  | None -> Error (Printf.sprintf "unknown experiment %S" id)
+  | Some e when e.Experiment.sweep = None ->
+    Error
+      (Printf.sprintf
+         "experiment %s has no sweep surface (no per-run metrics to test)"
+         e.Experiment.id)
+  | Some e -> Ok e
+
 (* Each experiment renders into its own buffer inside a worker domain
    (experiments share no mutable state); the caller prints the buffers
    in registry order, so the battery's output is byte-identical however
@@ -71,33 +81,9 @@ let run_list ?domains ?timeout_s experiments =
     (fun e -> Experiment.run ?timeout_s e)
     experiments
 
-let run_battery ?timeout_s () =
-  let wall0 = Tussle_obs.Clock.now_s () in
-  let outcomes =
-    Tussle_obs.Trace.with_span ~cat:"battery" "battery" (fun () ->
-        run_list ?timeout_s all)
-  in
-  List.iter
-    (fun o ->
-      print_string o.Experiment.output;
-      print_newline ())
-    outcomes;
-  let ok = List.for_all Experiment.held outcomes in
-  Printf.printf "=== %d experiments, shape checks %s ===\n" (List.length all)
-    (if ok then "ALL HOLD" else "SOME FAILED");
-  (ok, outcomes, Tussle_obs.Clock.now_s () -. wall0)
-
-let run_one ?timeout_s id =
-  match find id with
-  | None -> Error (Printf.sprintf "unknown experiment %S" id)
-  | Some e ->
-    let o = Experiment.run ?timeout_s e in
-    print_string o.Experiment.output;
-    Ok o
-
 (* ---------- battery report ---------- *)
 
-let report ~wall_s outcomes =
+let report ?pool ~wall_s outcomes =
   let exp_of_outcome (o : Experiment.outcome) =
     let status, detail =
       match o.Experiment.status with
@@ -124,37 +110,66 @@ let report ~wall_s outcomes =
           busy_s = s.Tussle_prelude.Pool.busy_s;
           pool_wall_s = s.Tussle_prelude.Pool.wall_s;
         })
-      (Tussle_prelude.Pool.last_stats ())
+      pool
   in
   let metrics = Tussle_obs.Metrics.snapshot () in
   Tussle_obs.Report.make ~label:"battery" ?pool ~metrics
     ~domains:(Tussle_prelude.Pool.domains ()) ~wall_s
     (List.map exp_of_outcome outcomes)
 
-(* ---------- telemetry epilogue ---------- *)
+(* ---------- tussle experiments ---------- *)
 
-let telemetry ~metrics ~trace ~report:file () =
+let run ~metrics ~trace ~report:file ?timeout_s id =
   if metrics || file <> None then Tussle_obs.Metrics.enable ();
   if trace <> None then Tussle_obs.Trace.enable ();
-  let emit_report ~wall_s outcomes =
-    match file with
-    | None -> ()
-    | Some file ->
-      let r = report ~wall_s outcomes in
-      (try Tussle_obs.Report.write file r
-       with Sys_error msg ->
-         prerr_endline ("experiments: --report: " ^ msg);
-         exit 2);
-      print_newline ();
-      print_string (Tussle_obs.Report.summary r)
+  (* the battery's pool block is its own map's; one experiment run
+     outside a map has none, whatever maps it runs inside *)
+  let ran =
+    match id with
+    | None ->
+      let wall0 = Tussle_obs.Clock.now_s () in
+      let outcomes =
+        Tussle_obs.Trace.with_span ~cat:"battery" "battery" (fun () ->
+            run_list ?timeout_s all)
+      in
+      List.iter
+        (fun o ->
+          print_string o.Experiment.output;
+          print_newline ())
+        outcomes;
+      let ok = List.for_all Experiment.held outcomes in
+      Printf.printf "=== %d experiments, shape checks %s ===\n" (List.length all)
+        (if ok then "ALL HOLD" else "SOME FAILED");
+      Ok
+        ( ok,
+          outcomes,
+          Tussle_obs.Clock.now_s () -. wall0,
+          Tussle_prelude.Pool.last_stats () )
+    | Some id -> (
+      match find id with
+      | None -> Error (Printf.sprintf "unknown experiment %S" id)
+      | Some e ->
+        let o = Experiment.run ?timeout_s e in
+        print_string o.Experiment.output;
+        Ok (Experiment.held o, [ o ], o.Experiment.wall_s, None))
   in
-  let finish code =
-    Option.iter Tussle_obs.Trace.write_chrome trace;
-    if metrics then begin
-      print_newline ();
-      print_string
-        (Tussle_obs.Metrics.render (Tussle_obs.Metrics.snapshot ()))
-    end;
-    code
-  in
-  (emit_report, finish)
+  let artifact = Tussle_prelude.Pool.artifact ~cmd:"experiments" in
+  Result.map
+    (fun (ok, outcomes, wall_s, pool) ->
+      Option.iter
+        (fun file ->
+          let r = report ?pool ~wall_s outcomes in
+          artifact ~flag:"--report" (fun () -> Tussle_obs.Report.write file r);
+          print_newline ();
+          print_string (Tussle_obs.Report.summary r))
+        file;
+      Option.iter
+        (fun file ->
+          artifact ~flag:"--trace" (fun () -> Tussle_obs.Trace.write_chrome file))
+        trace;
+      if metrics then begin
+        print_newline ();
+        print_string (Tussle_obs.Metrics.render (Tussle_obs.Metrics.snapshot ()))
+      end;
+      if ok then 0 else 1)
+    ran

@@ -25,6 +25,10 @@ val find : string -> Experiment.t option
 (** Lookup by id (case-insensitive, e.g. "e4" or "E4"); also resolves
     the {!hang_probe} ("E99"). *)
 
+val sweepable : string -> (Experiment.t, string) result
+(** {!find}, for [tussle sweep]: [Error] on an unknown id or an
+    experiment without a sweep surface. *)
+
 val run_list :
   ?domains:int ->
   ?timeout_s:float ->
@@ -41,44 +45,25 @@ val run_list :
     watchdog of {!Experiment.run} — a runaway one becomes
     [FAILED (timeout)] while the rest of the batch carries on. *)
 
-val run_battery :
-  ?timeout_s:float ->
-  unit ->
-  bool * Experiment.outcome list * float
-(** Run every experiment via {!run_list} and print each output to
-    stdout in registry order, then the summary line.  Returns [true]
-    iff every shape check held (a [Failed] experiment counts as not
-    holding), the outcomes (for report building) and the battery wall
-    clock in seconds.  The whole run is wrapped in a ["battery"] span
-    when tracing is enabled. *)
-
-val run_one : ?timeout_s:float -> string -> (Experiment.outcome, string) result
-(** Print one experiment by id (fault-isolated and watchdog-guarded
-    like {!run_battery}) and return its outcome. *)
-
-val report :
-  wall_s:float ->
-  Experiment.outcome list ->
-  Tussle_obs.Report.t
-(** Assemble the structured battery report (label ["battery"]) from
-    outcomes plus the budget ({!Tussle_prelude.Pool.domains}), the
-    current {!Tussle_prelude.Pool.last_stats} and
-    {!Tussle_obs.Metrics.snapshot}.  Call it right after the battery,
-    before anything else touches the pool or the metric sinks. *)
-
-val telemetry :
+val run :
   metrics:bool ->
   trace:string option ->
   report:string option ->
-  unit ->
-  (wall_s:float -> Experiment.outcome list -> unit) * (int -> int)
-(** The [--metrics]/[--trace]/[--report] handling of
-    [tussle experiments].  Enables the metric sinks when [metrics] or
-    [report] is set and tracing when [trace] is, then returns
-    [(emit_report, finish)]:
-    - [emit_report ~wall_s outcomes] writes the battery report (built
-      by {!report}) and prints its summary;
-      an unwritable file prints [experiments: --report: MSG] and exits
-      2;
-    - [finish code] writes the Chrome trace, prints the metrics table
-      when asked, and returns [code]. *)
+  ?timeout_s:float ->
+  string option ->
+  (int, string) result
+(** [tussle experiments]: run the battery ([None]) or one experiment
+    by id, fault-isolated and watchdog-guarded by {!run_list} and
+    {!Experiment.run}, and print each output in registry order (the
+    battery's then its summary line; the whole battery is one
+    ["battery"] span when tracing).  The flags' telemetry is on for the
+    run: the metric sinks when [metrics] or [report] is set, tracing
+    when [trace] is.  Afterwards it writes the battery report and
+    prints its summary, writes the Chrome trace, prints the metrics
+    table when asked, and returns the exit code: 0 when every shape
+    check held (a [Failed] experiment does not), 1 otherwise.  [Error]
+    names an unknown id.  The report's pool block is the battery's own
+    map ({!Tussle_prelude.Pool.last_stats}); a single experiment's has
+    none.  An unwritable [report] or [trace] path prints
+    [experiments: FLAG: MSG] and exits 2
+    ({!Tussle_prelude.Pool.artifact}). *)

@@ -442,7 +442,11 @@ let read_file path =
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+      (fun () ->
+        (* a directory opens, then fails to seek with EOVERFLOW *)
+        if Sys.is_directory path then
+          raise (Sys_error (path ^ ": Is a directory"));
+        really_input_string ic (in_channel_length ic))
   with
   | contents -> Ok contents
   | exception Sys_error msg -> Error msg

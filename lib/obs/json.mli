@@ -74,9 +74,10 @@ val list : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
 (** {1 Files} *)
 
 val read_file : string -> (string, string) result
-(** The whole file as a string.  [Sys_error] (missing file, a
-    directory, a failed read) comes back as [Error] with its message;
-    the channel is closed either way. *)
+(** The whole file as a string.  [Sys_error] (missing file, a failed
+    read) comes back as [Error] with its message, which names the path;
+    a directory is [Error "PATH: Is a directory"].  The channel is
+    closed either way. *)
 
 val of_file : string -> (t, string) result
 (** {!read_file} then {!parse}; a parse error is prefixed with the

@@ -14,7 +14,7 @@
          "detail": "<failure message or empty>",
          "wall_s": <float>, "events_executed": <int>,
          "allocated_bytes": <float>}, ... ],
-      "pool": {                      // absent when stats were not recorded
+      "pool": {                      // the battery's map; absent otherwise
         "workers": W, "tasks": [int], "busy_s": [float],
         "wall_s": <float>, "imbalance": <float>},
       "metrics": {
@@ -38,8 +38,10 @@ type exp = {
       (** engine events attributed to this experiment (0 when metrics
           were disabled during the run) *)
   allocated_bytes : float;
-      (** GC allocation delta of the running domain — approximate
-          under parallelism *)
+      (** GC allocation delta of the running domain.  Compare it only
+          between [--seq] reports: under [--domains 2] another domain's
+          stop-the-world minor collections land inside the window, and
+          the count then depends on where they fall. *)
 }
 
 type pool = {

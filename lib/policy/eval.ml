@@ -99,3 +99,18 @@ let decision_to_string = function
   | Not_applicable -> "not-applicable"
 
 let permitted ~root policy req = decide ~root policy req = Allowed
+
+let request_of_strings request bindings =
+  let attribute binding =
+    Option.map
+      (fun i ->
+        let v = String.sub binding (i + 1) (String.length binding - i - 1) in
+        ( String.sub binding 0 i,
+          match int_of_string_opt v with Some n -> Ast.Int n | None -> Ast.Str v ))
+      (String.index_opt binding '=')
+  in
+  match String.split_on_char ':' request with
+  | [ subject; action; resource ] ->
+    let attributes = List.filter_map attribute bindings in
+    Some { subject; action; resource; attributes }
+  | _ -> None

@@ -42,3 +42,10 @@ val decision_to_string : decision -> string
 
 val permitted : root:string -> Ast.policy -> request -> bool
 (** [decide = Allowed]. *)
+
+val request_of_strings : string -> string list -> request option
+(** [request_of_strings "subject:action:resource" bindings], as
+    [tussle policy] takes a request: [None] unless the first string has
+    exactly three [':']-separated parts.  Each [name=value] binding is
+    an attribute, an [Int] when [value] is an integer and a [Str]
+    otherwise; a binding without ['='] is ignored. *)

@@ -10,7 +10,7 @@
 
    Telemetry: when Tussle_obs is enabled, each worker counts its tasks
    and busy time into plain per-worker slots (no sharing — slot w is
-   written only by worker w) and the whole map publishes a [stats]
+   written only by worker w) and a top-level map publishes a [stats]
    record via [last_stats]; each item also runs under a "pool.task"
    span when tracing.
 
@@ -56,6 +56,13 @@ let non_negative_of_string ~what s =
     Error
       (Printf.sprintf "invalid %s %S (expected a finite number >= 0)" what s)
 
+let tolerance_of_string s =
+  match float_of_string_opt (String.trim s) with
+  | Some t when t >= 0.0 && Float.is_finite t -> Ok t
+  | Some _ | None ->
+    Error
+      (Printf.sprintf "invalid tolerance %S (expected a non-negative number)" s)
+
 let probability_of_string s =
   match float_of_string_opt (String.trim s) with
   | Some a when a > 0.0 && a < 1.0 -> Ok a
@@ -83,6 +90,12 @@ let flag name parse = function
 
 let domains_flag ~seq domains =
   if seq then Ok (Some 1) else flag "--domains" domains_of_string domains
+
+let artifact ~cmd ~flag f =
+  try f ()
+  with Sys_error msg ->
+    prerr_endline (cmd ^ ": " ^ flag ^ ": " ^ msg);
+    exit 2
 
 type stats = {
   workers : int;
@@ -178,8 +191,10 @@ let map ?domains:cap f xs =
       Array.iter Domain.join helpers);
   if observing then begin
     Metrics.incr m_maps;
-    Atomic.set last_stats_slot
-      (Some { workers; tasks; busy_s; wall_s = Clock.now_s () -. wall0 })
+    (* a nested map is part of its outer item's work, not a pool run *)
+    if not outer then
+      Atomic.set last_stats_slot
+        (Some { workers; tasks; busy_s; wall_s = Clock.now_s () -. wall0 })
   end;
   (* Re-raise the earliest failure only after every domain is joined,
      so a raising item never strands a running worker. *)

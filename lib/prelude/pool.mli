@@ -54,6 +54,9 @@ val seconds_of_string : string -> (float, string) result
 val non_negative_of_string : what:string -> string -> (float, string) result
 (** A finite number [>= 0]. *)
 
+val tolerance_of_string : string -> (float, string) result
+(** A finite fractional tolerance [>= 0]. *)
+
 val probability_of_string : string -> (float, string) result
 (** A significance level strictly between 0 and 1. *)
 
@@ -71,6 +74,12 @@ val domains_flag : seq:bool -> string option -> (int option, string) result
 (** [--seq] pins one domain; otherwise [--domains] through
     {!domains_of_string} and {!flag}. *)
 
+val artifact : cmd:string -> flag:string -> (unit -> 'a) -> 'a
+(** [artifact ~cmd ~flag f] runs [f], which writes the file or
+    directory a flag names.  A [Sys_error] out of [f] (an unwritable
+    path) prints ["CMD: FLAG: MSG"] to stderr and exits 2, like a bad
+    flag value. *)
+
 type stats = {
   workers : int;
   tasks : int array;  (** items executed per worker *)
@@ -83,7 +92,8 @@ type stats = {
     the load imbalance the battery report surfaces. *)
 
 val last_stats : unit -> stats option
-(** Stats of the most recently completed [map], recorded only while
+(** Stats of the most recently completed top-level [map] (a nested
+    map, which runs inline, records none), recorded only while
     {!Tussle_obs.Metrics} or {!Tussle_obs.Trace} is enabled ([None]
     before the first such call).  Each worker additionally counts
     [pool.tasks] / [pool.maps] and observes [pool.task_run_s], and

@@ -8,6 +8,7 @@ module Plan = Tussle_fault.Plan
 module Scenario = Tussle_chaos.Scenario
 module Invariant = Tussle_chaos.Invariant
 module Corpus = Tussle_chaos.Corpus
+module Sweep = Tussle_chaos.Sweep
 module Search_report = Tussle_obs.Search_report
 
 let backend_names = [ Mutate.name; Exhaust.name ]
@@ -17,15 +18,14 @@ let backend_of_name name : (module Backend.BACKEND) option =
   else if name = Exhaust.name then Some (module Exhaust)
   else None
 
-let finding_of_found (f : Backend.found) =
+let finding_of_found (f : Sweep.found) =
   {
-    Search_report.scenario = f.Backend.scenario;
-    seed = f.Backend.seed;
-    found_episodes = List.length f.Backend.plan;
-    minimal_plan = Plan.to_string f.Backend.minimal;
-    invariants =
-      List.map (fun v -> v.Invariant.invariant) f.Backend.violations;
-    corpus_file = Option.value ~default:"" f.Backend.file;
+    Search_report.scenario = f.scenario;
+    seed = f.seed;
+    found_episodes = List.length f.plan;
+    minimal_plan = Plan.to_string f.minimal;
+    invariants = List.map (fun v -> v.Invariant.invariant) f.violations;
+    corpus_file = Option.value ~default:"" f.file;
   }
 
 let run ?corpus_dir ~backend ~seed ~budget () =
@@ -46,7 +46,7 @@ let run ?corpus_dir ~backend ~seed ~budget () =
     in
     let o = B.search ?corpus_dir ~seeds ~scenarios ~seed ~budget () in
     let corpus_added =
-      List.length (List.filter (fun f -> f.Backend.fresh) o.Backend.found)
+      List.length (List.filter (fun f -> f.Sweep.fresh) o.Backend.found)
     in
     let report =
       Search_report.make ~label:"search" ?corpus_dir ~backend:o.Backend.backend

@@ -18,6 +18,7 @@ module Pool = Tussle_prelude.Pool
 module Plan = Tussle_fault.Plan
 module Scenario = Tussle_chaos.Scenario
 module Corpus = Tussle_chaos.Corpus
+module Sweep = Tussle_chaos.Sweep
 
 let name = "exhaust"
 
@@ -104,7 +105,7 @@ let search ?corpus_dir ?(seeds = []) ~scenarios ~seed ~budget () =
           if not (Hashtbl.mem seen sg) then Hashtbl.add seen sg ();
           if violations <> [] then
             found :=
-              Backend.resolve ?corpus_dir s ~seed:inj ~plan violations :: !found)
+              Sweep.resolve ?corpus_dir s ~seed:inj ~plan violations :: !found)
         chunk results;
       runs := !runs + List.length chunk;
       frontier := Hashtbl.length seen :: !frontier;

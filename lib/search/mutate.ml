@@ -17,6 +17,7 @@ module Pool = Tussle_prelude.Pool
 module Plan = Tussle_fault.Plan
 module Scenario = Tussle_chaos.Scenario
 module Corpus = Tussle_chaos.Corpus
+module Sweep = Tussle_chaos.Sweep
 
 let name = "mutate"
 
@@ -75,7 +76,7 @@ let search ?corpus_dir ?(seeds = []) ~scenarios ~seed ~budget () =
         if novel then Hashtbl.add seen sg ();
         if violations <> [] then
           found :=
-            Backend.resolve ?corpus_dir s ~seed:inj ~plan violations :: !found
+            Sweep.resolve ?corpus_dir s ~seed:inj ~plan violations :: !found
         else if into_live || novel then live := { scenario = s; plan } :: !live)
       cands results
   in

@@ -10,10 +10,11 @@
 #   - one table of bad inputs and their exit codes: garbage flag values
 #     on every subcommand, missing/unreadable files for report,
 #     explain, trends and policy, a corrupt history, unsweepable or
-#     unknown sweep ids, an integer literal past max_int in a policy —
-#     each exits 2; a corpus plan naming a link or node its scenario
-#     lacks — explain exits 2, chaos --replay 1; a corpus plan naming an
-#     unknown scenario — chaos --replay 1
+#     unknown sweep ids, an integer literal past max_int in a policy,
+#     an unwritable --trace path — each exits 2; a corpus plan naming
+#     a link or node its scenario lacks — explain exits 2, chaos
+#     --replay 1; a corpus plan naming an unknown scenario — chaos
+#     --replay 1
 #   - fault battery smoke: E28 is deterministic per fault seed and
 #     differs across seeds, and its shape holds at fault seeds 11 and
 #     38, where every drop of one plan is a blackhole's
@@ -126,6 +127,7 @@ done <<ROWS
 2 $CLI experiments --timeout-s=-1
 2 $CLI experiments --fault-seed=nope
 2 $CLI experiments --fault-seed=1.5
+2 $CLI experiments -e E4 --trace $TMP/definitely-missing-dir/trace.json
 2 $CLI report $TMP/definitely-missing-report.json
 2 $CLI report /
 2 $CLI explain $TMP/definitely-missing.plan
@@ -166,6 +168,9 @@ done <<ROWS
 2 $CLI market --switching-cost=nan
 2 $CLI market --switching-cost=-1
 2 $CLI market --seed=nope
+2 $CLI scenario --rounds=0
+2 $CLI scenario --rounds=-5
+2 $CLI scenario --rounds=nope
 2 $CLI policy $TMP/definitely-missing.policy a:b:c
 2 $CLI policy / a:b:c
 2 $CLI policy $TMP/tussle-big-int.policy a:b:c

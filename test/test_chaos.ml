@@ -23,6 +23,11 @@ module Obs_json = Tussle_obs.Json
 module Experiment = Tussle_experiments.Experiment
 module Registry = Tussle_experiments.Registry
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* ---------- the invariant registry on hand-built ledgers ---------- *)
 
 let clean_obs =
@@ -249,6 +254,81 @@ let test_corpus_roundtrip_and_replay () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown scenario must be an error"
 
+(* The path every violating plan takes, from the chaos sweep or the
+   search: shrink, attach the explanation, save, and dedupe. *)
+let test_resolve_planted_violation () =
+  let dir = fresh_corpus_dir () in
+  let violations =
+    Invariant.check (planted.Scenario.run ~seed:7 ~plan:planted_plan)
+  in
+  Alcotest.(check bool) "planted plan violates" true (violations <> []);
+  let f = Sweep.resolve ~corpus_dir:dir planted ~seed:7 ~plan:planted_plan violations in
+  Alcotest.(check bool) "shrunk to the 1-minimal culprit" true
+    (f.Sweep.minimal = [ culprit ]);
+  Alcotest.(check bool) "the found plan and its violations kept" true
+    (f.Sweep.plan = planted_plan && f.Sweep.violations = violations);
+  (* the attachment is the replayed reproducer's per-violation
+     narrative *)
+  let entry =
+    { Corpus.scenario = planted.Scenario.name; seed = 7; plan = [ culprit ] }
+  in
+  let er = Explain.run_on planted entry in
+  Alcotest.(check bool) "the reproducer's replay violates" true
+    (er.Explain.violations <> []);
+  Alcotest.(check string) "attachment"
+    (String.concat ""
+       (List.map
+          (Explain.narrative_of_violation ~entry ~events:er.Explain.events)
+          er.Explain.violations))
+    f.Sweep.attachment;
+  Alcotest.(check bool) "attachment names the invariant" true
+    (String.starts_with ~prefix:"violation: engine-drained" f.Sweep.attachment);
+  (* saved: the plan, and the attachment beside it *)
+  let path =
+    match f.Sweep.file with
+    | Some p -> p
+    | None -> Alcotest.fail "a corpus dir was given, nothing saved"
+  in
+  Alcotest.(check bool) "fresh" true f.Sweep.fresh;
+  (match Corpus.load path with
+  | Ok e -> Alcotest.(check bool) "saved plan is the reproducer" true (e = entry)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "explain file beside the plan"
+    (Filename.concat dir (Filename.chop_suffix (Filename.basename path) ".plan"
+                          ^ ".explain.txt"))
+    (Sweep.explain_file path);
+  Alcotest.(check string) "saved attachment" f.Sweep.attachment
+    (In_channel.with_open_bin (Sweep.explain_file path) In_channel.input_all);
+  (* found again: a dedup hit, not a second file *)
+  let g = Sweep.resolve ~corpus_dir:dir planted ~seed:7 ~plan:planted_plan violations in
+  Alcotest.(check (option string)) "same file" (Some path) g.Sweep.file;
+  Alcotest.(check bool) "dedup hit" false g.Sweep.fresh;
+  Alcotest.(check (list string)) "one plan, one explanation"
+    (List.sort compare
+       [ Filename.basename path; Filename.basename (Sweep.explain_file path) ])
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
+  (* without a corpus nothing is saved *)
+  let h = Sweep.resolve planted ~seed:7 ~plan:planted_plan violations in
+  Alcotest.(check bool) "no file" true (h.Sweep.file = None && not h.Sweep.fresh);
+  (* what `tussle chaos --corpus` prints for the run *)
+  let run =
+    { Sweep.index = 3; scenario = planted.Scenario.name; seed = 7; episodes = 4;
+      plan = planted_plan; violations }
+  in
+  let out =
+    Sweep.render_sweep { Sweep.master_seed = 1; runs = 5; found = [ (run, f) ] }
+  in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("prints " ^ line) true (contains out line))
+    [
+      "run 0003 planted-truncated-run seed=7 episodes=4: VIOLATION\n";
+      "  shrunk 4 -> 1 episode:\n    " ^ Plan.to_string [ culprit ];
+      "\n  violation: engine-drained";
+      Printf.sprintf "  saved %s\n  saved %s\n" path (Sweep.explain_file path);
+      "chaos sweep: 4/5 runs clean, 1 violation\n";
+    ]
+
 let test_corpus_load_errors () =
   let dir = fresh_corpus_dir () in
   let write name contents =
@@ -374,11 +454,6 @@ let test_hang_probe_not_swept () =
   | None -> Alcotest.fail "hang probe must stay findable by id"
 
 (* ---------- explain ---------- *)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
 
 let line_entry =
   {
@@ -542,6 +617,14 @@ let test_explain_artifact_digests () =
               Alcotest.(check string) stem digest
                 (Digest.to_hex (Digest.string (read_file path))))))
     artifact_digests
+
+(* [tussle chaos --replay chaos/corpus], byte for byte. *)
+let test_replay_golden () =
+  let r = Sweep.replay_dir corpus_dir in
+  Alcotest.(check int) "every entry replays clean" 0 (Sweep.failing r);
+  Alcotest.(check string) "chaos --replay chaos/corpus"
+    (read_file (Filename.concat golden_dir "chaos-replay.out"))
+    (Sweep.render_replay { r with Sweep.dir = "chaos/corpus" })
 
 (* The attribution table: one episode of each kind on link 1-2 (or
    node 1), open over [1, 2), judged against a synthetic drop of every
@@ -784,6 +867,8 @@ let () =
             test_corpus_roundtrip_and_replay;
           Alcotest.test_case "planted gray failure" `Slow
             test_planted_gray_failure;
+          Alcotest.test_case "resolve: shrink, attach, save, dedupe" `Quick
+            test_resolve_planted_violation;
           Alcotest.test_case "corpus load errors" `Quick
             test_corpus_load_errors;
         ] );
@@ -797,6 +882,7 @@ let () =
             test_explain_golden_corpus;
           Alcotest.test_case "artifact digests for the corpus" `Quick
             test_explain_artifact_digests;
+          Alcotest.test_case "golden corpus replay" `Quick test_replay_golden;
           Alcotest.test_case "attribution table" `Quick
             test_attribution_table;
           Alcotest.test_case "unknown scenario rejected" `Quick

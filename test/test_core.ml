@@ -145,6 +145,30 @@ let test_scenario_isp_vs_user_escalation () =
   in
   Alcotest.(check bool) "mechanisms deployed" true (List.length deploys > 0)
 
+let test_scenario_render () =
+  (* `tussle scenario` at its defaults: isp, user, government, 30 rounds *)
+  let actors =
+    List.mapi
+      (fun i k -> Actor.make ~id:i ~name:(Actor.kind_to_string k) k)
+      [ Actor.Isp; Actor.User; Actor.Government ]
+  in
+  Alcotest.(check string) "rendered tussle"
+    "round  0 | 0:deploy port-filter; 1:deploy tunnel; 2:deploy wiretap\n\
+     round  1 | 0:deploy app-filter; 1:deploy encryption; 2:withdraw wiretap\n\
+     round  2 | 0:deploy value-pricing; 1:deploy overlay; 2:deploy wiretap\n\
+     round  3 | 0:withdraw app-filter; 1:deploy source-routing\n\
+     round  4 | 0:deploy app-filter; 1:deploy nat\n\
+     round  5 | 1:withdraw tunnel\n\
+     round  6 | 1:deploy tunnel\n\
+     round  7 | 0:withdraw app-filter; 1:withdraw nat\n\
+     round  8 | 0:deploy app-filter; 1:deploy nat\n\
+     round  9 | 1:withdraw tunnel\n\
+     ending: cycle (start=6, period=4)\n\
+     outcome: {transparency=-0.80, privacy=-0.40, control=-0.10, \
+     revenue=1.00, openness=0.80, innovation=0.30, accountability=0.40}\n"
+    (Scenario.render
+       (Scenario.run ~max_rounds:30 ~actors ~available:Mechanism.available_to ()))
+
 let test_scenario_terminates () =
   let actors =
     List.mapi
@@ -412,6 +436,7 @@ let () =
         [
           Alcotest.test_case "isp vs user" `Quick test_scenario_isp_vs_user_escalation;
           Alcotest.test_case "terminates" `Quick test_scenario_terminates;
+          Alcotest.test_case "render" `Quick test_scenario_render;
           Alcotest.test_case "no actors" `Quick test_scenario_no_actors_fixpoint;
           Alcotest.test_case "lone actor settles" `Quick test_scenario_single_user_settles;
           Alcotest.test_case "utilities reported" `Quick test_scenario_utilities_reported;

@@ -26,7 +26,16 @@ let test_registry_find () =
     Alcotest.(check bool) "not in the battery" false
       (List.exists (fun e -> e.Experiment.id = "E99") Registry.all)
   | None -> Alcotest.fail "hang probe must resolve");
-  Alcotest.(check bool) "unknown" true (Registry.find "E0" = None)
+  Alcotest.(check bool) "unknown" true (Registry.find "E0" = None);
+  (* what `tussle sweep -e IDS` accepts *)
+  (match Registry.sweepable "e29" with
+  | Ok e -> Alcotest.(check string) "sweepable" "E29" e.Experiment.id
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check (result reject string)) "no sweep surface"
+    (Error "experiment E2 has no sweep surface (no per-run metrics to test)")
+    (Registry.sweepable "E2");
+  Alcotest.(check (result reject string)) "unknown id"
+    (Error {|unknown experiment "EZZ"|}) (Registry.sweepable "EZZ")
 
 let test_metadata_nonempty () =
   List.iter

@@ -795,6 +795,18 @@ let prop_population_scale_stable =
       let large = Market.run (Rng.create seed) (cfg 4000) in
       Float.abs (tail_mean small -. tail_mean large) <= 0.5)
 
+let test_summary () =
+  (* `tussle market` at its defaults: 4 providers, no lock-in, seed 42 *)
+  let cfg = Market.default_config in
+  Alcotest.(check string) "summary"
+    "price      1.525 (salop benchmark 1.500)\n\
+     markup     0.525\n\
+     churn      16.5%\n\
+     surplus    5014.3\n\
+     profit     310.2\n\
+     HHI        0.260\n"
+    (Market.summary cfg (Market.run (Rng.create 42) cfg))
+
 let () =
   Alcotest.run "market"
     [
@@ -833,6 +845,7 @@ let () =
           Alcotest.test_case "E3 structures, every field" `Quick test_pinned_e3;
           Alcotest.test_case "E1 and E3 battery runs, every field" `Quick
             test_pinned_battery;
+          Alcotest.test_case "tussle market summary" `Quick test_summary;
         ] );
       ( "oracle",
         [

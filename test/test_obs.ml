@@ -774,6 +774,18 @@ let test_history_round_trip () =
              (Result.map Json.to_string (Json.parse l))));
   Sys.remove history
 
+let test_read_file_errors () =
+  (* a directory opens, and used to fail its seek with EOVERFLOW *)
+  let dir = Filename.get_temp_dir_name () in
+  Alcotest.(check (result string string)) "a directory is named"
+    (Error (dir ^ ": Is a directory")) (Json.read_file dir);
+  Alcotest.(check (result string string)) "through of_file too"
+    (Error (dir ^ ": Is a directory"))
+    (Result.map Json.to_string (Json.of_file dir));
+  let missing = Filename.concat dir "tussle-definitely-missing.json" in
+  Alcotest.(check (result string string)) "a missing file is named"
+    (Error (missing ^ ": No such file or directory")) (Json.read_file missing)
+
 let test_history_corrupt_line () =
   let history = Filename.temp_file "tussle-history" ".jsonl" in
   let good =
@@ -842,6 +854,8 @@ let () =
           Alcotest.test_case "pinned numbers, escapes, nesting" `Quick
             test_json_pinned_numbers;
           Alcotest.test_case "edge numbers" `Quick test_json_edge_numbers;
+          Alcotest.test_case "read_file errors name the path" `Quick
+            test_read_file_errors;
           QCheck_alcotest.to_alcotest prop_emit_matches_oracle;
           QCheck_alcotest.to_alcotest prop_parse_mutated;
           QCheck_alcotest.to_alcotest prop_parse_tokens;

@@ -120,6 +120,15 @@ let test_domains_of_string () =
       ("0", {|invalid budget "0" (expected an integer >= 1)|});
       ("-3", {|invalid budget "-3" (expected an integer >= 1)|});
     ];
+  let tolerance = {|(expected a non-negative number)|} in
+  rejects Pool.tolerance_of_string
+    [
+      ("nope", {|invalid tolerance "nope" |} ^ tolerance);
+      ("-0.1", {|invalid tolerance "-0.1" |} ^ tolerance);
+      ("inf", {|invalid tolerance "inf" |} ^ tolerance);
+    ];
+  Alcotest.(check (result (float 0.0) string)) "tolerance" (Ok 0.25)
+    (Pool.tolerance_of_string " 0.25 ");
   let level = {|(expected a number strictly between 0 and 1)|} in
   rejects Pool.probability_of_string
     [
@@ -306,6 +315,64 @@ let test_nested_counters_repeat () =
   Alcotest.(check (list (pair string int))) "events_executed repeat" first
     (events ())
 
+(* ---------- the report's pool block ---------- *)
+
+(* The tasks of a report's pool block, or [None] when it has none. *)
+let pool_tasks json =
+  let module Json = Tussle_obs.Json in
+  Option.map
+    (fun pool ->
+      match Option.bind (Json.member "tasks" pool) Json.to_list with
+      | Some tasks -> List.filter_map Json.to_int tasks
+      | None -> Alcotest.fail "pool block without tasks")
+    (Json.member "pool" json)
+
+let test_nested_maps_publish_no_stats () =
+  Tussle_obs.Metrics.enable ();
+  Fun.protect ~finally:Tussle_obs.Metrics.disable @@ fun () ->
+  let tasks () =
+    Option.map (fun s -> Array.fold_left ( + ) 0 s.Pool.tasks) (Pool.last_stats ())
+  in
+  ignore (Pool.map ~domains:2 succ (List.init 7 Fun.id));
+  (* inside an item, after its own inner map, the last stats are still
+     the previous top-level map's *)
+  let seen =
+    Pool.map ~domains:2
+      (fun _ ->
+        ignore (Pool.map ~domains:2 succ (List.init 5 Fun.id));
+        tasks ())
+      [ 1; 2; 3 ]
+  in
+  Alcotest.(check (list (option int))) "an inner map publishes nothing"
+    [ Some 7; Some 7; Some 7 ] seen;
+  Alcotest.(check (option int)) "the outer map's 3 items" (Some 3) (tasks ())
+
+let test_report_pool_block () =
+  let report id =
+    let file = Filename.temp_file "tussle-report" ".json" in
+    Fun.protect
+      ~finally:(fun () ->
+        Tussle_obs.Metrics.disable ();
+        Sys.remove file)
+      (fun () ->
+        Alcotest.(check (result int string)) "held" (Ok 0)
+          (Registry.run ~metrics:false ~trace:None ~report:(Some file) id);
+        match Tussle_obs.Json.of_file file with
+        | Ok json -> pool_tasks json
+        | Error msg -> Alcotest.fail msg)
+  in
+  (* E28 maps over its own sweep; its report must not show that map *)
+  List.iter
+    (fun id ->
+      Alcotest.(check (option (list int))) (id ^ ": no pool block") None
+        (report (Some id)))
+    [ "E4"; "E28" ];
+  match report None with
+  | Some tasks ->
+    Alcotest.(check int) "the battery's map: one task per experiment"
+      (List.length Registry.all) (List.fold_left ( + ) 0 tasks)
+  | None -> Alcotest.fail "battery report without a pool block"
+
 let () =
   Alcotest.run "parallel"
     [
@@ -319,6 +386,8 @@ let () =
           Alcotest.test_case "first exception wins" `Quick
             test_pool_exception_first;
           Alcotest.test_case "nested maps run inline" `Quick test_nested_inline;
+          Alcotest.test_case "nested maps publish no stats" `Quick
+            test_nested_maps_publish_no_stats;
         ] );
       ( "registry",
         [
@@ -328,5 +397,7 @@ let () =
             test_parallel_battery_identical;
           Alcotest.test_case "E28-E30 counters repeat" `Slow
             test_nested_counters_repeat;
+          Alcotest.test_case "report pool block is the battery's" `Slow
+            test_report_pool_block;
         ] );
     ]

@@ -486,6 +486,20 @@ let qcheck_cases =
     [ prop_pp_parse_roundtrip; prop_parse_bytes; prop_parse_printed;
       prop_parse_lexemes; prop_parse_deep ]
 
+let test_request_of_strings () =
+  (match Eval.request_of_strings "alice:read:doc" [ "age=42"; "tier=gold"; "junk" ] with
+  | Some r ->
+    Alcotest.(check (list string)) "subject, action, resource"
+      [ "alice"; "read"; "doc" ] [ r.Eval.subject; r.Eval.action; r.Eval.resource ];
+    Alcotest.(check bool) "typed bindings, junk ignored" true
+      (r.Eval.attributes = [ ("age", Ast.Int 42); ("tier", Ast.Str "gold") ])
+  | None -> Alcotest.fail "well-formed request rejected");
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (bad ^ " rejected") true
+        (Eval.request_of_strings bad [] = None))
+    [ "alice:read"; "a:b:c:d"; "" ]
+
 let () =
   Alcotest.run "policy"
     [
@@ -524,6 +538,7 @@ let () =
           Alcotest.test_case "delegation cycle" `Quick test_eval_delegation_cycle_safe;
           Alcotest.test_case "expr semantics" `Quick test_eval_expr_semantics;
           Alcotest.test_case "wildcard subject" `Quick test_eval_wildcard_subject;
+          Alcotest.test_case "request of strings" `Quick test_request_of_strings;
         ] );
       ( "ontology",
         [

@@ -152,20 +152,20 @@ let test_mutate_finds_planted () =
   Alcotest.(check bool) "open-ended searches never certify" false
     o.Backend.certified;
   List.iter
-    (fun (f : Backend.found) ->
-      let fails = Sweep.still_fails planted ~seed:f.Backend.seed in
+    (fun (f : Sweep.found) ->
+      let fails = Sweep.still_fails planted ~seed:f.Sweep.seed in
       Alcotest.(check bool) "minimal reproducer still fails" true
-        (fails f.Backend.minimal);
+        (fails f.Sweep.minimal);
       (* 1-minimal: dropping any single episode makes it pass *)
       List.iteri
         (fun i _ ->
           let without =
-            List.filteri (fun j _ -> j <> i) f.Backend.minimal
+            List.filteri (fun j _ -> j <> i) f.Sweep.minimal
           in
           Alcotest.(check bool) "dropping any episode passes" false
             (fails without))
-        f.Backend.minimal;
-      match f.Backend.file with
+        f.Sweep.minimal;
+      match f.Sweep.file with
       | None -> Alcotest.fail "finding was not persisted"
       | Some path -> (
         Alcotest.(check bool) "corpus file exists" true (Sys.file_exists path);
@@ -175,7 +175,7 @@ let test_mutate_finds_planted () =
           Alcotest.(check string) "corpus names the scenario"
             planted.Scenario.name e.Corpus.scenario;
           Alcotest.(check bool) "corpus holds the minimal plan" true
-            (Plan.to_string e.Corpus.plan = Plan.to_string f.Backend.minimal)))
+            (Plan.to_string e.Corpus.plan = Plan.to_string f.Sweep.minimal)))
     o.Backend.found;
   (* the corpus-bookkeeping invariants hold on the assembled report *)
   let report =
@@ -184,7 +184,7 @@ let test_mutate_finds_planted () =
       ~runs:o.Backend.runs ~seeded:o.Backend.seeded ~space:o.Backend.space
       ~certified:o.Backend.certified ~frontier:o.Backend.frontier
       ~corpus_added:
-        (List.length (List.filter (fun f -> f.Backend.fresh) o.Backend.found))
+        (List.length (List.filter (fun f -> f.Sweep.fresh) o.Backend.found))
       (List.map Driver.finding_of_found o.Backend.found)
   in
   Alcotest.(check (list string)) "report invariants clean" []
@@ -239,16 +239,16 @@ let test_mutate_finds_gray_failure () =
   in
   let gray_findings =
     List.filter
-      (fun (f : Backend.found) ->
+      (fun (f : Sweep.found) ->
         List.exists
           (fun v -> v.Invariant.invariant = "no-silent-blackhole")
-          f.Backend.violations)
+          f.Sweep.violations)
       o.Backend.found
   in
   Alcotest.(check bool) "found a covert-budget violation" true
     (gray_findings <> []);
   List.iter
-    (fun (f : Backend.found) ->
+    (fun (f : Sweep.found) ->
       (* the 1-minimal reproducer needs covert grammar: an overt
          episode may ride along (steering traffic onto the grayed
          path), but no legacy-only plan can bust the budget *)
@@ -257,17 +257,17 @@ let test_mutate_finds_gray_failure () =
            (function
              | Plan.Gray_loss _ | Plan.Blackhole _ -> true
              | _ -> false)
-           f.Backend.minimal);
+           f.Sweep.minimal);
       Alcotest.(check bool) "minimal reproducer still fails" true
-        (Sweep.still_fails gray_blind ~seed:f.Backend.seed f.Backend.minimal);
-      match f.Backend.file with
+        (Sweep.still_fails gray_blind ~seed:f.Sweep.seed f.Sweep.minimal);
+      match f.Sweep.file with
       | None -> Alcotest.fail "gray finding was not persisted"
       | Some path -> (
         match Corpus.load path with
         | Error e -> Alcotest.fail e
         | Ok e ->
           Alcotest.(check bool) "corpus holds the minimal plan" true
-            (e.Corpus.plan = f.Backend.minimal)))
+            (e.Corpus.plan = f.Sweep.minimal)))
     gray_findings
 
 (* ---------- bounded-exhaustive completeness ---------- *)
@@ -285,7 +285,7 @@ let test_exhaust_complete_on_toy_box () =
      every kind over [2, 6) *)
   let minimals =
     List.sort_uniq compare
-      (List.map (fun f -> Plan.to_string f.Backend.minimal) o.Backend.found)
+      (List.map (fun f -> Plan.to_string f.Sweep.minimal) o.Backend.found)
   in
   Alcotest.(check (list string)) "exactly the planted reproducers"
     [
