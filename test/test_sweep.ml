@@ -310,6 +310,23 @@ let test_judge_unknown_metric () =
   | [ err ] -> Alcotest.(check string) "error owner" "JUDGE" err.Driver.exp_id
   | l -> Alcotest.failf "expected 1 error, got %d" (List.length l)
 
+(* The E29+E30 sweep-report artifact at 4 runs, pinned by MD5: both
+   experiments run the shared ring harness, whose refactors must keep
+   every sample bit-identical. *)
+let test_heal_report_pinned () =
+  let exps =
+    List.map
+      (fun id -> Option.get (Registry.find id))
+      [ "E29"; "E30" ]
+  in
+  let r, errors =
+    Budget.with_domains 1 (fun () ->
+        Driver.run_sweep ~seed:1031 ~runs:4 ~alpha:0.01 exps)
+  in
+  Alcotest.(check int) "no errors" 0 (List.length errors);
+  Alcotest.(check string) "report md5" "a03cd0ae405ab8d9f0f1083312898c9e"
+    (Digest.to_hex (Digest.string (Json.to_string (Sweep_report.to_json r))))
+
 let test_bad_args () =
   Alcotest.check_raises "runs < 2"
     (Invalid_argument "Driver.run_sweep: runs must be >= 2") (fun () ->
@@ -352,6 +369,8 @@ let () =
             test_real_experiments_deterministic;
           Alcotest.test_case "samples seed-derived in run order" `Quick
             test_samples_are_seed_derived;
+          Alcotest.test_case "E29+E30 report pinned" `Quick
+            test_heal_report_pinned;
         ] );
       ( "report",
         [
