@@ -193,10 +193,12 @@ let chaos_cmd =
   in
   let run seed runs () corpus replay =
     match replay with
-    | Some dir ->
-      let r = Sweep.replay_dir dir in
-      print_string (Sweep.render_replay r);
-      Ok (if Sweep.failing r = 0 then 0 else 1)
+    | Some dir -> (
+      match Sweep.replay_dir dir with
+      | Error msg -> Error ("--replay: " ^ msg)
+      | Ok r ->
+        print_string (Sweep.render_replay r);
+        Ok (if Sweep.failing r = 0 then 0 else 1))
     | None ->
       let s =
         write "chaos" corpus (fun corpus_dir ->

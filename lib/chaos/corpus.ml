@@ -68,36 +68,31 @@ let load path = Result.bind (Tussle_obs.Json.read_file path) of_file_string
 
 let load_dir dir =
   match Sys.readdir dir with
-  | exception Sys_error _ -> []
+  | exception Sys_error msg -> Error msg
   | names ->
-    let names = Array.to_list names in
-    let plans =
-      List.filter (fun n -> Filename.check_suffix n ".plan") names
-    in
-    List.map
-      (fun n ->
-        let path = Filename.concat dir n in
-        (path, load path))
-      (List.sort compare plans)
+    Array.to_list names
+    |> List.filter (fun n -> Filename.check_suffix n ".plan")
+    |> List.sort compare
+    |> List.map (fun n ->
+           let path = Filename.concat dir n in
+           (path, load path))
+    |> Result.ok
 
 (* Two entries are the same reproducer when scenario and plan text
    agree, whatever seed each was found with: the plan is what replays
    the bug, the seed is only the draw that exposed it first. *)
 let find_duplicate ~dir e =
   let plan = Plan.to_string e.plan in
-  match Sys.readdir dir with
-  | exception Sys_error _ -> None
-  | names ->
-    Array.to_list names
-    |> List.filter (fun n -> Filename.check_suffix n ".plan")
-    |> List.sort compare
-    |> List.find_map (fun n ->
-           let path = Filename.concat dir n in
-           match load path with
-           | Ok e' when e'.scenario = e.scenario && Plan.to_string e'.plan = plan
-             ->
-             Some path
-           | _ -> None)
+  match load_dir dir with
+  | Error _ -> None
+  | Ok entries ->
+    List.find_map
+      (function
+        | path, Ok e'
+          when e'.scenario = e.scenario && Plan.to_string e'.plan = plan ->
+          Some path
+        | _ -> None)
+      entries
 
 let save ~dir e =
   mkdirs dir;

@@ -36,6 +36,9 @@ val load : string -> (entry, string) result
     here: {!Scenario.bind} rejects an unknown one (and a plan that does
     not fit) when the entry is run. *)
 
-val load_dir : string -> (string * (entry, string) result) list
+val load_dir :
+  string -> ((string * (entry, string) result) list, string) result
 (** All [*.plan] files under a directory in sorted filename order
-    (deterministic replay order); [[]] if the directory is missing. *)
+    (deterministic replay order), each parsed by {!load}.  [Error]
+    carries the system's message, naming the path, when the directory
+    cannot be read: it is missing, or it is a file. *)

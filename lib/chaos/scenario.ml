@@ -35,12 +35,8 @@ let line_transfer =
   let edge = { Topology.latency = 0.005; bandwidth_bps = 2e6 } in
   let run ~seed ~plan =
     let net =
-      Net.create
-        (Topology.to_links (Topology.line ~edge 4))
-        (fun ~node ~target _ ->
-          if target > node then Some (node + 1)
-          else if target < node then Some (node - 1)
-          else None)
+      Net.create (Topology.to_links (Topology.line ~edge 4))
+        Topology.line_forwarding
     in
     let engine = Engine.create () in
     let clock_start = Engine.now engine in
@@ -58,10 +54,16 @@ let line_transfer =
   { name = "line-transfer"; links = [ (0, 1); (1, 2); (2, 3) ];
     horizon = 10.0; run }
 
-(* Open-loop constant-rate traffic over a ring with a self-healing
-   control plane: failover, restoration, and flapping under arbitrary
-   faults, with hello ticks bounded so the engine drains. *)
-let ring_selfheal =
+(* Open-loop constant-rate traffic over a ring healed by [detector]:
+   failover, restoration and flapping under arbitrary faults, with the
+   control plane's timers bounded so the engine drains.  Under
+   [Verified], adjacency probing, transit probes, quarantine and flap
+   damping also run against the gray / unidirectional / flap /
+   blackhole episodes hello-only detection is structurally blind to.
+   No covert budget is declared: a random plan may gray out every
+   path, so the only universal claim is the accounting one the
+   invariant always makes. *)
+let ring name detector =
   let edge = { Topology.latency = 0.005; bandwidth_bps = 1e7 } in
   let run ~seed ~plan =
     let net =
@@ -71,62 +73,23 @@ let ring_selfheal =
     in
     let engine = Engine.create () in
     let clock_start = Engine.now engine in
-    let heal = Selfheal.attach ~until:12.0 engine net in
+    let heal = Selfheal.attach ~detector ~until:12.0 engine net in
     Inject.install ~seed ~plan engine net;
-    let gen = Traffic.create (Rng.create (seed + 1)) in
-    for k = 0 to 79 do
-      let at = 0.2 +. (0.1 *. float_of_int k) in
-      ignore
-        (Engine.schedule engine at (fun engine ->
-             Net.inject net engine
-               (Traffic.next_packet gen ~src:0 ~dst:3
-                  ~created:(Engine.now engine) ())))
-    done;
+    Traffic.constant_flow
+      (Traffic.create (Rng.create (seed + 1)))
+      engine net ~start:0.2 ~interval:0.1 ~count:80
+      ~make:(fun gen ~created ->
+        Traffic.next_packet gen ~src:0 ~dst:3 ~created ());
     Engine.run ~until:guard_horizon engine;
     Invariant.observe ~reconvergences:(Selfheal.reconvergences heal)
       ~fault_transitions:(Plan.transitions plan) ~clock_start engine net
   in
-  { name = "ring-selfheal";
+  { name;
     links = [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 0) ];
     horizon = 10.0; run }
 
-(* The same ring and traffic, healed by the data-plane-verified control
-   plane: adjacency probing, transit probes, quarantine and flap
-   damping all run under arbitrary fault plans — including the gray /
-   unidirectional / flap / blackhole episodes hello-only detection is
-   structurally blind to.  No covert budget is declared: a random plan
-   may gray out every path, so the only universal claim is the
-   accounting one the invariant always makes. *)
-let ring_verified =
-  let edge = { Topology.latency = 0.005; bandwidth_bps = 1e7 } in
-  let run ~seed ~plan =
-    let net =
-      Net.create
-        (Topology.to_links (Topology.ring ~edge 6))
-        (fun ~node:_ ~target:_ _ -> None)
-    in
-    let engine = Engine.create () in
-    let clock_start = Engine.now engine in
-    let heal =
-      Selfheal.attach ~config:Selfheal.verified_config ~until:12.0 engine net
-    in
-    Inject.install ~seed ~plan engine net;
-    let gen = Traffic.create (Rng.create (seed + 1)) in
-    for k = 0 to 79 do
-      let at = 0.2 +. (0.1 *. float_of_int k) in
-      ignore
-        (Engine.schedule engine at (fun engine ->
-             Net.inject net engine
-               (Traffic.next_packet gen ~src:0 ~dst:3
-                  ~created:(Engine.now engine) ())))
-    done;
-    Engine.run ~until:guard_horizon engine;
-    Invariant.observe ~reconvergences:(Selfheal.reconvergences heal)
-      ~fault_transitions:(Plan.transitions plan) ~clock_start engine net
-  in
-  { name = "ring-verified";
-    links = [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 0) ];
-    horizon = 10.0; run }
+let ring_selfheal = ring "ring-selfheal" Selfheal.Hello_only
+let ring_verified = ring "ring-verified" Selfheal.Verified
 
 (* Two crossing open-loop flows on a 3x3 grid with static tables:
    drops must stay exactly attributed however the plan carves up the
@@ -141,14 +104,9 @@ let grid_static =
     Inject.install ~seed ~plan engine net;
     let gen = Traffic.create (Rng.create (seed + 1)) in
     let flow ~src ~dst ~start =
-      for k = 0 to 39 do
-        let at = start +. (0.15 *. float_of_int k) in
-        ignore
-          (Engine.schedule engine at (fun engine ->
-               Net.inject net engine
-                 (Traffic.next_packet gen ~src ~dst
-                    ~created:(Engine.now engine) ())))
-      done
+      Traffic.constant_flow gen engine net ~start ~interval:0.15 ~count:40
+        ~make:(fun gen ~created ->
+          Traffic.next_packet gen ~src ~dst ~created ())
     in
     flow ~src:0 ~dst:8 ~start:0.1;
     flow ~src:2 ~dst:6 ~start:0.175;

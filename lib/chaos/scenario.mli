@@ -27,12 +27,12 @@ val line_transfer : t
 
 val ring_selfheal : t
 (** [ring-selfheal]: open-loop constant-rate traffic over a 6-ring
-    with a {!Tussle_routing.Selfheal} control plane attached —
+    healed by a {!Tussle_routing.Selfheal.Hello_only} control plane —
     exercises failure detection, re-convergence and flapping. *)
 
 val ring_verified : t
 (** [ring-verified]: the same ring and traffic healed by
-    {!Tussle_routing.Selfheal.verified_config} — data-plane adjacency
+    {!Tussle_routing.Selfheal.Verified} — data-plane adjacency
     probing, transit probes with quarantine, and flap damping, under
     the full extended fault grammar. *)
 

@@ -153,18 +153,21 @@ type replayed = {
 }
 
 let replay_dir dir =
-  {
-    dir;
-    entries =
-      List.map
-        (fun (path, entry) ->
-          (* an entry that does not load, names an unknown scenario or
-             does not fit its scenario is a LOAD ERROR *)
-          ( Filename.basename path,
-            Result.bind entry (fun e ->
-                Result.map (fun vs -> (e, vs)) (replay e)) ))
-        (Corpus.load_dir dir);
-  }
+  Result.map
+    (fun entries ->
+      {
+        dir;
+        entries =
+          List.map
+            (fun (path, entry) ->
+              (* an entry that does not load, names an unknown scenario
+                 or does not fit its scenario is a LOAD ERROR *)
+              ( Filename.basename path,
+                Result.bind entry (fun e ->
+                    Result.map (fun vs -> (e, vs)) (replay e)) ))
+            entries;
+      })
+    (Corpus.load_dir dir)
 
 let failing r =
   List.length

@@ -104,8 +104,9 @@ type replayed = {
           its {!replay} violations, or why it did not load or bind *)
 }
 
-val replay_dir : string -> replayed
-(** {!replay} every entry of {!Corpus.load_dir}[ dir]. *)
+val replay_dir : string -> (replayed, string) result
+(** {!replay} every entry of {!Corpus.load_dir}[ dir]; [Error] when the
+    directory cannot be read. *)
 
 val failing : replayed -> int
 (** Entries that did not load or bind, or that violate an invariant. *)

@@ -40,7 +40,7 @@ let classify_run ~adoption =
   let engine = Engine.create () in
   let gen = Traffic.create (Rng.split rng) in
   let apps = [| Packet.Web; Packet.Mail; Packet.Voip; Packet.File_sharing |] in
-  Traffic.constant_flow gen engine net ~interval:0.001 ~count:400
+  Traffic.constant_flow gen engine net ~start:0.0 ~interval:0.001 ~count:400
     ~make:(fun gen ~created ->
       let encrypted = Rng.bernoulli rng adoption in
       Traffic.next_packet gen ~app:(Rng.choice rng apps) ~encrypted ~src:0

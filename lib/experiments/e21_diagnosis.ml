@@ -11,15 +11,12 @@ module Diagnosis = Tussle_netsim.Diagnosis
 
 let path = [ 0; 1; 2; 3; 4; 5 ]
 
-let line_forwarding ~node ~target _ =
-  if target > node then Some (node + 1)
-  else if target < node then Some (node - 1)
-  else None
-
 let fresh_id = ref 0
 
 let make_net regime =
-  let net = Net.create (Topology.to_links (Topology.line 6)) line_forwarding in
+  let net =
+    Net.create (Topology.to_links (Topology.line 6)) Topology.line_forwarding
+  in
   (match regime with
   | `Clean -> ()
   | `Revealing ->

@@ -22,16 +22,11 @@ module Plan = Tussle_fault.Plan
 module Inject = Tussle_fault.Inject
 module Seed = Tussle_fault.Seed
 
-let line_forwarding ~node ~target _ =
-  if target > node then Some (node + 1)
-  else if target < node then Some (node - 1)
-  else None
-
 (* ---------- part A: localizing an injected middlebox failure ---------- *)
 
 let diagnose ~fault_seed ~covert =
   let net =
-    Net.create (Topology.to_links (Topology.line 6)) line_forwarding
+    Net.create (Topology.to_links (Topology.line 6)) Topology.line_forwarding
   in
   let engine = Engine.create () in
   Inject.install ~seed:fault_seed
@@ -78,7 +73,7 @@ let run_transfer ~item_seed ~plan =
   let net =
     Net.create
       (Topology.to_links (Topology.line ~edge:sweep_edge 4))
-      line_forwarding
+      Topology.line_forwarding
   in
   let engine = Engine.create () in
   let episodes =

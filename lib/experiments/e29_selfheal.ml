@@ -15,126 +15,19 @@
 module Rng = Tussle_prelude.Rng
 module Table = Tussle_prelude.Table
 module Pool = Tussle_prelude.Pool
-module Engine = Tussle_netsim.Engine
-module Net = Tussle_netsim.Net
-module Topology = Tussle_netsim.Topology
-module Traffic = Tussle_netsim.Traffic
-module Linkstate = Tussle_routing.Linkstate
 module Selfheal = Tussle_routing.Selfheal
-module Overlay = Tussle_routing.Overlay
 module Plan = Tussle_fault.Plan
-module Inject = Tussle_fault.Inject
 module Seed = Tussle_fault.Seed
-
-let nodes = 6
-let src = 0
-let dst = 3
-let edge = { Topology.latency = 0.005; bandwidth_bps = 1e7 }
-let packets = 120
-let send_interval = 0.025
-let first_send = 0.05
+module Ring = Heal_ring
 
 (* off the hello grid (hellos fire at multiples of 50 ms), so
    detection timing never depends on same-timestamp event order *)
 let outage = Plan.window 0.48 2.63
 
-let heal_until = 4.0
-let guard_horizon = 600.0
-let heal_config = { Selfheal.default_config with metric = `Hops }
+let heal = Ring.Heal Selfheal.Hello_only
 
-type mode = Healthy | Static | Heal | Relay
-
-let mode_name = function
-  | Healthy -> "healthy (no fault)"
-  | Static -> "static tables"
-  | Heal -> "self-healing"
-  | Relay -> "overlay failover"
-
-type run_stats = {
-  delivered : int;
-  injected : int;
-  link_down_drops : int;
-  reconvergences : int;
-  convergence_s : float option;
-      (* first table swap after the fault opened, relative to it *)
-  drained : bool;
-}
-
-let fresh_links () = Topology.to_links (Topology.ring ~edge nodes)
-
-(* The link the fault targets is read off the static table's actual
-   chosen path, not hardcoded — robust to Dijkstra tie-breaks. *)
-let primary_path () =
-  let static = Linkstate.compute_live (fresh_links ()) ~metric:`Hops in
-  match Linkstate.path static ~src ~dst with
-  | Some p -> p
-  | None -> failwith "E29: ring must connect src and dst"
-
-let rec adjacent_pairs = function
-  | a :: (b :: _ as rest) -> (a, b) :: adjacent_pairs rest
-  | _ -> []
-
-let run_mode ~seed ~plan ~fault_at mode =
-  let links = fresh_links () in
-  let static = Linkstate.compute_live links ~metric:`Hops in
-  let net = Net.create links (Linkstate.forwarding static) in
-  let engine = Engine.create () in
-  let heal =
-    match mode with
-    | Heal ->
-      Some (Selfheal.attach ~config:heal_config ~until:heal_until engine net)
-    | _ -> None
-  in
-  if plan <> [] then Inject.install ~seed ~plan engine net;
-  let gen = Traffic.create (Rng.create (seed + 1)) in
-  let candidates =
-    List.filter (fun n -> n <> src && n <> dst) (List.init nodes Fun.id)
-  in
-  let send engine =
-    let source_route =
-      match mode with
-      | Relay -> (
-        (* the overlay measures ground-truth liveness of the static
-           path at send time and detours through the first relay with
-           both legs alive — per-packet, no control-plane lag *)
-        let can_reach a b = Overlay.path_alive static links ~src:a ~dst:b in
-        match Overlay.failover_waypoints ~can_reach ~candidates ~src ~dst with
-        | Some waypoints -> waypoints
-        | None -> [])
-      | _ -> []
-    in
-    Net.inject net engine
-      (Traffic.next_packet gen ~source_route ~src ~dst
-         ~created:(Engine.now engine) ())
-  in
-  for k = 0 to packets - 1 do
-    ignore
-      (Engine.schedule engine
-         (first_send +. (send_interval *. float_of_int k))
-         send)
-  done;
-  Engine.run ~until:guard_horizon engine;
-  {
-    delivered = Net.delivered_count net;
-    injected = Net.injected_count net;
-    link_down_drops =
-      Net.count_losses
-        (function Net.Link_down _ -> true | _ -> false)
-        (Net.losses net);
-    reconvergences =
-      (match heal with Some h -> Selfheal.reconvergences h | None -> 0);
-    convergence_s =
-      (match heal with
-      | Some h -> (
-        match Selfheal.reconvergence_times h with
-        | t :: _ -> Some (t -. fault_at)
-        | [] -> None)
-      | None -> None);
-    drained = Engine.pending engine = 0;
-  }
-
-let ratio_of ~healthy r =
-  100.0 *. float_of_int r.delivered /. float_of_int healthy.delivered
+let ratio_of ~healthy (r : Ring.stats) =
+  100.0 *. float_of_int r.delivered /. float_of_int healthy.Ring.delivered
 
 (* ---------- part B: seeded Link_down sweep, static vs self-heal ---------- *)
 
@@ -147,52 +40,47 @@ type sweep_item = {
 
 type sweep_result = {
   item : sweep_item;
-  static_r : run_stats;
-  heal_r : run_stats;
+  static_r : Ring.stats;
+  heal_r : Ring.stats;
 }
 
 let draw_items ~fault_seed ~count path_pairs =
   let rng = Rng.create fault_seed in
   List.init count (fun k ->
-      let link = Rng.choice_list rng path_pairs in
-      let from_s = Rng.uniform rng 0.3 0.9 in
-      let until_s = from_s +. Rng.uniform rng 0.8 1.6 in
-      {
-        index = k;
-        item_seed = fault_seed + (1013 * (k + 1));
-        link;
-        w = Plan.window from_s until_s;
-      })
+      let link, w = Ring.draw_outage rng path_pairs in
+      { index = k; item_seed = fault_seed + (1013 * (k + 1)); link; w })
+
+(* One outage under static tables and under self-healing. *)
+let static_and_heal ~seed (u, v) w =
+  let plan = [ Plan.Link_down { u; v; w } ] in
+  let fault_at = w.Plan.from_s in
+  ( Ring.run ~seed ~plan ~fault_at Ring.Static,
+    Ring.run ~seed ~plan ~fault_at heal )
 
 let run_item item =
-  let u, v = item.link in
-  let plan = [ Plan.Link_down { u; v; w = item.w } ] in
-  let fault_at = item.w.Plan.from_s in
-  {
-    item;
-    static_r = run_mode ~seed:item.item_seed ~plan ~fault_at Static;
-    heal_r = run_mode ~seed:item.item_seed ~plan ~fault_at Heal;
-  }
-
-let pct x = Printf.sprintf "%.1f" x
+  let static_r, heal_r =
+    static_and_heal ~seed:item.item_seed item.link item.w
+  in
+  { item; static_r; heal_r }
 
 let run () =
   let fault_seed = Seed.get () in
-  let path = primary_path () in
-  let path_pairs = adjacent_pairs path in
+  let path = Ring.primary_path () in
+  let path_pairs = Ring.adjacent_pairs path in
   let fu, fv = List.hd path_pairs in
   (* part A: one deterministic outage, four control planes *)
   let plan = [ Plan.Link_down { u = fu; v = fv; w = outage } ] in
-  let fault_at = outage.Plan.from_s in
-  let modes = [ Healthy; Static; Heal; Relay ] in
-  let results =
-    List.map
-      (fun mode ->
-        let plan = if mode = Healthy then [] else plan in
-        (mode, run_mode ~seed:(fault_seed + 7) ~plan ~fault_at mode))
-      modes
+  let run plan control =
+    Ring.run ~seed:(fault_seed + 7) ~plan ~fault_at:outage.Plan.from_s control
   in
-  let healthy = List.assoc Healthy results in
+  let healthy = run [] Ring.Static in
+  let static_r = run plan Ring.Static in
+  let heal_r = run plan heal in
+  let relay_r = run plan Ring.Relay in
+  let results =
+    [ ("healthy (no fault)", healthy); ("static tables", static_r);
+      ("self-healing", heal_r); ("overlay failover", relay_r) ]
+  in
   let ta =
     Table.create
       ~aligns:
@@ -202,16 +90,14 @@ let run () =
         "reconv"; "convergence" ]
   in
   List.iter
-    (fun (mode, r) ->
+    (fun (name, (r : Ring.stats)) ->
       Table.add_row ta
-        [ mode_name mode;
-          Printf.sprintf "%d/%d" r.delivered r.injected;
-          pct (ratio_of ~healthy r);
+        [ name;
+          Printf.sprintf "%d/%d" r.delivered r.offered;
+          Ring.pct (ratio_of ~healthy r);
           string_of_int r.link_down_drops;
           string_of_int r.reconvergences;
-          (match r.convergence_s with
-          | Some c -> Printf.sprintf "%.3f s" c
-          | None -> "-") ])
+          Ring.seconds r.convergence_s ])
     results;
   (* part B *)
   let items = draw_items ~fault_seed ~count:6 path_pairs in
@@ -232,11 +118,9 @@ let run () =
           Printf.sprintf "%d-%d" u v;
           Printf.sprintf "[%.2f, %.2f)" s.item.w.Plan.from_s
             s.item.w.Plan.until_s;
-          pct (ratio_of ~healthy s.static_r);
-          pct (ratio_of ~healthy s.heal_r);
-          (match s.heal_r.convergence_s with
-          | Some c -> Printf.sprintf "%.3f s" c
-          | None -> "-") ])
+          Ring.pct (ratio_of ~healthy s.static_r);
+          Ring.pct (ratio_of ~healthy s.heal_r);
+          Ring.seconds s.heal_r.convergence_s ])
     sweep;
   let mean f =
     List.fold_left (fun acc s -> acc +. f s) 0.0 sweep
@@ -253,23 +137,22 @@ let run () =
        self-healing\n(hello %.0f ms x %d missed + %.0f ms recompute):\n\n\
        %s\n\
        mean availability: static %.1f%%, self-healing %.1f%% of healthy\n"
-      packets src dst nodes
+      Ring.packets Ring.src Ring.dst Ring.nodes
       (String.concat "-" (List.map string_of_int path))
       fu fv
       (Printf.sprintf "[%.2f, %.2f)" outage.Plan.from_s outage.Plan.until_s)
-      fault_seed (Table.render ta) (heal_config.Selfheal.hello_interval *. 1000.0)
-      heal_config.Selfheal.hellos_missed
-      (heal_config.Selfheal.recompute_delay *. 1000.0)
+      fault_seed (Table.render ta) (Selfheal.hello_interval *. 1000.0)
+      Selfheal.hellos_missed
+      (Selfheal.recompute_delay *. 1000.0)
       (Table.render tb) mean_static mean_heal
   in
-  let static_r = List.assoc Static results in
-  let heal_r = List.assoc Heal results in
-  let relay_r = List.assoc Relay results in
   let ok =
     (* the healthy baseline is perfect and every run drains *)
-    healthy.delivered = packets
+    healthy.delivered = Ring.packets
     && healthy.link_down_drops = 0
-    && List.for_all (fun (_, r) -> r.drained && r.injected = packets) results
+    && List.for_all
+         (fun (_, (r : Ring.stats)) -> r.drained && r.offered = Ring.packets)
+         results
     (* static routing collapses: the outage eats over half the flow *)
     && ratio_of ~healthy static_r < 50.0
     (* self-healing restores >= 90% of healthy delivery, converging in
@@ -302,20 +185,13 @@ let run () =
    offered count is the same ratio without a third run). *)
 
 let probe ~seed =
-  let path_pairs = adjacent_pairs (primary_path ()) in
-  let rng = Rng.create seed in
-  let u, v = Rng.choice_list rng path_pairs in
-  let from_s = Rng.uniform rng 0.3 0.9 in
-  let until_s = from_s +. Rng.uniform rng 0.8 1.6 in
-  let plan = [ Plan.Link_down { u; v; w = Plan.window from_s until_s } ] in
-  let static_r = run_mode ~seed ~plan ~fault_at:from_s Static in
-  let heal_r = run_mode ~seed ~plan ~fault_at:from_s Heal in
-  let availability r = 100.0 *. float_of_int r.delivered /. float_of_int packets in
+  let path_pairs = Ring.adjacent_pairs (Ring.primary_path ()) in
+  let link, w = Ring.draw_outage (Rng.create seed) path_pairs in
+  let static_r, heal_r = static_and_heal ~seed link w in
   [
-    ("availability_static", availability static_r);
-    ("availability_heal", availability heal_r);
-    ( "availability_gap",
-      availability heal_r -. availability static_r );
+    ("availability_static", Ring.pct_of static_r);
+    ("availability_heal", Ring.pct_of heal_r);
+    ("availability_gap", Ring.pct_of heal_r -. Ring.pct_of static_r);
     (* 0.0 when the control plane never reconverged (cannot happen for
        outages this long, but the metric must stay finite) *)
     ("heal_convergence_s", Option.value ~default:0.0 heal_r.convergence_s);

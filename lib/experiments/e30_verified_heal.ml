@@ -17,114 +17,17 @@
 module Rng = Tussle_prelude.Rng
 module Table = Tussle_prelude.Table
 module Pool = Tussle_prelude.Pool
-module Engine = Tussle_netsim.Engine
-module Net = Tussle_netsim.Net
-module Packet = Tussle_netsim.Packet
-module Topology = Tussle_netsim.Topology
-module Traffic = Tussle_netsim.Traffic
-module Linkstate = Tussle_routing.Linkstate
 module Selfheal = Tussle_routing.Selfheal
 module Plan = Tussle_fault.Plan
-module Inject = Tussle_fault.Inject
 module Seed = Tussle_fault.Seed
+module Ring = Heal_ring
 
-let nodes = 6
-let src = 0
-let dst = 3
-let edge = { Topology.latency = 0.005; bandwidth_bps = 1e7 }
-let packets = 120
-let send_interval = 0.025
-let first_send = 0.05
-let heal_until = 4.0
-let guard_horizon = 600.0
-
-(* both control planes use `Hops so path choice (and therefore which
-   links the faults target) is identical; only detection differs *)
-let hello_config = { Selfheal.default_config with Selfheal.metric = `Hops }
-let verified_config = { Selfheal.verified_config with Selfheal.metric = `Hops }
-
-type mode = Hello_only | Verified
-
-let mode_name = function
-  | Hello_only -> "hello-only"
-  | Verified -> "data-plane-verified"
-
-let config_of = function
-  | Hello_only -> hello_config
-  | Verified -> verified_config
-
-type run_stats = {
-  delivered : int;
-  offered : int;
-  covert_drops : int;  (* gray-loss + blackholed, flow packets only *)
-  reconvergences : int;
-  suppressions : int;
-  convergence_s : float option;
-  drained : bool;
-}
-
-let fresh_links () = Topology.to_links (Topology.ring ~edge nodes)
-
-let primary_path () =
-  let static = Linkstate.compute_live (fresh_links ()) ~metric:`Hops in
-  match Linkstate.path static ~src ~dst with
-  | Some p -> p
-  | None -> failwith "E30: ring must connect src and dst"
-
-let rec adjacent_pairs = function
-  | a :: (b :: _ as rest) -> (a, b) :: adjacent_pairs rest
-  | _ -> []
-
-(* The verified control plane injects its own transit-probe packets
-   (ids in the reserved range), so flow accounting must filter the
-   outcome ledger rather than read the net totals. *)
-let flow_outcomes net =
-  List.filter
-    (fun ((p : Packet.t), _) -> p.Packet.id < Selfheal.probe_id_base)
-    (Net.outcomes net)
-
-let run_mode ~seed ~plan ~fault_at mode =
-  let links = fresh_links () in
-  let static = Linkstate.compute_live links ~metric:`Hops in
-  let net = Net.create links (Linkstate.forwarding static) in
-  let engine = Engine.create () in
-  let heal =
-    Selfheal.attach ~config:(config_of mode) ~until:heal_until engine net
-  in
-  if plan <> [] then Inject.install ~seed ~plan engine net;
-  let gen = Traffic.create (Rng.create (seed + 1)) in
-  for k = 0 to packets - 1 do
-    ignore
-      (Engine.schedule engine
-         (first_send +. (send_interval *. float_of_int k))
-         (fun engine ->
-           Net.inject net engine
-             (Traffic.next_packet gen ~src ~dst ~created:(Engine.now engine) ())))
-  done;
-  Engine.run ~until:guard_horizon engine;
-  let outcomes = flow_outcomes net in
-  let count f = List.length (List.filter f outcomes) in
-  {
-    delivered = count (fun (_, o) -> match o with Net.Delivered _ -> true | _ -> false);
-    offered = List.length outcomes;
-    covert_drops =
-      count (fun (_, o) ->
-          match o with
-          | Net.Lost (Net.Gray_loss _) | Net.Lost (Net.Blackholed _) -> true
-          | _ -> false);
-    reconvergences = Selfheal.reconvergences heal;
-    suppressions = Selfheal.suppressions heal;
-    convergence_s =
-      (match
-         List.filter (fun t -> t >= fault_at) (Selfheal.reconvergence_times heal)
-       with
-      | t :: _ -> Some (t -. fault_at)
-      | [] -> None);
-    drained = Engine.pending engine = 0;
-  }
-
-let pct_of r = 100.0 *. float_of_int r.delivered /. float_of_int packets
-let pct = Printf.sprintf "%.1f"
+(* One plan under both control planes.  Both route by `Hops (Heal_ring),
+   so path choice — and therefore which links the faults target — is
+   identical; only detection differs. *)
+let hello_and_verified ~seed ~plan ~fault_at =
+  ( Ring.run ~seed ~plan ~fault_at (Ring.Heal Selfheal.Hello_only),
+    Ring.run ~seed ~plan ~fault_at (Ring.Heal Selfheal.Verified) )
 
 (* ---------- the covert fault grammar, drawn per seed ---------- *)
 
@@ -140,10 +43,7 @@ let kind_name = function
    Byzantine interior node.  Same derivation for part B and the
    statistical surface. *)
 let draw_covert rng path_pairs =
-  let u, v = Rng.choice_list rng path_pairs in
-  let from_s = Rng.uniform rng 0.3 0.9 in
-  let until_s = from_s +. Rng.uniform rng 0.8 1.6 in
-  let w = Plan.window from_s until_s in
+  let (u, v), w = Ring.draw_outage rng path_pairs in
   match Rng.int rng 3 with
   | 0 -> (Gray, Plan.Gray_loss { u; v; w; prob = Rng.uniform rng 0.7 0.95 }, w)
   | 1 ->
@@ -156,7 +56,7 @@ let draw_covert rng path_pairs =
   | _ ->
     (* the interior endpoint: blackholing src or dst would just stop
        the flow at its ends rather than eat it in transit *)
-    let node = if u <> src && u <> dst then u else v in
+    let node = if u <> Ring.src && u <> Ring.dst then u else v in
     (Blackhole, Plan.Blackhole { node; w }, w)
 
 (* ---------- part B: seeded covert sweep, hello-only vs verified ---------- *)
@@ -171,8 +71,8 @@ type sweep_item = {
 
 type sweep_result = {
   item : sweep_item;
-  hello_r : run_stats;
-  verified_r : run_stats;
+  hello_r : Ring.stats;
+  verified_r : Ring.stats;
 }
 
 let draw_items ~fault_seed ~count path_pairs =
@@ -182,21 +82,19 @@ let draw_items ~fault_seed ~count path_pairs =
       { index = k; item_seed; kind; spec; w })
 
 let run_item item =
-  let fault_at = item.w.Plan.from_s in
-  let plan = [ item.spec ] in
-  {
-    item;
-    hello_r = run_mode ~seed:item.item_seed ~plan ~fault_at Hello_only;
-    verified_r = run_mode ~seed:item.item_seed ~plan ~fault_at Verified;
-  }
+  let hello_r, verified_r =
+    hello_and_verified ~seed:item.item_seed ~plan:[ item.spec ]
+      ~fault_at:item.w.Plan.from_s
+  in
+  { item; hello_r; verified_r }
 
 let run () =
   let fault_seed = Seed.get () in
-  let path = primary_path () in
-  let path_pairs = adjacent_pairs path in
+  let path = Ring.primary_path () in
+  let path_pairs = Ring.adjacent_pairs path in
   let au, av = List.hd path_pairs in
   let bu, bv = List.nth path_pairs 1 in
-  let bh_node = if bv <> src && bv <> dst then bv else bu in
+  let bh_node = if bv <> Ring.src && bv <> Ring.dst then bv else bu in
   (* part A: one composite plan walking all three covert fault classes
      down the primary path, in disjoint windows off the hello grid *)
   let plan =
@@ -209,9 +107,13 @@ let run () =
     ]
   in
   let fault_at = 0.33 in
-  let healthy = run_mode ~seed:(fault_seed + 7) ~plan:[] ~fault_at Hello_only in
-  let hello_r = run_mode ~seed:(fault_seed + 7) ~plan ~fault_at Hello_only in
-  let verified_r = run_mode ~seed:(fault_seed + 7) ~plan ~fault_at Verified in
+  let healthy =
+    Ring.run ~seed:(fault_seed + 7) ~plan:[] ~fault_at
+      (Ring.Heal Selfheal.Hello_only)
+  in
+  let hello_r, verified_r =
+    hello_and_verified ~seed:(fault_seed + 7) ~plan ~fault_at
+  in
   let ta =
     Table.create
       ~aligns:
@@ -221,19 +123,17 @@ let run () =
         "suppress"; "first move" ]
   in
   List.iter
-    (fun (name, r) ->
+    (fun (name, (r : Ring.stats)) ->
       Table.add_row ta
         [ name;
           Printf.sprintf "%d/%d" r.delivered r.offered;
-          pct (pct_of r);
+          Ring.pct (Ring.pct_of r);
           string_of_int r.covert_drops;
           string_of_int r.reconvergences;
           string_of_int r.suppressions;
-          (match r.convergence_s with
-          | Some c -> Printf.sprintf "%.3f s" c
-          | None -> "-") ])
-    [ ("healthy (no fault)", healthy); (mode_name Hello_only, hello_r);
-      (mode_name Verified, verified_r) ];
+          Ring.seconds r.convergence_s ])
+    [ ("healthy (no fault)", healthy); ("hello-only", hello_r);
+      ("data-plane-verified", verified_r) ];
   (* part B *)
   let items = draw_items ~fault_seed ~count:6 path_pairs in
   let sweep = Pool.map run_item items in
@@ -252,18 +152,16 @@ let run () =
           kind_name s.item.kind;
           Printf.sprintf "[%.2f, %.2f)" s.item.w.Plan.from_s
             s.item.w.Plan.until_s;
-          pct (pct_of s.hello_r);
-          pct (pct_of s.verified_r);
-          (match s.verified_r.convergence_s with
-          | Some c -> Printf.sprintf "%.3f s" c
-          | None -> "-") ])
+          Ring.pct (Ring.pct_of s.hello_r);
+          Ring.pct (Ring.pct_of s.verified_r);
+          Ring.seconds s.verified_r.convergence_s ])
     sweep;
   let mean f =
     List.fold_left (fun acc s -> acc +. f s) 0.0 sweep
     /. float_of_int (List.length sweep)
   in
-  let mean_hello = mean (fun s -> pct_of s.hello_r) in
-  let mean_verified = mean (fun s -> pct_of s.verified_r) in
+  let mean_hello = mean (fun s -> Ring.pct_of s.hello_r) in
+  let mean_verified = mean (fun s -> Ring.pct_of s.verified_r) in
   let body =
     Printf.sprintf
       "A %d-packet flow %d -> %d on a %d-ring; the primary path %s is hit \
@@ -275,27 +173,27 @@ let run () =
        flap damping):\n\n\
        %s\n\
        mean availability: hello-only %.1f%%, verified %.1f%% of offered\n"
-      packets src dst nodes
+      Ring.packets Ring.src Ring.dst Ring.nodes
       (String.concat "-" (List.map string_of_int path))
       au av bu bv bh_node fault_seed (Table.render ta)
-      (Selfheal.default_data_plane.Selfheal.probe_interval *. 1000.0)
+      (Selfheal.probe_interval *. 1000.0)
       (Table.render tb) mean_hello mean_verified
   in
   let ok =
     (* clean baseline, every run drains, flow accounting closed *)
-    healthy.delivered = packets
+    healthy.delivered = Ring.packets
     && healthy.covert_drops = 0
     && List.for_all
-         (fun r -> r.drained && r.offered = packets)
+         (fun (r : Ring.stats) -> r.drained && r.offered = Ring.packets)
          [ healthy; hello_r; verified_r ]
     (* hello-only is structurally blind: the covert plan eats over a
        quarter of the flow and the ledger says so *)
-    && pct_of hello_r < 75.0
+    && Ring.pct_of hello_r < 75.0
     && hello_r.covert_drops > 0
     (* the verified control plane detects what hellos cannot: it
        delivers >= 85% of offered, moves within a second of the first
        fault, and strictly shrinks the covert damage *)
-    && pct_of verified_r >= 85.0
+    && Ring.pct_of verified_r >= 85.0
     && verified_r.reconvergences >= 2
     && verified_r.covert_drops < hello_r.covert_drops
     && (match verified_r.convergence_s with
@@ -305,7 +203,7 @@ let run () =
     && List.for_all
          (fun s ->
            s.hello_r.drained && s.verified_r.drained
-           && pct_of s.verified_r >= pct_of s.hello_r)
+           && Ring.pct_of s.verified_r >= Ring.pct_of s.hello_r)
          sweep
     && mean_verified > mean_hello
     && mean_verified >= 85.0
@@ -320,15 +218,15 @@ let run () =
    the availability metrics are paired per seed. *)
 
 let probe ~seed =
-  let path_pairs = adjacent_pairs (primary_path ()) in
+  let path_pairs = Ring.adjacent_pairs (Ring.primary_path ()) in
   let _, spec, w = draw_covert (Rng.create seed) path_pairs in
-  let fault_at = w.Plan.from_s in
-  let hello_r = run_mode ~seed ~plan:[ spec ] ~fault_at Hello_only in
-  let verified_r = run_mode ~seed ~plan:[ spec ] ~fault_at Verified in
+  let hello_r, verified_r =
+    hello_and_verified ~seed ~plan:[ spec ] ~fault_at:w.Plan.from_s
+  in
   [
-    ("availability_hello", pct_of hello_r);
-    ("availability_verified", pct_of verified_r);
-    ("availability_gap", pct_of verified_r -. pct_of hello_r);
+    ("availability_hello", Ring.pct_of hello_r);
+    ("availability_verified", Ring.pct_of verified_r);
+    ("availability_gap", Ring.pct_of verified_r -. Ring.pct_of hello_r);
     ("covert_hello", float_of_int hello_r.covert_drops);
     ("covert_verified", float_of_int verified_r.covert_drops);
     ( "verified_convergence_s",

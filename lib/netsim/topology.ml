@@ -14,6 +14,11 @@ let line ?(edge = default_edge) n =
   done;
   g
 
+let line_forwarding ~node ~target _ =
+  if target > node then Some (node + 1)
+  else if target < node then Some (node - 1)
+  else None
+
 let ring ?(edge = default_edge) n =
   let g = line ~edge n in
   if n > 2 then Graph.add_undirected g (n - 1) 0 edge;

@@ -19,6 +19,10 @@ val default_edge : edge
 val line : ?edge:edge -> int -> edge Tussle_prelude.Graph.t
 (** Path graph on [n] nodes (undirected links). *)
 
+val line_forwarding : Net.forwarding
+(** Static forwarding on a {!line}: one hop toward [target] (up or
+    down the node ids), [None] at the target itself. *)
+
 val ring : ?edge:edge -> int -> edge Tussle_prelude.Graph.t
 
 val star : ?edge:edge -> int -> edge Tussle_prelude.Graph.t

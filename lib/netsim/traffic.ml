@@ -27,9 +27,8 @@ let poisson_flow t engine net ~rate ~count ~make =
   in
   emit count (Engine.now engine)
 
-let constant_flow t engine net ~interval ~count ~make =
+let constant_flow t engine net ~start ~interval ~count ~make =
   if interval < 0.0 then invalid_arg "Traffic.constant_flow: negative interval";
-  let start = Engine.now engine in
   for i = 0 to count - 1 do
     let at = start +. (float_of_int i *. interval) in
     ignore

@@ -44,8 +44,12 @@ val constant_flow :
   t ->
   Engine.t ->
   Net.t ->
+  start:float ->
   interval:float ->
   count:int ->
   make:(t -> created:float -> Packet.t) ->
   unit
-(** Schedule [count] packets at fixed spacing [interval]. *)
+(** Schedule [count] packets at fixed spacing [interval], the [k]th
+    (from 0) at [start +. float k *. interval], in order of [k].  Each
+    is built by [make] and injected when its event fires.  Raises
+    [Invalid_argument] on a negative [interval]. *)

@@ -6,58 +6,35 @@ module Net = Tussle_netsim.Net
 module Link = Tussle_netsim.Link
 module Packet = Tussle_netsim.Packet
 
-type data_plane = {
-  probe_interval : float;
-  probes_per_sample : int;
-  window : int;
-  down_ratio : float;
-  up_ratio : float;
-  transit_probes : bool;
-  probe_timeout : float;
-  quarantine_s : float;
-  probe_seed : int;
-}
+type detector = Hello_only | Verified
 
-type damping = {
-  penalty : float;
-  half_life : float;
-  suppress : float;
-  reuse : float;
-}
+let hello_interval = 0.05
+let hellos_missed = 2
+let recompute_delay = 0.1
+let probe_interval = 0.05
 
-type config = {
-  hello_interval : float;
-  hellos_missed : int;
-  recompute_delay : float;
-  metric : [ `Latency | `Hops ];
-  data_plane : data_plane option;
-  damping : damping option;
-}
+(* The data-plane detector: probes per adjacency direction per batch,
+   the sliding window in batches, and the hysteresis thresholds on the
+   windowed delivered/offered ratio (down at or below, up at or
+   above). *)
+let probes_per_sample = 4
+let window = 4
+let down_ratio = 0.5
+let up_ratio = 0.9
 
-let default_config =
-  { hello_interval = 0.05; hellos_missed = 2; recompute_delay = 0.1;
-    metric = `Latency; data_plane = None; damping = None }
+(* Transit probes: the deadline after which an unanswered probe counts
+   as a silent discard, the base quarantine (doubled per re-detection)
+   and the seed of every probe draw. *)
+let probe_timeout = 0.3
+let quarantine_s = 2.0
+let probe_seed = 0x5EED
 
-let default_data_plane =
-  {
-    probe_interval = 0.05;
-    probes_per_sample = 4;
-    window = 4;
-    down_ratio = 0.5;
-    up_ratio = 0.9;
-    transit_probes = true;
-    probe_timeout = 0.3;
-    quarantine_s = 2.0;
-    probe_seed = 0x5EED;
-  }
-
-let default_damping =
-  { penalty = 1.0; half_life = 1.0; suppress = 2.5; reuse = 0.5 }
-
-let verified_config =
-  { default_config with
-    data_plane = Some default_data_plane;
-    damping = Some default_damping }
+(* Flap damping: penalty charged per believed-state flip, its
+   half-life in seconds, and the hold-down thresholds. *)
+let flip_penalty = 1.0
+let half_life = 1.0
+let suppress = 2.5
+let reuse = 0.5
 
 (* Transit probes are real packets; their ids live in a reserved range
    so observers (and tests) can tell them from scenario traffic. *)
@@ -103,7 +80,8 @@ type quarantine = {
 }
 
 type t = {
-  cfg : config;
+  detector : detector;
+  metric : [ `Latency | `Hops ];
   engine : Engine.t;
   net : Net.t;
   until : float;
@@ -115,7 +93,7 @@ type t = {
   mutable detections : ((int * int) * [ `Down | `Up ] * float) list;
     (* reversed *)
   mutable suppressions : int;
-  (* data-plane state (unused when cfg.data_plane = None) *)
+  (* data-plane state (unused by [Hello_only]) *)
   probe_rng : Rng.t;
   quarantines : (int, quarantine) Hashtbl.t;
   (* outstanding transit probes: probe id -> transit node *)
@@ -188,7 +166,7 @@ let install t engine =
   t.recompute_pending <- false;
   t.table <-
     Linkstate.compute_live ~down:(believed_down t) (Net.links t.net)
-      ~metric:t.cfg.metric;
+      ~metric:t.metric;
   Net.set_forwarding t.net (Linkstate.forwarding t.table);
   t.reconvergences <- t.reconvergences + 1;
   t.reconvergence_times <- Engine.now engine :: t.reconvergence_times;
@@ -205,34 +183,34 @@ let request_recompute t engine =
   if not t.recompute_pending then begin
     t.recompute_pending <- true;
     ignore
-      (Engine.schedule_after engine t.cfg.recompute_delay (fun engine ->
+      (Engine.schedule_after engine recompute_delay (fun engine ->
            install t engine))
   end
 
 (* ---------- flap damping ---------- *)
 
-let decay_penalty (d : damping) w now =
+let decay_penalty w now =
   if w.penalty > 0.0 then begin
     let dt = now -. w.penalty_time in
     if dt > 0.0 then
-      w.penalty <- w.penalty *. (0.5 ** (dt /. d.half_life))
+      w.penalty <- w.penalty *. (0.5 ** (dt /. half_life))
   end;
   w.penalty_time <- now
 
-(* Every believed-state flip of an adjacency routes through here.  With
-   damping off it is just a recompute request; with damping on each
+(* Every believed-state flip of an adjacency routes through here.  For
+   [Hello_only] it is just a recompute request; [Verified] damps: each
    flip charges the penalty, and a watch whose penalty crosses the
    suppress threshold is held down — further flips are absorbed without
    touching the tables until the penalty decays below reuse. *)
 let note_flip t w engine =
-  match t.cfg.damping with
-  | None -> request_recompute t engine
-  | Some d ->
+  match t.detector with
+  | Hello_only -> request_recompute t engine
+  | Verified ->
     let now = Engine.now engine in
-    decay_penalty d w now;
-    w.penalty <- w.penalty +. d.penalty;
+    decay_penalty w now;
+    w.penalty <- w.penalty +. flip_penalty;
     if w.suppressed then ()
-    else if w.penalty >= d.suppress then begin
+    else if w.penalty >= suppress then begin
       w.suppressed <- true;
       t.suppressions <- t.suppressions + 1;
       if Flight.enabled () then
@@ -245,15 +223,15 @@ let note_flip t w engine =
 (* Called from the hello tick (the one timer that always runs): let a
    suppressed watch out of hold-down once its penalty has decayed. *)
 let damping_release t engine =
-  match t.cfg.damping with
-  | None -> ()
-  | Some d ->
+  match t.detector with
+  | Hello_only -> ()
+  | Verified ->
     let now = Engine.now engine in
     List.iter
       (fun w ->
         if w.suppressed then begin
-          decay_penalty d w now;
-          if w.penalty <= d.reuse then begin
+          decay_penalty w now;
+          if w.penalty <= reuse then begin
             w.suppressed <- false;
             w.flag_cleared_at <- now;
             if Flight.enabled () then
@@ -287,14 +265,14 @@ let rec tick t engine =
       end
       else begin
         w.missed <- w.missed + 1;
-        if (not w.declared_down) && w.missed >= t.cfg.hellos_missed then begin
+        if (not w.declared_down) && w.missed >= hellos_missed then begin
           w.declared_down <- true;
           declare t w engine `Down ~detail:"down"
         end
       end)
     t.watches;
   damping_release t engine;
-  let next = Engine.now engine +. t.cfg.hello_interval in
+  let next = Engine.now engine +. hello_interval in
   if next <= t.until then ignore (Engine.schedule engine next (tick t))
 
 (* ---------- the data-plane detector ---------- *)
@@ -328,19 +306,19 @@ let ratio samples =
    data-plane evidence even when every hello passes (gray failure,
    unidirectional fault); back up only once the windowed ratio has
    genuinely recovered. *)
-let dp_sample_adjacencies t (dp : data_plane) engine =
+let dp_sample_adjacencies t engine =
   List.iter
     (fun w ->
-      let uv = sample_direction t w.uv_links dp.probes_per_sample in
-      let vu = sample_direction t w.vu_links dp.probes_per_sample in
-      w.uv_samples <- push_sample dp.window w.uv_samples uv;
-      w.vu_samples <- push_sample dp.window w.vu_samples vu;
+      let uv = sample_direction t w.uv_links probes_per_sample in
+      let vu = sample_direction t w.vu_links probes_per_sample in
+      w.uv_samples <- push_sample window w.uv_samples uv;
+      w.vu_samples <- push_sample window w.vu_samples vu;
       let worst = Float.min (ratio w.uv_samples) (ratio w.vu_samples) in
-      if (not w.dp_down) && worst <= dp.down_ratio then begin
+      if (not w.dp_down) && worst <= down_ratio then begin
         w.dp_down <- true;
         declare t w engine `Down ~detail:"down:data-plane"
       end
-      else if w.dp_down && worst >= dp.up_ratio then begin
+      else if w.dp_down && worst >= up_ratio then begin
         w.dp_down <- false;
         w.flag_cleared_at <- Engine.now engine;
         declare t w engine `Up ~detail:"up:data-plane"
@@ -364,10 +342,10 @@ let quarantine_for t node =
     Hashtbl.replace t.quarantines node q;
     q
 
-let quarantine t (dp : data_plane) engine node =
+let quarantine t engine node =
   let q = quarantine_for t node in
   let now = Engine.now engine in
-  let hold = dp.quarantine_s *. (2.0 ** float_of_int q.strikes) in
+  let hold = quarantine_s *. (2.0 ** float_of_int q.strikes) in
   q.active <- true;
   q.q_until <- now +. hold;
   q.strikes <- q.strikes + 1;
@@ -406,7 +384,7 @@ let leg_faulted t ~since a b =
    any point since the probe was sent — is inconclusive, not evidence;
    only a loss with both legs believed healthy throughout reads as a
    silent discard by the transit node. *)
-let judge_probe t (dp : data_plane) engine ~probe_id ~sent ~via ~u ~v =
+let judge_probe t engine ~probe_id ~sent ~via ~u ~v =
   match Hashtbl.find_opt t.completed probe_id with
   | Some `Pass ->
     Hashtbl.remove t.completed probe_id;
@@ -421,10 +399,10 @@ let judge_probe t (dp : data_plane) engine ~probe_id ~sent ~via ~u ~v =
       t.probes_failed <- t.probes_failed + 1;
       let q = quarantine_for t via in
       q.fails <- q.fails + 1;
-      if (not q.active) && q.fails >= 2 then quarantine t dp engine via
+      if (not q.active) && q.fails >= 2 then quarantine t engine via
     end
 
-let dp_send_transit_probes t (dp : data_plane) engine =
+let dp_send_transit_probes t engine =
   let g = Net.links t.net in
   let n = Graph.node_count g in
   let now = Engine.now engine in
@@ -443,23 +421,23 @@ let dp_send_transit_probes t (dp : data_plane) engine =
         in
         Net.inject t.net engine p;
         ignore
-          (Engine.schedule engine (now +. dp.probe_timeout) (fun engine ->
+          (Engine.schedule engine (now +. probe_timeout) (fun engine ->
                if Hashtbl.mem t.outstanding probe_id then begin
                  Hashtbl.remove t.outstanding probe_id;
-                 judge_probe t dp engine ~probe_id ~sent:now ~via ~u ~v
+                 judge_probe t engine ~probe_id ~sent:now ~via ~u ~v
                end))
       | _ -> ()
     end
   done
 
-let rec dp_tick t (dp : data_plane) engine =
-  dp_sample_adjacencies t dp engine;
-  if dp.transit_probes then dp_send_transit_probes t dp engine;
-  let next = Engine.now engine +. dp.probe_interval in
+let rec dp_tick t engine =
+  dp_sample_adjacencies t engine;
+  dp_send_transit_probes t engine;
+  let next = Engine.now engine +. probe_interval in
   (* stop early enough that every probe deadline fires before [until]:
      after that the control plane must go quiet so the engine drains *)
-  if next +. dp.probe_timeout <= t.until then
-    ignore (Engine.schedule engine next (dp_tick t dp))
+  if next +. probe_timeout <= t.until then
+    ignore (Engine.schedule engine next (dp_tick t))
 
 (* Completion observer: records the judgment the deadline event reads.
    Runs for every packet; filters by the reserved probe-id range. *)
@@ -482,53 +460,15 @@ let observe_probe t p outcome =
 
 (* ---------- attach ---------- *)
 
-let validate_config config =
-  if not (config.hello_interval > 0.0) then
-    invalid_arg "Selfheal.attach: non-positive hello interval";
-  if config.hellos_missed < 1 then
-    invalid_arg "Selfheal.attach: hellos_missed < 1";
-  if not (config.recompute_delay >= 0.0) then
-    invalid_arg "Selfheal.attach: negative recompute delay";
-  (match config.data_plane with
-  | None -> ()
-  | Some dp ->
-    if not (dp.probe_interval > 0.0) then
-      invalid_arg "Selfheal.attach: non-positive probe interval";
-    if dp.probes_per_sample < 1 then
-      invalid_arg "Selfheal.attach: probes_per_sample < 1";
-    if dp.window < 1 then invalid_arg "Selfheal.attach: window < 1";
-    if not (dp.down_ratio >= 0.0 && dp.down_ratio < 1.0) then
-      invalid_arg "Selfheal.attach: down_ratio outside [0,1)";
-    if not (dp.up_ratio > dp.down_ratio && dp.up_ratio <= 1.0) then
-      invalid_arg "Selfheal.attach: up_ratio must be in (down_ratio,1]";
-    if not (dp.probe_timeout > 0.0) then
-      invalid_arg "Selfheal.attach: non-positive probe timeout";
-    if not (dp.quarantine_s > 0.0) then
-      invalid_arg "Selfheal.attach: non-positive quarantine");
-  match config.damping with
-  | None -> ()
-  | Some d ->
-    if not (d.penalty > 0.0) then
-      invalid_arg "Selfheal.attach: non-positive damping penalty";
-    if not (d.half_life > 0.0) then
-      invalid_arg "Selfheal.attach: non-positive damping half-life";
-    if not (d.suppress > 0.0) then
-      invalid_arg "Selfheal.attach: non-positive suppress threshold";
-    if not (d.reuse >= 0.0 && d.reuse < d.suppress) then
-      invalid_arg "Selfheal.attach: reuse must be in [0,suppress)"
-
-let attach ?(config = default_config) ~until engine net =
-  validate_config config;
+let attach ?(detector = Hello_only) ?(metric = `Latency) ~until engine net =
   if not (Float.is_finite until) || until < Engine.now engine then
     invalid_arg "Selfheal.attach: until must be finite and >= now";
-  let table = Linkstate.compute_live (Net.links net) ~metric:config.metric in
+  let table = Linkstate.compute_live (Net.links net) ~metric in
   Net.set_forwarding net (Linkstate.forwarding table);
-  let seed =
-    match config.data_plane with Some dp -> dp.probe_seed | None -> 0
-  in
   let t =
     {
-      cfg = config;
+      detector;
+      metric;
       engine;
       net;
       until;
@@ -539,7 +479,7 @@ let attach ?(config = default_config) ~until engine net =
       reconvergence_times = [];
       detections = [];
       suppressions = 0;
-      probe_rng = Rng.create seed;
+      probe_rng = Rng.create probe_seed;
       quarantines = Hashtbl.create 8;
       outstanding = Hashtbl.create 32;
       completed = Hashtbl.create 32;
@@ -548,15 +488,15 @@ let attach ?(config = default_config) ~until engine net =
       probes_failed = 0;
     }
   in
-  let first = Engine.now engine +. config.hello_interval in
+  let first = Engine.now engine +. hello_interval in
   if first <= until then ignore (Engine.schedule engine first (tick t));
-  (match config.data_plane with
-  | None -> ()
-  | Some dp ->
+  (match detector with
+  | Hello_only -> ()
+  | Verified ->
     Net.on_complete net (observe_probe t);
-    let first = Engine.now engine +. dp.probe_interval in
-    if first +. dp.probe_timeout <= until then
-      ignore (Engine.schedule engine first (dp_tick t dp)));
+    let first = Engine.now engine +. probe_interval in
+    if first +. probe_timeout <= until then
+      ignore (Engine.schedule engine first (dp_tick t)));
   t
 
 let table t = t.table

@@ -4,9 +4,9 @@
     from them instead of draining traffic into a black hole until the
     plan restores the link.  A [Selfheal.t] attached to a live
     {!Tussle_netsim.Net} samples every adjacency's liveness on a hello
-    timer, declares a link down after a configurable number of
-    consecutive missed hellos (and up again on the first good one),
-    and — one recompute delay later — swaps a freshly computed
+    timer, declares a link down after {!hellos_missed} consecutive
+    missed hellos (and up again on the first good one), and — one
+    {!recompute_delay} later — swaps a freshly computed
     {!Linkstate} forwarding table into the net via
     {!Tussle_netsim.Net.set_forwarding}.  Packets in flight consult
     the new table at their next hop.
@@ -15,86 +15,51 @@
     plane's view — which a whole family of faults leaves untouched: a
     gray-loss episode drops data while hellos pass, a unidirectional
     fault kills one direction, a Byzantine node answers hellos while
-    silently discarding transit traffic.  The optional {!data_plane}
-    detector closes that gap with evidence from the data plane itself:
-    windowed delivered/offered probe accounting per adjacency
-    direction (via {!Tussle_netsim.Link.probe}, which never perturbs
-    traffic or fault streams), and seeded end-to-end transit probes —
-    real packets source-routed through each candidate node — whose
-    silent disappearance unmasks a blackhole and quarantines it.  The
-    optional {!damping} config adds route-flap damping: each
-    believed-state flip charges an exponentially decaying penalty, and
-    an adjacency whose penalty crosses the suppress threshold is held
-    down until the penalty decays to reuse, bounding the recompute
-    churn a flapping link can extort.
+    silently discarding transit traffic.  The {!Verified} detector
+    closes that gap with evidence from the data plane itself: windowed
+    delivered/offered probe accounting per adjacency direction (via
+    {!Tussle_netsim.Link.probe}, which never perturbs traffic or fault
+    streams), and seeded end-to-end transit probes — real packets
+    source-routed through each candidate node — whose silent
+    disappearance unmasks a blackhole and quarantines it.  It also
+    damps route flaps: each believed-state flip charges an
+    exponentially decaying penalty, and an adjacency whose penalty
+    crosses the suppress threshold is held down until the penalty
+    decays to reuse, bounding the recompute churn a flapping link can
+    extort.
 
     The control plane acts only on what it has {e detected}: between a
     link dying and the hello timeout expiring, traffic still drops on
-    the dead link.  That detection window — plus the recompute delay —
-    is the convergence time E29 measures, and the knob the paper's
-    "design for variation in outcome" argument turns. *)
+    the dead link.  That detection window plus the recompute delay is
+    the convergence time E29 measures; which evidence the control plane
+    trusts — hellos alone or the data plane too — is the choice E30
+    contrasts. *)
 
-type data_plane = {
-  probe_interval : float;  (** seconds between probe batches *)
-  probes_per_sample : int;
-      (** virtual probes per adjacency direction per batch *)
-  window : int;  (** sliding window length, in batches *)
-  down_ratio : float;
-      (** declare down when the windowed delivered/offered ratio of
-          either direction falls to this or below *)
-  up_ratio : float;
-      (** declare back up once the windowed ratio recovers to this or
-          above (hysteresis: must exceed [down_ratio]) *)
-  transit_probes : bool;
-      (** send end-to-end probes through each candidate transit node *)
-  probe_timeout : float;
-      (** deadline after which an unanswered transit probe counts as a
-          silent discard *)
-  quarantine_s : float;
-      (** base exclusion time for a detected blackhole; doubles on
-          each re-detection *)
-  probe_seed : int;  (** rng seed for all probe draws *)
-}
+(** Which evidence the control plane acts on. *)
+type detector =
+  | Hello_only
+      (** hello liveness alone: every believed-state flip recomputes *)
+  | Verified
+      (** hellos plus the data-plane detector (4 virtual probes per
+          adjacency direction every {!probe_interval}, window 4, down
+          at <= 50% delivered, up at >= 90%), transit probes with a
+          300 ms deadline and two-strike quarantine (2 s base hold,
+          doubled per re-detection), and flap damping (penalty 1 per
+          flip, 1 s half-life, suppress at 2.5, reuse at 0.5) *)
 
-type damping = {
-  penalty : float;  (** charged per believed-state flip *)
-  half_life : float;  (** seconds for the penalty to decay by half *)
-  suppress : float;  (** hold the adjacency down above this *)
-  reuse : float;  (** release it once decayed to this *)
-}
+val hello_interval : float
+(** Seconds between liveness samples: 50 ms. *)
 
-type config = {
-  hello_interval : float;  (** seconds between liveness samples *)
-  hellos_missed : int;
-      (** consecutive missed hellos before a link is declared down *)
-  recompute_delay : float;
-      (** control-plane delay between detection and new tables taking
-          effect (SPF computation + flooding, coalescing bursts) *)
-  metric : [ `Latency | `Hops ];  (** cost metric for recomputed paths *)
-  data_plane : data_plane option;
-      (** [None]: hello-only detection, the pre-gray behavior *)
-  damping : damping option;  (** [None]: every flip recomputes *)
-}
+val hellos_missed : int
+(** Consecutive missed hellos before a link is declared down: 2. *)
 
-val default_config : config
-(** 50 ms hellos, 2 missed, 100 ms recompute, [`Latency] metric, no
-    data-plane detector, no damping: detection + installation in
-    roughly 200 ms, byte-identical to the pre-data-plane control
-    plane. *)
+val recompute_delay : float
+(** Control-plane delay between detection and new tables taking effect
+    (SPF computation + flooding, coalescing bursts): 100 ms.  With the
+    hello constants, detection + installation takes roughly 200 ms. *)
 
-val default_data_plane : data_plane
-(** 50 ms batches of 4 probes per direction, window 4, down at <= 50%
-    delivered, up at >= 90%, transit probes with a 300 ms deadline,
-    2 s base quarantine. *)
-
-val default_damping : damping
-(** Penalty 1 per flip, 1 s half-life, suppress at 2.5, reuse at
-    0.5. *)
-
-val verified_config : config
-(** {!default_config} plus {!default_data_plane} and
-    {!default_damping}: the data-plane-verified control plane E30
-    contrasts against hello-only healing. *)
+val probe_interval : float
+(** Seconds between {!Verified} probe batches: 50 ms. *)
 
 val probe_id_base : int
 (** Transit-probe packets carry ids from this range (900 000 000 and
@@ -104,24 +69,21 @@ val probe_id_base : int
 type t
 
 val attach :
-  ?config:config ->
+  ?detector:detector ->
+  ?metric:[ `Latency | `Hops ] ->
   until:float ->
   Tussle_netsim.Engine.t ->
   Tussle_netsim.Net.t ->
   t
 (** [attach ~until engine net] computes initial tables from the net's
-    link graph, installs them, and schedules hello ticks every
-    [hello_interval] up to simulation time [until] (after which the
-    control plane goes quiet, so the engine can drain — chaos
-    scenarios rely on this bound).  With a [data_plane] config, probe
-    batches tick every [probe_interval], stopping early enough that
-    every probe deadline also lands before [until].  Raises
-    [Invalid_argument] on a non-positive hello interval,
-    [hellos_missed < 1], a negative recompute delay, a non-finite
-    [until] in the past, or a malformed [data_plane]/[damping]
-    sub-config (non-positive intervals/timeouts, [down_ratio] outside
-    [0,1), [up_ratio] not in ([down_ratio],1], [reuse] not in
-    [0,[suppress])). *)
+    link graph by [metric] (default [`Latency]), installs them, and
+    schedules hello ticks every {!hello_interval} up to simulation time
+    [until] (after which the control plane goes quiet, so the engine
+    can drain — chaos scenarios rely on this bound).  With
+    [~detector:Verified] (default {!Hello_only}), probe batches tick
+    every {!probe_interval}, stopping early enough that every probe
+    deadline also lands before [until].  Raises [Invalid_argument] on
+    a non-finite [until] or one in the past. *)
 
 val table : t -> Linkstate.t
 (** The currently installed forwarding table. *)

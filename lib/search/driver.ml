@@ -36,13 +36,13 @@ let run ?corpus_dir ~backend ~seed ~budget () =
          (String.concat " or " backend_names))
   | Some (module B) ->
     let scenarios = Scenario.all in
+    (* a missing corpus directory seeds nothing: the first save
+       creates it *)
     let seeds =
-      match corpus_dir with
-      | None -> []
-      | Some dir ->
-        List.filter_map
-          (fun (_, r) -> Result.to_option r)
-          (Corpus.load_dir dir)
+      match Option.map Corpus.load_dir corpus_dir with
+      | None | Some (Error _) -> []
+      | Some (Ok entries) ->
+        List.filter_map (fun (_, r) -> Result.to_option r) entries
     in
     let o = B.search ?corpus_dir ~seeds ~scenarios ~seed ~budget () in
     let corpus_added =

@@ -137,6 +137,8 @@ done <<ROWS
 2 $CLI explain $bad_corpus/node.plan
 1 $CLI chaos --replay $bad_corpus
 1 $CLI chaos --replay $unknown_corpus
+2 $CLI chaos --replay $TMP/definitely-missing-dir
+2 $CLI chaos --replay README.md
 2 $CLI trends $TMP/definitely-missing-report.json --history $TMP/tussle-history.jsonl
 2 $CLI trends $report --history $TMP/tussle-bad-history.jsonl
 2 $CLI chaos --chaos-seed=nope

@@ -713,7 +713,7 @@ let test_traffic_constant_spacing () =
   let gen = Traffic.create rng in
   let net = Net.create (line_links 2) line_forwarding in
   let engine = Engine.create () in
-  Traffic.constant_flow gen engine net ~interval:1.0 ~count:3
+  Traffic.constant_flow gen engine net ~start:0.0 ~interval:1.0 ~count:3
     ~make:(fun g ~created -> Traffic.next_packet g ~src:0 ~dst:1 ~created ());
   Engine.run engine;
   let created =

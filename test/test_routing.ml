@@ -575,30 +575,30 @@ let test_selfheal_flap_within_detection_window_coalesces () =
 
 let test_selfheal_damping_suppresses_flap_churn () =
   (* a fast flap (0.2 s phases, well above the detection threshold)
-     flips the believed state on every phase edge.  Undamped, each flip
-     recomputes; with damping the penalty crosses the suppress
-     threshold after a few flips and the adjacency is held down until
-     the flapping stops and the penalty decays *)
+     flips the believed state on every phase edge.  Hello-only healing
+     recomputes on each flip; the verified plane damps: the penalty
+     crosses the suppress threshold after a few flips and the adjacency
+     is held down until the flapping stops and the penalty decays *)
   let flap =
     Plan.Link_flap
       { u = 0; v = 1; w = Plan.window 0.5 4.5; period_s = 0.4; duty = 0.5 }
   in
-  let run config =
+  let run detector =
     let links = Topology.to_links (Topology.ring 6) in
     let net = Net.create links no_forwarding in
     let engine = Engine.create () in
-    let heal = Selfheal.attach ~config ~until:12.0 engine net in
+    let heal = Selfheal.attach ~detector ~until:12.0 engine net in
     Inject.install ~seed:5 ~plan:[ flap ] engine net;
     Engine.run ~until:600.0 engine;
     Alcotest.(check int) "engine drained" 0 (Engine.pending engine);
     heal
   in
-  let damped = run Selfheal.verified_config in
-  let undamped =
-    run { Selfheal.verified_config with Selfheal.damping = None }
-  in
+  let damped = run Selfheal.Verified in
+  let undamped = run Selfheal.Hello_only in
   Alcotest.(check bool) "hold-down engaged" true
     (Selfheal.suppressions damped >= 1);
+  Alcotest.(check int) "hello-only never holds down" 0
+    (Selfheal.suppressions undamped);
   Alcotest.(check bool) "damping cuts the recompute churn" true
     (Selfheal.reconvergences damped < Selfheal.reconvergences undamped);
   Alcotest.(check (list (pair int int)))
@@ -613,7 +613,7 @@ let test_selfheal_slow_flap_still_reconverges () =
   let net = Net.create links no_forwarding in
   let engine = Engine.create () in
   let heal =
-    Selfheal.attach ~config:Selfheal.verified_config ~until:14.0 engine net
+    Selfheal.attach ~detector:Selfheal.Verified ~until:14.0 engine net
   in
   Inject.install ~seed:5
     ~plan:

@@ -430,7 +430,8 @@ let test_corpus_dedupe () =
   (* same plan under a different seed is still the same reproducer *)
   let path2 = Corpus.save ~dir { entry with Corpus.seed = 99 } in
   Alcotest.(check string) "seed does not defeat dedup" path path2;
-  Alcotest.(check int) "still one file" 1 (List.length (Corpus.load_dir dir));
+  Alcotest.(check int) "still one file" 1
+    (List.length (Result.get_ok (Corpus.load_dir dir)));
   (* a genuinely different plan gets its own file *)
   let other =
     { entry with Corpus.plan = [ Plan.Link_down { u = 0; v = 1; w = Plan.window 0.1 1.0 } ] }
@@ -439,7 +440,8 @@ let test_corpus_dedupe () =
     (Corpus.find_duplicate ~dir other);
   let path3 = Corpus.save ~dir other in
   Alcotest.(check bool) "distinct plan, distinct file" true (path3 <> path);
-  Alcotest.(check int) "two files" 2 (List.length (Corpus.load_dir dir))
+  Alcotest.(check int) "two files" 2
+    (List.length (Result.get_ok (Corpus.load_dir dir)))
 
 let test_corpus_unknown_scenario_rejected () =
   let dir = fresh_corpus_dir () in
