@@ -11,7 +11,6 @@ module Obs_search_report = Tussle_obs.Search_report
 module Obs_json = Tussle_obs.Json
 module Trends = Tussle_obs.Trends
 module Sweep = Tussle_chaos.Sweep
-module Invariant = Tussle_chaos.Invariant
 
 let ( let* ) = Result.bind
 
@@ -76,21 +75,24 @@ let write cmd file f =
   | None -> f None
   | Some { flag; path } -> Pool.artifact ~cmd ~flag (fun () -> f (Some path))
 
-(* The sweep/search epilogue: the summary, each problem and report
-   invariant violation as "CMD: ..." on stderr, then the --report
-   artifact. *)
-let publish cmd report write_report r ~summary ~problems violations =
+(* The sweep/search epilogue: the summary, each problem as "CMD: MSG"
+   on stderr, the artifact's check (the one [tussle report] runs), then
+   the --report artifact.  [true] when the artifact is valid. *)
+let publish cmd report json ~summary ~problems =
   print_string summary;
-  List.iter
-    (fun msg -> prerr_endline (cmd ^ ": " ^ msg))
-    (problems
-    @ List.map
-        (fun v -> "report invariant violated: " ^ Invariant.violation_string v)
-        violations);
+  List.iter (fun msg -> prerr_endline (cmd ^ ": " ^ msg)) problems;
+  let valid =
+    match Tussle_chaos.Artifact.check json with
+    | Ok _ -> true
+    | Error (kind, msg) ->
+      prerr_endline (Printf.sprintf "%s: invalid %s: %s" cmd kind msg);
+      false
+  in
   write cmd report
     (Option.iter (fun file ->
-         write_report file r;
-         Printf.printf "\nreport written to %s\n" file))
+         Obs_json.to_file file json;
+         Printf.printf "\nreport written to %s\n" file));
+  valid
 
 let pos_file i docv ~doc =
   Arg.(required & pos i (some string) None & info [] ~docv ~doc)
@@ -337,12 +339,13 @@ let sweep_cmd =
     let sweep_report, errors =
       Driver.run_sweep ?timeout_s ~seed ~runs ~alpha experiments
     in
-    let violations = Driver.check_report sweep_report in
-    publish "sweep" report Obs_sweep_report.write sweep_report
-      ~summary:(Obs_sweep_report.summary sweep_report)
-      ~problems:(List.map Driver.error_string errors) violations;
+    let valid =
+      publish "sweep" report (Obs_sweep_report.to_json sweep_report)
+        ~summary:(Obs_sweep_report.summary sweep_report)
+        ~problems:(List.map Driver.error_string errors)
+    in
     let total, passed = Obs_sweep_report.count_verdicts sweep_report in
-    Ok (if errors <> [] || violations <> [] || passed < total then 1 else 0)
+    Ok (if errors <> [] || (not valid) || passed < total then 1 else 0)
   in
   subcommand "sweep"
     ~doc:"statistical verdicts: sweep experiments across seeds and \
@@ -391,10 +394,11 @@ let search_cmd =
       write "search" corpus (fun corpus_dir ->
           Driver.run ?corpus_dir ~backend ~seed ~budget ())
     in
-    let violations = Invariant.check_search_report search_report in
-    publish "search" report Obs_search_report.write search_report
-      ~summary:(Obs_search_report.summary search_report) ~problems:[] violations;
-    Ok (if violations <> [] || search_report.findings <> [] then 1 else 0)
+    let valid =
+      publish "search" report (Obs_search_report.to_json search_report)
+        ~summary:(Obs_search_report.summary search_report) ~problems:[]
+    in
+    Ok (if (not valid) || search_report.findings <> [] then 1 else 0)
   in
   subcommand "search"
     ~doc:"adversarial search over fault-plan space: coverage-guided mutation \

@@ -15,11 +15,18 @@ let battery =
     [ top "label"; ("experiments", [ "summary"; "total" ]); summary "held";
       summary "violated"; summary "failed" ] )
 
+(* The schema's check, then the corpus files its findings name. *)
+let search_report json =
+  let ( let* ) = Result.bind in
+  let* () = Search_report.validate json in
+  let* r = Search_report.of_json json in
+  Corpus.check_findings r.Search_report.findings
+
 let kinds =
   [
     ( Search_report.schema_tag,
       "search report",
-      Search_report.validate,
+      search_report,
       [ top "label"; top "backend"; summary "runs"; summary "frontier";
         summary "violations"; summary "corpus_added" ] );
     ( Sweep_report.schema_tag,

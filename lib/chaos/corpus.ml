@@ -1,4 +1,5 @@
 module Plan = Tussle_fault.Plan
+module Search_report = Tussle_obs.Search_report
 
 type entry = { scenario : string; seed : int; plan : Plan.t }
 
@@ -15,6 +16,18 @@ let rec mkdirs dir =
 let filename e =
   Printf.sprintf "%s-%d-%08x.plan" e.scenario e.seed
     (Hashtbl.hash (Plan.to_string e.plan) land 0xffffffff)
+
+(* [name] is [filename] of the reproducer under some seed: [save]
+   returns an existing file found under another seed. *)
+let named_for ~scenario plan name =
+  let prefix = scenario ^ "-" in
+  let n = String.length prefix in
+  match String.rindex_opt name '-' with
+  | Some i when String.starts_with ~prefix name && i > n ->
+    Option.fold ~none:false
+      ~some:(fun seed -> filename { scenario; seed; plan } = name)
+      (int_of_string_opt (String.sub name n (i - n)))
+  | _ -> false
 
 let to_file_string e =
   Printf.sprintf
@@ -104,3 +117,26 @@ let save ~dir e =
     output_string oc (to_file_string e);
     close_out oc;
     path
+
+let check_finding (f : Search_report.finding) =
+  let path = f.corpus_file and scenario = f.scenario in
+  let name = Filename.basename path in
+  let fail fmt = Printf.ksprintf Result.error ("%s: " ^^ fmt) scenario in
+  if path = "" then Ok ()
+  else
+    match Plan.of_string f.minimal_plan with
+    | Error e -> fail "minimal plan does not parse: %s" e
+    | Ok plan when not (named_for ~scenario plan name) ->
+      fail "corpus file %S is not named for its scenario and minimal plan" name
+    | Ok _ when not (Sys.file_exists path) -> Ok ()
+    | Ok plan -> (
+      match load path with
+      | Error e -> fail "corpus file %S unreadable: %s" name e
+      | Ok e when e.scenario <> scenario ->
+        fail "corpus file %S names scenario %S on disk" name e.scenario
+      | Ok e when Plan.to_string e.plan <> Plan.to_string plan ->
+        fail "corpus file %S holds a different plan on disk" name
+      | Ok _ -> Ok ())
+
+let check_findings fs =
+  Tussle_obs.Json.list check_finding fs |> Result.map ignore

@@ -17,6 +17,14 @@ val filename : entry -> string
 (** [scenario-seed-<hash>.plan]; the hash covers the plan text so
     saving the same reproducer twice is idempotent. *)
 
+val check_findings :
+  Tussle_obs.Search_report.finding list -> (unit, string) result
+(** Each finding that names a corpus file names it as {!filename} does
+    for its scenario and minimal plan, under any seed ({!save} may
+    return a duplicate found under another seed); and when the file is
+    on disk it loads back to that scenario and plan.  [Error] names the
+    first finding that fails. *)
+
 val find_duplicate : dir:string -> entry -> string option
 (** Path of an existing corpus file holding the same reproducer —
     same scenario and identical plan text, {e regardless of seed} —

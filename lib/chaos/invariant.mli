@@ -8,9 +8,10 @@
     violation is a simulator bug by definition, and the failing plan is
     shrunk ({!Shrink}) and persisted ({!Corpus}) as a regression.
 
-    This registry is the intended home for future correctness checks:
-    add an entry to {!all} and every sweep, replay, and test starts
-    enforcing it. *)
+    This registry is the intended home for future correctness checks
+    on simulation runs: add an entry to {!all} and every sweep, replay,
+    and test starts enforcing it.  JSON artifacts are checked by their
+    own schema's validator, through {!Artifact.check}. *)
 
 type transfer_state = Completed | Abandoned | Active
 
@@ -82,50 +83,3 @@ val check : obs -> violation list
 (** Run every registered invariant; [[]] means the run was clean. *)
 
 val violation_string : violation -> string
-
-(** {2 Sweep-report invariants}
-
-    A second registry operating on the statistical artifact rather
-    than a simulation run: every [tussle.sweep-report/1] the sweep
-    driver produces must be internally consistent before it is
-    written or trusted.  Same contract as {!all} — an entry returning
-    [Some detail] is a bug in the statistical layer by definition. *)
-
-val report_all :
-  (string * (Tussle_obs.Sweep_report.t -> string option)) list
-(** In check order: every metric's sample count matches its
-    experiment's (and the sweep's) run count; each confidence interval
-    brackets its recorded mean; the recorded mean agrees with the mean
-    of the stored samples (relative 1e-9); means/stddevs/samples are
-    finite with non-negative stddev. *)
-
-val report_names : string list
-
-val check_report : Tussle_obs.Sweep_report.t -> violation list
-(** Run every report invariant; [[]] means the artifact is
-    consistent. *)
-
-(** {2 Search-report invariants}
-
-    The same discipline for the [tussle.search-report/1] artifact the
-    adversarial search emits: budget accounting, coverage-frontier
-    monotonicity, and corpus bookkeeping are registry entries here,
-    not bespoke asserts in the search driver. *)
-
-val search_report_all :
-  (string * (Tussle_obs.Search_report.t -> string option)) list
-(** In check order: budget accounting ([runs <= budget]; the mutate
-    backend spends its whole budget; the exhaust backend runs exactly
-    [min budget space]; certification requires an exhausted box with
-    no findings); the coverage frontier is non-negative, non-decreasing
-    and bounded by [runs] (and non-empty coverage for a non-empty run);
-    every persisted finding's corpus file name carries the hash of its
-    minimal plan text and — when present on disk — loads back to
-    exactly that reproducer; [corpus_added] never exceeds the findings
-    that carry a corpus file. *)
-
-val search_report_names : string list
-
-val check_search_report : Tussle_obs.Search_report.t -> violation list
-(** Run every search-report invariant; [[]] means the artifact is
-    consistent. *)

@@ -26,10 +26,9 @@ type run = {
 
 (* Per-run derivation depends only on (master seed, index) — never on
    which worker domain picked the item up — so a sweep is byte-
-   identical for any --domains count.  7919 (the 1000th prime) just
-   spreads the per-index seeds away from each other. *)
+   identical for any --domains count. *)
 let draw ~master_seed ~index (s : Scenario.t) =
-  let rng = Rng.create (master_seed + (7919 * (index + 1))) in
+  let rng = Rng.create (Rng.seed_at ~seed:master_seed index) in
   let episodes = 1 + Rng.int rng 4 in
   let plan = Plan.random rng ~links:s.links ~horizon:s.horizon ~episodes in
   let seed = Rng.int rng 1_000_000 in

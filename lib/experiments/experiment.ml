@@ -41,10 +41,6 @@ let footer ok =
     (if ok then "HOLDS (matches the paper's qualitative claim)"
      else "DOES NOT HOLD")
 
-let render t =
-  let body, ok = t.run () in
-  (header t ^ body ^ footer ok, ok)
-
 let held o = o.status = Held
 
 (* Same handle Engine accumulates into (interned by name): the

@@ -95,7 +95,3 @@ val run : ?timeout_s:float -> t -> outcome
 
 val held : outcome -> bool
 (** [held o] iff [o.status = Held]. *)
-
-val render : t -> string * bool
-(** Run and wrap with a header/footer.  The bool is the shape check.
-    Unlike {!run}, exceptions propagate. *)

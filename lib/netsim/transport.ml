@@ -94,9 +94,7 @@ let on_ack t seq =
     t.outstanding <- t.outstanding - 1;
     t.last_progress <- Engine.now t.engine
   end;
-  (match t.behaviour with
-  | Compliant -> t.cwnd <- t.cwnd +. (t.increase /. Float.max 1.0 t.cwnd)
-  | Aggressive -> t.cwnd <- t.cwnd +. (t.increase /. Float.max 1.0 t.cwnd));
+  t.cwnd <- t.cwnd +. (t.increase /. Float.max 1.0 t.cwnd);
   if t.abandon_time <> None then ()
   else if Hashtbl.length t.acked_seqs >= t.total && t.finish_time = None then begin
     t.finish_time <- Some (Engine.now t.engine);

@@ -12,8 +12,8 @@
        is modelled as a fixed-latency, uncongested channel — ACKs are
        small and rarely the bottleneck; this keeps the forward queues
        the only contention point);}
-    {- on an ACK, a compliant connection grows [cwnd] by
-       [increase / cwnd] (additive increase per RTT);}
+    {- on an ACK, either kind grows [cwnd] by [increase / cwnd]
+       (additive increase per RTT);}
     {- on a loss, a compliant connection halves [cwnd] and retransmits;
        an {e aggressive} one just retransmits — Savage's endpoint that
        ignores congestion.}}

@@ -1,6 +1,6 @@
 (* Search report: the `tussle.search-report/1` artifact emitted by
    `tussle search`.  Same discipline as the sweep report: schema tag,
-   atomic write, decoder built from [Json]'s combinators, and no
+   decoder built from [Json]'s combinators, and no
    wall-clock or domain-count field anywhere — the search's contract
    is byte-identical output across --domains and across repeated runs
    at the same seed, so everything derives from (seed, config) alone. *)
@@ -87,8 +87,6 @@ let to_json t =
       ("findings", Json.List (List.map finding_to_json t.findings));
     ]
 
-let write path t = Json.to_file path (to_json t)
-
 (* ---------- parsing ---------- *)
 
 let ( let* ) = Json.( let* )
@@ -157,21 +155,65 @@ let of_json json =
 
 (* ---------- validation ---------- *)
 
+(* Budget accounting: the mutate backend spends its whole budget, the
+   exhaust backend runs min(budget, space), and only an exhausted box
+   with no findings is certified. *)
+let check_budget t =
+  if t.budget < 1 then
+    Error (Printf.sprintf "budget must be >= 1 (got %d)" t.budget)
+  else if t.runs < 0 || t.runs > t.budget then
+    Error (Printf.sprintf "%d runs for budget %d" t.runs t.budget)
+  else if t.backend = "mutate" && t.runs <> t.budget then
+    Error
+      (Printf.sprintf "mutate backend must spend its whole budget: %d of %d"
+         t.runs t.budget)
+  else if t.backend = "exhaust" && t.runs <> min t.budget t.space then
+    Error
+      (Printf.sprintf
+         "exhaust backend ran %d plans; expected min(budget %d, space %d)"
+         t.runs t.budget t.space)
+  else if
+    t.certified
+    && (t.backend <> "exhaust" || t.runs <> t.space || t.findings <> [])
+  then Error "certification requires an exhausted box with no findings"
+  else Ok ()
+
+(* The coverage frontier starts at 0, never shrinks, never counts more
+   signatures than runs, and grows for any non-empty run. *)
+let check_frontier t =
+  let rec walk prev = function
+    | [] -> Ok ()
+    | n :: rest ->
+      if n < prev then
+        Error (Printf.sprintf "coverage frontier shrank: %d -> %d" prev n)
+      else walk n rest
+  in
+  let* () = walk 0 t.frontier in
+  let final = frontier_size t in
+  if final > t.runs then
+    Error
+      (Printf.sprintf "%d distinct signatures from only %d runs" final t.runs)
+  else if t.runs > 0 && final = 0 then
+    Error (Printf.sprintf "%d runs grew no coverage at all" t.runs)
+  else Ok ()
+
+let check_finding f =
+  if f.scenario = "" then Error "finding with empty scenario name"
+  else if f.minimal_plan = "" then
+    Error
+      (Printf.sprintf "finding %s: empty minimal plan (nothing to replay)"
+         f.scenario)
+  else if f.invariants = [] then
+    Error (Printf.sprintf "finding %s: no violated invariant named" f.scenario)
+  else Ok ()
+
 let validate json =
   let* t = of_json json in
   let* summary = Json.field "summary" Option.some json in
   let* s_runs = Json.field "runs" Json.to_int summary in
   let* s_frontier = Json.field "frontier" Json.to_int summary in
   let* s_violations = Json.field "violations" Json.to_int summary in
-  let* s_added = Json.field "corpus_added" Json.to_int summary in
-  let* () =
-    if t.budget >= 1 then Ok ()
-    else Error (Printf.sprintf "budget must be >= 1 (got %d)" t.budget)
-  in
-  let* () =
-    if t.runs >= 0 then Ok ()
-    else Error (Printf.sprintf "runs must be >= 0 (got %d)" t.runs)
-  in
+  let* () = check_budget t in
   let* () =
     if s_runs = t.runs then Ok ()
     else Error (Printf.sprintf "summary.runs=%d but runs=%d" s_runs t.runs)
@@ -183,6 +225,7 @@ let validate json =
         (Printf.sprintf "summary.frontier=%d but frontier ends at %d" s_frontier
            (frontier_size t))
   in
+  let* () = check_frontier t in
   let* () =
     if s_violations = List.length t.findings then Ok ()
     else
@@ -190,31 +233,15 @@ let validate json =
         (Printf.sprintf "summary.violations=%d but %d findings listed"
            s_violations (List.length t.findings))
   in
+  let persisted = List.filter (fun f -> f.corpus_file <> "") t.findings in
   let* () =
-    if s_added >= 0 && s_added <= List.length t.findings then Ok ()
+    if t.corpus_added >= 0 && t.corpus_added <= List.length persisted then Ok ()
     else
       Error
-        (Printf.sprintf "summary.corpus_added=%d vs %d findings" s_added
-           (List.length t.findings))
+        (Printf.sprintf "corpus_added=%d but %d findings carry a corpus file"
+           t.corpus_added (List.length persisted))
   in
-  let* () =
-    if t.certified && t.findings <> [] then
-      Error "certified search cannot carry findings"
-    else Ok ()
-  in
-  Json.list
-    (fun (f : finding) ->
-      if f.scenario = "" then Error "finding with empty scenario name"
-      else if f.minimal_plan = "" then
-        Error
-          (Printf.sprintf "finding %s: empty minimal plan (nothing to replay)"
-             f.scenario)
-      else if f.invariants = [] then
-        Error
-          (Printf.sprintf "finding %s: no violated invariant named" f.scenario)
-      else Ok ())
-    t.findings
-  |> Result.map (fun _ -> ())
+  Json.list check_finding t.findings |> Result.map ignore
 
 (* ---------- rendering ---------- *)
 

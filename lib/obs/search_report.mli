@@ -63,16 +63,20 @@ val of_json : Json.t -> (t, string) result
 (** Structural parse back into {!t}; fails with a message naming the
     first offending field. *)
 
-val write : string -> t -> unit
-(** Atomic write of [to_json] (pretty-printed), via {!Json.to_file}. *)
-
 val validate : Json.t -> (unit, string) result
-(** Structural schema check: tag, field presence and types, summary
-    counts consistent with the payload, a certified report carrying no
-    findings, and every finding naming a scenario, a non-empty minimal
-    plan, and at least one violated invariant.  Backend semantics
-    (budget accounting, frontier monotonicity, corpus hashes) are the
-    chaos layer's search-report invariants, not this check. *)
+(** The schema's check of a [tussle.search-report/1]: its tag, field
+    presence and types; summary counts that match the payload; budget
+    accounting ([0 <= runs <= budget]; the mutate backend spends its
+    whole budget; the exhaust backend runs exactly [min budget space];
+    certification requires an exhausted box with no findings); a
+    coverage frontier that starts at 0, never shrinks, never exceeds
+    [runs] and is non-empty for a non-empty run; [corpus_added] no
+    larger than the number of findings that carry a corpus file; and
+    every finding naming a scenario, a non-empty minimal plan and at
+    least one violated invariant.  [Error] names the first problem.
+    Checking each finding's corpus file needs the plan grammar:
+    [Tussle_chaos.Corpus.check_findings] does it, and
+    [Tussle_chaos.Artifact.check] runs both. *)
 
 val summary : t -> string
 (** Deterministic human-readable rendering (header, coverage line,

@@ -1,6 +1,6 @@
 (* Sweep report: the `tussle.sweep-report/1` artifact emitted by
    `tussle sweep`.  Same discipline as the battery report (schema tag,
-   atomic write, decoder built from [Json]'s combinators) with one
+   decoder built from [Json]'s combinators) with one
    deliberate difference: no [generated_at] or any other wall-clock
    field — the sweep's contract is byte-identical output across
    --domains and across repeated runs at the same seed, so everything
@@ -123,8 +123,6 @@ let to_json t =
       ("experiments", Json.List (List.map exp_to_json t.experiments));
     ]
 
-let write path t = Json.to_file path (to_json t)
-
 (* ---------- parsing ---------- *)
 
 let ( let* ) = Json.( let* )
@@ -185,6 +183,42 @@ let of_json json =
 
 (* ---------- validation ---------- *)
 
+(* A metric must be what its samples say: finite statistics, a CI that
+   brackets the mean, and a mean equal (relative 1e-9) to the samples'
+   own average, summed here in run order as [Stats.mean] does.  Called
+   once the sweep's [runs >= 2] holds, so [n] is never 0. *)
+let check_metric (e : exp) m =
+  let where = Printf.sprintf "%s/%s" e.id m.name in
+  let n = Array.length m.samples in
+  let actual = Array.fold_left ( +. ) 0.0 m.samples /. float_of_int n in
+  if n <> e.runs then
+    Error (Printf.sprintf "%s: %d samples for %d runs" where n e.runs)
+  else if not (Float.is_finite m.mean) then
+    Error (Printf.sprintf "%s: mean is %g" where m.mean)
+  else if not (Float.is_finite m.stddev && m.stddev >= 0.0) then
+    Error (Printf.sprintf "%s: stddev is %g" where m.stddev)
+  else if Array.exists (fun x -> not (Float.is_finite x)) m.samples then
+    Error (Printf.sprintf "%s: non-finite sample" where)
+  else if not (m.ci_lo <= m.mean && m.mean <= m.ci_hi) then
+    Error
+      (Printf.sprintf "%s: CI [%g, %g] does not bracket mean %g" where m.ci_lo
+         m.ci_hi m.mean)
+  else if
+    Float.abs (actual -. m.mean) > 1e-9 *. Float.max 1.0 (Float.abs actual)
+  then
+    Error
+      (Printf.sprintf "%s: recorded mean %g but samples average to %g" where
+         m.mean actual)
+  else Ok ()
+
+let check_verdict (e : exp) v =
+  if v.pass = (v.pvalue < v.alpha) then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "experiment %s: verdict %S pass flag disagrees with p=%g alpha=%g"
+         e.id v.claim v.pvalue v.alpha)
+
 let validate json =
   let* t = of_json json in
   let* () = if t.runs >= 2 then Ok () else Error "runs must be >= 2" in
@@ -213,18 +247,10 @@ let validate json =
             (Printf.sprintf "experiment %s: runs=%d but sweep runs=%d" e.id
                e.runs t.runs)
       in
-      Json.list
-        (fun (v : verdict) ->
-          if v.pass = (v.pvalue < v.alpha) then Ok ()
-          else
-            Error
-              (Printf.sprintf
-                 "experiment %s: verdict %S pass flag disagrees with p=%g \
-                  alpha=%g"
-                 e.id v.claim v.pvalue v.alpha))
-        e.verdicts)
+      let* _ = Json.list (check_metric e) e.metrics in
+      Json.list (check_verdict e) e.verdicts)
     t.experiments
-  |> Result.map (fun _ -> ())
+  |> Result.map ignore
 
 (* ---------- rendering ---------- *)
 

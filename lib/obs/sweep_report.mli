@@ -60,16 +60,14 @@ val of_json : Json.t -> (t, string) result
 (** Structural parse back into {!t}; fails with a message naming the
     first offending field. *)
 
-val write : string -> t -> unit
-(** Atomic write of [to_json] (pretty-printed), via {!Json.to_file}. *)
-
 val validate : Json.t -> (unit, string) result
-(** Structural schema check: tag, field presence and types, summary
-    counts consistent with the listed verdicts, per-metric [n]
-    matching its sample array, per-experiment [runs] matching the
-    sweep's, and each verdict's [pass] flag agreeing with
-    [pvalue < alpha].  Numeric {e consistency} of samples vs
-    mean/CI is the chaos layer's report invariant, not this check. *)
+(** The one check of a [tussle.sweep-report/1]: its tag, field
+    presence and types; summary counts that match the listed verdicts;
+    every experiment's [runs] equal to the sweep's and to each of its
+    metrics' sample count; finite means, samples and non-negative
+    stddevs; a CI that brackets its mean; a mean that matches its
+    samples' average (relative 1e-9); and each verdict's [pass] flag
+    agreeing with [pvalue < alpha].  [Error] names the first problem. *)
 
 val summary : t -> string
 (** Deterministic human-readable rendering (metric table + PASS/FAIL

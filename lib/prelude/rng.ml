@@ -28,6 +28,9 @@ let of_state s =
 
 let create seed = of_state (mix64 (Int64.of_int seed))
 
+(* 7919, the 1000th prime, spreads the per-index seeds apart. *)
+let seed_at ~seed index = seed + (7919 * (index + 1))
+
 let[@inline] int64 t =
   let s = Int64.add (get_state t 0) golden_gamma in
   set_state t 0 s;

@@ -19,6 +19,13 @@ val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed.  Equal seeds
     yield equal streams. *)
 
+val seed_at : seed:int -> int -> int
+(** [seed_at ~seed index] is [seed + 7919 * (index + 1)]: the seed of
+    item [index] of a run fanned out from the master [seed].  The chaos
+    sweep, the statistical sweep and the adversarial search all derive
+    their per-item seeds through it, so an item depends on (master
+    seed, index) alone, never on which domain ran it. *)
+
 val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t].
     Use to give subsystems their own streams without sharing state. *)

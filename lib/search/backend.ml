@@ -27,7 +27,7 @@ type outcome = {
 (* Same derivation as the chaos sweep: everything a candidate does is
    a pure function of (master seed, global candidate index), which is
    what makes the search byte-identical across --domains. *)
-let candidate_rng ~seed index = Rng.create (seed + (7919 * (index + 1)))
+let candidate_rng ~seed index = Rng.create (Rng.seed_at ~seed index)
 
 (* The oracle: run the scenario under the plan and check the whole
    invariant registry; the signature is the coverage signal. *)

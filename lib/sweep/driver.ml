@@ -10,16 +10,12 @@
    repeated runs at the same seed. *)
 
 module Pool = Tussle_prelude.Pool
+module Rng = Tussle_prelude.Rng
 module Stats = Tussle_prelude.Stats
 module Sweep_report = Tussle_obs.Sweep_report
 module Experiment = Tussle_experiments.Experiment
-module Invariant = Tussle_chaos.Invariant
 
 type error = { exp_id : string; message : string }
-
-(* Same prime-stride derivation the chaos layer uses: distinct strides
-   keep run seeds disjoint from chaos plan seeds at the same master. *)
-let run_seed ~seed index = seed + (7919 * (index + 1))
 
 (* One probe replicate, through the real fault-isolation/watchdog
    machinery: the probe is wrapped in a throwaway [Experiment.t] so
@@ -37,7 +33,7 @@ let run_probe ?timeout_s (e : Experiment.t) probe ~seed index =
       paper_claim = "";
       run =
         (fun () ->
-          result := probe ~seed:(run_seed ~seed index);
+          result := probe ~seed:(Rng.seed_at ~seed index);
           ("", true));
       sweep = None;
     }
@@ -47,7 +43,9 @@ let run_probe ?timeout_s (e : Experiment.t) probe ~seed index =
   | Experiment.Held -> Ok !result
   | Experiment.Violated -> Error "probe shim violated (cannot happen)"
   | Experiment.Failed msg ->
-    Error (Printf.sprintf "run %d (seed %d): %s" index (run_seed ~seed index) msg)
+    Error
+      (Printf.sprintf "run %d (seed %d): %s" index (Rng.seed_at ~seed index)
+         msg)
 
 (* Collate one experiment's per-run metric lists into named sample
    arrays, insisting every run produced the same metric names in the
@@ -190,8 +188,3 @@ let run_sweep ?timeout_s ~seed ~runs ~alpha experiments =
   (report, errors)
 
 let error_string e = Printf.sprintf "%s: %s" e.exp_id e.message
-
-(* A sweep is trustworthy only if its own artifact passes the chaos
-   layer's report invariants — checked here so every caller (CLI,
-   bench, tests) gets the same gate. *)
-let check_report = Invariant.check_report

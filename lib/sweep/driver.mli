@@ -9,7 +9,7 @@
     {!Tussle_obs.Sweep_report.t}.
 
     Determinism contract (same as the chaos sweep): run seeds derive
-    only from (sweep seed, run index) — [seed + 7919 * (index + 1)] —
+    only from (sweep seed, run index) ({!Tussle_prelude.Rng.seed_at})
     and the report carries no wall-clock or domain-count field, so
     both the rendered summary and the JSON artifact are byte-identical
     for any [--domains] count and across repeated runs at the same
@@ -21,9 +21,6 @@ type error = { exp_id : string; message : string }
     asked for a metric the probe never produced.  Failed experiments
     are omitted from the report; the sweep's other experiments are
     unaffected (the battery's fault-isolation discipline). *)
-
-val run_seed : seed:int -> int -> int
-(** The per-run seed derivation, exposed so tests can pin it. *)
 
 val run_sweep :
   ?timeout_s:float ->
@@ -39,12 +36,5 @@ val run_sweep :
     {!error}s instead of killing the sweep, and [?timeout_s] arms the
     per-run watchdog.  Raises [Invalid_argument] if [runs < 2] or
     [alpha] is outside (0, 1). *)
-
-val check_report :
-  Tussle_obs.Sweep_report.t -> Tussle_chaos.Invariant.violation list
-(** The chaos layer's report invariants
-    ({!Tussle_chaos.Invariant.check_report}), re-exported so every
-    sweep caller applies the same self-consistency gate before
-    trusting or writing the artifact. *)
 
 val error_string : error -> string

@@ -7,14 +7,6 @@
 #   - telemetry must not perturb battery stdout
 #   - one domain budget: two plain --seq battery reports agree on every
 #     experiment's allocated_bytes and events_executed
-#   - one table of bad inputs and their exit codes: garbage flag values
-#     on every subcommand, missing/unreadable files for report,
-#     explain, trends and policy, a corrupt history, unsweepable or
-#     unknown sweep ids, an integer literal past max_int in a policy,
-#     an unwritable --trace path — each exits 2; a corpus plan naming
-#     a link or node its scenario lacks — explain exits 2, chaos
-#     --replay 1; a corpus plan naming an unknown scenario — chaos
-#     --replay 1
 #   - fault battery smoke: E28 is deterministic per fault seed and
 #     differs across seeds, and its shape holds at fault seeds 11 and
 #     38, where every drop of one plan is a blackhole's
@@ -33,13 +25,24 @@
 #     report is appended to the committed BENCH_history.jsonl with
 #     deltas vs BENCH_baseline.json
 #   - sweep smoke: tussle sweep at a small N passes every statistical
-#     verdict, the tussle.sweep-report/1 artifact validates via
-#     tussle report and is byte-identical across --domains 1/2/4 and
-#     across repeats
+#     verdict, the tussle.sweep-report/1 artifact passes tussle report
+#     (every artifact check) and is byte-identical across --domains
+#     1/2/4 and across repeats
 #   - search smoke: tussle search (mutate + exhaust backends) is clean
 #     on the real scenarios, with stdout and the
 #     tussle.search-report/1 artifact byte-identical across
 #     --domains 1/2/4
+#   - one table of bad inputs and their exit codes: garbage flag values
+#     on every subcommand, missing/unreadable files for report,
+#     explain, trends and policy, a corrupt history, unsweepable or
+#     unknown sweep ids, an integer literal past max_int in a policy,
+#     an unwritable --trace path — each exits 2; the sweep and search
+#     smoke artifacts edited with sed (a mean outside its CI, a budget
+#     below the runs, a shrinking frontier) — report exits 2, since it
+#     runs every artifact check sweep and search run; a corpus plan
+#     naming a link or node its scenario lacks — explain exits 2,
+#     chaos --replay 1; a corpus plan naming an unknown scenario —
+#     chaos --replay 1
 #   - perf gate: E1/E3 wall clock and GC allocation within 25% of the
 #     committed BENCH_baseline.json (tussle perfgate)
 # Regenerates BENCH_baseline.json and appends one line to
@@ -86,102 +89,6 @@ cmp "$TMP/tussle-battery-plain.out" "$TMP/tussle-battery-traced.out"
 echo "battery stdout byte-identical with tracing enabled"
 # without --trace: spans allocate, so only a plain run's counters compare
 "$CLI" experiments --seq --report "$TMP/tussle-report-plain.json" > /dev/null
-
-echo "== bad input: one table of expected exit codes =="
-echo "not json" > "$TMP/tussle-bad-history.jsonl"
-# corpus plans naming a link and a node line-transfer lacks
-bad_corpus="$TMP/tussle-bad-corpus"
-rm -rf "$bad_corpus"
-mkdir -p "$bad_corpus"
-printf 'scenario: line-transfer\nseed: 5\nlink 0-99 down [1, 2)\n' \
-  > "$bad_corpus/link.plan"
-printf 'scenario: line-transfer\nseed: 5\nnode 99 blackhole [1, 2)\n' \
-  > "$bad_corpus/node.plan"
-# a corpus plan naming a scenario there is none of
-unknown_corpus="$TMP/tussle-unknown-corpus"
-rm -rf "$unknown_corpus"
-mkdir -p "$unknown_corpus"
-printf 'scenario: no-such-scenario\nseed: 5\nlink 0-1 down [1, 2)\n' \
-  > "$unknown_corpus/unknown.plan"
-printf 'root says allow a b on c where x == 99999999999999999999999.\n' \
-  > "$TMP/tussle-big-int.policy"
-# Rows: expected code, command, arguments.  Flag values use the
-# --flag=X form: cmdliner would otherwise read a bare "-3" as an
-# unknown option.
-while read -r want cmd args; do
-  set +e
-  # shellcheck disable=SC2086
-  $cmd $args >/dev/null 2>&1 < /dev/null
-  code=$?
-  set -e
-  if [ "$code" -ne "$want" ]; then
-    echo "FAIL: '$cmd $args' exited $code, expected $want" >&2
-    exit 1
-  fi
-done <<ROWS
-2 $CLI experiments --domains=nope
-2 $CLI experiments --domains=0
-2 $CLI experiments --domains=-3
-2 $CLI experiments --timeout-s=nope
-2 $CLI experiments --timeout-s=0
-2 $CLI experiments --timeout-s=-1
-2 $CLI experiments --fault-seed=nope
-2 $CLI experiments --fault-seed=1.5
-2 $CLI experiments -e E4 --trace $TMP/definitely-missing-dir/trace.json
-2 $CLI report $TMP/definitely-missing-report.json
-2 $CLI report /
-2 $CLI explain $TMP/definitely-missing.plan
-2 $CLI explain README.md
-2 $CLI explain chaos/corpus --domains=0
-2 $CLI explain $bad_corpus/link.plan
-2 $CLI explain $bad_corpus/node.plan
-1 $CLI chaos --replay $bad_corpus
-1 $CLI chaos --replay $unknown_corpus
-2 $CLI chaos --replay $TMP/definitely-missing-dir
-2 $CLI chaos --replay README.md
-2 $CLI trends $TMP/definitely-missing-report.json --history $TMP/tussle-history.jsonl
-2 $CLI trends $report --history $TMP/tussle-bad-history.jsonl
-2 $CLI chaos --chaos-seed=nope
-2 $CLI chaos --chaos-seed=1.5
-2 $CLI chaos --chaos-runs=nope
-2 $CLI chaos --chaos-runs=0
-2 $CLI chaos --chaos-runs=-3
-2 $CLI sweep --sweep-seed=nope
-2 $CLI sweep --sweep-seed=1.5
-2 $CLI sweep --sweep-runs=nope
-2 $CLI sweep --sweep-runs=1
-2 $CLI sweep --sweep-runs=-3
-2 $CLI sweep --alpha=nope
-2 $CLI sweep --alpha=0
-2 $CLI sweep --alpha=1
-2 $CLI sweep --alpha=2
-2 $CLI sweep -e E2
-2 $CLI sweep -e EZZ
-2 $CLI search --backend=bogus
-2 $CLI search --budget=nope
-2 $CLI search --budget=0
-2 $CLI search --budget=-3
-2 $CLI search --sweep-seed=nope
-2 $CLI search --sweep-seed=1.5
-2 $CLI search --domains=0
-2 $CLI perfgate BENCH_baseline.json $report --tolerance=nope
-2 $CLI market --providers=0
-2 $CLI market --providers=-3
-2 $CLI market --switching-cost=nan
-2 $CLI market --switching-cost=-1
-2 $CLI market --seed=nope
-2 $CLI scenario --rounds=0
-2 $CLI scenario --rounds=-5
-2 $CLI scenario --rounds=nope
-2 $CLI policy $TMP/definitely-missing.policy a:b:c
-2 $CLI policy / a:b:c
-2 $CLI policy $TMP/tussle-big-int.policy a:b:c
-ROWS
-echo "every bad-input row exits with its expected code"
-"$CLI" chaos --replay "$unknown_corpus" > "$TMP/tussle-unknown-replay.out" || true
-grep -q 'unknown.plan: LOAD ERROR unknown scenario "no-such-scenario"$' \
-  "$TMP/tussle-unknown-replay.out"
-echo "an unknown scenario is one LOAD ERROR line"
 
 echo "== fault battery smoke (E28, seeded) =="
 "$CLI" experiments -e E28 --fault-seed 7 > "$TMP/tussle-e28-seed7a.out"
@@ -313,6 +220,114 @@ for backend in mutate exhaust; do
   "$CLI" report "$search_report" | grep -q 'valid tussle.search-report/1'
   echo "search[$backend] clean; artifact schema-valid and byte-identical across --domains 1/2/4"
 done
+
+echo "== bad input: one table of expected exit codes =="
+echo "not json" > "$TMP/tussle-bad-history.jsonl"
+# corpus plans naming a link and a node line-transfer lacks
+bad_corpus="$TMP/tussle-bad-corpus"
+rm -rf "$bad_corpus"
+mkdir -p "$bad_corpus"
+printf 'scenario: line-transfer\nseed: 5\nlink 0-99 down [1, 2)\n' \
+  > "$bad_corpus/link.plan"
+printf 'scenario: line-transfer\nseed: 5\nnode 99 blackhole [1, 2)\n' \
+  > "$bad_corpus/node.plan"
+# a corpus plan naming a scenario there is none of
+unknown_corpus="$TMP/tussle-unknown-corpus"
+rm -rf "$unknown_corpus"
+mkdir -p "$unknown_corpus"
+printf 'scenario: no-such-scenario\nseed: 5\nlink 0-1 down [1, 2)\n' \
+  > "$unknown_corpus/unknown.plan"
+printf 'root says allow a b on c where x == 99999999999999999999999.\n' \
+  > "$TMP/tussle-big-int.policy"
+# the sweep and search smoke artifacts made invalid: a metric's mean
+# outside its CI, a budget below the runs, a coverage frontier that
+# shrinks
+sed '0,/"mean": [^,]*/s//"mean": 1e300/' "$sweep_report" \
+  > "$TMP/tussle-bad-mean.json"
+sed 's/"budget": [0-9]*/"budget": 1/' "$search_report" \
+  > "$TMP/tussle-bad-budget.json"
+sed -z 's/"frontier": \[/"frontier": [\n    999,/' "$search_report" \
+  > "$TMP/tussle-bad-frontier.json"
+# Rows: expected code, command, arguments.  Flag values use the
+# --flag=X form: cmdliner would otherwise read a bare "-3" as an
+# unknown option.
+while read -r want cmd args; do
+  set +e
+  # shellcheck disable=SC2086
+  $cmd $args >/dev/null 2>&1 < /dev/null
+  code=$?
+  set -e
+  if [ "$code" -ne "$want" ]; then
+    echo "FAIL: '$cmd $args' exited $code, expected $want" >&2
+    exit 1
+  fi
+done <<ROWS
+2 $CLI experiments --domains=nope
+2 $CLI experiments --domains=0
+2 $CLI experiments --domains=-3
+2 $CLI experiments --timeout-s=nope
+2 $CLI experiments --timeout-s=0
+2 $CLI experiments --timeout-s=-1
+2 $CLI experiments --fault-seed=nope
+2 $CLI experiments --fault-seed=1.5
+2 $CLI experiments -e E4 --trace $TMP/definitely-missing-dir/trace.json
+2 $CLI report $TMP/definitely-missing-report.json
+2 $CLI report /
+2 $CLI report $TMP/tussle-bad-mean.json
+2 $CLI report $TMP/tussle-bad-budget.json
+2 $CLI report $TMP/tussle-bad-frontier.json
+2 $CLI explain $TMP/definitely-missing.plan
+2 $CLI explain README.md
+2 $CLI explain chaos/corpus --domains=0
+2 $CLI explain $bad_corpus/link.plan
+2 $CLI explain $bad_corpus/node.plan
+1 $CLI chaos --replay $bad_corpus
+1 $CLI chaos --replay $unknown_corpus
+2 $CLI chaos --replay $TMP/definitely-missing-dir
+2 $CLI chaos --replay README.md
+2 $CLI trends $TMP/definitely-missing-report.json --history $TMP/tussle-history.jsonl
+2 $CLI trends $report --history $TMP/tussle-bad-history.jsonl
+2 $CLI chaos --chaos-seed=nope
+2 $CLI chaos --chaos-seed=1.5
+2 $CLI chaos --chaos-runs=nope
+2 $CLI chaos --chaos-runs=0
+2 $CLI chaos --chaos-runs=-3
+2 $CLI sweep --sweep-seed=nope
+2 $CLI sweep --sweep-seed=1.5
+2 $CLI sweep --sweep-runs=nope
+2 $CLI sweep --sweep-runs=1
+2 $CLI sweep --sweep-runs=-3
+2 $CLI sweep --alpha=nope
+2 $CLI sweep --alpha=0
+2 $CLI sweep --alpha=1
+2 $CLI sweep --alpha=2
+2 $CLI sweep -e E2
+2 $CLI sweep -e EZZ
+2 $CLI search --backend=bogus
+2 $CLI search --budget=nope
+2 $CLI search --budget=0
+2 $CLI search --budget=-3
+2 $CLI search --sweep-seed=nope
+2 $CLI search --sweep-seed=1.5
+2 $CLI search --domains=0
+2 $CLI perfgate BENCH_baseline.json $report --tolerance=nope
+2 $CLI market --providers=0
+2 $CLI market --providers=-3
+2 $CLI market --switching-cost=nan
+2 $CLI market --switching-cost=-1
+2 $CLI market --seed=nope
+2 $CLI scenario --rounds=0
+2 $CLI scenario --rounds=-5
+2 $CLI scenario --rounds=nope
+2 $CLI policy $TMP/definitely-missing.policy a:b:c
+2 $CLI policy / a:b:c
+2 $CLI policy $TMP/tussle-big-int.policy a:b:c
+ROWS
+echo "every bad-input row exits with its expected code"
+"$CLI" chaos --replay "$unknown_corpus" > "$TMP/tussle-unknown-replay.out" || true
+grep -q 'unknown.plan: LOAD ERROR unknown scenario "no-such-scenario"$' \
+  "$TMP/tussle-unknown-replay.out"
+echo "an unknown scenario is one LOAD ERROR line"
 
 echo "== perf gate: E1/E3 vs committed baseline =="
 # gate the battery-smoke report (same binary, same run) against the

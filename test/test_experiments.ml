@@ -62,7 +62,7 @@ let test_render_wraps () =
   match Registry.find "E6" with
   | None -> Alcotest.fail "missing E6"
   | Some e ->
-    let body, _ = Experiment.render e in
+    let body = (Experiment.run e).Experiment.output in
     Alcotest.(check bool) "has header" true
       (String.length body > 0
       && String.sub body 0 5 = "## E6");
@@ -85,7 +85,7 @@ let test_render_pinned () =
       match Registry.find id with
       | None -> Alcotest.failf "missing %s" id
       | Some e ->
-        let body, _ = Experiment.render e in
+        let body = (Experiment.run e).Experiment.output in
         Alcotest.(check string) (id ^ " render md5") md5
           (Digest.to_hex (Digest.string body)))
     [ ("E28", "26e0dc6f44fdf18c582deadd79859fa9");

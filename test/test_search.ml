@@ -3,8 +3,10 @@
    coverage-guided mutator finds (and shrinks, and persists), the
    bounded-exhaustive backend's completeness + certification on a toy
    grammar, byte-determinism across --domains and repeats, the
-   search-report JSON round-trip with tamper detection, and corpus
-   hygiene (dedup on persist, unknown-scenario rejection). *)
+   search-report JSON round-trip with tamper detection by the one
+   artifact validator ([Artifact.check], which [tussle report] and
+   [tussle search] run), and corpus hygiene (dedup on persist,
+   unknown-scenario rejection). *)
 
 module Rng = Tussle_prelude.Rng
 module Engine = Tussle_netsim.Engine
@@ -16,6 +18,7 @@ module Invariant = Tussle_chaos.Invariant
 module Scenario = Tussle_chaos.Scenario
 module Sweep = Tussle_chaos.Sweep
 module Corpus = Tussle_chaos.Corpus
+module Artifact = Tussle_chaos.Artifact
 module Signature = Tussle_chaos.Signature
 module Backend = Tussle_search.Backend
 module Mutate = Tussle_search.Mutate
@@ -28,6 +31,12 @@ let fresh_corpus_dir () =
   let stamp = Filename.temp_file "tussle-search" "" in
   Sys.remove stamp;
   stamp ^ ".corpus"
+
+(* [Artifact.check]'s message, if it rejects [r] as a search report. *)
+let rejection r =
+  match Artifact.check (Search_report.to_json r) with
+  | Ok _ -> None
+  | Error (kind, msg) -> Some (kind ^ ": " ^ msg)
 
 (* ---------- mutation-operator validity (property) ---------- *)
 
@@ -127,7 +136,7 @@ let test_random_sweep_misses_planted () =
   (* a 200-plan random sweep, derived exactly like the chaos sweep
      derives its candidates, never trips the planted bug *)
   for i = 0 to 199 do
-    let rng = Rng.create (42 + (7919 * (i + 1))) in
+    let rng = Rng.create (Rng.seed_at ~seed:42 i) in
     let episodes = 1 + Rng.int rng 4 in
     let plan =
       Plan.random rng ~links:planted.Scenario.links
@@ -177,7 +186,7 @@ let test_mutate_finds_planted () =
           Alcotest.(check bool) "corpus holds the minimal plan" true
             (Plan.to_string e.Corpus.plan = Plan.to_string f.Sweep.minimal)))
     o.Backend.found;
-  (* the corpus-bookkeeping invariants hold on the assembled report *)
+  (* the assembled report validates, corpus files included *)
   let report =
     Search_report.make ~label:"planted" ~corpus_dir:dir
       ~backend:o.Backend.backend ~search_seed:42 ~budget:200
@@ -187,9 +196,7 @@ let test_mutate_finds_planted () =
         (List.length (List.filter (fun f -> f.Sweep.fresh) o.Backend.found))
       (List.map Driver.finding_of_found o.Backend.found)
   in
-  Alcotest.(check (list string)) "report invariants clean" []
-    (List.map Invariant.violation_string
-       (Invariant.check_search_report report))
+  Alcotest.(check (option string)) "report valid" None (rejection report)
 
 (* ---------- gray failure vs hello-only healing ---------- *)
 
@@ -348,25 +355,15 @@ let test_search_deterministic () =
         (Printf.sprintf "%s clean on real scenarios" backend)
         0
         (List.length r.Search_report.findings);
-      (match Search_report.validate (Search_report.to_json r) with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s report invalid: %s" backend e);
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s report invariants clean" backend)
-        []
-        (List.map Invariant.violation_string
-           (Invariant.check_search_report r)))
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s report valid" backend)
+        None (rejection r))
     Driver.backend_names;
   match Driver.run ~backend:"bogus" ~seed:11 ~budget:48 () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown backend must be an error"
 
 (* ---------- report round-trip + tampering ---------- *)
-
-let violated report =
-  List.map
-    (fun v -> v.Invariant.invariant)
-    (Invariant.check_search_report report)
 
 let test_report_roundtrip_and_tampering () =
   let r = run_driver "mutate" in
@@ -391,18 +388,25 @@ let test_report_roundtrip_and_tampering () =
   (match Search_report.validate (tamper "summary" (Json.Obj [])) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "gutted summary must not validate");
-  (* semantic tampering is caught by the search-report invariants *)
-  Alcotest.(check (list string)) "honest report passes" [] (violated r);
-  Alcotest.(check bool) "short-changed budget flagged" true
-    (List.mem "search-budget-accounting"
-       (violated { r with Search_report.runs = r.Search_report.runs - 1 }));
-  Alcotest.(check bool) "shrinking frontier flagged" true
-    (List.mem "search-coverage-monotone"
-       (violated { r with Search_report.frontier = [ 5; 3 ] }));
-  Alcotest.(check bool) "phantom corpus additions flagged" true
-    (List.mem "search-corpus-additions-counted"
-       (violated
-          { r with Search_report.corpus_added = r.Search_report.corpus_added + 1 }));
+  (* semantic tampering is caught by the same validator *)
+  let rejects what msg r =
+    Alcotest.(check (option string)) what (Some ("search report: " ^ msg))
+      (rejection r)
+  in
+  Alcotest.(check (option string)) "honest report passes" None (rejection r);
+  Alcotest.(check int) "budget" 48 r.Search_report.budget;
+  rejects "short-changed budget"
+    "mutate backend must spend its whole budget: 47 of 48"
+    { r with Search_report.runs = 47 };
+  rejects "runs over budget" "1000 runs for budget 48"
+    { r with Search_report.runs = 1000 };
+  rejects "shrinking frontier" "coverage frontier shrank: 5 -> 3"
+    { r with Search_report.frontier = [ 5; 3 ] };
+  rejects "reversed frontier" "coverage frontier shrank: 18 -> 4"
+    { r with Search_report.runs = 1000; budget = 1000; frontier = [ 18; 4 ] };
+  rejects "phantom corpus additions"
+    "corpus_added=1 but 0 findings carry a corpus file"
+    { r with Search_report.corpus_added = 1 };
   (* a finding whose corpus file does not match its plan is flagged *)
   let forged =
     {
@@ -414,9 +418,10 @@ let test_report_roundtrip_and_tampering () =
       corpus_file = "chaos/corpus/planted-horizon-stop-7-00000000.plan";
     }
   in
-  Alcotest.(check bool) "forged corpus hash flagged" true
-    (List.mem "search-corpus-hashes"
-       (violated { r with Search_report.findings = [ forged ] }))
+  rejects "forged corpus hash"
+    "planted-horizon-stop: corpus file \"planted-horizon-stop-7-00000000.plan\" \
+     is not named for its scenario and minimal plan"
+    { r with Search_report.findings = [ forged ] }
 
 (* ---------- corpus hygiene ---------- *)
 
@@ -466,6 +471,55 @@ let test_corpus_unknown_scenario_rejected () =
   | Ok (_, o) ->
     Alcotest.(check int) "search skips it as a seed" (List.length Scenario.all)
       o.Backend.seeded
+
+(* A finding's corpus file must be the name [Corpus.save] gives its
+   scenario and minimal plan, under any seed, and hold that plan when
+   it is on disk. *)
+let test_corpus_files_checked () =
+  let dir = fresh_corpus_dir () in
+  let plan = [ Plan.Link_down { u = 0; v = 1; w = Plan.window 0.2 2.5 } ] in
+  let entry = { Corpus.scenario = "planted-horizon-stop"; seed = 7; plan } in
+  let path = Corpus.save ~dir entry in
+  let finding corpus_file =
+    {
+      Search_report.scenario = entry.Corpus.scenario;
+      seed = 99;
+      found_episodes = 1;
+      minimal_plan = Plan.to_string plan;
+      invariants = [ "engine-drained" ];
+      corpus_file;
+    }
+  in
+  let check what expect file =
+    Alcotest.(check (result unit string)) what expect
+      (Corpus.check_findings [ finding file ])
+  in
+  let misnamed name =
+    Error
+      (Printf.sprintf
+         "planted-horizon-stop: corpus file %S is not named for its scenario \
+          and minimal plan"
+         name)
+  in
+  check "saved under another seed" (Ok ()) path;
+  check "not persisted" (Ok ()) "";
+  let absent = Corpus.filename { entry with Corpus.seed = -3 } in
+  check "named right, not on disk" (Ok ()) (Filename.concat dir absent);
+  let bad_seed =
+    let i = String.rindex absent '-' in
+    "planted-horizon-stop-x7" ^ String.sub absent i (String.length absent - i)
+  in
+  check "seed not an integer" (misnamed bad_seed) (Filename.concat dir bad_seed);
+  let oc = open_out path in
+  output_string oc
+    "scenario: planted-horizon-stop\nseed: 7\nlink 0-1 down [0.1, 1)\n";
+  close_out oc;
+  check "different plan on disk"
+    (Error
+       (Printf.sprintf
+          "planted-horizon-stop: corpus file %S holds a different plan on disk"
+          (Filename.basename path)))
+    path
 
 (* ---------- behavior signature ---------- *)
 
@@ -552,5 +606,7 @@ let () =
           Alcotest.test_case "dedup on persist" `Quick test_corpus_dedupe;
           Alcotest.test_case "unknown scenario rejected" `Quick
             test_corpus_unknown_scenario_rejected;
+          Alcotest.test_case "corpus files checked" `Quick
+            test_corpus_files_checked;
         ] );
     ]

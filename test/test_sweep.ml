@@ -1,13 +1,15 @@
 (* The statistical sweep layer: driver determinism across domain
-   counts, sweep-report JSON round-trip + schema validation, the
-   report-consistency invariants on hand-built inconsistent reports,
-   and the driver's fault isolation (a raising probe fails its own
-   experiment, not the sweep). *)
+   counts, sweep-report JSON round-trip + schema validation, the one
+   artifact validator ([Artifact.check], which [tussle report] and
+   [tussle sweep] run) on hand-built inconsistent reports, and the
+   driver's fault isolation (a raising probe fails its own experiment,
+   not the sweep). *)
 
 module Driver = Tussle_sweep.Driver
 module Sweep_report = Tussle_obs.Sweep_report
 module Json = Tussle_obs.Json
-module Invariant = Tussle_chaos.Invariant
+module Artifact = Tussle_chaos.Artifact
+module Rng = Tussle_prelude.Rng
 module Experiment = Tussle_experiments.Experiment
 module Registry = Tussle_experiments.Registry
 module T = Tussle_prelude.Stats.Test
@@ -45,8 +47,8 @@ let run_synthetic ?(domains = Tussle_prelude.Pool.domains ()) ?(runs = 8) () =
 (* ---------- determinism ---------- *)
 
 let test_seed_derivation () =
-  Alcotest.(check int) "stride" (1031 + 7919) (Driver.run_seed ~seed:1031 0);
-  Alcotest.(check int) "index 4" (1031 + (7919 * 5)) (Driver.run_seed ~seed:1031 4)
+  Alcotest.(check int) "stride" (1031 + 7919) (Rng.seed_at ~seed:1031 0);
+  Alcotest.(check int) "index 4" (1031 + (7919 * 5)) (Rng.seed_at ~seed:1031 4)
 
 let test_driver_deterministic_across_domains () =
   let render (r, errs) =
@@ -83,7 +85,7 @@ let test_samples_are_seed_derived () =
   | [ e ] ->
     let x = List.find (fun m -> m.Sweep_report.name = "x") e.Sweep_report.metrics in
     let expected =
-      Array.init 5 (fun i -> float_of_int (Driver.run_seed ~seed:1031 i mod 97))
+      Array.init 5 (fun i -> float_of_int (Rng.seed_at ~seed:1031 i mod 97))
     in
     Alcotest.(check (array (float 0.0))) "samples in run order" expected
       x.Sweep_report.samples
@@ -188,7 +190,7 @@ let test_validate_rejects () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "runs=1 accepted")
 
-(* ---------- report-consistency invariants ---------- *)
+(* ---------- the artifact validator ---------- *)
 
 let metric name samples =
   let open Tussle_prelude.Stats in
@@ -214,73 +216,75 @@ let consistent_report () =
       };
     ]
 
-let names_of vs = List.map (fun v -> v.Invariant.invariant) vs
-
-let test_invariants_clean () =
-  Alcotest.(check (list string)) "consistent report is clean" []
-    (names_of (Invariant.check_report (consistent_report ())));
-  (* and the real driver's artifact is too *)
-  let r, _ = run_synthetic ~runs:6 () in
-  Alcotest.(check (list string)) "driver report is clean" []
-    (names_of (Invariant.check_report r))
-
-let with_metric f =
-  let r = consistent_report () in
-  match r.Sweep_report.experiments with
-  | [ e ] ->
-    {
-      r with
-      Sweep_report.experiments =
-        [ { e with Sweep_report.metrics = List.map f e.Sweep_report.metrics } ];
-    }
-  | _ -> assert false
-
-let test_invariant_n_mismatch () =
-  let bad = with_metric (fun m -> { m with Sweep_report.samples = [| 1.0; 2.0 |] }) in
-  Alcotest.(check bool) "samples/runs mismatch flagged" true
-    (List.mem "sweep-samples-match-runs" (names_of (Invariant.check_report bad)))
-
-let test_invariant_ci_brackets () =
-  let bad = with_metric (fun m -> { m with Sweep_report.ci_hi = m.Sweep_report.mean -. 1.0 }) in
-  Alcotest.(check bool) "CI not bracketing flagged" true
-    (List.mem "sweep-ci-brackets-mean" (names_of (Invariant.check_report bad)))
-
-let test_invariant_mean_mismatch () =
-  let bad =
-    with_metric (fun m ->
-        { m with Sweep_report.mean = m.Sweep_report.mean +. 0.5;
-                 ci_hi = m.Sweep_report.ci_hi +. 1.0 })
-  in
-  Alcotest.(check bool) "recorded mean vs samples flagged" true
-    (List.mem "sweep-mean-matches-samples" (names_of (Invariant.check_report bad)))
-
-let test_invariant_non_finite () =
-  let bad =
-    with_metric (fun m ->
-        let s = Array.copy m.Sweep_report.samples in
-        s.(0) <- Float.nan;
-        { m with Sweep_report.samples = s })
-  in
-  Alcotest.(check bool) "non-finite sample flagged" true
-    (List.mem "sweep-stats-well-formed" (names_of (Invariant.check_report bad)));
-  let bad2 = with_metric (fun m -> { m with Sweep_report.stddev = -1.0 }) in
-  Alcotest.(check bool) "negative stddev flagged" true
-    (List.mem "sweep-stats-well-formed" (names_of (Invariant.check_report bad2)))
-
-let test_invariant_registry_names () =
-  Alcotest.(check (list string)) "registry order"
-    [
-      "sweep-samples-match-runs"; "sweep-ci-brackets-mean";
-      "sweep-mean-matches-samples"; "sweep-stats-well-formed";
-    ]
-    Invariant.report_names
-
-(* ---------- fault isolation ---------- *)
-
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   n = 0 || go 0
+
+let check r = Artifact.check (Sweep_report.to_json r)
+
+(* [Artifact.check] rejects [r] as a sweep report, naming [needle]. *)
+let rejects what needle r =
+  match check r with
+  | Ok _ -> Alcotest.failf "%s accepted" what
+  | Error (kind, msg) ->
+    Alcotest.(check string) (what ^ ": kind") "sweep report" kind;
+    if not (contains msg needle) then
+      Alcotest.failf "%s: %S does not mention %S" what msg needle
+
+let test_invariants_clean () =
+  let valid what r =
+    match check r with
+    | Ok (tag, _) -> Alcotest.(check string) what Sweep_report.schema_tag tag
+    | Error (_, msg) -> Alcotest.failf "%s rejected: %s" what msg
+  in
+  valid "consistent report is clean" (consistent_report ());
+  (* and the real driver's artifact is too *)
+  valid "driver report is clean" (fst (run_synthetic ~runs:6 ()))
+
+let with_metric ?(report = consistent_report ()) f =
+  match report.Sweep_report.experiments with
+  | e :: rest ->
+    {
+      report with
+      Sweep_report.experiments =
+        { e with Sweep_report.metrics = List.map f e.Sweep_report.metrics }
+        :: rest;
+    }
+  | [] -> assert false
+
+let test_invariant_n_mismatch () =
+  rejects "samples/runs mismatch" "2 samples for 4 runs"
+    (with_metric (fun m -> { m with Sweep_report.samples = [| 1.0; 2.0 |] }))
+
+let test_invariant_ci_brackets () =
+  rejects "CI not bracketing" "does not bracket"
+    (with_metric (fun m -> { m with Sweep_report.ci_hi = m.Sweep_report.mean -. 1.0 }))
+
+let test_invariant_mean_mismatch () =
+  rejects "recorded mean vs samples" "samples average to"
+    (with_metric (fun m ->
+         { m with Sweep_report.mean = m.Sweep_report.mean +. 0.5;
+                  ci_hi = m.Sweep_report.ci_hi +. 1.0 }))
+
+(* The first metric of a real sweep with its mean moved past its own
+   CI: the case [tussle report] used to call valid. *)
+let test_mean_outside_ci () =
+  let report, _ = run_synthetic ~runs:6 () in
+  rejects "mean outside its CI" "does not bracket"
+    (with_metric ~report (fun m ->
+         { m with Sweep_report.mean = m.Sweep_report.ci_hi +. 1.0 }))
+
+let test_invariant_non_finite () =
+  rejects "non-finite sample" "non-finite sample"
+    (with_metric (fun m ->
+         let s = Array.copy m.Sweep_report.samples in
+         s.(0) <- Float.nan;
+         { m with Sweep_report.samples = s }));
+  rejects "negative stddev" "stddev is -1"
+    (with_metric (fun m -> { m with Sweep_report.stddev = -1.0 }))
+
+(* ---------- fault isolation ---------- *)
 
 let test_probe_failure_isolated () =
   let bad = synthetic ~id:"BAD" ~probe_exn:true () in
@@ -388,7 +392,7 @@ let () =
           Alcotest.test_case "mean must match samples" `Quick
             test_invariant_mean_mismatch;
           Alcotest.test_case "non-finite flagged" `Quick test_invariant_non_finite;
-          Alcotest.test_case "registry names" `Quick test_invariant_registry_names;
+          Alcotest.test_case "mean outside its CI" `Quick test_mean_outside_ci;
         ] );
       ( "fault isolation",
         [
