@@ -354,10 +354,10 @@ let sweep_cmd =
    $? experiments $! report)
 
 let search_cmd =
-  let module Driver = Tussle_search.Driver in
+  let module Search = Tussle_chaos.Search in
   let backend =
-    checked [ "backend" ] ~absent:"mutate" ~docv:"NAME" ~default:"mutate"
-      (Pool.backend_of_string Driver.backend_names)
+    checked [ "backend" ] ~absent:"mutate" ~docv:"NAME" ~default:Search.Mutate
+      Search.backend_of_string
       ~doc:
         "Search backend: $(b,mutate) (coverage-guided mutation seeded from the \
          corpus) or $(b,exhaust) (bounded-exhaustive enumeration of a small \
@@ -390,9 +390,10 @@ let search_cmd =
     let corpus =
       Option.bind corpus (fun c -> if String.trim c.path = "" then None else Some c)
     in
-    let* search_report, _outcome =
+    let search_report =
       write "search" corpus (fun corpus_dir ->
-          Driver.run ?corpus_dir ~backend ~seed ~budget ())
+          Search.run ?corpus_dir ~backend ~scenarios:Tussle_chaos.Scenario.all
+            ~seed ~budget ())
     in
     let valid =
       publish "search" report (Obs_search_report.to_json search_report)

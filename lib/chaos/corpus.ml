@@ -128,7 +128,8 @@ let check_finding (f : Search_report.finding) =
     | Error e -> fail "minimal plan does not parse: %s" e
     | Ok plan when not (named_for ~scenario plan name) ->
       fail "corpus file %S is not named for its scenario and minimal plan" name
-    | Ok _ when not (Sys.file_exists path) -> Ok ()
+    | Ok _ when not (Sys.file_exists path) ->
+      fail "corpus file %S is not on disk" path
     | Ok plan -> (
       match load path with
       | Error e -> fail "corpus file %S unreadable: %s" name e

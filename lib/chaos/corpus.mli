@@ -21,8 +21,10 @@ val check_findings :
   Tussle_obs.Search_report.finding list -> (unit, string) result
 (** Each finding that names a corpus file names it as {!filename} does
     for its scenario and minimal plan, under any seed ({!save} may
-    return a duplicate found under another seed); and when the file is
-    on disk it loads back to that scenario and plan.  [Error] names the
+    return a duplicate found under another seed), and loads back from
+    disk to that scenario and plan.  The path is read as the report
+    records it, relative to the directory the search ran in, so a file
+    that is not there is an [Error] naming the path.  [Error] names the
     first finding that fails. *)
 
 val find_duplicate : dir:string -> entry -> string option

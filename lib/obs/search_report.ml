@@ -31,23 +31,6 @@ type t = {
 
 let schema_tag = "tussle.search-report/1"
 
-let make ?(label = "search") ?(corpus_dir = "") ~backend ~search_seed ~budget
-    ~runs ~seeded ~space ~certified ~frontier ~corpus_added findings =
-  {
-    label;
-    backend;
-    search_seed;
-    budget;
-    runs;
-    seeded;
-    space;
-    certified;
-    frontier;
-    corpus_added;
-    corpus_dir;
-    findings;
-  }
-
 let frontier_size t =
   match List.rev t.frontier with [] -> 0 | last :: _ -> last
 

@@ -37,21 +37,6 @@ type t = {
 val schema_tag : string
 (** ["tussle.search-report/1"] *)
 
-val make :
-  ?label:string ->
-  ?corpus_dir:string ->
-  backend:string ->
-  search_seed:int ->
-  budget:int ->
-  runs:int ->
-  seeded:int ->
-  space:int ->
-  certified:bool ->
-  frontier:int list ->
-  corpus_added:int ->
-  finding list ->
-  t
-
 val frontier_size : t -> int
 (** Final coverage frontier: the last [frontier] entry, or [0]. *)
 

@@ -46,17 +46,20 @@ let append ~history line =
 
 let check_history history =
   let* text = Json.read_file history in
+  (* numbered before the blank lines go, so LINE is the file's *)
   let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
+    String.split_on_char '\n' text
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter (fun (_, l) -> String.trim l <> "")
   in
-  let check i l =
+  let check (lineno, l) =
     match Json.parse l with
-    | Error msg -> Error (i + 1, msg)
+    | Error msg -> Error (lineno, msg)
     | Ok j when Json.member "schema" j <> Some (Json.Str history_schema) ->
-      Error (i + 1, "missing bench-history schema tag")
+      Error (lineno, "missing bench-history schema tag")
     | Ok _ -> Ok ()
   in
-  match Json.list Fun.id (List.mapi check lines) with
+  match Json.list check lines with
   | Ok _ -> Ok (List.length lines)
   | Error (lineno, msg) -> Error (Printf.sprintf "%s:%d: %s" history lineno msg)
 

@@ -73,14 +73,6 @@ let probability_of_string s =
           0 and 1)"
          s)
 
-let backend_of_string names s =
-  let b = String.trim s in
-  if List.mem b names then Ok b
-  else
-    Error
-      (Printf.sprintf "invalid backend %S (expected %s)" s
-         (String.concat " or " names))
-
 let flag name parse = function
   | None -> Ok None
   | Some s -> (

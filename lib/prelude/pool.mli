@@ -60,9 +60,6 @@ val tolerance_of_string : string -> (float, string) result
 val probability_of_string : string -> (float, string) result
 (** A significance level strictly between 0 and 1. *)
 
-val backend_of_string : string list -> string -> (string, string) result
-(** One of the given backend names. *)
-
 val flag :
   string -> (string -> ('a, string) result) -> string option ->
   ('a option, string) result

@@ -36,7 +36,8 @@
 #     on every subcommand, missing/unreadable files for report,
 #     explain, trends and policy, a corrupt history, unsweepable or
 #     unknown sweep ids, an integer literal past max_int in a policy,
-#     an unwritable --trace path — each exits 2; the sweep and search
+#     an unwritable --trace path, a file as search --corpus — each
+#     exits 2; the sweep and search
 #     smoke artifacts edited with sed (a mean outside its CI, a budget
 #     below the runs, a shrinking frontier) — report exits 2, since it
 #     runs every artifact check sweep and search run; a corpus plan
@@ -310,6 +311,7 @@ done <<ROWS
 2 $CLI search --sweep-seed=nope
 2 $CLI search --sweep-seed=1.5
 2 $CLI search --domains=0
+2 $CLI search --corpus README.md --budget=4
 2 $CLI perfgate BENCH_baseline.json $report --tolerance=nope
 2 $CLI market --providers=0
 2 $CLI market --providers=-3

@@ -18,6 +18,8 @@ module Sweep = Tussle_chaos.Sweep
 module Shrink = Tussle_chaos.Shrink
 module Corpus = Tussle_chaos.Corpus
 module Explain = Tussle_chaos.Explain
+module Search = Tussle_chaos.Search
+module Search_report = Tussle_obs.Search_report
 module Flight = Tussle_obs.Flight
 module Obs_json = Tussle_obs.Json
 module Experiment = Tussle_experiments.Experiment
@@ -401,10 +403,11 @@ let test_corpus_load_errors () =
       | Error _ -> ())
     results
 
-(* `tussle chaos --replay DIR` on a missing directory or on a file is
-   an error naming the path, not an empty corpus that replays clean.
-   The search still reads a missing corpus as empty: its first save
-   creates the directory. *)
+(* `tussle chaos --replay DIR` and `tussle search --corpus DIR` on a
+   file are an error naming the path, and so is the replay of a missing
+   directory, not an empty corpus that replays clean.  The search still
+   reads a missing corpus as empty: its first save creates the
+   directory. *)
 let test_corpus_dir_unreadable () =
   let file = Filename.temp_file "tussle-chaos" ".plan" in
   List.iter
@@ -416,16 +419,19 @@ let test_corpus_dir_unreadable () =
       | Error msg ->
         Alcotest.(check bool) (msg ^ " names the path") true (contains msg dir))
     [ fresh_corpus_dir (); file ];
+  Alcotest.check_raises "search --corpus FILE"
+    (Sys_error (file ^ ": Not a directory")) (fun () ->
+      ignore
+        (Search.run ~corpus_dir:file ~backend:Search.Mutate
+           ~scenarios:Scenario.all ~seed:11 ~budget:4 ()));
   Sys.remove file;
-  match
+  let r =
     Budget.with_domains 1
-      (Tussle_search.Driver.run ~corpus_dir:(fresh_corpus_dir ())
-         ~backend:"mutate" ~seed:11 ~budget:8)
-  with
-  | Error m -> Alcotest.fail m
-  | Ok (_, o) ->
-    Alcotest.(check int) "one draw per scenario, no corpus seed"
-      (List.length Scenario.all) o.Tussle_search.Backend.seeded
+      (Search.run ~corpus_dir:(fresh_corpus_dir ()) ~backend:Search.Mutate
+         ~scenarios:Scenario.all ~seed:11 ~budget:8)
+  in
+  Alcotest.(check int) "one draw per scenario, no corpus seed"
+    (List.length Scenario.all) r.Search_report.seeded
 
 (* ---------- planted gray failure: legacy grammar is blind ---------- *)
 
@@ -890,16 +896,14 @@ let test_misfit_search () =
   let dir = fresh_corpus_dir () in
   List.iter (fun (e, _) -> ignore (Corpus.save ~dir e)) misfit_messages;
   ignore (Corpus.save ~dir line_entry);
-  match
+  let r =
     Budget.with_domains 1
-      (Tussle_search.Driver.run ~corpus_dir:dir ~backend:"mutate" ~seed:11
-         ~budget:8)
-  with
-  | Error m -> Alcotest.fail m
-  | Ok (_, o) ->
-    Alcotest.(check int) "one corpus seed + one draw per scenario"
-      (1 + List.length Scenario.all)
-      o.Tussle_search.Backend.seeded
+      (Search.run ~corpus_dir:dir ~backend:Search.Mutate ~scenarios:Scenario.all
+         ~seed:11 ~budget:8)
+  in
+  Alcotest.(check int) "one corpus seed + one draw per scenario"
+    (1 + List.length Scenario.all)
+    r.Search_report.seeded
 
 let test_recorder_zero_perturbation () =
   (* the flight recorder observes the simulation; it must not change

@@ -2,8 +2,9 @@
    untuned one in [Json_oracle], histogram bucket pins, counter/gauge
    merging across domains, span nesting and ring overwrite, the ring
    against a list model, Chrome trace / battery report
-   well-formedness, and the guard that telemetry never perturbs
-   battery output. *)
+   well-formedness, the bench-history and battery-report readers under
+   fuzzing, and the guard that telemetry never perturbs battery
+   output. *)
 
 module Json = Tussle_obs.Json
 module Metrics = Tussle_obs.Metrics
@@ -193,12 +194,10 @@ let json_alphabet = "{}[],:\" \n\t\\/-+.eE0123456789abfnrtuxlsA_\x00\x80\xff"
 let gen_alphabet_char =
   QCheck2.Gen.(map (String.get json_alphabet) (int_bound (String.length json_alphabet - 1)))
 
-(* An emitted document with up to three edits: a byte replaced,
-   inserted or deleted, or the tail cut off. *)
-let gen_mutated_doc =
+(* [doc] with up to three edits: a byte replaced, inserted or deleted,
+   or the tail cut off. *)
+let gen_edited doc =
   QCheck2.Gen.(
-    pair gen_tree bool >>= fun (t, minify) ->
-    let doc = Json_oracle.to_string ~minify t in
     let edit doc =
       let n = String.length doc in
       int_bound (max 0 n) >>= fun i ->
@@ -214,6 +213,12 @@ let gen_mutated_doc =
     int_range 0 3 >>= fun edits ->
     let rec apply k doc = if k = 0 then pure doc else edit doc >>= apply (k - 1) in
     apply edits doc)
+
+(* An emitted document, edited. *)
+let gen_mutated_doc =
+  QCheck2.Gen.(
+    pair gen_tree bool >>= fun (t, minify) ->
+    gen_edited (Json_oracle.to_string ~minify t))
 
 let gen_alphabet_doc = QCheck2.Gen.(string_size ~gen:gen_alphabet_char (int_range 0 40))
 
@@ -804,7 +809,230 @@ let test_history_corrupt_line () =
   check "untagged line 3" [ good; good; "{}" ]
     (Error (history ^ ":3: missing bench-history schema tag"));
   check "blank lines skipped" [ good; ""; good ] (Ok 2);
+  (* LINE counts the blank lines too: it is the file's line *)
+  check "bad line after a blank one" [ good; ""; "{}" ]
+    (Error (history ^ ":3: missing bench-history schema tag"));
   Sys.remove history
+
+(* ---------- fuzzing the history and report readers ---------- *)
+
+let with_file contents f =
+  let path = Filename.temp_file "tussle-fuzz" ".json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* [s] after [prefix], if it starts with it. *)
+let chop ~prefix s =
+  let n = String.length prefix in
+  if String.starts_with ~prefix s then Some (String.sub s n (String.length s - n))
+  else None
+
+let history_tag = {|{"schema":"tussle.bench-history/1"}|}
+
+let good_history_line () =
+  Json.to_string ~minify:true
+    (Trends.history_line (Report.to_json (sample_report ())) (sample_exps ()))
+
+(* [depth] brackets around a tagged history line's extra member,
+   closed or not. *)
+let deep_line ~closed depth =
+  {|{"schema":"tussle.bench-history/1","x":|}
+  ^ String.make depth '['
+  ^ (if closed then String.make depth ']' ^ "}" else "")
+
+(* History files: JSON-alphabet bytes heavy in newlines; good lines,
+   blank lines and pretty-printed (so split) entries, edited; lines of
+   edge lexemes; and entries nested up to 10^5 deep. *)
+let gen_history_bytes =
+  QCheck2.Gen.(
+    string_size
+      ~gen:(frequency [ (5, gen_alphabet_char); (1, pure '\n'); (1, pure '\r') ])
+      (int_range 0 120))
+
+let gen_history_edited =
+  QCheck2.Gen.(
+    let good = good_history_line () in
+    let pretty =
+      Json.to_string
+        (Trends.history_line (Report.to_json (sample_report ())) (sample_exps ()))
+    in
+    list_size (int_range 0 4) (oneofl [ good; good; ""; "  "; history_tag; pretty ])
+    >>= fun lines -> gen_edited (String.concat "\n" lines))
+
+let gen_history_lexemes =
+  QCheck2.Gen.(
+    let line =
+      oneofl
+        [
+          good_history_line (); history_tag; ""; " "; "\t"; "\r"; "\x00"; "{}";
+          "[]"; "null"; "1e309"; "-0"; "4611686018427387904"; "\xef\xbb\xbf{}";
+          {|"tussle.bench-history/1"|}; {|{"schema":"tussle.bench-history/2"}|};
+          {|{"schema":1}|}; {|{"schema":null}|};
+          {|{"schema":"tussle.bench-history/1","schema":0}|};
+          {|{"x":0,"schema":"tussle.bench-history/1"}|};
+          {|[{"schema":"tussle.bench-history/1"}]|};
+          {|{"schema":"tussle.bench-history\/1"}|};
+          {|{"schema":"tussle.bench-history/1\u0000"}|};
+          history_tag ^ " x"; history_tag ^ "{}"; "{";
+        ]
+    in
+    pair (list_size (int_range 0 6) line) (oneofl [ "\n"; "\r\n" ])
+    >|= fun (lines, sep) -> String.concat sep lines)
+
+let gen_history_deep =
+  QCheck2.Gen.(
+    triple (oneofl [ 1; 1000; 100_000 ]) bool bool >|= fun (depth, closed, first) ->
+    let deep = deep_line ~closed depth in
+    String.concat "\n"
+      (if first then [ deep; history_tag ] else [ history_tag; ""; deep ]))
+
+(* The documented result of [check_history]: [Ok n] counts the
+   non-blank lines, each of which parses and carries the tag; or
+   [PATH:LINE: MSG], LINE being the 1-based line of the file that is
+   the first non-blank line to fail, and MSG why. *)
+let prop_check_history name ~count gen =
+  QCheck2.Test.make ~name ~count ~print:String.escaped (QCheck2.Gen.no_shrink gen)
+    (fun text ->
+      let lines = Array.of_list (String.split_on_char '\n' text) in
+      let blank l = String.trim l = "" in
+      let why l =
+        match Json.parse l with
+        | Error msg -> Some msg
+        | Ok j when Json.member "schema" j <> Some (Json.Str "tussle.bench-history/1")
+          ->
+          Some "missing bench-history schema tag"
+        | Ok _ -> None
+      in
+      let fine = Array.for_all (fun l -> blank l || why l = None) in
+      with_file text (fun path ->
+          match Trends.check_history path with
+          | Ok n ->
+            fine lines
+            && n = Array.fold_left (fun k l -> if blank l then k else k + 1) 0 lines
+          | Error msg -> (
+            match
+              Option.map (String.split_on_char ':') (chop ~prefix:(path ^ ":") msg)
+            with
+            | Some (line :: (_ :: _ as why_parts)) -> (
+              match int_of_string_opt line with
+              | Some line when line >= 1 && line <= Array.length lines ->
+                let l = lines.(line - 1) in
+                (not (blank l))
+                && Option.map (( ^ ) " ") (why l) = Some (String.concat ":" why_parts)
+                && fine (Array.sub lines 0 (line - 1))
+              | _ -> false)
+            | _ -> false)))
+
+let prop_history_bytes =
+  prop_check_history "check_history: JSON-alphabet bytes" ~count:1000
+    gen_history_bytes
+
+let prop_history_edited =
+  prop_check_history "check_history: edited histories" ~count:1000
+    gen_history_edited
+
+let prop_history_lexemes =
+  prop_check_history "check_history: edge lexemes" ~count:1000
+    gen_history_lexemes
+
+let prop_history_deep =
+  prop_check_history "check_history: nesting up to 10^5 deep" ~count:30
+    gen_history_deep
+
+(* Battery reports: JSON-alphabet bytes; the printed sample report,
+   edited; the report with one field replaced by an edge lexeme; and a
+   field nested up to 10^5 deep. *)
+let report_text ?(minify = false) () =
+  Json.to_string ~minify (Report.to_json (sample_report ()))
+
+let gen_report_edited =
+  QCheck2.Gen.(bool >>= fun minify -> gen_edited (report_text ~minify ()))
+
+let report_fields =
+  [
+    [ "schema" ]; [ "label" ]; [ "generated_at" ]; [ "domains" ]; [ "wall_s" ];
+    [ "summary" ]; [ "summary"; "total" ]; [ "summary"; "held" ];
+    [ "summary"; "failed" ]; [ "experiments" ]; [ "experiments"; "0" ];
+    [ "experiments"; "0"; "id" ]; [ "experiments"; "1"; "status" ];
+    [ "experiments"; "0"; "wall_s" ]; [ "experiments"; "2"; "events_executed" ];
+    [ "experiments"; "0"; "allocated_bytes" ]; [ "pool" ]; [ "pool"; "workers" ];
+    [ "pool"; "tasks" ]; [ "pool"; "busy_s" ]; [ "pool"; "imbalance" ];
+  ]
+
+(* The printed sample report with the field at [path] replaced by the
+   raw text [lexeme]. *)
+let report_with path lexeme =
+  let hole = "@@lexeme@@" in
+  let rec set path j =
+    match (path, j) with
+    | [], _ -> Json.Str hole
+    | k :: rest, Json.Obj fs ->
+      Json.Obj (List.map (fun (k', x) -> (k', if k' = k then set rest x else x)) fs)
+    | k :: rest, Json.List xs ->
+      Json.List (List.mapi (fun i x -> if string_of_int i = k then set rest x else x) xs)
+    | _ -> j
+  in
+  let doc = Json.to_string (set path (Report.to_json (sample_report ()))) in
+  match String.index_opt doc '@' with
+  | None -> doc
+  | Some i ->
+    (* the hole and its quotes *)
+    let from = i - 1 and stop = i + String.length hole + 1 in
+    String.sub doc 0 from ^ lexeme ^ String.sub doc stop (String.length doc - stop)
+
+let gen_report_lexemes =
+  QCheck2.Gen.(
+    pair (oneofl report_fields)
+      (oneofl
+         [
+           "1e309"; "-1e309"; "-0"; "0"; "-1"; "1.5"; "1e18"; "1e19"; "1e300";
+           "4611686018427387903"; "-4611686018427387904"; "null"; "true"; {|""|};
+           {|"held"|}; {|"bogus"|}; "[]"; "{}"; {|"\u0000"|}; "[[[[[]]]]]";
+           {|"tussle.bench-report/1"|}; {|[1,2,3]|}; {|[0.5,"x"]|};
+         ])
+    >|= fun (path, lexeme) -> report_with path lexeme)
+
+let gen_report_deep =
+  QCheck2.Gen.(
+    triple (oneofl report_fields) (oneofl [ 1; 1000; 100_000 ]) bool
+    >|= fun (path, depth, closed) ->
+    report_with path
+      (String.make depth '[' ^ if closed then String.make depth ']' else ""))
+
+(* [Trends.load] gives [Ok], and then [tussle trends] can append the
+   report's history line and read the history back; or [PATH: MSG],
+   MSG a parse error at a byte inside the file or an invalid battery
+   report. *)
+let prop_load name ~count gen =
+  QCheck2.Test.make ~name ~count ~print:String.escaped (QCheck2.Gen.no_shrink gen)
+    (fun text ->
+      with_file text (fun path ->
+          match Trends.load path with
+          | Ok (json, exps) ->
+            ignore (Trends.deltas ~base:exps exps);
+            ignore (Trends.gate ~tolerance:0.25 ~ids:[ "E1" ] ~base:exps exps);
+            with_file "" (fun history ->
+                Trends.append ~history (Trends.history_line json exps) = Ok ()
+                && Trends.check_history history = Ok 1)
+          | Error msg -> (
+            match chop ~prefix:(path ^ ": ") msg with
+            | None -> false
+            | Some rest -> (
+              String.starts_with ~prefix:"invalid battery report: " rest
+              ||
+              match Scanf.sscanf_opt rest "JSON parse error at byte %d: %_s" Fun.id with
+              | Some at -> at >= 0 && at <= String.length text
+              | None -> false))))
+
+let prop_load_bytes =
+  prop_load "load: JSON-alphabet bytes" ~count:1000
+    QCheck2.Gen.(string_size ~gen:gen_alphabet_char (int_range 0 120))
+
+let prop_load_edited = prop_load "load: edited reports" ~count:1000 gen_report_edited
+let prop_load_lexemes = prop_load "load: edge lexemes" ~count:1000 gen_report_lexemes
+
+let prop_load_deep =
+  prop_load "load: nesting up to 10^5 deep" ~count:60 gen_report_deep
 
 (* ---------- determinism guard ---------- *)
 
@@ -912,6 +1140,14 @@ let () =
           Alcotest.test_case "history round-trip" `Quick test_history_round_trip;
           Alcotest.test_case "corrupt history line" `Quick
             test_history_corrupt_line;
+          QCheck_alcotest.to_alcotest prop_history_bytes;
+          QCheck_alcotest.to_alcotest prop_history_edited;
+          QCheck_alcotest.to_alcotest prop_history_lexemes;
+          QCheck_alcotest.to_alcotest prop_history_deep;
+          QCheck_alcotest.to_alcotest prop_load_bytes;
+          QCheck_alcotest.to_alcotest prop_load_edited;
+          QCheck_alcotest.to_alcotest prop_load_lexemes;
+          QCheck_alcotest.to_alcotest prop_load_deep;
         ] );
       ( "determinism",
         [

@@ -137,15 +137,15 @@ let test_domains_of_string () =
       ("1", {|invalid significance level "1" |} ^ level);
       ("2", {|invalid significance level "2" |} ^ level);
     ];
-  rejects
-    (Pool.backend_of_string [ "mutate"; "exhaust" ])
+  rejects Tussle_chaos.Search.backend_of_string
     [ ("bogus", {|invalid backend "bogus" (expected mutate or exhaust)|}) ];
   Alcotest.(check (result int string)) "accepted values are trimmed" (Ok 7)
     (Pool.seed_of_string ~what:"seed" " 7 ");
   Alcotest.(check (result (float 0.0) string)) "alpha" (Ok 0.01)
     (Pool.probability_of_string "0.01");
   Alcotest.(check (result string string)) "backend" (Ok "exhaust")
-    (Pool.backend_of_string [ "mutate"; "exhaust" ] " exhaust ");
+    (Result.map Tussle_chaos.Search.backend_name
+       (Tussle_chaos.Search.backend_of_string " exhaust "));
   (* [flag] names the flag; --seq pins one domain before --domains is read *)
   Alcotest.(check (result (option int) string)) "absent flag" (Ok None)
     (Pool.flag "--budget" (Pool.int_at_least ~what:"budget" 1) None);
