@@ -197,8 +197,9 @@ let bench_market_1m () =
   assert (r.Tussle_econ.Market.subscribed_ratio > 0.0)
 
 let bench_rng_draws () =
-  (* B15: the draw mix of the traceback and fault layers; with the
-     state unboxed neither draw allocates *)
+  (* B15: the draw mix of the link and fault layers (a loss
+     bernoulli, a plan's int); with the state unboxed neither draw
+     allocates *)
   let rng = Rng.create 9015 in
   let acc = ref 0 in
   for _ = 1 to 1_000_000 do
@@ -209,7 +210,7 @@ let bench_rng_draws () =
 
 let bench_traceback () =
   (* B16: E17's marking kernel at one of its packet counts; every
-     packet draws one bernoulli per hop *)
+     packet takes one bits draw, compared with one threshold per hop *)
   let obs =
     Tussle_trust.Traceback.simulate (Rng.create 9016)
       ~path:[ 101; 102; 103; 104; 105; 106; 107; 108 ]

@@ -230,6 +230,12 @@ let finding_of_found (f : Sweep.found) =
 let run ?corpus_dir ~backend ~scenarios ~seed ~budget () =
   if budget < 1 then invalid_arg "Search.run: budget must be >= 1";
   if scenarios = [] then invalid_arg "Search.run: no scenarios";
+  (* Checked before the backend is chosen, though only mutate reads
+     it: a file or an unreadable directory is [Sys_error] for every
+     backend, a missing directory is created by the first save. *)
+  Option.iter
+    (fun dir -> if Sys.file_exists dir then ignore (Sys.readdir dir))
+    corpus_dir;
   let seeded, space, next =
     match backend with
     | Mutate ->

@@ -53,4 +53,5 @@ val run :
     skipped; a missing directory seeds nothing, the first save creates
     it) and every new 1-minimal reproducer is saved there.  Raises
     [Invalid_argument] on [budget < 1] or no scenarios, and [Sys_error]
-    when the corpus cannot be read (it is a file) or written. *)
+    when the corpus cannot be read (it is a file) or written; the read
+    is checked before any plan runs, whichever the backend. *)

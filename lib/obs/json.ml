@@ -400,9 +400,13 @@ let member key = function
     find fields
   | _ -> None
 
+(* [int_of_float] is unspecified outside [min_int, max_int]: -2^62 is
+   [min_int] exactly, 2^62 is one past [max_int]. *)
 let to_int = function
   | Int n -> Some n
-  | Float f when Float.is_integer f -> Some (int_of_float f)
+  | Float f when f >= -0x1p62 && f < 0x1p62 ->
+    let n = int_of_float f in
+    if float_of_int n = f then Some n else None
   | _ -> None
 
 let to_float = function

@@ -43,7 +43,9 @@ val member : string -> t -> t option
 (** Field lookup; [None] on missing field or non-[Obj]. *)
 
 val to_int : t -> int option
-(** [Int n] and integral [Float] both yield [Some n]. *)
+(** [Int n] yields [Some n], and so does a [Float] that is an integer
+    in OCaml's int range (it round-trips through [int_of_float]); any
+    other [Float], such as [1e19] or [1.5], yields [None]. *)
 
 val to_float : t -> float option
 (** [Float] or [Int] as a float. *)

@@ -229,6 +229,47 @@ module Test = struct
       if x < (a +. 1.0) /. (a +. b +. 2.0) then bt *. betacf a b x /. a
       else 1.0 -. (bt *. betacf b a (1.0 -. x) /. b)
 
+  (* Regularized upper incomplete gamma Q(a, x): the power series of
+     P = 1 - Q below x = a + 1, the continued fraction for Q itself
+     (modified Lentz) above, each where it converges fast. *)
+  let gamma_q a x =
+    if x <= 0.0 then 1.0
+    else if x = infinity then 0.0
+    else
+      let max_iter = 1000 and eps = 3e-15 and fpmin = 1e-300 in
+      let front = exp ((a *. log x) -. x -. log_gamma a) in
+      if x < a +. 1.0 then begin
+        let ap = ref a and del = ref (1.0 /. a) in
+        let sum = ref !del and i = ref 0 in
+        while !i < max_iter && Float.abs !del >= Float.abs !sum *. eps do
+          ap := !ap +. 1.0;
+          del := !del *. x /. !ap;
+          sum := !sum +. !del;
+          incr i
+        done;
+        1.0 -. (!sum *. front)
+      end
+      else begin
+        let b = ref (x +. 1.0 -. a) in
+        let c = ref (1.0 /. fpmin) and d = ref (1.0 /. !b) in
+        let h = ref !d and i = ref 1 and continue = ref true in
+        while !continue && !i <= max_iter do
+          let fi = float_of_int !i in
+          let an = -.fi *. (fi -. a) in
+          b := !b +. 2.0;
+          d := (an *. !d) +. !b;
+          if Float.abs !d < fpmin then d := fpmin;
+          c := !b +. (an /. !c);
+          if Float.abs !c < fpmin then c := fpmin;
+          d := 1.0 /. !d;
+          let del = !d *. !c in
+          h := !h *. del;
+          if Float.abs (del -. 1.0) < eps then continue := false;
+          incr i
+        done;
+        front *. !h
+      end
+
   let student_cdf ~df t =
     if not (df > 0.0) then
       invalid_arg "Stats.Test.student_cdf: df must be positive";
@@ -327,6 +368,23 @@ module Test = struct
       done;
       let q = 0.5 *. (!lo +. !hi) in
       if p < 0.5 then -.q else q
+
+  let chi_square ~observed ~expected =
+    let n = Array.length observed in
+    if n <> Array.length expected then
+      invalid_arg "Stats.Test.chi_square: length mismatch";
+    if n < 2 then invalid_arg "Stats.Test.chi_square: need at least 2 cells";
+    let statistic = ref 0.0 in
+    for i = 0 to n - 1 do
+      let o = observed.(i) and e = expected.(i) in
+      if not (e > 0.0 && e < infinity) then
+        invalid_arg "Stats.Test.chi_square: expected counts must be positive";
+      if not (o >= 0.0 && o < infinity) then
+        invalid_arg "Stats.Test.chi_square: observed counts must be non-negative";
+      statistic := !statistic +. ((o -. e) *. (o -. e) /. e)
+    done;
+    let df = float_of_int (n - 1) in
+    { statistic = !statistic; df; pvalue = gamma_q (df /. 2.0) (!statistic /. 2.0) }
 
   let mean_ci ?(confidence = 0.95) xs =
     if Array.length xs < 2 then

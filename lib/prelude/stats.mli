@@ -74,11 +74,13 @@ val summarize : float array -> summary
 
 val pp_summary : Format.formatter -> summary -> unit
 
-(** Hypothesis tests and confidence intervals (pareto-style t-tests,
-    self-contained: the Student CDF is a hand-rolled regularized
-    incomplete beta, no external stats dependency).
+(** Hypothesis tests and confidence intervals (pareto-style t-tests
+    and a chi-square goodness of fit, self-contained: the Student CDF
+    is a hand-rolled regularized incomplete beta and the chi-square
+    tail a regularized incomplete gamma, no external stats
+    dependency).
 
-    Every test reports the t statistic, the degrees of freedom, and
+    Every t-test reports the t statistic, the degrees of freedom, and
     the p-value under the chosen {!Test.alternative}.  Degenerate
     inputs with zero spread return a non-NaN verdict: zero observed
     difference gives [statistic = 0.] (p-value 1 two-sided), a nonzero
@@ -115,6 +117,17 @@ module Test : sig
   (** Paired t-test: {!one_sample} on the per-index differences
       [xs.(i) -. ys.(i)] against [shift].  Raises on length mismatch
       or fewer than 2 pairs. *)
+
+  val chi_square : observed:float array -> expected:float array -> result
+  (** Pearson's chi-square goodness-of-fit test of H0: the [observed]
+      counts were drawn with cell means [expected].  [statistic] is
+      [sum (o - e)^2 / e], [df] the cell count less one, and [pvalue]
+      the upper tail [P(X >= statistic)] of the chi-square
+      distribution with [df] degrees of freedom (a regularized upper
+      incomplete gamma); a perfect fit gives statistic 0 and p-value
+      1.  Raises on a length mismatch, fewer than 2 cells, an expected
+      count that is not positive and finite, or an observed count
+      that is not non-negative and finite. *)
 
   val mean_ci : ?confidence:float -> float array -> float * float
   (** Student-t confidence interval [(lo, hi)] for the mean

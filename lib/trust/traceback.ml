@@ -3,7 +3,7 @@ module Rng = Tussle_prelude.Rng
 type observation = (int * int) list
 
 let simulate rng ~(path : int list) ~p ~packets =
-  if p <= 0.0 || p >= 1.0 then invalid_arg "Traceback.simulate: p not in (0,1)";
+  if not (p > 0.0 && p < 1.0) then invalid_arg "Traceback.simulate: p not in (0,1)";
   if packets <= 0 then invalid_arg "Traceback.simulate: no packets";
   if path = [] then invalid_arg "Traceback.simulate: empty path";
   let hops = Array.of_list path in
@@ -18,16 +18,35 @@ let simulate rng ~(path : int list) ~p ~packets =
         done;
         !j)
   in
+  (* One draw per packet, from the mark's exact distribution: the
+     router [d] hops upstream of the victim holds the mark with
+     probability p(1-p)^(d-1), so the [j] routers nearest the victim
+     hold it with probability 1 - (1-p)^j.  [thr.(j - 1)] is that sum
+     scaled to 2^62, the range of [Rng.bits]; a draw at or past
+     [thr.(k - 1)] leaves the packet unmarked.  Where the sum rounds to
+     1.0 the threshold is clamped to [max_int]: [int_of_float] of 2^62
+     overflows. *)
+  let log_keep = Float.log1p (-.p) in
+  let thr =
+    Array.init k (fun j ->
+        let x = -.Float.expm1 (float_of_int (j + 1) *. log_keep) *. 0x1p62 in
+        if x >= 0x1p62 then max_int else int_of_float x)
+  in
   let counts = Array.make k 0 in
   for _ = 1 to packets do
-    (* the packet travels attacker -> victim; each router overwrites the
-       mark with probability p.  [mark] is a slot, -1 for unmarked: no
-       allocation per packet. *)
-    let mark = ref (-1) in
+    let u = Rng.bits rng in
+    (* the thresholds rise, so the number at or below [u] is the
+       distance, less one, of the marking router: a count with no
+       branch to mispredict, where a scan from the victim side took a
+       quarter longer *)
+    let j = ref 0 in
     for i = 0 to k - 1 do
-      if Rng.bernoulli rng p then mark := slot.(i)
+      j := !j + Bool.to_int (u >= Array.unsafe_get thr i)
     done;
-    if !mark >= 0 then counts.(!mark) <- counts.(!mark) + 1
+    if !j < k then begin
+      let s = slot.(k - 1 - !j) in
+      counts.(s) <- counts.(s) + 1
+    end
   done;
   List.init k (fun i -> (hops.(i), counts.(slot.(i)))) |> List.sort compare
 

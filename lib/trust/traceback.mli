@@ -22,8 +22,19 @@ val simulate :
 (** [simulate rng ~path ~p ~packets]: [path] lists routers from the
     attacker side to the victim side (the victim is not included).
     Returns mark counts per router (routers with zero marks are
-    included with count 0).  Raises [Invalid_argument] on [p] outside
-    (0, 1) or a non-positive packet count. *)
+    included with count 0; a router listed twice shares one count).
+    Raises [Invalid_argument] on [p] outside (0, 1) or a non-positive
+    packet count.
+
+    Each packet costs exactly one {!Tussle_prelude.Rng.bits} draw.  The
+    mark is sampled from its exact distribution: the draw is compared
+    with [k] integer thresholds, the [j]-th being [1 - (1-p)^j] scaled
+    to 2{^62} (the [j] routers nearest the victim hold the mark with
+    that probability), so the packet is unmarked with probability
+    [(1-p)^k].  This is equal in distribution to letting every router
+    overwrite the mark with probability [p] in turn, up to the 2{^-62}
+    rounding of each threshold; the random stream is not the per-hop
+    one. *)
 
 val reconstruct : observation -> int list
 (** Order routers by descending mark count (ties by router id): the

@@ -36,10 +36,11 @@
 #     on every subcommand, missing/unreadable files for report,
 #     explain, trends and policy, a corrupt history, unsweepable or
 #     unknown sweep ids, an integer literal past max_int in a policy,
-#     an unwritable --trace path, a file as search --corpus — each
-#     exits 2; the sweep and search
-#     smoke artifacts edited with sed (a mean outside its CI, a budget
-#     below the runs, a shrinking frontier) — report exits 2, since it
+#     an unwritable --trace path, a file as search --corpus (either
+#     backend) — each exits 2; the battery, sweep and search
+#     smoke artifacts edited with sed (an int past max_int, a mean
+#     outside its CI, a budget below the runs, a shrinking frontier)
+#     — report exits 2, since it
 #     runs every artifact check sweep and search run; a corpus plan
 #     naming a link or node its scenario lacks — explain exits 2,
 #     chaos --replay 1; a corpus plan naming an unknown scenario —
@@ -240,9 +241,11 @@ printf 'scenario: no-such-scenario\nseed: 5\nlink 0-1 down [1, 2)\n' \
   > "$unknown_corpus/unknown.plan"
 printf 'root says allow a b on c where x == 99999999999999999999999.\n' \
   > "$TMP/tussle-big-int.policy"
-# the sweep and search smoke artifacts made invalid: a metric's mean
-# outside its CI, a budget below the runs, a coverage frontier that
-# shrinks
+# the battery, sweep and search smoke artifacts made invalid: an
+# integral float past max_int, a metric's mean outside its CI, a
+# budget below the runs, a coverage frontier that shrinks
+sed '0,/"events_executed": [0-9]*/s//"events_executed": 1e19/' "$report" \
+  > "$TMP/tussle-bad-int.json"
 sed '0,/"mean": [^,]*/s//"mean": 1e300/' "$sweep_report" \
   > "$TMP/tussle-bad-mean.json"
 sed 's/"budget": [0-9]*/"budget": 1/' "$search_report" \
@@ -274,6 +277,7 @@ done <<ROWS
 2 $CLI experiments -e E4 --trace $TMP/definitely-missing-dir/trace.json
 2 $CLI report $TMP/definitely-missing-report.json
 2 $CLI report /
+2 $CLI report $TMP/tussle-bad-int.json
 2 $CLI report $TMP/tussle-bad-mean.json
 2 $CLI report $TMP/tussle-bad-budget.json
 2 $CLI report $TMP/tussle-bad-frontier.json
@@ -312,6 +316,7 @@ done <<ROWS
 2 $CLI search --sweep-seed=1.5
 2 $CLI search --domains=0
 2 $CLI search --corpus README.md --budget=4
+2 $CLI search --backend=exhaust --corpus README.md --budget=4
 2 $CLI perfgate BENCH_baseline.json $report --tolerance=nope
 2 $CLI market --providers=0
 2 $CLI market --providers=-3

@@ -419,11 +419,15 @@ let test_corpus_dir_unreadable () =
       | Error msg ->
         Alcotest.(check bool) (msg ^ " names the path") true (contains msg dir))
     [ fresh_corpus_dir (); file ];
-  Alcotest.check_raises "search --corpus FILE"
-    (Sys_error (file ^ ": Not a directory")) (fun () ->
-      ignore
-        (Search.run ~corpus_dir:file ~backend:Search.Mutate
-           ~scenarios:Scenario.all ~seed:11 ~budget:4 ()));
+  List.iter
+    (fun backend ->
+      Alcotest.check_raises
+        ("search --corpus FILE, " ^ Search.backend_name backend)
+        (Sys_error (file ^ ": Not a directory")) (fun () ->
+          ignore
+            (Search.run ~corpus_dir:file ~backend ~scenarios:Scenario.all
+               ~seed:11 ~budget:4 ())))
+    [ Search.Mutate; Search.Exhaust ];
   Sys.remove file;
   let r =
     Budget.with_domains 1

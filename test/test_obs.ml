@@ -282,6 +282,55 @@ let prop_parse_alphabet =
   prop_parse_matches_oracle "parse equals the untuned parser (JSON-alphabet bytes)"
     gen_alphabet_doc
 
+(* Number lexemes at the edges of OCaml's int range (-2^62 is
+   [min_int], 2^62 one past [max_int]), past it both ways, and not
+   integers at all. *)
+let int_edge_lexemes =
+  [
+    "1e19"; "-9.3e18"; "4.6e18"; "-4.6e18"; "1e18"; "4611686018427387903";
+    "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905";
+    "4.611686018427387904e18"; "-4.611686018427387904e18";
+    "9.223372036854775807e18"; "-9.223372036854775808e18"; "1.5"; "-0.0";
+    "0e0"; "1e309"; "-1e309"; "1e-400";
+  ]
+
+(* What [to_int] must give a [Float], worked through [Int64] rather
+   than [int_of_float]: the integer, if [f] is one that an OCaml int
+   holds. *)
+let int_of_float_oracle f =
+  if Float.is_integer f && Float.abs f < 0x1p63 then
+    let x = Int64.of_float f in
+    if
+      Int64.compare x (Int64.of_int min_int) >= 0
+      && Int64.compare x (Int64.of_int max_int) <= 0
+    then Some (Int64.to_int x)
+    else None
+  else None
+
+let prop_to_int_range =
+  QCheck2.Test.make ~name:"to_int: in-range integers only" ~count:1000 ~print:Fun.id
+    QCheck2.Gen.(
+      oneof
+        [
+          oneofl int_edge_lexemes;
+          map (Printf.sprintf "%.17g")
+            (oneof
+               [
+                 map (fun f -> if Float.is_finite f then f else 0.0) gen_float;
+                 map (fun x -> Float.round (x *. 0x1p62)) (float_range (-2.5) 2.5);
+               ]);
+          map string_of_int int;
+        ])
+    (fun lexeme ->
+      match Json.parse lexeme with
+      | Ok (Json.Int n as v) -> Json.to_int v = Some n
+      | Ok (Json.Float f as v) -> Json.to_int v = int_of_float_oracle f
+      | Error _
+        when String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) lexeme
+             && int_of_string_opt lexeme = None ->
+        true (* an integer literal past the range is a parse error *)
+      | Ok _ | Error _ -> QCheck2.Test.fail_reportf "%S is not a number" lexeme)
+
 (* Edges of the number grammar, the escapes and the error offsets, one
    line per input: what [parse] gives, which the untuned parser gives
    too. *)
@@ -986,6 +1035,7 @@ let gen_report_lexemes =
       (oneofl
          [
            "1e309"; "-1e309"; "-0"; "0"; "-1"; "1.5"; "1e18"; "1e19"; "1e300";
+           "-9.3e18"; "4.6e18";
            "4611686018427387903"; "-4611686018427387904"; "null"; "true"; {|""|};
            {|"held"|}; {|"bogus"|}; "[]"; "{}"; {|"\u0000"|}; "[[[[[]]]]]";
            {|"tussle.bench-report/1"|}; {|[1,2,3]|}; {|[0.5,"x"]|};
@@ -1088,6 +1138,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_parse_mutated;
           QCheck_alcotest.to_alcotest prop_parse_tokens;
           QCheck_alcotest.to_alcotest prop_parse_alphabet;
+          QCheck_alcotest.to_alcotest prop_to_int_range;
         ] );
       ( "metrics",
         [

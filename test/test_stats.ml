@@ -231,6 +231,63 @@ let test_too_few_points () =
     (Invalid_argument "Stats.sample_variance: need at least 2 points")
     (fun () -> ignore (Stats.sample_variance [| 1.0 |]))
 
+(* ---------- chi-square goodness of fit ---------- *)
+
+(* Reference p-values by hand, with Python's math module: for even df
+   the tail is Q = e^(-x/2) sum_(i < df/2) (x/2)^i / i!; for df = 1 it
+   is erfc (sqrt (x/2)); for df = 3, erfc (sqrt y) + 2 sqrt (y/pi)
+   e^(-y) with y = x/2.  Each case names the branch of the incomplete
+   gamma it reaches (series below x/2 = df/2 + 1, continued fraction
+   above). *)
+let chi_square_pins =
+  let uniform9 = Array.make 9 (200.0 /. 9.0) in
+  [
+    ( "df 8, series",
+      [| 20.; 25.; 24.; 22.; 19.; 26.; 24.; 20.; 20. |], uniform9,
+      (2.41, 0.9657956854049576) );
+    ( "df 8, fraction",
+      [| 18.; 25.; 31.; 22.; 17.; 29.; 24.; 20.; 14. |], uniform9,
+      (11.32, 0.18421835068576756) );
+    ( "df 8, far tail",
+      [| 40.; 31.; 22.; 12.; 9.; 30.; 21.; 20.; 15. |], uniform9,
+      (35.62, 2.0607564091006762e-05) );
+    ("df 1, series", [| 55.; 45. |], [| 50.; 50. |], (1.0, 0.31731050786291404));
+    ("df 1, fraction", [| 60.; 40. |], [| 50.; 50. |], (4.0, 0.045500263896358396));
+    ("df 2", [| 10.; 20.; 30. |], [| 20.; 20.; 20. |], (10.0, 0.006737946999085467));
+    ( "df 3",
+      [| 12.; 30.; 25.; 33. |], [| 25.; 25.; 25.; 25. |],
+      (10.32, 0.016032999951966748) );
+  ]
+
+let test_chi_square_pinned () =
+  List.iter
+    (fun (name, observed, expected, (statistic, pvalue)) ->
+      let r = Test.chi_square ~observed ~expected in
+      check_close ~epsilon:1e-6 (name ^ " statistic") statistic r.Test.statistic;
+      check_close ~epsilon:1e-6 (name ^ " p-value") pvalue r.Test.pvalue;
+      check_close ~epsilon:1e-9 (name ^ " df")
+        (float_of_int (Array.length observed - 1))
+        r.Test.df)
+    chi_square_pins;
+  (* the far tail to 1e-6 relative, not only absolute *)
+  let _, observed, expected, (_, pvalue) = List.nth chi_square_pins 2 in
+  check_close ~epsilon:1e-6 "far tail, relative" 1.0
+    ((Test.chi_square ~observed ~expected).Test.pvalue /. pvalue)
+
+let test_chi_square_edges () =
+  let perfect = Test.chi_square ~observed:[| 3.; 5.; 7. |] ~expected:[| 3.; 5.; 7. |] in
+  check_close ~epsilon:1e-12 "perfect fit, statistic 0" 0.0 perfect.Test.statistic;
+  check_close ~epsilon:1e-12 "perfect fit, p-value 1" 1.0 perfect.Test.pvalue;
+  let raises msg observed expected =
+    Alcotest.check_raises msg (Invalid_argument ("Stats.Test.chi_square: " ^ msg))
+      (fun () -> ignore (Test.chi_square ~observed ~expected))
+  in
+  raises "expected counts must be positive" [| 1.; 2. |] [| 3.; 0. |];
+  raises "expected counts must be positive" [| 1.; 2. |] [| 3.; Float.nan |];
+  raises "observed counts must be non-negative" [| -1.; 2. |] [| 3.; 1. |];
+  raises "length mismatch" [| 1.; 2. |] [| 3. |];
+  raises "need at least 2 cells" [| 1. |] [| 1. |]
+
 (* ---------- confidence intervals ---------- *)
 
 let test_mean_ci_pinned () =
@@ -331,12 +388,40 @@ let prop_t_cdf_monotone =
       let lo = min a b -. 5.0 and hi = max a b in
       Test.student_cdf ~df lo <= Test.student_cdf ~df hi +. 1e-12)
 
+(* The chi-square tail at any (df, x) against its closed forms: cells
+   of expected count 1 with the first observed at 1 + sqrt x give
+   statistic x.  For even df, Q = e^(-x/2) sum_(i < df/2) (x/2)^i / i!
+   (terms summed as they are built); for df = 1, erfc (sqrt (x/2)). *)
+let prop_chi_square_closed_form =
+  QCheck2.Test.make ~name:"chi-square tail = closed form" ~count:300
+    ~print:QCheck2.Print.(pair int float)
+    QCheck2.Gen.(pair (oneof [ pure 1; map (fun h -> 2 * h) (int_range 1 20) ])
+                   (float_bound_inclusive 120.0))
+    (fun (df, x) ->
+      let observed = Array.make (df + 1) 1.0 and expected = Array.make (df + 1) 1.0 in
+      observed.(0) <- 1.0 +. sqrt x;
+      let r = Test.chi_square ~observed ~expected in
+      let y = x /. 2.0 in
+      let q =
+        if df = 1 then Float.erfc (sqrt y)
+        else begin
+          let term = ref 1.0 and sum = ref 1.0 in
+          for i = 1 to (df / 2) - 1 do
+            term := !term *. y /. float_of_int i;
+            sum := !sum +. !term
+          done;
+          exp (-.y) *. !sum
+        end
+      in
+      Float.abs (r.Test.pvalue -. q) <= 1e-9 *. Float.max 1.0 q)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_percentile_50_is_median; prop_summary_ordered;
       prop_correlation_symmetric_bounded; prop_histogram_counts_sum;
       prop_sample_variance_vs_population; prop_t_cdf_monotone;
+      prop_chi_square_closed_form;
     ]
 
 let () =
@@ -371,6 +456,11 @@ let () =
           Alcotest.test_case "all zeros" `Quick test_degenerate_all_zeros;
           Alcotest.test_case "constant shifted" `Quick test_degenerate_shifted;
           Alcotest.test_case "too few points" `Quick test_too_few_points;
+        ] );
+      ( "chi-square",
+        [
+          Alcotest.test_case "pinned" `Quick test_chi_square_pinned;
+          Alcotest.test_case "edges" `Quick test_chi_square_edges;
         ] );
       ( "confidence intervals",
         [

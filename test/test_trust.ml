@@ -217,6 +217,7 @@ let test_mediator_validation () =
 
 module Traceback = Tussle_trust.Traceback
 module Rng = Tussle_prelude.Rng
+module Stats = Tussle_prelude.Stats
 
 let attack_path = [ 7; 8; 9; 10; 11 ]
 
@@ -266,14 +267,18 @@ let test_traceback_validation () =
   Alcotest.check_raises "bad p"
     (Invalid_argument "Traceback.simulate: p not in (0,1)") (fun () ->
       ignore (Traceback.simulate rng ~path:[ 1 ] ~p:1.5 ~packets:10));
+  Alcotest.check_raises "nan p"
+    (Invalid_argument "Traceback.simulate: p not in (0,1)") (fun () ->
+      ignore (Traceback.simulate rng ~path:[ 1 ] ~p:Float.nan ~packets:10));
   Alcotest.check_raises "empty path"
     (Invalid_argument "Traceback.simulate: empty path") (fun () ->
       ignore (Traceback.simulate rng ~path:[] ~p:0.5 ~packets:10))
 
 
-(* The Hashtbl/option [simulate] that the array kernel replaced, kept
-   as an oracle: same draws in the same order, one count per distinct
-   router. *)
+(* Per-hop marking, the sampler [simulate] had before it drew each
+   packet's mark in one draw: every router overwrites the mark with
+   probability p in turn, counts in a Hashtbl.  Kept as the oracle:
+   the two must agree in distribution, not in stream. *)
 let reference_simulate rng ~path ~p ~packets =
   let counts = Hashtbl.create 16 in
   List.iter (fun r -> Hashtbl.replace counts r 0) path;
@@ -289,9 +294,94 @@ let reference_simulate rng ~path ~p ~packets =
   List.map (fun r -> (r, Option.value ~default:0 (Hashtbl.find_opt counts r))) path
   |> List.sort compare
 
-(* Router ids from a small range so paths often list a router twice. *)
-let prop_traceback_matches_reference =
-  QCheck2.Test.make ~name:"simulate equals the Hashtbl reference" ~count:300
+(* Goodness of fit of [sim]'s marks, pooled over seeds 1..20 at 1,000
+   packets each: one cell per distinct router, expecting
+   [expected_marks] summed over the positions it holds, plus one cell
+   for unmarked packets, expecting packets * (1-p)^k. *)
+let marks_chi_square sim ~path ~p =
+  let seeds = 20 and per_seed = 1_000 in
+  let packets = seeds * per_seed in
+  let k = List.length path in
+  let routers = List.sort_uniq compare path in
+  let cells = List.length routers in
+  let observed = Array.make (cells + 1) 0.0 in
+  for seed = 1 to seeds do
+    let obs = sim (Rng.create seed) ~path ~p ~packets:per_seed in
+    List.iteri
+      (fun c r -> observed.(c) <- observed.(c) +. float_of_int (List.assoc r obs))
+      routers
+  done;
+  let marked = Array.fold_left ( +. ) 0.0 observed in
+  observed.(cells) <- float_of_int packets -. marked;
+  let expected =
+    Array.of_list
+      (List.map
+         (fun r ->
+           List.fold_left ( +. ) 0.0
+             (List.mapi
+                (fun i r' ->
+                  if r' = r then
+                    Traceback.expected_marks ~p ~distance:(k - i) ~packets
+                  else 0.0)
+                path))
+         routers
+      @ [ float_of_int packets *. ((1.0 -. p) ** float_of_int k) ])
+  in
+  Stats.Test.chi_square ~observed ~expected
+
+(* E17's path, a short path at a high p, a long one at a low p, and a
+   path that lists a router twice (its count is shared, so its cell
+   expects the marks of both positions).  The per-hop oracle passes
+   the same check, so the expectation itself is right. *)
+let test_traceback_marks_fit () =
+  List.iter
+    (fun (path, p) ->
+      List.iter
+        (fun (name, sim) ->
+          let r = marks_chi_square sim ~path ~p in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %d hops, p %g: chi2 %.2f, df %g, p-value %.4f > 0.001"
+               name (List.length path) p r.Stats.Test.statistic r.Stats.Test.df
+               r.Stats.Test.pvalue)
+            true
+            (r.Stats.Test.pvalue > 0.001))
+        [ ("simulate", Traceback.simulate); ("per-hop", reference_simulate) ])
+    [
+      ([ 101; 102; 103; 104; 105; 106; 107; 108 ], 0.2);
+      (attack_path, 0.5);
+      (List.init 12 (fun i -> 200 + i), 0.05);
+      ([ 3; 4; 3; 5 ], 0.3);
+    ]
+
+(* E17's reconstruction accuracy at 10 and 100 packets, 200 seeded
+   trials of each sampler: Welch's test finds no difference. *)
+let test_traceback_accuracy_matches_per_hop () =
+  let path = [ 101; 102; 103; 104; 105; 106; 107; 108 ] in
+  List.iter
+    (fun packets ->
+      let accuracies sim =
+        Array.init 200 (fun k ->
+            let obs = sim (Rng.create (5000 + k)) ~path ~p:0.2 ~packets in
+            Traceback.accuracy ~truth:path ~guess:(Traceback.reconstruct obs))
+      in
+      let r =
+        Stats.Test.two_sample (accuracies Traceback.simulate)
+          (accuracies reference_simulate)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d packets: t %.3f, p-value %.4f > 0.01" packets
+           r.Stats.Test.statistic r.Stats.Test.pvalue)
+        true
+        (r.Stats.Test.pvalue > 0.01))
+    [ 10; 100 ]
+
+(* Each packet takes exactly one [Rng.bits]: afterwards the generator
+   is where a copy stands after [packets] draws.  SplitMix64's output
+   is a bijection of its state, so one equal [int64] means equal
+   states.  Router ids from a small range so paths often list a router
+   twice. *)
+let prop_traceback_one_draw_per_packet =
+  QCheck2.Test.make ~name:"one draw per packet" ~count:300
     ~print:(fun (seed, path, p, packets) ->
       Printf.sprintf "seed=%d path=[%s] p=%h packets=%d" seed
         (String.concat ";" (List.map string_of_int path))
@@ -301,8 +391,31 @@ let prop_traceback_matches_reference =
         (list_size (int_range 1 12) (int_range 0 6))
         (float_range 0.001 0.999) (int_range 1 2000))
     (fun (seed, path, p, packets) ->
-      Traceback.simulate (Rng.create seed) ~path ~p ~packets
-      = reference_simulate (Rng.create seed) ~path ~p ~packets)
+      let rng = Rng.create seed in
+      let copy = Rng.copy rng in
+      let obs = Traceback.simulate rng ~path ~p ~packets in
+      for _ = 1 to packets do
+        ignore (Rng.bits copy)
+      done;
+      let distinct = List.sort_uniq compare obs in
+      Rng.int64 rng = Rng.int64 copy
+      && List.for_all (fun (_, c) -> c >= 0) obs
+      && List.fold_left (fun acc (_, c) -> acc + c) 0 distinct <= packets)
+
+(* At p = 0.999 over 12 hops, 1 - (1-p)^j rounds to 1.0 from j = 6
+   on, where the scaled threshold is clamped to [max_int] rather than
+   overflowing: every packet is marked, and no count is negative. *)
+let test_traceback_near_certain_marking () =
+  let path = List.init 12 (fun i -> 300 + i) in
+  let packets = 100_000 in
+  let obs = Traceback.simulate (Rng.create 17) ~path ~p:0.999 ~packets in
+  List.iter
+    (fun (r, c) -> Alcotest.(check bool) (Printf.sprintf "router %d >= 0" r) true (c >= 0))
+    obs;
+  Alcotest.(check int) "every packet marked" packets
+    (List.fold_left (fun acc (_, c) -> acc + c) 0 obs);
+  Alcotest.(check bool) "the router nearest the victim holds almost all" true
+    (List.assoc 311 obs > 99_000)
 
 let test_traceback_duplicate_router_shares_count () =
   let obs = Traceback.simulate (Rng.create 5) ~path:[ 3; 4; 3 ] ~p:0.5 ~packets:500 in
@@ -310,13 +423,15 @@ let test_traceback_duplicate_router_shares_count () =
   | [ (3, a); (3, b); (4, _) ] -> Alcotest.(check int) "one count" a b
   | _ -> Alcotest.fail "expected two entries for router 3"
 
-(* The E17 configuration at 1,000 packets, pinned mark for mark. *)
+(* The E17 configuration at 1,000 packets, pinned mark for mark on
+   the one-draw sampler's stream (the distribution is what the
+   chi-square and Welch checks above hold). *)
 let test_traceback_e17_pinned () =
   Alcotest.(check (list (pair int int)))
     "seed 1017, 8 hops, p 0.2"
     [
-      (101, 34); (102, 52); (103, 74); (104, 67); (105, 109); (106, 136);
-      (107, 151); (108, 199);
+      (101, 35); (102, 55); (103, 72); (104, 87); (105, 102); (106, 129);
+      (107, 160); (108, 206);
     ]
     (Traceback.simulate (Rng.create 1017)
        ~path:[ 101; 102; 103; 104; 105; 106; 107; 108 ]
@@ -472,7 +587,13 @@ let () =
           Alcotest.test_case "E17 config pinned" `Quick test_traceback_e17_pinned;
           Alcotest.test_case "allocation flat in packets" `Quick
             test_traceback_allocation_flat_in_packets;
-          QCheck_alcotest.to_alcotest prop_traceback_matches_reference;
+          Alcotest.test_case "marks fit chi-square" `Quick
+            test_traceback_marks_fit;
+          Alcotest.test_case "accuracy matches per-hop" `Quick
+            test_traceback_accuracy_matches_per_hop;
+          QCheck_alcotest.to_alcotest prop_traceback_one_draw_per_packet;
+          Alcotest.test_case "near-certain marking" `Quick
+            test_traceback_near_certain_marking;
         ] );
       ( "mediator",
         [
