@@ -1,4 +1,3 @@
-module Graph = Tussle_prelude.Graph
 module Engine = Tussle_netsim.Engine
 module Net = Tussle_netsim.Net
 module Link = Tussle_netsim.Link
@@ -24,20 +23,15 @@ type obs = {
   fault_transitions : int option;
 }
 
-(* Fold over the distinct physical link objects (an undirected label
-   shared both ways must be counted once — same dedup Inject uses). *)
-let fold_links links ~init ~f =
-  let seen = ref [] in
-  Graph.fold_edges links ~init ~f:(fun acc _ _ l ->
-      if List.memq l !seen then acc
-      else begin
-        seen := l :: !seen;
-        f acc l
-      end)
-
 let observe ?(transfers = []) ?(reconvergences = 0) ?covert_budget
     ?fault_transitions ~clock_start engine net =
-  let links = Net.links net in
+  (* one pass over the distinct link objects: an undirected label
+     shared both ways is counted once *)
+  let fault_drops = ref 0 and corrupted = ref 0 and gray_drops = ref 0 in
+  Link.fold_distinct (Net.links net) ~init:() ~f:(fun () l ->
+      fault_drops := !fault_drops + Link.fault_drops l;
+      corrupted := !corrupted + Link.corrupted_count l;
+      gray_drops := !gray_drops + Link.gray_drops l);
   {
     injected = Net.injected_count net;
     delivered = Net.delivered_count net;
@@ -47,12 +41,9 @@ let observe ?(transfers = []) ?(reconvergences = 0) ?covert_budget
     clock_start;
     clock_end = Engine.now engine;
     losses = Net.losses net;
-    link_fault_drops =
-      fold_links links ~init:0 ~f:(fun acc l -> acc + Link.fault_drops l);
-    link_corrupted =
-      fold_links links ~init:0 ~f:(fun acc l -> acc + Link.corrupted_count l);
-    link_gray_drops =
-      fold_links links ~init:0 ~f:(fun acc l -> acc + Link.gray_drops l);
+    link_fault_drops = !fault_drops;
+    link_corrupted = !corrupted;
+    link_gray_drops = !gray_drops;
     transfers;
     engine_high_water = Engine.queue_depth_high_water engine;
     reconvergences;

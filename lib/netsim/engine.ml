@@ -52,13 +52,14 @@ let reap_stale t =
   t.reaped <- t.reaped + Hashtbl.length t.cancelled;
   Hashtbl.reset t.cancelled
 
-(* Pops via min_key/min_seq/pop_min: no option or tuple cell per event. *)
+(* Pops via min_key/min_seq/pop_min: no option or tuple cell per event.
+   While nothing is cancelled (the common case) no id is hashed. *)
 let fire t =
   let at = Tussle_prelude.Pqueue.min_key t.queue in
   let id = Tussle_prelude.Pqueue.min_seq t.queue in
   let action = Tussle_prelude.Pqueue.pop_min t.queue in
   t.clock <- at;
-  if Hashtbl.mem t.cancelled id then begin
+  if Hashtbl.length t.cancelled > 0 && Hashtbl.mem t.cancelled id then begin
     Hashtbl.remove t.cancelled id;
     t.reaped <- t.reaped + 1
   end

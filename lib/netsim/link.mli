@@ -48,7 +48,14 @@ val try_enqueue :
     occupancy), so calls must be made in non-decreasing [now] order;
     calling with a [now] earlier than a previous call raises
     [Invalid_argument] instead of silently corrupting the busy-until
-    accounting. *)
+    accounting.  So does a negative [bytes].
+
+    Each departure is at or after the previous one, since a packet
+    starts serializing no earlier than the link's busy-until time.  So
+    the packets that have left by [now] are always the oldest ones,
+    and the queue drops them as a prefix of a ring of departure times.
+    The ring starts empty and doubles on demand up to the capacity: a
+    link that never carries a packet allocates none of it. *)
 
 val queued : t -> now:float -> int
 (** Packets currently occupying the queue at time [now]. *)
@@ -132,3 +139,11 @@ val probe : t -> Tussle_prelude.Rng.t -> bool
     its own schedule without perturbing traffic outcomes or the
     fault-accounting ledger.  Blind to queue occupancy by design: it
     tests the fault plane, not congestion. *)
+
+val fold_distinct : t Tussle_prelude.Graph.t -> init:'a -> f:('a -> t -> 'a) -> 'a
+(** Fold [f] over the distinct link objects of a graph, each once, in
+    first-seen edge order: an undirected label shared both ways, or
+    one label on any number of edges, counts once.  One linear pass
+    with no table: each visit stamps the link with a mark unique to
+    the pass.  So [f] must not itself start a [fold_distinct] over the
+    same links. *)

@@ -83,7 +83,12 @@ val attach :
     [~detector:Verified] (default {!Hello_only}), probe batches tick
     every {!probe_interval}, stopping early enough that every probe
     deadline also lands before [until].  Raises [Invalid_argument] on
-    a non-finite [until] or one in the past. *)
+    a non-finite [until] or one in the past.
+
+    The topology is fixed at attach: the watched adjacencies and, for
+    [Verified], each node's neighbours (the transit prober's sources,
+    destinations and waypoints) are read from the link graph once.
+    Links added to the graph later are never watched or probed. *)
 
 val table : t -> Linkstate.t
 (** The currently installed forwarding table. *)
@@ -117,3 +122,20 @@ val probes_sent : t -> int
 
 val probes_failed : t -> int
 (** Transit probes judged as silent discards at their deadline. *)
+
+(** The data-plane detector's sliding window, exposed so tests can
+    check it against a reference. *)
+module Window : sig
+  type t
+
+  val create : int -> t
+  (** [create w]: an empty window over the last [w] samples.  Raises
+      [Invalid_argument] if [w < 1]. *)
+
+  val push : t -> delivered:int -> offered:int -> unit
+  (** Add a sample, evicting the oldest once [w] are held. *)
+
+  val ratio : t -> float
+  (** Delivered over offered, summed over the window; [1.] when
+      nothing was offered. *)
+end
