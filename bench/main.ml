@@ -1,9 +1,10 @@
-(* The microbenchmark harness: bechamel runs (B1-B16) over the
+(* The microbenchmark harness: bechamel runs (B1-B17) over the
    substrate hot paths: the event loop, Dijkstra, path-vector
    convergence, the Nash solver, policy evaluation, trust-graph
    queries, the million-consumer market best-response loop, raw Rng
-   draws and the traceback marking kernel.  Several benchmarks assert
-   their result, so a run also smoke-tests those kernels.
+   draws, the traceback marking kernel and the chaos ledger read.
+   Several benchmarks assert their result, so a run also smoke-tests
+   those kernels.
 
    Run with: dune exec bench/main.exe   (no flags; prints the table)
    The experiment battery is `tussle experiments`. *)
@@ -218,6 +219,22 @@ let bench_traceback () =
   in
   assert (List.length obs = 8)
 
+let observe_fixture =
+  lazy
+    (let links =
+       Topology.to_links (Topology.barabasi_albert (Rng.create 9017) 1000 2)
+     in
+     ( Engine.create (),
+       Tussle_netsim.Net.create links (fun ~node:_ ~target:_ _ -> None) ))
+
+let bench_observe () =
+  (* B17: the ledger every chaos run reads once at its end: the net's
+     tallies and one pass over the distinct links of a BA(1000, 2)
+     net, about 4,000 edges *)
+  let engine, net = Lazy.force observe_fixture in
+  let obs = Tussle_chaos.Invariant.observe ~clock_start:0.0 engine net in
+  assert (obs.Tussle_chaos.Invariant.link_fault_drops = 0)
+
 let microbenchmarks () =
   let open Bechamel in
   let test name f = Test.make ~name (Staged.stage f) in
@@ -242,6 +259,7 @@ let microbenchmarks () =
         test "B14 link-state table + first next hop (BA-1000)" bench_linkstate;
         test "B15 Rng draws (10^6 bernoulli + int)" bench_rng_draws;
         test "B16 traceback simulate (8 hops, 10^4 packets)" bench_traceback;
+        test "B17 chaos ledger observe (BA-1000)" bench_observe;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

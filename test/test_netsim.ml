@@ -310,6 +310,169 @@ let test_link_fault_validation () =
     (Invalid_argument "Link.set_extra_latency: negative") (fun () ->
       Link.set_extra_latency l (-0.1))
 
+(* ---------- the departure ring against the list oracle ---------- *)
+
+type link_op =
+  | Offer of float * int  (* advance the clock by dt, offer a packet *)
+  | Peek of float  (* [queued] at dt past the clock, no offer *)
+  | Toggle  (* flip the link down or up *)
+
+let show_link_op = function
+  | Offer (dt, size) -> Printf.sprintf "offer +%h %dB" dt size
+  | Peek dt -> Printf.sprintf "peek +%h" dt
+  | Toggle -> "toggle"
+
+(* Capacities 1-8 so the ring wraps and grows; offers every 0-4 ms of
+   packets taking up to 24 ms to serialize, so queues fill and drain;
+   one seed drives both fault streams. *)
+let gen_link_case =
+  QCheck2.Gen.(
+    let prob = frequency [ (1, return 0.0); (1, float_range 0.0 0.4) ] in
+    let op =
+      frequency
+        [
+          ( 8,
+            let* dt = float_range 0.0 0.004
+            and* size = frequency [ (1, return 0); (9, int_range 1 3000) ] in
+            return (Offer (dt, size)) );
+          (2, map (fun dt -> Peek dt) (float_range 0.0 0.01));
+          (1, return Toggle);
+        ]
+    in
+    let* cap = int_range 1 8
+    and* seed = int_range 0 1_000_000
+    and* loss = prob
+    and* corrupt = prob
+    and* gray = prob
+    and* ops = list_size (int_range 1 80) op in
+    return (cap, seed, (loss, corrupt, gray), ops))
+
+let print_link_case (cap, seed, (loss, corrupt, gray), ops) =
+  Printf.sprintf "cap %d seed %d loss %h corrupt %h gray %h: %s" cap seed loss
+    corrupt gray
+    (String.concat ", " (List.map show_link_op ops))
+
+let link_ring_matches_list (cap, seed, (loss, corrupt, gray), ops) =
+  let latency = 0.01 and bandwidth_bps = 1e6 in
+  let l = Link.make ~queue_capacity:cap ~latency ~bandwidth_bps () in
+  let o = Link_oracle.make ~queue_capacity:cap ~latency ~bandwidth_bps in
+  Link.set_fault_rng l (Rng.create seed);
+  o.Link_oracle.fault_rng <- Some (Rng.create seed);
+  Link.set_loss_prob l loss;
+  Link.set_corrupt_prob l corrupt;
+  Link.set_gray_loss_prob l gray;
+  o.Link_oracle.loss_prob <- loss;
+  o.Link_oracle.corrupt_prob <- corrupt;
+  o.Link_oracle.gray_loss_prob <- gray;
+  let now = ref 0.0 in
+  let same step what a b =
+    if a <> b then
+      QCheck2.Test.fail_reportf "step %d: %s differs (ring %s, list %s)" step
+        what a b
+  in
+  let result = function
+    | `Sent t -> Printf.sprintf "sent %h" t
+    | `Dropped -> "dropped"
+    | `Faulted Link.Down -> "down"
+    | `Faulted Link.Loss -> "loss"
+    | `Faulted Link.Corrupt -> "corrupt"
+    | `Faulted Link.Gray -> "gray"
+  in
+  let i = string_of_int in
+  List.iteri
+    (fun step op ->
+      (match op with
+      | Offer (dt, size) ->
+        now := !now +. dt;
+        same step "try_enqueue"
+          (result (Link.try_enqueue l ~now:!now size))
+          (result (Link_oracle.try_enqueue o ~now:!now size))
+      | Peek dt ->
+        same step "queued"
+          (i (Link.queued l ~now:(!now +. dt)))
+          (i (Link_oracle.queued o ~now:(!now +. dt)))
+      | Toggle ->
+        Link.set_up l (not (Link.is_up l));
+        o.Link_oracle.up <- not o.Link_oracle.up);
+      same step "queue_length" (i (Link.queue_length l))
+        (i (Link_oracle.queue_length o));
+      same step "sent" (i (Link.packets_sent l)) (i o.Link_oracle.sent);
+      same step "dropped" (i (Link.packets_dropped l)) (i o.Link_oracle.dropped);
+      same step "fault drops" (i (Link.fault_drops l))
+        (i o.Link_oracle.fault_drops);
+      same step "gray drops" (i (Link.gray_drops l)) (i o.Link_oracle.gray_drops);
+      same step "corrupted" (i (Link.corrupted_count l))
+        (i o.Link_oracle.corrupted);
+      same step "utilization"
+        (Printf.sprintf "%h" (Link.utilization l ~now:!now))
+        (Printf.sprintf "%h" (Link_oracle.utilization o ~now:!now)))
+    ops;
+  true
+
+let prop_link_ring_matches_list =
+  QCheck2.Test.make ~name:"departure ring matches the list queue" ~count:500
+    ~print:print_link_case gen_link_case link_ring_matches_list
+
+(* Label sharing of every kind: [add_undirected] (one label both ways),
+   a fresh label per directed edge, and a new edge reusing any earlier
+   label, so one label can sit on three or more edges. *)
+let gen_shared_graph =
+  QCheck2.Gen.(
+    let* n = int_range 1 6 in
+    let edge = triple (int_range 0 2) (int_bound (n - 1)) (int_bound (n - 1)) in
+    let* edges = list_size (int_range 0 30) (pair edge nat) in
+    return (n, edges))
+
+let build_shared_graph (n, edges) =
+  let g = Graph.create n in
+  let made = ref [] in
+  let fresh () =
+    let l = Link.make ~latency:0.01 ~bandwidth_bps:1e6 () in
+    made := l :: !made;
+    l
+  in
+  List.iter
+    (fun ((kind, u, v), pick) ->
+      match (kind, !made) with
+      | 0, _ -> Graph.add_undirected g u v (fresh ())
+      | 1, _ | _, [] -> Graph.add_edge g u v (fresh ())
+      | _, ls -> Graph.add_edge g u v (List.nth ls (pick mod List.length ls)))
+    edges;
+  g
+
+let prop_fold_distinct_matches_memq =
+  QCheck2.Test.make ~name:"fold_distinct visits what the memq fold visits"
+    ~count:500 gen_shared_graph (fun case ->
+      let g = build_shared_graph case in
+      let ring =
+        List.rev (Link.fold_distinct g ~init:[] ~f:(fun acc l -> l :: acc))
+      in
+      let memq = Link_oracle.distinct_links g in
+      List.length ring = List.length memq && List.for_all2 ( == ) ring memq
+      (* a second pass sees the same links: marks are per pass *)
+      && Link.fold_distinct g ~init:0 ~f:(fun n _ -> n + 1) = List.length memq)
+
+let test_fold_distinct_shared_labels () =
+  (* one label both ways, one on three edges, one plain: three links,
+     whose fault drops (1, 10 and 100) each count once *)
+  let g = Graph.create 3 in
+  let mk drops =
+    let l = Link.make ~latency:0.01 ~bandwidth_bps:1e6 () in
+    Link.set_up l false;
+    for _ = 1 to drops do
+      ignore (Link.try_enqueue l ~now:0.0 100)
+    done;
+    l
+  in
+  let both = mk 1 and three = mk 10 and plain = mk 100 in
+  Graph.add_undirected g 0 1 both;
+  Graph.add_edge g 0 2 three;
+  Graph.add_edge g 2 1 three;
+  Graph.add_edge g 1 2 three;
+  Graph.add_edge g 2 0 plain;
+  Alcotest.(check int) "each link's drops once" 111
+    (Link.fold_distinct g ~init:0 ~f:(fun acc l -> acc + Link.fault_drops l))
+
 (* ---------- Topology ---------- *)
 
 let test_topology_line () =
@@ -1197,6 +1360,10 @@ let () =
           Alcotest.test_case "latency spike" `Quick test_link_latency_spike;
           Alcotest.test_case "fault validation" `Quick
             test_link_fault_validation;
+          QCheck_alcotest.to_alcotest prop_link_ring_matches_list;
+          QCheck_alcotest.to_alcotest prop_fold_distinct_matches_memq;
+          Alcotest.test_case "fold_distinct shared labels" `Quick
+            test_fold_distinct_shared_labels;
         ] );
       ( "topology",
         [
