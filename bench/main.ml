@@ -28,10 +28,10 @@ let bench_engine () =
   let count = ref 0 in
   let rec tick engine =
     incr count;
-    if !count < 10_000 then ignore (Engine.schedule_after engine 0.001 tick)
+    if !count < 10_000 then Engine.schedule_after engine 0.001 tick
   in
   count := 0;
-  ignore (Engine.schedule e 0.0 tick);
+  Engine.schedule e 0.0 tick;
   Engine.run e
 
 let dijkstra_graph =

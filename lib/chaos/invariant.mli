@@ -65,18 +65,6 @@ val observe :
 
 type violation = { invariant : string; detail : string }
 
-val all : (string * (obs -> string option)) list
-(** The registry, in check order: packet conservation
-    ([injected = delivered + dropped + in-flight]), engine drained,
-    monotone clock, drop accounting (per-reason sums match totals and
-    the links' own fault counters), no hung transfer,
-    no-silent-blackhole (every link-counted gray drop is attributed as
-    [Gray_loss], and covert drops stay within [covert_budget] when
-    one is declared), no-forwarding-loop (a ttl-exceeded drop with
-    zero reconvergences means static tables looped), and
-    damping-bounds-reconvergence ([reconvergences <= 4t + 4] against
-    the declared [fault_transitions]). *)
-
 val names : string list
 
 val check : obs -> violation list

@@ -88,6 +88,8 @@ let ring name detector =
     links = [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 0) ];
     horizon = 10.0; run }
 
+(* ring-selfheal exercises failure detection, re-convergence and
+   flapping under the hello-only control plane. *)
 let ring_selfheal = ring "ring-selfheal" Selfheal.Hello_only
 let ring_verified = ring "ring-verified" Selfheal.Verified
 

@@ -25,21 +25,11 @@ val line_transfer : t
     over a 4-node line — exercises retransmission, backoff and the
     give-up budget under faults. *)
 
-val ring_selfheal : t
-(** [ring-selfheal]: open-loop constant-rate traffic over a 6-ring
-    healed by a {!Tussle_routing.Selfheal.Hello_only} control plane —
-    exercises failure detection, re-convergence and flapping. *)
-
 val ring_verified : t
 (** [ring-verified]: the same ring and traffic healed by
     {!Tussle_routing.Selfheal.Verified} — data-plane adjacency
     probing, transit probes with quarantine, and flap damping, under
     the full extended fault grammar. *)
-
-val grid_static : t
-(** [grid-static]: two crossing open-loop flows on a 3x3 grid with
-    static link-state tables — exercises drop attribution when the
-    mesh is carved up with no healing at all. *)
 
 val all : t list
 

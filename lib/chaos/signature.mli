@@ -9,10 +9,6 @@
     budget on plans that make the simulator {e behave} differently,
     not on plans that merely {e look} different. *)
 
-val bucket : int -> int
-(** log2 bucket index: 0 for 0, 1 for 1, 2 for 2, 3 for 3-4,
-    4 for 5-8, ... *)
-
 val of_obs : Invariant.obs -> string
 (** Canonical signature; equal ledgers yield equal strings, whatever
     order [losses] arrived in.  Drops are counted per artifact label

@@ -19,8 +19,6 @@ type issue =
 
 val all_issues : issue list
 
-val issue_to_string : issue -> string
-
 type stance = (issue * float) list
 (** Missing issues weigh 0.  Construction clamps weights to [-1, 1]. *)
 

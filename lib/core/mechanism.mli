@@ -45,7 +45,6 @@ val find : t list -> string -> t option
     The mechanisms named in the paper, with effects on the issue axes
     and the counter-relations the text describes. *)
 
-val firewall : t
 val port_filter : t
 
 val app_filter : t
@@ -53,15 +52,6 @@ val app_filter : t
 
 val tunnel : t
 val encryption : t
-val wiretap : t
-val nat : t
-val value_pricing : t
-val qos_closed : t
-val qos_open : t
-val source_routing : t
-val overlay : t
-val open_access_mandate : t
-val reputation_service : t
 
 val catalogue : t list
 

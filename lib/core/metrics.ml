@@ -25,14 +25,22 @@ let mean_over xs f =
     List.fold_left (fun acc x -> acc +. f x) 0.0 xs
     /. float_of_int (List.length xs)
 
+(* Mean over control points of [1 - 1/alternatives]; 0 when a party
+   has exactly one option everywhere, approaching 1 with rich choice.
+   1.0 for a design with no control points (nothing constrains). *)
 let choice_score d =
   mean_over d.control_points (fun cp ->
       if cp.alternatives <= 0 then 0.0
       else 1.0 -. (1.0 /. float_of_int cp.alternatives))
 
+(* Fraction of control points that reveal their presence.  1.0 with
+   no control points. *)
 let visibility_score d =
   mean_over d.control_points (fun cp -> if cp.reveals_presence then 1.0 else 0.0)
 
+(* Fraction of uncontested functions that do not share a module with
+   a contested function.  1.0 when tussle is fully modularized away
+   (or nothing is contested). *)
 let isolation_score d =
   let mm = d.module_map in
   let contested_function f = List.mem f mm.contested in
@@ -51,6 +59,10 @@ let isolation_score d =
     let clean = List.filter (fun f -> not (exposed f)) uncontested in
     float_of_int (List.length clean) /. float_of_int (List.length uncontested)
 
+(* Fraction of service flows with a matching compensation flow in the
+   opposite direction — "whatever the compensation, recognize that it
+   must flow, just as much as data must flow."  1.0 with no service
+   flows. *)
 let value_flow_score d =
   mean_over d.service_flows (fun (consumer, provider) ->
       if List.mem (consumer, provider) d.value_flows then 1.0 else 0.0)
@@ -75,8 +87,3 @@ let score d =
     value_flow;
     overall = (choice +. visibility +. isolation +. value_flow) /. 4.0;
   }
-
-let pp_scorecard ppf s =
-  Format.fprintf ppf
-    "choice=%.2f visibility=%.2f isolation=%.2f value-flow=%.2f overall=%.2f"
-    s.choice s.visibility s.isolation s.value_flow s.overall

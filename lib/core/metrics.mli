@@ -35,26 +35,6 @@ type design = {
   module_map : module_map;
 }
 
-val choice_score : design -> float
-(** Mean over control points of [1 - 1/alternatives]; 0 when a party
-    has exactly one option everywhere, approaching 1 with rich choice.
-    1.0 for a design with no control points (nothing constrains). *)
-
-val visibility_score : design -> float
-(** Fraction of control points that reveal their presence.  1.0 with no
-    control points. *)
-
-val isolation_score : design -> float
-(** Fraction of {e uncontested} functions that do not share a module
-    with a contested function.  1.0 when tussle is fully modularized
-    away (or nothing is contested). *)
-
-val value_flow_score : design -> float
-(** Fraction of service flows with a matching compensation flow in the
-    opposite direction — "whatever the compensation, recognize that it
-    must flow, just as much as data must flow."  1.0 with no service
-    flows. *)
-
 type scorecard = {
   choice : float;
   visibility : float;
@@ -64,5 +44,3 @@ type scorecard = {
 }
 
 val score : design -> scorecard
-
-val pp_scorecard : Format.formatter -> scorecard -> unit

@@ -46,9 +46,9 @@ let links_incident g node =
 let schedule_window engine (w : Plan.window) ~on_open ~on_close =
   if w.Plan.from_s < Engine.now engine then
     invalid_arg "Inject.install: window opens in the engine's past";
-  ignore (Engine.schedule engine w.Plan.from_s (fun _ -> on_open ()));
+  Engine.schedule engine w.Plan.from_s (fun _ -> on_open ());
   if Float.is_finite w.Plan.until_s then
-    ignore (Engine.schedule engine w.Plan.until_s (fun _ -> on_close ()))
+    Engine.schedule engine w.Plan.until_s (fun _ -> on_close ())
 
 (* Episode boundaries land in the flight recorder's control-plane
    stream (flow = [Flight.control_flow]) so a narrative can interleave
@@ -148,10 +148,9 @@ let install ~seed ~plan engine net =
         if w.Plan.from_s < Engine.now engine then
           invalid_arg "Inject.install: window opens in the engine's past";
         let toggle up_state kind t =
-          ignore
-            (Engine.schedule engine t (fun _ ->
-                 record kind ();
-                 List.iter (fun l -> Link.set_up l up_state) ls))
+          Engine.schedule engine t (fun _ ->
+              record kind ();
+              List.iter (fun l -> Link.set_up l up_state) ls)
         in
         let k = ref 0 in
         let continue = ref true in

@@ -12,6 +12,8 @@ let validate g =
     (fun s -> if s <= 0 then invalid_arg "Bestresponse: empty strategy set")
     g.strategies
 
+(* Player's best pure strategy against a fixed profile (own entry
+   ignored); ties to the lowest index. *)
 let best_response g p profile =
   let scratch = Array.copy profile in
   let best = ref 0 and best_u = ref neg_infinity in

@@ -17,10 +17,6 @@ val validate : game -> unit
 (** Raises [Invalid_argument] on non-positive counts or length
     mismatch. *)
 
-val best_response : game -> int -> int array -> int
-(** Player's best pure strategy against a fixed profile (own entry
-    ignored); ties to the lowest index. *)
-
 val is_pure_nash : game -> int array -> bool
 
 val converge :

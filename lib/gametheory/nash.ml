@@ -129,11 +129,3 @@ let is_epsilon_nash g { p; q } ~epsilon =
     if u > uq +. epsilon then col_ok := false
   done;
   !row_ok && !col_ok
-
-let pp_profile ppf { p; q } =
-  let pp_arr ppf a =
-    Array.iteri
-      (fun i x -> Format.fprintf ppf "%s%.3f" (if i > 0 then " " else "") x)
-      a
-  in
-  Format.fprintf ppf "p=[%a] q=[%a]" pp_arr p pp_arr q

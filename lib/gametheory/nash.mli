@@ -23,5 +23,3 @@ val support_enumeration : ?max_support:int -> Normal_form.t -> profile list
 
 val is_epsilon_nash : Normal_form.t -> profile -> epsilon:float -> bool
 (** No player can gain more than [epsilon] by a pure deviation. *)
-
-val pp_profile : Format.formatter -> profile -> unit

@@ -78,38 +78,6 @@ let pure_nash g =
   done;
   !acc
 
-let strictly_dominated_rows g =
-  let n = rows g and m = cols g in
-  let dominated i =
-    let dominates k =
-      k <> i
-      &&
-      let strict = ref true in
-      for j = 0 to m - 1 do
-        if g.a.(k).(j) <= g.a.(i).(j) then strict := false
-      done;
-      !strict
-    in
-    List.exists dominates (List.init n Fun.id)
-  in
-  List.filter dominated (List.init n Fun.id)
-
-let strictly_dominated_cols g =
-  let n = rows g and m = cols g in
-  let dominated j =
-    let dominates k =
-      k <> j
-      &&
-      let strict = ref true in
-      for i = 0 to n - 1 do
-        if g.b.(i).(k) <= g.b.(i).(j) then strict := false
-      done;
-      !strict
-    in
-    List.exists dominates (List.init m Fun.id)
-  in
-  List.filter dominated (List.init m Fun.id)
-
 let check_dist name p n =
   if Array.length p <> n then invalid_arg (name ^ ": wrong length");
   let s = Array.fold_left ( +. ) 0.0 p in
@@ -150,13 +118,3 @@ let chicken =
    mutual refusal forces both onto paid transit (1). *)
 let peering_game =
   make [| [| 4.0; 0.0 |]; [| 5.0; 1.0 |] |] [| [| 4.0; 5.0 |]; [| 0.0; 1.0 |] |]
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to rows g - 1 do
-    for j = 0 to cols g - 1 do
-      Format.fprintf ppf "(%g,%g) " g.a.(i).(j) g.b.(i).(j)
-    done;
-    if i < rows g - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

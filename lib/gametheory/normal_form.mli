@@ -14,10 +14,6 @@ val make : float array array -> float array array -> t
 (** [make a b].  Both matrices must be non-empty and of identical,
     rectangular shape; raises [Invalid_argument] otherwise. *)
 
-val zero_sum : float array array -> t
-(** [zero_sum a] builds the game where the column player's payoff is
-    [-a]. *)
-
 val symmetric : float array array -> t
 (** [symmetric a] gives the column player the transposed payoffs: both
     players face the same strategic situation. *)
@@ -40,11 +36,6 @@ val best_responses_col : t -> int -> int list
 
 val pure_nash : t -> (int * int) list
 (** All pure-strategy Nash equilibria, lexicographic order. *)
-
-val strictly_dominated_rows : t -> int list
-(** Rows strictly dominated by another pure row. *)
-
-val strictly_dominated_cols : t -> int list
 
 val expected_payoff : t -> float array -> float array -> float * float
 (** Expected payoffs under mixed strategies (must be distributions of the
@@ -74,5 +65,3 @@ val peering_game : t
 (** Symmetric ISP peering: Peer/Refuse, where mutual peering saves
     transit cost but unilateral refusal free-rides (a PD variant with
     the paper's economic framing). *)
-
-val pp : Format.formatter -> t -> unit

@@ -81,35 +81,6 @@ let play ?(delta = 1.0) ~rounds g sa sb =
   in
   go 0 [] [] 0.0 0.0 1.0 []
 
-let average_payoffs r ~rounds =
-  let n = float_of_int rounds in
-  (r.payoff_a /. n, r.payoff_b /. n)
-
-let tournament ?delta ~rounds g strategies =
-  let scores = Hashtbl.create 8 in
-  let bump name x =
-    let cur = Option.value ~default:0.0 (Hashtbl.find_opt scores name) in
-    Hashtbl.replace scores name (cur +. x)
-  in
-  List.iter (fun s -> bump s.name 0.0) strategies;
-  List.iteri
-    (fun i sa ->
-      List.iteri
-        (fun j sb ->
-          if j >= i then begin
-            let r = play ?delta ~rounds g sa sb in
-            if i = j then bump sa.name r.payoff_a
-            else begin
-              bump sa.name r.payoff_a;
-              bump sb.name r.payoff_b
-            end
-          end)
-        strategies)
-    strategies;
-  Hashtbl.fold (fun name score acc -> (name, score) :: acc) scores []
-  |> List.sort (fun (na, a) (nb, b) ->
-         match compare b a with 0 -> compare na nb | c -> c)
-
 let cooperation_rate r =
   match r.moves with
   | [] -> 0.0

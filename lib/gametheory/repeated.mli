@@ -40,17 +40,6 @@ val play :
     (default 1.0 = plain sum).  Raises [Invalid_argument] on
     [rounds <= 0] or [delta] outside (0, 1]. *)
 
-val average_payoffs : match_result -> rounds:int -> float * float
-
-val tournament :
-  ?delta:float ->
-  rounds:int ->
-  Normal_form.t ->
-  strategy list ->
-  (string * float) list
-(** Round-robin (including self-play), total payoff per strategy,
-    sorted descending — the Axelrod experiment shape. *)
-
 val cooperation_rate : match_result -> float
 (** Fraction of moves (both players) that were strategy 0
     ("cooperate"). *)

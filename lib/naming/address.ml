@@ -22,9 +22,3 @@ let total_cost ?per_static_host ?site_overhead ?(slot_cost = 0.01)
     ~core_routers scheme =
   switching_cost ?per_static_host ?site_overhead scheme
   +. (slot_cost *. routing_table_burden ~core_routers scheme)
-
-let scheme_to_string = function
-  | Provider_based { static_hosts } ->
-    Printf.sprintf "provider-based(%d static hosts)" static_hosts
-  | Dynamic { hosts } -> Printf.sprintf "dynamic(%d hosts)" hosts
-  | Portable { prefixes } -> Printf.sprintf "portable(%d prefixes)" prefixes

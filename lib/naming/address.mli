@@ -42,5 +42,3 @@ val total_cost :
   float
 (** [switching_cost + slot_cost * routing_table_burden]: the combined
     dilemma, for comparing schemes end to end. *)
-
-val scheme_to_string : scheme -> string

@@ -13,8 +13,6 @@ type t = {
 let create design =
   { design; table = Hashtbl.create 64; disruptions = 0; disputes = 0 }
 
-let design t = t.design
-
 let holder_of_label t label =
   (* in the entangled design, any purpose binding claims the label *)
   let purposes = [ Machine; Mailbox; Brand ] in

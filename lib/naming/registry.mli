@@ -28,8 +28,6 @@ type t
 
 val create : design -> t
 
-val design : t -> design
-
 val register :
   t -> owner:string -> label:string -> purpose ->
   (unit, [ `Taken of string ]) result

@@ -47,8 +47,6 @@ let insert t ~key =
   end;
   touch t key
 
-let app t = t.app
-
 let hits t = t.hits
 
 let misses t = t.misses

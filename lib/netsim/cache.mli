@@ -26,8 +26,6 @@ val lookup : t -> key:int -> bool
 val insert : t -> key:int -> unit
 (** Add an object (evicting the least recently used if full). *)
 
-val app : t -> Packet.app
-
 val hits : t -> int
 
 val misses : t -> int

@@ -2,77 +2,44 @@ module Metrics = Tussle_obs.Metrics
 module Trace = Tussle_obs.Trace
 module Clock = Tussle_obs.Clock
 
-type event_id = int
-
 (* No per-event record: the queue payload is the bare action closure,
-   and the queue's own insertion seq (which it assigns 0, 1, 2, ... per
-   push) doubles as the event id.  Since the engine is the only pusher,
-   the ids are exactly the old [next_id] sequence, and a schedule
-   allocates nothing beyond the closure the caller already built. *)
+   so a schedule allocates nothing beyond the closure the caller
+   already built. *)
 type t = {
   mutable clock : float;
   queue : (t -> unit) Tussle_prelude.Pqueue.t;
-  cancelled : (event_id, unit) Hashtbl.t;
   mutable executed : int;
   mutable queue_hw : int;
-  mutable reaped : int;
 }
 
 let create () =
-  {
-    clock = 0.0;
-    queue = Tussle_prelude.Pqueue.create ();
-    cancelled = Hashtbl.create 64;
-    executed = 0;
-    queue_hw = 0;
-    reaped = 0;
-  }
+  { clock = 0.0; queue = Tussle_prelude.Pqueue.create (); executed = 0; queue_hw = 0 }
 
 let now t = t.clock
 
 let schedule t at action =
   if not (Float.is_finite at) then invalid_arg "Engine.schedule: non-finite time";
   if at < t.clock then invalid_arg "Engine.schedule: time in the past";
-  let id = Tussle_prelude.Pqueue.push_tagged t.queue at action in
+  Tussle_prelude.Pqueue.push t.queue at action;
   let depth = Tussle_prelude.Pqueue.length t.queue in
-  if depth > t.queue_hw then t.queue_hw <- depth;
-  id
+  if depth > t.queue_hw then t.queue_hw <- depth
 
 let schedule_after t delay action =
   if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
   schedule t (t.clock +. delay) action
 
-let cancel t id = Hashtbl.replace t.cancelled id ()
-
-let cancelled_backlog t = Hashtbl.length t.cancelled
-
 let pending t = Tussle_prelude.Pqueue.length t.queue
 
-let reap_stale t =
-  t.reaped <- t.reaped + Hashtbl.length t.cancelled;
-  Hashtbl.reset t.cancelled
-
-(* Pops via min_key/min_seq/pop_min: no option or tuple cell per event.
-   While nothing is cancelled (the common case) no id is hashed. *)
+(* Pops via min_key/pop_min: no option or tuple cell per event. *)
 let fire t =
   let at = Tussle_prelude.Pqueue.min_key t.queue in
-  let id = Tussle_prelude.Pqueue.min_seq t.queue in
   let action = Tussle_prelude.Pqueue.pop_min t.queue in
   t.clock <- at;
-  if Hashtbl.length t.cancelled > 0 && Hashtbl.mem t.cancelled id then begin
-    Hashtbl.remove t.cancelled id;
-    t.reaped <- t.reaped + 1
-  end
-  else begin
-    t.executed <- t.executed + 1;
-    action t
-  end
+  t.executed <- t.executed + 1;
+  action t
 
 let step t =
-  if Tussle_prelude.Pqueue.is_empty t.queue then begin
-    reap_stale t;
-    false
-  end
+  if Tussle_prelude.Pqueue.is_empty t.queue then false
   else begin
     fire t;
     true
@@ -82,7 +49,6 @@ let step t =
    per-run emission path is just array writes in this domain's sink. *)
 let m_runs = Metrics.counter "engine.runs"
 let m_events = Metrics.counter "engine.events_executed"
-let m_reaped = Metrics.counter "engine.cancellations_reaped"
 let m_queue_hw = Metrics.gauge "engine.queue_depth_high_water"
 let m_run_wall = Metrics.histogram "engine.run_wall_s"
 let m_sim_per_wall = Metrics.histogram "engine.sim_per_wall"
@@ -98,10 +64,7 @@ let run_loop ?until t =
   (* Advance to the horizon whether the queue drained before it or the
      next event lies beyond it, so [now] is consistent after [run
      ~until] (never moving the clock backwards). *)
-  if Float.is_finite horizon && horizon > t.clock then t.clock <- horizon;
-  (* With no events pending, every outstanding cancellation is stale:
-     reap the table so long-lived engines do not accumulate ids. *)
-  if Tussle_prelude.Pqueue.is_empty t.queue then reap_stale t
+  if Float.is_finite horizon && horizon > t.clock then t.clock <- horizon
 
 let run ?until t =
   (* One flag check per run, nothing per event: the disabled path is
@@ -113,7 +76,6 @@ let run ?until t =
     let sp = Trace.begin_span ~cat:"engine" "engine.run" in
     let wall0 = Clock.now_s () in
     let executed0 = t.executed in
-    let reaped0 = t.reaped in
     let sim0 = t.clock in
     Fun.protect
       ~finally:(fun () ->
@@ -122,7 +84,6 @@ let run ?until t =
           let wall = Clock.now_s () -. wall0 in
           Metrics.incr m_runs;
           Metrics.add m_events (t.executed - executed0);
-          Metrics.add m_reaped (t.reaped - reaped0);
           Metrics.set m_queue_hw (float_of_int t.queue_hw);
           Metrics.observe m_run_wall wall;
           if wall > 0.0 then
@@ -134,5 +95,3 @@ let run ?until t =
 let events_executed t = t.executed
 
 let queue_depth_high_water t = t.queue_hw
-
-let cancellations_reaped t = t.reaped

@@ -5,13 +5,11 @@
     non-decreasing time, FIFO among events scheduled for the same time.
     Scheduling in the past raises [Invalid_argument].
 
-    An event may schedule further events and may cancel pending ones by
-    id.  [run] drives the simulation to quiescence or to a time horizon. *)
+    An event may schedule further events.  There is no cancellation: a
+    timer that may become moot checks its own state when it fires.
+    [run] drives the simulation to quiescence or to a time horizon. *)
 
 type t
-
-type event_id
-(** Handle for cancellation. *)
 
 val create : unit -> t
 (** Fresh engine at time [0.0]. *)
@@ -19,36 +17,30 @@ val create : unit -> t
 val now : t -> float
 (** Current simulation time. *)
 
-val schedule : t -> float -> (t -> unit) -> event_id
+val schedule : t -> float -> (t -> unit) -> unit
 (** [schedule t at f] fires [f] at absolute time [at].  Raises
     [Invalid_argument] if [at < now t] or [at] is not finite. *)
 
-val schedule_after : t -> float -> (t -> unit) -> event_id
+val schedule_after : t -> float -> (t -> unit) -> unit
 (** [schedule_after t delay f] is [schedule t (now t +. delay) f].
     Raises [Invalid_argument] on negative [delay]. *)
 
-val cancel : t -> event_id -> unit
-(** Cancel a pending event; cancelling an already-fired or unknown id is a
-    no-op.  A cancelled id is remembered until its event pops (and is
-    skipped) or until the queue drains — [run] and [step] reap the
-    whole cancellation table once no events are pending, so cancelling
-    events that never pop cannot leak across simulation runs. *)
-
-val cancelled_backlog : t -> int
-(** Number of cancellations not yet reaped (diagnostics: 0 after the
-    queue has drained). *)
-
 val pending : t -> int
-(** Number of events still queued.  Cancelled events are counted until
-    they pop: cancellation marks an id, it does not remove the queue
-    entry. *)
+(** Number of events still queued. *)
 
 val run : ?until:float -> t -> unit
 (** Execute events until the queue is empty or the next event lies beyond
     [until].  On return with a finite [until], [now t = until] whether
     the queue drained early or the horizon cut execution short (the
     clock never moves backwards, so a horizon earlier than [now] is a
-    no-op).  Without [until], [now] is the last executed event time. *)
+    no-op).  Without [until], [now] is the last executed event time.
+
+    Telemetry: when {!Tussle_obs.Metrics} is enabled, every [run]
+    also accumulates [engine.runs], [engine.events_executed], the
+    [engine.queue_depth_high_water] gauge and the [engine.run_wall_s]
+    / [engine.sim_per_wall] histograms, and opens an ["engine.run"]
+    span when {!Tussle_obs.Trace} is enabled.  With telemetry disabled
+    the event loop is unchanged. *)
 
 val step : t -> bool
 (** Execute exactly one event; [false] when the queue was empty. *)
@@ -58,18 +50,4 @@ val events_executed : t -> int
 
 val queue_depth_high_water : t -> int
 (** Largest number of simultaneously queued events seen over the
-    engine's lifetime (sampled after every [schedule]; cancelled
-    events count until they pop, like {!pending}). *)
-
-val cancellations_reaped : t -> int
-(** Total cancellations honoured so far: events skipped at pop time
-    plus stale ids cleared when the queue drained.  Monotone, unlike
-    {!cancelled_backlog} which counts only the outstanding ones.
-
-    Telemetry: when {!Tussle_obs.Metrics} is enabled, every [run]
-    also accumulates [engine.runs], [engine.events_executed],
-    [engine.cancellations_reaped], the [engine.queue_depth_high_water]
-    gauge and the [engine.run_wall_s] / [engine.sim_per_wall]
-    histograms, and opens an ["engine.run"] span when
-    {!Tussle_obs.Trace} is enabled.  With telemetry disabled the
-    event loop is unchanged. *)
+    engine's lifetime (sampled after every [schedule]). *)

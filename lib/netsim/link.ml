@@ -66,8 +66,6 @@ let make ?(queue_capacity = 64) ~latency ~bandwidth_bps () =
 
 let latency l = l.latency
 
-let bandwidth_bps l = l.bandwidth_bps
-
 let transmission_delay l bytes =
   float_of_int (bytes * 8) /. l.bandwidth_bps
 
@@ -135,13 +133,9 @@ let set_gray_loss_prob l p =
   require_rng l ~what:"set_gray_loss_prob" p;
   l.gray_loss_prob <- p
 
-let gray_loss_prob l = l.gray_loss_prob
-
 let set_extra_latency l x =
   if not (x >= 0.0) then invalid_arg "Link.set_extra_latency: negative";
   l.extra_latency <- x
-
-let extra_latency l = l.extra_latency
 
 let draw l p =
   p > 0.0
@@ -211,14 +205,6 @@ let fault_drops l = l.fault_drops
 let gray_drops l = l.gray_drops
 
 let corrupted_count l = l.corrupted
-
-let reset_counters l =
-  l.sent <- 0;
-  l.dropped <- 0;
-  l.busy_time <- 0.0;
-  l.fault_drops <- 0;
-  l.gray_drops <- 0;
-  l.corrupted <- 0
 
 let marks = Atomic.make 0
 

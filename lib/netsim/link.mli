@@ -29,8 +29,6 @@ val make :
 
 val latency : t -> float
 
-val bandwidth_bps : t -> float
-
 val transmission_delay : t -> int -> float
 (** [transmission_delay l bytes] = serialization time of [bytes]. *)
 
@@ -75,8 +73,6 @@ val packets_dropped : t -> int
 (** Drop-tail (queue-full) drops only; fault drops are counted
     separately by {!fault_drops}. *)
 
-val reset_counters : t -> unit
-
 (** {1 Fault-injection state}
 
     Set by {!Tussle_fault.Inject} at episode boundaries; harmless to
@@ -113,12 +109,8 @@ val set_gray_loss_prob : t -> float -> unit
     detection cannot see the fault.  Same preconditions as
     {!set_loss_prob}. *)
 
-val gray_loss_prob : t -> float
-
 val set_extra_latency : t -> float -> unit
 (** Additive propagation latency (a latency-spike episode); >= 0. *)
-
-val extra_latency : t -> float
 
 val fault_drops : t -> int
 (** Packets killed by [Down] or [Loss]. *)

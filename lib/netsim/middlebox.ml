@@ -7,16 +7,9 @@ type t = {
   mutable inspected : int;
   mutable dropped : int;
   mutable tapped : int;
-  mutable degraded : int;
 }
 
 let name t = t.name
-
-let action_to_string = function
-  | Forward -> "forward"
-  | Drop -> "drop"
-  | Degrade -> "degrade"
-  | Tap -> "tap"
 
 let reveals_presence t = t.reveals_presence
 
@@ -26,8 +19,7 @@ let decide t p =
   (match a with
   | Drop -> t.dropped <- t.dropped + 1
   | Tap -> t.tapped <- t.tapped + 1
-  | Degrade -> t.degraded <- t.degraded + 1
-  | Forward -> ());
+  | Degrade | Forward -> ());
   a
 
 let inspected t = t.inspected
@@ -36,11 +28,8 @@ let dropped t = t.dropped
 
 let tapped t = t.tapped
 
-let degraded t = t.degraded
-
 let make ?(reveals_presence = true) ~name policy =
-  { name; reveals_presence; policy; inspected = 0; dropped = 0; tapped = 0;
-    degraded = 0 }
+  { name; reveals_presence; policy; inspected = 0; dropped = 0; tapped = 0 }
 
 let port_filter ?reveals_presence ~blocked () =
   let policy p =

@@ -21,10 +21,6 @@ type t
 
 val name : t -> string
 
-val action_to_string : action -> string
-(** Stable labels ["forward"] / ["drop"] / ["degrade"] / ["tap"], used
-    by the flight recorder's middlebox-transform events. *)
-
 val reveals_presence : t -> bool
 
 val decide : t -> Packet.t -> action
@@ -35,8 +31,6 @@ val inspected : t -> int
 val dropped : t -> int
 
 val tapped : t -> int
-
-val degraded : t -> int
 
 val make :
   ?reveals_presence:bool -> name:string -> (Packet.t -> action) -> t

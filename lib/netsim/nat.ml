@@ -72,8 +72,6 @@ let add_port_forward t ~public_port ~host ~port =
     invalid_arg "Nat.add_port_forward: host not behind this NAT";
   Hashtbl.replace t.inbound public_port { host; port }
 
-let active_bindings t = Hashtbl.length t.inbound
-
 let visible_hosts _t = 1
 
 let inbound_drops t = t.drops

@@ -23,8 +23,6 @@ val create : public:int -> privates:int list -> t
 
 val public_address : t -> int
 
-val is_private : t -> int -> bool
-
 val translate_out : t -> Packet.t -> Packet.t
 (** Rewrite an outbound packet (source must be one of the privates;
     raises otherwise): source becomes the public address, the source
@@ -40,8 +38,6 @@ val translate_in : t -> Packet.t -> Packet.t option
 val add_port_forward : t -> public_port:int -> host:int -> port:int -> unit
 (** The user's counter-counter-move: statically expose a private
     service.  Raises [Invalid_argument] if [host] is not private. *)
-
-val active_bindings : t -> int
 
 val visible_hosts : t -> int
 (** What the ISP can count from the outside: always 1 — the point of

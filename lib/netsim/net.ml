@@ -79,8 +79,6 @@ let set_blackhole t node on =
   if on then Hashtbl.replace t.blackholes node ()
   else Hashtbl.remove t.blackholes node
 
-let is_blackhole t node = Hashtbl.mem t.blackholes node
-
 (* Per-reason drop attribution (handles interned once; each incr is an
    atomic load and a branch while telemetry is disabled). *)
 let m_drop_no_route = Metrics.counter "net.drops.no_route"
@@ -265,9 +263,8 @@ let rec arrive t engine p state node =
               Flight.emit ~sim_t:now ~flow:p.Packet.id ~node ~peer:next
                 ~detail:"" ~value:(float_of_int (Link.queue_length link))
                 "hop";
-            ignore
-              (Engine.schedule engine arrival_time (fun engine ->
-                   arrive t engine p state next))
+            Engine.schedule engine arrival_time (fun engine ->
+                arrive t engine p state next)
         end
       end
     end
@@ -290,9 +287,8 @@ let inject t engine p =
       ~node:p.Packet.src ~peer:p.Packet.dst
       ~detail:(Packet.app_to_string p.Packet.app)
       ~value:(float_of_int p.Packet.size_bytes) "inject";
-  ignore
-    (Engine.schedule engine (Engine.now engine) (fun engine ->
-         arrive t engine p state p.Packet.src))
+  Engine.schedule engine (Engine.now engine) (fun engine ->
+      arrive t engine p state p.Packet.src)
 
 let outcomes t = List.rev t.outcomes
 
@@ -307,17 +303,6 @@ let lost_count t = t.lost
 let delivery_ratio t =
   let n = t.delivered + t.lost in
   if n = 0 then 0.0 else float_of_int t.delivered /. float_of_int n
-
-let mean_latency t =
-  let latencies =
-    List.filter_map
-      (fun (_, o) ->
-        match o with Delivered d -> Some d.latency | Lost _ -> None)
-      t.outcomes
-  in
-  match latencies with
-  | [] -> None
-  | _ -> Some (Tussle_prelude.Stats.mean (Array.of_list latencies))
 
 (* Sum the counts of equal keys, sorted by key. *)
 let tally keyed =
@@ -339,11 +324,5 @@ let losses_by_label ledger =
   tally (List.map (fun (r, n) -> (drop_reason_label r, n)) ledger)
 
 let losses_by_reason t = losses_by_label (losses t)
-
-let clear_outcomes t =
-  t.outcomes <- [];
-  t.delivered <- 0;
-  t.lost <- 0;
-  Hashtbl.reset t.ledger
 
 let links t = t.links

@@ -70,8 +70,6 @@ val set_blackhole : t -> int -> bool -> unit
     would forward for others (source-route waypoints included, which
     is exactly how transit probes unmask it). *)
 
-val is_blackhole : t -> int -> bool
-
 val inject : t -> Engine.t -> Packet.t -> unit
 (** Offer a packet to the network at the engine's current time.  The
     outcome is recorded when transit completes (run the engine). *)
@@ -102,9 +100,6 @@ val lost_count : t -> int
 val delivery_ratio : t -> float
 (** Delivered / completed; [0.] when nothing completed. *)
 
-val mean_latency : t -> float option
-(** Mean end-to-end latency over delivered packets. *)
-
 val losses : t -> (drop_reason * int) list
 (** The typed loss ledger: one entry per distinct reason (constructor
     and location), with its count, sorted.  When
@@ -127,8 +122,6 @@ val losses_by_label : (drop_reason * int) list -> (string * int) list
 
 val losses_by_reason : t -> (string * int) list
 (** [losses_by_label (losses t)]. *)
-
-val clear_outcomes : t -> unit
 
 val links : t -> Link.t Tussle_prelude.Graph.t
 

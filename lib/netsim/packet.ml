@@ -60,14 +60,3 @@ let app_to_string = function
   | File_sharing -> "file-sharing"
   | Game -> "game"
   | Attack -> "attack"
-
-let qos_to_string = function
-  | Best_effort -> "best-effort"
-  | Assured -> "assured"
-  | Premium -> "premium"
-
-let pp ppf p =
-  Format.fprintf ppf "#%d %d->%d %s/%d qos=%s%s%s" p.id p.src p.dst
-    (app_to_string p.app) p.port (qos_to_string p.qos)
-    (if p.encrypted then " enc" else "")
-    (if p.tunneled then " tun" else "")

@@ -69,7 +69,3 @@ val path : t -> int list
 (** Hops in forward order (oldest first). *)
 
 val app_to_string : app -> string
-
-val qos_to_string : qos -> string
-
-val pp : Format.formatter -> t -> unit

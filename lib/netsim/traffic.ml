@@ -18,12 +18,11 @@ let poisson_flow t engine net ~rate ~count ~make =
   if rate <= 0.0 then invalid_arg "Traffic.poisson_flow: non-positive rate";
   let rec emit remaining at =
     if remaining > 0 then
-      ignore
-        (Engine.schedule engine at (fun engine ->
-             let p = make t ~created:(Engine.now engine) in
-             Net.inject net engine p;
-             let gap = Rng.exponential t.rng ~rate in
-             emit (remaining - 1) (Engine.now engine +. gap)))
+      Engine.schedule engine at (fun engine ->
+          let p = make t ~created:(Engine.now engine) in
+          Net.inject net engine p;
+          let gap = Rng.exponential t.rng ~rate in
+          emit (remaining - 1) (Engine.now engine +. gap))
   in
   emit count (Engine.now engine)
 
@@ -31,8 +30,7 @@ let constant_flow t engine net ~start ~interval ~count ~make =
   if interval < 0.0 then invalid_arg "Traffic.constant_flow: negative interval";
   for i = 0 to count - 1 do
     let at = start +. (float_of_int i *. interval) in
-    ignore
-      (Engine.schedule engine at (fun engine ->
-           let p = make t ~created:(Engine.now engine) in
-           Net.inject net engine p))
+    Engine.schedule engine at (fun engine ->
+        let p = make t ~created:(Engine.now engine) in
+        Net.inject net engine p)
   done

@@ -161,8 +161,7 @@ let observer t (p : Packet.t) outcome =
     (match outcome with
     | Net.Delivered _ ->
       (* the ACK rides back on an uncongested reverse channel *)
-      ignore
-        (Engine.schedule_after t.engine t.ack_delay (fun _ -> on_ack t seq))
+      Engine.schedule_after t.engine t.ack_delay (fun _ -> on_ack t seq)
     | Net.Lost reason ->
       (* loss detected only after the retransmission timer *)
       let wait = rto t seq in
@@ -171,8 +170,7 @@ let observer t (p : Packet.t) outcome =
           ~peer:p.Packet.id
           ~detail:(Net.drop_reason_label reason)
           ~value:wait "xfer-timer";
-      ignore
-        (Engine.schedule_after t.engine wait (fun _ -> on_loss t seq)))
+      Engine.schedule_after t.engine wait (fun _ -> on_loss t seq))
 
 let start ?(behaviour = Compliant) ?(initial_window = 1.0) ?(increase = 1.0)
     ?(ack_delay = 0.002) ?loss_timeout ?(rto_backoff = 1.0) ?rto_max
@@ -254,16 +252,8 @@ let losses t = t.losses
 
 let timeouts t = t.timeouts
 
-let cwnd t = t.cwnd
-
-let finish_time t = t.finish_time
-
-let last_progress t = t.last_progress
-
 let stalled t ~now ~idle =
   status t = Active && now -. t.last_progress >= idle
-
-let flow t = t.flow
 
 let goodput t ~now =
   let stop =

@@ -94,26 +94,9 @@ val timeouts : t -> int
 (** Retransmission-timer expiries acted on (equal to {!losses} for the
     default fixed timer; diagnostic for backoff experiments). *)
 
-val cwnd : t -> float
-
-val finish_time : t -> float option
-(** Engine time at which the transfer completed. *)
-
-val last_progress : t -> float
-(** Engine time of the most recent {e new} acknowledgement (the start
-    time before any ack).  The gap to [now] is the current stall. *)
-
 val stalled : t -> now:float -> idle:float -> bool
 (** Still [Active] but without new acknowledgements for at least
     [idle] seconds — the "quantify graceful degradation" probe. *)
-
-val flow : t -> int
-(** This connection's flight-recorder flow id: a fresh id from
-    {!Tussle_obs.Flight.new_flow} when the recorder was enabled at
-    {!start} time, {!Tussle_obs.Flight.control_flow} otherwise.  Every
-    connection-level event (xfer-start/-send/-timer/-complete/-abandon)
-    carries it, so a transfer's record joins against the per-packet
-    events of the packets it injected. *)
 
 val goodput : t -> now:float -> float
 (** Acknowledged packets per second, up to [now] (or the finish or

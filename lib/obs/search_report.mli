@@ -37,9 +37,6 @@ type t = {
 val schema_tag : string
 (** ["tussle.search-report/1"] *)
 
-val frontier_size : t -> int
-(** Final coverage frontier: the last [frontier] entry, or [0]. *)
-
 val to_json : t -> Json.t
 (** Includes a [summary] object (runs / frontier / violations /
     corpus_added) recomputed from the payload. *)

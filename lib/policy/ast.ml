@@ -69,8 +69,6 @@ let rec attrs_acc acc = function
   | Cmp (_, l, r) | And (l, r) | Or (l, r) -> attrs_acc (attrs_acc acc l) r
   | Not e -> attrs_acc acc e
 
-let attributes_of_expr e = List.sort_uniq compare (attrs_acc [] e)
-
 let attributes_of_policy p =
   let collect acc a =
     match a.condition with None -> acc | Some e -> attrs_acc acc e

@@ -40,14 +40,8 @@ type policy = assertion list
 
 val value_equal : value -> value -> bool
 
-val pp_value : Format.formatter -> value -> unit
-
 val pp_expr : Format.formatter -> expr -> unit
 
 val pp_assertion : Format.formatter -> assertion -> unit
-
-val attributes_of_expr : expr -> string list
-(** All attribute names mentioned, each once, sorted — the expression's
-    footprint in the language ontology. *)
 
 val attributes_of_policy : policy -> string list

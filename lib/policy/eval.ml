@@ -51,6 +51,8 @@ let name_matches pattern name = String.equal pattern "*" || String.equal pattern
 let scope_matches (a : Ast.assertion) ~action ~resource =
   name_matches a.Ast.action action && name_matches a.Ast.resource resource
 
+(* Does the assertion's subject/action/resource (with ["*"] wildcards)
+   and condition cover the request? *)
 let matches (a : Ast.assertion) req =
   name_matches a.Ast.subject req.subject
   && scope_matches a ~action:req.action ~resource:req.resource

@@ -32,10 +32,6 @@ val eval_expr : (string * Ast.value) list -> Ast.expr -> bool
 (** Evaluate a condition in an environment.  Comparisons between
     incompatible types and lookups of absent attributes are false. *)
 
-val matches : Ast.assertion -> request -> bool
-(** Does the assertion's subject/action/resource (with ["*"] wildcards)
-    and condition cover the request? *)
-
 val decide : root:string -> Ast.policy -> request -> decision
 
 val decision_to_string : decision -> string

@@ -178,16 +178,6 @@ let dijkstra g ~weight ~source =
         e := g.next.(!e)
       done)
 
-let shortest_path g ~weight u v =
-  let dist, pred = dijkstra g ~weight ~source:u in
-  if dist.(v) = infinity then None
-  else begin
-    let rec build node acc =
-      if node = u then u :: acc else build pred.(node) (node :: acc)
-    in
-    Some (dist.(v), build v [])
-  end
-
 let bfs_order g source =
   check_node g source "Graph.bfs_order";
   let seen = Array.make g.n false in

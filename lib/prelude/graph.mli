@@ -55,14 +55,6 @@ val dijkstra_weights : 'e t -> weights -> source:int -> float array * int array
 (** {!dijkstra} against costs taken by {!weights} from the same graph.
     Raises [Invalid_argument] if [g] has gained edges since. *)
 
-val shortest_path :
-  'e t -> weight:('e -> float) -> int -> int -> (float * int list) option
-(** [shortest_path g ~weight u v] is [Some (dist, path)] where [path] is the
-    node sequence [u; ...; v], or [None] if unreachable. *)
-
-val bfs_order : 'e t -> int -> int list
-(** Nodes reachable from a source in breadth-first order. *)
-
 val is_connected : 'e t -> bool
 (** True when every node is reachable from node 0 in the underlying
     directed sense.  Vacuously true for the empty graph. *)

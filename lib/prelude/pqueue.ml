@@ -106,7 +106,7 @@ let sift_down q i =
   seqs.(!hole) <- s;
   vals.(!hole) <- v
 
-let push_tagged q key value =
+let push q key value =
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
   grow q;
@@ -115,20 +115,11 @@ let push_tagged q key value =
   q.seqs.(i) <- seq;
   q.vals.(i) <- value;
   q.size <- i + 1;
-  sift_up q i;
-  seq
-
-let push q key value = ignore (push_tagged q key value)
+  sift_up q i
 
 let min_key q =
   if q.size = 0 then invalid_arg "Pqueue.min_key: empty queue";
   q.keys.(0)
-
-let min_seq q =
-  if q.size = 0 then invalid_arg "Pqueue.min_seq: empty queue";
-  q.seqs.(0)
-
-let peek q = if q.size = 0 then None else Some (q.keys.(0), q.vals.(0))
 
 let pop_min q =
   if q.size = 0 then invalid_arg "Pqueue.pop_min: empty queue";

@@ -7,7 +7,7 @@
 
     The heap is struct-of-arrays (parallel key/seq/payload arrays): a
     push is three array writes and allocates nothing, and the
-    [min_key]/[min_seq]/[pop_min] accessors let a hot loop drain the
+    [min_key]/[pop_min] accessors let a hot loop drain the
     queue without building option/tuple cells.  Popped payload slots
     are cleared so the heap never retains a popped value. *)
 
@@ -26,13 +26,6 @@ val is_empty : 'a t -> bool
 val push : 'a t -> float -> 'a -> unit
 (** [push q key v] inserts [v] with priority [key]. *)
 
-val push_tagged : 'a t -> float -> 'a -> int
-(** Like {!push}, and returns the insertion sequence number assigned to
-    the element: 0 for the first push on this queue, then 1, 2, ...
-    The seq is the FIFO tie-break among equal keys, so it doubles as a
-    cheap unique handle for the pushed element (the engine uses it as
-    the event id). *)
-
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum-key element, FIFO among ties. *)
 
@@ -40,18 +33,10 @@ val min_key : 'a t -> float
 (** Key of the minimum element without removal.  Raises
     [Invalid_argument] on an empty queue. *)
 
-val min_seq : 'a t -> int
-(** Insertion seq of the minimum element without removal (the value
-    {!push_tagged} returned for it).  Raises [Invalid_argument] on an
-    empty queue. *)
-
 val pop_min : 'a t -> 'a
 (** Remove the minimum element and return its payload alone (no
-    option/tuple allocation); read [min_key]/[min_seq] first if the key
-    or seq is needed.  Raises [Invalid_argument] on an empty queue. *)
-
-val peek : 'a t -> (float * 'a) option
-(** Minimum-key element without removal. *)
+    option/tuple allocation); read [min_key] first if the key is
+    needed.  Raises [Invalid_argument] on an empty queue. *)
 
 val clear : 'a t -> unit
 

@@ -71,8 +71,6 @@ let fill_float t (a : float array) x =
 
 let uniform t lo hi = lo +. float t (hi -. lo)
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let[@inline] bernoulli t p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
@@ -138,11 +136,6 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let shuffle_list t l =
-  let arr = Array.of_list l in
-  shuffle t arr;
-  Array.to_list arr
 
 let sample t k arr =
   let n = Array.length arr in

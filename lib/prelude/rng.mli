@@ -6,8 +6,8 @@
     64-bit, splittable, and good enough for simulation workloads.
 
     The state is one unboxed 64-bit word in an 8-byte buffer and the
-    mixer is inlined, so even without flambda [bits], [int], [bool]
-    and [bernoulli] allocate nothing per draw.  A draw that returns a
+    mixer is inlined, so even without flambda [bits], [int] and
+    [bernoulli] allocate nothing per draw.  A draw that returns a
     [float] or [int64] allocates only its boxed result.  [create],
     [split] and [copy] allocate the buffer; {!fill_float} draws floats
     without boxing them. *)
@@ -59,9 +59,6 @@ val fill_float : t -> float array -> float -> unit
 val uniform : t -> float -> float -> float
 (** [uniform t lo hi] is uniform in [\[lo, hi)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
 
@@ -93,9 +90,6 @@ val weighted_index : t -> float array -> int
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val shuffle_list : t -> 'a list -> 'a list
-(** Shuffled copy of a list. *)
 
 val sample : t -> int -> 'a array -> 'a array
 (** [sample t k arr] draws [k] distinct elements without replacement.

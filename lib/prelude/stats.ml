@@ -139,11 +139,6 @@ let summarize xs =
     max = maximum xs;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.4g sd=%.4g min=%.4g p25=%.4g p50=%.4g p75=%.4g max=%.4g"
-    s.n s.mean s.stddev s.min s.p25 s.p50 s.p75 s.max
-
 (* ---------- hypothesis tests ---------- *)
 
 module Test = struct

@@ -34,9 +34,6 @@ val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [\[0,100\]], linear interpolation between
     order statistics.  Raises on empty input or out-of-range [p]. *)
 
-val minimum : float array -> float
-val maximum : float array -> float
-
 val total : float array -> float
 (** Sum; [0.] on empty input. *)
 
@@ -71,8 +68,6 @@ type summary = {
 
 val summarize : float array -> summary
 (** Five-number-plus summary.  Raises on empty input. *)
-
-val pp_summary : Format.formatter -> summary -> unit
 
 (** Hypothesis tests and confidence intervals (pareto-style t-tests
     and a chi-square goodness of fit, self-contained: the Student CDF

@@ -102,5 +102,3 @@ let forwarding t ~node ~target packet =
   next_hop t ~node ~dst:target
 
 let visible_link_costs t = t.costs
-
-let node_count t = t.n

@@ -58,5 +58,3 @@ val visible_link_costs : t -> (int * int * float) list
 (** Every (u, v, cost) in the flooded database — what {e any} participant
     (or competitor) can read.  This is the protocol's information
     exposure. *)
-
-val node_count : t -> int

@@ -19,12 +19,6 @@ let class_rank = function
   | Via_peer -> 2
   | Via_provider -> 3
 
-let class_to_string = function
-  | Own -> "own"
-  | Via_customer -> "customer"
-  | Via_peer -> "peer"
-  | Via_provider -> "provider"
-
 (* Classification of a route at [u] learned from neighbour [v], given
    u's relationship toward v.  Internal edges behave like customer
    edges (single trust domain). *)

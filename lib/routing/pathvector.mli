@@ -41,8 +41,6 @@ val compute :
     [4 * node_count + 8]; non-convergence by then raises [Failure]
     (policy dispute wheel). *)
 
-val next_hop : t -> node:int -> dst:int -> int option
-
 val as_path : t -> src:int -> dst:int -> int list option
 (** Chosen AS path from [src] (exclusive) to [dst] (inclusive). *)
 
@@ -65,5 +63,3 @@ val visible_paths : t -> (int * int * int list) list
 (** What an outside observer of the routing system sees: the {e chosen}
     (src, dst, path) triples — and nothing about internal costs or
     rejected alternatives. *)
-
-val class_to_string : route_class -> string

@@ -132,8 +132,6 @@ type t = {
   (* completed transit probes: probe id -> judgment *)
   completed : (int, [ `Pass | `Fail | `Inconclusive ]) Hashtbl.t;
   mutable next_probe_id : int;
-  mutable probes_sent : int;
-  mutable probes_failed : int;
 }
 
 (* One pass buckets every link by adjacency (either orientation) and,
@@ -215,9 +213,8 @@ let install t engine =
 let request_recompute t engine =
   if not t.recompute_pending then begin
     t.recompute_pending <- true;
-    ignore
-      (Engine.schedule_after engine recompute_delay (fun engine ->
-           install t engine))
+    Engine.schedule_after engine recompute_delay (fun engine ->
+        install t engine)
   end
 
 (* ---------- flap damping ---------- *)
@@ -306,7 +303,7 @@ let rec tick t engine =
     t.watches;
   damping_release t engine;
   let next = Engine.now engine +. hello_interval in
-  if next <= t.until then ignore (Engine.schedule engine next (tick t))
+  if next <= t.until then Engine.schedule engine next (tick t)
 
 (* ---------- the data-plane detector ---------- *)
 
@@ -397,16 +394,15 @@ let quarantine t engine node =
     Flight.emit ~sim_t:now ~flow:Flight.control_flow ~node ~peer:(-1)
       ~detail:"quarantine" ~value:hold "heal-quarantine";
   request_recompute t engine;
-  ignore
-    (Engine.schedule engine q.q_until (fun engine ->
-         if q.active && Engine.now engine >= q.q_until then begin
-           q.active <- false;
-           if Flight.enabled () then
-             Flight.emit ~sim_t:(Engine.now engine) ~flow:Flight.control_flow
-               ~node ~peer:(-1) ~detail:"probation" ~value:0.0
-               "heal-quarantine";
-           request_recompute t engine
-         end))
+  Engine.schedule engine q.q_until (fun engine ->
+      if q.active && Engine.now engine >= q.q_until then begin
+        q.active <- false;
+        if Flight.enabled () then
+          Flight.emit ~sim_t:(Engine.now engine) ~flow:Flight.control_flow
+            ~node ~peer:(-1) ~detail:"probation" ~value:0.0
+            "heal-quarantine";
+        request_recompute t engine
+      end)
 
 (* Was the (a, b) adjacency flagged by any detector at some point since
    [since]?  Used to avoid blaming a transit node for a loss a link
@@ -439,7 +435,6 @@ let judge_probe t engine ~probe_id ~sent ~via ~u ~v =
     then begin
       (* lost without explanation, or still unaccounted for at the
          deadline: a strike against the transit node *)
-      t.probes_failed <- t.probes_failed + 1;
       let q = quarantine_for t via in
       q.fails <- q.fails + 1;
       if (not q.active) && q.fails >= 2 then quarantine t engine via
@@ -457,19 +452,17 @@ let dp_send_transit_probes t engine =
         let v = ns.(1 + Rng.int t.probe_rng others) in
         let probe_id = t.next_probe_id in
         t.next_probe_id <- t.next_probe_id + 1;
-        t.probes_sent <- t.probes_sent + 1;
         Hashtbl.replace t.outstanding probe_id via;
         let p =
           Packet.make ~id:probe_id ~src:u ~dst:v ~created:now
             ~source_route:[ via ] ~size_bytes:64 ()
         in
         Net.inject t.net engine p;
-        ignore
-          (Engine.schedule engine (now +. probe_timeout) (fun engine ->
-               if Hashtbl.mem t.outstanding probe_id then begin
-                 Hashtbl.remove t.outstanding probe_id;
-                 judge_probe t engine ~probe_id ~sent:now ~via ~u ~v
-               end))
+        Engine.schedule engine (now +. probe_timeout) (fun engine ->
+            if Hashtbl.mem t.outstanding probe_id then begin
+              Hashtbl.remove t.outstanding probe_id;
+              judge_probe t engine ~probe_id ~sent:now ~via ~u ~v
+            end)
       end)
     t.neighbors
 
@@ -480,7 +473,7 @@ let rec dp_tick t engine =
   (* stop early enough that every probe deadline fires before [until]:
      after that the control plane must go quiet so the engine drains *)
   if next +. probe_timeout <= t.until then
-    ignore (Engine.schedule engine next (dp_tick t))
+    Engine.schedule engine next (dp_tick t)
 
 (* Completion observer: records the judgment the deadline event reads.
    Runs for every packet; filters by the reserved probe-id range. *)
@@ -531,19 +524,17 @@ let attach ?(detector = Hello_only) ?(metric = `Latency) ~until engine net =
       outstanding = Hashtbl.create 32;
       completed = Hashtbl.create 32;
       next_probe_id = probe_id_base;
-      probes_sent = 0;
-      probes_failed = 0;
     }
   in
   let first = Engine.now engine +. hello_interval in
-  if first <= until then ignore (Engine.schedule engine first (tick t));
+  if first <= until then Engine.schedule engine first (tick t);
   (match detector with
   | Hello_only -> ()
   | Verified ->
     Net.on_complete net (observe_probe t);
     let first = Engine.now engine +. probe_interval in
     if first +. probe_timeout <= until then
-      ignore (Engine.schedule engine first (dp_tick t)));
+      Engine.schedule engine first (dp_tick t));
   t
 
 let table t = t.table
@@ -555,12 +546,3 @@ let reconvergence_times t = List.rev t.reconvergence_times
 let detections t = List.rev t.detections
 
 let suppressions t = t.suppressions
-
-let quarantined t =
-  Hashtbl.fold (fun node q acc -> if q.active then node :: acc else acc)
-    t.quarantines []
-  |> List.sort compare
-
-let probes_sent t = t.probes_sent
-
-let probes_failed t = t.probes_failed

@@ -114,15 +114,6 @@ val detections : t -> ((int * int) * [ `Down | `Up ] * float) list
 val suppressions : t -> int
 (** Times any adjacency entered damping hold-down. *)
 
-val quarantined : t -> int list
-(** Nodes currently quarantined as suspected blackholes, sorted. *)
-
-val probes_sent : t -> int
-(** End-to-end transit probes injected so far. *)
-
-val probes_failed : t -> int
-(** Transit probes judged as silent discards at their deadline. *)
-
 (** The data-plane detector's sliding window, exposed so tests can
     check it against a reference. *)
 module Window : sig

@@ -11,8 +11,6 @@ let refusal_middlebox ~paid =
   in
   Middlebox.make ~reveals_presence:false ~name:"source-route-refusal" policy
 
-let transit_choices (tt : Topology.two_tier) = tt.Topology.transits
-
 let pick_transit ~score = function
   | [] -> None
   | first :: rest ->

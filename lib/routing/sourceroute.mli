@@ -19,10 +19,6 @@ val refusal_middlebox : paid:bool -> Tussle_netsim.Middlebox.t
     carrying a (non-empty) source route — "why should they be
     enthusiastic about this?".  When [paid], forwards everything. *)
 
-val transit_choices : Tussle_netsim.Topology.two_tier -> int list
-(** The transits a customer may steer through (the competitive wide-area
-    market of §V-A4). *)
-
 val pick_transit :
   score:(int -> float) -> int list -> int option
 (** The user's choice mechanism: pick the transit with the highest

@@ -14,12 +14,6 @@ let record_path seen (src, _dst, path) =
   in
   walk src path
 
-let pathvector_exposure pv ~total_links =
-  if total_links <= 0 then invalid_arg "Visibility.pathvector_exposure";
-  let seen = Hashtbl.create 64 in
-  List.iter (record_path seen) (Pathvector.visible_paths pv);
-  float_of_int (Hashtbl.length seen) /. float_of_int total_links
-
 let pathvector_exposure_at pv ~node ~total_links =
   if total_links <= 0 then invalid_arg "Visibility.pathvector_exposure_at";
   let seen = Hashtbl.create 64 in

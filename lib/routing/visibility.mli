@@ -12,11 +12,6 @@ val linkstate_exposure : Linkstate.t -> total_links:int -> float
 (** Fraction of the topology's links whose cost is readable from the
     flooded database (1.0 whenever flooding succeeded). *)
 
-val pathvector_exposure : Pathvector.t -> total_links:int -> float
-(** Fraction of directed links that appear on some {e chosen, visible}
-    path, over all vantage points — everything else about the network
-    stays private. *)
-
 val pathvector_exposure_at : Pathvector.t -> node:int -> total_links:int -> float
 (** Exposure from a single vantage point: the links an observer sitting
     at [node] learns from the announcements it receives.  This is the

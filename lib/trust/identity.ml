@@ -34,9 +34,3 @@ let accepts policy scheme =
   match scheme with
   | Pseudonym _ -> policy.accept_pseudonyms
   | Real_name _ | Role _ | Anonymous -> true
-
-let scheme_to_string = function
-  | Real_name s -> "real:" ^ s
-  | Role s -> "role:" ^ s
-  | Pseudonym s -> "pseudonym:" ^ s
-  | Anonymous -> "anonymous"

@@ -20,8 +20,6 @@ val accountability : scheme -> float
 (** How strongly actions can be tied back to a responsible party:
     real name 1.0, role 0.8, pseudonym 0.4, anonymous 0.0. *)
 
-val is_anonymous : scheme -> bool
-
 val disguised_anonymity : claimed:scheme -> actual:scheme -> bool
 (** True when the presentation hides the fact of anonymity (claims a
     binding scheme while actually anonymous) — the behaviour the paper
@@ -40,5 +38,3 @@ val accountable_only : acceptance_policy
     communicate with you" stance. *)
 
 val accepts : acceptance_policy -> scheme -> bool
-
-val scheme_to_string : scheme -> string

@@ -25,10 +25,6 @@ let score t ~subject =
   check t subject;
   (t.pos.(subject) +. 1.0) /. (t.pos.(subject) +. t.neg.(subject) +. 2.0)
 
-let observations t ~subject =
-  check t subject;
-  (t.pos.(subject), t.neg.(subject))
-
 let ranking t =
   let n = Array.length t.pos in
   List.init n (fun i -> (i, score t ~subject:i))

@@ -19,8 +19,5 @@ val rate : t -> subject:int -> good:bool -> unit
 val score : t -> subject:int -> float
 (** Posterior mean in (0, 1); 0.5 with no evidence. *)
 
-val observations : t -> subject:int -> float * float
-(** Current (positive, negative) evidence mass. *)
-
 val ranking : t -> (int * float) list
 (** Subjects sorted by descending score (ties by id). *)

@@ -7,8 +7,6 @@ let create n =
   if n < 0 then invalid_arg "Trust_graph.create: negative size";
   { n; edges = Hashtbl.create (max 16 n) }
 
-let parties t = t.n
-
 let check t i name =
   if i < 0 || i >= t.n then invalid_arg (name ^ ": party out of range")
 

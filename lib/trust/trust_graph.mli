@@ -14,8 +14,6 @@ type t
 val create : int -> t
 (** [create n]: parties [0 .. n-1], no trust edges. *)
 
-val parties : t -> int
-
 val set_trust : t -> truster:int -> trustee:int -> float -> unit
 (** Assert direct trust; weight outside [0,1] raises
     [Invalid_argument].  Re-setting overwrites. *)

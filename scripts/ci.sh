@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the observability battery smoke:
 #   - dune build && dune runtest
+#   - export scan: every val in lib/**/*.mli has a caller outside its
+#     own module, or is listed in scripts/exports.allow
 #   - microbenchmark smoke: bench/main.exe runs B1-B17 (and the
 #     asserts inside them) and prints every row, numeric, in B order
 #   - battery run with --report/--trace, schema validation of both
 #   - telemetry must not perturb battery stdout
-#   - one domain budget: two plain --seq battery reports agree on every
-#     experiment's allocated_bytes and events_executed
 #   - fault battery smoke: E28 is deterministic per fault seed and
 #     differs across seeds, and its shape holds at fault seeds 11 and
 #     38, where every drop of one plan is a blackhole's
@@ -45,6 +45,9 @@
 #     naming a link or node its scenario lacks — explain exits 2,
 #     chaos --replay 1; a corpus plan naming an unknown scenario —
 #     chaos --replay 1
+#   - one domain budget: two plain --seq battery reports agree on every
+#     experiment's allocated_bytes and events_executed (before the perf
+#     gate, whose host-noise failures would otherwise hide it)
 #   - perf gate: E1/E3 wall clock and GC allocation within 25% of the
 #     committed BENCH_baseline.json (tussle perfgate)
 # Regenerates BENCH_baseline.json and appends one line to
@@ -57,6 +60,9 @@ dune build
 
 echo "== unit tests =="
 dune runtest
+
+echo "== export scan (scripts/exports.allow) =="
+python3 scripts/exports.py
 
 BENCH=_build/default/bench/main.exe
 CLI=_build/default/bin/tussle_cli.exe
@@ -336,6 +342,20 @@ grep -q 'unknown.plan: LOAD ERROR unknown scenario "no-such-scenario"$' \
   "$TMP/tussle-unknown-replay.out"
 echo "an unknown scenario is one LOAD ERROR line"
 
+echo "== --seq battery counters repeat exactly =="
+# under --seq every experiment, nested Pool.maps included, runs on one
+# domain, so its domain-local counters see all of its work
+"$CLI" experiments --seq --report "$TMP/tussle-report-plain2.json" > /dev/null
+counters() { grep -E '^ *"(id|events_executed|allocated_bytes)":' "$1"; }
+counters "$TMP/tussle-report-plain.json" > "$TMP/tussle-counters-a"
+counters "$TMP/tussle-report-plain2.json" > "$TMP/tussle-counters-b"
+if [ "$(grep -c '"id"' "$TMP/tussle-counters-a")" -ne 30 ]; then
+  echo "FAIL: expected 30 experiments in the plain --seq report" >&2
+  exit 1
+fi
+cmp "$TMP/tussle-counters-a" "$TMP/tussle-counters-b"
+echo "allocated_bytes and events_executed equal for all 30 ids across two runs"
+
 echo "== perf gate: E1/E3 vs committed baseline =="
 # gate the battery-smoke report (same binary, same run) against the
 # committed baseline before overwriting it below: a market hot-path
@@ -351,18 +371,5 @@ echo "== append battery smoke to the committed benchmark history =="
 echo "== regenerate BENCH_baseline.json =="
 "$CLI" experiments --seq --report BENCH_baseline.json > /dev/null
 "$CLI" report BENCH_baseline.json
-
-echo "== --seq battery counters repeat exactly =="
-# under --seq every experiment, nested Pool.maps included, runs on one
-# domain, so its domain-local counters see all of its work
-counters() { grep -E '^ *"(id|events_executed|allocated_bytes)":' "$1"; }
-counters "$TMP/tussle-report-plain.json" > "$TMP/tussle-counters-a"
-counters BENCH_baseline.json > "$TMP/tussle-counters-b"
-if [ "$(grep -c '"id"' "$TMP/tussle-counters-a")" -ne 30 ]; then
-  echo "FAIL: expected 30 experiments in the plain --seq report" >&2
-  exit 1
-fi
-cmp "$TMP/tussle-counters-a" "$TMP/tussle-counters-b"
-echo "allocated_bytes and events_executed equal for all 30 ids across two runs"
 
 echo "CI OK"

@@ -499,11 +499,10 @@ let gray_blind detector : Scenario.t =
     let gen = Traffic.create (Rng.create (seed + 1)) in
     for k = 0 to 79 do
       let at = 0.2 +. (0.1 *. float_of_int k) in
-      ignore
-        (Engine.schedule engine at (fun engine ->
-             Net.inject net engine
-               (Traffic.next_packet gen ~src:0 ~dst:2
-                  ~created:(Engine.now engine) ())))
+      Engine.schedule engine at (fun engine ->
+          Net.inject net engine
+            (Traffic.next_packet gen ~src:0 ~dst:2
+               ~created:(Engine.now engine) ()))
     done;
     Engine.run ~until:600.0 engine;
     Invariant.observe ~reconvergences:(Selfheal.reconvergences heal)

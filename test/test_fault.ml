@@ -380,10 +380,9 @@ let two_node_net () =
 
 (* inject one packet id [id] from 0 to [dst] at engine time [at] *)
 let send_at net engine ~id ~dst at =
-  ignore
-    (Engine.schedule engine at (fun engine ->
-         Net.inject net engine
-           (Packet.make ~id ~src:0 ~dst ~created:at ())))
+  Engine.schedule engine at (fun engine ->
+      Net.inject net engine
+        (Packet.make ~id ~src:0 ~dst ~created:at ()))
 
 let outcome_of net id =
   List.find_map
@@ -503,9 +502,8 @@ let test_inject_gray_window () =
     (List.for_all Link.is_up distinct_links)
 
 let send_from net engine ~id ~src ~dst at =
-  ignore
-    (Engine.schedule engine at (fun engine ->
-         Net.inject net engine (Packet.make ~id ~src ~dst ~created:at ())))
+  Engine.schedule engine at (fun engine ->
+      Net.inject net engine (Packet.make ~id ~src ~dst ~created:at ()))
 
 let test_inject_unidirectional () =
   let net = two_node_net () in

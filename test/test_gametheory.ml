@@ -59,11 +59,14 @@ let test_chicken_pure () =
     (Normal_form.pure_nash Normal_form.chicken)
 
 let test_pd_dominance () =
-  (* cooperate is strictly dominated by defect for both *)
-  Alcotest.(check (list int)) "row" [ 0 ]
-    (Normal_form.strictly_dominated_rows Normal_form.prisoners_dilemma);
-  Alcotest.(check (list int)) "col" [ 0 ]
-    (Normal_form.strictly_dominated_cols Normal_form.prisoners_dilemma)
+  (* cooperate is strictly dominated by defect for both: defect is the
+     only best reply to either pure strategy *)
+  let g = Normal_form.prisoners_dilemma in
+  List.iter
+    (fun k ->
+      Alcotest.(check (list int)) "row" [ 1 ] (Normal_form.best_responses_row g k);
+      Alcotest.(check (list int)) "col" [ 1 ] (Normal_form.best_responses_col g k))
+    [ 0; 1 ]
 
 let test_zero_sum_detect () =
   Alcotest.(check bool) "pennies zero sum" true
@@ -271,10 +274,15 @@ let test_repeated_tournament_tft_beats_alld_population () =
     [ Repeated.tit_for_tat; Repeated.all_cooperate; Repeated.grim_trigger;
       Repeated.all_defect ]
   in
-  let results = Repeated.tournament ~rounds:50 pd roster in
-  let score name = List.assoc name results in
+  (* round robin: a strategy's total over one match against each entrant *)
+  let score s =
+    List.fold_left
+      (fun acc o -> acc +. (Repeated.play ~rounds:50 pd s o).Repeated.payoff_a)
+      0.0 roster
+  in
   (* in this cooperative-majority population, TFT outscores AllD *)
-  Alcotest.(check bool) "tft > alld" true (score "tit-for-tat" > score "all-d")
+  Alcotest.(check bool) "tft > alld" true
+    (score Repeated.tit_for_tat > score Repeated.all_defect)
 
 let test_repeated_pavlov () =
   let r = Repeated.play ~rounds:10 pd Repeated.pavlov Repeated.pavlov in
@@ -421,9 +429,8 @@ let test_repeated_random_strategy () =
 
 let test_repeated_average_payoffs () =
   let r = Repeated.play ~rounds:10 pd Repeated.all_cooperate Repeated.all_cooperate in
-  let a, b = Repeated.average_payoffs r ~rounds:10 in
-  check_float "avg a" 3.0 a;
-  check_float "avg b" 3.0 b
+  check_float "avg a" 3.0 (r.Repeated.payoff_a /. 10.0);
+  check_float "avg b" 3.0 (r.Repeated.payoff_b /. 10.0)
 
 let test_zerosum_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Zerosum.solve: empty matrix")

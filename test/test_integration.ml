@@ -243,12 +243,12 @@ let test_internet_in_a_bottle () =
     providers;
   (* 6: an untrusted stranger's traffic dies at bob's access firewall *)
   let stranger = hosts.(1) in
-  Net.clear_outcomes net;
+  let lost0 = Net.lost_count net in
   Net.inject net engine
     (Packet.make ~id:777_100 ~src:stranger ~dst:bob
        ~created:(Engine.now engine) ());
   Engine.run engine;
-  Alcotest.(check int) "stranger filtered" 1 (Net.lost_count net)
+  Alcotest.(check int) "stranger filtered" 1 (Net.lost_count net - lost0)
 
 let () =
   Alcotest.run "integration"

@@ -18,9 +18,9 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_engine_order () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule e 2.0 (fun _ -> log := 2 :: !log));
-  ignore (Engine.schedule e 1.0 (fun _ -> log := 1 :: !log));
-  ignore (Engine.schedule e 3.0 (fun _ -> log := 3 :: !log));
+  Engine.schedule e 2.0 (fun _ -> log := 2 :: !log);
+  Engine.schedule e 1.0 (fun _ -> log := 1 :: !log);
+  Engine.schedule e 3.0 (fun _ -> log := 3 :: !log);
   Engine.run e;
   Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.rev !log);
   check_float "clock at last" 3.0 (Engine.now e)
@@ -28,8 +28,8 @@ let test_engine_order () =
 let test_engine_same_time_fifo () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule e 1.0 (fun _ -> log := "a" :: !log));
-  ignore (Engine.schedule e 1.0 (fun _ -> log := "b" :: !log));
+  Engine.schedule e 1.0 (fun _ -> log := "a" :: !log);
+  Engine.schedule e 1.0 (fun _ -> log := "b" :: !log);
   Engine.run e;
   Alcotest.(check (list string)) "fifo" [ "a"; "b" ] (List.rev !log)
 
@@ -38,44 +38,39 @@ let test_engine_cascade () =
   let count = ref 0 in
   let rec tick engine =
     incr count;
-    if !count < 5 then ignore (Engine.schedule_after engine 1.0 tick)
+    if !count < 5 then Engine.schedule_after engine 1.0 tick
   in
-  ignore (Engine.schedule e 0.0 tick);
+  Engine.schedule e 0.0 tick;
   Engine.run e;
   Alcotest.(check int) "cascaded" 5 !count;
   check_float "final time" 4.0 (Engine.now e)
 
-let test_engine_cancel () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let id = Engine.schedule e 1.0 (fun _ -> fired := true) in
-  Engine.cancel e id;
-  Engine.run e;
-  Alcotest.(check bool) "cancelled" false !fired
-
 let test_engine_past_raises () =
   let e = Engine.create () in
-  ignore (Engine.schedule e 5.0 (fun _ -> ()));
+  Engine.schedule e 5.0 (fun _ -> ());
   Engine.run e;
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule: time in the past")
-    (fun () -> ignore (Engine.schedule e 1.0 (fun _ -> ())))
+    (fun () -> Engine.schedule e 1.0 (fun _ -> ()))
 
 let test_engine_until () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule e 1.0 (fun _ -> log := 1 :: !log));
-  ignore (Engine.schedule e 10.0 (fun _ -> log := 10 :: !log));
+  Engine.schedule e 1.0 (fun _ -> log := 1 :: !log);
+  Engine.schedule e 10.0 (fun _ -> log := 10 :: !log);
   Engine.run ~until:5.0 e;
   Alcotest.(check (list int)) "only early" [ 1 ] (List.rev !log);
   check_float "clock at horizon" 5.0 (Engine.now e);
-  Alcotest.(check int) "one pending" 1 (Engine.pending e)
+  Alcotest.(check int) "one pending" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list int)) "later event fires" [ 1; 10 ] (List.rev !log);
+  Alcotest.(check int) "queue drained" 0 (Engine.pending e)
 
 let test_engine_until_drained () =
   (* Regression: when the queue emptied before the horizon, the clock
      used to stay at the last event time instead of advancing to
      [until], inconsistently with the beyond-horizon branch. *)
   let e = Engine.create () in
-  ignore (Engine.schedule e 1.0 (fun _ -> ()));
+  Engine.schedule e 1.0 (fun _ -> ());
   Engine.run ~until:5.0 e;
   check_float "clock at horizon after drain" 5.0 (Engine.now e);
   let e2 = Engine.create () in
@@ -84,79 +79,37 @@ let test_engine_until_drained () =
 
 let test_engine_until_never_backwards () =
   let e = Engine.create () in
-  ignore (Engine.schedule e 4.0 (fun _ -> ()));
+  Engine.schedule e 4.0 (fun _ -> ());
   Engine.run e;
   Engine.run ~until:2.0 e;
   check_float "earlier horizon is a no-op" 4.0 (Engine.now e)
 
-let test_engine_cancel_reaped () =
-  (* Regression: ids cancelled for events that never pop used to stay in
-     the cancellation table forever. *)
-  let e = Engine.create () in
-  ignore (Engine.schedule e 1.0 (fun _ -> ()));
-  let far = Engine.schedule e 10.0 (fun _ -> Alcotest.fail "cancelled event fired") in
-  Engine.cancel e far;
-  Engine.run ~until:5.0 e;
-  Alcotest.(check int) "still pending beyond horizon" 1 (Engine.pending e);
-  Alcotest.(check int) "cancellation outstanding" 1 (Engine.cancelled_backlog e);
-  Engine.run e;
-  Alcotest.(check int) "queue drained" 0 (Engine.pending e);
-  Alcotest.(check int) "table reaped on drain" 0 (Engine.cancelled_backlog e);
-  (* stale cancel of an already-fired id is reaped too *)
-  let id = Engine.schedule e 20.0 (fun _ -> ()) in
-  Engine.run e;
-  Engine.cancel e id;
-  Alcotest.(check bool) "empty step reaps" false (Engine.step e);
-  Alcotest.(check int) "stale id reaped" 0 (Engine.cancelled_backlog e)
-
 let test_engine_step () =
   let e = Engine.create () in
   Alcotest.(check bool) "empty step" false (Engine.step e);
-  ignore (Engine.schedule e 1.0 (fun _ -> ()));
+  Engine.schedule e 1.0 (fun _ -> ());
   Alcotest.(check bool) "one step" true (Engine.step e);
   Alcotest.(check int) "executed" 1 (Engine.events_executed e)
 
 let test_engine_queue_high_water () =
   let e = Engine.create () in
   Alcotest.(check int) "fresh engine" 0 (Engine.queue_depth_high_water e);
-  ignore (Engine.schedule e 1.0 (fun _ -> ()));
-  ignore (Engine.schedule e 2.0 (fun _ -> ()));
-  ignore (Engine.schedule e 3.0 (fun _ -> ()));
+  Engine.schedule e 1.0 (fun _ -> ());
+  Engine.schedule e 2.0 (fun _ -> ());
+  Engine.schedule e 3.0 (fun _ -> ());
   Alcotest.(check int) "peak is queue depth" 3 (Engine.queue_depth_high_water e);
   Engine.run e;
   Alcotest.(check int) "draining keeps the peak" 3
     (Engine.queue_depth_high_water e);
   (* events scheduled from inside events raise the mark only when the
      live depth actually exceeds it *)
-  ignore
-    (Engine.schedule e 10.0 (fun engine ->
-         for i = 1 to 5 do
-           ignore (Engine.schedule_after engine (float_of_int i) (fun _ -> ()))
-         done));
+  Engine.schedule e 10.0 (fun engine ->
+      for i = 1 to 5 do
+        Engine.schedule_after engine (float_of_int i) (fun _ -> ())
+      done);
   Engine.run e;
   Alcotest.(check int) "cascade sets new peak" 5
     (Engine.queue_depth_high_water e)
-
-let test_engine_cancellations_reaped_counter () =
-  let e = Engine.create () in
-  Alcotest.(check int) "fresh engine" 0 (Engine.cancellations_reaped e);
-  (* reaped at pop time: the cancelled event is skipped *)
-  let skipped = Engine.schedule e 1.0 (fun _ -> Alcotest.fail "fired") in
-  ignore (Engine.schedule e 2.0 (fun _ -> ()));
-  Engine.cancel e skipped;
-  Engine.run e;
-  Alcotest.(check int) "skip counted" 1 (Engine.cancellations_reaped e);
-  Alcotest.(check int) "one event ran" 1 (Engine.events_executed e);
-  (* reaped at drain time: a stale id for an already-fired event *)
-  let id = Engine.schedule e 10.0 (fun _ -> ()) in
-  Engine.run e;
-  Engine.cancel e id;
-  Engine.run e;
-  Alcotest.(check int) "stale id counted" 2 (Engine.cancellations_reaped e);
-  Alcotest.(check int) "backlog empty" 0 (Engine.cancelled_backlog e);
-  (* the counter is monotone: reaping never decrements it *)
-  Alcotest.(check bool) "monotone" true
-    (Engine.cancellations_reaped e >= 2)
 
 (* ---------- Packet ---------- *)
 
@@ -1236,8 +1189,8 @@ let test_transport_survives_down_window () =
   let net, link = faultable_net () in
   let engine = Engine.create () in
   let gen = Traffic.create (Rng.create 11) in
-  ignore (Engine.schedule engine 0.1 (fun _ -> Link.set_up link false));
-  ignore (Engine.schedule engine 0.8 (fun _ -> Link.set_up link true));
+  Engine.schedule engine 0.1 (fun _ -> Link.set_up link false);
+  Engine.schedule engine 0.8 (fun _ -> Link.set_up link true);
   let c =
     Transport.start ~rto_backoff:2.0 ~rto_max:1.0 ~max_retries:20 engine net
       gen ~src:0 ~dst:1 ~total_packets:100
@@ -1322,20 +1275,15 @@ let () =
           Alcotest.test_case "order" `Quick test_engine_order;
           Alcotest.test_case "fifo ties" `Quick test_engine_same_time_fifo;
           Alcotest.test_case "cascade" `Quick test_engine_cascade;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "past raises" `Quick test_engine_past_raises;
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "until after drain" `Quick
             test_engine_until_drained;
           Alcotest.test_case "until never backwards" `Quick
             test_engine_until_never_backwards;
-          Alcotest.test_case "cancel table reaped" `Quick
-            test_engine_cancel_reaped;
           Alcotest.test_case "step" `Quick test_engine_step;
           Alcotest.test_case "queue-depth high water" `Quick
             test_engine_queue_high_water;
-          Alcotest.test_case "cancellations reaped counter" `Quick
-            test_engine_cancellations_reaped_counter;
         ] );
       ( "packet",
         [

@@ -1,10 +1,9 @@
-(* Tests for tussle.prelude: rng, stats, pqueue, graph, union_find, table. *)
+(* Tests for tussle.prelude: rng, stats, pqueue, graph, table. *)
 
 module Rng = Tussle_prelude.Rng
 module Stats = Tussle_prelude.Stats
 module Pqueue = Tussle_prelude.Pqueue
 module Graph = Tussle_prelude.Graph
-module Union_find = Tussle_prelude.Union_find
 module Table = Tussle_prelude.Table
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -220,7 +219,6 @@ module Boxed_rng = struct
     x *. (r /. 9007199254740992.0)
 
   let uniform t lo hi = lo +. float t (hi -. lo)
-  let bool t = Int64.logand (int64 t) 1L = 1L
 
   let bernoulli t p =
     if p <= 0.0 then false else if p >= 1.0 then true else float t 1.0 < p
@@ -281,11 +279,6 @@ module Boxed_rng = struct
       arr.(j) <- tmp
     done
 
-  let shuffle_list t l =
-    let arr = Array.of_list l in
-    shuffle t arr;
-    Array.to_list arr
-
   let sample t k arr =
     let n = Array.length arr in
     if k < 0 || k > n then invalid_arg "Rng.sample: k out of range";
@@ -306,7 +299,6 @@ type draw =
   | D_int_in of int * int
   | D_float of float
   | D_uniform of float * float
-  | D_bool
   | D_bernoulli of float
   | D_gaussian of float * float
   | D_exponential of float
@@ -315,7 +307,6 @@ type draw =
   | D_choice_list of int
   | D_weighted of float list
   | D_shuffle of int
-  | D_shuffle_list of int
   | D_sample of int * int
   | D_split
   | D_copy
@@ -336,7 +327,6 @@ module type RNG = sig
   val int_in : t -> int -> int -> int
   val float : t -> float -> float
   val uniform : t -> float -> float -> float
-  val bool : t -> bool
   val bernoulli : t -> float -> bool
   val gaussian : t -> mu:float -> sigma:float -> float
   val exponential : t -> rate:float -> float
@@ -345,7 +335,6 @@ module type RNG = sig
   val choice_list : t -> 'a list -> 'a
   val weighted_index : t -> float array -> int
   val shuffle : t -> 'a array -> unit
-  val shuffle_list : t -> 'a list -> 'a list
   val sample : t -> int -> 'a array -> 'a array
 end
 
@@ -363,7 +352,6 @@ module Drive (R : RNG) = struct
     | D_int_in (lo, hi) -> string_of_int (R.int_in g lo hi)
     | D_float x -> Printf.sprintf "%h" (R.float g x)
     | D_uniform (lo, hi) -> Printf.sprintf "%h" (R.uniform g lo hi)
-    | D_bool -> string_of_bool (R.bool g)
     | D_bernoulli p -> string_of_bool (R.bernoulli g p)
     | D_gaussian (mu, sigma) -> Printf.sprintf "%h" (R.gaussian g ~mu ~sigma)
     | D_exponential rate -> Printf.sprintf "%h" (R.exponential g ~rate)
@@ -375,7 +363,6 @@ module Drive (R : RNG) = struct
       let a = iota n in
       R.shuffle g a;
       ints a
-    | D_shuffle_list n -> ints (Array.of_list (R.shuffle_list g (List.init n Fun.id)))
     | D_sample (k, n) -> ints (R.sample g k (iota n))
     | D_split -> grow (R.split g); "split"
     | D_copy -> grow (R.copy g); "copy"
@@ -407,7 +394,6 @@ let draw_gen =
         map (fun x -> D_float x) (float_range (-5.0) 5.0);
         map2 (fun lo hi -> D_uniform (lo, hi)) (float_range (-5.0) 5.0)
           (float_range (-5.0) 5.0);
-        return D_bool;
         map (fun p -> D_bernoulli p) (oneof [ float_range (-0.5) 1.5; float_bound_inclusive 1.0 ]);
         map2 (fun mu sigma -> D_gaussian (mu, sigma)) (float_range (-5.0) 5.0) pos;
         map (fun r -> D_exponential r) pos;
@@ -416,7 +402,6 @@ let draw_gen =
         map (fun n -> D_choice_list n) (int_range 1 20);
         map (fun w -> D_weighted w) weights;
         map (fun n -> D_shuffle n) (int_range 0 20);
-        map (fun n -> D_shuffle_list n) (int_range 0 20);
         map2 (fun n k -> D_sample (k mod (n + 1), n)) (int_range 0 20) nat;
         return D_split; return D_copy;
       ])
@@ -445,8 +430,7 @@ let test_rng_draws_allocate_nothing () =
     in
     draws "bernoulli" (fun () -> ignore (Rng.bernoulli rng 0.3));
     draws "int" (fun () -> ignore (Rng.int rng 1000));
-    draws "bits" (fun () -> ignore (Rng.bits rng));
-    draws "bool" (fun () -> ignore (Rng.bool rng))
+    draws "bits" (fun () -> ignore (Rng.bits rng))
   end
 
 (* [fill_float] is [Array.init] over [float]: the same values in the
@@ -620,9 +604,8 @@ let test_pqueue_peek () =
   let q = Pqueue.create () in
   Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
   Pqueue.push q 5.0 "x";
-  Alcotest.(check (option (pair (float 0.0) string))) "peek" (Some (5.0, "x"))
-    (Pqueue.peek q);
-  Alcotest.(check int) "peek keeps" 1 (Pqueue.length q)
+  check_float "min_key" 5.0 (Pqueue.min_key q);
+  Alcotest.(check int) "min_key keeps" 1 (Pqueue.length q)
 
 (* ---------- Graph ---------- *)
 
@@ -656,16 +639,15 @@ let test_graph_dijkstra_shortcut () =
   Graph.add_edge g 0 1 10.0;
   Graph.add_edge g 0 2 1.0;
   Graph.add_edge g 2 1 1.0;
-  match Graph.shortest_path g ~weight:Fun.id 0 1 with
-  | Some (d, path) ->
-    check_float "dist" 2.0 d;
-    Alcotest.(check (list int)) "path" [ 0; 2; 1 ] path
-  | None -> Alcotest.fail "unreachable"
+  let dist, pred = Graph.dijkstra g ~weight:Fun.id ~source:0 in
+  check_float "dist" 2.0 dist.(1);
+  Alcotest.(check (list int)) "path" [ 0; 2; 1 ] [ pred.(2); pred.(1); 1 ]
 
 let test_graph_unreachable () =
   let g = Graph.create 2 in
-  Alcotest.(check (option (pair (float 0.0) (list int)))) "none" None
-    (Graph.shortest_path g ~weight:Fun.id 0 1)
+  let dist, pred = Graph.dijkstra g ~weight:Fun.id ~source:0 in
+  check_float "infinite" infinity dist.(1);
+  Alcotest.(check int) "no predecessor" (-1) pred.(1)
 
 let test_graph_negative_weight () =
   let g = Graph.create 2 in
@@ -729,25 +711,6 @@ let test_graph_degree_histogram () =
   Graph.add_edge g 0 2 ();
   Alcotest.(check (list (pair int int))) "hist" [ (0, 2); (2, 1) ]
     (Graph.degree_histogram g)
-
-(* ---------- Union_find ---------- *)
-
-let test_union_find_basic () =
-  let uf = Union_find.create 5 in
-  Alcotest.(check int) "initial sets" 5 (Union_find.count uf);
-  Alcotest.(check bool) "union" true (Union_find.union uf 0 1);
-  Alcotest.(check bool) "re-union" false (Union_find.union uf 1 0);
-  Alcotest.(check bool) "same" true (Union_find.same uf 0 1);
-  Alcotest.(check bool) "not same" false (Union_find.same uf 0 2);
-  Alcotest.(check int) "sets after" 4 (Union_find.count uf);
-  Alcotest.(check int) "size" 2 (Union_find.set_size uf 0)
-
-let test_union_find_groups () =
-  let uf = Union_find.create 4 in
-  ignore (Union_find.union uf 0 2);
-  ignore (Union_find.union uf 1 3);
-  Alcotest.(check (list (list int))) "groups" [ [ 0; 2 ]; [ 1; 3 ] ]
-    (Union_find.groups uf)
 
 (* ---------- Table ---------- *)
 
@@ -1036,11 +999,6 @@ let () =
           Alcotest.test_case "transpose" `Quick test_graph_transpose;
           Alcotest.test_case "map edges" `Quick test_graph_map_edges;
           Alcotest.test_case "degree histogram" `Quick test_graph_degree_histogram;
-        ] );
-      ( "union-find",
-        [
-          Alcotest.test_case "basic" `Quick test_union_find_basic;
-          Alcotest.test_case "groups" `Quick test_union_find_groups;
         ] );
       ( "table",
         [

@@ -224,11 +224,10 @@ let gray_blind : Scenario.t =
     let gen = Traffic.create (Rng.create (seed + 1)) in
     for k = 0 to 79 do
       let at = 0.2 +. (0.1 *. float_of_int k) in
-      ignore
-        (Engine.schedule engine at (fun engine ->
-             Net.inject net engine
-               (Traffic.next_packet gen ~src:0 ~dst:2
-                  ~created:(Engine.now engine) ())))
+      Engine.schedule engine at (fun engine ->
+          Net.inject net engine
+            (Traffic.next_packet gen ~src:0 ~dst:2
+               ~created:(Engine.now engine) ()))
     done;
     Engine.run ~until:600.0 engine;
     Invariant.observe ~reconvergences:(Selfheal.reconvergences heal)
@@ -643,10 +642,9 @@ let test_signature_sums_labels_across_locations () =
     engine net;
   List.iteri
     (fun id (src, dst) ->
-      ignore
-        (Engine.schedule engine 0.5 (fun engine ->
-             Net.inject net engine
-               (Tussle_netsim.Packet.make ~id ~src ~dst ~created:0.5 ()))))
+      Engine.schedule engine 0.5 (fun engine ->
+          Net.inject net engine
+            (Tussle_netsim.Packet.make ~id ~src ~dst ~created:0.5 ())))
     [ (0, 2); (0, 2); (0, 2); (2, 4); (2, 4);
       (4, 6); (4, 6); (4, 6); (6, 8); (6, 8) ];
   Engine.run engine;
