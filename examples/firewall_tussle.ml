@@ -86,7 +86,7 @@ let run_regime ~seed ~attacker_fraction regime =
         Net.add_middlebox net a
           (Middlebox.port_filter ~blocked:[ Packet.default_port Packet.Attack ] ())
       | Trust_mediated ->
-        Net.add_middlebox net a (Middlebox.trust_firewall ~admits ()))
+        Net.add_middlebox net a (Middlebox.trust_firewall ~admits))
     tt.Topology.accesses;
   (* traffic: legit web + a new app on an odd port + attacks (half of
      which are tunneled to dodge port filters) *)

@@ -43,9 +43,9 @@ let line_transfer =
     Inject.install ~seed ~plan engine net;
     let gen = Traffic.create (Rng.create (seed + 1)) in
     let conn =
-      Transport.start ~rto_backoff:2.0 ~rto_max:2.0 ~rto_jitter:0.1
-        ~jitter_rng:(Rng.create (seed + 2))
-        ~max_retries:10 engine net gen ~src:0 ~dst:3 ~total_packets:120
+      Transport.start
+        ~retry:(Transport.retry ~jitter:(Rng.create (seed + 2)) ~budget:10)
+        engine net gen ~src:0 ~dst:3 ~total_packets:120
     in
     Engine.run ~until:guard_horizon engine;
     Invariant.observe ~transfers:[ transfer_status conn ]

@@ -52,10 +52,8 @@ let default_stance kind =
     make
       [ (Innovation, 0.9); (Openness, 0.8); (Transparency, 0.6); (Control, -0.4) ]
 
-let make ?(power = 1.0) ?stance ~id ~name kind =
-  if power < 0.0 then invalid_arg "Actor.make: negative power";
-  let stance = Option.value ~default:(default_stance kind) stance in
-  { id; name; kind; stance; power }
+let make ~id ~name kind =
+  { id; name; kind; stance = default_stance kind; power = 1.0 }
 
 let utility t outcome = Interest.dot t.stance outcome
 

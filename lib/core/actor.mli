@@ -27,9 +27,8 @@ type t = {
   power : float;  (** non-negative influence weight *)
 }
 
-val make :
-  ?power:float -> ?stance:Interest.stance -> id:int -> name:string -> kind -> t
-(** Defaults: power 1.0, stance {!default_stance} for the kind. *)
+val make : id:int -> name:string -> kind -> t
+(** Power 1.0 and the kind's {!default_stance}. *)
 
 val default_stance : kind -> Interest.stance
 (** The paper's sketch of each player's interests, as a stance vector

@@ -51,9 +51,12 @@ let alignment a b =
   let na = norm a and nb = norm b in
   if na = 0.0 || nb = 0.0 then 0.0 else dot a b /. (na *. nb)
 
-let adverse ?(threshold = 0.25) a b = alignment a b < -.threshold
+(* alignment beyond which two stances count as aligned or adverse *)
+let threshold = 0.25
 
-let merely_different ?(threshold = 0.25) a b =
+let adverse a b = alignment a b < -.threshold
+
+let merely_different a b =
   let al = alignment a b in
   al >= -.threshold && al <= threshold
 

@@ -34,13 +34,13 @@ val alignment : stance -> stance -> float
 (** Cosine similarity in [-1, 1]; 0 when either stance is empty.
     Positive = shared interests, negative = adverse. *)
 
-val adverse : ?threshold:float -> stance -> stance -> bool
-(** [alignment < -threshold] (default 0.25): "interests are simply
-    adverse, and there is no win-win way to balance them." *)
+val adverse : stance -> stance -> bool
+(** [alignment < -0.25]: "interests are simply adverse, and there is
+    no win-win way to balance them." *)
 
-val merely_different : ?threshold:float -> stance -> stance -> bool
-(** Neither aligned nor adverse beyond the threshold: the case where
-    "the choice of mechanism must itself be mutual." *)
+val merely_different : stance -> stance -> bool
+(** Alignment within [[-0.25, 0.25]], neither aligned nor adverse: the
+    case where "the choice of mechanism must itself be mutual." *)
 
 val scale : float -> stance -> stance
 

@@ -39,7 +39,8 @@ let run_regime tt pv regime =
     (fun tr ->
       Net.add_middlebox net tr (Sourceroute.refusal_middlebox ~paid);
       if tr <> honest_transit then
-        Net.add_middlebox net tr (Middlebox.qos_stripper ~honor:(fun _ -> false) ()))
+        Net.add_middlebox net tr
+          (Middlebox.qos_stripper ~honor:(fun _ -> false)))
     tt.Topology.transits;
   let engine = Engine.create () in
   let gen = Traffic.create (Rng.create 42) in

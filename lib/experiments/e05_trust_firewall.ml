@@ -66,7 +66,7 @@ let run_cell ~seed ~attacker_fraction regime =
         Net.add_middlebox net a
           (Middlebox.port_filter ~blocked:[ Packet.default_port Packet.Attack ] ())
       | Trust_mediated ->
-        Net.add_middlebox net a (Middlebox.trust_firewall ~admits ()))
+        Net.add_middlebox net a (Middlebox.trust_firewall ~admits))
     tt.Topology.accesses;
   let engine = Engine.create () in
   let gen = Traffic.create (Rng.split rng) in

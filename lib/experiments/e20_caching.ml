@@ -49,8 +49,7 @@ let run () =
   let row name ~with_cache =
     let rng = Rng.create 1020 in
     let cache =
-      if with_cache then Some (Cache.create ~capacity:25 ~app:Packet.Web ())
-      else None
+      if with_cache then Some (Cache.create ~app:Packet.Web) else None
     in
     let web = mean_latency rng ~app:Packet.Web ~cache ~requests ~objects in
     let game = mean_latency rng ~app:Packet.Game ~cache ~requests ~objects in
@@ -67,7 +66,7 @@ let run () =
   let web1, game1 = row "web caches at the access ISP" ~with_cache:true in
   (* and the cache is useless against encrypted content *)
   let rng = Rng.create 1020 in
-  let cache = Cache.create ~capacity:25 ~app:Packet.Web () in
+  let cache = Cache.create ~app:Packet.Web in
   let enc_latencies =
     Array.init 500 (fun i ->
         let p =

@@ -85,13 +85,12 @@ let run_transfer ~item_seed ~plan =
   in
   let gen = Traffic.create (Rng.create (item_seed + 2)) in
   let conn =
-    Transport.start ~rto_backoff:2.0 ~rto_max:2.0 ~rto_jitter:0.1
-      ~jitter_rng:(Rng.create (item_seed + 3))
-      ~max_retries:12 engine net gen ~src:0 ~dst:3
-      ~total_packets:sweep_packets
+    Transport.start
+      ~retry:(Transport.retry ~jitter:(Rng.create (item_seed + 3)) ~budget:12)
+      engine net gen ~src:0 ~dst:3 ~total_packets:sweep_packets
   in
-  (* the horizon is a hang guard only: backoff + max_retries must end
-     the transfer (completed or abandoned) long before it *)
+  (* the horizon is a hang guard only: backoff and the retry budget
+     must end the transfer (completed or abandoned) long before it *)
   Engine.run ~until:600.0 engine;
   let fault_drops = Net.count_losses Net.is_fault_drop (Net.losses net) in
   {

@@ -67,8 +67,11 @@ type outcome = {
           0 while {!Tussle_obs.Metrics} is disabled *)
   allocated_bytes : float;
       (** [Gc.allocated_bytes] delta of the running domain, measured from
-          an emptied minor heap: exact and repeatable on one domain,
-          approximate while other domains' collections interrupt it *)
+          an emptied minor heap: repeatable on one domain for one list
+          of experiments, approximate while other domains' collections
+          interrupt it.  It depends on the experiments run before it in
+          the same process, whose major heap the window inherits (see
+          {!Tussle_obs.Report.exp}). *)
 }
 
 val run : ?timeout_s:float -> t -> outcome

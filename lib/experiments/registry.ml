@@ -113,7 +113,7 @@ let report ?pool ~wall_s outcomes =
       pool
   in
   let metrics = Tussle_obs.Metrics.snapshot () in
-  Tussle_obs.Report.make ~label:"battery" ?pool ~metrics
+  Tussle_obs.Report.make ?pool ~metrics
     ~domains:(Tussle_prelude.Pool.domains ()) ~wall_s
     (List.map exp_of_outcome outcomes)
 

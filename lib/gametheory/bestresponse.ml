@@ -39,7 +39,10 @@ let is_pure_nash g profile =
   done;
   !ok
 
-let converge ?(max_sweeps = 1000) g ~init =
+(* sweeps after which the dynamics are taken to cycle *)
+let max_sweeps = 1000
+
+let converge g ~init =
   validate g;
   if Array.length init <> g.players then invalid_arg "Bestresponse.converge";
   let profile = Array.copy init in

@@ -19,11 +19,10 @@ val validate : game -> unit
 
 val is_pure_nash : game -> int array -> bool
 
-val converge :
-  ?max_sweeps:int -> game -> init:int array -> int array option
+val converge : game -> init:int array -> int array option
 (** Round-robin best-response sweeps from [init].  [Some profile] when a
-    full sweep produces no change (pure Nash); [None] if [max_sweeps]
-    (default 1000) elapse — the dynamics cycle. *)
+    full sweep produces no change (pure Nash); [None] if 1000 sweeps
+    elapse — the dynamics cycle. *)
 
 val all_pure_nash : game -> int array list
 (** Exhaustive enumeration; exponential, for small games only. *)

@@ -77,9 +77,9 @@ let no_profitable_deviation payoff_matrix mixed_other v ~n =
   done;
   !ok
 
-let support_enumeration ?max_support g =
+let support_enumeration g =
   let n = Normal_form.rows g and m = Normal_form.cols g in
-  let kmax = Option.value ~default:(min n m) max_support in
+  let kmax = min n m in
   let a = Normal_form.row_matrix g and b = Normal_form.col_matrix g in
   let results = ref [] in
   for k = 1 to kmax do

@@ -16,10 +16,10 @@ val mixed_2x2 : Normal_form.t -> profile option
     when indifference cannot be achieved with interior probabilities.
     Raises [Invalid_argument] if the game is not 2×2. *)
 
-val support_enumeration : ?max_support:int -> Normal_form.t -> profile list
-(** All equilibria found over equal-size supports up to [max_support]
-    (default: min(rows, cols)).  Pure equilibria are included (support
-    size 1).  Complete for nondegenerate games. *)
+val support_enumeration : Normal_form.t -> profile list
+(** All equilibria found over equal-size supports of every size up to
+    min(rows, cols).  Pure equilibria are included (support size 1).
+    Complete for nondegenerate games. *)
 
 val is_epsilon_nash : Normal_form.t -> profile -> epsilon:float -> bool
 (** No player can gain more than [epsilon] by a pure deviation. *)

@@ -56,12 +56,11 @@ type match_result = {
   moves : (int * int) list;
 }
 
-let play ?(delta = 1.0) ~rounds g sa sb =
+let play ~rounds g sa sb =
   if rounds <= 0 then invalid_arg "Repeated.play: non-positive rounds";
-  if delta <= 0.0 || delta > 1.0 then invalid_arg "Repeated.play: bad delta";
   if Normal_form.rows g <> 2 || Normal_form.cols g <> 2 then
     invalid_arg "Repeated.play: stage game must be 2x2";
-  let rec go round ha hb pa pb disc acc =
+  let rec go round ha hb pa pb acc =
     if round >= rounds then
       { payoff_a = pa; payoff_b = pb; moves = List.rev acc }
     else begin
@@ -72,14 +71,11 @@ let play ?(delta = 1.0) ~rounds g sa sb =
         if round = 0 then sb.first else sb.next ~own_history:hb ~opp_history:ha
       in
       let ua, ub = Normal_form.payoff g ma mb in
-      go (round + 1) (ma :: ha) (mb :: hb)
-        (pa +. (disc *. ua))
-        (pb +. (disc *. ub))
-        (disc *. delta)
+      go (round + 1) (ma :: ha) (mb :: hb) (pa +. ua) (pb +. ub)
         ((ma, mb) :: acc)
     end
   in
-  go 0 [] [] 0.0 0.0 1.0 []
+  go 0 [] [] 0.0 0.0 []
 
 let cooperation_rate r =
   match r.moves with

@@ -3,9 +3,9 @@
     The paper observes that many Internet tussles (ISP peering above
     all) are not one-shot: parties meet again, and that is what
     disciplines them.  This module plays a stage game repeatedly between
-    strategy automata and reports discounted or average payoffs; the
-    peering experiment shows tit-for-tat sustaining the cooperation that
-    the one-shot equilibrium destroys. *)
+    strategy automata and reports total payoffs; the peering experiment
+    shows tit-for-tat sustaining the cooperation that the one-shot
+    equilibrium destroys. *)
 
 type strategy = {
   name : string;
@@ -24,21 +24,14 @@ val pavlov : strategy
 val random_strategy : Tussle_prelude.Rng.t -> p_cooperate:float -> strategy
 
 type match_result = {
-  payoff_a : float;  (** total payoff (discounted if delta < 1) *)
+  payoff_a : float;  (** total payoff over all rounds *)
   payoff_b : float;
   moves : (int * int) list;  (** chronological *)
 }
 
-val play :
-  ?delta:float ->
-  rounds:int ->
-  Normal_form.t ->
-  strategy ->
-  strategy ->
-  match_result
-(** [play ~rounds g sa sb].  [delta] is the per-round discount factor
-    (default 1.0 = plain sum).  Raises [Invalid_argument] on
-    [rounds <= 0] or [delta] outside (0, 1]. *)
+val play : rounds:int -> Normal_form.t -> strategy -> strategy -> match_result
+(** [play ~rounds g sa sb]: payoffs are plain sums over the rounds.
+    Raises [Invalid_argument] on [rounds <= 0]. *)
 
 val cooperation_rate : match_result -> float
 (** Fraction of moves (both players) that were strategy 0

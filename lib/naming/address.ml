@@ -3,7 +3,13 @@ type scheme =
   | Dynamic of { hosts : int }
   | Portable of { prefixes : int }
 
-let switching_cost ?(per_static_host = 1.0) ?(site_overhead = 0.5) = function
+(* renumbering cost per statically configured host, reconfiguration
+   cost of a dynamic site, and the cost of one core routing-table slot *)
+let per_static_host = 1.0
+let site_overhead = 0.5
+let slot_cost = 0.01
+
+let switching_cost = function
   | Provider_based { static_hosts } ->
     if static_hosts < 0 then invalid_arg "Address: negative hosts";
     float_of_int static_hosts *. per_static_host
@@ -18,7 +24,6 @@ let routing_table_burden ~core_routers = function
     if prefixes < 0 then invalid_arg "Address: negative prefixes";
     float_of_int (prefixes * core_routers)
 
-let total_cost ?per_static_host ?site_overhead ?(slot_cost = 0.01)
-    ~core_routers scheme =
-  switching_cost ?per_static_host ?site_overhead scheme
+let total_cost ~core_routers scheme =
+  switching_cost scheme
   +. (slot_cost *. routing_table_burden ~core_routers scheme)

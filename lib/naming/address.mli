@@ -23,22 +23,16 @@ type scheme =
       (** provider-independent space: zero renumbering, but each prefix
           occupies a slot in every core routing table *)
 
-val switching_cost :
-  ?per_static_host:float -> ?site_overhead:float -> scheme -> float
-(** Customer-side cost of changing providers.  Defaults: 1.0 per
-    statically configured host, 0.5 site overhead for dynamic sites,
-    0 for portable space. *)
+val switching_cost : scheme -> float
+(** Customer-side cost of changing providers: 1.0 per statically
+    configured host, 0.5 site overhead for dynamic sites, 0 for
+    portable space. *)
 
 val routing_table_burden : core_routers:int -> scheme -> float
 (** System-side cost: portable prefixes cost one slot in each core
     router; provider-based and dynamic aggregation cost none. *)
 
-val total_cost :
-  ?per_static_host:float ->
-  ?site_overhead:float ->
-  ?slot_cost:float ->
-  core_routers:int ->
-  scheme ->
-  float
-(** [switching_cost + slot_cost * routing_table_burden]: the combined
-    dilemma, for comparing schemes end to end. *)
+val total_cost : core_routers:int -> scheme -> float
+(** [switching_cost + 0.01 * routing_table_burden], 0.01 being the cost
+    of one core routing-table slot: the combined dilemma, for comparing
+    schemes end to end. *)

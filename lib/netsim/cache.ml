@@ -1,5 +1,4 @@
 type t = {
-  capacity : int;
   app : Packet.app;
   (* recency list, most recent first, plus membership set *)
   mutable order : int list;
@@ -8,10 +7,11 @@ type t = {
   mutable misses : int;
 }
 
-let create ?(capacity = 128) ~app () =
-  if capacity <= 0 then invalid_arg "Cache.create: non-positive capacity";
+(* distinct objects held before the least recently used is evicted *)
+let capacity = 25
+
+let create ~app =
   {
-    capacity;
     app;
     order = [];
     members = Hashtbl.create capacity;
@@ -35,7 +35,7 @@ let lookup t ~key =
 
 let insert t ~key =
   if not (Hashtbl.mem t.members key) then begin
-    if Hashtbl.length t.members >= t.capacity then begin
+    if Hashtbl.length t.members >= capacity then begin
       (* evict least recently used *)
       match List.rev t.order with
       | victim :: _ ->

@@ -16,9 +16,9 @@
 
 type t
 
-val create : ?capacity:int -> app:Packet.app -> unit -> t
-(** A cache for one application's content, holding up to [capacity]
-    distinct objects (default 128, LRU eviction). *)
+val create : app:Packet.app -> t
+(** A cache for one application's content, holding up to 25 distinct
+    objects (LRU eviction). *)
 
 val lookup : t -> key:int -> bool
 (** Is the object present?  Updates recency and hit/miss counters. *)

@@ -37,26 +37,26 @@ let port_filter ?reveals_presence ~blocked () =
   in
   make ?reveals_presence ~name:"port-filter" policy
 
-let app_filter ?reveals_presence ~blocked () =
+let app_filter ~blocked =
   let policy p =
     match Packet.visible_app p with
     | Some app when List.mem app blocked -> Drop
     | Some _ | None -> Forward
   in
-  make ?reveals_presence ~name:"app-filter" policy
+  make ~name:"app-filter" policy
 
-let trust_firewall ?reveals_presence ~admits () =
+let trust_firewall ~admits =
   let policy (p : Packet.t) =
     if admits ~src:p.Packet.src ~dst:p.Packet.dst then Forward else Drop
   in
-  make ?reveals_presence ~name:"trust-firewall" policy
+  make ~name:"trust-firewall" policy
 
 let wiretap () = make ~reveals_presence:false ~name:"wiretap" (fun _ -> Tap)
 
-let qos_stripper ?reveals_presence ~honor () =
+let qos_stripper ~honor =
   let policy (p : Packet.t) =
     match p.Packet.qos with
     | Packet.Best_effort -> Forward
     | Packet.Assured | Packet.Premium -> if honor p then Forward else Degrade
   in
-  make ?reveals_presence ~name:"qos-stripper" policy
+  make ~name:"qos-stripper" policy

@@ -41,22 +41,21 @@ val port_filter : ?reveals_presence:bool -> blocked:int list -> unit -> t
 (** Drop packets whose {e visible} port is blocked.  Tunneling defeats
     it. *)
 
-val app_filter : ?reveals_presence:bool -> blocked:Packet.app list -> unit -> t
+val app_filter : blocked:Packet.app list -> t
 (** Drop packets whose {e visible} application is blocked.  Encryption
-    and tunneling defeat it. *)
+    and tunneling defeat it.  Reveals its presence. *)
 
-val trust_firewall :
-  ?reveals_presence:bool -> admits:(src:int -> dst:int -> bool) -> unit -> t
+val trust_firewall : admits:(src:int -> dst:int -> bool) -> t
 (** The paper's "trust-aware firewall": admits or refuses based on {e who
     is communicating} rather than what protocol is visible, so it is
     immune to port games and does not collateral-damage new
-    applications. *)
+    applications.  Reveals its presence. *)
 
 val wiretap : unit -> t
 (** Taps every packet it can read; encrypted payloads are still tapped
     but yield no application information (see {!Packet.visible_app}). *)
 
-val qos_stripper : ?reveals_presence:bool -> honor:(Packet.t -> bool) -> unit -> t
+val qos_stripper : honor:(Packet.t -> bool) -> t
 (** Degrades QoS on packets the operator chooses not to honor — the
     closed-QoS behaviour of §VII ("only turn them on for applications
-    that they sell"). *)
+    that they sell").  Reveals its presence. *)

@@ -46,11 +46,12 @@ type t = {
   mutable lost : int;
   ledger : (drop_reason, int ref) Hashtbl.t;
   mutable observers : (Packet.t -> outcome -> unit) list; (* in order *)
-  ttl : int;
 }
 
-let create ?(ttl = 64) links forwarding =
-  if ttl <= 0 then invalid_arg "Net.create: non-positive ttl";
+(* hop bound: a packet that has crossed this many links is dropped *)
+let ttl = 64
+
+let create links forwarding =
   {
     links;
     forwarding;
@@ -63,7 +64,6 @@ let create ?(ttl = 64) links forwarding =
     lost = 0;
     ledger = Hashtbl.create 8;
     observers = [];
-    ttl;
   }
 
 let set_forwarding t forwarding = t.forwarding <- forwarding
@@ -236,7 +236,7 @@ let rec arrive t engine p state node =
       let latency = now -. p.Packet.created in
       finish t ~now ~at:node p
         (Delivered { latency; degraded = state.degraded; tapped = state.tapped })
-    else if state.hops >= t.ttl then
+    else if state.hops >= ttl then
       finish t ~now ~at:node p (Lost Ttl_exceeded)
     else
       let target =

@@ -47,9 +47,9 @@ type forwarding = node:int -> target:int -> Packet.t -> int option
 
 type t
 
-val create :
-  ?ttl:int -> Link.t Tussle_prelude.Graph.t -> forwarding -> t
-(** [create links fwd].  [ttl] (default 64) bounds hop count. *)
+val create : Link.t Tussle_prelude.Graph.t -> forwarding -> t
+(** [create links fwd].  A packet is dropped [Ttl_exceeded] once it
+    has crossed 64 links. *)
 
 val set_forwarding : t -> forwarding -> unit
 (** Swap the forwarding function mid-run.  Packets already in flight

@@ -24,26 +24,26 @@ let ring ?(edge = default_edge) n =
   if n > 2 then Graph.add_undirected g (n - 1) 0 edge;
   g
 
-let star ?(edge = default_edge) n =
+let star n =
   let g = Graph.create n in
   for i = 1 to n - 1 do
-    Graph.add_undirected g 0 i edge
+    Graph.add_undirected g 0 i default_edge
   done;
   g
 
-let grid ?(edge = default_edge) rows cols =
+let grid rows cols =
   if rows <= 0 || cols <= 0 then invalid_arg "Topology.grid: non-positive dims";
   let g = Graph.create (rows * cols) in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
       let u = (r * cols) + c in
-      if c + 1 < cols then Graph.add_undirected g u (u + 1) edge;
-      if r + 1 < rows then Graph.add_undirected g u (u + cols) edge
+      if c + 1 < cols then Graph.add_undirected g u (u + 1) default_edge;
+      if r + 1 < rows then Graph.add_undirected g u (u + cols) default_edge
     done
   done;
   g
 
-let tree ?(edge = default_edge) ~arity ~depth () =
+let tree ~arity ~depth =
   if arity < 1 || depth < 0 then invalid_arg "Topology.tree: bad parameters";
   (* count nodes: (arity^(depth+1) - 1) / (arity - 1), or depth+1 if arity=1 *)
   let count =
@@ -59,23 +59,23 @@ let tree ?(edge = default_edge) ~arity ~depth () =
       for _ = 1 to arity do
         let child = !next in
         incr next;
-        Graph.add_undirected g parent child edge;
+        Graph.add_undirected g parent child default_edge;
         attach child (level + 1)
       done
   in
   attach 0 0;
   g
 
-let erdos_renyi ?(edge = default_edge) rng n p =
+let erdos_renyi rng n p =
   let g = Graph.create n in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      if Rng.bernoulli rng p then Graph.add_undirected g u v edge
+      if Rng.bernoulli rng p then Graph.add_undirected g u v default_edge
     done
   done;
   g
 
-let barabasi_albert ?(edge = default_edge) rng n m =
+let barabasi_albert rng n m =
   if m < 1 || n <= m then invalid_arg "Topology.barabasi_albert: need n > m >= 1";
   let g = Graph.create n in
   (* endpoint multiset for preferential attachment *)
@@ -83,7 +83,7 @@ let barabasi_albert ?(edge = default_edge) rng n m =
   (* seed: clique on the first m+1 nodes *)
   for u = 0 to m do
     for v = u + 1 to m do
-      Graph.add_undirected g u v edge;
+      Graph.add_undirected g u v default_edge;
       endpoints := u :: v :: !endpoints
     done
   done;
@@ -106,7 +106,7 @@ let barabasi_albert ?(edge = default_edge) rng n m =
     let added = Hashtbl.fold (fun v () acc -> v :: acc) chosen [] in
     List.iter
       (fun v ->
-        Graph.add_undirected g u v edge;
+        Graph.add_undirected g u v default_edge;
         push u;
         push v)
       added
@@ -122,8 +122,7 @@ type two_tier = {
   transit_of_access : int -> int list;
 }
 
-let two_tier ?(edge = default_edge) rng ~transits ~accesses ~hosts_per_access
-    ~multihoming =
+let two_tier rng ~transits ~accesses ~hosts_per_access ~multihoming =
   if transits < 1 then invalid_arg "Topology.two_tier: need >= 1 transit";
   if multihoming < 1 || multihoming > transits then
     invalid_arg "Topology.two_tier: multihoming out of range";
@@ -134,7 +133,9 @@ let two_tier ?(edge = default_edge) rng ~transits ~accesses ~hosts_per_access
   let transit_ids = List.init transits (fun i -> i) in
   let access_ids = List.init accesses (fun i -> transits + i) in
   (* transit backbone: full peer mesh, fat low-latency pipes *)
-  let backbone = { latency = edge.latency; bandwidth_bps = edge.bandwidth_bps *. 10.0 } in
+  let backbone =
+    { default_edge with bandwidth_bps = default_edge.bandwidth_bps *. 10.0 }
+  in
   List.iter
     (fun u ->
       List.iter
@@ -155,8 +156,8 @@ let two_tier ?(edge = default_edge) rng ~transits ~accesses ~hosts_per_access
       Hashtbl.replace upstream a ups;
       List.iter
         (fun tpr ->
-          Graph.add_edge g a tpr (edge, Customer_of);
-          Graph.add_edge g tpr a (edge, Provider_of))
+          Graph.add_edge g a tpr (default_edge, Customer_of);
+          Graph.add_edge g tpr a (default_edge, Provider_of))
         ups)
     access_ids;
   (* hosts attach to their access provider *)
@@ -169,8 +170,8 @@ let two_tier ?(edge = default_edge) rng ~transits ~accesses ~hosts_per_access
         let h = host_base + (ai * hosts_per_access) + k in
         hosts := h :: !hosts;
         Hashtbl.replace host_access h a;
-        Graph.add_edge g h a (edge, Customer_of);
-        Graph.add_edge g a h (edge, Provider_of)
+        Graph.add_edge g h a (default_edge, Customer_of);
+        Graph.add_edge g a h (default_edge, Provider_of)
       done)
     access_ids;
   {

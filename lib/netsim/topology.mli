@@ -1,7 +1,8 @@
 (** Topology generators.
 
     Each generator returns a graph whose edges are labelled with link
-    parameters ([edge] below), ready to be turned into live links by
+    parameters ([edge] below, {!default_edge} unless the generator
+    takes one), ready to be turned into live links by
     {!Net}.  The two-tier generator models the commercial Internet the
     paper reasons about: competing transit providers, local access
     providers, and customer hosts, with business relationships on each
@@ -25,23 +26,22 @@ val line_forwarding : Net.forwarding
 
 val ring : ?edge:edge -> int -> edge Tussle_prelude.Graph.t
 
-val star : ?edge:edge -> int -> edge Tussle_prelude.Graph.t
+val star : int -> edge Tussle_prelude.Graph.t
 (** Node 0 is the hub. *)
 
-val grid : ?edge:edge -> int -> int -> edge Tussle_prelude.Graph.t
+val grid : int -> int -> edge Tussle_prelude.Graph.t
 (** [grid rows cols]; node [(r,c)] is [r*cols + c]. *)
 
-val tree :
-  ?edge:edge -> arity:int -> depth:int -> unit -> edge Tussle_prelude.Graph.t
+val tree : arity:int -> depth:int -> edge Tussle_prelude.Graph.t
 (** Complete [arity]-ary tree; root is node 0. *)
 
 val erdos_renyi :
-  ?edge:edge -> Tussle_prelude.Rng.t -> int -> float -> edge Tussle_prelude.Graph.t
+  Tussle_prelude.Rng.t -> int -> float -> edge Tussle_prelude.Graph.t
 (** [erdos_renyi rng n p]: each unordered pair linked with probability
     [p].  Not guaranteed connected. *)
 
 val barabasi_albert :
-  ?edge:edge -> Tussle_prelude.Rng.t -> int -> int -> edge Tussle_prelude.Graph.t
+  Tussle_prelude.Rng.t -> int -> int -> edge Tussle_prelude.Graph.t
 (** [barabasi_albert rng n m]: preferential attachment, [m] links per new
     node.  Connected by construction; heavy-tailed degrees like AS
     graphs.  Requires [n > m >= 1]. *)
@@ -56,7 +56,6 @@ type two_tier = {
 }
 
 val two_tier :
-  ?edge:edge ->
   Tussle_prelude.Rng.t ->
   transits:int ->
   accesses:int ->

@@ -5,6 +5,25 @@ type behaviour = Compliant | Aggressive
 
 type status = Active | Completed | Abandoned
 
+type retry = { jitter : Rng.t; budget : int }
+
+let retry ~jitter ~budget =
+  if budget < 1 then invalid_arg "Transport.retry: budget < 1";
+  { jitter; budget }
+
+(* the window starts at [initial_window] and grows by [increase] per
+   RTT; an ACK arrives [ack_delay] after its delivery and a loss is
+   acted on [loss_timeout] after it happens.  Under a retry policy the
+   k-th retransmission waits [loss_timeout *. rto_backoff ^ k], capped
+   at [rto_max], times a uniform factor in [1 ± rto_jitter]. *)
+let initial_window = 1.0
+let increase = 1.0
+let ack_delay = 0.002
+let loss_timeout = 10.0 *. ack_delay
+let rto_backoff = 2.0
+let rto_max = 2.0
+let rto_jitter = 0.1
+
 type t = {
   behaviour : behaviour;
   engine : Engine.t;
@@ -13,14 +32,7 @@ type t = {
   src : int;
   dst : int;
   total : int;
-  increase : float;
-  ack_delay : float;
-  loss_timeout : float;
-  rto_backoff : float;
-  rto_max : float;
-  rto_jitter : float;
-  jitter_rng : Rng.t option;
-  max_retries : int option;
+  retry : retry option;
   mutable cwnd : float;
   mutable next_seq : int; (* next data sequence number to send fresh *)
   mutable outstanding : int; (* seqs sent at least once and not yet acked *)
@@ -32,7 +44,6 @@ type t = {
   mutable pending_retransmit : int list;
   mutable retransmissions : int;
   mutable losses : int;
-  mutable timeouts : int;
   mutable started : float;
   mutable last_progress : float;
   mutable finish_time : float option;
@@ -94,7 +105,7 @@ let on_ack t seq =
     t.outstanding <- t.outstanding - 1;
     t.last_progress <- Engine.now t.engine
   end;
-  t.cwnd <- t.cwnd +. (t.increase /. Float.max 1.0 t.cwnd);
+  t.cwnd <- t.cwnd +. (increase /. Float.max 1.0 t.cwnd);
   if t.abandon_time <> None then ()
   else if Hashtbl.length t.acked_seqs >= t.total && t.finish_time = None then begin
     t.finish_time <- Some (Engine.now t.engine);
@@ -120,14 +131,13 @@ let on_loss t seq =
   if status t <> Active then ()
   else begin
     t.losses <- t.losses + 1;
-    t.timeouts <- t.timeouts + 1;
     (match t.behaviour with
     | Compliant -> t.cwnd <- Float.max 1.0 (t.cwnd /. 2.0)
     | Aggressive -> ());
     if not (Hashtbl.mem t.acked_seqs seq) then begin
       let tried = retries_of t seq in
-      match t.max_retries with
-      | Some m when tried >= m -> give_up t
+      match t.retry with
+      | Some r when tried >= r.budget -> give_up t
       | Some _ | None ->
         Hashtbl.replace t.retry_count seq (tried + 1);
         t.pending_retransmit <- t.pending_retransmit @ [ seq ];
@@ -136,22 +146,20 @@ let on_loss t seq =
     else fill_window t
   end
 
-(* Retransmission timer for this seq's next attempt: base timeout grown
-   exponentially with its retries, capped, with optional seeded jitter.
-   Defaults (backoff 1, jitter 0) reproduce the historical fixed timer
-   exactly and draw nothing from any rng. *)
+(* Retransmission timer for this seq's next attempt.  Without a retry
+   policy it is the fixed [loss_timeout] and draws nothing from any
+   rng; with one it grows exponentially with the seq's retries, capped,
+   with one seeded jitter draw. *)
 let rto t seq =
-  let tried = retries_of t seq in
-  let backed =
-    if t.rto_backoff = 1.0 || tried = 0 then t.loss_timeout
-    else Float.min t.rto_max (t.loss_timeout *. (t.rto_backoff ** float_of_int tried))
-  in
-  if t.rto_jitter > 0.0 then
-    match t.jitter_rng with
-    | Some rng ->
-      backed *. (1.0 +. (t.rto_jitter *. Rng.uniform rng (-1.0) 1.0))
-    | None -> backed
-  else backed
+  match t.retry with
+  | None -> loss_timeout
+  | Some r ->
+    let tried = retries_of t seq in
+    let backed =
+      if tried = 0 then loss_timeout
+      else Float.min rto_max (loss_timeout *. (rto_backoff ** float_of_int tried))
+    in
+    backed *. (1.0 +. (rto_jitter *. Rng.uniform r.jitter (-1.0) 1.0))
 
 let observer t (p : Packet.t) outcome =
   match Hashtbl.find_opt t.seq_of_packet p.Packet.id with
@@ -161,7 +169,7 @@ let observer t (p : Packet.t) outcome =
     (match outcome with
     | Net.Delivered _ ->
       (* the ACK rides back on an uncongested reverse channel *)
-      Engine.schedule_after t.engine t.ack_delay (fun _ -> on_ack t seq)
+      Engine.schedule_after t.engine ack_delay (fun _ -> on_ack t seq)
     | Net.Lost reason ->
       (* loss detected only after the retransmission timer *)
       let wait = rto t seq in
@@ -172,25 +180,9 @@ let observer t (p : Packet.t) outcome =
           ~value:wait "xfer-timer";
       Engine.schedule_after t.engine wait (fun _ -> on_loss t seq))
 
-let start ?(behaviour = Compliant) ?(initial_window = 1.0) ?(increase = 1.0)
-    ?(ack_delay = 0.002) ?loss_timeout ?(rto_backoff = 1.0) ?rto_max
-    ?(rto_jitter = 0.0) ?jitter_rng ?max_retries engine net gen ~src ~dst
+let start ?(behaviour = Compliant) ?retry engine net gen ~src ~dst
     ~total_packets =
   if total_packets <= 0 then invalid_arg "Transport.start: nothing to send";
-  if initial_window < 1.0 then invalid_arg "Transport.start: window < 1";
-  if ack_delay <= 0.0 then invalid_arg "Transport.start: non-positive ack delay";
-  let loss_timeout = Option.value ~default:(10.0 *. ack_delay) loss_timeout in
-  if loss_timeout <= 0.0 then invalid_arg "Transport.start: non-positive timeout";
-  if rto_backoff < 1.0 then invalid_arg "Transport.start: backoff < 1";
-  let rto_max = Option.value ~default:infinity rto_max in
-  if rto_max < loss_timeout then invalid_arg "Transport.start: rto_max < timeout";
-  if rto_jitter < 0.0 || rto_jitter >= 1.0 then
-    invalid_arg "Transport.start: jitter outside [0,1)";
-  if rto_jitter > 0.0 && jitter_rng = None then
-    invalid_arg "Transport.start: jitter needs jitter_rng";
-  (match max_retries with
-  | Some m when m < 1 -> invalid_arg "Transport.start: max_retries < 1"
-  | Some _ | None -> ());
   let t =
     {
       behaviour;
@@ -200,14 +192,7 @@ let start ?(behaviour = Compliant) ?(initial_window = 1.0) ?(increase = 1.0)
       src;
       dst;
       total = total_packets;
-      increase;
-      ack_delay;
-      loss_timeout;
-      rto_backoff;
-      rto_max;
-      rto_jitter;
-      jitter_rng;
-      max_retries;
+      retry;
       cwnd = initial_window;
       next_seq = 0;
       outstanding = 0;
@@ -217,7 +202,6 @@ let start ?(behaviour = Compliant) ?(initial_window = 1.0) ?(increase = 1.0)
       pending_retransmit = [];
       retransmissions = 0;
       losses = 0;
-      timeouts = 0;
       started = Engine.now engine;
       last_progress = Engine.now engine;
       finish_time = None;
@@ -249,8 +233,6 @@ let acked t = Hashtbl.length t.acked_seqs
 let retransmissions t = t.retransmissions
 
 let losses t = t.losses
-
-let timeouts t = t.timeouts
 
 let stalled t ~now ~idle =
   status t = Active && now -. t.last_progress >= idle

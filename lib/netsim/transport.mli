@@ -12,40 +12,45 @@
        is modelled as a fixed-latency, uncongested channel — ACKs are
        small and rarely the bottleneck; this keeps the forward queues
        the only contention point);}
-    {- on an ACK, either kind grows [cwnd] by [increase / cwnd]
-       (additive increase per RTT);}
+    {- on an ACK, either kind grows [cwnd] by [1 / cwnd] (additive
+       increase of one packet per RTT);}
     {- on a loss, a compliant connection halves [cwnd] and retransmits;
        an {e aggressive} one just retransmits — Savage's endpoint that
        ignores congestion.}}
 
-    {b Resilience} (for runs under {!Tussle_fault} injection): the
-    retransmission timer can back off exponentially with seeded jitter,
-    and a [max_retries] budget turns a dead path into an {e abandoned}
-    connection instead of an engine that never drains — experiments
-    quantify graceful degradation rather than hanging.  All resilience
-    knobs default to the historical behaviour (fixed timer, unlimited
-    retries, no rng draws). *)
+    {b Resilience} (for runs under {!Tussle_fault} injection): a
+    connection started with a {!retry} policy backs its retransmission
+    timer off exponentially with seeded jitter, and its retry budget
+    turns a dead path into an {e abandoned} connection instead of an
+    engine that never drains — experiments quantify graceful
+    degradation rather than hanging.  Without a policy the timer is
+    fixed, retries are unlimited and nothing is drawn from any rng. *)
 
 type behaviour = Compliant | Aggressive
 
 type status =
   | Active  (** still sending (or stalled waiting on timers) *)
   | Completed  (** every data packet delivered and acknowledged *)
-  | Abandoned  (** gave up: some packet exhausted [max_retries] *)
+  | Abandoned  (** gave up: some packet exhausted its retry budget *)
+
+type retry
+(** A retry policy: backoff, jitter and a per-packet budget. *)
+
+val retry : jitter:Tussle_prelude.Rng.t -> budget:int -> retry
+(** [retry ~jitter ~budget]: a packet on its [k]-th retransmission
+    waits [min 2 s (20 ms *. 2 ^ k)] before its loss is acted on,
+    scaled by a uniform factor in [1 ± 0.1] drawn from [jitter] (one
+    draw per timer: it desynchronizes retry storms, and is seeded,
+    hence reproducible).  [budget] bounds retransmissions per packet:
+    on exhaustion the whole connection moves to [Abandoned], stops
+    sending and lets the engine drain.  Raises [Invalid_argument] when
+    [budget < 1]. *)
 
 type t
 
 val start :
   ?behaviour:behaviour ->
-  ?initial_window:float ->
-  ?increase:float ->
-  ?ack_delay:float ->
-  ?loss_timeout:float ->
-  ?rto_backoff:float ->
-  ?rto_max:float ->
-  ?rto_jitter:float ->
-  ?jitter_rng:Tussle_prelude.Rng.t ->
-  ?max_retries:int ->
+  ?retry:retry ->
   Engine.t ->
   Net.t ->
   Traffic.t ->
@@ -55,23 +60,14 @@ val start :
   t
 (** Open the connection and send the first window.  The connection
     registers a {!Net.on_complete} observer; create all connections
-    before running the engine.  Defaults: compliant, initial window 1,
-    additive increase 1 per RTT, ACK delay 2 ms, loss timeout 10x the
-    ACK delay (a retransmission timer well above the RTT, as real
-    stacks use — it also keeps a misbehaving sender's packet storm
-    paced rather than instantaneous).
-
-    Resilience knobs: a packet on its [k]-th retransmission waits
-    [min rto_max (loss_timeout *. rto_backoff ^ k)] before the loss is
-    acted on ([rto_backoff] >= 1, default 1 = fixed timer; [rto_max]
-    defaults to no cap), scaled by a uniform factor in
-    [1 ± rto_jitter] drawn from [jitter_rng] when [rto_jitter > 0]
-    (desynchronizes retry storms; seeded, hence reproducible).
-    [max_retries] (default unlimited) bounds retransmissions per
-    packet: on exhaustion the whole connection moves to [Abandoned],
-    stops sending, and lets the engine drain.  Raises
-    [Invalid_argument] on out-of-range knobs, including a positive
-    [rto_jitter] without a [jitter_rng]. *)
+    before running the engine.  Compliant by default.  The window
+    starts at 1 and grows by 1 per RTT; ACKs take 2 ms; a loss is acted
+    on 20 ms after it happens, 10x the ACK delay (a retransmission
+    timer well above the RTT, as real stacks use — it also keeps a
+    misbehaving sender's packet storm paced rather than
+    instantaneous).  Without [retry] that timer is fixed and retries
+    are unlimited.  Raises [Invalid_argument] when [total_packets] is
+    not positive. *)
 
 val status : t -> status
 
@@ -89,10 +85,7 @@ val acked : t -> int
 val retransmissions : t -> int
 
 val losses : t -> int
-
-val timeouts : t -> int
-(** Retransmission-timer expiries acted on (equal to {!losses} for the
-    default fixed timer; diagnostic for backoff experiments). *)
+(** Losses acted on, one per retransmission-timer expiry. *)
 
 val stalled : t -> now:float -> idle:float -> bool
 (** Still [Active] but without new acknowledgements for at least

@@ -24,7 +24,7 @@ let control_flow = -1
 
 let new_flow () = Atomic.fetch_and_add flow_counter (-1)
 
-let enable ?capacity () = Ring.enable ring ?capacity ()
+let enable () = Ring.enable ring
 let disable () = Ring.disable ring
 let enabled () = Atomic.get enabled_flag
 

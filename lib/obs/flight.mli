@@ -13,9 +13,10 @@
     Discipline matches {!Metrics} and {!Trace}: off by default; the
     disabled path is one atomic load and a branch at each call site
     (callers guard with {!enabled} before building any argument, so
-    nothing is allocated); events land in per-domain ring buffers
-    (bounded memory — the newest events win) behind [Domain.DLS], with
-    a mutex only around ring registration, {!reset} and {!events}.
+    nothing is allocated); events land in per-domain ring buffers of
+    {!Ring.capacity} events (bounded memory — the newest events win)
+    behind [Domain.DLS], with a mutex only around ring registration,
+    {!reset} and {!events}.
 
     Flow-id namespaces: non-negative ids are packet ids (the
     [Packet.t.id] the traffic generator assigned); {!control_flow}
@@ -35,9 +36,8 @@ type event = {
   value : float;  (** queue depth, RTO, latency, attempt count, … *)
 }
 
-val enable : ?capacity:int -> unit -> unit
-(** Switch the recorder on.  [capacity] (default 65536) sizes each
-    {e new} per-domain ring; rings already registered keep their size. *)
+val enable : unit -> unit
+(** Switch the recorder on. *)
 
 val disable : unit -> unit
 

@@ -27,10 +27,9 @@ type t = {
 
 let schema_tag = "tussle.battery-report/1"
 
-let make ?(label = "battery") ?pool ?(metrics = []) ~domains ~wall_s experiments
-    =
+let make ?pool ?(metrics = []) ~domains ~wall_s experiments =
   {
-    label;
+    label = "battery";
     generated_at = Unix.gettimeofday ();
     domains;
     wall_s;

@@ -41,7 +41,14 @@ type exp = {
       (** GC allocation delta of the running domain.  Compare it only
           between [--seq] reports: under [--domains 2] another domain's
           stop-the-world minor collections land inside the window, and
-          the count then depends on where they fall. *)
+          the count then depends on where they fall.  Compare it only
+          between runs of the same experiment list, too: the figure
+          depends on the experiments that ran before it in the same
+          process (E27 reads a few hundred KB more in the [--seq] battery
+          than under [-e E27 --seq]), since the window starts from an
+          emptied minor heap but inherits the major heap its
+          predecessors left.  A full collection per window would remove
+          that and slow the battery. *)
 }
 
 type pool = {
@@ -65,15 +72,14 @@ val schema_tag : string
 (** ["tussle.battery-report/1"] *)
 
 val make :
-  ?label:string ->
   ?pool:pool ->
   ?metrics:(string * Metrics.value) list ->
   domains:int ->
   wall_s:float ->
   exp list ->
   t
-(** [label] defaults to ["battery"]; [generated_at] is stamped from
-    the system clock. *)
+(** Labelled ["battery"]; [generated_at] is stamped from the system
+    clock. *)
 
 val imbalance : pool -> float
 

@@ -10,7 +10,6 @@ type 'a ring = {
 
 type 'a t = {
   flag : bool Atomic.t;
-  capacity : int Atomic.t;
   mutex : Mutex.t;
   rings : 'a ring list ref;
   key : 'a ring Domain.DLS.key;
@@ -21,20 +20,18 @@ let locked mutex f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
+let capacity = 65536
+
 let create ~compare =
-  let capacity = Atomic.make 65536 in
   let mutex = Mutex.create () in
   let rings = ref [] in
   let new_ring () =
-    let r =
-      { buf = Array.make (Atomic.get capacity) None; next = 0; written = 0 }
-    in
+    let r = { buf = Array.make capacity None; next = 0; written = 0 } in
     locked mutex (fun () -> rings := r :: !rings);
     r
   in
   {
     flag = Atomic.make false;
-    capacity;
     mutex;
     rings;
     key = Domain.DLS.new_key new_ring;
@@ -43,9 +40,7 @@ let create ~compare =
 
 let flag t = t.flag
 
-let enable t ?capacity:(cap = 65536) () =
-  Atomic.set t.capacity (max 1 cap);
-  Atomic.set t.flag true
+let enable t = Atomic.set t.flag true
 
 let disable t = Atomic.set t.flag false
 

@@ -1,9 +1,8 @@
 (** The per-domain event ring behind {!Trace} and {!Flight}.
 
-    Each domain records into its own fixed-capacity ring, created on
-    the domain's first {!push} at the capacity current at that moment
-    (rings already registered keep their size).  When a ring is full
-    the oldest event is overwritten and counted by {!dropped}.  Pushes
+    Each domain records into its own ring of {!capacity} slots,
+    created on the domain's first {!push}.  When a ring is full the
+    oldest event is overwritten and counted by {!dropped}.  Pushes
     touch only the calling domain's ring; a mutex guards ring
     registration, {!reset}, {!events} and {!dropped}.
 
@@ -12,15 +11,17 @@
 
 type 'a t
 
+val capacity : int
+(** Slots in each domain's ring: 65536. *)
+
 val create : compare:('a -> 'a -> int) -> 'a t
 (** A disabled ring set whose {!events} are sorted by [compare]. *)
 
 val flag : 'a t -> bool Atomic.t
 (** The enabled flag ([false] until {!enable}). *)
 
-val enable : 'a t -> ?capacity:int -> unit -> unit
-(** Set the flag.  [capacity] (default 65536, at least 1) sizes rings
-    created from now on. *)
+val enable : 'a t -> unit
+(** Set the flag. *)
 
 val disable : 'a t -> unit
 

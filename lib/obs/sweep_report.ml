@@ -44,8 +44,8 @@ type t = {
 
 let schema_tag = "tussle.sweep-report/1"
 
-let make ?(label = "sweep") ~sweep_seed ~runs experiments =
-  { label; sweep_seed; runs; experiments }
+let make ~sweep_seed ~runs experiments =
+  { label = "sweep"; sweep_seed; runs; experiments }
 
 let count_verdicts t =
   List.fold_left

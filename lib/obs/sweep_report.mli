@@ -48,7 +48,8 @@ type t = {
 val schema_tag : string
 (** ["tussle.sweep-report/1"] *)
 
-val make : ?label:string -> sweep_seed:int -> runs:int -> exp list -> t
+val make : sweep_seed:int -> runs:int -> exp list -> t
+(** Labelled ["sweep"]. *)
 
 val to_json : t -> Json.t
 (** Includes a [summary] object (experiment/verdict/passed counts)

@@ -14,7 +14,7 @@ let ring =
       | c -> c)
 
 let enabled_flag = Ring.flag ring
-let enable ?capacity () = Ring.enable ring ?capacity ()
+let enable () = Ring.enable ring
 let disable () = Ring.disable ring
 let enabled () = Atomic.get enabled_flag
 

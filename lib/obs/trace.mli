@@ -1,8 +1,8 @@
 (** Span-based tracing with Chrome trace-event export.
 
-    Each domain records completed spans into its own fixed-capacity
-    ring buffer (oldest spans are overwritten; {!dropped} reports how
-    many).  Timestamps come from {!Clock} (monotonic).  {!to_chrome}
+    Each domain records completed spans into its own ring buffer of
+    {!Ring.capacity} spans (oldest spans are overwritten; {!dropped}
+    reports how many).  Timestamps come from {!Clock} (monotonic).  {!to_chrome}
     merges every domain's ring into a Chrome trace-event JSON object
     — open the written file in [chrome://tracing] or
     {{:https://ui.perfetto.dev}Perfetto} — with one complete ("ph":
@@ -14,9 +14,8 @@
     prints.  Spans that are still open when tracing is disabled (or
     that were begun while it was disabled) are discarded on [end]. *)
 
-val enable : ?capacity:int -> unit -> unit
-(** Start recording.  [capacity] (default 65536) bounds each domain's
-    ring; it takes effect for rings created after the call. *)
+val enable : unit -> unit
+(** Start recording. *)
 
 val disable : unit -> unit
 

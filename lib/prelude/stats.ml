@@ -96,25 +96,6 @@ let correlation xs ys =
     invalid_arg "Stats.correlation: zero variance";
   !sxy /. sqrt (!sxx *. !syy)
 
-let histogram ?(bins = 10) xs =
-  check_nonempty "Stats.histogram" xs;
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  let lo = minimum xs and hi = maximum xs in
-  let width =
-    if hi > lo then (hi -. lo) /. float_of_int bins else 1.0
-  in
-  let counts = Array.make bins 0 in
-  Array.iter
-    (fun x ->
-      let b = int_of_float ((x -. lo) /. width) in
-      let b = if b >= bins then bins - 1 else if b < 0 then 0 else b in
-      counts.(b) <- counts.(b) + 1)
-    xs;
-  Array.mapi
-    (fun i c ->
-      (lo +. (float_of_int i *. width), lo +. (float_of_int (i + 1) *. width), c))
-    counts
-
 type summary = {
   n : int;
   mean : float;
@@ -391,23 +372,4 @@ module Test = struct
     let se = sample_stddev xs /. sqrt n in
     let t = t_quantile ~df:(n -. 1.0) (1.0 -. ((1.0 -. confidence) /. 2.0)) in
     (m -. (t *. se), m +. (t *. se))
-
-  let bootstrap_mean_ci ?(confidence = 0.95) ?(replicates = 1000) ~seed xs =
-    check_nonempty "Stats.Test.bootstrap_mean_ci" xs;
-    if replicates < 1 then
-      invalid_arg "Stats.Test.bootstrap_mean_ci: replicates must be >= 1";
-    if not (confidence > 0.0 && confidence < 1.0) then
-      invalid_arg "Stats.Test.bootstrap_mean_ci: confidence must be in (0, 1)";
-    let n = Array.length xs in
-    let rng = Rng.create seed in
-    let means =
-      Array.init replicates (fun _ ->
-          let acc = ref 0.0 in
-          for _ = 1 to n do
-            acc := !acc +. xs.(Rng.int rng n)
-          done;
-          !acc /. float_of_int n)
-    in
-    let tail = 100.0 *. ((1.0 -. confidence) /. 2.0) in
-    (percentile means tail, percentile means (100.0 -. tail))
 end

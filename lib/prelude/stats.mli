@@ -51,10 +51,6 @@ val correlation : float array -> float array -> float
 (** Pearson correlation.  Raises on length mismatch, length < 2, or zero
     variance. *)
 
-val histogram : ?bins:int -> float array -> (float * float * int) array
-(** [histogram ~bins xs] returns [(lo, hi, count)] per bin over the data
-    range.  Default 10 bins.  Raises on empty input. *)
-
 type summary = {
   n : int;
   mean : float;
@@ -128,13 +124,6 @@ module Test : sig
   (** Student-t confidence interval [(lo, hi)] for the mean
       (default 95%).  Raises on fewer than 2 points or a confidence
       outside (0, 1). *)
-
-  val bootstrap_mean_ci :
-    ?confidence:float -> ?replicates:int -> seed:int -> float array -> float * float
-  (** Percentile-bootstrap confidence interval for the mean: the
-      fallback for metrics too non-normal for the t interval.
-      Deterministic — resampling is driven by a fresh {!Rng} from
-      [seed] (default 1000 replicates). *)
 
   val student_cdf : df:float -> float -> float
   (** [student_cdf ~df t] is [P(T <= t)] for Student's t with [df]

@@ -22,12 +22,7 @@ let add_row t row =
     invalid_arg "Table.add_row: column count mismatch";
   t.rows <- row :: t.rows
 
-let fmt_float x = Printf.sprintf "%.4g" x
-
 let fmt_pct x = Printf.sprintf "%.1f%%" (100.0 *. x)
-
-let add_float_row ?(fmt = fmt_float) t label xs =
-  add_row t (label :: List.map fmt xs)
 
 let render t =
   let rows = List.rev t.rows in

@@ -15,18 +15,11 @@ val create : ?aligns:align list -> string list -> t
 val add_row : t -> string list -> unit
 (** Append a row.  Raises [Invalid_argument] on column-count mismatch. *)
 
-val add_float_row : ?fmt:(float -> string) -> t -> string -> float list -> unit
-(** [add_float_row t label xs] appends a row whose first cell is [label]
-    and remaining cells are formatted floats (default ["%.4g"]). *)
-
 val render : t -> string
 (** The finished table, ending with a newline. *)
 
 val print : t -> unit
 (** [render] to stdout. *)
-
-val fmt_float : float -> string
-(** Default float formatter, ["%.4g"]. *)
 
 val fmt_pct : float -> string
 (** Format a ratio as a percentage with one decimal, e.g. [0.125] ->

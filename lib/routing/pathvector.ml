@@ -52,9 +52,9 @@ let better a b =
       | _, _ -> false
     end
 
-let compute ?max_rounds ?(export_filter = fun _ _ _ -> true) g =
+let compute g =
   let n = Graph.node_count g in
-  let max_rounds = Option.value ~default:((4 * n) + 8) max_rounds in
+  let max_rounds = (4 * n) + 8 in
   let rib = Array.init n (fun _ -> Hashtbl.create 16) in
   for u = 0 to n - 1 do
     Hashtbl.replace rib.(u) u { dst = u; as_path = []; cls = Own }
@@ -78,7 +78,7 @@ let compute ?max_rounds ?(export_filter = fun _ _ _ -> true) g =
         in
         let consider _dst (r : route) =
           if (not (List.mem u r.as_path)) && r.dst <> u then
-            if exportable r rel_vu && export_filter v u r then begin
+            if exportable r rel_vu then begin
               let candidate =
                 { dst = r.dst; as_path = v :: r.as_path; cls = classify rel_uv }
               in

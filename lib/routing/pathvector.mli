@@ -30,16 +30,12 @@ type route = {
 type t
 
 val compute :
-  ?max_rounds:int ->
-  ?export_filter:(int -> int -> route -> bool) ->
   (Tussle_netsim.Topology.edge * Tussle_netsim.Topology.relationship)
   Tussle_prelude.Graph.t ->
   t
-(** Run synchronous path-vector rounds to a fixpoint.  [export_filter u w
-    r] may additionally veto exporting [r] from [u] to [w] (modelling
-    unilateral business refusals).  [max_rounds] defaults to
-    [4 * node_count + 8]; non-convergence by then raises [Failure]
-    (policy dispute wheel). *)
+(** Run synchronous path-vector rounds to a fixpoint.  Non-convergence
+    within [4 * node_count + 8] rounds raises [Failure] (policy dispute
+    wheel). *)
 
 val as_path : t -> src:int -> dst:int -> int list option
 (** Chosen AS path from [src] (exclusive) to [dst] (inclusive). *)

@@ -184,7 +184,7 @@ let run_sweep ?timeout_s ~seed ~runs ~alpha experiments =
               (exps @ [ exp ], errors, remaining)))
       ([], [], results) sweepable
   in
-  let report = Sweep_report.make ~label:"sweep" ~sweep_seed:seed ~runs exps in
+  let report = Sweep_report.make ~sweep_seed:seed ~runs exps in
   (report, errors)
 
 let error_string e = Printf.sprintf "%s: %s" e.exp_id e.message

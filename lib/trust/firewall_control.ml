@@ -18,14 +18,13 @@ type rule = {
 }
 
 type t = {
-  default_allow : bool;
   users_may_override : bool;
   mutable rules : rule list; (* newest first *)
   mutable next_id : int;
 }
 
-let create ?(default_allow = true) ?(users_may_override = false) () =
-  { default_allow; users_may_override; rules = []; next_id = 0 }
+let create ?(users_may_override = false) () =
+  { users_may_override; rules = []; next_id = 0 }
 
 let any = { sel_src = None; sel_dst = None; sel_port = None }
 
@@ -89,7 +88,7 @@ let permits t p =
   | _, Some u, true -> u.allow
   | Some a, _, _ -> a.allow
   | None, Some u, false -> u.allow
-  | None, None, _ -> t.default_allow
+  | None, None, _ -> true
 
 let middlebox t =
   let all_visible () =

@@ -36,11 +36,9 @@ type rule = {
 
 type t
 
-val create :
-  ?default_allow:bool -> ?users_may_override:bool -> unit -> t
-(** Empty table.  [default_allow] (default true: a transparent network
-    until someone constrains it); [users_may_override] (default false:
-    the admin wins conflicts). *)
+val create : ?users_may_override:bool -> unit -> t
+(** Empty table: a transparent network until someone constrains it.
+    [users_may_override] (default false: the admin wins conflicts). *)
 
 val any : selector
 (** Matches everything. *)
@@ -59,7 +57,7 @@ val remove_rule : t -> authority -> int -> (unit, [ `Not_owner ]) result
 val permits : t -> Tussle_netsim.Packet.t -> bool
 (** Decision: among matching rules, the winning authority's most
     recent rule applies (admin over user unless [users_may_override]);
-    with no matching rule, [default_allow]. *)
+    with no matching rule, allow. *)
 
 val middlebox : t -> Tussle_netsim.Middlebox.t
 (** Enforcement point dropping what {!permits} denies.  The middlebox

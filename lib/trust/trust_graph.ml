@@ -70,14 +70,14 @@ let revoke t ~truster ~trustee =
   | None -> ()
   | Some l -> Hashtbl.replace t.edges truster (List.remove_assoc trustee l)
 
-let mean_pairwise_trust ?max_depth t =
+let mean_pairwise_trust t =
   if t.n <= 1 then 0.0
   else begin
     let acc = ref 0.0 in
     for a = 0 to t.n - 1 do
       for b = 0 to t.n - 1 do
         if a <> b then
-          acc := !acc +. derived_trust ?max_depth t ~truster:a ~trustee:b
+          acc := !acc +. derived_trust t ~truster:a ~trustee:b
       done
     done;
     !acc /. float_of_int (t.n * (t.n - 1))

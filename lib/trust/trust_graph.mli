@@ -34,7 +34,8 @@ val add_mutual : t -> int -> int -> float -> unit
 
 val revoke : t -> truster:int -> trustee:int -> unit
 
-val mean_pairwise_trust : ?max_depth:int -> t -> float
-(** Average derived trust over all ordered pairs (excluding self);
+val mean_pairwise_trust : t -> float
+(** Average derived trust (at the default depth) over all ordered
+    pairs (excluding self);
     the "community of shared trust" health metric.  0 on a single
     party. *)

@@ -2,7 +2,9 @@
 # Tier-1 verification plus the observability battery smoke:
 #   - dune build && dune runtest
 #   - export scan: every val in lib/**/*.mli has a caller outside its
-#     own module, or is listed in scripts/exports.allow
+#     own module, and every optional parameter of such a val a caller
+#     outside its module and test/ that passes it, or is listed in
+#     scripts/exports.allow
 #   - microbenchmark smoke: bench/main.exe runs B1-B17 (and the
 #     asserts inside them) and prints every row, numeric, in B order
 #   - battery run with --report/--trace, schema validation of both

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Export scan: every `val` in lib/**/*.mli must have a caller.
+"""Export scan: every `val` in lib/**/*.mli must have a caller, and
+every optional parameter of such a `val` a caller that passes it.
 
 Usage: python3 scripts/exports.py [--list]
 
@@ -21,7 +22,17 @@ unless scripts/exports.allow lists it as `Module.value reason`.  An
 allowlist line that names no such `val`, or one the scan would pass
 anyway, also fails it, so the list cannot go stale.
 
---list prints each `val` with its class instead of checking.
+The second pass reads each `?option` of a `val` signature.  A file
+passes it when it names the `val` (as above) and writes `~option` or
+`?option` in the application that follows the name: up to the first
+`in`, `;`, `then`, `else`, `with`, `let`, `and`, `|`, `->` or `,`
+outside brackets, or the bracket that closes around it.  It fails when
+no file outside the option's own module and outside test/ passes it,
+unless scripts/exports.allow lists it as `Module.value?option reason`;
+a stale line fails it here too.
+
+--list prints each `val` with its class, and each option as `passed`
+or `unpassed`, instead of checking.
 Stdlib only; exit 0 on a clean scan, 1 otherwise.
 """
 
@@ -87,8 +98,12 @@ def module_of(path):
     return os.path.splitext(os.path.basename(path))[0].capitalize()
 
 
+SIG_END = re.compile(r"\b(?:val|type|module|end|exception|include|external|class)\b")
+
+
 def vals_of(mli_text, top):
-    """(path, name) for every `val`, path being the enclosing module chain."""
+    """(path, name, options) for every `val`, path being the enclosing
+    module chain and options the `?option` labels of its signature."""
     found = []
     stack = []  # one entry per open sig/struct/object/begin: module name or None
     for m in re.finditer(
@@ -100,7 +115,10 @@ def vals_of(mli_text, top):
         elif m.group(2):
             stack.append(None)
         elif m.group(3):
-            found.append(([top] + [s for s in stack if s], m.group(3)))
+            end = SIG_END.search(mli_text, m.end())
+            sig = mli_text[m.end() : end.start() if end else len(mli_text)]
+            opts = re.findall(r"\?([a-z_][\w']*)\s*:", sig)
+            found.append(([top] + [s for s in stack if s], m.group(3), opts))
         elif stack:
             stack.pop()
     return found
@@ -133,8 +151,49 @@ class Source:
         quals = {module} | self.aliases.get(module, set())
         if quals & self.opened and re.search(r"(?<![\w'.])" + re.escape(value) + r"(?![\w'])", self.text):
             return True
-        pat = r"(?<![\w'])(?:" + "|".join(map(re.escape, sorted(quals))) + r")\." + re.escape(value) + r"(?![\w'])"
-        return re.search(pat, self.text) is not None
+        return re.search(self._qualified(quals, value), self.text) is not None
+
+    @staticmethod
+    def _qualified(quals, value):
+        return r"(?<![\w'])(?:" + "|".join(map(re.escape, sorted(quals))) + r")\." + re.escape(value) + r"(?![\w'])"
+
+    def passes(self, module, value, option):
+        """Whether an application of [module.value] here writes
+        [~option] or [?option]."""
+        if option not in self.words:
+            return False
+        quals = {module} | self.aliases.get(module, set())
+        pats = [self._qualified(quals, value)]
+        if quals & self.opened:
+            pats.append(r"(?<![\w'.])" + re.escape(value) + r"(?![\w'])")
+        label = re.compile(r"[~?]" + re.escape(option) + r"(?![\w'])")
+        for pat in pats:
+            for m in re.finditer(pat, self.text):
+                if label.search(application(self.text, m.end())):
+                    return True
+        return False
+
+
+TOKEN = re.compile(r"[A-Za-z_][\w']*|->|\S")
+OPEN, CLOSE = {"(", "[", "{", "begin"}, {")", "]", "}", "end"}
+STOP = {"in", "then", "else", "with", "let", "and", "do", "done", ";", "|", "->", ","}
+
+
+def application(text, i):
+    """The text of the application whose function name ends at [i]:
+    up to a closing bracket or a stop token outside brackets."""
+    depth, end = 0, min(len(text), i + 4000)
+    for m in TOKEN.finditer(text, i, end):
+        t = m.group(0)
+        if t in OPEN:
+            depth += 1
+        elif t in CLOSE:
+            depth -= 1
+            if depth < 0:
+                return text[i : m.start()]
+        elif depth == 0 and t in STOP:
+            return text[i : m.start()]
+    return text[i:end]
 
 
 def used_in_own(ml_text, inner, value):
@@ -158,25 +217,29 @@ def scan():
             for f in sorted(files):
                 if f.endswith((".ml", ".mli")):
                     sources.append(Source(os.path.join(dirpath, f)))
-    rows = []
+    rows, options = [], []
     for src in sources:
         rel = os.path.relpath(src.path, ROOT)
         if not (rel.startswith("lib" + os.sep) and rel.endswith(".mli")):
             continue
         own = src.path[:-1]
         own_text = strip(open(own, encoding="utf-8").read()) if os.path.exists(own) else ""
-        for path, value in vals_of(src.text, module_of(src.path)):
+        for path, value, opts in vals_of(src.text, module_of(src.path)):
             inner = path[-1]
+            key = ".".join(path + [value])
             others = [s for s in sources if s.path not in (src.path, own) and s.names(inner, value)]
             in_test = [s for s in others if os.path.relpath(s.path, ROOT).startswith("test" + os.sep)]
+            callers = [s for s in others if s not in in_test]
+            for opt in opts:
+                options.append((f"{key}?{opt}", rel, any(s.passes(inner, value, opt) for s in callers)))
             if len(others) > len(in_test):
                 cls = "called"
             elif in_test:
                 cls = "test-used" if used_in_own(own_text, inner, value) else "test-only"
             else:
                 cls = "unnamed"
-            rows.append((".".join(path + [value]), rel, cls))
-    return rows
+            rows.append((key, rel, cls))
+    return rows, options
 
 
 def load_allow():
@@ -194,10 +257,12 @@ def load_allow():
 
 
 def main():
-    rows = scan()
+    rows, options = scan()
     if "--list" in sys.argv[1:]:
         for key, rel, cls in rows:
             print(f"{cls:10} {key:40} {rel}")
+        for key, rel, passed in options:
+            print(f"{'passed' if passed else 'unpassed':10} {key:40} {rel}")
         return 0
     allow = load_allow()
     needed = set()
@@ -210,12 +275,23 @@ def main():
                 needed.add(key)
             else:
                 bad.append(f"{rel}: {key} is named only under test/ and unused in its own module")
+    for key, rel, passed in options:
+        if passed:
+            continue
+        if key in allow:
+            needed.add(key)
+        else:
+            bad.append(f"{rel}: {key} is passed by no caller outside its module and test/")
     for key, ln in sorted(allow.items(), key=lambda kv: kv[1]):
         if key not in needed:
-            bad.append(f"exports.allow:{ln}: {key} is not a test-only val")
+            kind = "an unpassed option" if "?" in key else "a test-only val"
+            bad.append(f"exports.allow:{ln}: {key} is not {kind}")
     for line in bad:
         print(line)
-    print(f"export scan: {len(rows)} vals, {len(needed)} allowlisted, {len(bad)} problem(s)")
+    print(
+        f"export scan: {len(rows)} vals, {len(options)} options, "
+        f"{len(needed)} allowlisted, {len(bad)} problem(s)"
+    )
     return 1 if bad else 0
 
 

@@ -71,10 +71,6 @@ let test_actor_adverse_pairs () =
   Alcotest.(check bool) "designer vs content provider aligned" false
     (Actor.adverse (mk Actor.Designer) (mk Actor.Content_provider))
 
-let test_actor_negative_power () =
-  Alcotest.check_raises "power" (Invalid_argument "Actor.make: negative power")
-    (fun () -> ignore (Actor.make ~power:(-1.0) ~id:0 ~name:"x" Actor.User))
-
 (* ---------- Mechanism ---------- *)
 
 let test_mechanism_counter_simple () =
@@ -422,7 +418,6 @@ let () =
           Alcotest.test_case "defaults" `Quick test_actor_defaults;
           Alcotest.test_case "utility sign" `Quick test_actor_utility_sign;
           Alcotest.test_case "adverse pairs" `Quick test_actor_adverse_pairs;
-          Alcotest.test_case "negative power" `Quick test_actor_negative_power;
         ] );
       ( "mechanism",
         [

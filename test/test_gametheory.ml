@@ -263,11 +263,10 @@ let test_repeated_grim_punishes_forever () =
 
 let test_repeated_discounting () =
   let r =
-    Repeated.play ~delta:0.5 ~rounds:3 pd Repeated.all_cooperate
-      Repeated.all_cooperate
+    Repeated.play ~rounds:3 pd Repeated.all_cooperate Repeated.all_cooperate
   in
-  (* 3 + 1.5 + 0.75 *)
-  check_float "discounted" 5.25 r.Repeated.payoff_a
+  (* no discounting: 3 + 3 + 3 *)
+  check_float "undiscounted" 9.0 r.Repeated.payoff_a
 
 let test_repeated_tournament_tft_beats_alld_population () =
   let roster =
@@ -363,7 +362,7 @@ let test_bestresponse_cycle_detected () =
     }
   in
   Alcotest.(check bool) "cycles" true
-    (Bestresponse.converge ~max_sweeps:50 g ~init:[| 0; 0 |] = None);
+    (Bestresponse.converge g ~init:[| 0; 0 |] = None);
   Alcotest.(check int) "no pure nash" 0 (List.length (Bestresponse.all_pure_nash g))
 
 let test_bestresponse_validation () =

@@ -71,7 +71,7 @@ let test_trust_mediated_firewall_in_net () =
     else None
   in
   let net = Net.create links forwarding in
-  Net.add_middlebox net 3 (Middlebox.trust_firewall ~admits ());
+  Net.add_middlebox net 3 (Middlebox.trust_firewall ~admits);
   let engine = Engine.create () in
   Net.inject net engine (Packet.make ~id:0 ~src:0 ~dst:3 ~created:0.0 ());
   Net.inject net engine (Packet.make ~id:1 ~src:2 ~dst:3 ~created:0.0 ());
@@ -155,7 +155,7 @@ let test_encryption_defeats_dpi_end_to_end () =
   in
   let net = Net.create links forwarding in
   Net.add_middlebox net 1
-    (Middlebox.app_filter ~blocked:[ Packet.File_sharing ] ());
+    (Middlebox.app_filter ~blocked:[ Packet.File_sharing ]);
   let engine = Engine.create () in
   Net.inject net engine
     (Packet.make ~app:Packet.File_sharing ~id:0 ~src:0 ~dst:2 ~created:0.0 ());
@@ -211,8 +211,7 @@ let test_internet_in_a_bottle () =
   let bob_access = tt.Topology.access_of_host bob in
   Net.add_middlebox net bob_access
     (Tussle_netsim.Middlebox.trust_firewall
-       ~admits:(fun ~src ~dst:_ -> Trust_graph.trusts tg ~threshold:0.5 bob src)
-       ());
+       ~admits:(fun ~src ~dst:_ -> Trust_graph.trusts tg ~threshold:0.5 bob src));
   (* 3: alice escrows per-hop carriage payment for the transfer *)
   let ledger =
     Payment.create ~parties:(Tussle_prelude.Graph.node_count plain) ~initial:100.0

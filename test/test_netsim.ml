@@ -451,7 +451,7 @@ let test_topology_grid () =
   Alcotest.(check bool) "connected" true (Graph.is_connected g)
 
 let test_topology_tree () =
-  let g = Topology.tree ~arity:2 ~depth:3 () in
+  let g = Topology.tree ~arity:2 ~depth:3 in
   Alcotest.(check int) "nodes" 15 (Graph.node_count g);
   Alcotest.(check bool) "connected" true (Graph.is_connected g)
 
@@ -566,7 +566,7 @@ let test_middlebox_port_filter () =
   Alcotest.(check int) "inspected" 2 (Middlebox.inspected mb)
 
 let test_middlebox_app_filter () =
-  let mb = Middlebox.app_filter ~blocked:[ Packet.File_sharing ] () in
+  let mb = Middlebox.app_filter ~blocked:[ Packet.File_sharing ] in
   let plain = mk_packet ~app:Packet.File_sharing 0 in
   Alcotest.(check bool) "drops plain" true (Middlebox.decide mb plain = Middlebox.Drop);
   (* DPI sees through a plain tunnel?  No: visible_app is None when
@@ -579,7 +579,7 @@ let test_middlebox_app_filter () =
     (Middlebox.decide mb enc = Middlebox.Forward)
 
 let test_middlebox_trust_firewall () =
-  let mb = Middlebox.trust_firewall ~admits:(fun ~src ~dst:_ -> src <> 0) () in
+  let mb = Middlebox.trust_firewall ~admits:(fun ~src ~dst:_ -> src <> 0) in
   Alcotest.(check bool) "blocks untrusted" true
     (Middlebox.decide mb (mk_packet 0) = Middlebox.Drop);
   let p = Packet.make ~id:1 ~src:5 ~dst:9 ~created:0.0 () in
@@ -593,7 +593,7 @@ let test_middlebox_wiretap () =
   Alcotest.(check int) "tap count" 1 (Middlebox.tapped mb)
 
 let test_middlebox_qos_stripper () =
-  let mb = Middlebox.qos_stripper ~honor:(fun _ -> false) () in
+  let mb = Middlebox.qos_stripper ~honor:(fun _ -> false) in
   let premium = mk_packet ~qos:Packet.Premium 0 in
   Alcotest.(check bool) "degrades" true
     (Middlebox.decide mb premium = Middlebox.Degrade);
@@ -671,15 +671,14 @@ let test_net_ttl () =
   let g = Graph.create 2 in
   Graph.add_undirected g 0 1
     (Link.make ~latency:0.001 ~bandwidth_bps:1e9 ());
-  let net =
-    Net.create ~ttl:8 g (fun ~node ~target:_ _ -> Some (1 - node))
-  in
+  let net = Net.create g (fun ~node ~target:_ _ -> Some (1 - node)) in
   let engine = Engine.create () in
-  (* dst 5 is never reached; TTL must kill it.  Use dst outside graph is
-     invalid; use dst 1 but forwarding bounces: node 1 forwards to 0... *)
+  (* a source route bouncing between 0 and 1 for longer than the
+     64-hop bound: TTL must kill the packet before it reaches dst 1 *)
   let p = Packet.make ~id:0 ~src:0 ~dst:1 ~created:0.0 () in
-  (* make node 1 bounce by source_route forcing an unreachable waypoint *)
-  let p = { p with Packet.source_route = [ 0; 1; 0; 1; 0; 1; 0; 1; 0 ] } in
+  let p =
+    { p with Packet.source_route = List.init 65 (fun i -> i mod 2) }
+  in
   Net.inject net engine p;
   Engine.run engine;
   match Net.outcomes net with
@@ -711,9 +710,9 @@ let test_net_queue_loss () =
    exactly the reason in its outcome ledger. *)
 let test_drop_of_flight_roundtrip () =
   let module Flight = Tussle_obs.Flight in
-  let recorded ?ttl ?(forwarding = line_forwarding) ?(packets = 1) arm =
+  let recorded ?(forwarding = line_forwarding) ?(packets = 1) arm =
     let links = line_links 4 in
-    let net = Net.create ?ttl links forwarding in
+    let net = Net.create links forwarding in
     arm net (fun u v -> Option.get (Graph.find_edge links u v));
     let engine = Engine.create () in
     Flight.enable ();
@@ -754,7 +753,9 @@ let test_drop_of_flight_roundtrip () =
         recorded (fun net _ ->
             Net.add_middlebox net 1
               (Middlebox.make ~name:"odd:name:" (fun _ -> Middlebox.Drop))) );
-      (Net.Ttl_exceeded, recorded ~ttl:2 (fun _ _ -> ()));
+      ( Net.Ttl_exceeded,
+        recorded ~forwarding:(fun ~node ~target:_ _ -> Some (1 - node))
+          (fun _ _ -> ()) );
       (Net.Link_down (1, 2), recorded (fun _ link -> Link.set_up (link 1 2) false));
       (Net.Fault_loss (1, 2), recorded (faulty (fun l -> Link.set_loss_prob l 1.0)));
       (Net.Corrupted (1, 2), recorded (faulty (fun l -> Link.set_corrupt_prob l 1.0)));
@@ -789,7 +790,7 @@ let test_drop_of_flight_roundtrip () =
     ]
 
 let test_net_degraded_flag () =
-  let mb = Middlebox.qos_stripper ~honor:(fun _ -> false) () in
+  let mb = Middlebox.qos_stripper ~honor:(fun _ -> false) in
   let net = Net.create (line_links 4) line_forwarding in
   Net.add_middlebox net 1 mb;
   let engine = Engine.create () in
@@ -902,7 +903,7 @@ let test_congestion_validation () =
 module Cache = Tussle_netsim.Cache
 
 let test_cache_hit_miss () =
-  let c = Cache.create ~capacity:2 ~app:Packet.Web () in
+  let c = Cache.create ~app:Packet.Web in
   Alcotest.(check bool) "cold miss" false (Cache.lookup c ~key:1);
   Cache.insert c ~key:1;
   Alcotest.(check bool) "warm hit" true (Cache.lookup c ~key:1);
@@ -911,18 +912,20 @@ let test_cache_hit_miss () =
   check_float "ratio" 0.5 (Cache.hit_ratio c)
 
 let test_cache_lru_eviction () =
-  let c = Cache.create ~capacity:2 ~app:Packet.Web () in
-  Cache.insert c ~key:1;
-  Cache.insert c ~key:2;
+  (* a cache holds 25 objects *)
+  let c = Cache.create ~app:Packet.Web in
+  for key = 1 to 25 do
+    Cache.insert c ~key
+  done;
   ignore (Cache.lookup c ~key:1);
   (* 2 is now least recently used *)
-  Cache.insert c ~key:3;
-  Alcotest.(check int) "size bounded" 2 (Cache.size c);
+  Cache.insert c ~key:26;
+  Alcotest.(check int) "size bounded" 25 (Cache.size c);
   Alcotest.(check bool) "1 kept" true (Cache.lookup c ~key:1);
   Alcotest.(check bool) "2 evicted" false (Cache.lookup c ~key:2)
 
 let test_cache_serves_semantics () =
-  let c = Cache.create ~app:Packet.Web () in
+  let c = Cache.create ~app:Packet.Web in
   let web id = Packet.make ~app:Packet.Web ~port:8001 ~id ~src:0 ~dst:9 ~created:0.0 () in
   Alcotest.(check bool) "first fetch misses" false (Cache.serves c (web 0));
   Alcotest.(check bool) "second fetch hits" true (Cache.serves c (web 1));
@@ -1132,9 +1135,7 @@ let test_transport_losses_recovered () =
   let net = Net.create g direct_forwarding in
   let engine = Engine.create () in
   let gen = Traffic.create (Rng.create 2) in
-  let c = Transport.start ~initial_window:32.0 engine net gen ~src:0 ~dst:1
-      ~total_packets:100
-  in
+  let c = Transport.start engine net gen ~src:0 ~dst:1 ~total_packets:100 in
   Engine.run ~until:120.0 engine;
   Alcotest.(check bool) "losses occurred" true (Transport.losses c > 0);
   Alcotest.(check bool) "retransmitted" true (Transport.retransmissions c > 0);
@@ -1192,8 +1193,9 @@ let test_transport_survives_down_window () =
   Engine.schedule engine 0.1 (fun _ -> Link.set_up link false);
   Engine.schedule engine 0.8 (fun _ -> Link.set_up link true);
   let c =
-    Transport.start ~rto_backoff:2.0 ~rto_max:1.0 ~max_retries:20 engine net
-      gen ~src:0 ~dst:1 ~total_packets:100
+    Transport.start
+      ~retry:(Transport.retry ~jitter:(Rng.create 21) ~budget:20)
+      engine net gen ~src:0 ~dst:1 ~total_packets:100
   in
   Engine.run ~until:120.0 engine;
   Alcotest.(check int) "engine drained" 0 (Engine.pending engine);
@@ -1202,18 +1204,20 @@ let test_transport_survives_down_window () =
     (Transport.status c = Transport.Completed);
   Alcotest.(check bool) "retransmissions counted" true
     (Transport.retransmissions c > 0);
-  Alcotest.(check bool) "timeouts counted" true (Transport.timeouts c > 0)
+  Alcotest.(check bool) "timeouts counted" true (Transport.losses c > 0)
 
 let test_transport_abandons_dead_path () =
-  (* the link never comes back: the connection must give up after
-     max_retries and let the engine drain — never hang it *)
+  (* the link never comes back: the connection must give up once a
+     packet spends its retry budget and let the engine drain — never
+     hang it *)
   let net, link = faultable_net () in
   let engine = Engine.create () in
   let gen = Traffic.create (Rng.create 12) in
   Link.set_up link false;
   let c =
-    Transport.start ~rto_backoff:2.0 ~rto_max:0.5 ~max_retries:3 engine net
-      gen ~src:0 ~dst:1 ~total_packets:50
+    Transport.start
+      ~retry:(Transport.retry ~jitter:(Rng.create 22) ~budget:3)
+      engine net gen ~src:0 ~dst:1 ~total_packets:50
   in
   Engine.run ~until:120.0 engine;
   Alcotest.(check int) "engine drained" 0 (Engine.pending engine);
@@ -1234,8 +1238,9 @@ let test_transport_stalled_probe () =
   let gen = Traffic.create (Rng.create 13) in
   Link.set_up link false;
   let c =
-    Transport.start ~rto_backoff:2.0 ~rto_max:2.0 ~max_retries:50 engine net
-      gen ~src:0 ~dst:1 ~total_packets:10
+    Transport.start
+      ~retry:(Transport.retry ~jitter:(Rng.create 23) ~budget:50)
+      engine net gen ~src:0 ~dst:1 ~total_packets:10
   in
   Engine.run ~until:5.0 engine;
   (* no ack ever arrived: the connection is alive but stalled *)
@@ -1248,24 +1253,9 @@ let test_transport_stalled_probe () =
     (not (Transport.stalled c ~now:(Engine.now engine) ~idle:1.0))
 
 let test_transport_resilience_validation () =
-  let net, _ = faultable_net () in
-  let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 14) in
-  Alcotest.check_raises "backoff < 1"
-    (Invalid_argument "Transport.start: backoff < 1") (fun () ->
-      ignore
-        (Transport.start ~rto_backoff:0.5 engine net gen ~src:0 ~dst:1
-           ~total_packets:1));
-  Alcotest.check_raises "jitter without rng"
-    (Invalid_argument "Transport.start: jitter needs jitter_rng") (fun () ->
-      ignore
-        (Transport.start ~rto_jitter:0.2 engine net gen ~src:0 ~dst:1
-           ~total_packets:1));
-  Alcotest.check_raises "max_retries < 1"
-    (Invalid_argument "Transport.start: max_retries < 1") (fun () ->
-      ignore
-        (Transport.start ~max_retries:0 engine net gen ~src:0 ~dst:1
-           ~total_packets:1))
+  Alcotest.check_raises "budget < 1"
+    (Invalid_argument "Transport.retry: budget < 1") (fun () ->
+      ignore (Transport.retry ~jitter:(Rng.create 14) ~budget:0))
 
 let () =
   Alcotest.run "netsim"

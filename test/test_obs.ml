@@ -522,16 +522,20 @@ let test_span_nesting () =
 
 let test_span_ring_overwrite () =
   obs_off ();
-  Trace.enable ~capacity:4 ();
-  (* a fresh domain gets a fresh ring at the current capacity *)
+  Trace.enable ();
+  (* a fresh domain gets a fresh ring *)
   let d =
     Domain.spawn (fun () ->
-        for i = 1 to 10 do
+        for i = 1 to Ring.capacity + 6 do
           Trace.with_span (Printf.sprintf "s%d" i) (fun () -> ())
         done)
   in
   Domain.join d;
-  Alcotest.(check int) "ring keeps newest 4" 4 (List.length (Trace.events ()));
+  let evs = Trace.events () in
+  Alcotest.(check int) "ring keeps a full ring" Ring.capacity (List.length evs);
+  let kept name = List.exists (fun e -> e.Trace.name = name) evs in
+  Alcotest.(check bool) "the 6 oldest overwritten" true
+    (kept "s7" && not (kept "s6"));
   Alcotest.(check int) "dropped counted" 6 (Trace.dropped ());
   obs_off ()
 
@@ -574,22 +578,21 @@ let test_flight_disabled_inert () =
 
 let test_flight_ring_overwrite () =
   flight_off ();
-  Flight.enable ~capacity:4 ();
+  Flight.enable ();
   Flight.reset ();
-  (* a fresh domain gets a fresh ring at the just-set capacity (the
-     calling domain's ring, if any, was registered at its old size) *)
+  (* a fresh domain gets a fresh ring *)
   let d =
     Domain.spawn (fun () ->
-        for i = 0 to 9 do
+        for i = 0 to Ring.capacity + 5 do
           Flight.emit ~sim_t:(float_of_int i) ~flow:i ~node:i ~peer:(-1)
             ~detail:"" ~value:0.0 "e"
         done)
   in
   Domain.join d;
   let evs = Flight.events () in
-  Alcotest.(check int) "capacity retained" 4 (List.length evs);
+  Alcotest.(check int) "capacity retained" Ring.capacity (List.length evs);
   Alcotest.(check (list int))
-    "newest events win" [ 6; 7; 8; 9 ]
+    "newest events win" (List.init Ring.capacity (fun i -> i + 6))
     (List.map (fun e -> e.Flight.flow) evs);
   Alcotest.(check int) "overwritten counted" 6 (Flight.dropped ());
   flight_off ()
@@ -610,10 +613,12 @@ let test_flight_flow_ids () =
 (* The ring against a list model.  Events are (key, id) and [compare]
    sees only the key, so ties keep the order the ring hands to the
    stable sort: each ring's slot order, push i sitting in slot
-   i mod capacity. *)
+   i mod capacity.  A batch's length is drawn uniformly up to two
+   wraps, or at a wrap boundary; its keys come from a seeded stream. *)
 let by_key (a, _) (b, _) = Int.compare a b
 
-let ring_model ~cap pushes =
+let ring_model pushes =
+  let cap = Ring.capacity in
   let n = List.length pushes in
   List.filteri (fun i _ -> i >= n - cap) pushes
   |> List.mapi (fun j ev -> ((max 0 (n - cap) + j) mod cap, ev))
@@ -621,18 +626,29 @@ let ring_model ~cap pushes =
   |> List.map snd |> List.stable_sort by_key
 
 let prop_ring_matches_model =
-  QCheck2.Test.make ~name:"events/dropped/reset equal the list model" ~count:300
+  let cap = Ring.capacity in
+  let batch =
     QCheck2.Gen.(
-      int_range 1 8 >>= fun cap ->
-      let batch = list_size (int_range 0 ((2 * cap) + 3)) (int_bound 3) in
-      triple (pure cap) batch batch)
-    (fun (cap, first, second) ->
+      pair
+        (oneof
+           [ int_range 0 ((2 * cap) + 3);
+             oneofl [ 1; cap - 1; cap; cap + 1; (2 * cap) - 1; 2 * cap ] ])
+        int)
+  in
+  let keys (n, seed) =
+    let st = Random.State.make [| seed |] in
+    List.init n (fun _ -> Random.State.int st 4)
+  in
+  QCheck2.Test.make ~name:"events/dropped/reset equal the list model" ~count:10
+    QCheck2.Gen.(pair batch batch)
+    (fun (first, second) ->
       let r = Ring.create ~compare:by_key in
-      Ring.enable r ~capacity:cap ();
-      let agrees keys =
+      Ring.enable r;
+      let agrees batch =
+        let keys = keys batch in
         let pushes = List.mapi (fun id k -> (k, id)) keys in
         List.iter (Ring.push r) pushes;
-        Ring.events r = ring_model ~cap pushes
+        Ring.events r = ring_model pushes
         && Ring.dropped r = max 0 (List.length keys - cap)
         && Ring.pushed r = List.length keys
       in
@@ -643,7 +659,7 @@ let prop_ring_matches_model =
 (* Reset lets go of what the ring held. *)
 let test_ring_reset_releases () =
   let r = Ring.create ~compare:compare in
-  Ring.enable r ~capacity:8 ();
+  Ring.enable r;
   let weak = Weak.create 5 in
   let push_fresh i =
     let ev = Bytes.make 16 (Char.chr (65 + i)) in
@@ -665,7 +681,7 @@ let test_ring_reset_releases () =
 let test_ring_events_allocation () =
   if Sys.backend_type = Sys.Native then begin
     let r = Ring.create ~compare:Int.compare in
-    Ring.enable r ~capacity:65536 ();
+    Ring.enable r;
     for i = 1 to 10 do
       Ring.push r i
     done;
@@ -691,7 +707,7 @@ let sample_report () =
       allocated_bytes = 4096.0;
     }
   in
-  Report.make ~label:"test-battery"
+  Report.make
     ~pool:
       {
         Report.workers = 2;

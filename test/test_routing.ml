@@ -268,16 +268,6 @@ let test_pathvector_peer_not_transited () =
   Alcotest.(check bool) "A cannot transit B to C" false
     (Pathvector.reachable pv ~src:0 ~dst:2)
 
-let test_pathvector_export_filter () =
-  (* a refusal filter that stops node 1 from exporting anything to 0 *)
-  let g = internal_graph (Topology.line 3) in
-  let filter u w _r = not (u = 1 && w = 0) in
-  let pv = Pathvector.compute ~export_filter:filter g in
-  Alcotest.(check bool) "0 cut off from 2" false
-    (Pathvector.reachable pv ~src:0 ~dst:2);
-  Alcotest.(check bool) "reverse still works" true
-    (Pathvector.reachable pv ~src:2 ~dst:0)
-
 let test_pathvector_visibility_less_than_linkstate () =
   let tt = two_tier_fixture 17 in
   let g = tt.Topology.graph in
@@ -698,7 +688,6 @@ let () =
             test_pathvector_prefers_customer_routes;
           Alcotest.test_case "peers not transited" `Quick
             test_pathvector_peer_not_transited;
-          Alcotest.test_case "export filter" `Quick test_pathvector_export_filter;
           Alcotest.test_case "visibility vs linkstate" `Quick
             test_pathvector_visibility_less_than_linkstate;
           Alcotest.test_case "convergence" `Quick test_pathvector_converges;

@@ -304,21 +304,6 @@ let test_mean_ci_brackets () =
   let lo99, hi99 = Test.mean_ci ~confidence:0.99 xs in
   Alcotest.(check bool) "wider at 99%" true (lo99 <= lo && hi >= hi && hi99 >= hi)
 
-let test_bootstrap_ci () =
-  let xs = vs in
-  let a = Test.bootstrap_mean_ci ~seed:7 xs in
-  let b = Test.bootstrap_mean_ci ~seed:7 xs in
-  Alcotest.(check (pair (float 0.0) (float 0.0))) "deterministic per seed" a b;
-  let lo, hi = a in
-  let m = Stats.mean xs in
-  Alcotest.(check bool) "brackets the sample mean" true (lo <= m && m <= hi);
-  let t_lo, t_hi = Test.mean_ci xs in
-  (* same ballpark as the t interval on well-behaved data *)
-  Alcotest.(check bool) "comparable to t interval" true
-    (Float.abs (lo -. t_lo) < 0.5 && Float.abs (hi -. t_hi) < 0.5);
-  let c = Test.bootstrap_mean_ci ~seed:8 xs in
-  Alcotest.(check bool) "seed-sensitive" true (a <> c)
-
 (* ---------- qcheck properties for the Stats primitives ---------- *)
 
 let nonempty_floats =
@@ -357,15 +342,6 @@ let prop_correlation_symmetric_bounded =
       | exception Invalid_argument _ ->
         (* zero variance draw: nothing to check *)
         true)
-
-let prop_histogram_counts_sum =
-  QCheck2.Test.make ~name:"histogram counts sum to n" ~count:300
-    QCheck2.Gen.(pair (int_range 1 20) nonempty_floats)
-    (fun (bins, l) ->
-      let xs = Array.of_list l in
-      let h = Stats.histogram ~bins xs in
-      Array.length h = bins
-      && Array.fold_left (fun acc (_, _, c) -> acc + c) 0 h = Array.length xs)
 
 let prop_sample_variance_vs_population =
   QCheck2.Test.make ~name:"sample variance = n/(n-1) * population" ~count:300
@@ -419,7 +395,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_percentile_50_is_median; prop_summary_ordered;
-      prop_correlation_symmetric_bounded; prop_histogram_counts_sum;
+      prop_correlation_symmetric_bounded;
       prop_sample_variance_vs_population; prop_t_cdf_monotone;
       prop_chi_square_closed_form;
     ]
@@ -466,7 +442,6 @@ let () =
         [
           Alcotest.test_case "t interval pinned" `Quick test_mean_ci_pinned;
           Alcotest.test_case "t interval brackets" `Quick test_mean_ci_brackets;
-          Alcotest.test_case "bootstrap" `Quick test_bootstrap_ci;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -461,9 +461,7 @@ let game id src =
 
 let test_fc_default_allow () =
   let t = Fc.create () in
-  Alcotest.(check bool) "default allow" true (Fc.permits t (game 0 1));
-  let strict = Fc.create ~default_allow:false () in
-  Alcotest.(check bool) "default deny" false (Fc.permits strict (game 0 1))
+  Alcotest.(check bool) "default allow" true (Fc.permits t (game 0 1))
 
 let test_fc_admin_rule_binds () =
   let t = Fc.create () in
