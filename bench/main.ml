@@ -52,6 +52,18 @@ let bench_dijkstra_10k () =
   let g = Lazy.force dijkstra_graph_10k in
   ignore (Graph.dijkstra g ~weight:(fun e -> e.Topology.latency) ~source:0)
 
+let mixed_weights_10k =
+  lazy
+    (let g = Lazy.force dijkstra_graph_10k in
+     let rng = Rng.create 9018 in
+     (g, Graph.weights g (fun _ _ _ -> Rng.float rng 10.0)))
+
+let bench_dijkstra_mixed () =
+  (* B2c: B2b's graph with seeded non-uniform costs, so pushes land on
+     the heap half of the frontier as well as the run *)
+  let g, w = Lazy.force mixed_weights_10k in
+  ignore (Graph.dijkstra_weights g w ~source:0)
+
 let linkstate_links =
   lazy
     (let rng = Rng.create 9010 in
@@ -244,6 +256,7 @@ let microbenchmarks () =
         test "B1 event-loop (10k events)" bench_engine;
         test "B2 dijkstra (BA-500)" bench_dijkstra;
         test "B2b dijkstra (BA-10^4)" bench_dijkstra_10k;
+        test "B2c dijkstra, mixed weights (BA-10^4)" bench_dijkstra_mixed;
         test "B3 path-vector convergence (64 AS)" bench_pathvector;
         test "B4 nash support enumeration" bench_nash;
         test "B5 zero-sum fictitious play (1k iters)" bench_zerosum;

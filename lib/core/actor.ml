@@ -25,7 +25,6 @@ type t = {
   name : string;
   kind : kind;
   stance : Interest.stance;
-  power : float;
 }
 
 let default_stance kind =
@@ -53,12 +52,12 @@ let default_stance kind =
       [ (Innovation, 0.9); (Openness, 0.8); (Transparency, 0.6); (Control, -0.4) ]
 
 let make ~id ~name kind =
-  { id; name; kind; stance = default_stance kind; power = 1.0 }
+  { id; name; kind; stance = default_stance kind }
 
 let utility t outcome = Interest.dot t.stance outcome
 
 let adverse a b = Interest.adverse a.stance b.stance
 
 let pp ppf t =
-  Format.fprintf ppf "%s(%s, power=%.1f) %a" t.name (kind_to_string t.kind)
-    t.power Interest.pp t.stance
+  Format.fprintf ppf "%s(%s) %a" t.name (kind_to_string t.kind) Interest.pp
+    t.stance

@@ -3,8 +3,7 @@
     "At a minimum these players include users ... commercial ISPs ...
     private sector network providers; governments ...; intellectual
     property rights holders ...; and providers of content and higher
-    level services."  Each actor carries a stance over the issues and a
-    power weight (its ability to move outcomes). *)
+    level services."  Each actor carries a stance over the issues. *)
 
 type kind =
   | User
@@ -24,11 +23,10 @@ type t = {
   name : string;
   kind : kind;
   stance : Interest.stance;
-  power : float;  (** non-negative influence weight *)
 }
 
 val make : id:int -> name:string -> kind -> t
-(** Power 1.0 and the kind's {!default_stance}. *)
+(** An actor holding its kind's {!default_stance}. *)
 
 val default_stance : kind -> Interest.stance
 (** The paper's sketch of each player's interests, as a stance vector

@@ -40,15 +40,16 @@ let edge_count g = g.edges
 let check_node g u name =
   if u < 0 || u >= g.n then invalid_arg (name ^ ": node out of range")
 
+(* A copy of [a] with twice the room (8 slots if empty), [fill] past
+   its end. *)
+let widen a fill =
+  let len = Array.length a in
+  let b = Array.make (if len = 0 then 8 else 2 * len) fill in
+  Array.blit a 0 b 0 len;
+  b
+
 let reserve g label =
-  let cap = Array.length g.dst in
-  if g.edges = cap then begin
-    let ncap = if cap = 0 then 8 else 2 * cap in
-    let widen a fill =
-      let b = Array.make ncap fill in
-      Array.blit a 0 b 0 g.edges;
-      b
-    in
+  if g.edges = Array.length g.dst then begin
     g.next <- widen g.next (-1);
     g.later <- widen g.later (-1);
     g.dst <- widen g.dst 0;
@@ -123,60 +124,192 @@ let weights g cost =
   done;
   w
 
-(* The Dijkstra driver both cost sources share.  [scan dist pred
-   frontier u] relaxes [u]'s out-edges, newest first: ties in the heap
-   break on push order, and pred depends on that order when weights
-   are equal.  A node's first pop carries its last and smallest push,
-   so its distance is read from [dist], not from the heap, and a pop
-   allocates nothing. *)
-let spf g ~source scan =
+(* Dijkstra's working memory, one per domain and reused by every call
+   on it.  The frontier has two parts, and a pop takes the smaller head
+   of the two by (key, push order), which is exactly the order of a
+   single [Pqueue]:
+   - the run, a FIFO of entries [run_head, run_tail) that takes every
+     push whose key is at least the key of its last entry, so its keys
+     never decrease and its head is its minimum.  When all costs are
+     equal, every push lands here;
+   - a binary min-heap of [heap_size] entries on (key, seq), [seq]
+     counting heap pushes, which takes every other push.
+   Every heap entry was pushed while the run held a larger key, and the
+   run's last key only grows until the run empties, which it can only
+   do after the heap has: so a run entry with a key equal to a heap
+   entry's was pushed earlier, and on equal keys the run comes first.
+   The arrays only grow, by doubling: the run's to the most pushes one
+   call made onto it, the heap's to the most entries it held at once.
+   The kernel calls no user code, so no call finds them in use. *)
+type scratch = {
+  mutable run_key : float array;
+  mutable run_node : int array;
+  mutable run_head : int;
+  mutable run_tail : int;
+  mutable heap_key : float array;
+  mutable heap_seq : int array;
+  mutable heap_node : int array;
+  mutable heap_size : int;
+}
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      {
+        run_key = [||];
+        run_node = [||];
+        run_head = 0;
+        run_tail = 0;
+        heap_key = [||];
+        heap_seq = [||];
+        heap_node = [||];
+        heap_size = 0;
+      })
+
+let grow_run s =
+  s.run_key <- widen s.run_key 0.0;
+  s.run_node <- widen s.run_node 0
+
+let grow_heap s =
+  s.heap_key <- widen s.heap_key 0.0;
+  s.heap_seq <- widen s.heap_seq 0;
+  s.heap_node <- widen s.heap_node 0
+
+(* The entry at [i] is the newest, so on an equal key it stays below
+   its parent.  The sifts move a hole rather than swapping. *)
+let heap_up s i =
+  let keys = s.heap_key and seqs = s.heap_seq and nodes = s.heap_node in
+  let k = keys.(i) and q = seqs.(i) and v = nodes.(i) in
+  let hole = ref i and moving = ref true in
+  while !moving && !hole > 0 do
+    let p = (!hole - 1) / 2 in
+    let pk = keys.(p) in
+    if k < pk then begin
+      keys.(!hole) <- pk;
+      seqs.(!hole) <- seqs.(p);
+      nodes.(!hole) <- nodes.(p);
+      hole := p
+    end
+    else moving := false
+  done;
+  keys.(!hole) <- k;
+  seqs.(!hole) <- q;
+  nodes.(!hole) <- v
+
+(* Remove the root: the last entry fills the hole it leaves. *)
+let heap_pop s =
+  let keys = s.heap_key and seqs = s.heap_seq and nodes = s.heap_node in
+  let size = s.heap_size - 1 in
+  s.heap_size <- size;
+  let k = keys.(size) and q = seqs.(size) and v = nodes.(size) in
+  let hole = ref 0 and moving = ref (size > 0) in
+  while !moving do
+    let l = (2 * !hole) + 1 in
+    (* the smallest of the held entry and the hole's children *)
+    let c = ref !hole and ck = ref k and cq = ref q in
+    if l < size then begin
+      let lk = keys.(l) in
+      if lk < k || (lk = k && seqs.(l) < q) then begin
+        c := l;
+        ck := lk;
+        cq := seqs.(l)
+      end
+    end;
+    let r = l + 1 in
+    if r < size then begin
+      let rk = keys.(r) in
+      if rk < !ck || (rk = !ck && seqs.(r) < !cq) then c := r
+    end;
+    if !c = !hole then moving := false
+    else begin
+      keys.(!hole) <- keys.(!c);
+      seqs.(!hole) <- seqs.(!c);
+      nodes.(!hole) <- nodes.(!c);
+      hole := !c
+    end
+  done;
+  if size > 0 then begin
+    keys.(!hole) <- k;
+    seqs.(!hole) <- q;
+    nodes.(!hole) <- v
+  end
+
+(* The one Dijkstra kernel.  A node's pushes carry strictly falling
+   keys, so its first pop is the entry whose key equals [dist.(u)] and
+   every later entry for it is stale: no visited marks are needed.
+   Out-edges are relaxed newest first, and [pred] depends on that order
+   when costs tie.  A call allocates only [dist] and [pred] once its
+   domain's scratch has grown. *)
+let spf g (w : weights) ~source =
   check_node g source "Graph.dijkstra";
   let dist = Array.make g.n infinity in
   let pred = Array.make g.n (-1) in
-  let visited = Bytes.make g.n '\000' in
-  (* Room for one entry per node: a node queued again before its first
-     pop is rare on sparse graphs, and the heap still grows if needed.
-     Sizing to the edge count, the true bound, triples the allocation. *)
-  let frontier = Pqueue.create ~capacity:g.n () in
+  let s = Domain.DLS.get scratch in
+  if Array.length s.run_key = 0 then grow_run s;
+  s.run_key.(0) <- 0.0;
+  s.run_node.(0) <- source;
+  s.run_head <- 0;
+  s.run_tail <- 1;
+  s.heap_size <- 0;
   dist.(source) <- 0.0;
-  Pqueue.push frontier 0.0 source;
-  while not (Pqueue.is_empty frontier) do
-    let u = Pqueue.pop_min frontier in
-    if Bytes.get visited u = '\000' then begin
-      Bytes.set visited u '\001';
-      scan dist pred frontier u
+  let seq = ref 0 in
+  while s.run_head < s.run_tail || s.heap_size > 0 do
+    let h = s.run_head in
+    let u =
+      if h < s.run_tail && (s.heap_size = 0 || s.run_key.(h) <= s.heap_key.(0))
+      then begin
+        s.run_head <- h + 1;
+        let u = s.run_node.(h) in
+        if s.run_key.(h) = dist.(u) then u else -1
+      end
+      else begin
+        let u = s.heap_node.(0) in
+        let current = s.heap_key.(0) = dist.(u) in
+        heap_pop s;
+        if current then u else -1
+      end
+    in
+    if u >= 0 then begin
+      let d = dist.(u) in
+      let e = ref g.head.(u) in
+      while !e >= 0 do
+        let c = w.(!e) in
+        if c < 0.0 then invalid_arg "Graph.dijkstra: negative weight";
+        let v = g.dst.(!e) in
+        let nd = d +. c in
+        if nd < dist.(v) then begin
+          dist.(v) <- nd;
+          pred.(v) <- u;
+          let t = s.run_tail in
+          if t = s.run_head || nd >= s.run_key.(t - 1) then begin
+            if t = Array.length s.run_key then grow_run s;
+            s.run_key.(t) <- nd;
+            s.run_node.(t) <- v;
+            s.run_tail <- t + 1
+          end
+          else begin
+            let i = s.heap_size in
+            if i = Array.length s.heap_key then grow_heap s;
+            s.heap_key.(i) <- nd;
+            s.heap_seq.(i) <- !seq;
+            s.heap_node.(i) <- v;
+            s.heap_size <- i + 1;
+            incr seq;
+            heap_up s i
+          end
+        end;
+        e := g.next.(!e)
+      done
     end
   done;
   (dist, pred)
 
-let[@inline] relax dist pred frontier u v d c =
-  if c < 0.0 then invalid_arg "Graph.dijkstra: negative weight";
-  let nd = d +. c in
-  if nd < dist.(v) then begin
-    dist.(v) <- nd;
-    pred.(v) <- u;
-    Pqueue.push frontier nd v
-  end
-
 let dijkstra_weights g (w : weights) ~source =
   if Array.length w <> g.edges then
     invalid_arg "Graph.dijkstra_weights: weights of another graph";
-  spf g ~source (fun dist pred frontier u ->
-      let d = dist.(u) in
-      let e = ref g.head.(u) in
-      while !e >= 0 do
-        relax dist pred frontier u g.dst.(!e) d w.(!e);
-        e := g.next.(!e)
-      done)
+  spf g w ~source
 
 let dijkstra g ~weight ~source =
-  spf g ~source (fun dist pred frontier u ->
-      let d = dist.(u) in
-      let e = ref g.head.(u) in
-      while !e >= 0 do
-        relax dist pred frontier u g.dst.(!e) d (weight g.label.(!e));
-        e := g.next.(!e)
-      done)
+  spf g (weights g (fun _ _ l -> weight l)) ~source
 
 let bfs_order g source =
   check_node g source "Graph.bfs_order";

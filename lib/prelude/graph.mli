@@ -40,8 +40,10 @@ val dijkstra :
   'e t -> weight:('e -> float) -> source:int -> float array * int array
 (** [dijkstra g ~weight ~source] returns [(dist, pred)]: distance from
     [source] to every node ([infinity] if unreachable) and predecessor node
-    ([-1] for the source and unreachable nodes).  [weight] must be
-    non-negative; a negative weight raises [Invalid_argument]. *)
+    ([-1] for the source and unreachable nodes).  It is {!weights}
+    followed by {!dijkstra_weights}: [weight] is evaluated once per edge,
+    reachable or not, before the search starts.  A negative weight on an
+    edge the search relaxes raises [Invalid_argument]. *)
 
 type weights
 (** One cost per edge of a graph, evaluated once and then fixed: later
@@ -53,7 +55,9 @@ val weights : 'e t -> (int -> int -> 'e -> float) -> weights
 
 val dijkstra_weights : 'e t -> weights -> source:int -> float array * int array
 (** {!dijkstra} against costs taken by {!weights} from the same graph.
-    Raises [Invalid_argument] if [g] has gained edges since. *)
+    Raises [Invalid_argument] if [g] has gained edges since.  The
+    search's frontier is reused by every call on the same domain, so a
+    call allocates only its [dist] and [pred]. *)
 
 val is_connected : 'e t -> bool
 (** True when every node is reachable from node 0 in the underlying

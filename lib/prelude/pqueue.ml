@@ -20,15 +20,7 @@ type 'a t = {
    representation stays consistent. *)
 let dummy : 'a. unit -> 'a = fun () -> Obj.magic 0
 
-let create ?(capacity = 0) () =
-  if capacity < 0 then invalid_arg "Pqueue.create: negative capacity";
-  {
-    keys = Array.make capacity nan;
-    seqs = Array.make capacity (-1);
-    vals = Array.make capacity (dummy ());
-    size = 0;
-    next_seq = 0;
-  }
+let create () = { keys = [||]; seqs = [||]; vals = [||]; size = 0; next_seq = 0 }
 
 let length q = q.size
 

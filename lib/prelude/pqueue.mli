@@ -1,9 +1,10 @@
 (** Mutable binary-heap priority queue (min-heap by a user-supplied key).
 
-    Used as the event queue of the discrete-event simulator and as the
-    frontier of shortest-path searches.  Ties are broken by insertion
-    order (FIFO among equal keys), which discrete-event simulation
-    requires for determinism.
+    Used as the event queue of the discrete-event simulator; the
+    shortest-path searches of {!Graph} keep a frontier of their own with
+    the same order.  Ties are broken by insertion order (FIFO among
+    equal keys), which discrete-event simulation requires for
+    determinism.
 
     The heap is struct-of-arrays (parallel key/seq/payload arrays): a
     push is three array writes and allocates nothing, and the
@@ -13,11 +14,8 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** Empty queue with float keys and room for [capacity] elements
-    (default 0) before its arrays first grow.  A caller that knows a
-    bound on the queue's size, as Dijkstra does, allocates once.
-    Raises [Invalid_argument] on a negative capacity. *)
+val create : unit -> 'a t
+(** Empty queue with float keys; its arrays grow by doubling. *)
 
 val length : 'a t -> int
 

@@ -53,7 +53,6 @@ let test_interest_scale () =
 
 let test_actor_defaults () =
   let u = Actor.make ~id:0 ~name:"alice" Actor.User in
-  check_float "power" 1.0 u.Actor.power;
   Alcotest.(check bool) "privacy positive" true
     (Interest.weight u.Actor.stance Interest.Privacy > 0.0)
 

@@ -558,19 +558,6 @@ let test_pqueue_pop_releases () =
       false (Weak.check w i)
   done
 
-let test_pqueue_capacity () =
-  (* a preallocated queue behaves like a grown one, past its capacity
-     too, FIFO ties included *)
-  let q = Pqueue.create ~capacity:2 () in
-  List.iter (fun (k, v) -> Pqueue.push q k v)
-    [ (2.0, "c"); (1.0, "a"); (2.0, "d"); (1.0, "b"); (0.5, "z") ];
-  Alcotest.(check (list (pair (float 0.0) string))) "order"
-    [ (0.5, "z"); (1.0, "a"); (1.0, "b"); (2.0, "c"); (2.0, "d") ]
-    (Pqueue.to_sorted_list q);
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Pqueue.create: negative capacity") (fun () ->
-      ignore (Pqueue.create ~capacity:(-1) ()))
-
 let test_pqueue_drain_after_leak_fix () =
   (* Slot clearing must not change observable behaviour: same length
      accounting, same drain order, and the queue stays reusable. *)
@@ -677,6 +664,38 @@ let test_graph_weights_snapshot () =
   Alcotest.check_raises "stale"
     (Invalid_argument "Graph.dijkstra_weights: weights of another graph")
     (fun () -> ignore (Graph.dijkstra_weights g w ~source:0))
+
+(* Native only, with [Gc.minor] first so no collection falls inside
+   the window.  Once a call has grown its domain's scratch, a row on a
+   BA(1000, 2) graph allocates its [dist] and [pred] (n + 1 words
+   each, straight into the major heap), the pair holding them and
+   [Gc.counters]' own result: no boxed key and no frontier.  Uniform
+   costs push only onto the run, seeded mixed ones onto the heap too. *)
+let test_graph_row_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 1000 in
+    let g = Tussle_netsim.Topology.barabasi_albert (Rng.create 9010) n 2 in
+    let rng = Rng.create 9011 in
+    List.iter
+      (fun (name, cost) ->
+        let w = Graph.weights g cost in
+        ignore (Graph.dijkstra_weights g w ~source:0);
+        Gc.minor ();
+        let minor0, promoted0, major0 = Gc.counters () in
+        ignore (Graph.dijkstra_weights g w ~source:0);
+        let minor1, promoted1, major1 = Gc.counters () in
+        let words =
+          minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+        in
+        let bound = float_of_int (2 * (n + 1)) +. 16.0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %.0f words <= %.0f" name words bound)
+          true (words <= bound))
+      [
+        ("uniform", fun _ _ e -> e.Tussle_netsim.Topology.latency);
+        ("mixed", fun _ _ _ -> Rng.float rng 10.0);
+      ]
+  end
 
 let test_graph_bfs_connected () =
   let g = Graph.create 4 in
@@ -812,40 +831,6 @@ let prop_pqueue_matches_model =
         ops
       && Pqueue.length q = List.length !model)
 
-(* A naive copy of the list-based Dijkstra that the flat graph
-   replaced, kept here as an oracle: adjacency lists in reverse
-   insertion order, one option/tuple per pop, a closure per relaxation.
-   It shares [Pqueue], so ties break on the same (key, seq) order. *)
-let reference_dijkstra n edges ~source =
-  let adj = Array.make n [] in
-  List.iter (fun (u, v, w) -> adj.(u) <- (v, w) :: adj.(u)) edges;
-  let dist = Array.make n infinity in
-  let pred = Array.make n (-1) in
-  let visited = Array.make n false in
-  let frontier = Pqueue.create () in
-  dist.(source) <- 0.0;
-  Pqueue.push frontier 0.0 source;
-  let rec loop () =
-    match Pqueue.pop frontier with
-    | None -> ()
-    | Some (d, u) ->
-      if not visited.(u) then begin
-        visited.(u) <- true;
-        let relax (v, w) =
-          let nd = d +. w in
-          if nd < dist.(v) then begin
-            dist.(v) <- nd;
-            pred.(v) <- u;
-            Pqueue.push frontier nd v
-          end
-        in
-        List.iter relax adj.(u)
-      end;
-      loop ()
-  in
-  loop ();
-  (dist, pred)
-
 (* Small graphs, so multi-edges and unreachable nodes are common, with
    weights drawn from the cases that stress tie-breaking and masking:
    zero, a shared unit weight, infinity, and arbitrary values.  With
@@ -868,15 +853,19 @@ let print_graph (n, edges) =
     (String.concat " "
        (List.map (fun (u, v, w) -> Printf.sprintf "%d>%d:%h" u v w) edges))
 
+(* Both entry points, from every source: [dijkstra] with a closure
+   and [dijkstra_weights] with a snapshot, which run one kernel. *)
 let prop_dijkstra_matches_reference =
   QCheck2.Test.make ~name:"flat dijkstra equals the list reference" ~count:500
     ~print:print_graph graph_gen (fun (n, edges) ->
       let g = Graph.create n in
       List.iter (fun (u, v, w) -> Graph.add_edge g u v w) edges;
+      let w = Graph.weights g (fun _ _ c -> c) in
       List.for_all
         (fun source ->
-          Graph.dijkstra g ~weight:Fun.id ~source
-          = reference_dijkstra n edges ~source)
+          let expected = Graph_oracle.dijkstra n edges ~source in
+          Graph.dijkstra g ~weight:Fun.id ~source = expected
+          && Graph.dijkstra_weights g w ~source = expected)
         (List.init n Fun.id))
 
 let qcheck_cases =
@@ -973,7 +962,6 @@ let () =
             test_pqueue_pop_releases;
           Alcotest.test_case "drain after leak fix" `Quick
             test_pqueue_drain_after_leak_fix;
-          Alcotest.test_case "capacity" `Quick test_pqueue_capacity;
         ] );
       ( "graph",
         [
@@ -986,6 +974,7 @@ let () =
           Alcotest.test_case "float labels grow" `Quick
             test_graph_float_labels_grow;
           Alcotest.test_case "weights snapshot" `Quick test_graph_weights_snapshot;
+          Alcotest.test_case "row allocation" `Quick test_graph_row_allocation;
           Alcotest.test_case "bfs/connected" `Quick test_graph_bfs_connected;
           Alcotest.test_case "transpose" `Quick test_graph_transpose;
           Alcotest.test_case "map edges" `Quick test_graph_map_edges;

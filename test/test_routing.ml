@@ -51,8 +51,9 @@ let test_linkstate_disconnected () =
     (Linkstate.distance ls ~src:0 ~dst:2)
 
 (* The eager all-pairs table that the lazy one replaced, kept as an
-   oracle: it withdraws [down] links by a list scan, runs Dijkstra from
-   every source up front, and reads next hops off full paths. *)
+   oracle: it withdraws [down] links by a list scan, runs the list
+   Dijkstra of [Graph_oracle] from every source up front, and reads
+   next hops off full paths. *)
 module Eager = struct
   module Link = Tussle_netsim.Link
 
@@ -66,21 +67,19 @@ module Eager = struct
     let norm (u, v) = if u <= v then (u, v) else (v, u) in
     let dead = List.map norm down in
     let n = Graph.node_count links in
-    let g = Graph.create n in
-    Graph.iter_edges links (fun u v l ->
-        let cost =
-          if List.mem (norm (u, v)) dead then infinity
-          else match metric with `Latency -> Link.latency l | `Hops -> 1.0
-        in
-        Graph.add_edge g u v cost);
-    let rows =
-      Array.init n (fun source -> Graph.dijkstra g ~weight:Fun.id ~source)
-    in
-    let costs =
-      Graph.fold_edges g ~init:[] ~f:(fun acc u v w ->
-          if Float.is_finite w then (u, v, w) :: acc else acc)
+    let edges =
+      Graph.fold_edges links ~init:[] ~f:(fun acc u v l ->
+          let cost =
+            if List.mem (norm (u, v)) dead then infinity
+            else match metric with `Latency -> Link.latency l | `Hops -> 1.0
+          in
+          (u, v, cost) :: acc)
       |> List.rev
     in
+    let rows =
+      Array.init n (fun source -> Graph_oracle.dijkstra n edges ~source)
+    in
+    let costs = List.filter (fun (_, _, w) -> Float.is_finite w) edges in
     { dist = Array.map fst rows; pred = Array.map snd rows; costs }
 
   let path t ~src ~dst =
