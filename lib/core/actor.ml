@@ -56,8 +56,6 @@ let make ~id ~name kind =
 
 let utility t outcome = Interest.dot t.stance outcome
 
-let adverse a b = Interest.adverse a.stance b.stance
-
 let pp ppf t =
   Format.fprintf ppf "%s(%s) %a" t.name (kind_to_string t.kind) Interest.pp
     t.stance

@@ -26,19 +26,10 @@ type t = {
 }
 
 val make : id:int -> name:string -> kind -> t
-(** An actor holding its kind's {!default_stance}. *)
-
-val default_stance : kind -> Interest.stance
-(** The paper's sketch of each player's interests, as a stance vector
-    (users value privacy/transparency/openness; ISPs revenue and
-    control; governments control and accountability; rights holders
-    control; content providers openness and revenue; designers
-    innovation and openness). *)
+(** An actor holding its kind's default stance. *)
 
 val utility : t -> Interest.stance -> float
 (** [dot (stance actor) outcome]: how much the actor likes an
     outcome. *)
-
-val adverse : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -51,16 +51,10 @@ let alignment a b =
   let na = norm a and nb = norm b in
   if na = 0.0 || nb = 0.0 then 0.0 else dot a b /. (na *. nb)
 
-(* alignment beyond which two stances count as aligned or adverse *)
+(* alignment below which two stances count as adverse *)
 let threshold = 0.25
 
 let adverse a b = alignment a b < -.threshold
-
-let merely_different a b =
-  let al = alignment a b in
-  al >= -.threshold && al <= threshold
-
-let scale k stance = List.map (fun (i, w) -> (i, clamp (k *. w))) stance
 
 let combine stances =
   List.filter_map

@@ -2,10 +2,10 @@
 
     A {e stance} assigns each issue a weight in [-1, 1]: +1 means the
     actor wants the issue maximized (e.g. a user on [Privacy]), -1
-    minimized (e.g. a wiretapping government on the same axis).  The
-    alignment of two stances measures whether their interests are
-    "adverse" or merely "different" (§V-D) — the paper's distinction
-    that decides whether mechanism choice can be mutual. *)
+    minimized (e.g. a wiretapping government on the same axis).  An
+    actor's utility for an outcome is the {!dot} of its stance with
+    the outcome's stance ({!Actor.utility}).  The alignment of two
+    stances measures whether their interests are "adverse" (§V-D). *)
 
 type issue =
   | Transparency  (** packets go in, packets come out *)
@@ -37,12 +37,6 @@ val alignment : stance -> stance -> float
 val adverse : stance -> stance -> bool
 (** [alignment < -0.25]: "interests are simply adverse, and there is
     no win-win way to balance them." *)
-
-val merely_different : stance -> stance -> bool
-(** Alignment within [[-0.25, 0.25]], neither aligned nor adverse: the
-    case where "the choice of mechanism must itself be mutual." *)
-
-val scale : float -> stance -> stance
 
 val combine : stance list -> stance
 (** Issue-wise sum, clamped to [-1, 1]. *)

@@ -32,22 +32,6 @@ let second_price bids =
   | top :: second :: _ ->
     { winners = [ (top.bidder, second.amount) ]; revenue = second.amount }
 
-let vcg_multiunit ~units bids =
-  if units <= 0 then invalid_arg "Auction.vcg_multiunit: non-positive units";
-  validate bids "Auction.vcg_multiunit";
-  let sorted = ranked bids in
-  let rec split k = function
-    | rest when k = 0 -> ([], rest)
-    | [] -> ([], [])
-    | b :: rest ->
-      let won, lost = split (k - 1) rest in
-      (b :: won, lost)
-  in
-  let won, lost = split units sorted in
-  let price = match lost with [] -> 0.0 | l :: _ -> l.amount in
-  let winners = List.map (fun b -> (b.bidder, price)) won in
-  { winners; revenue = price *. float_of_int (List.length winners) }
-
 let utility ~auction ~valuation ~bid ~bidder ~others =
   let outcome = auction ({ bidder; amount = bid } :: others) in
   match List.assoc_opt bidder outcome.winners with

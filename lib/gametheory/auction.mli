@@ -1,12 +1,10 @@
-(** Sealed-bid auctions and VCG: the paper's "prescriptive mechanism
-    design" thread (§II-B, Vickrey 1961).
+(** Sealed-bid auctions: the paper's "prescriptive mechanism design"
+    thread (§II-B, Vickrey 1961).
 
     A Vickrey (second-price) auction is the canonical tussle-free
     mechanism: truthful bidding is dominant, so the information sub-game
     has no tussle left in it.  First-price is the contrast case — bid
-    shading reintroduces strategic play.  The multi-unit VCG allocates
-    [k] identical items and charges each winner the externality they
-    impose. *)
+    shading reintroduces strategic play. *)
 
 type bid = { bidder : int; amount : float }
 
@@ -22,11 +20,6 @@ val first_price : bid list -> outcome
 val second_price : bid list -> outcome
 (** Vickrey: highest bid wins, pays the second-highest bid (0 with a
     single bidder). *)
-
-val vcg_multiunit : units:int -> bid list -> outcome
-(** [units] identical items, unit demand per bidder: the top [units]
-    bidders win; each pays the highest losing bid (the externality under
-    unit demand).  With fewer bidders than units, winners pay 0. *)
 
 val truthful_is_dominant :
   auction:(bid list -> outcome) ->

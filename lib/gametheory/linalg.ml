@@ -36,19 +36,3 @@ let solve a b =
    eliminate 0);
   if not !ok then None
   else Some (Array.init n (fun i -> m.(i).(n) /. m.(i).(i)))
-
-let mat_vec a x =
-  Array.map
-    (fun row ->
-      if Array.length row <> Array.length x then
-        invalid_arg "Linalg.mat_vec: shape";
-      let acc = ref 0.0 in
-      Array.iteri (fun j v -> acc := !acc +. (v *. x.(j))) row;
-      !acc)
-    a
-
-let dot x y =
-  if Array.length x <> Array.length y then invalid_arg "Linalg.dot: shape";
-  let acc = ref 0.0 in
-  Array.iteri (fun i v -> acc := !acc +. (v *. y.(i))) x;
-  !acc

@@ -5,9 +5,3 @@ val solve : float array array -> float array -> float array option
 (** [solve a b] solves [a x = b] by Gaussian elimination with partial
     pivoting.  [None] when [a] is (numerically) singular.  [a] and [b]
     are not mutated.  Raises [Invalid_argument] on shape mismatch. *)
-
-val mat_vec : float array array -> float array -> float array
-(** Matrix-vector product. *)
-
-val dot : float array -> float array -> float
-(** Inner product.  Raises on length mismatch. *)

@@ -2,23 +2,6 @@ type profile = { p : float array; q : float array }
 
 let tol = 1e-9
 
-let mixed_2x2 g =
-  if Normal_form.rows g <> 2 || Normal_form.cols g <> 2 then
-    invalid_arg "Nash.mixed_2x2: game must be 2x2";
-  let a = Normal_form.row_matrix g and b = Normal_form.col_matrix g in
-  (* Column mixes q to make row indifferent:
-     q a00 + (1-q) a01 = q a10 + (1-q) a11. *)
-  let denom_q = a.(0).(0) -. a.(0).(1) -. a.(1).(0) +. a.(1).(1) in
-  let denom_p = b.(0).(0) -. b.(1).(0) -. b.(0).(1) +. b.(1).(1) in
-  if Float.abs denom_q < tol || Float.abs denom_p < tol then None
-  else begin
-    let q = (a.(1).(1) -. a.(0).(1)) /. denom_q in
-    let p = (b.(1).(1) -. b.(1).(0)) /. denom_p in
-    if p > tol && p < 1.0 -. tol && q > tol && q < 1.0 -. tol then
-      Some { p = [| p; 1.0 -. p |]; q = [| q; 1.0 -. q |] }
-    else None
-  end
-
 (* enumerate k-subsets of [0..n-1] *)
 let subsets n k =
   let rec go start k =

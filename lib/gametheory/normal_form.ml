@@ -19,12 +19,6 @@ let make a b =
 
 let zero_sum a = make a (Array.map (Array.map Float.neg) a)
 
-let symmetric a =
-  let r, c = validate a "Normal_form.symmetric" in
-  if r <> c then invalid_arg "Normal_form.symmetric: must be square";
-  let b = Array.init r (fun i -> Array.init c (fun j -> a.(j).(i))) in
-  make a b
-
 let rows g = Array.length g.a
 
 let cols g = Array.length g.a.(0)
@@ -37,16 +31,6 @@ let payoff g i j =
 let row_matrix g = Array.map Array.copy g.a
 
 let col_matrix g = Array.map Array.copy g.b
-
-let is_zero_sum g =
-  let ok = ref true in
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j v -> if Float.abs (v +. g.b.(i).(j)) > 1e-9 then ok := false)
-        row)
-    g.a;
-  !ok
 
 let argmaxes f n =
   let best = ref neg_infinity and acc = ref [] in

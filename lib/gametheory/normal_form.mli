@@ -14,10 +14,6 @@ val make : float array array -> float array array -> t
 (** [make a b].  Both matrices must be non-empty and of identical,
     rectangular shape; raises [Invalid_argument] otherwise. *)
 
-val symmetric : float array array -> t
-(** [symmetric a] gives the column player the transposed payoffs: both
-    players face the same strategic situation. *)
-
 val rows : t -> int
 val cols : t -> int
 
@@ -26,8 +22,6 @@ val payoff : t -> int -> int -> float * float
 
 val row_matrix : t -> float array array
 val col_matrix : t -> float array array
-
-val is_zero_sum : t -> bool
 
 val best_responses_row : t -> int -> int list
 (** Row strategies maximizing row payoff against column's pure [j]. *)

@@ -28,28 +28,6 @@ let grim_trigger =
         if List.exists (fun m -> m = 1) opp_history then 1 else 0);
   }
 
-let pavlov =
-  {
-    name = "pavlov";
-    first = 0;
-    next =
-      (fun ~own_history ~opp_history ->
-        match (own_history, opp_history) with
-        | own :: _, opp :: _ ->
-          (* win-stay (opp cooperated), lose-shift (opp defected) *)
-          if opp = 0 then own else 1 - own
-        | _, _ -> 0);
-  }
-
-let random_strategy rng ~p_cooperate =
-  {
-    name = Printf.sprintf "random(%.2f)" p_cooperate;
-    first = (if Tussle_prelude.Rng.bernoulli rng p_cooperate then 0 else 1);
-    next =
-      (fun ~own_history:_ ~opp_history:_ ->
-        if Tussle_prelude.Rng.bernoulli rng p_cooperate then 0 else 1);
-  }
-
 type match_result = {
   payoff_a : float;
   payoff_b : float;

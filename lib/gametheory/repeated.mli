@@ -18,10 +18,6 @@ val all_cooperate : strategy
 val all_defect : strategy
 val tit_for_tat : strategy
 val grim_trigger : strategy
-val pavlov : strategy
-(** Win-stay lose-shift on the PD payoff convention (0 = cooperate). *)
-
-val random_strategy : Tussle_prelude.Rng.t -> p_cooperate:float -> strategy
 
 type match_result = {
   payoff_a : float;  (** total payoff over all rounds *)

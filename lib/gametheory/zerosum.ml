@@ -63,23 +63,3 @@ let solve ?(iterations = 10_000) a =
 let value_estimate s = (s.value_lower +. s.value_upper) /. 2.0
 
 let gap s = s.value_upper -. s.value_lower
-
-let saddle_point a =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Zerosum.saddle_point: empty matrix";
-  let m = Array.length a.(0) in
-  let row_min i = Array.fold_left Float.min infinity a.(i) in
-  let col_max j =
-    let best = ref neg_infinity in
-    for i = 0 to n - 1 do
-      best := Float.max !best a.(i).(j)
-    done;
-    !best
-  in
-  let found = ref None in
-  for i = n - 1 downto 0 do
-    for j = m - 1 downto 0 do
-      if a.(i).(j) = row_min i && a.(i).(j) = col_max j then found := Some (i, j)
-    done
-  done;
-  !found

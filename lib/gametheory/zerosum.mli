@@ -23,6 +23,3 @@ val value_estimate : solution -> float
 
 val gap : solution -> float
 (** [value_upper -. value_lower]; convergence diagnostic. *)
-
-val saddle_point : float array array -> (int * int) option
-(** Pure saddle point (maximin = minimax in pure strategies), if any. *)

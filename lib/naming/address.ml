@@ -3,11 +3,10 @@ type scheme =
   | Dynamic of { hosts : int }
   | Portable of { prefixes : int }
 
-(* renumbering cost per statically configured host, reconfiguration
-   cost of a dynamic site, and the cost of one core routing-table slot *)
+(* renumbering cost per statically configured host and reconfiguration
+   cost of a dynamic site *)
 let per_static_host = 1.0
 let site_overhead = 0.5
-let slot_cost = 0.01
 
 let switching_cost = function
   | Provider_based { static_hosts } ->
@@ -23,7 +22,3 @@ let routing_table_burden ~core_routers = function
   | Portable { prefixes } ->
     if prefixes < 0 then invalid_arg "Address: negative prefixes";
     float_of_int (prefixes * core_routers)
-
-let total_cost ~core_routers scheme =
-  switching_cost scheme
-  +. (slot_cost *. routing_table_burden ~core_routers scheme)

@@ -31,8 +31,3 @@ val switching_cost : scheme -> float
 val routing_table_burden : core_routers:int -> scheme -> float
 (** System-side cost: portable prefixes cost one slot in each core
     router; provider-based and dynamic aggregation cost none. *)
-
-val total_cost : core_routers:int -> scheme -> float
-(** [switching_cost + 0.01 * routing_table_burden], 0.01 being the cost
-    of one core routing-table slot: the combined dilemma, for comparing
-    schemes end to end. *)

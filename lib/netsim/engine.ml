@@ -38,13 +38,6 @@ let fire t =
   t.executed <- t.executed + 1;
   action t
 
-let step t =
-  if Tussle_prelude.Pqueue.is_empty t.queue then false
-  else begin
-    fire t;
-    true
-  end
-
 (* Telemetry handles; created once at module initialization so the
    per-run emission path is just array writes in this domain's sink. *)
 let m_runs = Metrics.counter "engine.runs"

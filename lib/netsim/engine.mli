@@ -42,9 +42,6 @@ val run : ?until:float -> t -> unit
     span when {!Tussle_obs.Trace} is enabled.  With telemetry disabled
     the event loop is unchanged. *)
 
-val step : t -> bool
-(** Execute exactly one event; [false] when the queue was empty. *)
-
 val events_executed : t -> int
 (** Count of events fired so far (diagnostics and benchmarks). *)
 

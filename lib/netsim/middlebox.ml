@@ -6,7 +6,6 @@ type t = {
   policy : Packet.t -> action;
   mutable inspected : int;
   mutable dropped : int;
-  mutable tapped : int;
 }
 
 let name t = t.name
@@ -18,18 +17,15 @@ let decide t p =
   let a = t.policy p in
   (match a with
   | Drop -> t.dropped <- t.dropped + 1
-  | Tap -> t.tapped <- t.tapped + 1
-  | Degrade | Forward -> ());
+  | Degrade | Forward | Tap -> ());
   a
 
 let inspected t = t.inspected
 
 let dropped t = t.dropped
 
-let tapped t = t.tapped
-
 let make ?(reveals_presence = true) ~name policy =
-  { name; reveals_presence; policy; inspected = 0; dropped = 0; tapped = 0 }
+  { name; reveals_presence; policy; inspected = 0; dropped = 0 }
 
 let port_filter ?reveals_presence ~blocked () =
   let policy p =
@@ -50,8 +46,6 @@ let trust_firewall ~admits =
     if admits ~src:p.Packet.src ~dst:p.Packet.dst then Forward else Drop
   in
   make ~name:"trust-firewall" policy
-
-let wiretap () = make ~reveals_presence:false ~name:"wiretap" (fun _ -> Tap)
 
 let qos_stripper ~honor =
   let policy (p : Packet.t) =

@@ -30,8 +30,6 @@ val inspected : t -> int
 
 val dropped : t -> int
 
-val tapped : t -> int
-
 val make :
   ?reveals_presence:bool -> name:string -> (Packet.t -> action) -> t
 (** General middlebox from a decision function (default: reveals
@@ -50,10 +48,6 @@ val trust_firewall : admits:(src:int -> dst:int -> bool) -> t
     is communicating} rather than what protocol is visible, so it is
     immune to port games and does not collateral-damage new
     applications.  Reveals its presence. *)
-
-val wiretap : unit -> t
-(** Taps every packet it can read; encrypted payloads are still tapped
-    but yield no application information (see {!Packet.visible_app}). *)
 
 val qos_stripper : honor:(Packet.t -> bool) -> t
 (** Degrades QoS on packets the operator chooses not to honor — the

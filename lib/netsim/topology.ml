@@ -43,38 +43,6 @@ let grid rows cols =
   done;
   g
 
-let tree ~arity ~depth =
-  if arity < 1 || depth < 0 then invalid_arg "Topology.tree: bad parameters";
-  (* count nodes: (arity^(depth+1) - 1) / (arity - 1), or depth+1 if arity=1 *)
-  let count =
-    if arity = 1 then depth + 1
-    else
-      let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
-      (pow arity (depth + 1) - 1) / (arity - 1)
-  in
-  let g = Graph.create count in
-  let next = ref 1 in
-  let rec attach parent level =
-    if level < depth then
-      for _ = 1 to arity do
-        let child = !next in
-        incr next;
-        Graph.add_undirected g parent child default_edge;
-        attach child (level + 1)
-      done
-  in
-  attach 0 0;
-  g
-
-let erdos_renyi rng n p =
-  let g = Graph.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if Rng.bernoulli rng p then Graph.add_undirected g u v default_edge
-    done
-  done;
-  g
-
 let barabasi_albert rng n m =
   if m < 1 || n <= m then invalid_arg "Topology.barabasi_albert: need n > m >= 1";
   let g = Graph.create n in

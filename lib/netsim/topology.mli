@@ -32,14 +32,6 @@ val star : int -> edge Tussle_prelude.Graph.t
 val grid : int -> int -> edge Tussle_prelude.Graph.t
 (** [grid rows cols]; node [(r,c)] is [r*cols + c]. *)
 
-val tree : arity:int -> depth:int -> edge Tussle_prelude.Graph.t
-(** Complete [arity]-ary tree; root is node 0. *)
-
-val erdos_renyi :
-  Tussle_prelude.Rng.t -> int -> float -> edge Tussle_prelude.Graph.t
-(** [erdos_renyi rng n p]: each unordered pair linked with probability
-    [p].  Not guaranteed connected. *)
-
 val barabasi_albert :
   Tussle_prelude.Rng.t -> int -> int -> edge Tussle_prelude.Graph.t
 (** [barabasi_albert rng n m]: preferential attachment, [m] links per new

@@ -14,18 +14,6 @@ let next_packet t ?port ?app ?qos ?encrypted ?tunneled ?source_route
   Packet.make ?port ?app ?qos ?encrypted ?tunneled ?source_route ?size_bytes
     ~id:(fresh_id t) ~src ~dst ~created ()
 
-let poisson_flow t engine net ~rate ~count ~make =
-  if rate <= 0.0 then invalid_arg "Traffic.poisson_flow: non-positive rate";
-  let rec emit remaining at =
-    if remaining > 0 then
-      Engine.schedule engine at (fun engine ->
-          let p = make t ~created:(Engine.now engine) in
-          Net.inject net engine p;
-          let gap = Rng.exponential t.rng ~rate in
-          emit (remaining - 1) (Engine.now engine +. gap))
-  in
-  emit count (Engine.now engine)
-
 let constant_flow t engine net ~start ~interval ~count ~make =
   if interval < 0.0 then invalid_arg "Traffic.constant_flow: negative interval";
   for i = 0 to count - 1 do

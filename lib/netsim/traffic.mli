@@ -27,19 +27,6 @@ val next_packet :
   Packet.t
 (** Fresh packet with the next id. *)
 
-val poisson_flow :
-  t ->
-  Engine.t ->
-  Net.t ->
-  rate:float ->
-  count:int ->
-  make:(t -> created:float -> Packet.t) ->
-  unit
-(** Schedule [count] packets from a Poisson process of intensity [rate]
-    (packets/second) starting at the engine's current time.  [make]
-    builds each packet (so callers control src/dst/app/qos/encryption per
-    packet). *)
-
 val constant_flow :
   t ->
   Engine.t ->

@@ -62,15 +62,3 @@ let pp_assertion ppf a =
   | None -> ());
   if a.delegable then Format.fprintf ppf " delegable";
   Format.fprintf ppf "."
-
-let rec attrs_acc acc = function
-  | Attr a -> a :: acc
-  | Const _ -> acc
-  | Cmp (_, l, r) | And (l, r) | Or (l, r) -> attrs_acc (attrs_acc acc l) r
-  | Not e -> attrs_acc acc e
-
-let attributes_of_policy p =
-  let collect acc a =
-    match a.condition with None -> acc | Some e -> attrs_acc acc e
-  in
-  List.sort_uniq compare (List.fold_left collect [] p)

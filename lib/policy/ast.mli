@@ -43,5 +43,3 @@ val value_equal : value -> value -> bool
 val pp_expr : Format.formatter -> expr -> unit
 
 val pp_assertion : Format.formatter -> assertion -> unit
-
-val attributes_of_policy : policy -> string list

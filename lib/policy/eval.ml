@@ -100,8 +100,6 @@ let decision_to_string = function
   | Denied -> "denied"
   | Not_applicable -> "not-applicable"
 
-let permitted ~root policy req = decide ~root policy req = Allowed
-
 let request_of_strings request bindings =
   let attribute binding =
     Option.map

@@ -36,9 +36,6 @@ val decide : root:string -> Ast.policy -> request -> decision
 
 val decision_to_string : decision -> string
 
-val permitted : root:string -> Ast.policy -> request -> bool
-(** [decide = Allowed]. *)
-
 val request_of_strings : string -> string list -> request option
 (** [request_of_strings "subject:action:resource" bindings], as
     [tussle policy] takes a request: [None] unless the first string has

@@ -335,19 +335,3 @@ let bfs_order g source =
 
 let is_connected g =
   g.n = 0 || List.length (bfs_order g 0) = g.n
-
-let transpose g =
-  let h = create g.n in
-  iter_edges g (fun u v e -> add_edge h v u e);
-  h
-
-let degree_histogram g =
-  let tbl = Hashtbl.create 16 in
-  for u = 0 to g.n - 1 do
-    let rec count e d = if e < 0 then d else count g.next.(e) (d + 1) in
-    let d = count g.head.(u) 0 in
-    let cur = Option.value ~default:0 (Hashtbl.find_opt tbl d) in
-    Hashtbl.replace tbl d (cur + 1)
-  done;
-  Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl []
-  |> List.sort compare

@@ -62,9 +62,3 @@ val dijkstra_weights : 'e t -> weights -> source:int -> float array * int array
 val is_connected : 'e t -> bool
 (** True when every node is reachable from node 0 in the underlying
     directed sense.  Vacuously true for the empty graph. *)
-
-val transpose : 'e t -> 'e t
-(** Reverse every edge. *)
-
-val degree_histogram : 'e t -> (int * int) list
-(** [(out_degree, how_many_nodes)] pairs, ascending by degree. *)

@@ -134,12 +134,6 @@ let pop q =
     let key = q.keys.(0) in
     Some (key, pop_min q)
 
-let clear q =
-  q.keys <- [||];
-  q.seqs <- [||];
-  q.vals <- [||];
-  q.size <- 0
-
 let to_sorted_list q =
   let copy =
     {

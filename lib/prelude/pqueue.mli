@@ -36,7 +36,5 @@ val pop_min : 'a t -> 'a
     option/tuple allocation); read [min_key] first if the key is
     needed.  Raises [Invalid_argument] on an empty queue. *)
 
-val clear : 'a t -> unit
-
 val to_sorted_list : 'a t -> (float * 'a) list
 (** Non-destructive drain: all elements in pop order. *)

@@ -53,10 +53,6 @@ let int t n =
   done;
   !v
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let[@inline] float t x =
   (* 53 random bits mapped to [0,1). *)
   let r = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
@@ -76,27 +72,15 @@ let[@inline] bernoulli t p =
   else if p >= 1.0 then true
   else float t 1.0 < p
 
-(* A uniform in (0,1): redraws the measure-zero 0.0 that [log] and
-   [**] cannot take. *)
+(* A uniform in (0,1): redraws the measure-zero 0.0 that [log]
+   cannot take. *)
 let rec nonzero t =
   let u = float t 1.0 in
   if u > 0.0 then u else nonzero t
 
-let gaussian t ~mu ~sigma =
-  (* Bind u1 before u2: [let _ and _] has unspecified evaluation order,
-     which made the draw sequence compiler-dependent. *)
-  let u1 = nonzero t in
-  let u2 = float t 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
 let exponential t ~rate =
   if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
   -.log (nonzero t) /. rate
-
-let pareto t ~alpha ~x_min =
-  if alpha <= 0.0 || x_min <= 0.0 then
-    invalid_arg "Rng.pareto: parameters must be positive";
-  x_min /. (nonzero t ** (1.0 /. alpha))
 
 let choice t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
@@ -128,14 +112,6 @@ let weighted_index t w =
       if target < acc then last_pos else scan (i + 1) acc last_pos
   in
   scan 0 0.0 (-1)
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 let sample t k arr =
   let n = Array.length arr in

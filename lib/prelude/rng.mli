@@ -43,10 +43,6 @@ val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)].  Raises [Invalid_argument] if
     [n <= 0]. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive.  Raises
-    [Invalid_argument] if [hi < lo]. *)
-
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 
@@ -62,17 +58,8 @@ val uniform : t -> float -> float -> float
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
 
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Normal deviate by Box–Muller.  Consumes exactly the draws of its
-    two uniforms, in a fixed (compiler-independent) order, so streams
-    that interleave [gaussian] with other draws are reproducible. *)
-
 val exponential : t -> rate:float -> float
 (** Exponential deviate with the given rate ([rate > 0]). *)
-
-val pareto : t -> alpha:float -> x_min:float -> float
-(** Pareto deviate: heavy-tailed, used for willingness-to-pay and flow
-    sizes. *)
 
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.  Raises [Invalid_argument] on an
@@ -87,9 +74,6 @@ val weighted_index : t -> float array -> int
     returned (in particular not a zero-weight trailing index, even
     under float rounding).  Raises [Invalid_argument] if all weights
     are zero or [w] is empty. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
 
 val sample : t -> int -> 'a array -> 'a array
 (** [sample t k arr] draws [k] distinct elements without replacement.

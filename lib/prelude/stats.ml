@@ -51,74 +51,11 @@ let percentile xs p =
       let frac = rank -. float_of_int lo in
       ys.(lo) +. (frac *. (ys.(hi) -. ys.(lo)))
 
-let minimum xs =
-  check_nonempty "Stats.minimum" xs;
-  Array.fold_left min xs.(0) xs
-
-let maximum xs =
-  check_nonempty "Stats.maximum" xs;
-  Array.fold_left max xs.(0) xs
-
-let gini xs =
-  check_nonempty "Stats.gini" xs;
-  Array.iter (fun x -> if x < 0.0 then invalid_arg "Stats.gini: negative value") xs;
-  let s = total xs in
-  if s <= 0.0 then invalid_arg "Stats.gini: zero total";
-  let ys = sorted_copy xs in
-  let n = Array.length ys in
-  (* Gini = (2 * sum_i i*y_i) / (n * sum y) - (n+1)/n  with 1-based i. *)
-  let weighted = ref 0.0 in
-  for i = 0 to n - 1 do
-    weighted := !weighted +. (float_of_int (i + 1) *. ys.(i))
-  done;
-  let nf = float_of_int n in
-  ((2.0 *. !weighted) /. (nf *. s)) -. ((nf +. 1.0) /. nf)
-
 let hhi xs =
   check_nonempty "Stats.hhi" xs;
   let s = total xs in
   if s <= 0.0 then invalid_arg "Stats.hhi: zero total";
   Array.fold_left (fun acc x -> acc +. ((x /. s) ** 2.0)) 0.0 xs
-
-let correlation xs ys =
-  let n = Array.length xs in
-  if n <> Array.length ys then invalid_arg "Stats.correlation: length mismatch";
-  if n < 2 then invalid_arg "Stats.correlation: need at least 2 points";
-  let mx = mean xs and my = mean ys in
-  let sxy = ref 0.0 and sxx = ref 0.0 and syy = ref 0.0 in
-  for i = 0 to n - 1 do
-    let dx = xs.(i) -. mx and dy = ys.(i) -. my in
-    sxy := !sxy +. (dx *. dy);
-    sxx := !sxx +. (dx *. dx);
-    syy := !syy +. (dy *. dy)
-  done;
-  if !sxx = 0.0 || !syy = 0.0 then
-    invalid_arg "Stats.correlation: zero variance";
-  !sxy /. sqrt (!sxx *. !syy)
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  p25 : float;
-  p50 : float;
-  p75 : float;
-  max : float;
-}
-
-let summarize xs =
-  check_nonempty "Stats.summarize" xs;
-  {
-    n = Array.length xs;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = minimum xs;
-    p25 = percentile xs 25.0;
-    p50 = percentile xs 50.0;
-    p75 = percentile xs 75.0;
-    max = maximum xs;
-  }
 
 (* ---------- hypothesis tests ---------- *)
 

@@ -11,7 +11,7 @@ val variance : float array -> float
 (** Population variance (biased, divides by [n]).  Raises on empty
     input.  This is the right estimator when the data {e is} the whole
     population — the descriptive uses keep it deliberately:
-    {!summarize}/{!stddev} (spread of the values at hand) and
+    {!stddev} (spread of the values at hand) and
     [Actor_network]'s position dispersion.  For inference from a
     sample (t-tests, confidence intervals) use {!sample_variance};
     everything in {!Test} does. *)
@@ -37,33 +37,10 @@ val percentile : float array -> float -> float
 val total : float array -> float
 (** Sum; [0.] on empty input. *)
 
-val gini : float array -> float
-(** Gini coefficient of a non-negative distribution: 0 = perfectly equal,
-    approaching 1 = concentrated.  Raises if any value is negative or the
-    sum is zero. *)
-
 val hhi : float array -> float
 (** Herfindahl–Hirschman index of market shares computed from raw sizes:
     sum of squared shares, in (0, 1].  1 = monopoly.  Raises on zero
     total. *)
-
-val correlation : float array -> float array -> float
-(** Pearson correlation.  Raises on length mismatch, length < 2, or zero
-    variance. *)
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  p25 : float;
-  p50 : float;
-  p75 : float;
-  max : float;
-}
-
-val summarize : float array -> summary
-(** Five-number-plus summary.  Raises on empty input. *)
 
 (** Hypothesis tests and confidence intervals (pareto-style t-tests
     and a chi-square goodness of fit, self-contained: the Student CDF

@@ -11,7 +11,7 @@ type t = {
   spf : int -> float array * int array; (* Dijkstra from one source *)
   dist : float array array; (* dist.(src).(dst) *)
   pred : int array array; (* pred.(src).(dst) = predecessor on path from src *)
-  costs : (int * int * float) list;
+  visible : int; (* edges of finite cost *)
 }
 
 (* Snapshot [cost] over every edge of [g].  An [infinity] cost masks
@@ -19,11 +19,11 @@ type t = {
    reachable only through masked edges stays at [dist = infinity] —
    unreachable, exactly like a withdrawn link. *)
 let snapshot g cost =
-  let visible = ref [] in
+  let visible = ref 0 in
   let w =
     Graph.weights g (fun u v e ->
         let c = cost u v e in
-        if Float.is_finite c then visible := (u, v, c) :: !visible;
+        if Float.is_finite c then incr visible;
         c)
   in
   let n = Graph.node_count g in
@@ -32,7 +32,7 @@ let snapshot g cost =
     spf = (fun source -> Graph.dijkstra_weights g w ~source);
     dist = Array.make n [||];
     pred = Array.make n [||];
-    costs = List.rev !visible;
+    visible = !visible;
   }
 
 let compute g ~metric =
@@ -101,4 +101,4 @@ let forwarding t ~node ~target packet =
   ignore packet;
   next_hop t ~node ~dst:target
 
-let visible_link_costs t = t.costs
+let visible_links t = t.visible

@@ -35,8 +35,8 @@ val compute_live :
 (** Snapshot the map from a {e live} link graph, withdrawing every
     link between a pair in [down] (either orientation) — the
     incremental step a self-healing control plane runs after failure
-    detection ({!Selfheal}).  Withdrawn links are absent from
-    {!visible_link_costs}, and destinations reachable only through
+    detection ({!Selfheal}).  Withdrawn links are not counted by
+    {!visible_links}, and destinations reachable only through
     them become unreachable ([next_hop = None]).  [down] reflects what
     the control plane has {e detected}, not ground truth: a link that
     died a moment ago but has not yet missed enough hellos is still
@@ -54,7 +54,7 @@ val forwarding : t -> Tussle_netsim.Net.forwarding
 (** Adapt to the simulator's forwarding signature ([target]-based, so
     loose source routes work unchanged). *)
 
-val visible_link_costs : t -> (int * int * float) list
-(** Every (u, v, cost) in the flooded database — what {e any} participant
-    (or competitor) can read.  This is the protocol's information
-    exposure. *)
+val visible_links : t -> int
+(** How many directed links have their cost in the flooded database —
+    what {e any} participant (or competitor) can read.  This is the
+    protocol's information exposure. *)

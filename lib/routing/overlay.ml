@@ -1,21 +1,4 @@
 module Graph = Tussle_prelude.Graph
-module Topology = Tussle_netsim.Topology
-
-let measured_latency ls g ~src ~dst =
-  if src = dst then Some 0.0
-  else
-    match Linkstate.path ls ~src ~dst with
-    | None -> None
-    | Some path ->
-      let rec sum acc = function
-        | a :: (b :: _ as rest) -> begin
-          match Graph.find_edge g a b with
-          | Some e -> sum (acc +. e.Topology.latency) rest
-          | None -> acc (* inconsistent table; treat as measured so far *)
-        end
-        | _ -> acc
-      in
-      Some (sum 0.0 path)
 
 let best_relay ~latency ~candidates ~src ~dst =
   let consider best r =
@@ -31,11 +14,6 @@ let best_relay ~latency ~candidates ~src ~dst =
       | _, _ -> best
   in
   List.fold_left consider None candidates
-
-let latency_improvement ~latency ~candidates ~src ~dst =
-  match (latency src dst, best_relay ~latency ~candidates ~src ~dst) with
-  | Some direct, Some (_, relayed) -> Some (direct -. relayed)
-  | _, _ -> None
 
 let reachable_via ~can_reach ~candidates ~src ~dst =
   let ordered = List.sort compare candidates in
@@ -65,16 +43,3 @@ let failover_waypoints ~can_reach ~candidates ~src ~dst =
     match reachable_via ~can_reach ~candidates ~src ~dst with
     | Some r -> Some [ r ]
     | None -> None
-
-let recovery_ratio ~can_reach ~candidates ~pairs =
-  let blocked = List.filter (fun (src, dst) -> not (can_reach src dst)) pairs in
-  match blocked with
-  | [] -> 1.0
-  | _ ->
-    let recovered =
-      List.filter
-        (fun (src, dst) ->
-          Option.is_some (reachable_via ~can_reach ~candidates ~src ~dst))
-        blocked
-    in
-    float_of_int (List.length recovered) /. float_of_int (List.length blocked)

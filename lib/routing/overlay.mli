@@ -3,18 +3,10 @@
     The paper calls overlays "a tool in the tussle" (§V-A4, footnote 7):
     end-users over-rule constrained provider routing with tunnels and
     relays (RON-style).  The overlay does not see the underlay's
-    internals; it only {e measures} — so every function here takes a
-    [latency] probe giving the measured delay of the underlay's chosen
-    path between two overlay nodes ([None] = unreachable). *)
-
-val measured_latency :
-  Linkstate.t ->
-  Tussle_netsim.Topology.edge Tussle_prelude.Graph.t ->
-  src:int -> dst:int -> float option
-(** The latency an overlay probe observes between two nodes: the sum of
-    link latencies along the underlay routing's chosen path (which may
-    be hop-optimal rather than latency-optimal — that gap is the
-    overlay's opportunity). *)
+    internals; it only {e measures} — so a relay choice takes a probe:
+    [latency] gives the measured delay of the underlay's chosen path
+    between two overlay nodes ([None] = unreachable), [can_reach] says
+    whether the underlay currently carries traffic between them. *)
 
 val best_relay :
   latency:(int -> int -> float option) ->
@@ -22,13 +14,6 @@ val best_relay :
   (int * float) option
 (** Relay minimizing measured latency [src -> r -> dst] over reachable
     candidates; returns the relay and the two-leg latency. *)
-
-val latency_improvement :
-  latency:(int -> int -> float option) ->
-  candidates:int list -> src:int -> dst:int -> float option
-(** Direct measured latency minus best relayed latency (positive =
-    overlay wins).  [None] when either direct or relayed connectivity is
-    missing. *)
 
 val reachable_via :
   can_reach:(int -> int -> bool) -> candidates:int list ->
@@ -56,10 +41,3 @@ val failover_waypoints :
     detour), [Some [r]] when it is dead but a relay [r] has both legs
     alive ({!reachable_via}), [None] when no relay can help.  The
     result plugs straight into a packet's loose source route. *)
-
-val recovery_ratio :
-  can_reach:(int -> int -> bool) -> candidates:int list ->
-  pairs:(int * int) list -> float
-(** Over the blocked pairs of [pairs] (those with [not (can_reach src
-    dst)]), the fraction recoverable through some relay.  [1.0] when no
-    pair is blocked. *)

@@ -10,15 +10,3 @@ let refusal_middlebox ~paid =
     else Middlebox.Forward
   in
   Middlebox.make ~reveals_presence:false ~name:"source-route-refusal" policy
-
-let pick_transit ~score = function
-  | [] -> None
-  | first :: rest ->
-    let best =
-      List.fold_left
-        (fun best t ->
-          let s = score t and sb = score best in
-          if s > sb || (s = sb && t < best) then t else best)
-        first rest
-    in
-    Some best

@@ -18,8 +18,3 @@ val refusal_middlebox : paid:bool -> Tussle_netsim.Middlebox.t
 (** Middlebox for a transit AS: when [paid] is false, drops any packet
     carrying a (non-empty) source route — "why should they be
     enthusiastic about this?".  When [paid], forwards everything. *)
-
-val pick_transit :
-  score:(int -> float) -> int list -> int option
-(** The user's choice mechanism: pick the transit with the highest
-    score (ties to the lowest id).  [None] on an empty list. *)

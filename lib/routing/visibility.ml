@@ -2,7 +2,7 @@ module Graph = Tussle_prelude.Graph
 
 let linkstate_exposure ls ~total_links =
   if total_links <= 0 then invalid_arg "Visibility.linkstate_exposure";
-  float_of_int (List.length (Linkstate.visible_link_costs ls))
+  float_of_int (Linkstate.visible_links ls)
   /. float_of_int total_links
 
 let record_path seen (src, _dst, path) =

@@ -50,22 +50,6 @@ let add_rule t authority ~allow ?(visible = true) selector =
     Ok id
   end
 
-let remove_rule t authority id =
-  match List.find_opt (fun r -> r.rule_id = id) t.rules with
-  | None -> Error `Not_owner
-  | Some r ->
-    let may_remove =
-      match (authority, r.issued_by) with
-      | Admin, _ -> true
-      | End_user u, End_user v -> u = v
-      | End_user _, Admin -> false
-    in
-    if not may_remove then Error `Not_owner
-    else begin
-      t.rules <- List.filter (fun r' -> r'.rule_id <> id) t.rules;
-      Ok ()
-    end
-
 let sel_matches sel (p : Packet.t) =
   let ok field value =
     match field with None -> true | Some v -> v = value

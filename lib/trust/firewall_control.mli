@@ -51,9 +51,6 @@ val add_rule :
     requesting control over other people's traffic is
     [`Beyond_authority].  [visible] defaults to [true]. *)
 
-val remove_rule : t -> authority -> int -> (unit, [ `Not_owner ]) result
-(** Only the issuing authority (or Admin) may remove a rule. *)
-
 val permits : t -> Tussle_netsim.Packet.t -> bool
 (** Decision: among matching rules, the winning authority's most
     recent rule applies (admin over user unless [users_may_override]);

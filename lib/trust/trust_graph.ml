@@ -62,23 +62,3 @@ let trusts ?max_depth t ~threshold a b =
 let add_mutual t a b w =
   set_trust t ~truster:a ~trustee:b w;
   set_trust t ~truster:b ~trustee:a w
-
-let revoke t ~truster ~trustee =
-  check t truster "Trust_graph.revoke";
-  check t trustee "Trust_graph.revoke";
-  match Hashtbl.find_opt t.edges truster with
-  | None -> ()
-  | Some l -> Hashtbl.replace t.edges truster (List.remove_assoc trustee l)
-
-let mean_pairwise_trust t =
-  if t.n <= 1 then 0.0
-  else begin
-    let acc = ref 0.0 in
-    for a = 0 to t.n - 1 do
-      for b = 0 to t.n - 1 do
-        if a <> b then
-          acc := !acc +. derived_trust t ~truster:a ~trustee:b
-      done
-    done;
-    !acc /. float_of_int (t.n * (t.n - 1))
-  end

@@ -31,11 +31,3 @@ val trusts : ?max_depth:int -> t -> threshold:float -> int -> int -> bool
 
 val add_mutual : t -> int -> int -> float -> unit
 (** Symmetric trust in one call. *)
-
-val revoke : t -> truster:int -> trustee:int -> unit
-
-val mean_pairwise_trust : t -> float
-(** Average derived trust (at the default depth) over all ordered
-    pairs (excluding self);
-    the "community of shared trust" health metric.  0 on a single
-    party. *)

@@ -20,7 +20,11 @@ It fails when a `val`
   - is named only under test/ and is unused in its own .ml,
 unless scripts/exports.allow lists it as `Module.value reason`.  An
 allowlist line that names no such `val`, or one the scan would pass
-anyway, also fails it, so the list cannot go stale.
+anyway, also fails it, so the list cannot go stale.  A reason starts
+with its kind: `inspector:`, `fixture:` or `deferred:` for a `val`,
+which must also name the test it serves (`test_SUITE`), and `differs:`, `deployment:`,
+`field:`, `planted:` or `oracle:` for an option; any other reason
+fails the scan.
 
 The second pass reads each `?option` of a `val` signature.  A file
 passes it when it names the `val` (as above) and writes `~option` or
@@ -43,6 +47,8 @@ import sys
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 DIRS = ["lib", "bin", "bench", "perfbench", "examples", "test"]
 ALLOW = os.path.join(ROOT, "scripts", "exports.allow")
+VAL_KINDS = ("inspector", "fixture", "deferred")
+OPTION_KINDS = ("differs", "deployment", "field", "planted", "oracle")
 IDENT = r"[A-Za-z0-9_']"
 
 
@@ -252,6 +258,13 @@ def load_allow():
             key, _, reason = line.partition(" ")
             if not reason.strip():
                 sys.exit(f"exports.allow:{ln}: {key} has no reason")
+            kinds = OPTION_KINDS if "?" in key else VAL_KINDS
+            kind, colon, _ = reason.strip().partition(":")
+            if not colon or kind not in kinds:
+                sys.exit(f"exports.allow:{ln}: {key}'s reason does not start with one of "
+                         + ", ".join(k + ":" for k in kinds))
+            if kinds is VAL_KINDS and "test_" not in reason:
+                sys.exit(f"exports.allow:{ln}: {key}'s reason names no test (test_SUITE)")
             allow[key] = ln
     return allow
 

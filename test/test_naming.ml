@@ -103,22 +103,10 @@ let test_address_routing_burden () =
     (Address.routing_table_burden ~core_routers:1000
        (Address.Portable { prefixes = 4 }))
 
-let test_address_dilemma () =
-  (* the paper's tension: portable space shifts cost from customer to
-     system; with enough core routers the system side dominates *)
-  let pb = Address.Provider_based { static_hosts = 40 } in
-  let pt = Address.Portable { prefixes = 4 } in
-  let cost = Address.total_cost ~core_routers:100_000 in
-  Alcotest.(check bool) "portable dearer at scale" true (cost pt > cost pb);
-  let small = Address.total_cost ~core_routers:10 in
-  Alcotest.(check bool) "portable cheap when core is small" true
-    (small pt < small pb)
-
 let test_address_validation () =
   Alcotest.check_raises "negative hosts" (Invalid_argument "Address: negative hosts")
     (fun () ->
       ignore (Address.switching_cost (Address.Provider_based { static_hosts = -1 })))
-
 
 (* ---------- Resolver ---------- *)
 
@@ -200,7 +188,6 @@ let () =
         [
           Alcotest.test_case "switching costs" `Quick test_address_switching_costs;
           Alcotest.test_case "routing burden" `Quick test_address_routing_burden;
-          Alcotest.test_case "the dilemma" `Quick test_address_dilemma;
           Alcotest.test_case "validation" `Quick test_address_validation;
         ] );
     ]

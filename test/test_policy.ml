@@ -242,18 +242,9 @@ let test_eval_expr_semantics () =
 let test_eval_wildcard_subject () =
   let p = Parser.parse "root says allow * send on mail." in
   Alcotest.(check bool) "anyone" true
-    (Eval.permitted ~root:"root" p (req "whoever" "send" "mail"))
+    (Eval.decide ~root:"root" p (req "whoever" "send" "mail") = Eval.Allowed)
 
-(* ---------- attributes / ontology ---------- *)
-
-let test_attributes_of_policy () =
-  let p =
-    Parser.parse
-      "root says allow a x on y where port == 1 and qos == 2. \
-       root says allow b x on y where size > 3."
-  in
-  Alcotest.(check (list string)) "attrs" [ "port"; "qos"; "size" ]
-    (Ast.attributes_of_policy p)
+(* ---------- ontology ---------- *)
 
 let test_ontology_coverage () =
   let ont = Ontology.make_ontology [ "port"; "app" ] in
@@ -542,7 +533,6 @@ let () =
         ] );
       ( "ontology",
         [
-          Alcotest.test_case "attributes of policy" `Quick test_attributes_of_policy;
           Alcotest.test_case "coverage" `Quick test_ontology_coverage;
           Alcotest.test_case "ceiling" `Quick test_ontology_ceiling;
           Alcotest.test_case "monotone" `Quick test_ontology_monotone;

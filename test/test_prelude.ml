@@ -7,7 +7,6 @@ module Graph = Tussle_prelude.Graph
 module Table = Tussle_prelude.Table
 
 let check_float = Alcotest.(check (float 1e-9))
-let check_floatish = Alcotest.(check (float 1e-6))
 
 (* ---------- Rng ---------- *)
 
@@ -37,13 +36,6 @@ let test_rng_int_invalid () =
   Alcotest.check_raises "zero bound" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int rng 0))
 
-let test_rng_int_in () =
-  let rng = Rng.create 3 in
-  for _ = 1 to 200 do
-    let v = Rng.int_in rng (-5) 5 in
-    Alcotest.(check bool) "in [-5,5]" true (v >= -5 && v <= 5)
-  done
-
 let test_rng_float_range () =
   let rng = Rng.create 11 in
   for _ = 1 to 1000 do
@@ -71,25 +63,12 @@ let test_rng_bernoulli_rate () =
   let rate = float_of_int !hits /. 10_000.0 in
   Alcotest.(check bool) "rate near 0.3" true (Float.abs (rate -. 0.3) < 0.03)
 
-let test_rng_gaussian_moments () =
-  let rng = Rng.create 17 in
-  let xs = Array.init 50_000 (fun _ -> Rng.gaussian rng ~mu:1.0 ~sigma:2.0) in
-  Alcotest.(check bool) "mean" true (Float.abs (Stats.mean xs -. 1.0) < 0.06);
-  Alcotest.(check bool) "sd" true (Float.abs (Stats.stddev xs -. 2.0) < 0.06)
-
 let test_rng_exponential_mean () =
   let rng = Rng.create 19 in
   let xs = Array.init 50_000 (fun _ -> Rng.exponential rng ~rate:2.0) in
   Alcotest.(check bool) "mean near 0.5" true
     (Float.abs (Stats.mean xs -. 0.5) < 0.02);
   Array.iter (fun x -> Alcotest.(check bool) "positive" true (x >= 0.0)) xs
-
-let test_rng_pareto_min () =
-  let rng = Rng.create 23 in
-  for _ = 1 to 1000 do
-    let v = Rng.pareto rng ~alpha:2.0 ~x_min:3.0 in
-    Alcotest.(check bool) ">= x_min" true (v >= 3.0)
-  done
 
 let test_rng_choice () =
   let rng = Rng.create 29 in
@@ -112,14 +91,6 @@ let test_rng_weighted_index () =
   Alcotest.(check bool) "3:1 ratio approx" true
     (float_of_int counts.(2) /. float_of_int counts.(0) > 2.0)
 
-let test_rng_shuffle_permutation () =
-  let rng = Rng.create 37 in
-  let arr = Array.init 50 Fun.id in
-  Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "same elements" (Array.init 50 Fun.id) sorted
-
 let test_rng_sample_distinct () =
   let rng = Rng.create 41 in
   let arr = Array.init 20 Fun.id in
@@ -136,28 +107,9 @@ let test_rng_split_independent () =
   ignore (Rng.int64 b);
   Alcotest.(check int64) "split independent" (Rng.int64 a') (Rng.int64 a)
 
-(* Regression pins: exact draw sequences for fixed seeds.  These fail if
-   the number or order of uniform draws inside a sampler ever changes
-   again (gaussian once depended on unspecified evaluation order). *)
-
-let test_rng_gaussian_pinned () =
-  let rng = Rng.create 123 in
-  List.iter
-    (fun expected ->
-      Alcotest.(check (float 0.0)) "pinned gaussian" expected
-        (Rng.gaussian rng ~mu:0.0 ~sigma:1.0))
-    [ -0.82820331445494455; -0.37134836789444403; 1.2841706573433365;
-      -0.43465361761377846 ]
-
-let test_rng_gaussian_interleaved_pinned () =
-  (* u1 must be drawn before u2: interleaving with [float] exposes any
-     order flip as a different third value *)
-  let rng = Rng.create 42 in
-  Alcotest.(check (float 0.0)) "g1" 2.0861053027384839
-    (Rng.gaussian rng ~mu:1.0 ~sigma:2.0);
-  Alcotest.(check (float 0.0)) "f" 0.16639780398145976 (Rng.float rng 1.0);
-  Alcotest.(check (float 0.0)) "g2" 5.8925335848567046
-    (Rng.gaussian rng ~mu:1.0 ~sigma:2.0)
+(* Regression pin: an exact draw sequence for a fixed seed.  It fails
+   if the number or order of uniform draws inside the sampler ever
+   changes. *)
 
 let test_rng_weighted_index_pinned () =
   let rng = Rng.create 7 in
@@ -210,10 +162,6 @@ module Boxed_rng = struct
     in
     draw ()
 
-  let int_in t lo hi =
-    if hi < lo then invalid_arg "Rng.int_in: empty range";
-    lo + int t (hi - lo + 1)
-
   let float t x =
     let r = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
     x *. (r /. 9007199254740992.0)
@@ -227,19 +175,9 @@ module Boxed_rng = struct
     let u = float t 1.0 in
     if u > 0.0 then u else nonzero t
 
-  let gaussian t ~mu ~sigma =
-    let u1 = nonzero t in
-    let u2 = float t 1.0 in
-    mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
   let exponential t ~rate =
     if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
     -.log (nonzero t) /. rate
-
-  let pareto t ~alpha ~x_min =
-    if alpha <= 0.0 || x_min <= 0.0 then
-      invalid_arg "Rng.pareto: parameters must be positive";
-    x_min /. (nonzero t ** (1.0 /. alpha))
 
   let choice t arr =
     if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
@@ -271,14 +209,6 @@ module Boxed_rng = struct
     in
     scan 0 0.0 (-1)
 
-  let shuffle t arr =
-    for i = Array.length arr - 1 downto 1 do
-      let j = int t (i + 1) in
-      let tmp = arr.(i) in
-      arr.(i) <- arr.(j);
-      arr.(j) <- tmp
-    done
-
   let sample t k arr =
     let n = Array.length arr in
     if k < 0 || k > n then invalid_arg "Rng.sample: k out of range";
@@ -296,17 +226,13 @@ type draw =
   | D_int64
   | D_bits
   | D_int of int
-  | D_int_in of int * int
   | D_float of float
   | D_uniform of float * float
   | D_bernoulli of float
-  | D_gaussian of float * float
   | D_exponential of float
-  | D_pareto of float * float
   | D_choice of int
   | D_choice_list of int
   | D_weighted of float list
-  | D_shuffle of int
   | D_sample of int * int
   | D_split
   | D_copy
@@ -324,17 +250,13 @@ module type RNG = sig
   val int64 : t -> int64
   val bits : t -> int
   val int : t -> int -> int
-  val int_in : t -> int -> int -> int
   val float : t -> float -> float
   val uniform : t -> float -> float -> float
   val bernoulli : t -> float -> bool
-  val gaussian : t -> mu:float -> sigma:float -> float
   val exponential : t -> rate:float -> float
-  val pareto : t -> alpha:float -> x_min:float -> float
   val choice : t -> 'a array -> 'a
   val choice_list : t -> 'a list -> 'a
   val weighted_index : t -> float array -> int
-  val shuffle : t -> 'a array -> unit
   val sample : t -> int -> 'a array -> 'a array
 end
 
@@ -349,20 +271,13 @@ module Drive (R : RNG) = struct
     | D_int64 -> Int64.to_string (R.int64 g)
     | D_bits -> string_of_int (R.bits g)
     | D_int n -> string_of_int (R.int g n)
-    | D_int_in (lo, hi) -> string_of_int (R.int_in g lo hi)
     | D_float x -> Printf.sprintf "%h" (R.float g x)
     | D_uniform (lo, hi) -> Printf.sprintf "%h" (R.uniform g lo hi)
     | D_bernoulli p -> string_of_bool (R.bernoulli g p)
-    | D_gaussian (mu, sigma) -> Printf.sprintf "%h" (R.gaussian g ~mu ~sigma)
     | D_exponential rate -> Printf.sprintf "%h" (R.exponential g ~rate)
-    | D_pareto (alpha, x_min) -> Printf.sprintf "%h" (R.pareto g ~alpha ~x_min)
     | D_choice n -> string_of_int (R.choice g (iota n))
     | D_choice_list n -> string_of_int (R.choice_list g (List.init n Fun.id))
     | D_weighted w -> string_of_int (R.weighted_index g (Array.of_list w))
-    | D_shuffle n ->
-      let a = iota n in
-      R.shuffle g a;
-      ints a
     | D_sample (k, n) -> ints (R.sample g k (iota n))
     | D_split -> grow (R.split g); "split"
     | D_copy -> grow (R.copy g); "copy"
@@ -389,19 +304,14 @@ let draw_gen =
     oneof
       [
         return D_int64; return D_bits; map (fun n -> D_int n) bound;
-        map2 (fun lo span -> D_int_in (lo, lo + span)) (int_range (-1000) 1000)
-          (int_bound 2000);
         map (fun x -> D_float x) (float_range (-5.0) 5.0);
         map2 (fun lo hi -> D_uniform (lo, hi)) (float_range (-5.0) 5.0)
           (float_range (-5.0) 5.0);
         map (fun p -> D_bernoulli p) (oneof [ float_range (-0.5) 1.5; float_bound_inclusive 1.0 ]);
-        map2 (fun mu sigma -> D_gaussian (mu, sigma)) (float_range (-5.0) 5.0) pos;
         map (fun r -> D_exponential r) pos;
-        map2 (fun a x -> D_pareto (a, x)) pos pos;
         map (fun n -> D_choice n) (int_range 1 20);
         map (fun n -> D_choice_list n) (int_range 1 20);
         map (fun w -> D_weighted w) weights;
-        map (fun n -> D_shuffle n) (int_range 0 20);
         map2 (fun n k -> D_sample (k mod (n + 1), n)) (int_range 0 20) nat;
         return D_split; return D_copy;
       ])
@@ -474,30 +384,10 @@ let test_stats_percentile () =
   check_float "p100" 5.0 (Stats.percentile xs 100.0);
   check_float "p25" 2.0 (Stats.percentile xs 25.0)
 
-let test_stats_gini_equal () =
-  check_floatish "gini equal" 0.0 (Stats.gini [| 5.0; 5.0; 5.0; 5.0 |])
-
-let test_stats_gini_concentrated () =
-  let g = Stats.gini [| 0.0; 0.0; 0.0; 100.0 |] in
-  Alcotest.(check bool) "gini high" true (g > 0.7)
-
 let test_stats_hhi () =
   check_float "hhi monopoly" 1.0 (Stats.hhi [| 10.0 |]);
   check_float "hhi duopoly" 0.5 (Stats.hhi [| 5.0; 5.0 |]);
   check_float "hhi 4-way" 0.25 (Stats.hhi [| 1.0; 1.0; 1.0; 1.0 |])
-
-let test_stats_correlation () =
-  let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
-  check_floatish "perfect" 1.0 (Stats.correlation xs xs);
-  check_floatish "anti" (-1.0)
-    (Stats.correlation xs (Array.map (fun x -> 10.0 -. x) xs))
-
-let test_stats_summary () =
-  let s = Stats.summarize [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  Alcotest.(check int) "n" 5 s.Stats.n;
-  check_float "p50" 3.0 s.Stats.p50;
-  check_float "min" 1.0 s.Stats.min;
-  check_float "max" 5.0 s.Stats.max
 
 let test_stats_empty_raises () =
   Alcotest.check_raises "mean empty" (Invalid_argument "Stats.mean: empty input")
@@ -705,25 +595,11 @@ let test_graph_bfs_connected () =
   Graph.add_undirected g 2 3 ();
   Alcotest.(check bool) "connected" true (Graph.is_connected g)
 
-let test_graph_transpose () =
-  let g = Graph.create 2 in
-  Graph.add_edge g 0 1 "e";
-  let t = Graph.transpose g in
-  Alcotest.(check (option string)) "reversed" (Some "e") (Graph.find_edge t 1 0);
-  Alcotest.(check (option string)) "gone" None (Graph.find_edge t 0 1)
-
 let test_graph_map_edges () =
   let g = Graph.create 2 in
   Graph.add_edge g 0 1 2;
   let h = Graph.map_edges g (fun x -> x * 10) in
   Alcotest.(check (option int)) "mapped" (Some 20) (Graph.find_edge h 0 1)
-
-let test_graph_degree_histogram () =
-  let g = Graph.create 3 in
-  Graph.add_edge g 0 1 ();
-  Graph.add_edge g 0 2 ();
-  Alcotest.(check (list (pair int int))) "hist" [ (0, 2); (2, 1) ]
-    (Graph.degree_histogram g)
 
 (* ---------- Table ---------- *)
 
@@ -760,15 +636,6 @@ let prop_rng_int_bounds =
       let v = Rng.int rng bound in
       v >= 0 && v < bound)
 
-let prop_shuffle_preserves_multiset =
-  QCheck2.Test.make ~name:"shuffle preserves elements" ~count:200
-    QCheck2.Gen.(pair small_int (list small_int))
-    (fun (seed, l) ->
-      let rng = Rng.create seed in
-      let arr = Array.of_list l in
-      Rng.shuffle rng arr;
-      List.sort compare (Array.to_list arr) = List.sort compare l)
-
 let prop_pqueue_pop_sorted =
   QCheck2.Test.make ~name:"pqueue pops in key order" ~count:200
     QCheck2.Gen.(list (pair (float_bound_exclusive 1000.0) small_int))
@@ -781,14 +648,6 @@ let prop_pqueue_pop_sorted =
         | Some (k, _) -> k >= prev && drain k
       in
       drain neg_infinity)
-
-let prop_gini_bounds =
-  QCheck2.Test.make ~name:"gini in [0,1)" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 50) (float_bound_exclusive 100.0))
-    (fun l ->
-      let xs = Array.of_list (List.map (fun x -> x +. 0.001) l) in
-      let g = Stats.gini xs in
-      g >= -1e-9 && g < 1.0)
 
 let prop_percentile_monotone =
   QCheck2.Test.make ~name:"percentile monotone in p" ~count:200
@@ -871,12 +730,10 @@ let prop_dijkstra_matches_reference =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_rng_int_bounds; prop_shuffle_preserves_multiset;
-      prop_pqueue_pop_sorted; prop_gini_bounds; prop_percentile_monotone;
+      prop_rng_int_bounds; prop_pqueue_pop_sorted; prop_percentile_monotone;
       prop_pqueue_matches_model; prop_dijkstra_matches_reference;
       prop_rng_matches_boxed_oracle;
     ]
-
 
 (* ---------- coverage sweep ---------- *)
 
@@ -897,12 +754,6 @@ let test_rng_choice_list () =
   let v = Rng.choice_list rng [ 5 ] in
   Alcotest.(check int) "singleton" 5 v
 
-let test_pqueue_clear () =
-  let q = Pqueue.create () in
-  Pqueue.push q 1.0 "x";
-  Pqueue.clear q;
-  Alcotest.(check bool) "cleared" true (Pqueue.is_empty q)
-
 let () =
   Alcotest.run "prelude"
     [
@@ -912,22 +763,15 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_different_seeds;
           Alcotest.test_case "int range" `Quick test_rng_int_range;
           Alcotest.test_case "int invalid" `Quick test_rng_int_invalid;
-          Alcotest.test_case "int_in range" `Quick test_rng_int_in;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "uniform mean" `Quick test_rng_uniform_mean;
           Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
           Alcotest.test_case "bernoulli rate" `Quick test_rng_bernoulli_rate;
-          Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-          Alcotest.test_case "pareto minimum" `Quick test_rng_pareto_min;
           Alcotest.test_case "choice" `Quick test_rng_choice;
           Alcotest.test_case "weighted index" `Quick test_rng_weighted_index;
-          Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "sample distinct" `Quick test_rng_sample_distinct;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
-          Alcotest.test_case "gaussian pinned" `Quick test_rng_gaussian_pinned;
-          Alcotest.test_case "gaussian interleaved pinned" `Quick
-            test_rng_gaussian_interleaved_pinned;
           Alcotest.test_case "weighted index pinned" `Quick
             test_rng_weighted_index_pinned;
           Alcotest.test_case "weighted zero tail" `Quick
@@ -945,11 +789,7 @@ let () =
           Alcotest.test_case "median odd" `Quick test_stats_median_odd;
           Alcotest.test_case "median even" `Quick test_stats_median_even;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "gini equal" `Quick test_stats_gini_equal;
-          Alcotest.test_case "gini concentrated" `Quick test_stats_gini_concentrated;
           Alcotest.test_case "hhi" `Quick test_stats_hhi;
-          Alcotest.test_case "correlation" `Quick test_stats_correlation;
-          Alcotest.test_case "summary" `Quick test_stats_summary;
           Alcotest.test_case "empty raises" `Quick test_stats_empty_raises;
         ] );
       ( "pqueue",
@@ -976,9 +816,7 @@ let () =
           Alcotest.test_case "weights snapshot" `Quick test_graph_weights_snapshot;
           Alcotest.test_case "row allocation" `Quick test_graph_row_allocation;
           Alcotest.test_case "bfs/connected" `Quick test_graph_bfs_connected;
-          Alcotest.test_case "transpose" `Quick test_graph_transpose;
           Alcotest.test_case "map edges" `Quick test_graph_map_edges;
-          Alcotest.test_case "degree histogram" `Quick test_graph_degree_histogram;
         ] );
       ( "table",
         [
@@ -991,7 +829,6 @@ let () =
           Alcotest.test_case "graph fold/iter" `Quick test_graph_fold_and_iter;
           Alcotest.test_case "stats total empty" `Quick test_stats_total_empty;
           Alcotest.test_case "rng choice list" `Quick test_rng_choice_list;
-          Alcotest.test_case "pqueue clear" `Quick test_pqueue_clear;
         ] );
       ("properties", qcheck_cases);
     ]

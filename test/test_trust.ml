@@ -1,45 +1,9 @@
-(* Tests for tussle.trust: identity, trust graph, reputation, mediator. *)
+(* Tests for tussle.trust: trust graph, firewall control, traceback. *)
 
-module Identity = Tussle_trust.Identity
 module Trust_graph = Tussle_trust.Trust_graph
-module Reputation = Tussle_trust.Reputation
-module Mediator = Tussle_trust.Mediator
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close = Alcotest.(check (float 1e-6))
-
-(* ---------- Identity ---------- *)
-
-let test_identity_accountability_order () =
-  let open Identity in
-  Alcotest.(check bool) "real > role" true
-    (accountability (Real_name "a") > accountability (Role "r"));
-  Alcotest.(check bool) "role > pseudonym" true
-    (accountability (Role "r") > accountability (Pseudonym "p"));
-  Alcotest.(check bool) "pseudonym > anon" true
-    (accountability (Pseudonym "p") > accountability Anonymous);
-  check_float "anon zero" 0.0 (accountability Anonymous)
-
-let test_identity_policies () =
-  let open Identity in
-  Alcotest.(check bool) "open accepts anon" true (accepts open_policy Anonymous);
-  Alcotest.(check bool) "strict rejects anon" false
-    (accepts accountable_only Anonymous);
-  Alcotest.(check bool) "strict rejects pseudonym" false
-    (accepts accountable_only (Pseudonym "p"));
-  Alcotest.(check bool) "strict accepts role" true
-    (accepts accountable_only (Role "admin"));
-  Alcotest.(check bool) "strict accepts real" true
-    (accepts accountable_only (Real_name "alice"))
-
-let test_identity_disguise () =
-  let open Identity in
-  Alcotest.(check bool) "disguised" true
-    (disguised_anonymity ~claimed:(Real_name "fake") ~actual:Anonymous);
-  Alcotest.(check bool) "honest anon" false
-    (disguised_anonymity ~claimed:Anonymous ~actual:Anonymous);
-  Alcotest.(check bool) "honest real" false
-    (disguised_anonymity ~claimed:(Real_name "a") ~actual:(Real_name "a"))
 
 (* ---------- Trust graph ---------- *)
 
@@ -87,8 +51,11 @@ let test_trust_threshold_and_revoke () =
   Alcotest.(check bool) "trusts" true (Trust_graph.trusts g ~threshold:0.5 0 1);
   Alcotest.(check bool) "not that much" false
     (Trust_graph.trusts g ~threshold:0.9 0 1);
-  Trust_graph.revoke g ~truster:0 ~trustee:1;
+  (* revoking is re-setting one direction to 0 *)
+  Trust_graph.set_trust g ~truster:0 ~trustee:1 0.0;
   check_float "revoked" 0.0 (Trust_graph.direct_trust g ~truster:0 ~trustee:1);
+  Alcotest.(check bool) "no longer trusts" false
+    (Trust_graph.trusts g ~threshold:0.5 0 1);
   check_float "other direction intact" 0.7
     (Trust_graph.direct_trust g ~truster:1 ~trustee:0)
 
@@ -97,121 +64,6 @@ let test_trust_validation () =
   Alcotest.check_raises "bad weight"
     (Invalid_argument "Trust_graph.set_trust: weight not in [0,1]") (fun () ->
       Trust_graph.set_trust g ~truster:0 ~trustee:1 1.5)
-
-let test_trust_mean_pairwise () =
-  let g = Trust_graph.create 3 in
-  Trust_graph.add_mutual g 0 1 1.0;
-  Trust_graph.add_mutual g 1 2 1.0;
-  Trust_graph.add_mutual g 0 2 1.0;
-  check_close "complete trust" 1.0 (Trust_graph.mean_pairwise_trust g);
-  let empty = Trust_graph.create 3 in
-  check_float "no trust" 0.0 (Trust_graph.mean_pairwise_trust empty)
-
-(* ---------- Reputation ---------- *)
-
-let test_reputation_prior () =
-  let r = Reputation.create 2 in
-  check_float "uninformed 0.5" 0.5 (Reputation.score r ~subject:0)
-
-let test_reputation_updates () =
-  let r = Reputation.create 1 in
-  Reputation.rate r ~subject:0 ~good:true;
-  check_close "one good" (2.0 /. 3.0) (Reputation.score r ~subject:0);
-  Reputation.rate r ~subject:0 ~good:false;
-  check_float "balanced" 0.5 (Reputation.score r ~subject:0)
-
-let test_reputation_converges () =
-  let r = Reputation.create 1 in
-  for _ = 1 to 100 do
-    Reputation.rate r ~subject:0 ~good:true
-  done;
-  Alcotest.(check bool) "high" true (Reputation.score r ~subject:0 > 0.95)
-
-let test_reputation_forgetting () =
-  let slow = Reputation.create ~forgetting:0.5 1 in
-  for _ = 1 to 50 do
-    Reputation.rate slow ~subject:0 ~good:false
-  done;
-  (* reformed: a few recent good ratings outweigh the discounted past *)
-  for _ = 1 to 5 do
-    Reputation.rate slow ~subject:0 ~good:true
-  done;
-  Alcotest.(check bool) "forgiven" true (Reputation.score slow ~subject:0 > 0.6)
-
-let test_reputation_ranking () =
-  let r = Reputation.create 3 in
-  Reputation.rate r ~subject:2 ~good:true;
-  Reputation.rate r ~subject:1 ~good:false;
-  match Reputation.ranking r with
-  | (first, _) :: _ -> Alcotest.(check int) "best first" 2 first
-  | [] -> Alcotest.fail "empty ranking"
-
-(* ---------- Mediator ---------- *)
-
-let tx = { Mediator.gain = 10.0; loss = 100.0; p_honest = 0.9 }
-
-let test_mediator_none () =
-  (* 0.9*10 - 0.1*100 = -1: not worth transacting naked *)
-  check_float "naked negative" (-1.0) (Mediator.expected_utility tx Mediator.No_mediator);
-  Alcotest.(check bool) "declines" false
-    (Mediator.should_transact tx Mediator.No_mediator)
-
-let test_mediator_liability_cap () =
-  (* the credit card: loss capped at 50 cents equivalent *)
-  let m = Mediator.Liability_cap { cap = 5.0; fee = 0.5 } in
-  (* 9 - 0.1*5 - 0.5 = 8.0 *)
-  check_float "capped" 8.0 (Mediator.expected_utility tx m);
-  Alcotest.(check bool) "transacts" true (Mediator.should_transact tx m)
-
-let test_mediator_certifier () =
-  let m = Mediator.Certifier { assurance = 0.9; fee = 1.0 } in
-  (* p' = 0.9 + 0.9*0.1 = 0.99 -> 9.9 - 1 - 1 = 7.9 *)
-  check_close "certified" 7.9 (Mediator.expected_utility tx m)
-
-let test_mediator_escrow () =
-  let m = Mediator.Escrow { fee = 2.0 } in
-  check_float "escrowed" 7.0 (Mediator.expected_utility tx m)
-
-let test_mediator_choice () =
-  let options =
-    [
-      Mediator.No_mediator;
-      Mediator.Liability_cap { cap = 5.0; fee = 0.5 };
-      Mediator.Escrow { fee = 2.0 };
-    ]
-  in
-  let best, u = Mediator.best_mediator tx options in
-  Alcotest.(check string) "picks cap" "liability-cap(5,fee=0.5)"
-    (Mediator.mediator_to_string best);
-  check_float "best utility" 8.0 u
-
-let test_mediator_enables_trade () =
-  let txs =
-    [
-      tx;
-      { Mediator.gain = 1.0; loss = 1000.0; p_honest = 0.5 };
-      (* hopeless *)
-      { Mediator.gain = 5.0; loss = 0.0; p_honest = 1.0 };
-      (* always fine *)
-    ]
-  in
-  let enabled =
-    Mediator.enabled_transactions txs
-      [ Mediator.No_mediator; Mediator.Liability_cap { cap = 1.0; fee = 0.1 } ]
-  in
-  Alcotest.(check int) "two of three enabled" 2 (List.length enabled);
-  (* without mediators, only one trade happens *)
-  let naked = Mediator.enabled_transactions txs [ Mediator.No_mediator ] in
-  Alcotest.(check int) "one naked" 1 (List.length naked)
-
-let test_mediator_validation () =
-  Alcotest.check_raises "bad p" (Invalid_argument "Mediator: p_honest not in [0,1]")
-    (fun () ->
-      ignore
-        (Mediator.expected_utility
-           { Mediator.gain = 1.0; loss = 1.0; p_honest = 2.0 }
-           Mediator.No_mediator))
-
 
 (* ---------- Traceback ---------- *)
 
@@ -273,7 +125,6 @@ let test_traceback_validation () =
   Alcotest.check_raises "empty path"
     (Invalid_argument "Traceback.simulate: empty path") (fun () ->
       ignore (Traceback.simulate rng ~path:[] ~p:0.5 ~packets:10))
-
 
 (* Per-hop marking, the sampler [simulate] had before it drew each
    packet's mark in one draw: every router overwrites the mark with
@@ -503,20 +354,6 @@ let test_fc_admin_precedence () =
        { Fc.any with Fc.sel_src = Some 7 });
   Alcotest.(check bool) "admin wins" false (Fc.permits t (game 0 7))
 
-let test_fc_remove_rule () =
-  let t = Fc.create () in
-  let id =
-    match
-      Fc.add_rule t (Fc.End_user 7) ~allow:false { Fc.any with Fc.sel_src = Some 7 }
-    with
-    | Ok id -> id
-    | Error _ -> Alcotest.fail "add"
-  in
-  Alcotest.(check bool) "other user may not remove" true
-    (Fc.remove_rule t (Fc.End_user 8) id = Error `Not_owner);
-  Alcotest.(check bool) "owner removes" true (Fc.remove_rule t (Fc.End_user 7) id = Ok ());
-  Alcotest.(check bool) "gone" true (Fc.permits t (game 0 7))
-
 let test_fc_transparency () =
   let t = Fc.create () in
   ignore
@@ -536,13 +373,6 @@ let test_fc_transparency () =
 let () =
   Alcotest.run "trust"
     [
-      ( "identity",
-        [
-          Alcotest.test_case "accountability order" `Quick
-            test_identity_accountability_order;
-          Alcotest.test_case "policies" `Quick test_identity_policies;
-          Alcotest.test_case "disguise" `Quick test_identity_disguise;
-        ] );
       ( "trust-graph",
         [
           Alcotest.test_case "direct" `Quick test_trust_direct;
@@ -551,15 +381,6 @@ let () =
           Alcotest.test_case "depth bound" `Quick test_trust_depth_bound;
           Alcotest.test_case "threshold/revoke" `Quick test_trust_threshold_and_revoke;
           Alcotest.test_case "validation" `Quick test_trust_validation;
-          Alcotest.test_case "mean pairwise" `Quick test_trust_mean_pairwise;
-        ] );
-      ( "reputation",
-        [
-          Alcotest.test_case "prior" `Quick test_reputation_prior;
-          Alcotest.test_case "updates" `Quick test_reputation_updates;
-          Alcotest.test_case "converges" `Quick test_reputation_converges;
-          Alcotest.test_case "forgetting" `Quick test_reputation_forgetting;
-          Alcotest.test_case "ranking" `Quick test_reputation_ranking;
         ] );
       ( "firewall-control",
         [
@@ -567,7 +388,6 @@ let () =
           Alcotest.test_case "admin rule binds" `Quick test_fc_admin_rule_binds;
           Alcotest.test_case "user scope" `Quick test_fc_user_scope;
           Alcotest.test_case "admin precedence" `Quick test_fc_admin_precedence;
-          Alcotest.test_case "remove rule" `Quick test_fc_remove_rule;
           Alcotest.test_case "transparency" `Quick test_fc_transparency;
         ] );
       ( "traceback",
@@ -592,15 +412,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_traceback_one_draw_per_packet;
           Alcotest.test_case "near-certain marking" `Quick
             test_traceback_near_certain_marking;
-        ] );
-      ( "mediator",
-        [
-          Alcotest.test_case "no mediator" `Quick test_mediator_none;
-          Alcotest.test_case "liability cap" `Quick test_mediator_liability_cap;
-          Alcotest.test_case "certifier" `Quick test_mediator_certifier;
-          Alcotest.test_case "escrow" `Quick test_mediator_escrow;
-          Alcotest.test_case "best mediator" `Quick test_mediator_choice;
-          Alcotest.test_case "enables trade" `Quick test_mediator_enables_trade;
-          Alcotest.test_case "validation" `Quick test_mediator_validation;
         ] );
     ]
