@@ -164,7 +164,7 @@ let bench_transport () =
         if target <> node then Some target else None)
   in
   let engine = Engine.create () in
-  let gen = Tussle_netsim.Traffic.create (Rng.create 9005) in
+  let gen = Tussle_netsim.Traffic.create () in
   let c =
     Tussle_netsim.Transport.start engine net gen ~src:0 ~dst:1
       ~total_packets:200

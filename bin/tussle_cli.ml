@@ -223,7 +223,7 @@ let explain_cmd =
   in
   let json =
     file_flag "json"
-      ~doc:"Also write the tussle.flow-trace/1 JSON artifact to $(docv)."
+      ~doc:"Also write the tussle.flow-trace/2 JSON artifact to $(docv)."
   in
   (* --domains/--seq are accepted for symmetry and validated; the replay
      is a single-threaded simulation. *)

@@ -91,7 +91,9 @@ let run_regime ~seed ~attacker_fraction regime =
   (* traffic: legit web + a new app on an odd port + attacks (half of
      which are tunneled to dodge port filters) *)
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.split rng) in
+  (* the split keeps [rng]'s later draws where they were *)
+  ignore (Rng.split rng);
+  let gen = Traffic.create () in
   let tally =
     { attacks_landed = 0; legit_delivered = 0; legit_total = 0; attacks_total = 0 }
   in

@@ -13,7 +13,7 @@
        of the flows that dropped packets or gave up — each drop
        attributed to the fault episode whose window and location
        explain it;}
-    {- a machine-readable [tussle.flow-trace/1] JSON artifact carrying
+    {- a machine-readable [tussle.flow-trace/2] JSON artifact carrying
        the same verdict plus every retained event.}}
 
     Replay always runs in the calling domain: the scenarios are
@@ -58,12 +58,19 @@ val narrative_of_violation :
     full narrative carries), headed by the violation itself. *)
 
 val schema : string
-(** ["tussle.flow-trace/1"] *)
+(** ["tussle.flow-trace/2"] *)
 
 val to_json : result -> Tussle_obs.Json.t
-(** The [tussle.flow-trace/1] artifact. *)
+(** The [tussle.flow-trace/2] artifact.  Its ["events"] member is an
+    object of columns, one array per field of {!Tussle_obs.Flight.event}
+    ([t], [flow], [kind], [node], [peer], [detail], [value]), each
+    [events_recorded] long.  The [kind] and [detail] columns hold
+    indices into the string tables ["kinds"] and ["details"], which
+    list every distinct string once, in first-seen order. *)
 
 val validate_json : Tussle_obs.Json.t -> (unit, string) Stdlib.result
 (** Structural check of a parsed artifact: schema tag, required
-    fields, and per-event field types.  CI runs this on every
-    [tussle explain --json] output. *)
+    fields, the string tables, and that every column has
+    [events_recorded] elements of its type (a float column's finite),
+    the index columns in range of their tables.  Every error starts ["flow-trace: "].  CI runs
+    this on every [tussle explain --json] output. *)

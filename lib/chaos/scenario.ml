@@ -41,7 +41,7 @@ let line_transfer =
     let engine = Engine.create () in
     let clock_start = Engine.now engine in
     Inject.install ~seed ~plan engine net;
-    let gen = Traffic.create (Rng.create (seed + 1)) in
+    let gen = Traffic.create () in
     let conn =
       Transport.start
         ~retry:(Transport.retry ~jitter:(Rng.create (seed + 2)) ~budget:10)
@@ -76,7 +76,7 @@ let ring name detector =
     let heal = Selfheal.attach ~detector ~until:12.0 engine net in
     Inject.install ~seed ~plan engine net;
     Traffic.constant_flow
-      (Traffic.create (Rng.create (seed + 1)))
+      (Traffic.create ())
       engine net ~start:0.2 ~interval:0.1 ~count:80
       ~make:(fun gen ~created ->
         Traffic.next_packet gen ~src:0 ~dst:3 ~created ());
@@ -104,7 +104,7 @@ let grid_static =
     let engine = Engine.create () in
     let clock_start = Engine.now engine in
     Inject.install ~seed ~plan engine net;
-    let gen = Traffic.create (Rng.create (seed + 1)) in
+    let gen = Traffic.create () in
     let flow ~src ~dst ~start =
       Traffic.constant_flow gen engine net ~start ~interval:0.15 ~count:40
         ~make:(fun gen ~created ->

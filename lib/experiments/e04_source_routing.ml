@@ -43,7 +43,7 @@ let run_regime tt pv regime =
           (Middlebox.qos_stripper ~honor:(fun _ -> false)))
     tt.Topology.transits;
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 42) in
+  let gen = Traffic.create () in
   let hosts = Array.of_list tt.Topology.hosts in
   let n = Array.length hosts in
   let sent = ref 0 in

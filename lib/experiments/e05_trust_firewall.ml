@@ -69,7 +69,9 @@ let run_cell ~seed ~attacker_fraction regime =
         Net.add_middlebox net a (Middlebox.trust_firewall ~admits))
     tt.Topology.accesses;
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.split rng) in
+  (* the split keeps [rng]'s later draws where they were *)
+  ignore (Rng.split rng);
+  let gen = Traffic.create () in
   let good_hosts =
     Array.of_list (List.filteri (fun i _ -> not attacker.(i)) (Array.to_list hosts))
   in

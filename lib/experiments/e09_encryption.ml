@@ -38,7 +38,9 @@ let classify_run ~adoption =
   in
   Net.add_middlebox net 2 observer;
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.split rng) in
+  (* the split keeps [rng]'s later draws where they were *)
+  ignore (Rng.split rng);
+  let gen = Traffic.create () in
   let apps = [| Packet.Web; Packet.Mail; Packet.Voip; Packet.File_sharing |] in
   Traffic.constant_flow gen engine net ~start:0.0 ~interval:0.001 ~count:400
     ~make:(fun gen ~created ->

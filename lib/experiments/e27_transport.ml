@@ -34,7 +34,7 @@ let horizon = 30.0
 let run_pair b_behaviour =
   let net = shared_bottleneck_net () in
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 1027) in
+  let gen = Traffic.create () in
   let a = Transport.start engine net gen ~src:0 ~dst:3 ~total_packets:100_000 in
   let b =
     Transport.start ~behaviour:b_behaviour engine net gen ~src:1 ~dst:3

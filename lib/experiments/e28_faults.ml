@@ -32,7 +32,7 @@ let diagnose ~fault_seed ~covert =
   Inject.install ~seed:fault_seed
     ~plan:[ Plan.Middlebox_break { node = 3; w = Plan.always; covert } ]
     engine net;
-  let gen = Traffic.create (Rng.create (fault_seed + 1)) in
+  let gen = Traffic.create () in
   let make ~target =
     Traffic.next_packet gen ~app:Packet.File_sharing ~src:0 ~dst:target
       ~created:(Engine.now engine) ()
@@ -83,7 +83,7 @@ let run_transfer ~item_seed ~plan =
       Inject.install ~seed:(item_seed + 17) ~plan:p engine net;
       List.length p
   in
-  let gen = Traffic.create (Rng.create (item_seed + 2)) in
+  let gen = Traffic.create () in
   let conn =
     Transport.start
       ~retry:(Transport.retry ~jitter:(Rng.create (item_seed + 3)) ~budget:12)

@@ -95,7 +95,7 @@ let run ~seed ~plan ~fault_at control =
     | Static | Heal _ -> []
   in
   Traffic.constant_flow
-    (Traffic.create (Rng.create (seed + 1)))
+    (Traffic.create ())
     engine net ~start:first_send ~interval:send_interval ~count:packets
     ~make:(fun gen ~created ->
       let source_route = source_route () in

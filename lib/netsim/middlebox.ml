@@ -1,4 +1,4 @@
-type action = Forward | Drop | Degrade | Tap
+type action = Forward | Drop | Degrade
 
 type t = {
   name : string;
@@ -17,7 +17,7 @@ let decide t p =
   let a = t.policy p in
   (match a with
   | Drop -> t.dropped <- t.dropped + 1
-  | Degrade | Forward | Tap -> ());
+  | Degrade | Forward -> ());
   a
 
 let inspected t = t.inspected

@@ -15,7 +15,6 @@ type action =
   | Forward  (** pass unchanged *)
   | Drop  (** discard (filtering, firewalling) *)
   | Degrade  (** strip QoS to best-effort (closed QoS deployment) *)
-  | Tap  (** copy to an observer, then forward (wiretap) *)
 
 type t
 

@@ -14,7 +14,7 @@ type drop_reason =
   | Blackholed of int
 
 type outcome =
-  | Delivered of { latency : float; degraded : bool; tapped : bool }
+  | Delivered of { latency : float; degraded : bool }
   | Lost of drop_reason
 
 type forwarding = node:int -> target:int -> Packet.t -> int option
@@ -25,7 +25,6 @@ type forwarding = node:int -> target:int -> Packet.t -> int option
 type transit = {
   mutable waypoints : int list;
   mutable degraded : bool;
-  mutable tapped : bool;
   mutable hops : int;
 }
 
@@ -126,14 +125,9 @@ let count_outcome = function
    at the node (or link) where the packet's fate was decided. *)
 let record_finish ~now ~at p outcome =
   match outcome with
-  | Delivered { latency; degraded; tapped } ->
+  | Delivered { latency; degraded } ->
     Flight.emit ~sim_t:now ~flow:p.Packet.id ~node:at ~peer:(-1)
-      ~detail:
-        (match (degraded, tapped) with
-        | true, true -> "degraded,tapped"
-        | true, false -> "degraded"
-        | false, true -> "tapped"
-        | false, false -> "")
+      ~detail:(if degraded then "degraded" else "")
       ~value:latency "deliver"
   | Lost reason ->
     let node, peer =
@@ -190,7 +184,7 @@ let finish t ~now ~at p outcome =
 let on_complete t observe = t.observers <- t.observers @ [ observe ]
 
 (* Run the node's middleboxes; [Some reason] means the packet died here.
-   Transforms (degrade, tap, drop) land in the flight recorder; the
+   Transforms (degrade, drop) land in the flight recorder; the
    drop's own terminus event carries the filtered reason, so only
    non-fatal transforms are emitted here. *)
 let rec run_middleboxes ~now node p state = function
@@ -204,12 +198,6 @@ let rec run_middleboxes ~now node p state = function
       if Flight.enabled () then
         Flight.emit ~sim_t:now ~flow:p.Packet.id ~node ~peer:(-1)
           ~detail:(Middlebox.name mb) ~value:0.0 "mb-degrade";
-      run_middleboxes ~now node p state rest
-    | Middlebox.Tap ->
-      state.tapped <- true;
-      if Flight.enabled () then
-        Flight.emit ~sim_t:now ~flow:p.Packet.id ~node ~peer:(-1)
-          ~detail:(Middlebox.name mb) ~value:0.0 "mb-tap";
       run_middleboxes ~now node p state rest
   end
 
@@ -235,7 +223,7 @@ let rec arrive t engine p state node =
     if node = p.Packet.dst && state.waypoints = [] then
       let latency = now -. p.Packet.created in
       finish t ~now ~at:node p
-        (Delivered { latency; degraded = state.degraded; tapped = state.tapped })
+        (Delivered { latency; degraded = state.degraded })
     else if state.hops >= ttl then
       finish t ~now ~at:node p (Lost Ttl_exceeded)
     else
@@ -277,7 +265,6 @@ let inject t engine p =
     {
       waypoints = p.Packet.source_route;
       degraded = false;
-      tapped = false;
       hops = List.length p.Packet.hops;
     }
   in

@@ -39,7 +39,7 @@ val is_fault_drop : drop_reason -> bool
     an injected [Middlebox_break], which names the device instead. *)
 
 type outcome =
-  | Delivered of { latency : float; degraded : bool; tapped : bool }
+  | Delivered of { latency : float; degraded : bool }
   | Lost of drop_reason
 
 type forwarding = node:int -> target:int -> Packet.t -> int option

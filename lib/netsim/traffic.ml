@@ -1,8 +1,6 @@
-module Rng = Tussle_prelude.Rng
+type t = { mutable next_id : int }
 
-type t = { rng : Rng.t; mutable next_id : int }
-
-let create rng = { rng; next_id = 0 }
+let create () = { next_id = 0 }
 
 let fresh_id t =
   let id = t.next_id in

@@ -1,13 +1,12 @@
 (** Traffic generation: reproducible synthetic workloads.
 
     Allocates globally unique packet ids per generator and schedules
-    injections on the engine.  Arrival processes are Poisson (the usual
-    open-loop model) or constant-rate. *)
+    constant-rate injections on the engine. *)
 
 type t
-(** A packet-id allocator bound to an RNG stream. *)
+(** A packet-id allocator. *)
 
-val create : Tussle_prelude.Rng.t -> t
+val create : unit -> t
 
 val fresh_id : t -> int
 

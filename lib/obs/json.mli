@@ -15,6 +15,10 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+val int : int -> t
+(** [Int n], one shared node per [n] in [\[-1, 1023\]]: {!parse} and
+    the column encoders build most of their ints through it. *)
+
 val to_string : ?minify:bool -> t -> string
 (** Render; [minify:false] (default) pretty-prints with 2-space
     indents so committed reports diff cleanly.

@@ -496,7 +496,7 @@ let gray_blind detector : Scenario.t =
     let clock_start = Engine.now engine in
     let heal = Selfheal.attach ~detector ~until:12.0 engine net in
     Inject.install ~seed ~plan engine net;
-    let gen = Traffic.create (Rng.create (seed + 1)) in
+    let gen = Traffic.create () in
     for k = 0 to 79 do
       let at = 0.2 +. (0.1 *. float_of_int k) in
       Engine.schedule engine at (fun engine ->
@@ -583,6 +583,12 @@ let line_entry =
     plan = [ Plan.Link_down { u = 1; v = 2; w = Plan.window 0.2 0.9 } ];
   }
 
+(* The array at [path] with its [i]th element set to [x]. *)
+let set_element path i x =
+  Flow_trace_oracle.edit path (function
+    | Obs_json.List xs -> Obs_json.List (List.mapi (fun k y -> if k = i then x else y) xs)
+    | j -> j)
+
 let test_explain_deterministic_and_causal () =
   match (Explain.run line_entry, Explain.run line_entry) with
   | Error e, _ | _, Error e -> Alcotest.fail e
@@ -611,26 +617,15 @@ let test_explain_deterministic_and_causal () =
       | Ok () -> ()
       | Error e -> Alcotest.fail e));
     (* corrupted artifacts are rejected with the exact message *)
-    let retype_flow i ev =
-      match ev with
-      | Obs_json.Obj fields when i = 3 ->
-        Obs_json.Obj
-          (List.map
-             (fun (k, v) -> if k = "flow" then (k, Obs_json.Str "x") else (k, v))
-             fields)
-      | ev -> ev
+    let recorded = List.length a.Explain.events in
+    let kinds =
+      match Obs_json.member "kinds" artifact with
+      | Some (Obs_json.List ks) -> List.length ks
+      | _ -> Alcotest.fail "no kinds table"
     in
-    let corrupt_event =
-      match artifact with
-      | Obs_json.Obj fields ->
-        Obs_json.Obj
-          (List.map
-             (function
-               | "events", Obs_json.List evs ->
-                 ("events", Obs_json.List (List.mapi retype_flow evs))
-               | field -> field)
-             fields)
-      | _ -> Alcotest.fail "artifact is not an object"
+    let drop_last = function
+      | Obs_json.List xs -> Obs_json.List (List.filteri (fun i _ -> i < List.length xs - 1) xs)
+      | j -> j
     in
     List.iter
       (fun (label, bad, expected) ->
@@ -639,10 +634,25 @@ let test_explain_deterministic_and_causal () =
       [
         ( "bad schema tag",
           Obs_json.Obj [ ("schema", Obs_json.Str "nope") ],
-          {|flow-trace: schema "nope", expected "tussle.flow-trace/1"|} );
+          {|flow-trace: schema "nope", expected "tussle.flow-trace/2"|} );
         ( "wrong-typed flow",
-          corrupt_event,
-          "flow-trace: missing or ill-typed events[3].flow" );
+          set_element [ "events"; "flow" ] 3 (Obs_json.Str "x") artifact,
+          "flow-trace: missing or ill-typed events.flow[3]" );
+        ( "short column",
+          Flow_trace_oracle.edit [ "events"; "node" ] drop_last artifact,
+          Printf.sprintf "flow-trace: events_recorded %d but events.node has %d elements"
+            recorded (recorded - 1) );
+        ( "kind index out of range",
+          set_element [ "events"; "kind" ] 0 (Obs_json.Int kinds) artifact,
+          Printf.sprintf
+            "flow-trace: events.kind[0] = %d is not an index into kinds (%d entries)"
+            kinds kinds );
+        ( "infinite t",
+          set_element [ "events"; "t" ] 0 (Obs_json.Float Float.infinity) artifact,
+          "flow-trace: missing or ill-typed events.t[0]" );
+        ( "non-string details entry",
+          set_element [ "details" ] 1 (Obs_json.Int 7) artifact,
+          "flow-trace: missing or ill-typed details[1]" );
       ]
 
 let test_violation_narrative () =
@@ -709,14 +719,14 @@ let test_explain_golden_corpus () =
 
 (* The [tussle explain --json] artifact of every committed reproducer,
    pinned by MD5 ([Digest.string]) of the file's bytes: the artifacts
-   are 60 KB to 1.1 MB, too big to commit, and any change to the
+   are 32 KB to 624 KB, too big to commit, and any change to the
    emitter or to what the flight recorder retains moves a digest. *)
 let artifact_digests =
   [
-    ("grid-static-23-39652dfe", "4c65c43c0fc201c2bd0f5b3a74ab1351");
-    ("line-transfer-5-07d08a99", "7d49225c516e1905cc383eec93695ad5");
-    ("ring-selfheal-17-39ea501a", "8d33b81d8a18dbf35aca321e26c4473a");
-    ("ring-verified-21-2f443a96", "297deba0e5f008f99497f1afd4883699");
+    ("grid-static-23-39652dfe", "fef183689a21a97f27bea4c8760ba819");
+    ("line-transfer-5-07d08a99", "8a3a80cbeb359310c21c31f9fe7d4ab3");
+    ("ring-selfheal-17-39ea501a", "d4ed781a5bf0f183573bcf52f3d8fe65");
+    ("ring-verified-21-2f443a96", "8f41e7f6c85b1c49a8559fdeac9542ac");
   ]
 
 let test_explain_artifact_digests () =
@@ -738,6 +748,29 @@ let test_explain_artifact_digests () =
               Alcotest.(check string) stem digest
                 (Digest.to_hex (Digest.string (read_file path))))))
     artifact_digests
+
+(* Every reproducer's /2 columns, printed and parsed back, decode to
+   the rows the /1 per-event encoder gives for the same run. *)
+let test_artifact_matches_oracle () =
+  let reparse j = Result.get_ok (Obs_json.parse (Obs_json.to_string j)) in
+  List.iter
+    (fun stem ->
+      match Corpus.load (corpus_plan stem) with
+      | Error e -> Alcotest.fail e
+      | Ok entry -> (
+        match Explain.run entry with
+        | Error e -> Alcotest.fail e
+        | Ok r ->
+          let oracle =
+            Flow_trace_oracle.rows_of_objects
+              (reparse
+                 (Obs_json.List (List.map Flow_trace_oracle.event_to_json r.Explain.events)))
+          in
+          let rows = Flow_trace_oracle.rows_of_columns (reparse (Explain.to_json r)) in
+          Alcotest.(check int) (stem ^ " rows") (List.length r.Explain.events)
+            (List.length rows);
+          Alcotest.(check bool) (stem ^ " rows equal the oracle's") true (rows = oracle)))
+    (stems corpus_dir ".plan")
 
 (* [tussle chaos --replay chaos/corpus], byte for byte. *)
 let test_replay_golden () =
@@ -1006,6 +1039,8 @@ let () =
             test_explain_golden_corpus;
           Alcotest.test_case "artifact digests for the corpus" `Quick
             test_explain_artifact_digests;
+          Alcotest.test_case "artifact rows match the /1 oracle" `Quick
+            test_artifact_matches_oracle;
           Alcotest.test_case "golden corpus replay" `Quick test_replay_golden;
           Alcotest.test_case "attribution table" `Quick
             test_attribution_table;

@@ -601,7 +601,7 @@ let test_net_probe_against_covert_injection () =
     Inject.install ~seed:5
       ~plan:[ Plan.Middlebox_break { node = 2; w = Plan.always; covert } ]
       engine net;
-    let gen = Traffic.create (Rng.create 6) in
+    let gen = Traffic.create () in
     let make ~target =
       Traffic.next_packet gen ~src:0 ~dst:target
         ~created:(Engine.now engine) ()

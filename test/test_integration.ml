@@ -30,7 +30,7 @@ let test_pathvector_forwards_packets () =
   let links = Topology.to_links (plain_edges tt.Topology.graph) in
   let net = Net.create links (Pathvector.forwarding pv) in
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 1) in
+  let gen = Traffic.create () in
   let hosts = Array.of_list tt.Topology.hosts in
   let n = Array.length hosts in
   for i = 0 to n - 1 do
@@ -193,7 +193,7 @@ let test_internet_in_a_bottle () =
   let links = Topology.to_links plain in
   let net = Net.create links (Pathvector.forwarding pv) in
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 402) in
+  let gen = Traffic.create () in
   let hosts = Array.of_list tt.Topology.hosts in
   let alice = hosts.(0) and bob = hosts.(Array.length hosts - 1) in
   (* 1: a NAT'd household behind alice's access: private machines can

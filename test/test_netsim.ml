@@ -791,8 +791,7 @@ let test_net_duplicate_id_rejected () =
 (* ---------- Traffic ---------- *)
 
 let test_traffic_constant_spacing () =
-  let rng = Rng.create 9 in
-  let gen = Traffic.create rng in
+  let gen = Traffic.create () in
   let net = Net.create (line_links 2) line_forwarding in
   let engine = Engine.create () in
   Traffic.constant_flow gen engine net ~start:0.0 ~interval:1.0 ~count:3
@@ -805,7 +804,7 @@ let test_traffic_constant_spacing () =
     (List.sort compare created)
 
 let test_traffic_fresh_ids () =
-  let gen = Traffic.create (Rng.create 1) in
+  let gen = Traffic.create () in
   Alcotest.(check int) "id0" 0 (Traffic.fresh_id gen);
   Alcotest.(check int) "id1" 1 (Traffic.fresh_id gen)
 
@@ -1081,7 +1080,7 @@ let shared_bottleneck_net () =
 let test_transport_completes () =
   let net = single_link_net () in
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 1) in
+  let gen = Traffic.create () in
   let c = Transport.start engine net gen ~src:0 ~dst:1 ~total_packets:200 in
   Engine.run ~until:120.0 engine;
   Alcotest.(check bool) "completed" true (Transport.completed c);
@@ -1095,7 +1094,7 @@ let test_transport_losses_recovered () =
     (Link.make ~queue_capacity:4 ~latency:0.005 ~bandwidth_bps:1e6 ());
   let net = Net.create g direct_forwarding in
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 2) in
+  let gen = Traffic.create () in
   let c = Transport.start engine net gen ~src:0 ~dst:1 ~total_packets:100 in
   Engine.run ~until:120.0 engine;
   Alcotest.(check bool) "losses occurred" true (Transport.losses c > 0);
@@ -1105,7 +1104,7 @@ let test_transport_losses_recovered () =
 let test_transport_two_compliant_share () =
   let net = shared_bottleneck_net () in
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 3) in
+  let gen = Traffic.create () in
   let a = Transport.start engine net gen ~src:0 ~dst:3 ~total_packets:100_000 in
   let b = Transport.start engine net gen ~src:1 ~dst:3 ~total_packets:100_000 in
   Engine.run ~until:30.0 engine;
@@ -1117,7 +1116,7 @@ let test_transport_two_compliant_share () =
 let test_transport_aggressive_starves () =
   let net = shared_bottleneck_net () in
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 4) in
+  let gen = Traffic.create () in
   let honest = Transport.start engine net gen ~src:0 ~dst:3 ~total_packets:100_000 in
   let cheat =
     Transport.start ~behaviour:Transport.Aggressive engine net gen ~src:1
@@ -1131,7 +1130,7 @@ let test_transport_aggressive_starves () =
 let test_transport_validation () =
   let net = single_link_net () in
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 5) in
+  let gen = Traffic.create () in
   Alcotest.check_raises "empty transfer"
     (Invalid_argument "Transport.start: nothing to send") (fun () ->
       ignore (Transport.start engine net gen ~src:0 ~dst:1 ~total_packets:0))
@@ -1150,7 +1149,7 @@ let test_transport_survives_down_window () =
      after the restore, paced by backoff retransmissions *)
   let net, link = faultable_net () in
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 11) in
+  let gen = Traffic.create () in
   Engine.schedule engine 0.1 (fun _ -> Link.set_up link false);
   Engine.schedule engine 0.8 (fun _ -> Link.set_up link true);
   let c =
@@ -1173,7 +1172,7 @@ let test_transport_abandons_dead_path () =
      hang it *)
   let net, link = faultable_net () in
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 12) in
+  let gen = Traffic.create () in
   Link.set_up link false;
   let c =
     Transport.start
@@ -1196,7 +1195,7 @@ let test_transport_abandons_dead_path () =
 let test_transport_stalled_probe () =
   let net, link = faultable_net () in
   let engine = Engine.create () in
-  let gen = Traffic.create (Rng.create 13) in
+  let gen = Traffic.create () in
   Link.set_up link false;
   let c =
     Transport.start

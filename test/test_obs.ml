@@ -2,9 +2,9 @@
    untuned one in [Json_oracle], histogram bucket pins, counter/gauge
    merging across domains, span nesting and ring overwrite, the ring
    against a list model, Chrome trace / battery report
-   well-formedness, the bench-history and battery-report readers under
-   fuzzing, and the guard that telemetry never perturbs battery
-   output. *)
+   well-formedness, the bench-history, battery-report and flow-trace
+   readers under fuzzing, and the guard that telemetry never perturbs
+   battery output. *)
 
 module Json = Tussle_obs.Json
 module Metrics = Tussle_obs.Metrics
@@ -16,6 +16,9 @@ module Trends = Tussle_obs.Trends
 module Experiment = Tussle_experiments.Experiment
 module Registry = Tussle_experiments.Registry
 module Pool = Tussle_prelude.Pool
+module Plan = Tussle_fault.Plan
+module Corpus = Tussle_chaos.Corpus
+module Explain = Tussle_chaos.Explain
 
 let obs_off () =
   Metrics.disable ();
@@ -1100,6 +1103,140 @@ let prop_load_lexemes = prop_load "load: edge lexemes" ~count:1000 gen_report_le
 let prop_load_deep =
   prop_load "load: nesting up to 10^5 deep" ~count:60 gen_report_deep
 
+(* ---------- fuzzing the flow-trace validator ---------- *)
+
+(* A small real trace: every 20th event of a faulted line-transfer
+   replay, so that every column and both string tables hold several
+   entries. *)
+let small_trace =
+  lazy
+    (let plan = [ Plan.Link_down { u = 1; v = 2; w = Plan.window 0.2 0.9 } ] in
+     match Explain.run { Corpus.scenario = "line-transfer"; seed = 5; plan } with
+     | Error e -> failwith e
+     | Ok r ->
+       Explain.to_json
+         { r with Explain.events = List.filteri (fun i _ -> i mod 20 = 0) r.Explain.events })
+
+let trace_columns = [ "t"; "flow"; "kind"; "node"; "peer"; "detail"; "value" ]
+
+(* Where an array of the trace sits: a column under "events", or a
+   top-level string table. *)
+let trace_path array = if List.mem array trace_columns then [ "events"; array ] else [ array ]
+
+type trace_edit =
+  | Truncate of int  (** the last [k] elements dropped *)
+  | Extend  (** the first element repeated at the end *)
+  | Retype of string  (** the whole array replaced by this text *)
+  | Element of int * string  (** element [i] (mod the length) replaced by this text *)
+
+(* The printed trace with [array] edited; whether the edit must make
+   the trace invalid: a column of the wrong length, an array replaced
+   by something else, a table that some index overruns, an element
+   that is not a number (in a column) or not a string (in a table), or
+   a negative or huge index. *)
+let edited_trace ~minify array edit =
+  let hole = "@@lexeme@@" in
+  let column = List.mem array trace_columns in
+  let on_list f = function Json.List xs -> Json.List (f xs) | j -> j in
+  let tree, lexeme, must_fail =
+    match edit with
+    | Truncate k ->
+      (on_list (fun xs -> List.filteri (fun i _ -> i < List.length xs - k) xs), "", true)
+    | Extend -> (on_list (fun xs -> xs @ [ List.hd xs ]), "", column)
+    | Retype text -> ((fun _ -> Json.Str hole), text, true)
+    | Element (i, text) ->
+      ( on_list (fun xs ->
+            let i = i mod List.length xs in
+            List.mapi (fun k x -> if k = i then Json.Str hole else x) xs),
+        text,
+        (match text.[0] with
+        | '"' -> column
+        | '-' | '0' .. '9' -> not column
+        | _ -> true)
+        || (array = "kind" || array = "detail")
+           && List.mem text [ "-1"; "1000000"; "4611686018427387903"; "1e19"; "-9.3e18" ] )
+  in
+  let doc =
+    Json.to_string ~minify
+      (Flow_trace_oracle.edit (trace_path array) tree (Lazy.force small_trace))
+  in
+  let quoted = "\"" ^ hole ^ "\"" in
+  let n = String.length quoted in
+  let rec find i =
+    if i + n > String.length doc then doc
+    else if String.sub doc i n = quoted then
+      String.sub doc 0 i ^ lexeme ^ String.sub doc (i + n) (String.length doc - i - n)
+    else find (i + 1)
+  in
+  (find 0, must_fail)
+
+(* [Json.parse] then [Explain.validate_json] gives [Ok], a parse error
+   at a byte inside the text, or a validation error starting
+   "flow-trace: "; never an exception.  [Some true] when it is
+   [Ok]. *)
+let trace_verdict text =
+  match Json.parse text with
+  | Error msg -> (
+    match Scanf.sscanf_opt msg "JSON parse error at byte %d: %_s" Fun.id with
+    | Some at when at >= 0 && at <= String.length text -> Some false
+    | _ -> None)
+  | Ok j -> (
+    match Explain.validate_json j with
+    | Ok () -> Some true
+    | Error msg when String.starts_with ~prefix:"flow-trace: " msg -> Some false
+    | Error _ -> None)
+
+let prop_trace name ~count gen =
+  QCheck2.Test.make ~name ~count ~print:String.escaped (QCheck2.Gen.no_shrink gen)
+    (fun text -> trace_verdict text <> None)
+
+let prop_trace_bytes =
+  prop_trace "flow trace: JSON-alphabet bytes" ~count:1000
+    QCheck2.Gen.(string_size ~gen:gen_alphabet_char (int_range 0 120))
+
+let prop_trace_edited =
+  prop_trace "flow trace: edited traces" ~count:1000
+    QCheck2.Gen.(
+      bool >>= fun minify -> gen_edited (Json.to_string ~minify (Lazy.force small_trace)))
+
+let gen_trace_array = QCheck2.Gen.oneofl ("kinds" :: "details" :: trace_columns)
+
+let gen_column_edit lexeme =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun k -> Truncate k) (int_range 1 3);
+        pure Extend;
+        map (fun text -> Retype text) lexeme;
+        map2 (fun i text -> Element (i, text)) (int_bound 1000) lexeme;
+      ])
+
+let prop_trace_columns name ~count lexeme =
+  QCheck2.Test.make ~name ~count
+    ~print:(fun (minify, array, edit) ->
+      String.escaped (fst (edited_trace ~minify array edit)))
+    QCheck2.Gen.(no_shrink (triple bool gen_trace_array (gen_column_edit lexeme)))
+    (fun (minify, array, edit) ->
+      let text, must_fail = edited_trace ~minify array edit in
+      match trace_verdict text with
+      | None -> false
+      | Some valid -> not (must_fail && valid))
+
+let prop_trace_lexemes =
+  prop_trace_columns "flow trace: column edits and edge lexemes" ~count:1000
+    (QCheck2.Gen.oneofl
+       [
+         "-1"; "0"; "1"; "1000000"; "4611686018427387903"; "4611686018427387904"; "1e19";
+         "-9.3e18"; "1.5"; "-0"; "1e309"; "null"; "true"; {|"x"|}; {|"\u0000"|}; "[]";
+         "{}"; "[1,2,3]"; {|["a"]|};
+       ])
+
+let prop_trace_deep =
+  prop_trace_columns "flow trace: nesting up to 10^5 deep" ~count:60
+    QCheck2.Gen.(
+      pair (oneofl [ 1; 1000; 100_000 ]) bool >|= fun (depth, closed) ->
+      String.make depth '[' ^ if closed then String.make depth ']' else "")
+
 (* ---------- determinism guard ---------- *)
 
 let fast id =
@@ -1215,6 +1352,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_load_edited;
           QCheck_alcotest.to_alcotest prop_load_lexemes;
           QCheck_alcotest.to_alcotest prop_load_deep;
+        ] );
+      ( "flow-trace",
+        [
+          QCheck_alcotest.to_alcotest prop_trace_bytes;
+          QCheck_alcotest.to_alcotest prop_trace_edited;
+          QCheck_alcotest.to_alcotest prop_trace_lexemes;
+          QCheck_alcotest.to_alcotest prop_trace_deep;
         ] );
       ( "determinism",
         [

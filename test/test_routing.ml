@@ -420,7 +420,7 @@ let test_selfheal_reroutes_around_outage () =
   Inject.install ~seed:5
     ~plan:[ Plan.Link_down { u; v; w = Plan.window 0.52 2.02 } ]
     engine net;
-  let gen = Traffic.create (Rng.create 6) in
+  let gen = Traffic.create () in
   schedule_flow engine net gen ~src:0 ~dst:3 ~start:0.1 ~interval:0.05
     ~count:40;
   (* sample the installed table mid-outage, after convergence *)
@@ -466,7 +466,7 @@ let test_selfheal_midflight_packets_survive () =
   Inject.install ~seed:5
     ~plan:[ Plan.Link_down { u; v; w = Plan.window 0.52 100.0 } ]
     engine net;
-  let gen = Traffic.create (Rng.create 6) in
+  let gen = Traffic.create () in
   (* packet A is in flight on (u, v) when the window opens at 0.52 *)
   schedule_flow engine net gen ~src:0 ~dst:3 ~start:0.45 ~interval:1.05
     ~count:2;
@@ -485,7 +485,7 @@ let test_selfheal_partition_is_clean_no_route () =
   Inject.install ~seed:5
     ~plan:[ Plan.Link_down { u = 1; v = 2; w = Plan.window 0.52 infinity } ]
     engine net;
-  let gen = Traffic.create (Rng.create 6) in
+  let gen = Traffic.create () in
   schedule_flow engine net gen ~src:0 ~dst:2 ~start:0.1 ~interval:0.05
     ~count:36;
   Engine.run ~until:600.0 engine;
@@ -520,7 +520,7 @@ let test_selfheal_flap_within_detection_window_coalesces () =
         Plan.Link_down { u = 0; v = 1; w = Plan.window 0.62 0.68 };
       ]
     engine net;
-  let gen = Traffic.create (Rng.create 6) in
+  let gen = Traffic.create () in
   schedule_flow engine net gen ~src:0 ~dst:3 ~start:0.1 ~interval:0.05
     ~count:30;
   Engine.run ~until:600.0 engine;
@@ -578,7 +578,7 @@ let test_selfheal_slow_flap_still_reconverges () =
       [ Plan.Link_flap
           { u = 0; v = 1; w = Plan.window 0.5 12.5; period_s = 8.0; duty = 0.5 } ]
     engine net;
-  let gen = Traffic.create (Rng.create 6) in
+  let gen = Traffic.create () in
   schedule_flow engine net gen ~src:0 ~dst:3 ~start:0.2 ~interval:0.1 ~count:60;
   Engine.run ~until:600.0 engine;
   Alcotest.(check int) "damping never engaged" 0

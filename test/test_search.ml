@@ -221,7 +221,7 @@ let gray_blind : Scenario.t =
     let clock_start = Engine.now engine in
     let heal = Selfheal.attach ~until:12.0 engine net in
     Inject.install ~seed ~plan engine net;
-    let gen = Traffic.create (Rng.create (seed + 1)) in
+    let gen = Traffic.create () in
     for k = 0 to 79 do
       let at = 0.2 +. (0.1 *. float_of_int k) in
       Engine.schedule engine at (fun engine ->
