@@ -135,16 +135,14 @@ let run_regime ~seed ~attacker_fraction regime =
         end
     done
   done;
-  Engine.run engine;
-  List.iter
-    (fun ((p : Packet.t), outcome) ->
+  Net.on_complete net (fun p outcome ->
       match outcome with
       | Net.Delivered _ ->
         if p.Packet.app = Packet.Attack then
           tally.attacks_landed <- tally.attacks_landed + 1
         else tally.legit_delivered <- tally.legit_delivered + 1
-      | Net.Lost _ -> ())
-    (Net.outcomes net);
+      | Net.Lost _ -> ());
+  Engine.run engine;
   tally
 
 let () =

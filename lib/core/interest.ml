@@ -45,17 +45,6 @@ let dot a b =
     (fun acc issue -> acc +. (weight a issue *. weight b issue))
     0.0 all_issues
 
-let norm a = sqrt (dot a a)
-
-let alignment a b =
-  let na = norm a and nb = norm b in
-  if na = 0.0 || nb = 0.0 then 0.0 else dot a b /. (na *. nb)
-
-(* alignment below which two stances count as adverse *)
-let threshold = 0.25
-
-let adverse a b = alignment a b < -.threshold
-
 let combine stances =
   List.filter_map
     (fun issue ->

@@ -4,8 +4,7 @@
     actor wants the issue maximized (e.g. a user on [Privacy]), -1
     minimized (e.g. a wiretapping government on the same axis).  An
     actor's utility for an outcome is the {!dot} of its stance with
-    the outcome's stance ({!Actor.utility}).  The alignment of two
-    stances measures whether their interests are "adverse" (§V-D). *)
+    the outcome's stance ({!Actor.utility}). *)
 
 type issue =
   | Transparency  (** packets go in, packets come out *)
@@ -17,8 +16,6 @@ type issue =
   | Innovation
   | Accountability
 
-val all_issues : issue list
-
 type stance = (issue * float) list
 (** Missing issues weigh 0.  Construction clamps weights to [-1, 1]. *)
 
@@ -29,14 +26,6 @@ val weight : stance -> issue -> float
 
 val dot : stance -> stance -> float
 (** Raw inner product over all issues. *)
-
-val alignment : stance -> stance -> float
-(** Cosine similarity in [-1, 1]; 0 when either stance is empty.
-    Positive = shared interests, negative = adverse. *)
-
-val adverse : stance -> stance -> bool
-(** [alignment < -0.25]: "interests are simply adverse, and there is
-    no win-win way to balance them." *)
 
 val combine : stance list -> stance
 (** Issue-wise sum, clamped to [-1, 1]. *)

@@ -62,16 +62,14 @@ let run_regime tt pv regime =
            ~created:0.0 ())
     end
   done;
-  Engine.run engine;
   let delivered = ref 0 and intact = ref 0 in
-  List.iter
-    (fun (_, o) ->
+  Net.on_complete net (fun _ o ->
       match o with
       | Net.Delivered { degraded; _ } ->
         incr delivered;
         if not degraded then incr intact
-      | Net.Lost _ -> ())
-    (Net.outcomes net);
+      | Net.Lost _ -> ());
+  Engine.run engine;
   let f x = float_of_int x /. float_of_int !sent in
   (f !delivered, f !intact)
 

@@ -108,16 +108,14 @@ let run_cell ~seed ~attacker_fraction regime =
         end
       done
     done;
-  Engine.run engine;
   let attacks_landed = ref 0 and legit_ok = ref 0 in
-  List.iter
-    (fun ((p : Packet.t), o) ->
+  Net.on_complete net (fun p o ->
       match o with
       | Net.Delivered _ ->
         if p.Packet.app = Packet.Attack then incr attacks_landed
         else incr legit_ok
-      | Net.Lost _ -> ())
-    (Net.outcomes net);
+      | Net.Lost _ -> ());
+  Engine.run engine;
   let safe a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in
   {
     attack_rate = safe !attacks_landed !attacks_sent;

@@ -55,9 +55,9 @@ let run () =
           Net.inject net engine p)
     end
   done;
-  Engine.run engine;
-  List.iter
-    (fun ((p : Packet.t), outcome) ->
+  (* settle each escrow as its packet completes; every [authorize]
+     above has already run *)
+  Net.on_complete net (fun p outcome ->
       match Hashtbl.find_opt escrows p.Packet.id with
       | None -> ()
       | Some escrow -> begin
@@ -68,8 +68,8 @@ let run () =
         | Net.Lost _ ->
           Payment.refund ledger escrow;
           incr refunded
-      end)
-    (Net.outcomes net);
+      end);
+  Engine.run engine;
   let supply1 = Payment.total_supply ledger in
   let transfers = Payment.log ledger in
   let settlements = Payment.settle_bilateral ledger in

@@ -100,28 +100,28 @@ let run ~seed ~plan ~fault_at control =
     ~make:(fun gen ~created ->
       let source_route = source_route () in
       Traffic.next_packet gen ~source_route ~src ~dst ~created ());
-  Engine.run ~until:guard_horizon engine;
   (* the verified control plane injects transit probes of its own (ids
      in the reserved range): count the flow's packets only *)
-  let outcomes = Net.outcomes net in
-  let count f =
-    List.fold_left
-      (fun n ((p : Packet.t), o) ->
-        if p.Packet.id < Selfheal.probe_id_base && f o then n + 1 else n)
-      0 outcomes
-  in
+  let delivered = ref 0 and offered = ref 0 in
+  let link_down_drops = ref 0 and covert_drops = ref 0 in
+  Net.on_complete net (fun p o ->
+      if p.Packet.id < Selfheal.probe_id_base then begin
+        incr offered;
+        match o with
+        | Net.Delivered _ -> incr delivered
+        | Net.Lost (Net.Link_down _) -> incr link_down_drops
+        | Net.Lost (Net.Gray_loss _ | Net.Blackholed _) -> incr covert_drops
+        | Net.Lost _ -> ()
+      end);
+  Engine.run ~until:guard_horizon engine;
   let times =
     match heal with Some h -> Selfheal.reconvergence_times h | None -> []
   in
   {
-    delivered = count (function Net.Delivered _ -> true | Net.Lost _ -> false);
-    offered = count (fun _ -> true);
-    link_down_drops =
-      count (function Net.Lost (Net.Link_down _) -> true | _ -> false);
-    covert_drops =
-      count (function
-        | Net.Lost (Net.Gray_loss _ | Net.Blackholed _) -> true
-        | _ -> false);
+    delivered = !delivered;
+    offered = !offered;
+    link_down_drops = !link_down_drops;
+    covert_drops = !covert_drops;
     reconvergences = Option.fold ~none:0 ~some:Selfheal.reconvergences heal;
     suppressions = Option.fold ~none:0 ~some:Selfheal.suppressions heal;
     convergence_s =

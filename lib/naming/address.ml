@@ -16,9 +16,3 @@ let switching_cost = function
     if hosts < 0 then invalid_arg "Address: negative hosts";
     site_overhead
   | Portable _ -> 0.0
-
-let routing_table_burden ~core_routers = function
-  | Provider_based _ | Dynamic _ -> 0.0
-  | Portable { prefixes } ->
-    if prefixes < 0 then invalid_arg "Address: negative prefixes";
-    float_of_int (prefixes * core_routers)

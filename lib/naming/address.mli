@@ -5,10 +5,10 @@
     addresses that is not topologically significant and therefore adds
     to the size of the forwarding tables in the core."
 
-    Three schemes, two costs.  [switching_cost] is the customer-side
-    renumbering pain (the lock-in the provider enjoys); [routing_table
-    _burden] is the system-side price of making addresses portable —
-    the two horns of the paper's dilemma.  Experiment E1 feeds
+    Three schemes and their customer-side cost: [switching_cost] is the
+    renumbering pain (the lock-in the provider enjoys).  Portable space
+    costs nothing here; its price is paid in the core's forwarding
+    tables, which this model does not count.  Experiment E1 feeds
     [switching_cost] into the market model and watches churn and
     surplus respond. *)
 
@@ -27,7 +27,3 @@ val switching_cost : scheme -> float
 (** Customer-side cost of changing providers: 1.0 per statically
     configured host, 0.5 site overhead for dynamic sites, 0 for
     portable space. *)
-
-val routing_table_burden : core_routers:int -> scheme -> float
-(** System-side cost: portable prefixes cost one slot in each core
-    router; provider-based and dynamic aggregation cost none. *)

@@ -49,23 +49,24 @@ let localize ~probe ~path =
     let verdict = scan 1 (-1) in
     { verdict; probes_used = !probes }
 
-let net_probe net engine ~make target =
-  let p = make ~target in
-  Net.inject net engine p;
-  Engine.run engine;
-  let outcome =
-    List.find_opt
-      (fun ((q : Packet.t), _) -> q.Packet.id = p.Packet.id)
-      (Net.outcomes net)
-  in
-  match outcome with
-  | Some (_, Net.Delivered _) -> Reached
-  | Some (_, Net.Lost (Net.Filtered (name, node))) ->
-    let revealing =
-      List.exists
-        (fun mb -> Middlebox.name mb = name && Middlebox.reveals_presence mb)
-        (Net.middleboxes_at net node)
-    in
-    if revealing then Reported_block (name, node) else Lost
-  | Some (_, Net.Lost _) -> Lost
-  | None -> Lost
+let net_probe net engine ~make =
+  (* matched by identity: a reused id cannot stand in for the probe *)
+  let awaited = ref None and outcome = ref None in
+  Net.on_complete net (fun q o ->
+      match !awaited with Some p when p == q -> outcome := Some o | _ -> ());
+  fun target ->
+    let p = make ~target in
+    awaited := Some p;
+    outcome := None;
+    Net.inject net engine p;
+    Engine.run engine;
+    match !outcome with
+    | Some (Net.Delivered _) -> Reached
+    | Some (Net.Lost (Net.Filtered (name, node))) ->
+      let revealing =
+        List.exists
+          (fun mb -> Middlebox.name mb = name && Middlebox.reveals_presence mb)
+          (Net.middleboxes_at net node)
+      in
+      if revealing then Reported_block (name, node) else Lost
+    | Some (Net.Lost _) | None -> Lost

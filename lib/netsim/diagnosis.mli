@@ -36,8 +36,11 @@ val localize : probe:(int -> probe_result) -> path:int list -> report
 
 val net_probe :
   Net.t -> Engine.t -> make:(target:int -> Packet.t) -> int -> probe_result
-(** Probe adapter for the simulator: injects [make ~target], runs the
-    engine to quiescence, and classifies the outcome of that packet.
+(** Probe adapter for the simulator.  [net_probe net engine ~make]
+    registers one {!Net.on_complete} observer, so apply it once and
+    reuse the probe.  Each probe injects [make ~target], runs the
+    engine to quiescence, and classifies the outcome of the very packet
+    it injected, whatever its id.
     Middlebox drops map to [Reported_block] when the device reveals its
     presence (per {!Middlebox.reveals_presence} of the deployed
     middleboxes at the drop node), [Lost] otherwise. *)

@@ -21,7 +21,7 @@ type forwarding = node:int -> target:int -> Packet.t -> int option
 
 (* A packet's state while in flight.  Each hop's arrival event carries
    it, so the [transits] table is touched only at inject and finish.
-   [hops] mirrors [List.length p.hops] for the ttl check. *)
+   [hops] counts the nodes reached so far, for the ttl check. *)
 type transit = {
   mutable waypoints : int list;
   mutable degraded : bool;
@@ -39,15 +39,15 @@ type t = {
   blackholes : (int, unit) Hashtbl.t;
   transits : (int, transit) Hashtbl.t;
   mutable injected : int;
-  mutable outcomes : (Packet.t * outcome) list; (* reversed *)
-  (* tallies of [outcomes], kept as packets finish *)
+  (* tallies of the completed packets, kept as packets finish *)
   mutable delivered : int;
   mutable lost : int;
   ledger : (drop_reason, int ref) Hashtbl.t;
   mutable observers : (Packet.t -> outcome -> unit) list; (* in order *)
 }
 
-(* hop bound: a packet that has crossed this many links is dropped *)
+(* hop bound: a packet is dropped at the [ttl]-th node it reaches, the
+   source counting as the first, unless that node delivers it *)
 let ttl = 64
 
 let create links forwarding =
@@ -58,7 +58,6 @@ let create links forwarding =
     blackholes = Hashtbl.create 4;
     transits = Hashtbl.create 64;
     injected = 0;
-    outcomes = [];
     delivered = 0;
     lost = 0;
     ledger = Hashtbl.create 8;
@@ -177,7 +176,6 @@ let finish t ~now ~at p outcome =
   Hashtbl.remove t.transits p.Packet.id;
   count_outcome outcome;
   if Flight.enabled () then record_finish ~now ~at p outcome;
-  t.outcomes <- (p, outcome) :: t.outcomes;
   tally_outcome t outcome;
   notify t.observers p outcome
 
@@ -202,7 +200,6 @@ let rec run_middleboxes ~now node p state = function
   end
 
 let rec arrive t engine p state node =
-  Packet.record_hop p node;
   state.hops <- state.hops + 1;
   let now = Engine.now engine in
   match run_middleboxes ~now node p state (middleboxes_at t node) with
@@ -262,11 +259,7 @@ let inject t engine p =
     invalid_arg "Net.inject: duplicate packet id in flight";
   t.injected <- t.injected + 1;
   let state =
-    {
-      waypoints = p.Packet.source_route;
-      degraded = false;
-      hops = List.length p.Packet.hops;
-    }
+    { waypoints = p.Packet.source_route; degraded = false; hops = 0 }
   in
   Hashtbl.replace t.transits p.Packet.id state;
   if Flight.enabled () then
@@ -276,8 +269,6 @@ let inject t engine p =
       ~value:(float_of_int p.Packet.size_bytes) "inject";
   Engine.schedule engine (Engine.now engine) (fun engine ->
       arrive t engine p state p.Packet.src)
-
-let outcomes t = List.rev t.outcomes
 
 let injected_count t = t.injected
 

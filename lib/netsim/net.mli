@@ -1,4 +1,4 @@
-(** The packet-level network: links + forwarding + middleboxes + outcomes.
+(** The packet-level network: links + forwarding + middleboxes.
 
     [Net] wires a link graph to a forwarding policy and executes packet
     transit on a discrete-event {!Engine}.  Middleboxes attached to nodes
@@ -8,7 +8,10 @@
     Loose source routes are honoured: a packet with waypoints is routed
     toward each waypoint in turn using the same forwarding tables, which
     is exactly how user-selected provider-level routes ride on top of
-    provider-selected routing (§V-A4). *)
+    provider-selected routing (§V-A4).
+
+    A net keeps no per-packet record: {!on_complete} observers see each
+    packet's fate, and the flight recorder's ["hop"] events its route. *)
 
 type drop_reason =
   | No_route  (** forwarding returned no next hop *)
@@ -48,8 +51,9 @@ type forwarding = node:int -> target:int -> Packet.t -> int option
 type t
 
 val create : Link.t Tussle_prelude.Graph.t -> forwarding -> t
-(** [create links fwd].  A packet is dropped [Ttl_exceeded] once it
-    has crossed 64 links. *)
+(** [create links fwd].  A packet is dropped [Ttl_exceeded] at the
+    64th node it reaches (the source counting as the first) unless that
+    node delivers it, so it crosses at most 63 links. *)
 
 val set_forwarding : t -> forwarding -> unit
 (** Swap the forwarding function mid-run.  Packets already in flight
@@ -71,18 +75,18 @@ val set_blackhole : t -> int -> bool -> unit
     is exactly how transit probes unmask it). *)
 
 val inject : t -> Engine.t -> Packet.t -> unit
-(** Offer a packet to the network at the engine's current time.  The
-    outcome is recorded when transit completes (run the engine). *)
+(** Offer a packet to the network at the engine's current time.  Its
+    outcome goes to the {!on_complete} observers when transit completes
+    (run the engine).  Raises [Invalid_argument] while a packet with
+    the same id is in flight; a completed packet's id may be reused. *)
 
 val on_complete : t -> (Packet.t -> outcome -> unit) -> unit
 (** Register a completion observer, called (in registration order) the
     moment any packet's transit completes — while the engine is still
     running, so observers can schedule follow-up events (ACKs,
     retransmissions).  Observers also see probe traffic; filter by
-    packet id. *)
-
-val outcomes : t -> (Packet.t * outcome) list
-(** All completed packets, in completion order. *)
+    packet id.  An observer registered after a packet completes never
+    sees it. *)
 
 val injected_count : t -> int
 (** Packets offered via {!inject} over the net's lifetime.  With

@@ -14,7 +14,6 @@ type t = {
   tunneled : bool;
   source_route : int list;
   created : float;
-  mutable hops : int list;
 }
 
 let default_port = function
@@ -42,16 +41,11 @@ let make ?port ?(app = Web) ?(qos = Best_effort) ?(encrypted = false)
     tunneled;
     source_route;
     created;
-    hops = [];
   }
 
 let visible_port p = if p.tunneled then 443 else p.port
 
 let visible_app p = if p.encrypted || p.tunneled then None else Some p.app
-
-let record_hop p node = p.hops <- node :: p.hops
-
-let path p = List.rev p.hops
 
 let app_to_string = function
   | Web -> "web"

@@ -6,7 +6,10 @@
     filter on), the QoS class requested (the paper's explicit-ToS-bits
     argument), whether the payload is end-to-end encrypted (the ultimate
     defence of transparency, §VI-A), and an optional loose source route
-    (user-controlled provider selection, §V-A4). *)
+    (user-controlled provider selection, §V-A4).
+
+    A packet is immutable: [Net] keeps its in-flight state apart, and
+    the flight recorder its route. *)
 
 type qos = Best_effort | Assured | Premium
 
@@ -30,7 +33,6 @@ type t = {
   tunneled : bool;  (** masked inside an innocuous envelope (port 443) *)
   source_route : int list;  (** user-selected waypoints; [] = provider routing *)
   created : float;
-  mutable hops : int list;  (** trace, most recent first *)
 }
 
 val make :
@@ -62,10 +64,5 @@ val visible_port : t -> int
 val visible_app : t -> app option
 (** What an on-path observer can infer: [None] when the packet is
     encrypted or tunneled (peeking defeated), [Some app] otherwise. *)
-
-val record_hop : t -> int -> unit
-
-val path : t -> int list
-(** Hops in forward order (oldest first). *)
 
 val app_to_string : app -> string

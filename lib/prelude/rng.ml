@@ -72,16 +72,6 @@ let[@inline] bernoulli t p =
   else if p >= 1.0 then true
   else float t 1.0 < p
 
-(* A uniform in (0,1): redraws the measure-zero 0.0 that [log]
-   cannot take. *)
-let rec nonzero t =
-  let u = float t 1.0 in
-  if u > 0.0 then u else nonzero t
-
-let exponential t ~rate =
-  if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
-  -.log (nonzero t) /. rate
-
 let choice t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
   arr.(int t (Array.length arr))

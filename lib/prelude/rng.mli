@@ -58,9 +58,6 @@ val uniform : t -> float -> float -> float
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
 
-val exponential : t -> rate:float -> float
-(** Exponential deviate with the given rate ([rate > 0]). *)
-
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.  Raises [Invalid_argument] on an
     empty array. *)

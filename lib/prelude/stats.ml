@@ -24,33 +24,6 @@ let sample_variance xs =
 
 let sample_stddev xs = sqrt (sample_variance xs)
 
-let sorted_copy xs =
-  let ys = Array.copy xs in
-  Array.sort compare ys;
-  ys
-
-let median xs =
-  check_nonempty "Stats.median" xs;
-  let ys = sorted_copy xs in
-  let n = Array.length ys in
-  if n mod 2 = 1 then ys.(n / 2)
-  else (ys.((n / 2) - 1) +. ys.(n / 2)) /. 2.0
-
-let percentile xs p =
-  check_nonempty "Stats.percentile" xs;
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let ys = sorted_copy xs in
-  let n = Array.length ys in
-  if n = 1 then ys.(0)
-  else
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = int_of_float (Float.ceil rank) in
-    if lo = hi then ys.(lo)
-    else
-      let frac = rank -. float_of_int lo in
-      ys.(lo) +. (frac *. (ys.(hi) -. ys.(lo)))
-
 let hhi xs =
   check_nonempty "Stats.hhi" xs;
   let s = total xs in

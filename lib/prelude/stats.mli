@@ -26,14 +26,6 @@ val sample_variance : float array -> float
 val sample_stddev : float array -> float
 (** Square root of {!sample_variance}. *)
 
-val median : float array -> float
-(** Median (average of middle two for even length).  Does not mutate its
-    argument.  Raises on empty input. *)
-
-val percentile : float array -> float -> float
-(** [percentile xs p] for [p] in [\[0,100\]], linear interpolation between
-    order statistics.  Raises on empty input or out-of-range [p]. *)
-
 val total : float array -> float
 (** Sum; [0.] on empty input. *)
 

@@ -1,20 +1,5 @@
 module Graph = Tussle_prelude.Graph
 
-let best_relay ~latency ~candidates ~src ~dst =
-  let consider best r =
-    if r = src || r = dst then best
-    else
-      match (latency src r, latency r dst) with
-      | Some d1, Some d2 -> begin
-        let total = d1 +. d2 in
-        match best with
-        | Some (_, cur) when cur <= total -> best
-        | Some _ | None -> Some (r, total)
-      end
-      | _, _ -> best
-  in
-  List.fold_left consider None candidates
-
 let reachable_via ~can_reach ~candidates ~src ~dst =
   let ordered = List.sort compare candidates in
   List.find_opt

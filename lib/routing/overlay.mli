@@ -4,16 +4,8 @@
     end-users over-rule constrained provider routing with tunnels and
     relays (RON-style).  The overlay does not see the underlay's
     internals; it only {e measures} — so a relay choice takes a probe:
-    [latency] gives the measured delay of the underlay's chosen path
-    between two overlay nodes ([None] = unreachable), [can_reach] says
-    whether the underlay currently carries traffic between them. *)
-
-val best_relay :
-  latency:(int -> int -> float option) ->
-  candidates:int list -> src:int -> dst:int ->
-  (int * float) option
-(** Relay minimizing measured latency [src -> r -> dst] over reachable
-    candidates; returns the relay and the two-leg latency. *)
+    [can_reach] says whether the underlay currently carries traffic
+    between two overlay nodes. *)
 
 val reachable_via :
   can_reach:(int -> int -> bool) -> candidates:int list ->

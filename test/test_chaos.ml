@@ -230,7 +230,8 @@ let test_chaos_cycle_pinned () =
    [Gc.minor] first; the least of three runs, since a run outgrows the
    minor heap and a collection inside the window can over-count.  The
    packet path took 349 words per packet before its rewrite and 175
-   after; the bound is that plus 10%. *)
+   after (bound 193); 172.8 with the outcome log and hop trace, 156.7
+   without them.  The bound is 156.7 plus 10%. *)
 let test_words_per_packet () =
   if Sys.backend_type = Sys.Native then begin
     let run () =
@@ -241,8 +242,8 @@ let test_words_per_packet () =
     in
     let per_packet = List.fold_left Float.min (run ()) [ run (); run () ] in
     Alcotest.(check bool)
-      (Printf.sprintf "%.1f words per packet <= 193" per_packet)
-      true (per_packet <= 193.0)
+      (Printf.sprintf "%.1f words per packet <= 172" per_packet)
+      true (per_packet <= 172.0)
   end
 
 (* ---------- planted violation -> shrink -> corpus -> replay ---------- *)

@@ -10,32 +10,12 @@ module Actor_network = Tussle_core.Actor_network
 module Metrics = Tussle_core.Metrics
 
 let check_float = Alcotest.(check (float 1e-9))
-let check_close = Alcotest.(check (float 1e-6))
 
 (* ---------- Interest ---------- *)
 
 let test_interest_clamp_dedupe () =
   let s = Interest.make [ (Interest.Privacy, 5.0); (Interest.Privacy, -1.0) ] in
   check_float "clamped, first wins" 1.0 (Interest.weight s Interest.Privacy)
-
-let test_interest_alignment () =
-  let a = Interest.make [ (Interest.Privacy, 1.0) ] in
-  let b = Interest.make [ (Interest.Privacy, 1.0) ] in
-  let c = Interest.make [ (Interest.Privacy, -1.0) ] in
-  let d = Interest.make [ (Interest.Revenue, 1.0) ] in
-  check_close "same" 1.0 (Interest.alignment a b);
-  check_close "opposed" (-1.0) (Interest.alignment a c);
-  check_close "orthogonal" 0.0 (Interest.alignment a d);
-  check_float "empty" 0.0 (Interest.alignment a (Interest.make []))
-
-let test_interest_adverse_vs_different () =
-  let stance kind = (Actor.make ~id:0 ~name:"x" kind).Actor.stance in
-  let user = stance Actor.User and gov = stance Actor.Government in
-  Alcotest.(check bool) "user vs government adverse" true
-    (Interest.adverse user gov);
-  let a = Interest.make [ (Interest.Privacy, 1.0) ] in
-  let d = Interest.make [ (Interest.Revenue, 1.0) ] in
-  Alcotest.(check bool) "orthogonal not adverse" false (Interest.adverse a d)
 
 let test_interest_combine () =
   let a = Interest.make [ (Interest.Privacy, 0.8) ] in
@@ -392,9 +372,6 @@ let () =
       ( "interest",
         [
           Alcotest.test_case "clamp/dedupe" `Quick test_interest_clamp_dedupe;
-          Alcotest.test_case "alignment" `Quick test_interest_alignment;
-          Alcotest.test_case "adverse vs different" `Quick
-            test_interest_adverse_vs_different;
           Alcotest.test_case "combine" `Quick test_interest_combine;
         ] );
       ( "actor",

@@ -384,13 +384,9 @@ let send_at net engine ~id ~dst at =
       Net.inject net engine
         (Packet.make ~id ~src:0 ~dst ~created:at ()))
 
-let outcome_of net id =
-  List.find_map
-    (fun ((p : Packet.t), o) -> if p.Packet.id = id then Some o else None)
-    (Net.outcomes net)
-
 let test_inject_down_window () =
   let net = two_node_net () in
+  let log = Completed.record net in
   let engine = Engine.create () in
   Inject.install ~seed:1
     ~plan:[ Plan.Link_down { u = 0; v = 1; w = Plan.window 1.0 2.0 } ]
@@ -399,13 +395,13 @@ let test_inject_down_window () =
   send_at net engine ~id:1 ~dst:1 1.5;
   send_at net engine ~id:2 ~dst:1 2.5;
   Engine.run engine;
-  (match outcome_of net 0 with
+  (match Completed.outcome_of log 0 with
   | Some (Net.Delivered _) -> ()
   | _ -> Alcotest.fail "before the window: delivered");
-  (match outcome_of net 1 with
+  (match Completed.outcome_of log 1 with
   | Some (Net.Lost (Net.Link_down (0, 1))) -> ()
   | _ -> Alcotest.fail "inside the window: lost to link-down");
-  (match outcome_of net 2 with
+  (match Completed.outcome_of log 2 with
   | Some (Net.Delivered _) -> ()
   | _ -> Alcotest.fail "after the window: delivered");
   Alcotest.(check (list (pair string int))) "attributed"
@@ -415,6 +411,7 @@ let test_inject_down_window () =
 let test_inject_loss_deterministic () =
   let run () =
     let net = two_node_net () in
+    let log = Completed.record net in
     let engine = Engine.create () in
     Inject.install ~seed:9
       ~plan:
@@ -427,7 +424,7 @@ let test_inject_loss_deterministic () =
     List.map
       (fun ((p : Packet.t), o) ->
         (p.Packet.id, match o with Net.Delivered _ -> "ok" | Net.Lost _ -> "lost"))
-      (Net.outcomes net)
+      (log ())
   in
   let a = run () and b = run () in
   Alcotest.(check (list (pair int string))) "same seed, same fates" a b;
@@ -437,6 +434,7 @@ let test_inject_loss_deterministic () =
 
 let test_inject_latency_spike () =
   let net = two_node_net () in
+  let log = Completed.record net in
   let engine = Engine.create () in
   Inject.install ~seed:1
     ~plan:
@@ -447,7 +445,7 @@ let test_inject_latency_spike () =
   send_at net engine ~id:1 ~dst:1 1.5;
   Engine.run engine;
   let latency id =
-    match outcome_of net id with
+    match Completed.outcome_of log id with
     | Some (Net.Delivered { latency; _ }) -> latency
     | _ -> Alcotest.fail "expected delivery"
   in
@@ -467,6 +465,7 @@ let test_inject_gray_window () =
   (* gray loss: the link stays administratively up — hellos and the
      routing layer see nothing — while data in the window dies *)
   let net = two_node_net () in
+  let log = Completed.record net in
   let engine = Engine.create () in
   Inject.install ~seed:4
     ~plan:
@@ -476,13 +475,13 @@ let test_inject_gray_window () =
   send_at net engine ~id:1 ~dst:1 1.5;
   send_at net engine ~id:2 ~dst:1 2.5;
   Engine.run engine;
-  (match outcome_of net 0 with
+  (match Completed.outcome_of log 0 with
   | Some (Net.Delivered _) -> ()
   | _ -> Alcotest.fail "before the window: delivered");
-  (match outcome_of net 1 with
+  (match Completed.outcome_of log 1 with
   | Some (Net.Lost (Net.Gray_loss (0, 1))) -> ()
   | _ -> Alcotest.fail "inside the window: grayed out");
-  (match outcome_of net 2 with
+  (match Completed.outcome_of log 2 with
   | Some (Net.Delivered _) -> ()
   | _ -> Alcotest.fail "after the window: delivered");
   Alcotest.(check (list (pair string int))) "attributed as gray-loss"
@@ -507,6 +506,7 @@ let send_from net engine ~id ~src ~dst at =
 
 let test_inject_unidirectional () =
   let net = two_node_net () in
+  let log = Completed.record net in
   let engine = Engine.create () in
   Inject.install ~seed:1
     ~plan:[ Plan.Unidirectional_down { u = 0; v = 1; w = Plan.window 1.0 2.0 } ]
@@ -515,13 +515,13 @@ let test_inject_unidirectional () =
   send_from net engine ~id:1 ~src:1 ~dst:0 1.5;
   send_from net engine ~id:2 ~src:0 ~dst:1 2.5;
   Engine.run engine;
-  (match outcome_of net 0 with
+  (match Completed.outcome_of log 0 with
   | Some (Net.Lost (Net.Link_down (0, 1))) -> ()
   | _ -> Alcotest.fail "faulted direction: lost");
-  (match outcome_of net 1 with
+  (match Completed.outcome_of log 1 with
   | Some (Net.Delivered _) -> ()
   | _ -> Alcotest.fail "reverse direction: delivered");
-  match outcome_of net 2 with
+  match Completed.outcome_of log 2 with
   | Some (Net.Delivered _) -> ()
   | _ -> Alcotest.fail "after the window: delivered"
 
@@ -535,6 +535,7 @@ let test_inject_flap () =
   Alcotest.(check int) "transitions counts every toggle + restore" 5
     (Plan.transitions [ flap ]);
   let net = two_node_net () in
+  let log = Completed.record net in
   let engine = Engine.create () in
   Inject.install ~seed:1 ~plan:[ flap ] engine net;
   List.iteri
@@ -542,7 +543,7 @@ let test_inject_flap () =
     [ 0.25; 0.75; 1.25; 1.75; 2.25 ];
   Engine.run engine;
   let fate id =
-    match outcome_of net id with
+    match Completed.outcome_of log id with
     | Some (Net.Delivered _) -> "ok"
     | Some (Net.Lost _) -> "lost"
     | None -> "?"
@@ -558,6 +559,7 @@ let test_inject_blackhole_vs_middlebox () =
     Net.create (Topology.to_links (Topology.line 4)) line_forwarding
   in
   let blackhole = line4 () in
+  let log = Completed.record blackhole in
   let engine = Engine.create () in
   Inject.install ~seed:2
     ~plan:[ Plan.Blackhole { node = 2; w = Plan.window 0.0 3.0 } ]
@@ -568,13 +570,13 @@ let test_inject_blackhole_vs_middlebox () =
   send_at blackhole engine ~id:1 ~dst:2 0.5;
   send_at blackhole engine ~id:2 ~dst:3 3.5;
   Engine.run engine;
-  (match outcome_of blackhole 0 with
+  (match Completed.outcome_of log 0 with
   | Some (Net.Lost (Net.Blackholed 2)) -> ()
   | _ -> Alcotest.fail "transit traffic: silently discarded");
-  (match outcome_of blackhole 1 with
+  (match Completed.outcome_of log 1 with
   | Some (Net.Delivered _) -> ()
   | _ -> Alcotest.fail "traffic to the blackhole: answered");
-  (match outcome_of blackhole 2 with
+  (match Completed.outcome_of log 2 with
   | Some (Net.Delivered _) -> ()
   | _ -> Alcotest.fail "after the window: delivered");
   Alcotest.(check (list (pair string int))) "attributed as blackholed"

@@ -33,17 +33,23 @@ let test_pathvector_forwards_packets () =
   let gen = Traffic.create () in
   let hosts = Array.of_list tt.Topology.hosts in
   let n = Array.length hosts in
-  for i = 0 to n - 1 do
-    let src = hosts.(i) and dst = hosts.((i + 1) mod n) in
-    Net.inject net engine
-      (Traffic.next_packet gen ~src ~dst ~created:0.0 ())
-  done;
-  Engine.run engine;
+  let ids, events =
+    Completed.with_flight (fun () ->
+        let ids =
+          List.init n (fun i ->
+              let src = hosts.(i) and dst = hosts.((i + 1) mod n) in
+              let p = Traffic.next_packet gen ~src ~dst ~created:0.0 () in
+              Net.inject net engine p;
+              p.Packet.id)
+        in
+        Engine.run engine;
+        ids)
+  in
   Alcotest.(check int) "all host pairs delivered" n (Net.delivered_count net);
   (* and the paths respect provider hierarchy: every delivered packet's
      path stays inside the graph's edges *)
   List.iter
-    (fun (p, _) ->
+    (fun id ->
       let rec edges_ok = function
         | a :: (b :: _ as rest) ->
           Alcotest.(check bool) "edge exists" true
@@ -51,8 +57,8 @@ let test_pathvector_forwards_packets () =
           edges_ok rest
         | _ -> ()
       in
-      edges_ok (Packet.path p))
-    (Net.outcomes net)
+      edges_ok (Completed.route events id))
+    ids
 
 (* ---------- trust graph drives a firewall middlebox ---------- *)
 
@@ -104,22 +110,24 @@ let test_source_route_payment_gate () =
       (fun t -> Net.add_middlebox net t (Sourceroute.refusal_middlebox ~paid))
       tt.Topology.transits;
     let engine = Engine.create () in
-    Net.inject net engine
-      (Packet.make
-         ~source_route:(Sourceroute.waypoints_via ~transit:via)
-         ~id:0 ~src ~dst ~created:0.0 ());
-    Engine.run engine;
-    net
+    Completed.with_flight (fun () ->
+        Net.inject net engine
+          (Packet.make
+             ~source_route:(Sourceroute.waypoints_via ~transit:via)
+             ~id:0 ~src ~dst ~created:0.0 ());
+        Engine.run engine;
+        net)
   in
-  let unpaid = run ~paid:false in
+  let unpaid, _ = run ~paid:false in
   Alcotest.(check int) "unpaid refused" 1 (Net.lost_count unpaid);
-  let paid = run ~paid:true in
+  let paid, events = run ~paid:true in
   Alcotest.(check int) "paid carried" 1 (Net.delivered_count paid);
-  (* the steered packet actually visited the chosen transit *)
-  match Net.outcomes paid with
-  | [ (p, Net.Delivered _) ] ->
-    Alcotest.(check bool) "via waypoint" true (List.mem via (Packet.path p))
-  | _ -> Alcotest.fail "expected delivery"
+  (* the steered packet actually visited the chosen transit, and its
+     route ends at the destination *)
+  let route = Completed.route events 0 in
+  Alcotest.(check bool) "via waypoint" true (List.mem via route);
+  Alcotest.(check (option int)) "delivered at dst" (Some dst)
+    (List.nth_opt route (List.length route - 1))
 
 (* ---------- link-state vs path-vector agree on reachability ---------- *)
 
@@ -157,6 +165,7 @@ let test_encryption_defeats_dpi_end_to_end () =
   Net.add_middlebox net 1
     (Middlebox.app_filter ~blocked:[ Packet.File_sharing ]);
   let engine = Engine.create () in
+  let log = Completed.record net in
   Net.inject net engine
     (Packet.make ~app:Packet.File_sharing ~id:0 ~src:0 ~dst:2 ~created:0.0 ());
   Net.inject net engine
@@ -169,7 +178,7 @@ let test_encryption_defeats_dpi_end_to_end () =
     List.find_map
       (fun (p, o) ->
         match o with Net.Delivered _ -> Some p.Packet.encrypted | _ -> None)
-      (Net.outcomes net)
+      (log ())
   with
   | Some enc -> Alcotest.(check bool) "the encrypted one survived" true enc
   | None -> Alcotest.fail "nothing delivered"

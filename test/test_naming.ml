@@ -95,14 +95,6 @@ let test_address_switching_costs () =
   check_float "portable is free" 0.0
     (Address.switching_cost (Address.Portable { prefixes = 4 }))
 
-let test_address_routing_burden () =
-  check_float "aggregated free" 0.0
-    (Address.routing_table_burden ~core_routers:1000
-       (Address.Provider_based { static_hosts = 10 }));
-  check_float "portable costs slots" 4000.0
-    (Address.routing_table_burden ~core_routers:1000
-       (Address.Portable { prefixes = 4 }))
-
 let test_address_validation () =
   Alcotest.check_raises "negative hosts" (Invalid_argument "Address: negative hosts")
     (fun () ->
@@ -187,7 +179,6 @@ let () =
       ( "address",
         [
           Alcotest.test_case "switching costs" `Quick test_address_switching_costs;
-          Alcotest.test_case "routing burden" `Quick test_address_routing_burden;
           Alcotest.test_case "validation" `Quick test_address_validation;
         ] );
     ]

@@ -128,13 +128,6 @@ let test_packet_encrypted_hides_app () =
   Alcotest.(check bool) "app hidden" true (Packet.visible_app p = None);
   Alcotest.(check int) "port still visible" 5060 (Packet.visible_port p)
 
-let test_packet_path () =
-  let p = Packet.make ~id:0 ~src:0 ~dst:3 ~created:0.0 () in
-  Packet.record_hop p 0;
-  Packet.record_hop p 1;
-  Packet.record_hop p 3;
-  Alcotest.(check (list int)) "path order" [ 0; 1; 3 ] (Packet.path p)
-
 let test_packet_bad_size () =
   Alcotest.check_raises "size" (Invalid_argument "Packet.make: non-positive size")
     (fun () ->
@@ -587,31 +580,36 @@ let line_forwarding ~node ~target _p =
   else if target < node then Some (node - 1)
   else None
 
-let run_line_packet ?(middlebox : (int * Middlebox.t) option) ?source_route () =
+(* One packet 0 -> 3 on the line, with the flight recorder on: the
+   net, its completions and the recorded events. *)
+let run_line_packet ?(middlebox : (int * Middlebox.t) option) () =
   let net = Net.create (line_links 4) line_forwarding in
   (match middlebox with
   | Some (node, mb) -> Net.add_middlebox net node mb
   | None -> ());
+  let log = Completed.record net in
   let engine = Engine.create () in
-  let p = Packet.make ?source_route ~id:0 ~src:0 ~dst:3 ~created:0.0 () in
-  Net.inject net engine p;
-  Engine.run engine;
-  (net, p)
+  let (), events =
+    Completed.with_flight (fun () ->
+        Net.inject net engine (Packet.make ~id:0 ~src:0 ~dst:3 ~created:0.0 ());
+        Engine.run engine)
+  in
+  (net, log (), events)
 
 let test_net_delivery () =
-  let net, p = run_line_packet () in
+  let net, completed, events = run_line_packet () in
   Alcotest.(check int) "delivered" 1 (Net.delivered_count net);
-  Alcotest.(check (list int)) "route" [ 0; 1; 2; 3 ] (Packet.path p);
-  match Net.outcomes net with
+  Alcotest.(check (list int)) "route" [ 0; 1; 2; 3 ] (Completed.route events 0);
+  match completed with
   | [ (_, Net.Delivered d) ] ->
     Alcotest.(check bool) "latency positive" true (d.latency > 0.0)
   | _ -> Alcotest.fail "expected one delivery"
 
 let test_net_filter_drop () =
   let mb = Middlebox.port_filter ~blocked:[ 80 ] () in
-  let net, _ = run_line_packet ~middlebox:(1, mb) () in
+  let net, completed, _ = run_line_packet ~middlebox:(1, mb) () in
   Alcotest.(check int) "lost" 1 (Net.lost_count net);
-  match Net.outcomes net with
+  match completed with
   | [ (_, Net.Lost (Net.Filtered (name, node))) ] ->
     Alcotest.(check string) "who" "port-filter" name;
     Alcotest.(check int) "where" 1 node
@@ -621,10 +619,11 @@ let test_net_no_route () =
   let links = line_links 4 in
   let net = Net.create links (fun ~node:_ ~target:_ _ -> None) in
   let engine = Engine.create () in
+  let log = Completed.record net in
   let p = Packet.make ~id:0 ~src:0 ~dst:3 ~created:0.0 () in
   Net.inject net engine p;
   Engine.run engine;
-  match Net.outcomes net with
+  match log () with
   | [ (_, Net.Lost Net.No_route) ] -> ()
   | _ -> Alcotest.fail "expected no-route loss"
 
@@ -637,10 +636,14 @@ let test_net_source_route_waypoint () =
   let p =
     Packet.make ~source_route:[ 3 ] ~id:0 ~src:0 ~dst:1 ~created:0.0 ()
   in
-  Net.inject net engine p;
-  Engine.run engine;
+  let (), events =
+    Completed.with_flight (fun () ->
+        Net.inject net engine p;
+        Engine.run engine)
+  in
   Alcotest.(check int) "delivered" 1 (Net.delivered_count net);
-  Alcotest.(check (list int)) "went via 3" [ 0; 1; 2; 3; 2; 1 ] (Packet.path p)
+  Alcotest.(check (list int)) "went via 3" [ 0; 1; 2; 3; 2; 1 ]
+    (Completed.route events 0)
 
 let test_net_ttl () =
   (* forwarding loop between 0 and 1 *)
@@ -655,9 +658,10 @@ let test_net_ttl () =
   let p =
     { p with Packet.source_route = List.init 65 (fun i -> i mod 2) }
   in
+  let log = Completed.record net in
   Net.inject net engine p;
   Engine.run engine;
-  match Net.outcomes net with
+  match log () with
   | [ (_, Net.Lost Net.Ttl_exceeded) ] -> ()
   | [ (_, Net.Delivered _) ] -> Alcotest.fail "should not deliver"
   | _ -> Alcotest.fail "expected ttl loss"
@@ -690,26 +694,20 @@ let test_drop_of_flight_roundtrip () =
     let links = line_links 4 in
     let net = Net.create links forwarding in
     arm net (fun u v -> Option.get (Graph.find_edge links u v));
+    let log = Completed.record net in
     let engine = Engine.create () in
-    Flight.enable ();
-    Flight.reset ();
-    let events =
-      Fun.protect
-        ~finally:(fun () ->
-          Flight.disable ();
-          Flight.reset ())
-        (fun () ->
+    let (), events =
+      Completed.with_flight (fun () ->
           for id = 0 to packets - 1 do
             Net.inject net engine
               (Packet.make ~id ~src:0 ~dst:3 ~created:0.0 ())
           done;
-          Engine.run engine;
-          Flight.events ())
+          Engine.run engine)
     in
     let lost =
       List.filter_map
         (function _, Net.Lost r -> Some r | _, Net.Delivered _ -> None)
-        (Net.outcomes net)
+        (log ())
     in
     (events, lost)
   in
@@ -773,9 +771,10 @@ let test_net_degraded_flag () =
   let p =
     Packet.make ~qos:Packet.Premium ~id:0 ~src:0 ~dst:3 ~created:0.0 ()
   in
+  let log = Completed.record net in
   Net.inject net engine p;
   Engine.run engine;
-  match Net.outcomes net with
+  match log () with
   | [ (_, Net.Delivered d) ] -> Alcotest.(check bool) "degraded" true d.degraded
   | _ -> Alcotest.fail "expected delivery"
 
@@ -794,12 +793,11 @@ let test_traffic_constant_spacing () =
   let gen = Traffic.create () in
   let net = Net.create (line_links 2) line_forwarding in
   let engine = Engine.create () in
+  let log = Completed.record net in
   Traffic.constant_flow gen engine net ~start:0.0 ~interval:1.0 ~count:3
     ~make:(fun g ~created -> Traffic.next_packet g ~src:0 ~dst:1 ~created ());
   Engine.run engine;
-  let created =
-    List.map (fun (p, _) -> p.Packet.created) (Net.outcomes net)
-  in
+  let created = List.map (fun (p, _) -> p.Packet.created) (log ()) in
   Alcotest.(check (list (float 1e-9))) "spaced" [ 0.0; 1.0; 2.0 ]
     (List.sort compare created)
 
@@ -988,6 +986,26 @@ let test_diagnosis_revealing_at_bracket_boundary () =
   let r = Diagnosis.localize ~probe ~path:diag_path in
   Alcotest.(check bool) "confession wins over bracket" true
     (r.Diagnosis.verdict = Diagnosis.Blocked_at ("edge-filter", 2));
+  (* dest + node 1 + node 2 *)
+  Alcotest.(check int) "three probes" 3 r.Diagnosis.probes_used
+
+let test_net_probe_reused_id () =
+  (* every probe reuses id 0, which [Net.inject] allows once the last
+     one completed: each probe must classify the packet it injected,
+     not an earlier completion with the same id *)
+  let net = Net.create (line_links 4) line_forwarding in
+  Net.add_middlebox net 2
+    (Middlebox.port_filter ~reveals_presence:false ~blocked:[ 80 ] ());
+  let engine = Engine.create () in
+  let make ~target =
+    Packet.make ~id:0 ~src:0 ~dst:target ~created:(Engine.now engine) ()
+  in
+  let r =
+    Diagnosis.localize ~probe:(Diagnosis.net_probe net engine ~make)
+      ~path:[ 0; 1; 2; 3 ]
+  in
+  Alcotest.(check bool) "bracketed at the filter" true
+    (r.Diagnosis.verdict = Diagnosis.Blocked_between (1, 2));
   (* dest + node 1 + node 2 *)
   Alcotest.(check int) "three probes" 3 r.Diagnosis.probes_used
 
@@ -1239,7 +1257,6 @@ let () =
           Alcotest.test_case "defaults" `Quick test_packet_defaults;
           Alcotest.test_case "tunneled hides" `Quick test_packet_tunneled_hides;
           Alcotest.test_case "encrypted hides app" `Quick test_packet_encrypted_hides_app;
-          Alcotest.test_case "path trace" `Quick test_packet_path;
           Alcotest.test_case "bad size" `Quick test_packet_bad_size;
         ] );
       ( "link",
@@ -1340,6 +1357,8 @@ let () =
             test_diagnosis_first_hop_vs_destination;
           Alcotest.test_case "revealing at bracket boundary" `Quick
             test_diagnosis_revealing_at_bracket_boundary;
+          Alcotest.test_case "net probe reused id" `Quick
+            test_net_probe_reused_id;
         ] );
       ( "congestion",
         [

@@ -63,13 +63,6 @@ let test_rng_bernoulli_rate () =
   let rate = float_of_int !hits /. 10_000.0 in
   Alcotest.(check bool) "rate near 0.3" true (Float.abs (rate -. 0.3) < 0.03)
 
-let test_rng_exponential_mean () =
-  let rng = Rng.create 19 in
-  let xs = Array.init 50_000 (fun _ -> Rng.exponential rng ~rate:2.0) in
-  Alcotest.(check bool) "mean near 0.5" true
-    (Float.abs (Stats.mean xs -. 0.5) < 0.02);
-  Array.iter (fun x -> Alcotest.(check bool) "positive" true (x >= 0.0)) xs
-
 let test_rng_choice () =
   let rng = Rng.create 29 in
   let arr = [| "a"; "b"; "c" |] in
@@ -171,14 +164,6 @@ module Boxed_rng = struct
   let bernoulli t p =
     if p <= 0.0 then false else if p >= 1.0 then true else float t 1.0 < p
 
-  let rec nonzero t =
-    let u = float t 1.0 in
-    if u > 0.0 then u else nonzero t
-
-  let exponential t ~rate =
-    if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
-    -.log (nonzero t) /. rate
-
   let choice t arr =
     if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
     arr.(int t (Array.length arr))
@@ -229,7 +214,6 @@ type draw =
   | D_float of float
   | D_uniform of float * float
   | D_bernoulli of float
-  | D_exponential of float
   | D_choice of int
   | D_choice_list of int
   | D_weighted of float list
@@ -253,7 +237,6 @@ module type RNG = sig
   val float : t -> float -> float
   val uniform : t -> float -> float -> float
   val bernoulli : t -> float -> bool
-  val exponential : t -> rate:float -> float
   val choice : t -> 'a array -> 'a
   val choice_list : t -> 'a list -> 'a
   val weighted_index : t -> float array -> int
@@ -274,7 +257,6 @@ module Drive (R : RNG) = struct
     | D_float x -> Printf.sprintf "%h" (R.float g x)
     | D_uniform (lo, hi) -> Printf.sprintf "%h" (R.uniform g lo hi)
     | D_bernoulli p -> string_of_bool (R.bernoulli g p)
-    | D_exponential rate -> Printf.sprintf "%h" (R.exponential g ~rate)
     | D_choice n -> string_of_int (R.choice g (iota n))
     | D_choice_list n -> string_of_int (R.choice_list g (List.init n Fun.id))
     | D_weighted w -> string_of_int (R.weighted_index g (Array.of_list w))
@@ -292,7 +274,6 @@ module Drive_boxed = Drive (Boxed_rng)
 
 let draw_gen =
   QCheck2.Gen.(
-    let pos = float_range 0.01 10.0 in
     (* bounds past max_int / 2 make [int]'s rejection loop redraw often *)
     let bound =
       oneof [ int_range 1 1000; map (fun k -> (max_int / 2) + 1 + k) (int_bound 1000) ]
@@ -308,7 +289,6 @@ let draw_gen =
         map2 (fun lo hi -> D_uniform (lo, hi)) (float_range (-5.0) 5.0)
           (float_range (-5.0) 5.0);
         map (fun p -> D_bernoulli p) (oneof [ float_range (-0.5) 1.5; float_bound_inclusive 1.0 ]);
-        map (fun r -> D_exponential r) pos;
         map (fun n -> D_choice n) (int_range 1 20);
         map (fun n -> D_choice_list n) (int_range 1 20);
         map (fun w -> D_weighted w) weights;
@@ -370,19 +350,6 @@ let test_stats_mean () = check_float "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |])
 
 let test_stats_variance () =
   check_float "variance" 2.0 (Stats.variance [| 1.0; 2.0; 3.0; 4.0; 5.0 |])
-
-let test_stats_median_odd () =
-  check_float "median odd" 3.0 (Stats.median [| 5.0; 1.0; 3.0 |])
-
-let test_stats_median_even () =
-  check_float "median even" 2.5 (Stats.median [| 4.0; 1.0; 2.0; 3.0 |])
-
-let test_stats_percentile () =
-  let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  check_float "p0" 1.0 (Stats.percentile xs 0.0);
-  check_float "p50" 3.0 (Stats.percentile xs 50.0);
-  check_float "p100" 5.0 (Stats.percentile xs 100.0);
-  check_float "p25" 2.0 (Stats.percentile xs 25.0)
 
 let test_stats_hhi () =
   check_float "hhi monopoly" 1.0 (Stats.hhi [| 10.0 |]);
@@ -649,15 +616,6 @@ let prop_pqueue_pop_sorted =
       in
       drain neg_infinity)
 
-let prop_percentile_monotone =
-  QCheck2.Test.make ~name:"percentile monotone in p" ~count:200
-    QCheck2.Gen.(list_size (int_range 2 50) (float_bound_exclusive 100.0))
-    (fun l ->
-      let xs = Array.of_list l in
-      let p25 = Stats.percentile xs 25.0
-      and p75 = Stats.percentile xs 75.0 in
-      p25 <= p75 +. 1e-9)
-
 (* Pqueue against a sorted-list model under interleaved pushes and
    pops, with keys from a small set so ties are common: each pop must
    return the smallest key, earliest pushed among equals. *)
@@ -730,7 +688,7 @@ let prop_dijkstra_matches_reference =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_rng_int_bounds; prop_pqueue_pop_sorted; prop_percentile_monotone;
+      prop_rng_int_bounds; prop_pqueue_pop_sorted;
       prop_pqueue_matches_model; prop_dijkstra_matches_reference;
       prop_rng_matches_boxed_oracle;
     ]
@@ -767,7 +725,6 @@ let () =
           Alcotest.test_case "uniform mean" `Quick test_rng_uniform_mean;
           Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
           Alcotest.test_case "bernoulli rate" `Quick test_rng_bernoulli_rate;
-          Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "choice" `Quick test_rng_choice;
           Alcotest.test_case "weighted index" `Quick test_rng_weighted_index;
           Alcotest.test_case "sample distinct" `Quick test_rng_sample_distinct;
@@ -786,9 +743,6 @@ let () =
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;
           Alcotest.test_case "variance" `Quick test_stats_variance;
-          Alcotest.test_case "median odd" `Quick test_stats_median_odd;
-          Alcotest.test_case "median even" `Quick test_stats_median_even;
-          Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "hhi" `Quick test_stats_hhi;
           Alcotest.test_case "empty raises" `Quick test_stats_empty_raises;
         ] );

@@ -257,25 +257,6 @@ let prop_registry_entangled_single_owner =
         (fun _ owners acc -> acc && List.length (List.sort_uniq compare owners) = 1)
         by_label true)
 
-(* ---------- interest algebra ---------- *)
-
-let stance_gen =
-  QCheck2.Gen.(
-    list_size (int_range 0 8)
-      (map2
-         (fun i w ->
-           (List.nth Interest.all_issues (i mod List.length Interest.all_issues), w))
-         small_int (float_range (-2.0) 2.0)))
-
-let prop_alignment_bounded =
-  QCheck2.Test.make ~name:"alignment in [-1,1]; self-alignment 1" ~count:300
-    QCheck2.Gen.(pair stance_gen stance_gen)
-    (fun (raw_a, raw_b) ->
-      let a = Interest.make raw_a and b = Interest.make raw_b in
-      let al = Interest.alignment a b in
-      al >= -1.0 -. 1e-9 && al <= 1.0 +. 1e-9
-      && (a = [] || Float.abs (Interest.alignment a a -. 1.0) < 1e-9))
-
 (* ---------- guidelines score bounds ---------- *)
 
 let design_gen =
@@ -320,7 +301,6 @@ let () =
             prop_active_subset_no_surviving_counter;
             prop_trust_bounds;
             prop_registry_entangled_single_owner;
-            prop_alignment_bounded;
             prop_guidelines_score_consistent;
           ] );
     ]

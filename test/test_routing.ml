@@ -308,22 +308,6 @@ let test_sourceroute_refusal () =
 
 (* ---------- Overlay ---------- *)
 
-let test_overlay_best_relay () =
-  (* measured delays on a triangle whose hop-count underlay insists on
-     the slow direct link, while a two-leg detour is fast: the gap RON
-     exploits *)
-  let latency a b =
-    match (min a b, max a b) with
-    | 0, 1 -> Some 0.100
-    | 0, 2 | 1, 2 -> Some 0.010
-    | _ -> None
-  in
-  match Overlay.best_relay ~latency ~candidates:[ 2 ] ~src:0 ~dst:1 with
-  | Some (relay, lat) ->
-    Alcotest.(check int) "relay" 2 relay;
-    check_float "two-leg latency" 0.020 lat
-  | None -> Alcotest.fail "no relay"
-
 let test_overlay_recovery () =
   (* direct path 0->2 blocked, but 1 relays *)
   let can_reach a b = not (a = 0 && b = 2) in
@@ -681,7 +665,6 @@ let () =
         ] );
       ( "overlay",
         [
-          Alcotest.test_case "best relay" `Quick test_overlay_best_relay;
           Alcotest.test_case "recovery" `Quick test_overlay_recovery;
         ] );
       ( "selfheal",
