@@ -30,14 +30,6 @@ let schedule_after t delay action =
 
 let pending t = Tussle_prelude.Pqueue.length t.queue
 
-(* Pops via min_key/pop_min: no option or tuple cell per event. *)
-let fire t =
-  let at = Tussle_prelude.Pqueue.min_key t.queue in
-  let action = Tussle_prelude.Pqueue.pop_min t.queue in
-  t.clock <- at;
-  t.executed <- t.executed + 1;
-  action t
-
 (* Telemetry handles; created once at module initialization so the
    per-run emission path is just array writes in this domain's sink. *)
 let m_runs = Metrics.counter "engine.runs"
@@ -48,11 +40,21 @@ let m_sim_per_wall = Metrics.histogram "engine.sim_per_wall"
 
 let run_loop ?until t =
   let horizon = Option.value ~default:infinity until in
-  while
-    (not (Tussle_prelude.Pqueue.is_empty t.queue))
-    && Tussle_prelude.Pqueue.min_key t.queue <= horizon
-  do
-    fire t
+  let q = t.queue and running = ref true in
+  (* Pops via min_key/pop_min: no option or tuple cell per event, and
+     the one boxed key [min_key] returns becomes the clock. *)
+  while !running do
+    if Tussle_prelude.Pqueue.is_empty q then running := false
+    else begin
+      let at = Tussle_prelude.Pqueue.min_key q in
+      if not (at <= horizon) then running := false
+      else begin
+        let action = Tussle_prelude.Pqueue.pop_min q in
+        t.clock <- at;
+        t.executed <- t.executed + 1;
+        action t
+      end
+    end
   done;
   (* Advance to the horizon whether the queue drained before it or the
      next event lies beyond it, so [now] is consistent after [run

@@ -33,10 +33,12 @@ type t = {
   (* mutable so a control plane can re-converge mid-run (self-healing
      routing swaps in fresh tables while packets are in flight) *)
   mutable forwarding : forwarding;
-  middleboxes : (int, Middlebox.t list) Hashtbl.t;
+  (* Per node, so a hop hashes nothing; each stays [||] until its first
+     entry is set, so a net with neither allocates no per-node state. *)
+  mutable middleboxes : Middlebox.t list array;
   (* Byzantine nodes: answer hellos and accept traffic addressed to
      themselves, silently discard everything they'd forward for others *)
-  blackholes : (int, unit) Hashtbl.t;
+  mutable blackholes : bool array;
   transits : (int, transit) Hashtbl.t;
   mutable injected : int;
   (* tallies of the completed packets, kept as packets finish *)
@@ -54,8 +56,8 @@ let create links forwarding =
   {
     links;
     forwarding;
-    middleboxes = Hashtbl.create 16;
-    blackholes = Hashtbl.create 4;
+    middleboxes = [||];
+    blackholes = [||];
     transits = Hashtbl.create 64;
     injected = 0;
     delivered = 0;
@@ -66,16 +68,32 @@ let create links forwarding =
 
 let set_forwarding t forwarding = t.forwarding <- forwarding
 
+let check_node t node name =
+  if node < 0 || node >= Graph.node_count t.links then
+    invalid_arg (name ^ ": node out of range")
+
+(* [node] is a node of the link graph. *)
+let middleboxes t node =
+  if node < Array.length t.middleboxes then t.middleboxes.(node) else []
+
+let is_blackhole t node =
+  node < Array.length t.blackholes && t.blackholes.(node)
+
 let add_middlebox t node mb =
-  let cur = Option.value ~default:[] (Hashtbl.find_opt t.middleboxes node) in
-  Hashtbl.replace t.middleboxes node (cur @ [ mb ])
+  check_node t node "Net.add_middlebox";
+  if Array.length t.middleboxes = 0 then
+    t.middleboxes <- Array.make (Graph.node_count t.links) [];
+  t.middleboxes.(node) <- t.middleboxes.(node) @ [ mb ]
 
 let middleboxes_at t node =
-  Option.value ~default:[] (Hashtbl.find_opt t.middleboxes node)
+  check_node t node "Net.middleboxes_at";
+  middleboxes t node
 
 let set_blackhole t node on =
-  if on then Hashtbl.replace t.blackholes node ()
-  else Hashtbl.remove t.blackholes node
+  check_node t node "Net.set_blackhole";
+  if Array.length t.blackholes = 0 then
+    t.blackholes <- Array.make (Graph.node_count t.links) false;
+  t.blackholes.(node) <- on
 
 (* Per-reason drop attribution (handles interned once; each incr is an
    atomic load and a branch while telemetry is disabled). *)
@@ -202,14 +220,14 @@ let rec run_middleboxes ~now node p state = function
 let rec arrive t engine p state node =
   state.hops <- state.hops + 1;
   let now = Engine.now engine in
-  match run_middleboxes ~now node p state (middleboxes_at t node) with
+  match run_middleboxes ~now node p state (middleboxes t node) with
   | Some reason -> finish t ~now ~at:node p (Lost reason)
   | None ->
     (* a Byzantine node silently discards transit traffic — anything
        it would forward for others — while traffic it originates or
        terminates (hellos, packets addressed to it) flows normally *)
     if
-      Hashtbl.mem t.blackholes node
+      is_blackhole t node
       && node <> p.Packet.src && node <> p.Packet.dst
     then finish t ~now ~at:node p (Lost (Blackholed node))
     else begin

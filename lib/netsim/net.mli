@@ -63,16 +63,21 @@ val set_forwarding : t -> forwarding -> unit
 
 val add_middlebox : t -> int -> Middlebox.t -> unit
 (** Attach a middlebox at a node; multiple middleboxes run in attachment
-    order. *)
+    order.  Raises [Invalid_argument "Net.add_middlebox: node out of
+    range"] for a node outside the link graph. *)
 
 val middleboxes_at : t -> int -> Middlebox.t list
+(** The node's middleboxes in attachment order.  Raises
+    [Invalid_argument] for a node outside the link graph. *)
 
 val set_blackhole : t -> int -> bool -> unit
 (** Mark (or unmark) a node as Byzantine: it keeps accepting traffic
     addressed to itself — and keeps answering control-plane hellos,
     which never transit it — but silently discards every packet it
     would forward for others (source-route waypoints included, which
-    is exactly how transit probes unmask it). *)
+    is exactly how transit probes unmask it).  Raises [Invalid_argument
+    "Net.set_blackhole: node out of range"] for a node outside the link
+    graph. *)
 
 val inject : t -> Engine.t -> Packet.t -> unit
 (** Offer a packet to the network at the engine's current time.  Its

@@ -132,8 +132,8 @@ let weights g cost =
      push whose key is at least the key of its last entry, so its keys
      never decrease and its head is its minimum.  When all costs are
      equal, every push lands here;
-   - a binary min-heap of [heap_size] entries on (key, seq), [seq]
-     counting heap pushes, which takes every other push.
+   - a {!Heap} of nodes on (key, push order), which takes every other
+     push.
    Every heap entry was pushed while the run held a larger key, and the
    run's last key only grows until the run empties, which it can only
    do after the heap has: so a run entry with a key equal to a heap
@@ -146,10 +146,7 @@ type scratch = {
   mutable run_node : int array;
   mutable run_head : int;
   mutable run_tail : int;
-  mutable heap_key : float array;
-  mutable heap_seq : int array;
-  mutable heap_node : int array;
-  mutable heap_size : int;
+  heap : Heap.t;
 }
 
 let scratch =
@@ -159,79 +156,12 @@ let scratch =
         run_node = [||];
         run_head = 0;
         run_tail = 0;
-        heap_key = [||];
-        heap_seq = [||];
-        heap_node = [||];
-        heap_size = 0;
+        heap = Heap.create ();
       })
 
 let grow_run s =
   s.run_key <- widen s.run_key 0.0;
   s.run_node <- widen s.run_node 0
-
-let grow_heap s =
-  s.heap_key <- widen s.heap_key 0.0;
-  s.heap_seq <- widen s.heap_seq 0;
-  s.heap_node <- widen s.heap_node 0
-
-(* The entry at [i] is the newest, so on an equal key it stays below
-   its parent.  The sifts move a hole rather than swapping. *)
-let heap_up s i =
-  let keys = s.heap_key and seqs = s.heap_seq and nodes = s.heap_node in
-  let k = keys.(i) and q = seqs.(i) and v = nodes.(i) in
-  let hole = ref i and moving = ref true in
-  while !moving && !hole > 0 do
-    let p = (!hole - 1) / 2 in
-    let pk = keys.(p) in
-    if k < pk then begin
-      keys.(!hole) <- pk;
-      seqs.(!hole) <- seqs.(p);
-      nodes.(!hole) <- nodes.(p);
-      hole := p
-    end
-    else moving := false
-  done;
-  keys.(!hole) <- k;
-  seqs.(!hole) <- q;
-  nodes.(!hole) <- v
-
-(* Remove the root: the last entry fills the hole it leaves. *)
-let heap_pop s =
-  let keys = s.heap_key and seqs = s.heap_seq and nodes = s.heap_node in
-  let size = s.heap_size - 1 in
-  s.heap_size <- size;
-  let k = keys.(size) and q = seqs.(size) and v = nodes.(size) in
-  let hole = ref 0 and moving = ref (size > 0) in
-  while !moving do
-    let l = (2 * !hole) + 1 in
-    (* the smallest of the held entry and the hole's children *)
-    let c = ref !hole and ck = ref k and cq = ref q in
-    if l < size then begin
-      let lk = keys.(l) in
-      if lk < k || (lk = k && seqs.(l) < q) then begin
-        c := l;
-        ck := lk;
-        cq := seqs.(l)
-      end
-    end;
-    let r = l + 1 in
-    if r < size then begin
-      let rk = keys.(r) in
-      if rk < !ck || (rk = !ck && seqs.(r) < !cq) then c := r
-    end;
-    if !c = !hole then moving := false
-    else begin
-      keys.(!hole) <- keys.(!c);
-      seqs.(!hole) <- seqs.(!c);
-      nodes.(!hole) <- nodes.(!c);
-      hole := !c
-    end
-  done;
-  if size > 0 then begin
-    keys.(!hole) <- k;
-    seqs.(!hole) <- q;
-    nodes.(!hole) <- v
-  end
 
 (* The one Dijkstra kernel.  A node's pushes carry strictly falling
    keys, so its first pop is the entry whose key equals [dist.(u)] and
@@ -249,22 +179,24 @@ let spf g (w : weights) ~source =
   s.run_node.(0) <- source;
   s.run_head <- 0;
   s.run_tail <- 1;
-  s.heap_size <- 0;
+  let heap = s.heap in
+  Heap.clear heap;
   dist.(source) <- 0.0;
-  let seq = ref 0 in
-  while s.run_head < s.run_tail || s.heap_size > 0 do
+  while s.run_head < s.run_tail || heap.Heap.size > 0 do
     let h = s.run_head in
     let u =
-      if h < s.run_tail && (s.heap_size = 0 || s.run_key.(h) <= s.heap_key.(0))
+      if
+        h < s.run_tail
+        && (heap.Heap.size = 0 || s.run_key.(h) <= heap.Heap.keys.(0))
       then begin
         s.run_head <- h + 1;
         let u = s.run_node.(h) in
         if s.run_key.(h) = dist.(u) then u else -1
       end
       else begin
-        let u = s.heap_node.(0) in
-        let current = s.heap_key.(0) = dist.(u) in
-        heap_pop s;
+        let u = heap.Heap.vals.(0) in
+        let current = heap.Heap.keys.(0) = dist.(u) in
+        Heap.pop heap;
         if current then u else -1
       end
     in
@@ -286,16 +218,7 @@ let spf g (w : weights) ~source =
             s.run_node.(t) <- v;
             s.run_tail <- t + 1
           end
-          else begin
-            let i = s.heap_size in
-            if i = Array.length s.heap_key then grow_heap s;
-            s.heap_key.(i) <- nd;
-            s.heap_seq.(i) <- !seq;
-            s.heap_node.(i) <- v;
-            s.heap_size <- i + 1;
-            incr seq;
-            heap_up s i
-          end
+          else Heap.push_keyed heap dist v
         end;
         e := g.next.(!e)
       done

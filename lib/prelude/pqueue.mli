@@ -1,16 +1,19 @@
-(** Mutable binary-heap priority queue (min-heap by a user-supplied key).
+(** Mutable binary-heap priority queue (min-heap by a float key).
 
-    Used as the event queue of the discrete-event simulator; the
-    shortest-path searches of {!Graph} keep a frontier of their own with
-    the same order.  Ties are broken by insertion order (FIFO among
-    equal keys), which discrete-event simulation requires for
-    determinism.
+    Used as the event queue of the discrete-event simulator; the heap
+    half of {!Graph}'s shortest-path frontier is the same heap on node
+    ids.
+    Ties are broken by insertion order (FIFO among equal keys), which
+    discrete-event simulation requires for determinism.
 
-    The heap is struct-of-arrays (parallel key/seq/payload arrays): a
-    push is three array writes and allocates nothing, and the
-    [min_key]/[pop_min] accessors let a hot loop drain the
-    queue without building option/tuple cells.  Popped payload slots
-    are cleared so the heap never retains a popped value. *)
+    The heap holds parallel key/seq/slot arrays and the payloads sit in
+    a slot store: a push writes its payload into a free slot once and
+    the heap sifts only floats and ints (key, insertion order, slot
+    number), so a push allocates nothing once the arrays have grown
+    and no sift level touches a payload.  The [min_key]/[pop_min] accessors let a hot
+    loop drain the queue without building option/tuple cells.  A pop
+    clears its slot and frees it for reuse, so the queue never retains
+    a popped value. *)
 
 type 'a t
 

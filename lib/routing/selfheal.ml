@@ -126,13 +126,25 @@ type t = {
   probe_rng : Rng.t;
   (* each node's distinct neighbours, ascending, fixed at attach *)
   neighbors : int array array;
-  quarantines : (int, quarantine) Hashtbl.t;
-  (* outstanding transit probes: probe id -> transit node *)
-  outstanding : (int, int) Hashtbl.t;
-  (* completed transit probes: probe id -> judgment *)
-  completed : (int, [ `Pass | `Fail | `Inconclusive ]) Hashtbl.t;
+  quarantines : quarantine array;  (* per node; [||] for [Hello_only] *)
+  (* The outstanding transit probes, ids [first_outstanding,
+     next_probe_id), as a FIFO ring of judgments: probe [id] sits at
+     slot [(ring_head + id - first_outstanding) land (length - 1)],
+     the length a power of two.  Ids are handed out in order and every
+     deadline lies [probe_timeout] after its send, so deadlines fire in
+     id order and always retire the oldest probe. *)
+  mutable ring : int array;
+  mutable ring_head : int;
+  mutable first_outstanding : int;
   mutable next_probe_id : int;
 }
+
+(* A probe's judgment: [unanswered] until its completion, if any, is
+   observed before the deadline. *)
+let unanswered = 0
+let passed = 1
+let failed = 2
+let inconclusive = 3
 
 (* One pass buckets every link by adjacency (either orientation) and,
    for the data-plane detector, by directed pair.  Each bucket keeps
@@ -179,9 +191,7 @@ let build_watches ~detector links =
     !order
 
 let node_quarantined t node =
-  match Hashtbl.find_opt t.quarantines node with
-  | Some q -> q.active
-  | None -> false
+  node < Array.length t.quarantines && t.quarantines.(node).active
 
 let believed_down t =
   List.filter_map
@@ -374,16 +384,8 @@ let neighbor_table g =
   done;
   Array.map Array.of_list sorted
 
-let quarantine_for t node =
-  match Hashtbl.find_opt t.quarantines node with
-  | Some q -> q
-  | None ->
-    let q = { active = false; q_until = 0.0; strikes = 0; fails = 0 } in
-    Hashtbl.replace t.quarantines node q;
-    q
-
 let quarantine t engine node =
-  let q = quarantine_for t node in
+  let q = t.quarantines.(node) in
   let now = Engine.now engine in
   let hold = quarantine_s *. (2.0 ** float_of_int q.strikes) in
   q.active <- true;
@@ -423,22 +425,43 @@ let leg_faulted t ~since a b =
    any point since the probe was sent — is inconclusive, not evidence;
    only a loss with both legs believed healthy throughout reads as a
    silent discard by the transit node. *)
-let judge_probe t engine ~probe_id ~sent ~via ~u ~v =
-  match Hashtbl.find_opt t.completed probe_id with
-  | Some `Pass ->
-    Hashtbl.remove t.completed probe_id;
-    (quarantine_for t via).fails <- 0
-  | Some `Inconclusive -> Hashtbl.remove t.completed probe_id
-  | Some `Fail | None ->
-    Hashtbl.remove t.completed probe_id;
-    if not (leg_faulted t ~since:sent u via || leg_faulted t ~since:sent via v)
-    then begin
-      (* lost without explanation, or still unaccounted for at the
-         deadline: a strike against the transit node *)
-      let q = quarantine_for t via in
-      q.fails <- q.fails + 1;
-      if (not q.active) && q.fails >= 2 then quarantine t engine via
-    end
+let judge_probe t engine judgment ~sent ~via ~u ~v =
+  let q = t.quarantines.(via) in
+  if judgment = passed then q.fails <- 0
+  else if judgment = inconclusive then ()
+  else if
+    not (leg_faulted t ~since:sent u via || leg_faulted t ~since:sent via v)
+  then begin
+    (* lost without explanation, or still unaccounted for at the
+       deadline: a strike against the transit node *)
+    q.fails <- q.fails + 1;
+    if (not q.active) && q.fails >= 2 then quarantine t engine via
+  end
+
+(* Open a ring slot for the next probe id, doubling the ring (oldest
+   probe first) when every slot is outstanding. *)
+let open_probe t =
+  let count = t.next_probe_id - t.first_outstanding in
+  let len = Array.length t.ring in
+  if count = len then begin
+    let ring = Array.make (if len = 0 then 16 else 2 * len) unanswered in
+    for i = 0 to count - 1 do
+      ring.(i) <- t.ring.((t.ring_head + i) land (len - 1))
+    done;
+    t.ring <- ring;
+    t.ring_head <- 0
+  end;
+  t.ring.((t.ring_head + count) land (Array.length t.ring - 1)) <- unanswered;
+  let id = t.next_probe_id in
+  t.next_probe_id <- id + 1;
+  id
+
+(* Retire the oldest outstanding probe and return its judgment. *)
+let close_probe t =
+  let judgment = t.ring.(t.ring_head) in
+  t.ring_head <- (t.ring_head + 1) land (Array.length t.ring - 1);
+  t.first_outstanding <- t.first_outstanding + 1;
+  judgment
 
 (* A transit probe through [via] runs from its lowest neighbour to one
    of the others, drawn uniformly. *)
@@ -450,19 +473,14 @@ let dp_send_transit_probes t engine =
       if others > 0 && not (node_quarantined t via) then begin
         let u = ns.(0) in
         let v = ns.(1 + Rng.int t.probe_rng others) in
-        let probe_id = t.next_probe_id in
-        t.next_probe_id <- t.next_probe_id + 1;
-        Hashtbl.replace t.outstanding probe_id via;
+        let probe_id = open_probe t in
         let p =
           Packet.make ~id:probe_id ~src:u ~dst:v ~created:now
             ~source_route:[ via ] ~size_bytes:64 ()
         in
         Net.inject t.net engine p;
         Engine.schedule engine (now +. probe_timeout) (fun engine ->
-            if Hashtbl.mem t.outstanding probe_id then begin
-              Hashtbl.remove t.outstanding probe_id;
-              judge_probe t engine ~probe_id ~sent:now ~via ~u ~v
-            end)
+            judge_probe t engine (close_probe t) ~sent:now ~via ~u ~v)
       end)
     t.neighbors
 
@@ -476,23 +494,20 @@ let rec dp_tick t engine =
     Engine.schedule engine next (dp_tick t)
 
 (* Completion observer: records the judgment the deadline event reads.
-   Runs for every packet; filters by the reserved probe-id range. *)
+   Runs for every packet; only an outstanding probe's id falls in the
+   ring, so scenario traffic and a probe completing after its deadline
+   are ignored. *)
 let observe_probe t p outcome =
-  if
-    p.Packet.id >= probe_id_base
-    && Hashtbl.mem t.outstanding p.Packet.id
-  then begin
-    let judgment =
-      match (outcome : Net.outcome) with
-      | Net.Delivered _ -> `Pass
+  let i = p.Packet.id - t.first_outstanding in
+  if i >= 0 && p.Packet.id < t.next_probe_id then
+    t.ring.((t.ring_head + i) land (Array.length t.ring - 1)) <-
+      (match (outcome : Net.outcome) with
+      | Net.Delivered _ -> passed
       | Net.Lost Net.No_route ->
         (* the prober's own tables couldn't reach the waypoint (it may
            have withdrawn it itself); says nothing about the node *)
-        `Inconclusive
-      | Net.Lost _ -> `Fail
-    in
-    Hashtbl.replace t.completed p.Packet.id judgment
-  end
+        inconclusive
+      | Net.Lost _ -> failed)
 
 (* ---------- attach ---------- *)
 
@@ -520,9 +535,15 @@ let attach ?(detector = Hello_only) ?(metric = `Latency) ~until engine net =
         (match detector with
         | Hello_only -> [||]
         | Verified -> neighbor_table (Net.links net));
-      quarantines = Hashtbl.create 8;
-      outstanding = Hashtbl.create 32;
-      completed = Hashtbl.create 32;
+      quarantines =
+        (match detector with
+        | Hello_only -> [||]
+        | Verified ->
+          Array.init (Graph.node_count (Net.links net)) (fun _ ->
+              { active = false; q_until = 0.0; strikes = 0; fails = 0 }));
+      ring = [||];
+      ring_head = 0;
+      first_outstanding = probe_id_base;
       next_probe_id = probe_id_base;
     }
   in

@@ -787,6 +787,27 @@ let test_net_duplicate_id_rejected () =
     (fun () ->
       Net.inject net engine (Packet.make ~id:7 ~src:0 ~dst:3 ~created:0.0 ()))
 
+(* A node outside the link graph is rejected where it is attached, not
+   stored and never consulted. *)
+let test_net_node_out_of_range () =
+  let net = Net.create (line_links 4) line_forwarding in
+  let mb = Middlebox.port_filter ~blocked:[ 80 ] () in
+  List.iter
+    (fun node ->
+      Alcotest.check_raises "add_middlebox"
+        (Invalid_argument "Net.add_middlebox: node out of range") (fun () ->
+          Net.add_middlebox net node mb);
+      Alcotest.check_raises "set_blackhole"
+        (Invalid_argument "Net.set_blackhole: node out of range") (fun () ->
+          Net.set_blackhole net node true);
+      Alcotest.check_raises "middleboxes_at"
+        (Invalid_argument "Net.middleboxes_at: node out of range") (fun () ->
+          ignore (Net.middleboxes_at net node)))
+    [ -1; 4 ];
+  Net.add_middlebox net 3 mb;
+  Alcotest.(check int) "the last node takes one" 1
+    (List.length (Net.middleboxes_at net 3))
+
 (* ---------- Traffic ---------- *)
 
 let test_traffic_constant_spacing () =
@@ -1312,6 +1333,7 @@ let () =
           Alcotest.test_case "queue loss" `Quick test_net_queue_loss;
           Alcotest.test_case "degraded flag" `Quick test_net_degraded_flag;
           Alcotest.test_case "duplicate id" `Quick test_net_duplicate_id_rejected;
+          Alcotest.test_case "node out of range" `Quick test_net_node_out_of_range;
         ] );
       ( "transport",
         [

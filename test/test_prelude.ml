@@ -445,6 +445,44 @@ let test_pqueue_peek () =
   check_float "min_key" 5.0 (Pqueue.min_key q);
   Alcotest.(check int) "min_key keeps" 1 (Pqueue.length q)
 
+(* The queue grows past several doublings of its arrays while pops
+   free slots and pushes reuse them: every pop matches the model, and
+   once the depth stops growing so does the queue's footprint, so a
+   popped slot is reused rather than a fresh one taken. *)
+let test_pqueue_growth_recycles_slots () =
+  let rng = Rng.create 77 in
+  let q = Pqueue.create () and model = Pqueue_oracle.create () in
+  let pushed = ref 0 in
+  let push () =
+    let k = float_of_int (Rng.int rng 8) in
+    Pqueue.push q k !pushed;
+    Pqueue_oracle.push model k !pushed;
+    incr pushed
+  in
+  let pop () =
+    Alcotest.(check (option (pair (float 0.0) int)))
+      "pop matches the model" (Pqueue_oracle.pop model) (Pqueue.pop q)
+  in
+  (* three pushes per pop to depth 600: the arrays double from 16 to 1024 *)
+  while Pqueue.length q < 600 do
+    push ();
+    push ();
+    push ();
+    pop ()
+  done;
+  let words () = Obj.reachable_words (Obj.repr q) in
+  let grown = words () in
+  for _ = 1 to 5_000 do
+    push ();
+    pop ()
+  done;
+  Alcotest.(check int) "depth held" 600 (Pqueue.length q);
+  Alcotest.(check int) "footprint held" grown (words ());
+  while not (Pqueue.is_empty q) do
+    pop ()
+  done;
+  Alcotest.(check int) "model drained too" 0 (Pqueue_oracle.length model)
+
 (* ---------- Graph ---------- *)
 
 let test_graph_basic () =
@@ -616,37 +654,42 @@ let prop_pqueue_pop_sorted =
       in
       drain neg_infinity)
 
-(* Pqueue against a sorted-list model under interleaved pushes and
-   pops, with keys from a small set so ties are common: each pop must
-   return the smallest key, earliest pushed among equals. *)
+(* Pqueue against the stable sorted-list model in pqueue_oracle.ml
+   under interleaved pushes, pops, peeks and sorted views, with keys
+   from four values so most pushes tie: each pop must return the
+   smallest key, earliest pushed among equals. *)
+type pqueue_op = Push of int | Pop | Peek | View
+
 let prop_pqueue_matches_model =
   QCheck2.Test.make ~name:"pqueue equals a sorted-list model" ~count:300
-    QCheck2.Gen.(list_size (int_range 0 300) (option (int_range 0 5)))
+    QCheck2.Gen.(
+      list_size (int_range 0 400)
+        (frequency
+           [
+             (6, map (fun k -> Push k) (int_range 0 3));
+             (4, return Pop);
+             (1, return Peek);
+             (1, return View);
+           ]))
     (fun ops ->
-      let q = Pqueue.create () in
-      let model = ref [] and seq = ref 0 in
+      let q = Pqueue.create () and model = Pqueue_oracle.create () in
+      let pushed = ref 0 in
       List.for_all
         (fun op ->
-          match op with
-          | Some k ->
-            Pqueue.push q (float_of_int k) !seq;
-            (* stable insert after every element with key <= k *)
-            let rec ins = function
-              | (k', s') :: rest when k' <= k -> (k', s') :: ins rest
-              | rest -> (k, !seq) :: rest
-            in
-            model := ins !model;
-            incr seq;
+          (match op with
+          | Push k ->
+            Pqueue.push q (float_of_int k) !pushed;
+            Pqueue_oracle.push model (float_of_int k) !pushed;
+            incr pushed;
             true
-          | None -> (
-            match (Pqueue.pop q, !model) with
-            | None, [] -> true
-            | Some (k, v), (k', v') :: rest ->
-              model := rest;
-              k = float_of_int k' && v = v'
-            | _ -> false))
-        ops
-      && Pqueue.length q = List.length !model)
+          | Pop -> Pqueue.pop q = Pqueue_oracle.pop model
+          | Peek -> (
+            match Pqueue_oracle.to_list model with
+            | [] -> Pqueue.is_empty q
+            | (k, _) :: _ -> Pqueue.min_key q = k)
+          | View -> Pqueue.to_sorted_list q = Pqueue_oracle.to_list model)
+          && Pqueue.length q = Pqueue_oracle.length model)
+        ops)
 
 (* Small graphs, so multi-edges and unreachable nodes are common, with
    weights drawn from the cases that stress tie-breaking and masking:
@@ -756,6 +799,8 @@ let () =
             test_pqueue_pop_releases;
           Alcotest.test_case "drain after leak fix" `Quick
             test_pqueue_drain_after_leak_fix;
+          Alcotest.test_case "growth recycles slots" `Quick
+            test_pqueue_growth_recycles_slots;
         ] );
       ( "graph",
         [

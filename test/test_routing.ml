@@ -18,6 +18,7 @@ module Selfheal = Tussle_routing.Selfheal
 module Visibility = Tussle_routing.Visibility
 module Plan = Tussle_fault.Plan
 module Inject = Tussle_fault.Inject
+module Flight = Tussle_obs.Flight
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -575,6 +576,131 @@ let test_selfheal_slow_flap_still_reconverges () =
     (Net.delivered_count net >= 50);
   Alcotest.(check int) "engine drained" 0 (Engine.pending engine)
 
+(* ---------- Selfheal: the transit-probe ring ---------- *)
+
+(* A ring of [n] nodes whose links take [latency] seconds, the 0-1
+   link [slow] seconds if given. *)
+let latency_ring ?slow n latency =
+  let g = Graph.create n in
+  for i = 0 to n - 1 do
+    let latency = match slow with Some s when i = 0 -> s | _ -> latency in
+    Graph.add_undirected g i ((i + 1) mod n)
+      { Topology.latency; bandwidth_bps = 1e8 }
+  done;
+  Topology.to_links g
+
+(* Run a verified control plane on [links] to [until], with the nodes
+   in [blackholes] Byzantine, [plan] injected and the flight recorder
+   on.  It routes by hop count, so a probe takes its two direct legs
+   whatever their latency.  Returns the transit probes' completions,
+   in completion order, and each quarantine as (node, time), in time
+   order. *)
+let run_probes ?(blackholes = []) ?(plan = []) ~until links =
+  let net = Net.create links no_forwarding in
+  let engine = Engine.create () in
+  let completions = Completed.record net in
+  let (), events =
+    Completed.with_flight (fun () ->
+        ignore
+          (Selfheal.attach ~detector:Selfheal.Verified ~metric:`Hops ~until
+             engine net);
+        Inject.install ~seed:1 ~plan engine net;
+        List.iter (fun b -> Net.set_blackhole net b true) blackholes;
+        Engine.run engine)
+  in
+  let probes =
+    List.filter
+      (fun ((p : Packet.t), _) -> p.Packet.id >= Selfheal.probe_id_base)
+      (completions ())
+  in
+  let quarantines =
+    List.filter_map
+      (fun e ->
+        if e.Flight.kind = "heal-quarantine" && e.Flight.detail = "quarantine"
+        then Some (e.Flight.node, e.Flight.sim_t)
+        else None)
+      events
+  in
+  (probes, quarantines)
+
+let nodes quarantines = List.sort_uniq compare (List.map fst quarantines)
+
+let delivered (_, outcome) =
+  match outcome with Net.Delivered _ -> true | Net.Lost _ -> false
+
+(* A transit probe crosses two links.  At 0.2 s a link every probe is
+   delivered 0.4 s after it left, past its 0.3 s deadline: the late
+   answer is ignored, so every node collects the two strikes that
+   quarantine it.  At 0.1 s a link every answer is in time.
+
+   A late answer must not be credited to another probe either.  On a
+   fast 6-ring with node 3 Byzantine, node 3 is quarantined at 0.4 s
+   (its second deadline) and released at 2.4 s; the recomputed tables
+   route through it again from 2.5 s, and its probes of 2.5 and 2.55 s
+   time out at 2.8 and 2.85 s.  A 2 s latency spike on the 0-1 link
+   from 0.5 to 0.6 s makes the probes through nodes 0 and 1 answer at
+   about 2.5 s, while those probes of node 3 are outstanding. *)
+let test_selfheal_late_probe_ignored () =
+  let late, quarantines = run_probes ~until:0.5 (latency_ring 6 0.2) in
+  Alcotest.(check bool) "probes sent" true (late <> []);
+  Alcotest.(check bool) "every probe delivered" true
+    (List.for_all delivered late);
+  Alcotest.(check (list int)) "every late-answered node quarantined"
+    [ 0; 1; 2; 3; 4; 5 ] (nodes quarantines);
+  let _, quarantines = run_probes ~until:0.5 (latency_ring 6 0.1) in
+  Alcotest.(check (list int)) "in-time answers quarantine nothing" []
+    (nodes quarantines);
+  let spike =
+    Plan.Latency_spike { u = 0; v = 1; w = Plan.window 0.5 0.6; extra_s = 2.0 }
+  in
+  let _, quarantines =
+    run_probes ~blackholes:[ 3 ] ~plan:[ spike ] ~until:4.0
+      (latency_ring 6 0.001)
+  in
+  Alcotest.(check (list (pair int (float 1e-9))))
+    "late answers credit no outstanding probe"
+    [ (3, 0.4); (3, 2.85) ]
+    quarantines
+
+(* On a 6-ring whose 0-1 link is slow, the probes through nodes 0 and 1,
+   the first two of every batch, complete after the others, and the
+   ones through the Byzantine node 3 never do.  Each completion must
+   land on its own probe: only node 3 is quarantined. *)
+let test_selfheal_out_of_order_completions () =
+  let probes, quarantines =
+    run_probes ~blackholes:[ 3 ] ~until:2.0 (latency_ring ~slow:0.1 6 0.001)
+  in
+  let rec out_of_order = function
+    | ((a : Packet.t), _) :: (((b : Packet.t), _) :: _ as rest) ->
+      b.Packet.id < a.Packet.id || out_of_order rest
+    | _ -> false
+  in
+  Alcotest.(check bool) "completions arrive out of id order" true
+    (out_of_order probes);
+  Alcotest.(check (list int)) "only the Byzantine node" [ 3 ]
+    (nodes quarantines)
+
+(* A 20-ring sends 20 probes per batch, and each stays outstanding for
+   six or seven batches: the ring of judgments doubles from 16 slots to
+   256, the last time at 0.4 s, after the first deadlines have moved
+   its head, and more than twice 256 probes take its head round it.
+   The Byzantine nodes' first two probes (sent at 0.05 and 0.1 s) are
+   judged across that doubling, and must quarantine both at the
+   second deadline, 0.4 s. *)
+let test_selfheal_probe_ring_grows_and_wraps () =
+  let probes, quarantines =
+    run_probes ~blackholes:[ 7; 19 ] ~until:3.0 (latency_ring 20 0.001)
+  in
+  Alcotest.(check bool) "over 512 probes" true (List.length probes > 512);
+  Alcotest.(check (list int)) "only the Byzantine nodes" [ 7; 19 ]
+    (nodes quarantines);
+  List.iter
+    (fun b ->
+      match List.assoc_opt b quarantines with
+      | Some t -> check_float (Printf.sprintf "node %d at 0.4 s" b) 0.4 t
+      | None -> Alcotest.failf "node %d never quarantined" b)
+    [ 7; 19 ]
+
 (* ---------- Selfheal: the probe window and attach's allocation ---------- *)
 
 (* Widths 1-6 and samples with delivered <= offered, offered 0-8 (0
@@ -681,6 +807,12 @@ let () =
             test_selfheal_damping_suppresses_flap_churn;
           Alcotest.test_case "slow flap still reconverges" `Quick
             test_selfheal_slow_flap_still_reconverges;
+          Alcotest.test_case "late probe answer ignored" `Quick
+            test_selfheal_late_probe_ignored;
+          Alcotest.test_case "out-of-order probe completions" `Quick
+            test_selfheal_out_of_order_completions;
+          Alcotest.test_case "probe ring grows and wraps" `Quick
+            test_selfheal_probe_ring_grows_and_wraps;
           QCheck_alcotest.to_alcotest prop_window_matches_list;
           Alcotest.test_case "hello-only attach allocation" `Quick
             test_selfheal_hello_only_attach_words;
