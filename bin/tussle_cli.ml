@@ -1,7 +1,7 @@
 (* The tussle command-line interface: experiments, chaos, sweep, search,
-   explain, trends, report, perfgate, scenario, market and policy (see
-   [tussle --help]).  Each subcommand is its flag terms, one library
-   call and a renderer. *)
+   explain, report, scenario, market and policy (see [tussle --help]).
+   Each subcommand is its flag terms, one library call and a
+   renderer. *)
 
 open Cmdliner
 module Pool = Tussle_prelude.Pool
@@ -9,7 +9,6 @@ module Registry = Tussle_experiments.Registry
 module Obs_sweep_report = Tussle_obs.Sweep_report
 module Obs_search_report = Tussle_obs.Search_report
 module Obs_json = Tussle_obs.Json
-module Trends = Tussle_obs.Trends
 module Sweep = Tussle_chaos.Sweep
 
 let ( let* ) = Result.bind
@@ -244,41 +243,6 @@ let explain_cmd =
           episode that explains it, plus the control-plane timeline"
     (ok run $? domain_budget $! file $! json)
 
-let trends_cmd =
-  let file =
-    pos_file 0 "REPORT" ~doc:"Fresh battery report JSON to append to the history."
-  in
-  let history =
-    file_flag "history" ~default:"BENCH_history.jsonl"
-      ~doc:"Benchmark history file, one JSON line per appended report."
-  in
-  (* a bad baseline is reported after the append *)
-  let baseline =
-    opt_checked [ "baseline" ] ~docv:"FILE" Trends.load
-      ~doc:"Battery report to diff the fresh report against (wall clock and GC \
-            allocation per experiment)."
-  in
-  let run file history baseline =
-    (* given: the flag has a default *)
-    let { flag; path = history } = Option.get history in
-    let* json, exps = Trends.load file in
-    let* () =
-      Result.map_error (fun msg -> flag ^ ": " ^ msg)
-        (Trends.append ~history (Trends.history_line json exps))
-    in
-    let* entries = Trends.check_history history in
-    Printf.printf "trends: appended %s to %s (%d entr%s)\n" file history entries
-      (if entries = 1 then "y" else "ies");
-    let* baseline = baseline in
-    Option.iter (fun (_, base) -> print_string (Trends.deltas ~base exps)) baseline;
-    Ok 0
-  in
-  subcommand "trends"
-    ~doc:"append a battery report to the benchmark history (JSONL, validated \
-          round-trip) and print per-experiment wall/alloc deltas against a \
-          baseline report"
-    (ok run $! file $! history $! baseline)
-
 let report_cmd =
   (* The positional is a plain string, not [Arg.file]: a missing path
      must produce our clean one-line error and exit 2, not cmdliner's. *)
@@ -406,51 +370,6 @@ let search_cmd =
           or bounded-exhaustive enumeration against the invariant registry"
     (ok run $? backend $? budget $? seed $? domain_budget $! corpus $! report)
 
-let perfgate_cmd =
-  let baseline =
-    pos_file 0 "BASELINE" ~doc:"Committed battery report to gate against."
-  in
-  let candidate = pos_file 1 "REPORT" ~doc:"Fresh battery report to check." in
-  let gated =
-    checked [ "ids" ] ~absent:"E1,E3" ~docv:"IDS" ~default:[ "E1"; "E3" ]
-      (fun s ->
-        match List.filter (fun s -> s <> "") (ids s) with
-        | [] -> Error "no experiment ids given"
-        | ids -> Ok ids)
-      ~doc:"Comma-separated experiment ids to gate (default E1,E3: the market \
-            hot path)."
-  in
-  let tolerance =
-    checked [ "tolerance" ] ~docv:"FRAC" ~default:0.25 Pool.tolerance_of_string
-      ~doc:"Allowed fractional regression per metric (default 0.25: fail when \
-            a metric exceeds baseline by more than 25%)."
-  in
-  (* the reports load before the id list is checked *)
-  let run tolerance baseline candidate ids =
-    let* _, base = Trends.load baseline in
-    let* _, cand = Trends.load candidate in
-    let* ids = ids in
-    Printf.printf "perfgate: %s vs %s, tolerance %.0f%%\n" candidate baseline
-      (100.0 *. tolerance);
-    let lines, verdict = Trends.gate ~tolerance ~ids ~base cand in
-    print_string lines;
-    match verdict with
-    | Trends.Missing ->
-      prerr_endline "perfgate: experiment missing from a report";
-      Ok 2
-    | Trends.Regression ->
-      print_endline "perfgate: FAIL (performance regression)";
-      Ok 1
-    | Trends.Pass ->
-      print_endline "perfgate: ok";
-      Ok 0
-  in
-  subcommand "perfgate"
-    ~doc:"gate a fresh battery report against a committed baseline: fail when \
-          a tracked experiment's wall clock or GC allocation regresses beyond \
-          the tolerance"
-    (ok run $? tolerance $! baseline $! candidate $! gated)
-
 let scenario_cmd =
   let module Actor = Tussle_core.Actor in
   let module Scenario = Tussle_core.Scenario in
@@ -556,7 +475,6 @@ let () =
   let group =
     Cmd.group info
       [ experiments_cmd; chaos_cmd; sweep_cmd; search_cmd; explain_cmd;
-        trends_cmd; report_cmd; perfgate_cmd; scenario_cmd; market_cmd;
-        policy_cmd ]
+        report_cmd; scenario_cmd; market_cmd; policy_cmd ]
   in
   exit (Cmd.eval' group)

@@ -84,7 +84,7 @@ let add_int buf scratch n =
     Buffer.add_subbytes buf scratch !i (20 - !i)
   end
 
-let to_string ?(minify = false) t =
+let to_string t =
   let buf = Buffer.create 1024 in
   let memo_keys = Array.make 16 Float.nan in
   let memo_text = Array.make 16 "" in
@@ -108,10 +108,8 @@ let to_string ?(minify = false) t =
     if k > m then indent_by (k - m)
   in
   let nl indent =
-    if not minify then begin
-      Buffer.add_char buf '\n';
-      indent_by indent
-    end
+    Buffer.add_char buf '\n';
+    indent_by indent
   in
   let rec go indent = function
     | Null -> Buffer.add_string buf "null"
@@ -138,7 +136,7 @@ let to_string ?(minify = false) t =
           if i > 0 then Buffer.add_char buf ',';
           nl (indent + 2);
           escape buf k;
-          Buffer.add_string buf (if minify then ":" else ": ");
+          Buffer.add_string buf ": ";
           go (indent + 2) v)
         fields;
       nl indent;
@@ -464,7 +462,3 @@ let read_file path =
   with
   | contents -> Ok contents
   | exception Sys_error msg -> Error msg
-
-let of_file path =
-  let* contents = read_file path in
-  Result.map_error (fun msg -> path ^ ": " ^ msg) (parse contents)

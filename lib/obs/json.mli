@@ -19,9 +19,9 @@ val int : int -> t
 (** [Int n], one shared node per [n] in [\[-1, 1023\]]: {!parse} and
     the column encoders build most of their ints through it. *)
 
-val to_string : ?minify:bool -> t -> string
-(** Render; [minify:false] (default) pretty-prints with 2-space
-    indents so committed reports diff cleanly.
+val to_string : t -> string
+(** Render, pretty-printed with 2-space indents so committed reports
+    diff cleanly.
 
     A finite [Float] prints as [%.12g] when that text reads back as
     the same float, else as [%.17g] (which always does).  An integral
@@ -30,7 +30,7 @@ val to_string : ?minify:bool -> t -> string
     print as [null]. *)
 
 val to_file : string -> t -> unit
-(** [to_string ~minify:false] plus a trailing newline, written
+(** {!to_string} plus a trailing newline, written
     atomically: the bytes go to [path ^ ".tmp"] first and are renamed
     over [path] only once complete, so a crashed or watchdogged run
     never leaves a truncated artifact (a stale [.tmp] at worst). *)
@@ -84,7 +84,3 @@ val read_file : string -> (string, string) result
     read) comes back as [Error] with its message, which names the path;
     a directory is [Error "PATH: Is a directory"].  The channel is
     closed either way. *)
-
-val of_file : string -> (t, string) result
-(** {!read_file} then {!parse}; a parse error is prefixed with the
-    path ([path: JSON parse error at byte ...]). *)

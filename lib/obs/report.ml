@@ -199,7 +199,7 @@ let exp_of_json j =
     Ok { id; title; status; detail; wall_s; events_executed; allocated_bytes }
   | s -> Error (Printf.sprintf "experiment %s: unknown status %S" id s)
 
-let experiments_of_json json =
+let validate json =
   let* schema = Json.field "schema" Json.to_str json in
   let* () =
     if schema = schema_tag then Ok ()
@@ -229,13 +229,25 @@ let experiments_of_json json =
     else Error "summary counts do not match experiment statuses"
   in
   match Json.member "pool" json with
-  | None -> Ok exps
+  | None -> Ok ()
   | Some p ->
     let* workers = Json.field "workers" Json.to_int p in
-    let* tasks = Json.field "tasks" Json.to_list p in
-    let* busy = Json.field "busy_s" Json.to_list p in
+    let elements name extract what =
+      let* xs = Json.field name Json.to_list p in
+      Json.list
+        (fun x ->
+          match extract x with
+          | Some v -> Ok v
+          | None -> Error (Printf.sprintf "pool.%s: %s entry" name what))
+        xs
+    in
+    let* tasks = elements "tasks" Json.to_int "non-integer" in
+    let* busy = elements "busy_s" Json.to_float "non-number" in
     let* _ = Json.field "imbalance" Json.to_float p in
-    if List.length tasks = workers && List.length busy = workers then Ok exps
-    else Error "pool arrays do not match worker count"
-
-let validate json = Result.map ignore (experiments_of_json json)
+    if List.length tasks <> workers || List.length busy <> workers then
+      Error "pool arrays do not match worker count"
+    else if List.exists (fun n -> n < 0) tasks then
+      Error "pool.tasks must be >= 0"
+    else if List.fold_left ( + ) 0 tasks <> total then
+      Error "pool.tasks do not sum to summary.total"
+    else Ok ()

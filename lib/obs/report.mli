@@ -91,14 +91,11 @@ val summary : t -> string
 (** Human-readable: one table row per experiment (status, wall,
     events, allocation), totals line, pool balance line. *)
 
-val experiments_of_json : Json.t -> (exp list, string) result
-(** Check a parsed JSON value against the schema above — schema tag,
-    required fields with the right types, a known status per
-    experiment, and summary and pool counts consistent with the lists
-    — and decode its experiment list.  The one reader of battery
-    reports: {!validate}, [tussle trends] and [tussle perfgate] all go
-    through it. *)
-
 val validate : Json.t -> (unit, string) result
-(** {!experiments_of_json}, keeping only the verdict.  Used by
-    [tussle report FILE] and the CI smoke script. *)
+(** Check a parsed JSON value against the schema above: schema tag,
+    required fields with the right types, a known status per
+    experiment, summary counts consistent with the experiment list,
+    and, when present, pool arrays of one entry per worker, [tasks]
+    non-negative ints summing to [summary.total] and [busy_s] floats.
+    The one check of battery reports, run by [tussle report FILE]
+    through [Tussle_chaos.Artifact.check]. *)

@@ -56,13 +56,6 @@ let non_negative_of_string ~what s =
     Error
       (Printf.sprintf "invalid %s %S (expected a finite number >= 0)" what s)
 
-let tolerance_of_string s =
-  match float_of_string_opt (String.trim s) with
-  | Some t when t >= 0.0 && Float.is_finite t -> Ok t
-  | Some _ | None ->
-    Error
-      (Printf.sprintf "invalid tolerance %S (expected a non-negative number)" s)
-
 let probability_of_string s =
   match float_of_string_opt (String.trim s) with
   | Some a when a > 0.0 && a < 1.0 -> Ok a

@@ -54,9 +54,6 @@ val seconds_of_string : string -> (float, string) result
 val non_negative_of_string : what:string -> string -> (float, string) result
 (** A finite number [>= 0]. *)
 
-val tolerance_of_string : string -> (float, string) result
-(** A finite fractional tolerance [>= 0]. *)
-
 val probability_of_string : string -> (float, string) result
 (** A significance level strictly between 0 and 1. *)
 

@@ -23,9 +23,6 @@
 #     deterministic causal narrative (byte-identical across
 #     --domains 1/2/4) plus a flow-trace artifact, byte-identical
 #     across --domains 1/2, that tussle report validates
-#   - tussle trends: history lines round-trip; the battery-smoke
-#     report is appended to the committed BENCH_history.jsonl with
-#     deltas vs BENCH_baseline.json
 #   - sweep smoke: tussle sweep at a small N passes every statistical
 #     verdict, the tussle.sweep-report/1 artifact passes tussle report
 #     (every artifact check) and is byte-identical across --domains
@@ -36,24 +33,20 @@
 #     --domains 1/2/4
 #   - one table of bad inputs and their exit codes: garbage flag values
 #     on every subcommand, missing/unreadable files for report,
-#     explain, trends and policy, a corrupt history, unsweepable or
-#     unknown sweep ids, an integer literal past max_int in a policy,
-#     an unwritable --trace path, a file as search --corpus (either
-#     backend) — each exits 2; the battery, sweep and search
-#     smoke artifacts edited with sed (an int past max_int, a mean
-#     outside its CI, a budget below the runs, a shrinking frontier)
-#     — report exits 2, since it
-#     runs every artifact check sweep and search run; a corpus plan
-#     naming a link or node its scenario lacks — explain exits 2,
-#     chaos --replay 1; a corpus plan naming an unknown scenario —
-#     chaos --replay 1
+#     explain and policy, unsweepable or unknown sweep ids, an integer
+#     literal past max_int in a policy, an unwritable --trace path, a
+#     file as search --corpus (either backend) — each exits 2; the
+#     battery, sweep and search smoke artifacts edited with sed (an
+#     int past max_int, a string in the pool's task counts, a mean
+#     outside its CI, a budget below the runs, a shrinking frontier) —
+#     report exits 2, since it runs every artifact check sweep and
+#     search run; a corpus plan naming a link or node its scenario
+#     lacks — explain exits 2, chaos --replay 1; a corpus plan naming
+#     an unknown scenario — chaos --replay 1
 #   - one domain budget: two plain --seq battery reports agree on every
-#     experiment's allocated_bytes and events_executed (before the perf
-#     gate, whose host-noise failures would otherwise hide it)
-#   - perf gate: E1/E3 wall clock and GC allocation within 25% of the
-#     committed BENCH_baseline.json (tussle perfgate)
-# Regenerates BENCH_baseline.json and appends one line to
-# BENCH_history.jsonl at the repo root as side effects.
+#     experiment's allocated_bytes and events_executed
+# Scratch files go to $TMPDIR (default /tmp); the working tree is left
+# as it was.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -163,16 +156,6 @@ for plan in chaos/corpus/*.plan; do
   "$CLI" report "$TMP/tussle-flowtrace.json" | grep -q 'valid tussle.flow-trace/2'
   echo "explain ok: $(basename "$plan")"
 done
-echo "== tussle trends round-trips its history =="
-hist="$TMP/tussle-history.jsonl"
-rm -f "$hist"
-"$CLI" trends "$report" --history "$hist" | grep -q '(1 entry)'
-"$CLI" trends "$report" --history "$hist" --baseline "$report" \
-  > "$TMP/tussle-trends.out"
-grep -q '(2 entries)' "$TMP/tussle-trends.out"
-grep -q 'E1' "$TMP/tussle-trends.out"
-echo "trends appends and round-trips its history"
-
 echo "== sweep smoke (statistical verdicts, domain-invariant) =="
 sweep_report="$TMP/tussle-sweep-report.json"
 "$CLI" sweep --sweep-seed 42 --sweep-runs 12 --domains 1 \
@@ -232,7 +215,6 @@ for backend in mutate exhaust; do
 done
 
 echo "== bad input: one table of expected exit codes =="
-echo "not json" > "$TMP/tussle-bad-history.jsonl"
 # corpus plans naming a link and a node line-transfer lacks
 bad_corpus="$TMP/tussle-bad-corpus"
 rm -rf "$bad_corpus"
@@ -250,10 +232,13 @@ printf 'scenario: no-such-scenario\nseed: 5\nlink 0-1 down [1, 2)\n' \
 printf 'root says allow a b on c where x == 99999999999999999999999.\n' \
   > "$TMP/tussle-big-int.policy"
 # the battery, sweep and search smoke artifacts made invalid: an
-# integral float past max_int, a metric's mean outside its CI, a
-# budget below the runs, a coverage frontier that shrinks
+# integral float past max_int, a string as the pool's first task
+# count, a metric's mean outside its CI, a budget below the runs, a
+# coverage frontier that shrinks
 sed '0,/"events_executed": [0-9]*/s//"events_executed": 1e19/' "$report" \
   > "$TMP/tussle-bad-int.json"
+sed '/"tasks": \[/{n;s/[0-9][0-9]*/"x"/}' "$report" \
+  > "$TMP/tussle-bad-tasks.json"
 sed '0,/"mean": [^,]*/s//"mean": 1e300/' "$sweep_report" \
   > "$TMP/tussle-bad-mean.json"
 sed 's/"budget": [0-9]*/"budget": 1/' "$search_report" \
@@ -292,6 +277,7 @@ done <<ROWS
 2 $CLI report $TMP/definitely-missing-report.json
 2 $CLI report /
 2 $CLI report $TMP/tussle-bad-int.json
+2 $CLI report $TMP/tussle-bad-tasks.json
 2 $CLI report $TMP/tussle-bad-mean.json
 2 $CLI report $TMP/tussle-bad-budget.json
 2 $CLI report $TMP/tussle-bad-frontier.json
@@ -306,8 +292,6 @@ done <<ROWS
 1 $CLI chaos --replay $unknown_corpus
 2 $CLI chaos --replay $TMP/definitely-missing-dir
 2 $CLI chaos --replay README.md
-2 $CLI trends $TMP/definitely-missing-report.json --history $TMP/tussle-history.jsonl
-2 $CLI trends $report --history $TMP/tussle-bad-history.jsonl
 2 $CLI chaos --chaos-seed=nope
 2 $CLI chaos --chaos-seed=1.5
 2 $CLI chaos --chaos-runs=nope
@@ -333,7 +317,6 @@ done <<ROWS
 2 $CLI search --domains=0
 2 $CLI search --corpus README.md --budget=4
 2 $CLI search --backend=exhaust --corpus README.md --budget=4
-2 $CLI perfgate BENCH_baseline.json $report --tolerance=nope
 2 $CLI market --providers=0
 2 $CLI market --providers=-3
 2 $CLI market --switching-cost=nan
@@ -365,21 +348,5 @@ if [ "$(grep -c '"id"' "$TMP/tussle-counters-a")" -ne 30 ]; then
 fi
 cmp "$TMP/tussle-counters-a" "$TMP/tussle-counters-b"
 echo "allocated_bytes and events_executed equal for all 30 ids across two runs"
-
-echo "== perf gate: E1/E3 vs committed baseline =="
-# gate the battery-smoke report (same binary, same run) against the
-# committed baseline before overwriting it below: a market hot-path
-# regression beyond 25% on wall clock or GC allocation fails CI
-"$CLI" perfgate BENCH_baseline.json "$report" --ids E1,E3 --tolerance 0.25
-echo "perf gate passed"
-
-echo "== append battery smoke to the committed benchmark history =="
-# deltas vs the committed baseline, before it is overwritten below
-"$CLI" trends "$report" --history BENCH_history.jsonl \
-  --baseline BENCH_baseline.json
-
-echo "== regenerate BENCH_baseline.json =="
-"$CLI" experiments --seq --report BENCH_baseline.json > /dev/null
-"$CLI" report BENCH_baseline.json
 
 echo "CI OK"

@@ -120,15 +120,6 @@ let test_domains_of_string () =
       ("0", {|invalid budget "0" (expected an integer >= 1)|});
       ("-3", {|invalid budget "-3" (expected an integer >= 1)|});
     ];
-  let tolerance = {|(expected a non-negative number)|} in
-  rejects Pool.tolerance_of_string
-    [
-      ("nope", {|invalid tolerance "nope" |} ^ tolerance);
-      ("-0.1", {|invalid tolerance "-0.1" |} ^ tolerance);
-      ("inf", {|invalid tolerance "inf" |} ^ tolerance);
-    ];
-  Alcotest.(check (result (float 0.0) string)) "tolerance" (Ok 0.25)
-    (Pool.tolerance_of_string " 0.25 ");
   let level = {|(expected a number strictly between 0 and 1)|} in
   rejects Pool.probability_of_string
     [
@@ -357,7 +348,7 @@ let test_report_pool_block () =
       (fun () ->
         Alcotest.(check (result int string)) "held" (Ok 0)
           (Registry.run ~metrics:false ~trace:None ~report:(Some file) id);
-        match Tussle_obs.Json.of_file file with
+        match Result.bind (Tussle_obs.Json.read_file file) Tussle_obs.Json.parse with
         | Ok json -> pool_tasks json
         | Error msg -> Alcotest.fail msg)
   in
