@@ -101,17 +101,6 @@ let report ?pool ~wall_s outcomes =
       allocated_bytes = o.Experiment.allocated_bytes;
     }
   in
-  let pool =
-    Option.map
-      (fun (s : Tussle_prelude.Pool.stats) ->
-        {
-          Tussle_obs.Report.workers = s.Tussle_prelude.Pool.workers;
-          tasks = s.Tussle_prelude.Pool.tasks;
-          busy_s = s.Tussle_prelude.Pool.busy_s;
-          pool_wall_s = s.Tussle_prelude.Pool.wall_s;
-        })
-      pool
-  in
   let metrics = Tussle_obs.Metrics.snapshot () in
   Tussle_obs.Report.make ?pool ~metrics
     ~domains:(Tussle_prelude.Pool.domains ()) ~wall_s

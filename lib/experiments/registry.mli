@@ -57,7 +57,7 @@ val run :
     {!Experiment.run}, and print each output in registry order (the
     battery's then its summary line; the whole battery is one
     ["battery"] span when tracing).  The flags' telemetry is on for the
-    run: the metric sinks when [metrics] or [report] is set, tracing
+    run: metrics when [metrics] or [report] is set, tracing
     when [trace] is.  Afterwards it writes the battery report and
     prints its summary, writes the Chrome trace, prints the metrics
     table when asked, and returns the exit code: 0 when every shape

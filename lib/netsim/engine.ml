@@ -31,7 +31,7 @@ let schedule_after t delay action =
 let pending t = Tussle_prelude.Pqueue.length t.queue
 
 (* Telemetry handles; created once at module initialization so the
-   per-run emission path is just array writes in this domain's sink. *)
+   per-run emission path is just writes to this domain's cells. *)
 let m_runs = Metrics.counter "engine.runs"
 let m_events = Metrics.counter "engine.events_executed"
 let m_queue_hw = Metrics.gauge "engine.queue_depth_high_water"

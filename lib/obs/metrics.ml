@@ -1,49 +1,14 @@
-(* Per-domain sinks merged at report time.
+(* Each handle is a Ring.local of its own cell, merged at report time.
 
-   Hot path: [Domain.DLS.get] + a plain mutable cell write.  Cold
-   paths (handle creation, first touch of a sink in a new domain,
-   snapshot/reset) serialize on [registry_mutex].  The enabled flag is
-   the only atomic the hot path reads. *)
+   Hot path: [Ring.here] (one [Domain.DLS.get]) + a plain mutable cell
+   write.  Cold paths (handle creation, a domain's first touch of a
+   handle, snapshot/reset) take a lock.  The enabled flag is the only
+   atomic the hot path reads. *)
 
 let enabled_flag = Atomic.make false
 let enable () = Atomic.set enabled_flag true
 let disable () = Atomic.set enabled_flag false
 let enabled () = Atomic.get enabled_flag
-
-(* ---------- metric definitions (global, interned by name) ---------- *)
-
-type kind = Kcounter | Kgauge | Khistogram
-
-type counter = int (* definition id *)
-type gauge = int
-type histogram = int
-
-let registry_mutex = Mutex.create ()
-let defs : (string * kind) list ref = ref [] (* newest first *)
-let def_count = ref 0
-let by_name : (string, int * kind) Hashtbl.t = Hashtbl.create 32
-
-let locked f =
-  Mutex.lock registry_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) f
-
-let define name kind =
-  locked (fun () ->
-      match Hashtbl.find_opt by_name name with
-      | Some (id, k) when k = kind -> id
-      | Some _ ->
-        invalid_arg
-          (Printf.sprintf "Metrics: %S already defined with another kind" name)
-      | None ->
-        let id = !def_count in
-        incr def_count;
-        defs := (name, kind) :: !defs;
-        Hashtbl.add by_name name (id, kind);
-        id)
-
-let counter name = define name Kcounter
-let gauge name = define name Kgauge
-let histogram name = define name Khistogram
 
 (* ---------- buckets ---------- *)
 
@@ -59,79 +24,85 @@ let bucket_index v =
 
 let bucket_upper i = bucket_base *. Float.ldexp 1.0 i
 
-(* ---------- per-domain sinks ---------- *)
+(* ---------- handles: one cell per domain, interned by name ---------- *)
 
+type count_cell = { mutable n : int }
+
+(* [sets = 0] is an unset cell: its [last] and [max_] are not read. *)
 type gauge_cell = { mutable last : float; mutable max_ : float; mutable sets : int }
 
 type hist_cell = { counts : int array; mutable count : int; mutable sum : float }
 
-type sink = {
-  mutable counters : int array; (* indexed by definition id *)
-  mutable gauges : gauge_cell option array;
-  mutable hists : hist_cell option array;
-}
+type counter = count_cell Ring.local
+type gauge = gauge_cell Ring.local
+type histogram = hist_cell Ring.local
 
-let sinks : sink list ref = ref []
+type handle = Counter of counter | Gauge of gauge | Histogram of histogram
 
-let new_sink () =
-  let s =
-    {
-      counters = Array.make 8 0;
-      gauges = Array.make 8 None;
-      hists = Array.make 8 None;
-    }
-  in
-  locked (fun () -> sinks := s :: !sinks);
-  s
+let registry_mutex = Mutex.create ()
+let by_name : (string, handle) Hashtbl.t = Hashtbl.create 32
 
-let sink_key = Domain.DLS.new_key new_sink
+let locked f =
+  Mutex.lock registry_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) f
 
-let grow_int a n =
-  let b = Array.make (max n (2 * Array.length a)) 0 in
-  Array.blit a 0 b 0 (Array.length a);
-  b
+(* The handle named [name], made by [make] if there is none. *)
+let define name make =
+  locked (fun () ->
+      match Hashtbl.find_opt by_name name with
+      | Some h -> h
+      | None ->
+        let h = make () in
+        Hashtbl.add by_name name h;
+        h)
 
-let grow_opt a n =
-  let b = Array.make (max n (2 * Array.length a)) None in
-  Array.blit a 0 b 0 (Array.length a);
-  b
+let clash name =
+  invalid_arg (Printf.sprintf "Metrics: %S already defined with another kind" name)
 
-let incr_by id by =
-  let s = Domain.DLS.get sink_key in
-  if id >= Array.length s.counters then s.counters <- grow_int s.counters (id + 1);
-  s.counters.(id) <- s.counters.(id) + by
+let counter name =
+  match define name (fun () -> Counter (Ring.local (fun () -> { n = 0 }))) with
+  | Counter c -> c
+  | _ -> clash name
 
-let add c by = if enabled () then incr_by c by
+let gauge name =
+  match
+    define name (fun () ->
+        Gauge (Ring.local (fun () -> { last = 0.0; max_ = 0.0; sets = 0 })))
+  with
+  | Gauge g -> g
+  | _ -> clash name
+
+let histogram name =
+  match
+    define name (fun () ->
+        Histogram
+          (Ring.local (fun () ->
+               { counts = Array.make bucket_count 0; count = 0; sum = 0.0 })))
+  with
+  | Histogram h -> h
+  | _ -> clash name
+
+let add c by =
+  if enabled () then begin
+    let cell = Ring.here c in
+    cell.n <- cell.n + by
+  end
+
 let incr c = add c 1
 
-let local_count c =
-  let s = Domain.DLS.get sink_key in
-  if c >= Array.length s.counters then 0 else s.counters.(c)
+let local_count c = (Ring.here c).n
 
 let set g v =
   if enabled () then begin
-    let s = Domain.DLS.get sink_key in
-    if g >= Array.length s.gauges then s.gauges <- grow_opt s.gauges (g + 1);
-    match s.gauges.(g) with
-    | None -> s.gauges.(g) <- Some { last = v; max_ = v; sets = 1 }
-    | Some cell ->
-      cell.last <- v;
-      if v > cell.max_ then cell.max_ <- v;
-      cell.sets <- cell.sets + 1
+    let cell = Ring.here g in
+    cell.last <- v;
+    if cell.sets = 0 || v > cell.max_ then cell.max_ <- v;
+    cell.sets <- cell.sets + 1
   end
 
 let observe h v =
   if enabled () then begin
-    let s = Domain.DLS.get sink_key in
-    if h >= Array.length s.hists then s.hists <- grow_opt s.hists (h + 1);
-    let cell =
-      match s.hists.(h) with
-      | Some c -> c
-      | None ->
-        let c = { counts = Array.make bucket_count 0; count = 0; sum = 0.0 } in
-        s.hists.(h) <- Some c;
-        c
-    in
+    let cell = Ring.here h in
     let b = bucket_index v in
     cell.counts.(b) <- cell.counts.(b) + 1;
     cell.count <- cell.count + 1;
@@ -169,86 +140,61 @@ let percentile_of_buckets ~count buckets q =
     go 0.0 buckets
   end
 
+let value_of = function
+  | Counter c -> Count (Ring.fold c (fun acc cell -> acc + cell.n) 0)
+  | Gauge g ->
+    (* [last] from the newest-registered domain that set the gauge *)
+    let last, max_, sets =
+      Ring.fold g
+        (fun ((_, max_, sets) as acc) c ->
+          if c.sets = 0 then acc
+          else (c.last, (if c.max_ > max_ then c.max_ else max_), sets + c.sets))
+        (0.0, neg_infinity, 0)
+    in
+    if sets = 0 then Level { last = 0.0; max_ = 0.0; sets = 0 }
+    else Level { last; max_; sets }
+  | Histogram h ->
+    let buckets = Array.make bucket_count 0 in
+    let count, sum =
+      Ring.fold h
+        (fun (count, sum) c ->
+          Array.iteri (fun i n -> buckets.(i) <- buckets.(i) + n) c.counts;
+          (count + c.count, sum +. c.sum))
+        (0, 0.0)
+    in
+    let nonempty = ref [] in
+    for i = bucket_count - 1 downto 0 do
+      if buckets.(i) > 0 then nonempty := (i, buckets.(i)) :: !nonempty
+    done;
+    let pct = percentile_of_buckets ~count !nonempty in
+    Dist
+      {
+        count;
+        sum;
+        buckets = !nonempty;
+        p50 = pct 0.50;
+        p90 = pct 0.90;
+        p99 = pct 0.99;
+      }
+
 let snapshot () =
   locked (fun () ->
-      let all_sinks = !sinks in
-      let named = List.rev !defs in
-      List.mapi
-        (fun id (name, kind) ->
-          let v =
-            match kind with
-            | Kcounter ->
-              Count
-                (List.fold_left
-                   (fun acc s ->
-                     acc
-                     + (if id < Array.length s.counters then s.counters.(id)
-                        else 0))
-                   0 all_sinks)
-            | Kgauge ->
-              let last = ref 0.0 and max_ = ref neg_infinity and sets = ref 0 in
-              List.iter
-                (fun s ->
-                  if id < Array.length s.gauges then
-                    match s.gauges.(id) with
-                    | Some c when c.sets > 0 ->
-                      if !sets = 0 then last := c.last;
-                      if c.max_ > !max_ then max_ := c.max_;
-                      sets := !sets + c.sets
-                    | _ -> ())
-                all_sinks;
-              if !sets = 0 then Level { last = 0.0; max_ = 0.0; sets = 0 }
-              else Level { last = !last; max_ = !max_; sets = !sets }
-            | Khistogram ->
-              let buckets = Array.make bucket_count 0 in
-              let count = ref 0 and sum = ref 0.0 in
-              List.iter
-                (fun s ->
-                  if id < Array.length s.hists then
-                    match s.hists.(id) with
-                    | Some c ->
-                      Array.iteri
-                        (fun i n -> buckets.(i) <- buckets.(i) + n)
-                        c.counts;
-                      count := !count + c.count;
-                      sum := !sum +. c.sum
-                    | None -> ())
-                all_sinks;
-              let nonempty = ref [] in
-              for i = bucket_count - 1 downto 0 do
-                if buckets.(i) > 0 then nonempty := (i, buckets.(i)) :: !nonempty
-              done;
-              let pct = percentile_of_buckets ~count:!count !nonempty in
-              Dist
-                {
-                  count = !count;
-                  sum = !sum;
-                  buckets = !nonempty;
-                  p50 = pct 0.50;
-                  p90 = pct 0.90;
-                  p99 = pct 0.99;
-                }
-          in
-          (name, v))
-        named
-      |> List.sort (fun (a, _) (b, _) -> compare a b))
+      Hashtbl.fold (fun name h acc -> (name, value_of h) :: acc) by_name [])
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let reset () =
-  locked (fun () ->
-      List.iter
-        (fun s ->
-          Array.fill s.counters 0 (Array.length s.counters) 0;
-          Array.iteri
-            (fun i -> function
-              | Some _ -> s.gauges.(i) <- None
-              | None -> ())
-            s.gauges;
-          Array.iteri
-            (fun i -> function
-              | Some _ -> s.hists.(i) <- None
-              | None -> ())
-            s.hists)
-        !sinks)
+  let zero = function
+    | Counter c -> Ring.fold c (fun () cell -> cell.n <- 0) ()
+    | Gauge g -> Ring.fold g (fun () cell -> cell.sets <- 0) ()
+    | Histogram h ->
+      Ring.fold h
+        (fun () cell ->
+          Array.fill cell.counts 0 bucket_count 0;
+          cell.count <- 0;
+          cell.sum <- 0.0)
+        ()
+  in
+  locked (fun () -> Hashtbl.iter (fun _ h -> zero h) by_name)
 
 let render snap =
   let buf = Buffer.create 256 in

@@ -1,10 +1,11 @@
 (** Named counters, gauges, and log-bucketed histograms, domain-safe.
 
-    Design: every domain writes to its own private sink (plain mutable
-    cells reached through [Domain.DLS] — no atomics, no locks on the
-    hot path); {!snapshot} merges the per-domain sinks at report time.
-    The only synchronized paths are metric creation and first-touch
-    sink registration, both cold.
+    Design: each handle is a {!Ring.local} of one plain mutable cell
+    per domain.  The hot path reaches the calling domain's cell through
+    [Domain.DLS] and writes it — no atomics, no locks; {!snapshot}
+    folds each handle's cells at report time.  The only synchronized
+    paths are handle creation and a domain's first touch of a handle,
+    both cold.
 
     Telemetry is off by default and the disabled path is near zero
     cost: one atomic load and a branch per operation, no allocation.
@@ -12,7 +13,7 @@
     — metrics only accumulate state read by {!snapshot}.
 
     A snapshot taken while worker domains are still mutating their
-    sinks cannot crash (cells are word-sized) but may be stale; take
+    cells cannot crash (cells are word-sized) but may be stale; take
     it at a quiescent point (e.g. after [Pool.map] has joined), which
     is what the battery runners do. *)
 
@@ -23,9 +24,10 @@ val disable : unit -> unit
 val enabled : unit -> bool
 
 val reset : unit -> unit
-(** Zero every sink's data (counters, gauges, histograms) without
-    invalidating handles or per-domain sink registrations.  Intended
-    for tests and for reusing one process for several batteries. *)
+(** Zero every domain's cells in place (counters, gauges, histograms):
+    handles stay valid, and a domain that touched a handle before the
+    reset keeps counting into the same cell after it.  Intended for
+    tests and for reusing one process for several batteries. *)
 
 (** {1 Handles}
 
@@ -52,8 +54,8 @@ val local_count : counter -> int
     battery attributes [engine.events_executed] per experiment). *)
 
 val set : gauge -> float -> unit
-(** Record an observation; the sink keeps the latest value and the
-    maximum.  Across domains, gauges merge by maximum (they are used
+(** Record an observation; the domain's cell keeps the latest value
+    and the maximum.  Across domains, gauges merge by maximum (they are used
     as high-water marks). *)
 
 val observe : histogram -> float -> unit
@@ -83,8 +85,8 @@ type value =
   | Count of int
   | Level of { last : float; max_ : float; sets : int }
       (** merged gauge: [max_] over all domains; [last]/[sets] are
-          merged best-effort ([last] from an arbitrary sink that set
-          it, [sets] summed) *)
+          merged best-effort ([last] from the newest-registered
+          domain that set it, [sets] summed) *)
   | Dist of {
       count : int;
       sum : float;
@@ -102,7 +104,7 @@ type value =
           the reported value. *)
 
 val snapshot : unit -> (string * value) list
-(** Merge every domain's sink, sorted by metric name.  Metrics that
+(** Merge every domain's cells, sorted by metric name.  Metrics that
     were created but never touched are included with zero values. *)
 
 val render : (string * value) list -> string

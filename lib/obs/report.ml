@@ -199,6 +199,52 @@ let exp_of_json j =
     Ok { id; title; status; detail; wall_s; events_executed; allocated_bytes }
   | s -> Error (Printf.sprintf "experiment %s: unknown status %S" id s)
 
+(* The other half of [metric_value_to_json]: the value back, or what is
+   wrong with it. *)
+let metric_value_of_json j =
+  let bucket j =
+    match Option.map (List.map Json.to_int) (Json.to_list j) with
+    | Some [ Some i; Some n ] ->
+      if i < 0 || i >= Metrics.bucket_count then
+        Error (Printf.sprintf "bucket index %d outside [0, %d)" i Metrics.bucket_count)
+      else if n <= 0 then
+        Error (Printf.sprintf "bucket %d holds %d samples (must be > 0)" i n)
+      else Ok (i, n)
+    | _ -> Error "bucket is not an [index, n] pair of integers"
+  in
+  let rec ascending = function
+    | (i, _) :: ((k, _) :: _ as rest) ->
+      if i < k then ascending rest
+      else Error (Printf.sprintf "bucket %d follows bucket %d" k i)
+    | _ -> Ok ()
+  in
+  let* kind = Json.field "type" Json.to_str j in
+  match kind with
+  | "counter" ->
+    let* n = Json.field "value" Json.to_int j in
+    Ok (Metrics.Count n)
+  | "gauge" ->
+    let* last = Json.field "last" Json.to_float j in
+    let* max_ = Json.field "max" Json.to_float j in
+    let* sets = Json.field "sets" Json.to_int j in
+    Ok (Metrics.Level { last; max_; sets })
+  | "histogram" ->
+    let* count = Json.field "count" Json.to_int j in
+    let* sum = Json.field "sum" Json.to_float j in
+    let* p50 = Json.field "p50" Json.to_float j in
+    let* p90 = Json.field "p90" Json.to_float j in
+    let* p99 = Json.field "p99" Json.to_float j in
+    let* buckets = Json.field "buckets" Json.to_list j in
+    let* buckets = Json.list bucket buckets in
+    let* () = ascending buckets in
+    let held = List.fold_left (fun acc (_, n) -> acc + n) 0 buckets in
+    if held <> count then
+      Error (Printf.sprintf "buckets hold %d samples but count is %d" held count)
+    else if not (p50 <= p90 && p90 <= p99) then
+      Error (Printf.sprintf "percentiles out of order (p50 %g, p90 %g, p99 %g)" p50 p90 p99)
+    else Ok (Metrics.Dist { count; sum; buckets; p50; p90; p99 })
+  | k -> Error (Printf.sprintf "unknown type %S" k)
+
 let validate json =
   let* schema = Json.field "schema" Json.to_str json in
   let* () =
@@ -228,26 +274,39 @@ let validate json =
     if count_status exps = (held, violated, failed) then Ok ()
     else Error "summary counts do not match experiment statuses"
   in
-  match Json.member "pool" json with
+  let* () =
+    match Json.member "pool" json with
+    | None -> Ok ()
+    | Some p ->
+      let* workers = Json.field "workers" Json.to_int p in
+      let elements name extract what =
+        let* xs = Json.field name Json.to_list p in
+        Json.list
+          (fun x ->
+            match extract x with
+            | Some v -> Ok v
+            | None -> Error (Printf.sprintf "pool.%s: %s entry" name what))
+          xs
+      in
+      let* tasks = elements "tasks" Json.to_int "non-integer" in
+      let* busy = elements "busy_s" Json.to_float "non-number" in
+      let* _ = Json.field "imbalance" Json.to_float p in
+      if List.length tasks <> workers || List.length busy <> workers then
+        Error "pool arrays do not match worker count"
+      else if List.exists (fun n -> n < 0) tasks then
+        Error "pool.tasks must be >= 0"
+      else if List.fold_left ( + ) 0 tasks <> total then
+        Error "pool.tasks do not sum to summary.total"
+      else Ok ()
+  in
+  match Json.member "metrics" json with
   | None -> Ok ()
-  | Some p ->
-    let* workers = Json.field "workers" Json.to_int p in
-    let elements name extract what =
-      let* xs = Json.field name Json.to_list p in
-      Json.list
-        (fun x ->
-          match extract x with
-          | Some v -> Ok v
-          | None -> Error (Printf.sprintf "pool.%s: %s entry" name what))
-        xs
-    in
-    let* tasks = elements "tasks" Json.to_int "non-integer" in
-    let* busy = elements "busy_s" Json.to_float "non-number" in
-    let* _ = Json.field "imbalance" Json.to_float p in
-    if List.length tasks <> workers || List.length busy <> workers then
-      Error "pool arrays do not match worker count"
-    else if List.exists (fun n -> n < 0) tasks then
-      Error "pool.tasks must be >= 0"
-    else if List.fold_left ( + ) 0 tasks <> total then
-      Error "pool.tasks do not sum to summary.total"
-    else Ok ()
+  | Some (Json.Obj metrics) ->
+    Json.list
+      (fun (name, v) ->
+        Result.map_error
+          (fun msg -> Printf.sprintf "metrics.%s: %s" name msg)
+          (metric_value_of_json v))
+      metrics
+    |> Result.map ignore
+  | Some _ -> Error "metrics: not an object"

@@ -21,6 +21,7 @@
         "<name>": {"type": "counter", "value": <int>}
                 | {"type": "gauge", "last": f, "max": f, "sets": n}
                 | {"type": "histogram", "count": n, "sum": f,
+                   "p50": f, "p90": f, "p99": f,
                    "buckets": [[index, count], ...]}, ... } }
     v}
 
@@ -96,6 +97,11 @@ val validate : Json.t -> (unit, string) result
     required fields with the right types, a known status per
     experiment, summary counts consistent with the experiment list,
     and, when present, pool arrays of one entry per worker, [tasks]
-    non-negative ints summing to [summary.total] and [busy_s] floats.
-    The one check of battery reports, run by [tussle report FILE]
-    through [Tussle_chaos.Artifact.check]. *)
+    non-negative ints summing to [summary.total] and [busy_s] floats;
+    and, when present, a metrics object whose every entry decodes back
+    to a {!Metrics.value}: a known [type] with that kind's fields
+    typed; histogram [buckets] as [\[index, n\]] pairs, indices in
+    [\[0, Metrics.bucket_count)] strictly ascending, each [n > 0],
+    summing to [count]; and [p50 <= p90 <= p99].  A metric's error
+    reads ["metrics.NAME: MSG"].  The one check of battery reports,
+    run by [tussle report FILE] through [Tussle_chaos.Artifact.check]. *)

@@ -1,6 +1,31 @@
-(* Per-domain rings merged at export time: plain mutable cells behind
-   Domain.DLS, a mutex only around ring registration, reset and
-   export. *)
+(* Per-domain values merged at export time: plain mutable cells behind
+   Domain.DLS, a mutex only around registration and the fold.  Rings
+   are one such value; Metrics' cells are the others. *)
+
+type 'a local = {
+  mutex : Mutex.t;
+  values : 'a list ref; (* newest registered first *)
+  key : 'a Domain.DLS.key;
+}
+
+let locked mutex f =
+  Mutex.lock mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
+
+let local make =
+  let mutex = Mutex.create () in
+  let values = ref [] in
+  let register () =
+    let v = make () in
+    locked mutex (fun () -> values := v :: !values);
+    v
+  in
+  { mutex; values; key = Domain.DLS.new_key register }
+
+let here l = Domain.DLS.get l.key
+
+let fold l f init =
+  locked l.mutex (fun () -> List.fold_right (fun v acc -> f acc v) !(l.values) init)
 
 type 'a ring = {
   buf : 'a option array;
@@ -10,31 +35,16 @@ type 'a ring = {
 
 type 'a t = {
   flag : bool Atomic.t;
-  mutex : Mutex.t;
-  rings : 'a ring list ref;
-  key : 'a ring Domain.DLS.key;
+  rings : 'a ring local;
   compare : 'a -> 'a -> int;
 }
-
-let locked mutex f =
-  Mutex.lock mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
 let capacity = 65536
 
 let create ~compare =
-  let mutex = Mutex.create () in
-  let rings = ref [] in
-  let new_ring () =
-    let r = { buf = Array.make capacity None; next = 0; written = 0 } in
-    locked mutex (fun () -> rings := r :: !rings);
-    r
-  in
   {
     flag = Atomic.make false;
-    mutex;
-    rings;
-    key = Domain.DLS.new_key new_ring;
+    rings = local (fun () -> { buf = Array.make capacity None; next = 0; written = 0 });
     compare;
   }
 
@@ -44,10 +54,10 @@ let enable t = Atomic.set t.flag true
 
 let disable t = Atomic.set t.flag false
 
-let pushed t = (Domain.DLS.get t.key).written
+let pushed t = (here t.rings).written
 
 let push t ev =
-  let r = Domain.DLS.get t.key in
+  let r = here t.rings in
   r.buf.(r.next) <- Some ev;
   r.next <- (r.next + 1) mod Array.length r.buf;
   r.written <- r.written + 1
@@ -57,16 +67,16 @@ let push t ev =
 let retained r = min r.written (Array.length r.buf)
 
 let reset t =
-  locked t.mutex (fun () ->
-      List.iter
-        (fun r ->
-          Array.fill r.buf 0 (retained r) None;
-          r.next <- 0;
-          r.written <- 0)
-        !(t.rings))
+  fold t.rings
+    (fun () r ->
+      Array.fill r.buf 0 (retained r) None;
+      r.next <- 0;
+      r.written <- 0)
+    ()
 
-(* Each ring's events in slot order, rings in registration order:
-   [List.sort] is stable, so this order settles ties. *)
+(* Each ring's events in slot order, prepended oldest ring first, so
+   the newest-registered ring's events come first: [List.sort] is
+   stable, so this order settles ties. *)
 let events t =
   let collect acc r =
     let acc = ref acc in
@@ -75,11 +85,7 @@ let events t =
     done;
     !acc
   in
-  locked t.mutex (fun () -> List.fold_right (fun r acc -> collect acc r) !(t.rings) [])
-  |> List.sort t.compare
+  fold t.rings collect [] |> List.sort t.compare
 
 let dropped t =
-  locked t.mutex (fun () ->
-      List.fold_left
-        (fun acc r -> acc + max 0 (r.written - Array.length r.buf))
-        0 !(t.rings))
+  fold t.rings (fun acc r -> acc + max 0 (r.written - Array.length r.buf)) 0

@@ -1,13 +1,32 @@
-(** The per-domain event ring behind {!Trace} and {!Flight}.
+(** The process's per-domain registry, and the event ring behind
+    {!Trace} and {!Flight}.
+
+    A {!local} holds one value per domain, made on that domain's first
+    {!here} and registered under the local's mutex.  The hot path reads
+    and writes the calling domain's value with no lock and no atomic;
+    only registration and {!fold} take the mutex.  A ring set is a
+    local of rings; {!Metrics} keeps each handle's cells in one.
 
     Each domain records into its own ring of {!capacity} slots,
     created on the domain's first {!push}.  When a ring is full the
-    oldest event is overwritten and counted by {!dropped}.  Pushes
-    touch only the calling domain's ring; a mutex guards ring
-    registration, {!reset}, {!events} and {!dropped}.
+    oldest event is overwritten and counted by {!dropped}.
 
     The ring itself never checks its enabled flag: callers test
     {!flag} first, so the disabled path costs one atomic load. *)
+
+type 'a local
+
+val local : (unit -> 'a) -> 'a local
+(** [local make]: a value per domain, [make ()] on the domain's first
+    {!here}. *)
+
+val here : 'a local -> 'a
+(** The calling domain's value: one [Domain.DLS.get] once made. *)
+
+val fold : 'a local -> ('acc -> 'a -> 'acc) -> 'acc -> 'acc
+(** Fold every domain's value, oldest registered first, under the
+    local's mutex.  Values a domain is still writing may be read
+    stale; fold at a quiescent point. *)
 
 type 'a t
 

@@ -10,9 +10,9 @@
 
    Telemetry: when Tussle_obs is enabled, each worker counts its tasks
    and busy time into plain per-worker slots (no sharing — slot w is
-   written only by worker w) and a top-level map publishes a [stats]
-   record via [last_stats]; each item also runs under a "pool.task"
-   span when tracing.
+   written only by worker w) and a top-level map publishes them as the
+   battery report's pool record via [last_stats]; each item also runs
+   under a "pool.task" span when tracing.
 
    Budget: one domain count per process ([set_domains]), and a map
    called from inside another map's item runs inline on that item's
@@ -82,14 +82,7 @@ let artifact ~cmd ~flag f =
     prerr_endline (cmd ^ ": " ^ flag ^ ": " ^ msg);
     exit 2
 
-type stats = {
-  workers : int;
-  tasks : int array;
-  busy_s : float array;
-  wall_s : float;
-}
-
-let last_stats_slot : stats option Atomic.t = Atomic.make None
+let last_stats_slot : Tussle_obs.Report.pool option Atomic.t = Atomic.make None
 let last_stats () = Atomic.get last_stats_slot
 
 let m_tasks = Metrics.counter "pool.tasks"
@@ -179,7 +172,13 @@ let map ?domains:cap f xs =
     (* a nested map is part of its outer item's work, not a pool run *)
     if not outer then
       Atomic.set last_stats_slot
-        (Some { workers; tasks; busy_s; wall_s = Clock.now_s () -. wall0 })
+        (Some
+           {
+             Tussle_obs.Report.workers;
+             tasks;
+             busy_s;
+             pool_wall_s = Clock.now_s () -. wall0;
+           })
   end;
   (* Re-raise the earliest failure only after every domain is joined,
      so a raising item never strands a running worker. *)

@@ -74,20 +74,13 @@ val artifact : cmd:string -> flag:string -> (unit -> 'a) -> 'a
     path) prints ["CMD: FLAG: MSG"] to stderr and exits 2, like a bad
     flag value. *)
 
-type stats = {
-  workers : int;
-  tasks : int array;  (** items executed per worker *)
-  busy_s : float array;  (** wall time spent inside [f] per worker *)
-  wall_s : float;  (** wall time of the whole [map] *)
-}
-(** Per-worker load telemetry for one [map] call.  [wall_s -. busy_s.(w)]
+val last_stats : unit -> Tussle_obs.Report.pool option
+(** Per-worker load of the most recently completed top-level [map] (a
+    nested map, which runs inline, records none), as the battery
+    report's pool block: items run and time spent inside [f] per
+    worker, and the map's wall time.  [pool_wall_s -. busy_s.(w)]
     approximates worker [w]'s queue-wait (startup, chunk fetches, and
-    idling after the tail was handed out); the spread of [busy_s] is
-    the load imbalance the battery report surfaces. *)
-
-val last_stats : unit -> stats option
-(** Stats of the most recently completed top-level [map] (a nested
-    map, which runs inline, records none), recorded only while
+    idling after the tail was handed out).  Recorded only while
     {!Tussle_obs.Metrics} or {!Tussle_obs.Trace} is enabled ([None]
     before the first such call).  Each worker additionally counts
     [pool.tasks] / [pool.maps] and observes [pool.task_run_s], and

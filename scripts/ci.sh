@@ -37,12 +37,12 @@
 #     literal past max_int in a policy, an unwritable --trace path, a
 #     file as search --corpus (either backend) — each exits 2; the
 #     battery, sweep and search smoke artifacts edited with sed (an
-#     int past max_int, a string in the pool's task counts, a mean
-#     outside its CI, a budget below the runs, a shrinking frontier) —
-#     report exits 2, since it runs every artifact check sweep and
-#     search run; a corpus plan naming a link or node its scenario
-#     lacks — explain exits 2, chaos --replay 1; a corpus plan naming
-#     an unknown scenario — chaos --replay 1
+#     int past max_int, a string in the pool's task counts, a metric
+#     of unknown type, a mean outside its CI, a budget below the runs,
+#     a shrinking frontier) — report exits 2, since it runs every
+#     artifact check sweep and search run; a corpus plan naming a link
+#     or node its scenario lacks — explain exits 2, chaos --replay 1; a
+#     corpus plan naming an unknown scenario — chaos --replay 1
 #   - one domain budget: two plain --seq battery reports agree on every
 #     experiment's allocated_bytes and events_executed
 # Scratch files go to $TMPDIR (default /tmp); the working tree is left
@@ -233,12 +233,14 @@ printf 'root says allow a b on c where x == 99999999999999999999999.\n' \
   > "$TMP/tussle-big-int.policy"
 # the battery, sweep and search smoke artifacts made invalid: an
 # integral float past max_int, a string as the pool's first task
-# count, a metric's mean outside its CI, a budget below the runs, a
-# coverage frontier that shrinks
+# count, a metric of unknown type, a metric's mean outside its CI, a
+# budget below the runs, a coverage frontier that shrinks
 sed '0,/"events_executed": [0-9]*/s//"events_executed": 1e19/' "$report" \
   > "$TMP/tussle-bad-int.json"
 sed '/"tasks": \[/{n;s/[0-9][0-9]*/"x"/}' "$report" \
   > "$TMP/tussle-bad-tasks.json"
+sed '0,/"type": "counter"/s//"type": "bogus"/' "$report" \
+  > "$TMP/tussle-bad-metric.json"
 sed '0,/"mean": [^,]*/s//"mean": 1e300/' "$sweep_report" \
   > "$TMP/tussle-bad-mean.json"
 sed 's/"budget": [0-9]*/"budget": 1/' "$search_report" \
@@ -278,6 +280,7 @@ done <<ROWS
 2 $CLI report /
 2 $CLI report $TMP/tussle-bad-int.json
 2 $CLI report $TMP/tussle-bad-tasks.json
+2 $CLI report $TMP/tussle-bad-metric.json
 2 $CLI report $TMP/tussle-bad-mean.json
 2 $CLI report $TMP/tussle-bad-budget.json
 2 $CLI report $TMP/tussle-bad-frontier.json

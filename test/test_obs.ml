@@ -1,10 +1,11 @@
 (* Tests for tussle.obs: JSON round-trips, the Json codec against the
-   untuned one in [Json_oracle], histogram bucket pins, counter/gauge
-   merging across domains, span nesting and ring overwrite, the ring
-   against a list model, Chrome trace / battery report
-   well-formedness, the battery-report and flow-trace readers under
-   fuzzing, and the guard that telemetry never perturbs battery
-   output. *)
+   untuned one in [Json_oracle], histogram bucket pins, counter, gauge
+   and histogram merging across domains, metric reset and kind clashes,
+   the metrics hot path's allocation, span nesting and ring overwrite,
+   the ring against a list model and its tie order across domains,
+   Chrome trace / battery report well-formedness, the battery-report
+   (metrics block included) and flow-trace readers under fuzzing, and
+   the guard that telemetry never perturbs battery output. *)
 
 module Json = Tussle_obs.Json
 module Metrics = Tussle_obs.Metrics
@@ -498,6 +499,131 @@ let test_histogram_observe () =
   | _ -> Alcotest.fail "histogram missing");
   obs_off ()
 
+let test_histogram_merge () =
+  obs_off ();
+  Metrics.enable ();
+  let h = Metrics.histogram "test.merge_hist" in
+  Metrics.observe h 1e-9;
+  Metrics.observe h 0.25;
+  let d =
+    Domain.spawn (fun () ->
+        Metrics.observe h 1.5e-9;
+        Metrics.observe h 0.5)
+  in
+  Domain.join d;
+  (match List.assoc_opt "test.merge_hist" (Metrics.snapshot ()) with
+  | Some (Metrics.Dist { count; sum; buckets; _ }) ->
+    Alcotest.(check int) "count from both domains" 4 count;
+    Alcotest.(check (float 1e-12)) "sum from both domains" (0.75 +. 2.5e-9) sum;
+    Alcotest.(check (list (pair int int)))
+      "buckets from both domains"
+      [ (1, 2); (Metrics.bucket_index 0.25, 1); (Metrics.bucket_index 0.5, 1) ]
+      buckets
+  | _ -> Alcotest.fail "histogram missing");
+  obs_off ()
+
+let test_kind_clash () =
+  ignore (Metrics.counter "test.clash");
+  Alcotest.check_raises "gauge over a counter"
+    (Invalid_argument {|Metrics: "test.clash" already defined with another kind|})
+    (fun () -> ignore (Metrics.gauge "test.clash"))
+
+(* A domain that touched a handle before [reset] keeps its cell: the
+   reset zeroes it in place, and the domain's later counts land in it. *)
+let test_counts_after_reset () =
+  obs_off ();
+  Metrics.enable ();
+  let c = Metrics.counter "test.after_reset" in
+  let g = Metrics.gauge "test.after_reset_gauge" in
+  let h = Metrics.histogram "test.after_reset_hist" in
+  let touch () =
+    Metrics.add c 2;
+    Metrics.set g 4.0;
+    Metrics.observe h 1e-6
+  in
+  let reset_done = Atomic.make false and touched = Atomic.make 0 in
+  let d =
+    Domain.spawn (fun () ->
+        touch ();
+        Atomic.incr touched;
+        while not (Atomic.get reset_done) do
+          Domain.cpu_relax ()
+        done;
+        touch ())
+  in
+  touch ();
+  while Atomic.get touched = 0 do
+    Domain.cpu_relax ()
+  done;
+  Metrics.reset ();
+  let snap = Metrics.snapshot () in
+  Alcotest.(check bool) "reset zeroes the counter" true
+    (List.assoc "test.after_reset" snap = Metrics.Count 0);
+  Alcotest.(check bool) "a reset gauge reads as never set" true
+    (List.assoc "test.after_reset_gauge" snap
+    = Metrics.Level { last = 0.0; max_ = 0.0; sets = 0 });
+  Alcotest.(check bool) "a reset histogram reads as empty" true
+    (List.assoc "test.after_reset_hist" snap
+    = Metrics.Dist { count = 0; sum = 0.0; buckets = []; p50 = 0.0; p90 = 0.0; p99 = 0.0 });
+  Atomic.set reset_done true;
+  Domain.join d;
+  touch ();
+  let snap = Metrics.snapshot () in
+  Alcotest.(check bool) "both domains count after the reset" true
+    (List.assoc "test.after_reset" snap = Metrics.Count 4);
+  (match List.assoc "test.after_reset_gauge" snap with
+  | Metrics.Level { max_; sets; _ } ->
+    Alcotest.(check (float 0.0)) "gauge max" 4.0 max_;
+    Alcotest.(check int) "gauge sets" 2 sets
+  | _ -> Alcotest.fail "gauge missing");
+  (match List.assoc "test.after_reset_hist" snap with
+  | Metrics.Dist { count; _ } -> Alcotest.(check int) "histogram count" 2 count
+  | _ -> Alcotest.fail "histogram missing");
+  Alcotest.(check int) "local share" 2 (Metrics.local_count c);
+  obs_off ()
+
+(* Minor words [f] allocates; [Gc.minor] first, so no collection
+   falls inside the window. *)
+let minor_words_of f =
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The hot path allocates nothing: 10^5 disabled calls of every
+   operation, and 10^5 enabled calls of [incr], [set] and
+   [local_count] once the domain's cells exist.  Enabled [observe]
+   allocates ([Float.frexp]'s pair and the boxed sum) and is not
+   pinned.  Native only. *)
+let test_hot_path_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    obs_off ();
+    let c = Metrics.counter "test.alloc_counter" in
+    let g = Metrics.gauge "test.alloc_gauge" in
+    let h = Metrics.histogram "test.alloc_hist" in
+    let n = 100_000 in
+    let pin label f =
+      Alcotest.(check (float 0.0)) (label ^ ": minor words") 0.0
+        (minor_words_of (fun () ->
+             for _ = 1 to n do
+               f ()
+             done))
+    in
+    pin "disabled incr" (fun () -> Metrics.incr c);
+    pin "disabled add" (fun () -> Metrics.add c 3);
+    pin "disabled set" (fun () -> Metrics.set g 2.5);
+    pin "disabled observe" (fun () -> Metrics.observe h 1e-3);
+    Metrics.enable ();
+    Metrics.incr c;
+    Metrics.set g 2.5;
+    pin "enabled incr" (fun () -> Metrics.incr c);
+    pin "enabled set" (fun () -> Metrics.set g 2.5);
+    let sum = ref 0 in
+    pin "enabled local_count" (fun () -> sum := !sum + Metrics.local_count c);
+    Alcotest.(check int) "local_count read" (n * (n + 1)) !sum;
+    obs_off ()
+  end
+
 (* ---------- spans ---------- *)
 
 let test_span_nesting () =
@@ -653,6 +779,23 @@ let prop_ring_matches_model =
       Ring.reset r;
       ok && Ring.events r = [] && Ring.dropped r = 0 && agrees second)
 
+(* Ties keep the merge order: the newest-registered domain's ring
+   first, each ring's events in slot order, then the stable sort. *)
+let test_ring_tie_order () =
+  let r = Ring.create ~compare:(fun (a, _) (b, _) -> Int.compare a b) in
+  Ring.enable r;
+  Ring.push r (0, "main 1");
+  Ring.push r (1, "main 2");
+  Ring.push r (0, "main 3");
+  Domain.join
+    (Domain.spawn (fun () ->
+         Ring.push r (1, "child 1");
+         Ring.push r (0, "child 2")));
+  Alcotest.(check (list string))
+    "newest ring first, slots in order"
+    [ "child 2"; "main 1"; "main 3"; "child 1"; "main 2" ]
+    (List.map snd (Ring.events r))
+
 (* Reset lets go of what the ring held. *)
 let test_ring_reset_releases () =
   let r = Ring.create ~compare:compare in
@@ -712,7 +855,21 @@ let sample_report () =
         busy_s = [| 0.5; 0.25 |];
         pool_wall_s = 0.6;
       }
-    ~metrics:[ ("x.count", Metrics.Count 3) ]
+    ~metrics:
+      [
+        ("x.count", Metrics.Count 3);
+        ("x.gauge", Metrics.Level { last = 2.0; max_ = 5.0; sets = 4 });
+        ( "x.hist",
+          Metrics.Dist
+            {
+              count = 3;
+              sum = 0.25;
+              buckets = [ (1, 2); (28, 1) ];
+              p50 = Metrics.bucket_upper 1;
+              p90 = Metrics.bucket_upper 28;
+              p99 = Metrics.bucket_upper 28;
+            } );
+      ]
     ~domains:2 ~wall_s:0.75
     [ exp "E1" "held"; exp "E2" "violated"; exp "E3" "failed" ]
 
@@ -770,6 +927,93 @@ let test_report_validate_rejects () =
       ("null pool busy_s", pool_with "busy_s" (Json.List [ Json.Null; Json.Null ]));
       ("negative pool tasks", pool_with "tasks" (Json.List [ Json.Int 4; Json.Int (-1) ]));
       ("pool tasks short of the total", pool_with "tasks" (Json.List [ Json.Int 1; Json.Int 1 ]));
+    ];
+  (* the metrics block, or one member of one of its entries, replaced *)
+  let with_metrics m =
+    match json with
+    | Json.Obj fields ->
+      Json.Obj (List.map (fun (k, x) -> if k = "metrics" then (k, m) else (k, x)) fields)
+    | _ -> assert false
+  in
+  let metric_with name key v =
+    match Json.member "metrics" json with
+    | Some (Json.Obj ms) ->
+      with_metrics
+        (Json.Obj
+           (List.map
+              (fun (n, m) ->
+                match m with
+                | Json.Obj fs when n = name ->
+                  ( n,
+                    Json.Obj
+                      (match v with
+                      | None -> List.remove_assoc key fs
+                      | Some v -> List.map (fun (k, x) -> (k, if k = key then v else x)) fs) )
+                | _ -> (n, m))
+              ms))
+    | _ -> assert false
+  in
+  let pairs ps = Json.List (List.map (fun (i, n) -> Json.List [ Json.Int i; Json.Int n ]) ps) in
+  List.iter
+    (fun (bad, expected) ->
+      Alcotest.(check (result unit string)) expected (Error expected) (Report.validate bad))
+    [
+      (with_metrics (Json.List [ Json.Int 1; Json.Int 2; Json.Int 3 ]), "metrics: not an object");
+      (metric_with "x.count" "type" (Some (Json.Str "bogus")), {|metrics.x.count: unknown type "bogus"|});
+      (metric_with "x.count" "type" None, {|metrics.x.count: missing field "type"|});
+      ( metric_with "x.count" "value" (Some (Json.Str "x")),
+        {|metrics.x.count: field "value" has the wrong type|} );
+      (metric_with "x.gauge" "sets" None, {|metrics.x.gauge: missing field "sets"|});
+      ( metric_with "x.gauge" "max" (Some (Json.Str "5")),
+        {|metrics.x.gauge: field "max" has the wrong type|} );
+      (metric_with "x.gauge" "last" None, {|metrics.x.gauge: missing field "last"|});
+      ( metric_with "x.hist" "sum" (Some (Json.Str "0.25")),
+        {|metrics.x.hist: field "sum" has the wrong type|} );
+      (metric_with "x.hist" "count" None, {|metrics.x.hist: missing field "count"|});
+      (metric_with "x.hist" "p50" None, {|metrics.x.hist: missing field "p50"|});
+      ( metric_with "x.hist" "buckets" (Some (Json.Int 3)),
+        {|metrics.x.hist: field "buckets" has the wrong type|} );
+      ( metric_with "x.hist" "buckets" (Some (Json.List [ Json.List [ Json.Int 1; Json.Int 3 ]; Json.Int 28 ])),
+        "metrics.x.hist: bucket is not an [index, n] pair of integers" );
+      ( metric_with "x.hist" "buckets" (Some (Json.List [ Json.List [ Json.Int 1; Json.Int 2; Json.Int 1 ] ])),
+        "metrics.x.hist: bucket is not an [index, n] pair of integers" );
+      ( metric_with "x.hist" "buckets" (Some (Json.List [ Json.List [ Json.Int 1; Json.Str "3" ] ])),
+        "metrics.x.hist: bucket is not an [index, n] pair of integers" );
+      ( metric_with "x.hist" "buckets" (Some (pairs [ (1, 2); (64, 1) ])),
+        "metrics.x.hist: bucket index 64 outside [0, 64)" );
+      ( metric_with "x.hist" "buckets" (Some (pairs [ (-1, 2); (28, 1) ])),
+        "metrics.x.hist: bucket index -1 outside [0, 64)" );
+      ( metric_with "x.hist" "buckets" (Some (pairs [ (1, 0); (2, 2); (28, 1) ])),
+        "metrics.x.hist: bucket 1 holds 0 samples (must be > 0)" );
+      ( metric_with "x.hist" "buckets" (Some (pairs [ (28, 1); (1, 2) ])),
+        "metrics.x.hist: bucket 1 follows bucket 28" );
+      ( metric_with "x.hist" "buckets" (Some (pairs [ (1, 1); (1, 1); (28, 1) ])),
+        "metrics.x.hist: bucket 1 follows bucket 1" );
+      ( metric_with "x.hist" "count" (Some (Json.Int 4)),
+        "metrics.x.hist: buckets hold 3 samples but count is 4" );
+      ( metric_with "x.hist" "p90" (Some (Json.Float 1e-9)),
+        "metrics.x.hist: percentiles out of order (p50 2e-09, p90 1e-09, p99 0.268435)" );
+      ( metric_with "x.hist" "p99" (Some (Json.Float 0.125)),
+        "metrics.x.hist: percentiles out of order (p50 2e-09, p90 0.268435, p99 0.125)" );
+    ];
+  (* and a well-formed block is accepted: an empty histogram, a
+     counter alone *)
+  List.iter
+    (fun (label, m) ->
+      Alcotest.(check (result unit string)) label (Ok ()) (Report.validate (with_metrics m)))
+    [
+      ( "empty histogram",
+        Json.Obj
+          [
+            ( "h",
+              Json.Obj
+                [
+                  ("type", Json.Str "histogram"); ("count", Json.Int 0); ("sum", Json.Float 0.0);
+                  ("p50", Json.Float 0.0); ("p90", Json.Float 0.0); ("p99", Json.Float 0.0);
+                  ("buckets", Json.List []);
+                ] );
+          ] );
+      ("one counter", Json.Obj [ ("c", Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Int 0) ]) ]);
     ]
 
 let test_report_summary_and_imbalance () =
@@ -824,6 +1068,12 @@ let report_fields =
     [ "experiments"; "0"; "wall_s" ]; [ "experiments"; "2"; "events_executed" ];
     [ "experiments"; "0"; "allocated_bytes" ]; [ "pool" ]; [ "pool"; "workers" ];
     [ "pool"; "tasks" ]; [ "pool"; "busy_s" ]; [ "pool"; "imbalance" ];
+    [ "metrics" ]; [ "metrics"; "x.count" ]; [ "metrics"; "x.count"; "type" ];
+    [ "metrics"; "x.count"; "value" ]; [ "metrics"; "x.gauge"; "max" ];
+    [ "metrics"; "x.gauge"; "sets" ]; [ "metrics"; "x.hist"; "count" ];
+    [ "metrics"; "x.hist"; "sum" ]; [ "metrics"; "x.hist"; "p90" ];
+    [ "metrics"; "x.hist"; "buckets" ]; [ "metrics"; "x.hist"; "buckets"; "0" ];
+    [ "metrics"; "x.hist"; "buckets"; "1"; "0" ]; [ "metrics"; "x.hist"; "buckets"; "0"; "1" ];
   ]
 
 (* The printed sample report with the field at [path] replaced by the
@@ -1064,7 +1314,7 @@ let test_telemetry_does_not_perturb () =
   (match Pool.last_stats () with
   | Some s ->
     Alcotest.(check int) "pool tasks accounted" (List.length batch)
-      (Array.fold_left ( + ) 0 s.Pool.tasks)
+      (Array.fold_left ( + ) 0 s.Report.tasks)
   | None -> Alcotest.fail "pool stats missing");
   obs_off ()
 
@@ -1095,6 +1345,13 @@ let () =
             test_gauge_merge_and_reset;
           Alcotest.test_case "disabled is inert" `Quick test_disabled_is_inert;
           Alcotest.test_case "histogram observe" `Quick test_histogram_observe;
+          Alcotest.test_case "histogram merge across domains" `Quick
+            test_histogram_merge;
+          Alcotest.test_case "kind clash raises" `Quick test_kind_clash;
+          Alcotest.test_case "domains count after reset" `Quick
+            test_counts_after_reset;
+          Alcotest.test_case "hot path allocates nothing" `Quick
+            test_hot_path_allocation;
         ] );
       ( "trace",
         [
@@ -1114,6 +1371,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_ring_matches_model;
           Alcotest.test_case "reset releases events" `Quick test_ring_reset_releases;
+          Alcotest.test_case "ties: newest domain first" `Quick test_ring_tie_order;
           Alcotest.test_case "events allocate O(retained)" `Quick
             test_ring_events_allocation;
         ] );

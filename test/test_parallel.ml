@@ -322,7 +322,7 @@ let test_nested_maps_publish_no_stats () =
   Tussle_obs.Metrics.enable ();
   Fun.protect ~finally:Tussle_obs.Metrics.disable @@ fun () ->
   let tasks () =
-    Option.map (fun s -> Array.fold_left ( + ) 0 s.Pool.tasks) (Pool.last_stats ())
+    Option.map (fun s -> Array.fold_left ( + ) 0 s.Tussle_obs.Report.tasks) (Pool.last_stats ())
   in
   ignore (Pool.map ~domains:2 succ (List.init 7 Fun.id));
   (* inside an item, after its own inner map, the last stats are still
