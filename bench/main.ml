@@ -72,9 +72,32 @@ let linkstate_links =
 let bench_linkstate () =
   (* B14: what a reconvergence costs the control plane before any
      traffic moves: snapshot the live link costs, then the first
-     forwarding decision, which computes that router's tree *)
+     forwarding decision, which runs that router's search until node
+     999 is settled *)
   let t = Linkstate.compute_live (Lazy.force linkstate_links) ~metric:`Latency in
   ignore (Linkstate.next_hop t ~node:0 ~dst:999)
+
+let routed_pairs =
+  lazy
+    (let rng = Rng.create 9019 in
+     Array.init 200 (fun _ ->
+         let src = Rng.int rng 1000 in
+         (src, Rng.int rng 1000)))
+
+let bench_linkstate_routes () =
+  (* B14b: a reconvergence's query mix: a fresh table, then 200 seeded
+     (src, dst) pairs routed hop by hop, each hop a [next_hop] that
+     runs or re-runs that router's search as far as [dst] *)
+  let t = Linkstate.compute_live (Lazy.force linkstate_links) ~metric:`Latency in
+  Array.iter
+    (fun (src, dst) ->
+      let rec walk node =
+        match Linkstate.next_hop t ~node ~dst with
+        | Some hop -> walk hop
+        | None -> assert (node = dst)
+      in
+      walk src)
+    (Lazy.force routed_pairs)
 
 let pv_topology =
   lazy
@@ -270,6 +293,7 @@ let microbenchmarks () =
         test "B12 chaos run (plan + sim + invariants)" bench_chaos_run;
         test "B13 market best-response (10^6 consumers)" bench_market_1m;
         test "B14 link-state table + first next hop (BA-1000)" bench_linkstate;
+        test "B14b link-state, 200 routed pairs (BA-1000)" bench_linkstate_routes;
         test "B15 Rng draws (10^6 bernoulli + int)" bench_rng_draws;
         test "B16 traceback simulate (8 hops, 10^4 packets)" bench_traceback;
         test "B17 chaos ledger observe (BA-1000)" bench_observe;

@@ -15,12 +15,20 @@ let enabled () = Atomic.get enabled_flag
 let bucket_count = 64
 let bucket_base = 1e-9
 
+(* v/base = m * 2^e with m in [0.5, 1), so v is in [base*2^(e-1),
+   base*2^e).  v/base >= 1 is normal, so e is its biased exponent less
+   1022, read off the bits without [Float.frexp]'s boxed pair.  An
+   infinite v/base has exponent bits 0x7ff and lands in bucket 0, where
+   [frexp]'s exponent 0 put it. *)
 let bucket_index v =
   if not (v >= bucket_base) then 0 (* negatives and NaN too *)
   else
-    let _, e = Float.frexp (v /. bucket_base) in
-    (* v/base = m * 2^e with m in [0.5, 1), so v in [base*2^(e-1), base*2^e) *)
-    min (bucket_count - 1) e
+    let biased =
+      Int64.to_int
+        (Int64.shift_right_logical (Int64.bits_of_float (v /. bucket_base)) 52)
+      land 0x7ff
+    in
+    if biased = 0x7ff then 0 else min (bucket_count - 1) (biased - 1022)
 
 let bucket_upper i = bucket_base *. Float.ldexp 1.0 i
 
@@ -31,7 +39,11 @@ type count_cell = { mutable n : int }
 (* [sets = 0] is an unset cell: its [last] and [max_] are not read. *)
 type gauge_cell = { mutable last : float; mutable max_ : float; mutable sets : int }
 
-type hist_cell = { counts : int array; mutable count : int; mutable sum : float }
+(* [sum] sits in a float-only record, stored flat, so adding to it
+   boxes nothing. *)
+type hist_sum = { mutable sum : float }
+
+type hist_cell = { counts : int array; mutable count : int; total : hist_sum }
 
 type counter = count_cell Ring.local
 type gauge = gauge_cell Ring.local
@@ -77,7 +89,7 @@ let histogram name =
     define name (fun () ->
         Histogram
           (Ring.local (fun () ->
-               { counts = Array.make bucket_count 0; count = 0; sum = 0.0 })))
+               { counts = Array.make bucket_count 0; count = 0; total = { sum = 0.0 } })))
   with
   | Histogram h -> h
   | _ -> clash name
@@ -106,7 +118,7 @@ let observe h v =
     let b = bucket_index v in
     cell.counts.(b) <- cell.counts.(b) + 1;
     cell.count <- cell.count + 1;
-    cell.sum <- cell.sum +. v
+    cell.total.sum <- cell.total.sum +. v
   end
 
 (* ---------- snapshot / reset ---------- *)
@@ -159,7 +171,7 @@ let value_of = function
       Ring.fold h
         (fun (count, sum) c ->
           Array.iteri (fun i n -> buckets.(i) <- buckets.(i) + n) c.counts;
-          (count + c.count, sum +. c.sum))
+          (count + c.count, sum +. c.total.sum))
         (0, 0.0)
     in
     let nonempty = ref [] in
@@ -191,7 +203,7 @@ let reset () =
         (fun () cell ->
           Array.fill cell.counts 0 bucket_count 0;
           cell.count <- 0;
-          cell.sum <- 0.0)
+          cell.total.sum <- 0.0)
         ()
   in
   locked (fun () -> Hashtbl.iter (fun _ h -> zero h) by_name)

@@ -125,9 +125,10 @@ let weights g cost =
   w
 
 (* Dijkstra's working memory, one per domain and reused by every call
-   on it.  The frontier has two parts, and a pop takes the smaller head
-   of the two by (key, push order), which is exactly the order of a
-   single [Pqueue]:
+   on it.  [dist] holds the distances of the current search; a caller
+   that keeps them copies them out.  The frontier has two parts, and a
+   pop takes the smaller head of the two by (key, push order), which is
+   exactly the order of a single [Pqueue]:
    - the run, a FIFO of entries [run_head, run_tail) that takes every
      push whose key is at least the key of its last entry, so its keys
      never decrease and its head is its minimum.  When all costs are
@@ -138,10 +139,12 @@ let weights g cost =
    run's last key only grows until the run empties, which it can only
    do after the heap has: so a run entry with a key equal to a heap
    entry's was pushed earlier, and on equal keys the run comes first.
-   The arrays only grow, by doubling: the run's to the most pushes one
-   call made onto it, the heap's to the most entries it held at once.
-   The kernel calls no user code, so no call finds them in use. *)
+   The arrays only grow, by doubling: [dist] to the largest graph
+   searched, the run's to the most pushes one call made onto it, the
+   heap's to the most entries it held at once.  The kernel calls no
+   user code, so no call finds them in use. *)
 type scratch = {
+  mutable dist : float array;
   mutable run_key : float array;
   mutable run_node : int array;
   mutable run_head : int;
@@ -152,6 +155,7 @@ type scratch = {
 let scratch =
   Domain.DLS.new_key (fun () ->
       {
+        dist = [||];
         run_key = [||];
         run_node = [||];
         run_head = 0;
@@ -163,17 +167,27 @@ let grow_run s =
   s.run_key <- widen s.run_key 0.0;
   s.run_node <- widen s.run_node 0
 
-(* The one Dijkstra kernel.  A node's pushes carry strictly falling
-   keys, so its first pop is the entry whose key equals [dist.(u)] and
-   every later entry for it is stale: no visited marks are needed.
-   Out-edges are relaxed newest first, and [pred] depends on that order
-   when costs tie.  A call allocates only [dist] and [pred] once its
-   domain's scratch has grown. *)
-let spf g (w : weights) ~source =
+(* The one Dijkstra kernel: a search from [source] into [pred] and the
+   scratch's [dist] that stops once [target] is popped, or runs until
+   the frontier is empty when no node is [target] (pass -1).  It
+   returns whether the frontier ran out.
+   A node's pushes carry strictly falling keys, so its first pop is the
+   entry whose key equals [dist.(u)] and every later entry for it is
+   stale: no visited marks are needed.  Costs are non-negative, so a
+   popped node's [dist] and [pred] are final.  Until then its [pred]
+   is stored as [-2 - u], and the pop decodes it: a stopped search
+   leaves every node it has not popped negative, and a finished one
+   leaves exactly the decoded tree.  Out-edges are relaxed newest
+   first, and [pred] depends on that order when costs tie.  Once its
+   domain's scratch has grown, a call allocates nothing. *)
+let spf g (w : weights) ~source ~target pred =
   check_node g source "Graph.dijkstra";
-  let dist = Array.make g.n infinity in
-  let pred = Array.make g.n (-1) in
   let s = Domain.DLS.get scratch in
+  if Array.length s.dist < g.n then
+    s.dist <- Array.create_float (max g.n (2 * Array.length s.dist));
+  let dist = s.dist in
+  Array.fill dist 0 g.n infinity;
+  Array.fill pred 0 g.n (-1);
   if Array.length s.run_key = 0 then grow_run s;
   s.run_key.(0) <- 0.0;
   s.run_node.(0) <- source;
@@ -182,7 +196,10 @@ let spf g (w : weights) ~source =
   let heap = s.heap in
   Heap.clear heap;
   dist.(source) <- 0.0;
-  while s.run_head < s.run_tail || heap.Heap.size > 0 do
+  let settled_target = ref false in
+  while
+    (not !settled_target) && (s.run_head < s.run_tail || heap.Heap.size > 0)
+  do
     let h = s.run_head in
     let u =
       if
@@ -201,38 +218,56 @@ let spf g (w : weights) ~source =
       end
     in
     if u >= 0 then begin
-      let d = dist.(u) in
-      let e = ref g.head.(u) in
-      while !e >= 0 do
-        let c = w.(!e) in
-        if c < 0.0 then invalid_arg "Graph.dijkstra: negative weight";
-        let v = g.dst.(!e) in
-        let nd = d +. c in
-        if nd < dist.(v) then begin
-          dist.(v) <- nd;
-          pred.(v) <- u;
-          let t = s.run_tail in
-          if t = s.run_head || nd >= s.run_key.(t - 1) then begin
-            if t = Array.length s.run_key then grow_run s;
-            s.run_key.(t) <- nd;
-            s.run_node.(t) <- v;
-            s.run_tail <- t + 1
-          end
-          else Heap.push_keyed heap dist v
-        end;
-        e := g.next.(!e)
-      done
+      let p = pred.(u) in
+      if p < -1 then pred.(u) <- -2 - p;
+      if u = target then settled_target := true
+      else begin
+        let d = dist.(u) in
+        let e = ref g.head.(u) in
+        while !e >= 0 do
+          let c = w.(!e) in
+          if c < 0.0 then invalid_arg "Graph.dijkstra: negative weight";
+          let v = g.dst.(!e) in
+          let nd = d +. c in
+          if nd < dist.(v) then begin
+            dist.(v) <- nd;
+            pred.(v) <- -2 - u;
+            let t = s.run_tail in
+            if t = s.run_head || nd >= s.run_key.(t - 1) then begin
+              if t = Array.length s.run_key then grow_run s;
+              s.run_key.(t) <- nd;
+              s.run_node.(t) <- v;
+              s.run_tail <- t + 1
+            end
+            else Heap.push_keyed heap dist v
+          end;
+          e := g.next.(!e)
+        done
+      end
     end
   done;
-  (dist, pred)
+  not !settled_target
 
-let dijkstra_weights g (w : weights) ~source =
+let check_weights g (w : weights) name =
   if Array.length w <> g.edges then
-    invalid_arg "Graph.dijkstra_weights: weights of another graph";
-  spf g w ~source
+    invalid_arg (name ^ ": weights of another graph")
+
+let dijkstra_weights g w ~source =
+  check_weights g w "Graph.dijkstra_weights";
+  let pred = Array.make g.n (-1) in
+  ignore (spf g w ~source ~target:(-1) pred);
+  (Array.sub (Domain.DLS.get scratch).dist 0 g.n, pred)
 
 let dijkstra g ~weight ~source =
-  spf g (weights g (fun _ _ l -> weight l)) ~source
+  dijkstra_weights g (weights g (fun _ _ l -> weight l)) ~source
+
+let settle g w ~source ~target pred =
+  check_weights g w "Graph.settle";
+  check_node g source "Graph.settle";
+  check_node g target "Graph.settle";
+  if Array.length pred <> g.n then invalid_arg "Graph.settle: pred of another size";
+  if spf g w ~source ~target pred then infinity
+  else (Domain.DLS.get scratch).dist.(target)
 
 let bfs_order g source =
   check_node g source "Graph.bfs_order";

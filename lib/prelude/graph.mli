@@ -59,6 +59,20 @@ val dijkstra_weights : 'e t -> weights -> source:int -> float array * int array
     search's frontier is reused by every call on the same domain, so a
     call allocates only its [dist] and [pred]. *)
 
+val settle : 'e t -> weights -> source:int -> target:int -> int array -> float
+(** [settle g w ~source ~target pred] runs the {!dijkstra_weights}
+    search from [source] into [pred] (one entry per node, overwritten)
+    and stops as soon as [target] is settled: popped from the frontier,
+    so its distance and predecessor are final.  It returns [target]'s
+    distance, or [infinity] when [target] is unreachable; only then has
+    the search run out of frontier, and [pred] is exactly
+    {!dijkstra_weights}'s.  Otherwise [pred.(v)] is that of the full
+    search, ties included, for [source] and for every [v] with
+    [pred.(v) >= 0], the nodes settled; every other entry is negative.
+    Every node strictly closer than [target] is settled.  Each call
+    searches from [source] afresh.  The search's distances stay in the
+    domain's scratch, so a call allocates only the boxed result. *)
+
 val is_connected : 'e t -> bool
 (** True when every node is reachable from node 0 in the underlying
     directed sense.  Vacuously true for the empty graph. *)

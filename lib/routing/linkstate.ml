@@ -2,15 +2,19 @@ module Graph = Tussle_prelude.Graph
 module Topology = Tussle_netsim.Topology
 module Link = Tussle_netsim.Link
 
-(* Each router's shortest-path tree is computed the first time a query
-   asks about that router, against the costs snapshotted when the
-   table was built, and then kept.  An empty row has not been computed
-   yet; a computed row has [n > 0] entries. *)
+(* A row is one router's shortest-path tree, as its [pred] array, from
+   a Dijkstra run against the costs snapshotted when the table was
+   built.  The run stops once the queried destination is settled; a
+   later query naming a node the row has not settled runs it again from
+   the router, as far as that node.  A row whose run ran out of
+   frontier is complete, and a node it has not settled is unreachable.
+   An empty row has not been run yet. *)
 type t = {
   n : int;
-  spf : int -> float array * int array; (* Dijkstra from one source *)
-  dist : float array array; (* dist.(src).(dst) *)
+  settle : int -> int -> int array -> float; (* source, target, row *)
+  tree : int -> float array * int array; (* a full run, for [distance] *)
   pred : int array array; (* pred.(src).(dst) = predecessor on path from src *)
+  complete : Bytes.t; (* '\001' at a complete row *)
   visible : int; (* edges of finite cost *)
 }
 
@@ -29,9 +33,10 @@ let snapshot g cost =
   let n = Graph.node_count g in
   {
     n;
-    spf = (fun source -> Graph.dijkstra_weights g w ~source);
-    dist = Array.make n [||];
+    settle = (fun source target row -> Graph.settle g w ~source ~target row);
+    tree = (fun source -> Graph.dijkstra_weights g w ~source);
     pred = Array.make n [||];
+    complete = Bytes.make n '\000';
     visible = !visible;
   }
 
@@ -55,18 +60,32 @@ let compute_live ?(down = []) links ~metric =
 let check t node name =
   if node < 0 || node >= t.n then invalid_arg (name ^ ": node out of range")
 
-let row t src =
-  if Array.length t.dist.(src) = 0 then begin
-    let d, p = t.spf src in
-    t.dist.(src) <- d;
-    t.pred.(src) <- p
-  end
+(* Settle [dst] in the row of [src], running the row if it has not
+   settled it yet; false when [dst] is unreachable. *)
+let reach t src dst =
+  dst = src
+  ||
+  let row =
+    if Array.length t.pred.(src) > 0 then t.pred.(src)
+    else begin
+      let row = Array.make t.n (-1) in
+      t.pred.(src) <- row;
+      row
+    end
+  in
+  row.(dst) >= 0
+  || Bytes.get t.complete src = '\000'
+     &&
+     if t.settle src dst row < infinity then true
+     else begin
+       Bytes.set t.complete src '\001';
+       false
+     end
 
 let path t ~src ~dst =
   check t src "Linkstate.path";
   check t dst "Linkstate.path";
-  row t src;
-  if t.dist.(src).(dst) = infinity then None
+  if not (reach t src dst) then None
   else begin
     let pred = t.pred.(src) in
     let rec build node acc =
@@ -78,23 +97,19 @@ let path t ~src ~dst =
 let next_hop t ~node ~dst =
   check t node "Linkstate.next_hop";
   check t dst "Linkstate.next_hop";
-  if node = dst then None
+  if node = dst || not (reach t node dst) then None
   else begin
-    row t node;
-    if t.dist.(node).(dst) = infinity then None
-    else begin
-      (* the hop is the node on the path whose predecessor is [node] *)
-      let pred = t.pred.(node) in
-      let rec walk v = if pred.(v) = node then v else walk pred.(v) in
-      Some (walk dst)
-    end
+    (* the hop is the node on the path whose predecessor is [node] *)
+    let pred = t.pred.(node) in
+    let rec walk v = if pred.(v) = node then v else walk pred.(v) in
+    Some (walk dst)
   end
 
+(* A full run, not the row: only tests read distances. *)
 let distance t ~src ~dst =
   check t src "Linkstate.distance";
   check t dst "Linkstate.distance";
-  row t src;
-  let d = t.dist.(src).(dst) in
+  let d = (fst (t.tree src)).(dst) in
   if d = infinity then None else Some d
 
 let forwarding t ~node ~target packet =

@@ -7,16 +7,20 @@
     visibility experiment contrasts this with path-vector.
 
     A table is built in time linear in the edge count: building it
-    snapshots every link cost, and nothing more.  Each router's
-    shortest-path tree is computed the first time {!next_hop},
-    {!path} or {!distance} asks about that router as the source, from
-    the costs snapshotted at build time, and is then kept.  Answers
-    are therefore the same as if every tree had been computed up
-    front, whatever order the queries come in; only routers that
-    forward or are asked about cost a Dijkstra run.  The table reads
-    the graph's shape when it fills a row, so the graph must not gain
-    edges while the table is in use.  Because a query may fill in a
-    row, a table must not be queried from two domains at once. *)
+    snapshots every link cost, and nothing more.  Each router's row
+    of its shortest-path tree is settled only as far as the queries
+    have asked: {!next_hop} or {!path} about a router as the source
+    runs a Dijkstra search from it, against the costs snapshotted at
+    build time, until the destination is settled, and keeps what it
+    settled.  A later query naming a node the row has not settled
+    re-runs the search from the router, further.  Answers are
+    therefore the same as if every tree had been computed up front,
+    whatever order the queries come in, ties included; only routers
+    that forward or are asked about cost a search, and a search stops
+    at its destination.  The table reads the graph's shape when it
+    runs a row, so the graph must not gain edges while the table is
+    in use.  Because a query may run a row, a table must not be
+    queried from two domains at once. *)
 
 type t
 
@@ -24,8 +28,8 @@ val compute :
   Tussle_netsim.Topology.edge Tussle_prelude.Graph.t ->
   metric:[ `Latency | `Hops ] ->
   t
-(** Snapshot the flooded map's costs; each node's Dijkstra runs on
-    its first query. *)
+(** Snapshot the flooded map's costs; each node's search runs on its
+    first query. *)
 
 val compute_live :
   ?down:(int * int) list ->
@@ -46,6 +50,8 @@ val next_hop : t -> node:int -> dst:int -> int option
 (** Forwarding table lookup. *)
 
 val distance : t -> src:int -> dst:int -> float option
+(** Shortest-path cost from a full search from [src], made for this
+    call: rows keep no distances. *)
 
 val path : t -> src:int -> dst:int -> int list option
 (** Full path [src; ...; dst]. *)

@@ -67,14 +67,14 @@ trace="$TMP/tussle-trace.json"
 
 echo "== microbenchmark smoke (B1-B17, numeric, in B order) =="
 "$BENCH" > "$TMP/tussle-bench.out"
-want="B1 B2 B2b B2c B3 B4 B5 B6a B6b B7 B8 B9 B10 B11 B12 B13 B14 B15 B16 B17"
+want="B1 B2 B2b B2c B3 B4 B5 B6a B6b B7 B8 B9 B10 B11 B12 B13 B14 B14b B15 B16 B17"
 got=$(awk '/^tussle B/ && $NF ~ /^[0-9]+\.[0-9]+$/ { print $2 }' \
   "$TMP/tussle-bench.out" | xargs)
 if [ "$got" != "$want" ]; then
   echo "FAIL: microbenchmark rows with a numeric ns/run: '$got'" >&2
   exit 1
 fi
-echo "all 20 microbenchmarks ran and printed a numeric ns/run"
+echo "all 21 microbenchmarks ran and printed a numeric ns/run"
 
 echo "== battery smoke (report + trace) =="
 "$CLI" experiments --seq --report "$report" --trace "$trace" \

@@ -421,6 +421,34 @@ let test_bucket_boundaries () =
           (v >= Metrics.bucket_upper (b - 1)))
     [ 1e-10; 1e-9; 3.7e-9; 1e-6; 0.25; 17.0 ]
 
+(* The [Float.frexp] bucket index that [Metrics.bucket_index] replaced,
+   kept as its oracle. *)
+let frexp_bucket_index v =
+  if not (v >= 1e-9) then 0
+  else
+    let _, e = Float.frexp (v /. 1e-9) in
+    min (Metrics.bucket_count - 1) e
+
+(* Every bit pattern is a float, so random bits reach every exponent,
+   subnormals, infinities and NaNs; the fixed cases are each bucket's
+   edges and their neighbours, and values whose ratio to the base
+   overflows. *)
+let prop_bucket_index_matches_frexp =
+  let edges =
+    List.concat_map
+      (fun i ->
+        let u = Metrics.bucket_upper i in
+        [ u; Float.pred u; Float.succ u; -.u ])
+      (List.init (Metrics.bucket_count + 2) Fun.id)
+    @ [ 0.0; -0.0; Float.nan; -.Float.nan; infinity; neg_infinity;
+        Float.max_float; Float.min_float; 5e-324; 1e300; 1e-300 ]
+  in
+  QCheck2.Test.make ~name:"bucket index equals the frexp oracle" ~count:2000
+    ~print:(Printf.sprintf "%h")
+    QCheck2.Gen.(
+      oneof [ oneofl edges; map Int64.float_of_bits int64; float ])
+    (fun v -> Metrics.bucket_index v = frexp_bucket_index v)
+
 (* ---------- counters and gauges across domains ---------- *)
 
 let test_counter_merge () =
@@ -591,10 +619,8 @@ let minor_words_of f =
   Gc.minor_words () -. before
 
 (* The hot path allocates nothing: 10^5 disabled calls of every
-   operation, and 10^5 enabled calls of [incr], [set] and
-   [local_count] once the domain's cells exist.  Enabled [observe]
-   allocates ([Float.frexp]'s pair and the boxed sum) and is not
-   pinned.  Native only. *)
+   operation, and 10^5 enabled calls of [incr], [set], [observe] and
+   [local_count] once the domain's cells exist.  Native only. *)
 let test_hot_path_allocation () =
   if Sys.backend_type = Sys.Native then begin
     obs_off ();
@@ -616,8 +642,10 @@ let test_hot_path_allocation () =
     Metrics.enable ();
     Metrics.incr c;
     Metrics.set g 2.5;
+    Metrics.observe h 1e-3;
     pin "enabled incr" (fun () -> Metrics.incr c);
     pin "enabled set" (fun () -> Metrics.set g 2.5);
+    pin "enabled observe" (fun () -> Metrics.observe h 1e-3);
     let sum = ref 0 in
     pin "enabled local_count" (fun () -> sum := !sum + Metrics.local_count c);
     Alcotest.(check int) "local_count read" (n * (n + 1)) !sum;
@@ -1339,6 +1367,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
+          QCheck_alcotest.to_alcotest prop_bucket_index_matches_frexp;
           Alcotest.test_case "counter merge across domains" `Quick
             test_counter_merge;
           Alcotest.test_case "gauge merge and reset" `Quick

@@ -728,11 +728,50 @@ let prop_dijkstra_matches_reference =
           && Graph.dijkstra_weights g w ~source = expected)
         (List.init n Fun.id))
 
+(* [settle] is the full search stopped early.  From every source to
+   every target, with one [pred] reused so each call starts from the
+   last one's leftovers: the result is the target's full [dist], every
+   node the search settled ([pred >= 0], or the source) has its full
+   [pred], every node strictly closer than the target is settled, and
+   an unreachable target leaves the whole full [pred].  A settled
+   node's distance is what a search stopped at it returns.  The
+   uniform-cost graphs push only onto the run, the mixed ones onto the
+   heap too, with zero costs for ties. *)
+let prop_settle_is_full_prefix =
+  QCheck2.Test.make ~name:"stopped search agrees with the full one" ~count:300
+    ~print:print_graph graph_gen (fun (n, edges) ->
+      let g = Graph.create n in
+      List.iter (fun (u, v, w) -> Graph.add_edge g u v w) edges;
+      let w = Graph.weights g (fun _ _ c -> c) in
+      let pred = Array.make n 0 and probe = Array.make n 0 in
+      let nodes = List.init n Fun.id in
+      List.for_all
+        (fun source ->
+          let dist, full = Graph.dijkstra_weights g w ~source in
+          List.for_all
+            (fun target ->
+              let d = Graph.settle g w ~source ~target pred in
+              let settled v = v = source || pred.(v) >= 0 in
+              Float.equal d dist.(target)
+              && (d < infinity || pred = full)
+              && List.for_all
+                   (fun v ->
+                     if settled v then
+                       pred.(v) = full.(v)
+                       && Float.equal
+                            (Graph.settle g w ~source ~target:v probe)
+                            dist.(v)
+                     else dist.(v) >= dist.(target))
+                   nodes)
+            nodes)
+        nodes)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_rng_int_bounds; prop_pqueue_pop_sorted;
       prop_pqueue_matches_model; prop_dijkstra_matches_reference;
+      prop_settle_is_full_prefix;
       prop_rng_matches_boxed_oracle;
     ]
 

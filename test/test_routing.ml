@@ -105,14 +105,23 @@ module Eager = struct
     if d = infinity then None else Some d
 end
 
-(* A seeded random link graph: parallel links, one-way links and tied
-   latencies, and a random withdrawn set that names some pairs in
-   either orientation, some with no link, and one with no node. *)
+(* A seeded random link graph: parallel links, one-way links, tied
+   latencies, latencies spread over seven decades (so a search pushes
+   onto the heap half of its frontier) and links of no cost (so keys
+   tie between the run and the heap), and a random withdrawn set that
+   names some pairs in either orientation, some with no link, and one
+   with no node.  [Link.make] refuses a zero latency; 1e-300 vanishes
+   when added to any distance past the first hop. *)
 let random_live_graph seed =
   let rng = Rng.create seed in
   let n = 2 + Rng.int rng 24 in
   let links = Graph.create n in
-  let latency () = 0.001 *. float_of_int (1 + Rng.int rng 3) in
+  let latency () =
+    match Rng.int rng 4 with
+    | 0 -> 1e-300
+    | 1 -> 10.0 ** (Rng.float rng 7.0 -. 6.0)
+    | _ -> 0.001 *. float_of_int (1 + Rng.int rng 3)
+  in
   for _ = 1 to Rng.int rng (3 * n) do
     let u = Rng.int rng n and v = Rng.int rng n in
     let l = Tussle_netsim.Link.make ~latency:(latency ()) ~bandwidth_bps:1e6 () in
@@ -156,6 +165,74 @@ let prop_linkstate_matches_eager =
           Linkstate.visible_links lz = List.length eager.costs
           && Array.for_all agrees queries)
         [ `Hops; `Latency ])
+
+(* Queries that force re-runs: every (src, dst) pair, nearest first,
+   so most queries name a node the row's last run stopped short of;
+   then every pair again, farthest first, answered from settled rows. *)
+let prop_linkstate_near_then_far =
+  QCheck2.Test.make ~name:"targeted rows re-run near then far" ~count:200
+    ~print:string_of_int QCheck2.Gen.small_nat (fun seed ->
+      let rng, links, down = random_live_graph seed in
+      let n = Graph.node_count links in
+      List.for_all
+        (fun metric ->
+          let lz = Linkstate.compute_live ~down links ~metric in
+          let eager = Eager.compute_live ~down links ~metric in
+          let far (src, dst) = eager.Eager.dist.(src).(dst) in
+          let pairs =
+            Rng.sample rng (n * n) (Array.init (n * n) (fun i -> (i / n, i mod n)))
+            |> Array.to_list
+            |> List.stable_sort (fun a b -> Float.compare (far a) (far b))
+          in
+          let agrees (src, dst) =
+            Linkstate.next_hop lz ~node:src ~dst
+            = Eager.next_hop eager ~node:src ~dst
+            && Linkstate.path lz ~src ~dst = Eager.path eager ~src ~dst
+          in
+          List.for_all agrees pairs && List.for_all agrees (List.rev pairs))
+        [ `Hops; `Latency ])
+
+(* Native only, with [Gc.minor] first so no collection falls inside
+   the window.  On BA(1000, 2), once the domain's search scratch has
+   grown: the first query from a source, to a neighbour, allocates its
+   row ([n] ints, straight into the major heap) and a constant (the
+   boxed distance [Graph.settle] returns, the [Some] and
+   [Gc.counters]' own result); a re-run, to the farthest node, and an
+   answer from the settled row allocate only that constant. *)
+let test_linkstate_row_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 1000 in
+    let links = Topology.to_links (Topology.barabasi_albert (Rng.create 9010) n 2) in
+    let t = Linkstate.compute_live links ~metric:`Latency in
+    (* a full search from 0 finds the farthest node and grows the
+       scratch as far as any search from 0 needs *)
+    let dist, _ =
+      Graph.dijkstra links ~weight:Tussle_netsim.Link.latency ~source:0
+    in
+    let far = ref 0 in
+    Array.iteri (fun v d -> if d > dist.(!far) then far := v) dist;
+    let near = fst (List.hd (Graph.succ links 0)) in
+    let words f =
+      Gc.minor ();
+      let minor0, promoted0, major0 = Gc.counters () in
+      let hop = f () in
+      let minor1, promoted1, major1 = Gc.counters () in
+      Alcotest.(check bool) "routed" true (Option.is_some hop);
+      minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+    in
+    let within name bound f =
+      let w = words f in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words <= %.0f" name w bound)
+        true (w <= bound)
+    in
+    let constant = 16.0 in
+    within "first query" (float_of_int (n + 1) +. constant) (fun () ->
+        Linkstate.next_hop t ~node:0 ~dst:near);
+    within "re-run" constant (fun () -> Linkstate.next_hop t ~node:0 ~dst:!far);
+    within "settled row" constant (fun () ->
+        Linkstate.next_hop t ~node:0 ~dst:near)
+  end
 
 let test_linkstate_exposure () =
   let g = Topology.line 4 in
@@ -757,7 +834,9 @@ let () =
           Alcotest.test_case "latency metric" `Quick test_linkstate_latency_metric;
           Alcotest.test_case "disconnected" `Quick test_linkstate_disconnected;
           Alcotest.test_case "full exposure" `Quick test_linkstate_exposure;
+          Alcotest.test_case "row allocation" `Quick test_linkstate_row_allocation;
           QCheck_alcotest.to_alcotest prop_linkstate_matches_eager;
+          QCheck_alcotest.to_alcotest prop_linkstate_near_then_far;
         ] );
       ( "pathvector",
         [
