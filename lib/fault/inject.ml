@@ -6,49 +6,32 @@ module Net = Tussle_netsim.Net
 module Link = Tussle_netsim.Link
 module Middlebox = Tussle_netsim.Middlebox
 
-(* Every link object carrying traffic between u and v, either direction.
+(* Every link object the selector names: those carrying traffic
+   between u and v either way, only u->v, or incident to a node.
    [Topology.to_links] gives each direction its own [Link.t] while
    [Graph.add_undirected] can share one label both ways, so dedup by
-   physical identity to apply each fault exactly once per object. *)
-let links_between g u v =
+   physical identity to apply each fault exactly once per object.  A
+   shared label is found once and — unavoidably — a [`From] fault on it
+   hits both directions. *)
+let links g sel =
+  let keep =
+    match sel with
+    | `Between (u, v) -> fun a b -> (a = u && b = v) || (a = v && b = u)
+    | `From (u, v) -> fun a b -> a = u && b = v
+    | `Incident node -> fun a b -> a = node || b = node
+  in
   let acc = ref [] in
   Graph.iter_edges g (fun a b l ->
-      if ((a = u && b = v) || (a = v && b = u)) && not (List.memq l !acc)
-      then acc := l :: !acc);
+      if keep a b && not (List.memq l !acc) then acc := l :: !acc);
   if !acc = [] then
     invalid_arg
-      (Printf.sprintf "Inject.install: no link between %d and %d" u v);
+      (match sel with
+      | `Between (u, v) ->
+        Printf.sprintf "Inject.install: no link between %d and %d" u v
+      | `From (u, v) -> Printf.sprintf "Inject.install: no link from %d to %d" u v
+      | `Incident node ->
+        Printf.sprintf "Inject.install: node %d has no incident links" node);
   List.rev !acc
-
-(* Only the links carrying u->v traffic: the directed subset of
-   [links_between].  With per-direction link objects (Topology.to_links)
-   this isolates one direction; a shared undirected label is returned
-   once and — unavoidably — faults both directions. *)
-let links_from g u v =
-  let acc = ref [] in
-  Graph.iter_edges g (fun a b l ->
-      if a = u && b = v && not (List.memq l !acc) then acc := l :: !acc);
-  if !acc = [] then
-    invalid_arg
-      (Printf.sprintf "Inject.install: no link from %d to %d" u v);
-  List.rev !acc
-
-let links_incident g node =
-  let acc = ref [] in
-  Graph.iter_edges g (fun a b l ->
-      if (a = node || b = node) && not (List.memq l !acc) then
-        acc := l :: !acc);
-  if !acc = [] then
-    invalid_arg
-      (Printf.sprintf "Inject.install: node %d has no incident links" node);
-  List.rev !acc
-
-let schedule_window engine (w : Plan.window) ~on_open ~on_close =
-  if w.Plan.from_s < Engine.now engine then
-    invalid_arg "Inject.install: window opens in the engine's past";
-  Engine.schedule engine w.Plan.from_s (fun _ -> on_open ());
-  if Float.is_finite w.Plan.until_s then
-    Engine.schedule engine w.Plan.until_s (fun _ -> on_close ())
 
 (* Episode boundaries land in the flight recorder's control-plane
    stream (flow = [Flight.control_flow]) so a narrative can interleave
@@ -57,131 +40,74 @@ let schedule_window engine (w : Plan.window) ~on_open ~on_close =
 let located spec =
   match Plan.target spec with `Link (u, v) -> (u, v) | `Node node -> (node, -1)
 
+let check_node g node what =
+  if node < 0 || node >= Graph.node_count g then
+    invalid_arg ("Inject.install: " ^ what ^ " node out of range")
+
 let install ~seed ~plan engine net =
   Plan.validate plan;
   let g = Net.links net in
   let rng = Rng.create seed in
+  let set_down ls on = List.iter (fun l -> Link.set_up l (not on)) ls in
   List.iteri
     (fun idx spec ->
+      (* what turning the episode on (true) or off (false) does *)
+      let effect =
+        match (spec : Plan.spec) with
+        | Plan.Link_down { u; v; _ } | Plan.Link_flap { u; v; _ } ->
+          set_down (links g (`Between (u, v)))
+        | Plan.Unidirectional_down { u; v; _ } ->
+          set_down (links g (`From (u, v)))
+        | Plan.Node_crash { node; _ } -> set_down (links g (`Incident node))
+        | Plan.Link_loss { u; v; prob; _ }
+        | Plan.Link_corrupt { u; v; prob; _ }
+        | Plan.Gray_loss { u; v; prob; _ } ->
+          let set_prob =
+            match spec with
+            | Plan.Link_loss _ -> Link.set_loss_prob
+            | Plan.Link_corrupt _ -> Link.set_corrupt_prob
+            | _ -> Link.set_gray_loss_prob
+          in
+          let ls = links g (`Between (u, v)) in
+          let episode_rng = Rng.split rng in
+          fun on ->
+            List.iter
+              (fun l ->
+                if on then Link.set_fault_rng l episode_rng;
+                set_prob l (if on then prob else 0.0))
+              ls
+        | Plan.Latency_spike { u; v; extra_s; _ } ->
+          let ls = links g (`Between (u, v)) in
+          fun on ->
+            List.iter
+              (fun l -> Link.set_extra_latency l (if on then extra_s else 0.0))
+              ls
+        | Plan.Blackhole { node; _ } ->
+          check_node g node "blackhole";
+          Net.set_blackhole net node
+        | Plan.Middlebox_break { node; covert; _ } ->
+          check_node g node "middlebox";
+          let active = ref false in
+          Net.add_middlebox net node
+            (Middlebox.make ~reveals_presence:(not covert)
+               ~name:Plan.broken_device_name (fun _ ->
+                 if !active then Middlebox.Drop else Middlebox.Forward));
+          fun on -> active := on
+      in
+      let toggles = Plan.toggles spec in
+      (match toggles with
+      | (t, _) :: _ when t < Engine.now engine ->
+        invalid_arg "Inject.install: window opens in the engine's past"
+      | _ -> ());
       let node, peer = located spec in
-      let record kind () =
-        if Flight.enabled () then
-          Flight.emit ~sim_t:(Engine.now engine) ~flow:Flight.control_flow
-            ~node ~peer ~detail:(Plan.spec_string spec)
-            ~value:(float_of_int idx) kind
-      in
-      let windowed w ~on_open ~on_close =
-        schedule_window engine w
-          ~on_open:(fun () ->
-            record "fault-open" ();
-            on_open ())
-          ~on_close:(fun () ->
-            record "fault-close" ();
-            on_close ())
-      in
-      match (spec : Plan.spec) with
-      | Plan.Link_down { u; v; w } ->
-        let ls = links_between g u v in
-        windowed w
-          ~on_open:(fun () -> List.iter (fun l -> Link.set_up l false) ls)
-          ~on_close:(fun () -> List.iter (fun l -> Link.set_up l true) ls)
-      | Plan.Link_loss { u; v; w; prob } ->
-        let ls = links_between g u v in
-        let episode_rng = Rng.split rng in
-        windowed w
-          ~on_open:(fun () ->
-            List.iter
-              (fun l ->
-                Link.set_fault_rng l episode_rng;
-                Link.set_loss_prob l prob)
-              ls)
-          ~on_close:(fun () ->
-            List.iter (fun l -> Link.set_loss_prob l 0.0) ls)
-      | Plan.Link_corrupt { u; v; w; prob } ->
-        let ls = links_between g u v in
-        let episode_rng = Rng.split rng in
-        windowed w
-          ~on_open:(fun () ->
-            List.iter
-              (fun l ->
-                Link.set_fault_rng l episode_rng;
-                Link.set_corrupt_prob l prob)
-              ls)
-          ~on_close:(fun () ->
-            List.iter (fun l -> Link.set_corrupt_prob l 0.0) ls)
-      | Plan.Latency_spike { u; v; w; extra_s } ->
-        let ls = links_between g u v in
-        windowed w
-          ~on_open:(fun () ->
-            List.iter (fun l -> Link.set_extra_latency l extra_s) ls)
-          ~on_close:(fun () ->
-            List.iter (fun l -> Link.set_extra_latency l 0.0) ls)
-      | Plan.Node_crash { node; w } ->
-        let ls = links_incident g node in
-        windowed w
-          ~on_open:(fun () -> List.iter (fun l -> Link.set_up l false) ls)
-          ~on_close:(fun () -> List.iter (fun l -> Link.set_up l true) ls)
-      | Plan.Gray_loss { u; v; w; prob } ->
-        let ls = links_between g u v in
-        let episode_rng = Rng.split rng in
-        windowed w
-          ~on_open:(fun () ->
-            List.iter
-              (fun l ->
-                Link.set_fault_rng l episode_rng;
-                Link.set_gray_loss_prob l prob)
-              ls)
-          ~on_close:(fun () ->
-            List.iter (fun l -> Link.set_gray_loss_prob l 0.0) ls)
-      | Plan.Unidirectional_down { u; v; w } ->
-        let ls = links_from g u v in
-        windowed w
-          ~on_open:(fun () -> List.iter (fun l -> Link.set_up l false) ls)
-          ~on_close:(fun () -> List.iter (fun l -> Link.set_up l true) ls)
-      | Plan.Link_flap { u; v; w; period_s; duty } ->
-        (* Deterministic toggle schedule, compiled up front: down at
-           [from + k*period], up [duty*period] later when that lands
-           inside the window, and an unconditional restore at window
-           close.  Each toggle is its own flight event, so a narrative
-           can count the flaps a damped control plane absorbed. *)
-        let ls = links_between g u v in
-        if w.Plan.from_s < Engine.now engine then
-          invalid_arg "Inject.install: window opens in the engine's past";
-        let toggle up_state kind t =
+      List.iter
+        (fun (t, on) ->
           Engine.schedule engine t (fun _ ->
-              record kind ();
-              List.iter (fun l -> Link.set_up l up_state) ls)
-        in
-        let k = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let down = w.Plan.from_s +. (period_s *. float_of_int !k) in
-          if down < w.Plan.until_s then begin
-            toggle false "fault-open" down;
-            let up = down +. (duty *. period_s) in
-            if up < w.Plan.until_s then toggle true "fault-close" up;
-            incr k
-          end
-          else continue := false
-        done;
-        toggle true "fault-close" w.Plan.until_s
-      | Plan.Blackhole { node; w } ->
-        if node < 0 || node >= Graph.node_count g then
-          invalid_arg "Inject.install: blackhole node out of range";
-        windowed w
-          ~on_open:(fun () -> Net.set_blackhole net node true)
-          ~on_close:(fun () -> Net.set_blackhole net node false)
-      | Plan.Middlebox_break { node; w; covert } ->
-        if node < 0 || node >= Graph.node_count g then
-          invalid_arg "Inject.install: middlebox node out of range";
-        let active = ref false in
-        let mb =
-          Middlebox.make ~reveals_presence:(not covert)
-            ~name:Plan.broken_device_name (fun _ ->
-              if !active then Middlebox.Drop else Middlebox.Forward)
-        in
-        Net.add_middlebox net node mb;
-        windowed w
-          ~on_open:(fun () -> active := true)
-          ~on_close:(fun () -> active := false))
+              if Flight.enabled () then
+                Flight.emit ~sim_t:(Engine.now engine)
+                  ~flow:Flight.control_flow ~node ~peer
+                  ~detail:(Plan.spec_string spec) ~value:(float_of_int idx)
+                  (if on then "fault-open" else "fault-close");
+              effect on))
+        toggles)
     plan

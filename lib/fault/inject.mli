@@ -3,7 +3,11 @@
     [install] walks the plan in order, derives any rng streams it needs
     from the given seed (one {!Tussle_prelude.Rng.split} per stochastic
     episode, in plan order — so equal seed + plan means equal streams),
-    and schedules set/restore events on the engine.  Faults then take
+    and schedules one engine event at each of the episode's
+    {!Plan.toggles}, which turns its effect on or off (a link down or
+    up, a probability or latency set or cleared, a bit or device
+    flipped), so [Engine.pending] on a fresh engine grows by
+    {!Plan.transitions}.  Faults then take
     effect as the simulation crosses their windows; drops they cause
     land in the typed ledger {!Tussle_netsim.Net.losses} and the
     [net.drops.*] metrics.  [Link_down], [Node_crash],
@@ -20,10 +24,9 @@
     the same link should not overlap in time: each window restores the
     link's baseline when it closes, so the last writer wins.
 
-    [Link_flap] compiles to a deterministic toggle schedule (down at
-    [from + k*period], up [duty*period] later, unconditional restore at
-    window close); every toggle lands in the flight recorder as its own
-    fault-open/fault-close event.  [Gray_loss] draws per-packet from
+    Every toggle lands in the flight recorder as its own fault-open
+    (on) or fault-close (off) event, so a flap's down/up cycles are
+    each visible.  [Gray_loss] draws per-packet from
     its own split stream, like [Link_loss] — but drops while the link's
     control-plane view stays up.  [Blackhole] flips the net's Byzantine
     bit for the node: hellos keep flowing, transit traffic silently

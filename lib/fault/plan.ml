@@ -71,6 +71,13 @@ let spec_window = function
   | Blackhole { w; _ } ->
     w
 
+(* The most periods a flap window may hold.  A flap schedules two
+   toggles a period, so this bounds what plan text read from a file can
+   make [Inject.install] schedule.  The generators stay below half of
+   it: at horizon 10 a mutant's flap holds at most a full mutation
+   window (40 s) over the 0.01 s period floor, 4,000 periods. *)
+let max_flap_periods = 10_000.0
+
 let validate plan =
   List.iter
     (fun spec ->
@@ -91,6 +98,10 @@ let validate plan =
           invalid_arg "Fault plan: flap window must be finite";
         if not (Float.is_finite period_s && period_s > 0.0) then
           invalid_arg "Fault plan: flap period must be finite and positive";
+        if (w.until_s -. w.from_s) /. period_s > max_flap_periods then
+          invalid_arg
+            (Printf.sprintf "Fault plan: flap window holds more than %.0f periods"
+               max_flap_periods);
         if not (duty > 0.0 && duty < 1.0) then
           invalid_arg "Fault plan: flap duty outside (0,1)"
       | Link_down _ | Node_crash _ | Middlebox_break _ | Unidirectional_down _
@@ -98,39 +109,28 @@ let validate plan =
         ())
     plan
 
-(* How many control-observable state flips an episode drives: a finite
-   window opens and closes (2), an infinite one only opens (1), and a
-   flap toggles every down/up edge plus the final restore at window
-   close.  The damping-bounds-reconvergence invariant normalizes a
-   run's reconvergence count by this. *)
-let spec_transitions = function
+let toggles spec =
+  match spec with
   | Link_flap { w; period_s; duty; _ } ->
-    let n = ref 1 (* the restore at window close *) in
-    let k = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let down = w.from_s +. (period_s *. float_of_int !k) in
+    let rec go k acc =
+      let down = w.from_s +. (period_s *. float_of_int k) in
       if down < w.until_s then begin
-        incr n;
-        if down +. (duty *. period_s) < w.until_s then incr n;
-        incr k
+        let up = down +. (duty *. period_s) in
+        let acc = (down, true) :: acc in
+        go (k + 1) (if up < w.until_s then (up, false) :: acc else acc)
       end
-      else continue := false
-    done;
-    !n
-  | Link_down { w; _ }
-  | Link_loss { w; _ }
-  | Link_corrupt { w; _ }
-  | Latency_spike { w; _ }
-  | Node_crash { w; _ }
-  | Middlebox_break { w; _ }
-  | Gray_loss { w; _ }
-  | Unidirectional_down { w; _ }
-  | Blackhole { w; _ } ->
-    if Float.is_finite w.until_s then 2 else 1
+      else List.rev ((w.until_s, false) :: acc)
+    in
+    go 0 []
+  | Link_down _ | Link_loss _ | Link_corrupt _ | Latency_spike _
+  | Node_crash _ | Middlebox_break _ | Gray_loss _ | Unidirectional_down _
+  | Blackhole _ ->
+    let w = spec_window spec in
+    if Float.is_finite w.until_s then [ (w.from_s, true); (w.until_s, false) ]
+    else [ (w.from_s, true) ]
 
 let transitions plan =
-  List.fold_left (fun acc spec -> acc + spec_transitions spec) 0 plan
+  List.fold_left (fun acc spec -> acc + List.length (toggles spec)) 0 plan
 
 let draw_episode ?(extended = true) rng ~links ~horizon =
   let u, v = Rng.choice rng links in
@@ -252,6 +252,16 @@ let retarget_spec rng ~links spec =
   | Link_flap { w; period_s; duty; _ } -> Link_flap { u; v; w; period_s; duty }
   | Blackhole { w; _ } -> Blackhole { node = u; w }
 
+(* A mutant flap's period rises, if need be, until its window holds at
+   most half of [max_flap_periods]: at long horizons the 0.01 s period
+   floor alone would not keep mutants valid.  Half leaves room for
+   rounding. *)
+let bound_flap = function
+  | Link_flap { u; v; w; period_s; duty } ->
+    let floor = (w.until_s -. w.from_s) /. (max_flap_periods /. 2.0) in
+    Link_flap { u; v; w; period_s = Float.max period_s floor; duty }
+  | spec -> spec
+
 let mutate rng ~links ~horizon plan =
   if links = [] then invalid_arg "Plan.mutate: no links";
   if not (horizon > 0.0) then invalid_arg "Plan.mutate: non-positive horizon";
@@ -270,7 +280,7 @@ let mutate rng ~links ~horizon plan =
   in
   let mutate_nth f =
     let at = Rng.int rng n in
-    List.mapi (fun i s -> if i = at then f s else s) plan
+    List.mapi (fun i s -> if i = at then bound_flap (f s) else s) plan
   in
   if n = 0 then add ()
   else

@@ -62,20 +62,30 @@ val validate : t -> unit
 (** Raises [Invalid_argument] on a malformed plan: negative or
     non-finite [from_s], [until_s <= from_s], probability outside
     [0,1], negative latency spike, a negative node id, [u = v], an
-    infinite flap window, a non-positive flap period, or a flap duty
-    outside (0,1). *)
+    infinite flap window, a non-positive flap period, a flap window
+    holding more than 10,000 periods (checked by division, so a plan
+    read from a file cannot make [Inject.install] schedule millions of
+    toggles), or a flap duty outside (0,1). *)
 
 val target : spec -> [ `Link of int * int | `Node of int ]
 (** What an episode acts on: the link [(u, v)] of a link-scoped
     episode ([u -> v] for [Unidirectional_down]), or the node of a
     [Node_crash], [Middlebox_break] or [Blackhole]. *)
 
+val toggles : spec -> (float * bool) list
+(** The times a valid episode turns on ([true]) and off ([false]), in
+    the order {!Inject.install} schedules them: a window's open, then
+    its close if finite; a flap's down at [from + k*period] ([true]),
+    then its up [duty*period] later ([false]) when that falls inside
+    the window, for each k, then the restore at window close
+    ([false]). *)
+
 val transitions : t -> int
-(** Total control-observable fault transitions the plan drives: each
-    finite-window episode counts its open and close (2), an infinite
-    one only its open (1), and a flap every down/up toggle plus the
-    final restore.  The damping-bounds-reconvergence invariant uses
-    this as the normalizer for a run's reconvergence count. *)
+(** Total control-observable fault transitions the plan drives: the
+    length of every episode's {!toggles}.  A finite-window episode
+    counts 2, an infinite one 1, a flap every toggle plus the restore.
+    The damping-bounds-reconvergence invariant uses this as the
+    normalizer for a run's reconvergence count. *)
 
 val broken_device_name : string
 (** Middlebox name installed by [Middlebox_break] episodes
@@ -112,7 +122,9 @@ val mutate :
     add a fresh random episode, remove one, widen or shift an episode's
     window (clamped to [\[0, mutation_horizon_factor * horizon\]]),
     perturb a probability / latency magnitude, or retarget an episode
-    to another link.  The result always passes {!validate}.  Equal rng
+    to another link.  A mutated flap's period rises, if need be, until
+    its window holds at most 5,000 periods.  The result always passes
+    {!validate}.  Equal rng
     states and inputs yield equal mutants — the adversarial search
     derives every mutation purely from [(seed, index)].  Raises
     [Invalid_argument] on an empty [links] list or non-positive

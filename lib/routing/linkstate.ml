@@ -12,7 +12,6 @@ module Link = Tussle_netsim.Link
 type t = {
   n : int;
   settle : int -> int -> int array -> float; (* source, target, row *)
-  tree : int -> float array * int array; (* a full run, for [distance] *)
   pred : int array array; (* pred.(src).(dst) = predecessor on path from src *)
   complete : Bytes.t; (* '\001' at a complete row *)
   visible : int; (* edges of finite cost *)
@@ -34,7 +33,6 @@ let snapshot g cost =
   {
     n;
     settle = (fun source target row -> Graph.settle g w ~source ~target row);
-    tree = (fun source -> Graph.dijkstra_weights g w ~source);
     pred = Array.make n [||];
     complete = Bytes.make n '\000';
     visible = !visible;
@@ -105,11 +103,12 @@ let next_hop t ~node ~dst =
     Some (walk dst)
   end
 
-(* A full run, not the row: only tests read distances. *)
+(* A run stopped at [dst] into a scratch row, not the table's: only
+   tests read distances. *)
 let distance t ~src ~dst =
   check t src "Linkstate.distance";
   check t dst "Linkstate.distance";
-  let d = (fst (t.tree src)).(dst) in
+  let d = t.settle src dst (Array.make t.n (-1)) in
   if d = infinity then None else Some d
 
 let forwarding t ~node ~target packet =

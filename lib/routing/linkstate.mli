@@ -50,8 +50,8 @@ val next_hop : t -> node:int -> dst:int -> int option
 (** Forwarding table lookup. *)
 
 val distance : t -> src:int -> dst:int -> float option
-(** Shortest-path cost from a full search from [src], made for this
-    call: rows keep no distances. *)
+(** Shortest-path cost from a search from [src] stopped at [dst], run
+    for this call into a scratch row: rows keep no distances. *)
 
 val path : t -> src:int -> dst:int -> int list option
 (** Full path [src; ...; dst]. *)

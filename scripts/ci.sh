@@ -41,8 +41,9 @@
 #     of unknown type, a mean outside its CI, a budget below the runs,
 #     a shrinking frontier) — report exits 2, since it runs every
 #     artifact check sweep and search run; a corpus plan naming a link
-#     or node its scenario lacks — explain exits 2, chaos --replay 1; a
-#     corpus plan naming an unknown scenario — chaos --replay 1
+#     or node its scenario lacks, or a flap of 10 million periods —
+#     explain exits 2, chaos --replay 1; a corpus plan naming an
+#     unknown scenario — chaos --replay 1
 #   - one domain budget: two plain --seq battery reports agree on every
 #     experiment's allocated_bytes and events_executed
 # Scratch files go to $TMPDIR (default /tmp); the working tree is left
@@ -215,7 +216,8 @@ for backend in mutate exhaust; do
 done
 
 echo "== bad input: one table of expected exit codes =="
-# corpus plans naming a link and a node line-transfer lacks
+# corpus plans naming a link and a node line-transfer lacks, and a
+# flap whose window holds more periods than a plan may
 bad_corpus="$TMP/tussle-bad-corpus"
 rm -rf "$bad_corpus"
 mkdir -p "$bad_corpus"
@@ -223,6 +225,8 @@ printf 'scenario: line-transfer\nseed: 5\nlink 0-99 down [1, 2)\n' \
   > "$bad_corpus/link.plan"
 printf 'scenario: line-transfer\nseed: 5\nnode 99 blackhole [1, 2)\n' \
   > "$bad_corpus/node.plan"
+printf 'scenario: ring-selfheal\nseed: 5\nlink 0-1 flap period=1e-7s duty=0.5 [0, 1)\n' \
+  > "$bad_corpus/flap.plan"
 # a corpus plan naming a scenario there is none of
 unknown_corpus="$TMP/tussle-unknown-corpus"
 rm -rf "$unknown_corpus"
@@ -291,6 +295,7 @@ done <<ROWS
 2 $CLI explain chaos/corpus --domains=0
 2 $CLI explain $bad_corpus/link.plan
 2 $CLI explain $bad_corpus/node.plan
+2 $CLI explain $bad_corpus/flap.plan
 1 $CLI chaos --replay $bad_corpus
 1 $CLI chaos --replay $unknown_corpus
 2 $CLI chaos --replay $TMP/definitely-missing-dir

@@ -18,6 +18,7 @@ module Seed = Tussle_fault.Seed
 module Experiment = Tussle_experiments.Experiment
 module Registry = Tussle_experiments.Registry
 module E28 = Tussle_experiments.E28_faults
+module Scenario = Tussle_chaos.Scenario
 
 (* ---------- Plan ---------- *)
 
@@ -91,6 +92,65 @@ let test_plan_random_deterministic () =
   Alcotest.check_raises "no links"
     (Invalid_argument "Plan.random: no links") (fun () ->
       ignore (Plan.random (Rng.create 1) ~links:[] ~horizon:1.0 ~episodes:1))
+
+let flap_over w period_s =
+  Plan.Link_flap { u = 0; v = 1; w; period_s; duty = 0.5 }
+
+(* Untrusted plan text must not make a flap of millions of toggles. *)
+let test_flap_period_bound () =
+  let too_many =
+    Invalid_argument "Fault plan: flap window holds more than 10000 periods"
+  in
+  Alcotest.check_raises "1e-7 s period over one second" too_many (fun () ->
+      Plan.validate [ flap_over (Plan.window 0.0 1.0) 1e-7 ]);
+  (* counting these toggles would never return: the check divides *)
+  Alcotest.check_raises "1e-300 s period over 1e300 s" too_many (fun () ->
+      Plan.validate [ flap_over (Plan.window 0.0 1e300) 1e-300 ]);
+  Plan.validate [ flap_over (Plan.window 0.0 10_000.0) 1.0 ];
+  (* the widest flap the generators make: a full mutation window at
+     horizon 10 over the 0.01 s period floor *)
+  Plan.validate
+    [ flap_over (Plan.window 0.0 (Plan.mutation_horizon_factor *. 10.0)) 0.01 ]
+
+let flap_periods (p : Plan.t) =
+  List.fold_left
+    (fun m -> function
+      | Plan.Link_flap { w; period_s; _ } ->
+        Float.max m ((w.Plan.until_s -. w.Plan.from_s) /. period_s)
+      | _ -> m)
+    0.0 p
+
+(* Every mutant validates, whatever the horizon: a flap at the bound
+   that a mutation would widen or speed up past it has its period
+   raised instead.  At horizon 10 the period floor keeps mutants under
+   4,000 periods, so the raise never touches them. *)
+let test_mutate_keeps_flaps_bounded () =
+  let links = [ (0, 1); (1, 2) ] in
+  let at_bound = flap_over (Plan.window 0.0 10_000.0) 1.0 in
+  for seed = 0 to 499 do
+    Plan.validate
+      (Plan.mutate (Rng.create seed) ~links ~horizon:10_000.0 [ at_bound ])
+  done;
+  List.iter
+    (fun horizon ->
+      let rng = Rng.create 7 in
+      let plan = ref (Plan.random rng ~links ~horizon ~episodes:3) in
+      for _ = 1 to 300 do
+        plan := Plan.mutate rng ~links ~horizon !plan;
+        Plan.validate !plan;
+        if horizon = 10.0 && flap_periods !plan > 4000.001 then
+          Alcotest.failf "horizon 10: a mutant flap holds %g periods"
+            (flap_periods !plan)
+      done)
+    [ 1e-3; 1.0; 10.0; 1e6 ];
+  let widest =
+    [ flap_over (Plan.window 0.0 (Plan.mutation_horizon_factor *. 10.0)) 0.01 ]
+  in
+  for seed = 0 to 199 do
+    let m = Plan.mutate (Rng.create seed) ~links ~horizon:10.0 widest in
+    if flap_periods m > 4000.001 then
+      Alcotest.failf "seed %d: %g periods" seed (flap_periods m)
+  done
 
 (* ---------- Plan serialization (the chaos corpus wire format) ---------- *)
 
@@ -532,6 +592,9 @@ let test_inject_flap () =
     Plan.Link_flap
       { u = 0; v = 1; w = Plan.window 0.0 2.0; period_s = 1.0; duty = 0.5 }
   in
+  Alcotest.(check (list (pair (float 0.0) bool))) "toggles"
+    [ (0.0, true); (0.5, false); (1.0, true); (1.5, false); (2.0, false) ]
+    (Plan.toggles flap);
   Alcotest.(check int) "transitions counts every toggle + restore" 5
     (Plan.transitions [ flap ]);
   let net = two_node_net () in
@@ -551,6 +614,74 @@ let test_inject_flap () =
   Alcotest.(check (list string)) "fates follow the duty cycle"
     [ "lost"; "ok"; "lost"; "ok"; "ok" ]
     (List.map fate [ 0; 1; 2; 3; 4 ])
+
+let test_inject_past_window () =
+  let past =
+    Invalid_argument "Inject.install: window opens in the engine's past"
+  in
+  List.iter
+    (fun (name, spec, scheduled) ->
+      let net = two_node_net () in
+      let engine = Engine.create () in
+      Engine.run ~until:1.0 engine;
+      let install () = Inject.install ~seed:1 ~plan:[ spec ] engine net in
+      (match scheduled with
+      | None -> Alcotest.check_raises name past install
+      | Some _ -> install ());
+      Alcotest.(check int) (name ^ ": events scheduled")
+        (Option.value scheduled ~default:0)
+        (Engine.pending engine))
+    [
+      ("window", Plan.Link_down { u = 0; v = 1; w = Plan.window 0.5 2.0 }, None);
+      ("flap", flap_over (Plan.window 0.5 2.0) 0.5, None);
+      (* a window opening now is not in the past *)
+      ("window at now", Plan.Link_down { u = 0; v = 1; w = Plan.window 1.0 2.0 },
+        Some 2);
+    ]
+
+(* A fresh net over [links], one [Link.t] per direction. *)
+let net_of_links links =
+  let n = 1 + List.fold_left (fun m (u, v) -> max m (max u v)) 0 links in
+  let g = Graph.create n in
+  List.iter (fun (u, v) -> Graph.add_undirected g u v Topology.default_edge) links;
+  Net.create (Topology.to_links g) (fun ~node:_ ~target:_ _ -> None)
+
+(* [install] schedules one event per toggle: what [Plan.transitions]
+   counts and the damping-bounds-reconvergence invariant divides by. *)
+let test_install_schedules_transitions () =
+  let check name links plan =
+    let engine = Engine.create () in
+    Inject.install ~seed:1 ~plan engine (net_of_links links);
+    if Engine.pending engine <> Plan.transitions plan then
+      Alcotest.failf "%s: %d events scheduled, %d transitions for\n%s" name
+        (Engine.pending engine) (Plan.transitions plan) (Plan.to_string plan)
+  in
+  List.iter
+    (fun (s : Scenario.t) ->
+      for seed = 0 to 249 do
+        let rng = Rng.create seed in
+        let plan =
+          ref
+            (Plan.random rng ~links:s.links ~horizon:s.horizon
+               ~episodes:(1 + Rng.int rng 4))
+        in
+        check s.name s.links !plan;
+        for _ = 1 to 3 do
+          plan := Plan.mutate rng ~links:s.links ~horizon:s.horizon !plan;
+          check s.name s.links !plan
+        done
+      done)
+    Scenario.all;
+  check "hand-built" [ (0, 1); (1, 2) ]
+    [
+      Plan.Middlebox_break { node = 1; w = Plan.window 0.5 2.0; covert = true };
+      Plan.Middlebox_break
+        { node = 2; w = Plan.window 1.0 infinity; covert = false };
+      Plan.Link_down { u = 0; v = 1; w = Plan.always };
+      Plan.Link_loss { u = 1; v = 2; w = Plan.always; prob = 0.5 };
+      Plan.Node_crash { node = 1; w = Plan.window 3.0 infinity };
+      Plan.Blackhole { node = 0; w = Plan.always };
+    ]
 
 let test_inject_blackhole_vs_middlebox () =
   (* satellite: a Byzantine blackhole and a broken middlebox are
@@ -732,6 +863,9 @@ let () =
           Alcotest.test_case "validation" `Quick test_plan_validation;
           Alcotest.test_case "random deterministic" `Quick
             test_plan_random_deterministic;
+          Alcotest.test_case "flap period bound" `Quick test_flap_period_bound;
+          Alcotest.test_case "mutants keep flaps bounded" `Quick
+            test_mutate_keeps_flaps_bounded;
         ] );
       ( "plan-serialization",
         [
@@ -758,6 +892,9 @@ let () =
           Alcotest.test_case "unidirectional down" `Quick
             test_inject_unidirectional;
           Alcotest.test_case "flap duty cycle" `Quick test_inject_flap;
+          Alcotest.test_case "window in the past" `Quick test_inject_past_window;
+          Alcotest.test_case "one event per transition" `Quick
+            test_install_schedules_transitions;
           Alcotest.test_case "blackhole vs broken middlebox" `Quick
             test_inject_blackhole_vs_middlebox;
           Alcotest.test_case "net_probe vs covert injection" `Quick
