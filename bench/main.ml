@@ -193,7 +193,7 @@ let bench_transport () =
       ~total_packets:200
   in
   Engine.run ~until:120.0 engine;
-  assert (Tussle_netsim.Transport.completed c)
+  assert (Tussle_netsim.Transport.(status c = Completed))
 
 let bench_selfheal () =
   (* one full outage lifecycle on a 12-ring: hello sampling, down

@@ -116,8 +116,8 @@ let run_regime ~seed ~attacker_fraction regime =
           tally.attacks_total <- tally.attacks_total + 1;
           let tunneled = Rng.bernoulli rng 0.5 in
           Net.inject net engine
-            (Traffic.next_packet gen ~app:Packet.Attack ~tunneled ~src ~dst
-               ~created:(Engine.now engine) ())
+            (Packet.make ~id:(Traffic.fresh_id gen) ~app:Packet.Attack
+               ~tunneled ~src ~dst ~created:(Engine.now engine) ())
         end
         else begin
           tally.legit_total <- tally.legit_total + 1;
@@ -130,7 +130,7 @@ let run_regime ~seed ~attacker_fraction regime =
             else Packet.default_port app
           in
           Net.inject net engine
-            (Traffic.next_packet gen ~app ~port ~src ~dst
+            (Packet.make ~id:(Traffic.fresh_id gen) ~app ~port ~src ~dst
                ~created:(Engine.now engine) ())
         end
     done

@@ -110,13 +110,13 @@ let find_duplicate ~dir e =
 let save ~dir e =
   mkdirs dir;
   match find_duplicate ~dir e with
-  | Some path -> path
+  | Some path -> (path, false)
   | None ->
     let path = Filename.concat dir (filename e) in
     let oc = open_out path in
     output_string oc (to_file_string e);
     close_out oc;
-    path
+    (path, true)
 
 let check_finding (f : Search_report.finding) =
   let path = f.corpus_file and scenario = f.scenario in

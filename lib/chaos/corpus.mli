@@ -27,17 +27,13 @@ val check_findings :
     that is not there is an [Error] naming the path.  [Error] names the
     first finding that fails. *)
 
-val find_duplicate : dir:string -> entry -> string option
-(** Path of an existing corpus file holding the same reproducer —
-    same scenario and identical plan text, {e regardless of seed} —
-    or [None].  [None] as well when [dir] does not exist. *)
-
-val save : dir:string -> entry -> string
+val save : dir:string -> entry -> string * bool
 (** Write the entry under [dir] (created if missing, like mkdir -p)
-    and return the file path.  Deduplicated by {!find_duplicate}: if
-    the same scenario/plan reproducer is already on disk (even under a
-    different seed), the existing file's path is returned and nothing
-    is written — a re-found violation must not create a second file. *)
+    and return the file path, with [true] when this call created the
+    file.  Deduplicated: if the same reproducer — same scenario and
+    identical plan text, {e regardless of seed} — is already on disk,
+    the existing file's path is returned with [false] and nothing is
+    written; a re-found violation must not create a second file. *)
 
 val load : string -> (entry, string) result
 (** Parse one corpus file.  The plan is validated; [Error] carries a

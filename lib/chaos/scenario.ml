@@ -2,6 +2,7 @@ module Rng = Tussle_prelude.Rng
 module Graph = Tussle_prelude.Graph
 module Engine = Tussle_netsim.Engine
 module Net = Tussle_netsim.Net
+module Packet = Tussle_netsim.Packet
 module Topology = Tussle_netsim.Topology
 module Traffic = Tussle_netsim.Traffic
 module Transport = Tussle_netsim.Transport
@@ -79,7 +80,7 @@ let ring name detector =
       (Traffic.create ())
       engine net ~start:0.2 ~interval:0.1 ~count:80
       ~make:(fun gen ~created ->
-        Traffic.next_packet gen ~src:0 ~dst:3 ~created ());
+        Packet.make ~id:(Traffic.fresh_id gen) ~src:0 ~dst:3 ~created ());
     Engine.run ~until:guard_horizon engine;
     Invariant.observe ~reconvergences:(Selfheal.reconvergences heal)
       ~fault_transitions:(Plan.transitions plan) ~clock_start engine net
@@ -108,7 +109,7 @@ let grid_static =
     let flow ~src ~dst ~start =
       Traffic.constant_flow gen engine net ~start ~interval:0.15 ~count:40
         ~make:(fun gen ~created ->
-          Traffic.next_packet gen ~src ~dst ~created ())
+          Packet.make ~id:(Traffic.fresh_id gen) ~src ~dst ~created ())
     in
     flow ~src:0 ~dst:8 ~start:0.1;
     flow ~src:2 ~dst:6 ~start:0.175;

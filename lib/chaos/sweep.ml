@@ -87,11 +87,10 @@ let resolve ?corpus_dir (s : Scenario.t) ~seed ~plan violations =
     match corpus_dir with
     | None -> (None, false)
     | Some dir ->
-      let dup = Corpus.find_duplicate ~dir entry in
-      let path = match dup with Some p -> p | None -> Corpus.save ~dir entry in
+      let path, created = Corpus.save ~dir entry in
       Out_channel.with_open_bin (explain_file path) (fun oc ->
           output_string oc attachment);
-      (Some path, dup = None)
+      (Some path, created)
   in
   { scenario = s.name; seed; plan; minimal; violations; attachment; file; fresh }
 

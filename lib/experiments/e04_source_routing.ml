@@ -58,8 +58,8 @@ let run_regime tt pv regime =
           Sourceroute.waypoints_via ~transit:honest_transit
       in
       Net.inject net engine
-        (Traffic.next_packet gen ~qos:Packet.Premium ~source_route ~src ~dst
-           ~created:0.0 ())
+        (Packet.make ~id:(Traffic.fresh_id gen) ~qos:Packet.Premium
+           ~source_route ~src ~dst ~created:0.0 ())
     end
   done;
   let delivered = ref 0 and intact = ref 0 in

@@ -86,8 +86,8 @@ let run_cell ~seed ~attacker_fraction regime =
             incr attacks_sent;
             let tunneled = Rng.bernoulli rng 0.5 in
             Net.inject net engine
-              (Traffic.next_packet gen ~app:Packet.Attack ~tunneled ~src ~dst
-                 ~created:(Engine.now engine) ())
+              (Packet.make ~id:(Traffic.fresh_id gen) ~app:Packet.Attack
+                 ~tunneled ~src ~dst ~created:(Engine.now engine) ())
           end
         end
         else begin
@@ -102,7 +102,7 @@ let run_cell ~seed ~attacker_fraction regime =
               else Packet.default_port app
             in
             Net.inject net engine
-              (Traffic.next_packet gen ~app ~port ~src ~dst
+              (Packet.make ~id:(Traffic.fresh_id gen) ~app ~port ~src ~dst
                  ~created:(Engine.now engine) ())
           end
         end

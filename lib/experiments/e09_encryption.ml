@@ -45,8 +45,8 @@ let classify_run ~adoption =
   Traffic.constant_flow gen engine net ~start:0.0 ~interval:0.001 ~count:400
     ~make:(fun gen ~created ->
       let encrypted = Rng.bernoulli rng adoption in
-      Traffic.next_packet gen ~app:(Rng.choice rng apps) ~encrypted ~src:0
-        ~dst:4 ~created ());
+      Packet.make ~id:(Traffic.fresh_id gen) ~app:(Rng.choice rng apps)
+        ~encrypted ~src:0 ~dst:4 ~created ());
   Engine.run engine;
   ( float_of_int !readable /. float_of_int !inspected,
     Net.delivery_ratio net )

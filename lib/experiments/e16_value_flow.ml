@@ -50,7 +50,9 @@ let run () =
         | Error (`Insufficient _) -> ()
         | Ok escrow ->
           incr sent;
-          let p = Traffic.next_packet gen ~src ~dst ~created:0.0 () in
+          let p =
+            Packet.make ~id:(Traffic.fresh_id gen) ~src ~dst ~created:0.0 ()
+          in
           Hashtbl.replace escrows p.Packet.id escrow;
           Net.inject net engine p)
     end

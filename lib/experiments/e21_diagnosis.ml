@@ -7,11 +7,10 @@ module Packet = Tussle_netsim.Packet
 module Topology = Tussle_netsim.Topology
 module Middlebox = Tussle_netsim.Middlebox
 module Net = Tussle_netsim.Net
+module Traffic = Tussle_netsim.Traffic
 module Diagnosis = Tussle_netsim.Diagnosis
 
 let path = [ 0; 1; 2; 3; 4; 5 ]
-
-let fresh_id = ref 0
 
 let make_net regime =
   let net =
@@ -30,21 +29,13 @@ let make_net regime =
 let diagnose regime =
   let net = make_net regime in
   let engine = Engine.create () in
+  let gen = Traffic.create () in
   let make ~target =
-    incr fresh_id;
-    Packet.make ~app:Packet.File_sharing ~id:!fresh_id ~src:0 ~dst:target
-      ~created:(Engine.now engine) ()
+    Packet.make ~id:(Traffic.fresh_id gen) ~app:Packet.File_sharing ~src:0
+      ~dst:target ~created:(Engine.now engine) ()
   in
   let probe = Diagnosis.net_probe net engine ~make in
   Diagnosis.localize ~probe ~path
-
-let verdict_string = function
-  | Diagnosis.Clean -> "path clean"
-  | Diagnosis.Blocked_at (name, node) ->
-    Printf.sprintf "device %S confessed at node %d" name node
-  | Diagnosis.Blocked_between (a, b) ->
-    Printf.sprintf "bracketed between nodes %d and %d" a b
-  | Diagnosis.Unreachable_at_start -> "dead at the first hop"
 
 let run () =
   let t =
@@ -57,7 +48,7 @@ let run () =
       (fun (name, regime) ->
         let r = diagnose regime in
         Table.add_row t
-          [ name; verdict_string r.Diagnosis.verdict;
+          [ name; Diagnosis.verdict_string r.Diagnosis.verdict;
             string_of_int r.Diagnosis.probes_used ];
         (regime, r))
       [

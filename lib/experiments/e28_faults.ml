@@ -34,19 +34,11 @@ let diagnose ~fault_seed ~covert =
     engine net;
   let gen = Traffic.create () in
   let make ~target =
-    Traffic.next_packet gen ~app:Packet.File_sharing ~src:0 ~dst:target
-      ~created:(Engine.now engine) ()
+    Packet.make ~id:(Traffic.fresh_id gen) ~app:Packet.File_sharing ~src:0
+      ~dst:target ~created:(Engine.now engine) ()
   in
   let probe = Diagnosis.net_probe net engine ~make in
   Diagnosis.localize ~probe ~path:[ 0; 1; 2; 3; 4; 5 ]
-
-let verdict_string = function
-  | Diagnosis.Clean -> "path clean"
-  | Diagnosis.Blocked_at (name, node) ->
-    Printf.sprintf "device %S confessed at node %d" name node
-  | Diagnosis.Blocked_between (a, b) ->
-    Printf.sprintf "bracketed between nodes %d and %d" a b
-  | Diagnosis.Unreachable_at_start -> "dead at the first hop"
 
 (* ---------- part B: transport goodput under a fault-plan sweep ---------- *)
 
@@ -143,7 +135,7 @@ let run () =
   List.iter
     (fun (label, (r : Diagnosis.report)) ->
       Table.add_row ta
-        [ label; verdict_string r.Diagnosis.verdict;
+        [ label; Diagnosis.verdict_string r.Diagnosis.verdict;
           string_of_int r.Diagnosis.probes_used ])
     [ ("revealing (device confesses)", revealing);
       ("covert (silent drop)", covert) ];

@@ -99,7 +99,8 @@ let run ~seed ~plan ~fault_at control =
     engine net ~start:first_send ~interval:send_interval ~count:packets
     ~make:(fun gen ~created ->
       let source_route = source_route () in
-      Traffic.next_packet gen ~source_route ~src ~dst ~created ());
+      Packet.make ~id:(Traffic.fresh_id gen) ~source_route ~src ~dst
+        ~created ());
   (* the verified control plane injects transit probes of its own (ids
      in the reserved range): count the flow's packets only *)
   let delivered = ref 0 and offered = ref 0 in

@@ -21,15 +21,11 @@ type t = {
   auth : authority;
   policy : policy;
   cache : (string, cache_entry) Hashtbl.t;
-  mutable hits : int;
-  mutable upstream : int;
 }
 
-let create ?(policy = Honest) auth =
-  { auth; policy; cache = Hashtbl.create 32; hits = 0; upstream = 0 }
+let create ?(policy = Honest) auth = { auth; policy; cache = Hashtbl.create 32 }
 
 let authoritative_answer t name =
-  t.upstream <- t.upstream + 1;
   match Hashtbl.find_opt t.auth name with
   | Some r -> (Address r.address, r.ttl)
   | None -> (Nxdomain, 60.0)
@@ -52,9 +48,7 @@ let apply_policy t name (answer, ttl) =
 
 let resolve t ~now name =
   match Hashtbl.find_opt t.cache name with
-  | Some entry when entry.expires > now ->
-    t.hits <- t.hits + 1;
-    entry.answer
+  | Some entry when entry.expires > now -> entry.answer
   | Some _ | None ->
     let answer, ttl = apply_policy t name (authoritative_answer t name) in
     Hashtbl.replace t.cache name { answer; expires = now +. ttl };
@@ -67,10 +61,6 @@ let truthful t ~now name =
     | None -> Nxdomain
   in
   resolve t ~now name = truth
-
-let cache_hits t = t.hits
-
-let authority_queries t = t.upstream
 
 let truthfulness t ~now ~names =
   match names with

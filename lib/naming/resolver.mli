@@ -21,10 +21,13 @@
 
 type record = { name : string; address : int; ttl : float }
 
-type authority
+type authority = (string, record) Hashtbl.t
+(** Authoritative zone data by name.  A resolver reads it at each
+    authority query, so an edit reaches a resolver's answers once the
+    cached answer for that name has expired. *)
 
 val authority : record list -> authority
-(** Authoritative zone data.  Later records shadow earlier ones with
+(** Zone data from records.  Later records shadow earlier ones with
     the same name. *)
 
 type policy =
@@ -44,16 +47,14 @@ type answer =
   | Refused
 
 val resolve : t -> now:float -> string -> answer
-(** Resolve a name at time [now] (drives cache expiry; calls must be
-    made with non-decreasing [now]). *)
+(** Resolve a name at time [now].  An answer is cached for its TTL
+    (60 s for [Nxdomain]) and served from the cache until then, even
+    if the authority changed meanwhile.  [now] drives cache expiry;
+    calls must be made with non-decreasing [now]. *)
 
 val truthful : t -> now:float -> string -> bool
 (** Does this resolver's answer agree with the authority (including
     agreeing about absence)? *)
-
-val cache_hits : t -> int
-
-val authority_queries : t -> int
 
 val truthfulness :
   t -> now:float -> names:string list -> float

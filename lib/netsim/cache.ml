@@ -3,35 +3,20 @@ type t = {
   (* recency list, most recent first, plus membership set *)
   mutable order : int list;
   members : (int, unit) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 (* distinct objects held before the least recently used is evicted *)
 let capacity = 25
 
-let create ~app =
-  {
-    app;
-    order = [];
-    members = Hashtbl.create capacity;
-    hits = 0;
-    misses = 0;
-  }
+let create ~app = { app; order = []; members = Hashtbl.create capacity }
 
 let touch t key =
   t.order <- key :: List.filter (fun k -> k <> key) t.order
 
 let lookup t ~key =
-  if Hashtbl.mem t.members key then begin
-    t.hits <- t.hits + 1;
-    touch t key;
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    false
-  end
+  let hit = Hashtbl.mem t.members key in
+  if hit then touch t key;
+  hit
 
 let insert t ~key =
   if not (Hashtbl.mem t.members key) then begin
@@ -46,14 +31,6 @@ let insert t ~key =
     Hashtbl.replace t.members key ()
   end;
   touch t key
-
-let hits t = t.hits
-
-let misses t = t.misses
-
-let hit_ratio t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
 
 let size t = Hashtbl.length t.members
 

@@ -21,17 +21,10 @@ val create : app:Packet.app -> t
     objects (LRU eviction). *)
 
 val lookup : t -> key:int -> bool
-(** Is the object present?  Updates recency and hit/miss counters. *)
+(** Is the object present?  A hit makes it the most recently used. *)
 
 val insert : t -> key:int -> unit
 (** Add an object (evicting the least recently used if full). *)
-
-val hits : t -> int
-
-val misses : t -> int
-
-val hit_ratio : t -> float
-(** hits / lookups; 0 before any lookup. *)
 
 val size : t -> int
 

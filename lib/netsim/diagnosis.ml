@@ -9,6 +9,14 @@ type verdict =
   | Blocked_between of int * int
   | Unreachable_at_start
 
+let verdict_string = function
+  | Clean -> "path clean"
+  | Blocked_at (name, node) ->
+    Printf.sprintf "device %S confessed at node %d" name node
+  | Blocked_between (a, b) ->
+    Printf.sprintf "bracketed between nodes %d and %d" a b
+  | Unreachable_at_start -> "dead at the first hop"
+
 type report = { verdict : verdict; probes_used : int }
 
 let localize ~probe ~path =

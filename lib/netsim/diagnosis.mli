@@ -24,6 +24,10 @@ type verdict =
       (** covert: bracketed between these consecutive path nodes *)
   | Unreachable_at_start  (** even the first hop is silent *)
 
+val verdict_string : verdict -> string
+(** One line for a table cell, e.g. [device "port-filter" confessed at
+    node 3] or [bracketed between nodes 2 and 3]. *)
+
 type report = { verdict : verdict; probes_used : int }
 
 val localize : probe:(int -> probe_result) -> path:int list -> report

@@ -14,9 +14,6 @@ type t = {
   mutable ring : float array;
   mutable head : int;
   mutable len : int;
-  mutable busy_time : float;
-  mutable sent : int;
-  mutable dropped : int;
   (* contract: try_enqueue must be called in non-decreasing [now] order *)
   mutable last_offered : float;
   (* fault-injection state (Tussle_fault flips these via engine events) *)
@@ -48,9 +45,6 @@ let make ?(queue_capacity = 64) ~latency ~bandwidth_bps () =
     ring = [||];
     head = 0;
     len = 0;
-    busy_time = 0.0;
-    sent = 0;
-    dropped = 0;
     last_offered = neg_infinity;
     up = true;
     loss_prob = 0.0;
@@ -173,18 +167,11 @@ let try_enqueue l ~now bytes =
     l.gray_drops <- l.gray_drops + 1;
     `Faulted Gray
   end
-  else if l.len >= l.queue_capacity then begin
-    l.dropped <- l.dropped + 1;
-    `Dropped
-  end
+  else if l.len >= l.queue_capacity then `Dropped
   else begin
-    let start = Float.max now l.busy_until in
-    let tx = transmission_delay l bytes in
-    let departure = start +. tx in
+    let departure = Float.max now l.busy_until +. transmission_delay l bytes in
     l.busy_until <- departure;
-    l.busy_time <- l.busy_time +. tx;
     push_departure l departure;
-    l.sent <- l.sent + 1;
     if draw l l.corrupt_prob then begin
       (* the bits went out but arrive damaged: capacity was consumed *)
       l.corrupted <- l.corrupted + 1;
@@ -192,13 +179,6 @@ let try_enqueue l ~now bytes =
     end
     else `Sent (departure +. l.latency +. l.extra_latency)
   end
-
-let utilization l ~now =
-  if now <= 0.0 then 0.0 else Float.min 1.0 (l.busy_time /. now)
-
-let packets_sent l = l.sent
-
-let packets_dropped l = l.dropped
 
 let fault_drops l = l.fault_drops
 

@@ -64,15 +64,6 @@ val queue_length : t -> int
     successful [try_enqueue], where it includes the packet just
     enqueued. *)
 
-val utilization : t -> now:float -> float
-(** Fraction of elapsed time the link spent transmitting, in [0,1]. *)
-
-val packets_sent : t -> int
-
-val packets_dropped : t -> int
-(** Drop-tail (queue-full) drops only; fault drops are counted
-    separately by {!fault_drops}. *)
-
 (** {1 Fault-injection state}
 
     Set by {!Tussle_fault.Inject} at episode boundaries; harmless to

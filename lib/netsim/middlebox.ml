@@ -4,28 +4,16 @@ type t = {
   name : string;
   reveals_presence : bool;
   policy : Packet.t -> action;
-  mutable inspected : int;
-  mutable dropped : int;
 }
 
 let name t = t.name
 
 let reveals_presence t = t.reveals_presence
 
-let decide t p =
-  t.inspected <- t.inspected + 1;
-  let a = t.policy p in
-  (match a with
-  | Drop -> t.dropped <- t.dropped + 1
-  | Degrade | Forward -> ());
-  a
-
-let inspected t = t.inspected
-
-let dropped t = t.dropped
+let decide t p = t.policy p
 
 let make ?(reveals_presence = true) ~name policy =
-  { name; reveals_presence; policy; inspected = 0; dropped = 0 }
+  { name; reveals_presence; policy }
 
 let port_filter ?reveals_presence ~blocked () =
   let policy p =

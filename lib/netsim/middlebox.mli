@@ -23,11 +23,7 @@ val name : t -> string
 val reveals_presence : t -> bool
 
 val decide : t -> Packet.t -> action
-(** Apply the policy and update counters. *)
-
-val inspected : t -> int
-
-val dropped : t -> int
+(** Apply the policy. *)
 
 val make :
   ?reveals_presence:bool -> name:string -> (Packet.t -> action) -> t

@@ -319,6 +319,4 @@ let count_losses matches ledger =
 let losses_by_label ledger =
   tally (List.map (fun (r, n) -> (drop_reason_label r, n)) ledger)
 
-let losses_by_reason t = losses_by_label (losses t)
-
 let links t = t.links

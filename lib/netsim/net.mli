@@ -129,9 +129,6 @@ val losses_by_label : (drop_reason * int) list -> (string * int) list
     {!drop_reason_label} (so one label gathers every location), sorted
     by label. *)
 
-val losses_by_reason : t -> (string * int) list
-(** [losses_by_label (losses t)]. *)
-
 val links : t -> Link.t Tussle_prelude.Graph.t
 
 val drop_reason_label : drop_reason -> string

@@ -7,11 +7,6 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
-let next_packet t ?port ?app ?qos ?encrypted ?tunneled ?source_route
-    ?size_bytes ~src ~dst ~created () =
-  Packet.make ?port ?app ?qos ?encrypted ?tunneled ?source_route ?size_bytes
-    ~id:(fresh_id t) ~src ~dst ~created ()
-
 let constant_flow t engine net ~start ~interval ~count ~make =
   if interval < 0.0 then invalid_arg "Traffic.constant_flow: negative interval";
   for i = 0 to count - 1 do

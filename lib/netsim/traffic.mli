@@ -9,22 +9,8 @@ type t
 val create : unit -> t
 
 val fresh_id : t -> int
-
-val next_packet :
-  t ->
-  ?port:int ->
-  ?app:Packet.app ->
-  ?qos:Packet.qos ->
-  ?encrypted:bool ->
-  ?tunneled:bool ->
-  ?source_route:int list ->
-  ?size_bytes:int ->
-  src:int ->
-  dst:int ->
-  created:float ->
-  unit ->
-  Packet.t
-(** Fresh packet with the next id. *)
+(** The next id: 0, 1, 2, ... per generator.  A packet is built with
+    [Packet.make ~id:(fresh_id gen) ...]. *)
 
 val constant_flow :
   t ->

@@ -44,8 +44,7 @@ type t = {
   mutable pending_retransmit : int list;
   mutable retransmissions : int;
   mutable losses : int;
-  mutable started : float;
-  mutable last_progress : float;
+  started : float;
   mutable finish_time : float option;
   mutable abandon_time : float option;
   (* flight-recorder flow id: a fresh negative id when the recorder is
@@ -69,7 +68,7 @@ let retries_of t seq =
 
 let send_seq t seq =
   let p =
-    Traffic.next_packet t.gen ~src:t.src ~dst:t.dst
+    Packet.make ~id:(Traffic.fresh_id t.gen) ~src:t.src ~dst:t.dst
       ~created:(Engine.now t.engine) ()
   in
   Hashtbl.replace t.seq_of_packet p.Packet.id seq;
@@ -102,8 +101,7 @@ let rec fill_window t =
 let on_ack t seq =
   if not (Hashtbl.mem t.acked_seqs seq) then begin
     Hashtbl.replace t.acked_seqs seq ();
-    t.outstanding <- t.outstanding - 1;
-    t.last_progress <- Engine.now t.engine
+    t.outstanding <- t.outstanding - 1
   end;
   t.cwnd <- t.cwnd +. (increase /. Float.max 1.0 t.cwnd);
   if t.abandon_time <> None then ()
@@ -203,7 +201,6 @@ let start ?(behaviour = Compliant) ?retry engine net gen ~src ~dst
       retransmissions = 0;
       losses = 0;
       started = Engine.now engine;
-      last_progress = Engine.now engine;
       finish_time = None;
       abandon_time = None;
       flow =
@@ -222,10 +219,6 @@ let start ?(behaviour = Compliant) ?retry engine net gen ~src ~dst
   fill_window t;
   t
 
-let completed t = t.finish_time <> None
-
-let abandoned t = t.abandon_time <> None
-
 let abandon_time t = t.abandon_time
 
 let acked t = Hashtbl.length t.acked_seqs
@@ -233,9 +226,6 @@ let acked t = Hashtbl.length t.acked_seqs
 let retransmissions t = t.retransmissions
 
 let losses t = t.losses
-
-let stalled t ~now ~idle =
-  status t = Active && now -. t.last_progress >= idle
 
 let goodput t ~now =
   let stop =

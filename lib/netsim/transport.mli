@@ -71,11 +71,6 @@ val start :
 
 val status : t -> status
 
-val completed : t -> bool
-(** All data packets delivered and acknowledged. *)
-
-val abandoned : t -> bool
-
 val abandon_time : t -> float option
 (** Engine time at which the connection gave up. *)
 
@@ -86,10 +81,6 @@ val retransmissions : t -> int
 
 val losses : t -> int
 (** Losses acted on, one per retransmission-timer expiry. *)
-
-val stalled : t -> now:float -> idle:float -> bool
-(** Still [Active] but without new acknowledgements for at least
-    [idle] seconds — the "quantify graceful degradation" probe. *)
 
 val goodput : t -> now:float -> float
 (** Acknowledged packets per second, up to [now] (or the finish or

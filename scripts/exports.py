@@ -23,8 +23,8 @@ allowlist line that names no such `val`, or one the scan would pass
 anyway, also fails it, so the list cannot go stale.  A reason starts
 with its kind: `inspector:` or `fixture:` for a `val`, which must also
 name the test it serves (`test_SUITE`), and `differs:`, `deployment:`,
-`field:`, `planted:` or `oracle:` for an option; any other reason
-fails the scan.  A `val` only its own tests call is deleted with them,
+`planted:` or `oracle:` for an option; any other reason fails the
+scan.  A `val` only its own tests call is deleted with them,
 not allowlisted.
 
 The second pass reads each `?option` of a `val` signature.  A file
@@ -49,7 +49,7 @@ ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)),
 DIRS = ["lib", "bin", "bench", "perfbench", "examples", "test"]
 ALLOW = os.path.join(ROOT, "scripts", "exports.allow")
 VAL_KINDS = ("inspector", "fixture")
-OPTION_KINDS = ("differs", "deployment", "field", "planted", "oracle")
+OPTION_KINDS = ("differs", "deployment", "planted", "oracle")
 IDENT = r"[A-Za-z0-9_']"
 
 

@@ -1,8 +1,8 @@
 (* The drop-tail queue of [Tussle_netsim.Link] as it stood before its
    departures moved into a ring: a [float list], filtered on every
    offer and appended with [@].  It is the differential oracle for
-   [Link.try_enqueue], [queued], [queue_length] and the counters in
-   [test_netsim]: for the same offers, sizes and fault stream the ring
+   [Link.try_enqueue], [queued], [queue_length] and the fault counters
+   in [test_netsim]: for the same offers, sizes and fault stream the ring
    must give the same results.  Only the transmission path and the
    fault state it reads are kept. *)
 
@@ -14,9 +14,6 @@ type t = {
   queue_capacity : int;
   mutable busy_until : float;
   mutable departures : float list;  (* oldest first *)
-  mutable busy_time : float;
-  mutable sent : int;
-  mutable dropped : int;
   mutable last_offered : float;
   mutable up : bool;
   mutable loss_prob : float;
@@ -36,9 +33,6 @@ let make ~queue_capacity ~latency ~bandwidth_bps =
     queue_capacity;
     busy_until = 0.0;
     departures = [];
-    busy_time = 0.0;
-    sent = 0;
-    dropped = 0;
     last_offered = neg_infinity;
     up = true;
     loss_prob = 0.0;
@@ -79,27 +73,19 @@ let try_enqueue l ~now bytes =
     l.gray_drops <- l.gray_drops + 1;
     `Faulted Tussle_netsim.Link.Gray
   end
-  else if List.length l.departures >= l.queue_capacity then begin
-    l.dropped <- l.dropped + 1;
-    `Dropped
-  end
+  else if List.length l.departures >= l.queue_capacity then `Dropped
   else begin
     let start = Float.max now l.busy_until in
     let tx = float_of_int (bytes * 8) /. l.bandwidth_bps in
     let departure = start +. tx in
     l.busy_until <- departure;
-    l.busy_time <- l.busy_time +. tx;
     l.departures <- l.departures @ [ departure ];
-    l.sent <- l.sent + 1;
     if draw l l.corrupt_prob then begin
       l.corrupted <- l.corrupted + 1;
       `Faulted Tussle_netsim.Link.Corrupt
     end
     else `Sent (departure +. l.latency +. l.extra_latency)
   end
-
-let utilization l ~now =
-  if now <= 0.0 then 0.0 else Float.min 1.0 (l.busy_time /. now)
 
 (* ---------- the probe window, before it became an int array ---------- *)
 

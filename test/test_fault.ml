@@ -466,7 +466,7 @@ let test_inject_down_window () =
   | _ -> Alcotest.fail "after the window: delivered");
   Alcotest.(check (list (pair string int))) "attributed"
     [ ("link-down", 1) ]
-    (Net.losses_by_reason net)
+    (Net.losses_by_label (Net.losses net))
 
 let test_inject_loss_deterministic () =
   let run () =
@@ -546,7 +546,7 @@ let test_inject_gray_window () =
   | _ -> Alcotest.fail "after the window: delivered");
   Alcotest.(check (list (pair string int))) "attributed as gray-loss"
     [ ("gray-loss", 1) ]
-    (Net.losses_by_reason net);
+    (Net.losses_by_label (Net.losses net));
   (* the links' own covert counter agrees with the attribution, and
      the link never went down: liveness looks clean throughout *)
   let distinct_links =
@@ -712,7 +712,7 @@ let test_inject_blackhole_vs_middlebox () =
   | _ -> Alcotest.fail "after the window: delivered");
   Alcotest.(check (list (pair string int))) "attributed as blackholed"
     [ ("blackholed", 1) ]
-    (Net.losses_by_reason blackhole);
+    (Net.losses_by_label (Net.losses blackhole));
   let filtered = line4 () in
   let engine = Engine.create () in
   Inject.install ~seed:2
@@ -723,7 +723,7 @@ let test_inject_blackhole_vs_middlebox () =
   Alcotest.(check (list (pair string int)))
     "a broken device confesses differently"
     [ ("filtered:" ^ Plan.broken_device_name, 1) ]
-    (Net.losses_by_reason filtered)
+    (Net.losses_by_label (Net.losses filtered))
 
 let test_net_probe_against_covert_injection () =
   (* E28's substrate: Diagnosis.net_probe must bracket a covert
@@ -736,7 +736,7 @@ let test_net_probe_against_covert_injection () =
       engine net;
     let gen = Traffic.create () in
     let make ~target =
-      Traffic.next_packet gen ~src:0 ~dst:target
+      Packet.make ~id:(Traffic.fresh_id gen) ~src:0 ~dst:target
         ~created:(Engine.now engine) ()
     in
     Diagnosis.localize ~probe:(Diagnosis.net_probe net engine ~make)

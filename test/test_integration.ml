@@ -38,7 +38,10 @@ let test_pathvector_forwards_packets () =
         let ids =
           List.init n (fun i ->
               let src = hosts.(i) and dst = hosts.((i + 1) mod n) in
-              let p = Traffic.next_packet gen ~src ~dst ~created:0.0 () in
+              let p =
+                Packet.make ~id:(Traffic.fresh_id gen) ~src ~dst ~created:0.0
+                  ()
+              in
               Net.inject net engine p;
               p.Packet.id)
         in
@@ -241,7 +244,8 @@ let test_internet_in_a_bottle () =
   (* 4: a closed-loop transport moves the data *)
   let conn = Transport.start engine net gen ~src:alice ~dst:bob ~total_packets:50 in
   Engine.run ~until:60.0 engine;
-  Alcotest.(check bool) "transfer completed" true (Transport.completed conn);
+  Alcotest.(check bool) "transfer completed" true
+    (Transport.status conn = Transport.Completed);
   (* 5: delivery proven -> the escrow is captured to the on-path ISPs *)
   let receipt = Payment.capture ledger escrow in
   Alcotest.(check bool) "value flowed" true (receipt.Payment.total > 0.0);

@@ -119,14 +119,21 @@ let test_resolver_honest () =
     (Resolver.truthfulness r ~now:0.0 ~names:[ "a.example"; "b.example"; "x" ])
 
 let test_resolver_cache () =
+  (* the zone moves a.example (TTL 100 s) after the first answer: the
+     resolver serves the cached address until the TTL ends, then asks
+     the authority again *)
+  let zone =
+    Resolver.authority
+      [ { Resolver.name = "a.example"; address = 1; ttl = 100.0 } ]
+  in
   let r = Resolver.create zone in
-  ignore (Resolver.resolve r ~now:0.0 "a.example");
-  ignore (Resolver.resolve r ~now:50.0 "a.example");
-  Alcotest.(check int) "one upstream" 1 (Resolver.authority_queries r);
-  Alcotest.(check int) "one hit" 1 (Resolver.cache_hits r);
-  (* ttl expiry forces a refetch *)
-  ignore (Resolver.resolve r ~now:150.0 "a.example");
-  Alcotest.(check int) "refetched" 2 (Resolver.authority_queries r)
+  let answer now = Resolver.resolve r ~now "a.example" in
+  Alcotest.(check bool) "first answer" true (answer 0.0 = Resolver.Address 1);
+  Hashtbl.replace zone "a.example"
+    { Resolver.name = "a.example"; address = 7; ttl = 100.0 };
+  Alcotest.(check bool) "cached, stale" true (answer 50.0 = Resolver.Address 1);
+  Alcotest.(check bool) "ttl expired, refetched" true
+    (answer 150.0 = Resolver.Address 7)
 
 let test_resolver_nxdomain_monetizing () =
   let r = Resolver.create ~policy:(Resolver.Nxdomain_monetizing 99) zone in

@@ -462,11 +462,13 @@ let schedule_flow engine net gen ~src ~dst ~start ~interval ~count =
       (start +. (interval *. float_of_int k))
       (fun engine ->
         Net.inject net engine
-          (Traffic.next_packet gen ~src ~dst ~created:(Engine.now engine) ()))
+          (Packet.make ~id:(Traffic.fresh_id gen) ~src ~dst
+             ~created:(Engine.now engine) ()))
   done
 
 let reason_count net label =
-  Option.value ~default:0 (List.assoc_opt label (Net.losses_by_reason net))
+  Option.value ~default:0
+    (List.assoc_opt label (Net.losses_by_label (Net.losses net)))
 
 let test_selfheal_reroutes_around_outage () =
   let links = Topology.to_links (Topology.ring 6) in

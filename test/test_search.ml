@@ -208,6 +208,7 @@ let test_mutate_finds_planted () =
    backend must find it, shrink it to the gray episode alone, and
    persist the reproducer. *)
 let gray_blind : Scenario.t =
+  let module Packet = Tussle_netsim.Packet in
   let module Traffic = Tussle_netsim.Traffic in
   let module Selfheal = Tussle_routing.Selfheal in
   let edge = { Tussle_netsim.Topology.latency = 0.005; bandwidth_bps = 1e7 } in
@@ -226,7 +227,7 @@ let gray_blind : Scenario.t =
       let at = 0.2 +. (0.1 *. float_of_int k) in
       Engine.schedule engine at (fun engine ->
           Net.inject net engine
-            (Traffic.next_packet gen ~src:0 ~dst:2
+            (Packet.make ~id:(Traffic.fresh_id gen) ~src:0 ~dst:2
                ~created:(Engine.now engine) ()))
     done;
     Engine.run ~until:600.0 engine;
@@ -483,21 +484,22 @@ let test_corpus_dedupe () =
   let dir = fresh_corpus_dir () in
   let plan = [ Plan.Link_down { u = 0; v = 1; w = Plan.window 0.2 2.5 } ] in
   let entry = { Corpus.scenario = "planted-horizon-stop"; seed = 7; plan } in
-  let path = Corpus.save ~dir entry in
-  Alcotest.(check (option string)) "duplicate detected" (Some path)
-    (Corpus.find_duplicate ~dir entry);
+  let path, created = Corpus.save ~dir entry in
+  Alcotest.(check bool) "first save creates" true created;
+  Alcotest.(check (pair string bool)) "duplicate detected" (path, false)
+    (Corpus.save ~dir entry);
   (* same plan under a different seed is still the same reproducer *)
-  let path2 = Corpus.save ~dir { entry with Corpus.seed = 99 } in
-  Alcotest.(check string) "seed does not defeat dedup" path path2;
+  Alcotest.(check (pair string bool)) "seed does not defeat dedup"
+    (path, false)
+    (Corpus.save ~dir { entry with Corpus.seed = 99 });
   Alcotest.(check int) "still one file" 1
     (List.length (Result.get_ok (Corpus.load_dir dir)));
   (* a genuinely different plan gets its own file *)
   let other =
     { entry with Corpus.plan = [ Plan.Link_down { u = 0; v = 1; w = Plan.window 0.1 1.0 } ] }
   in
-  Alcotest.(check (option string)) "distinct plan is no duplicate" None
-    (Corpus.find_duplicate ~dir other);
-  let path3 = Corpus.save ~dir other in
+  let path3, created3 = Corpus.save ~dir other in
+  Alcotest.(check bool) "distinct plan is no duplicate" true created3;
   Alcotest.(check bool) "distinct plan, distinct file" true (path3 <> path);
   Alcotest.(check int) "two files" 2
     (List.length (Result.get_ok (Corpus.load_dir dir)))
@@ -511,7 +513,7 @@ let test_corpus_unknown_scenario_rejected () =
       plan = [ Plan.Link_down { u = 0; v = 1; w = Plan.window 0.1 1.0 } ];
     }
   in
-  let path = Corpus.save ~dir entry in
+  let path, _ = Corpus.save ~dir entry in
   (* the entry loads (tests persist plans for private scenarios); one
      check, Scenario.bind, rejects it when it is run *)
   let loaded =
@@ -534,7 +536,7 @@ let test_corpus_files_checked () =
   let dir = fresh_corpus_dir () in
   let plan = [ Plan.Link_down { u = 0; v = 1; w = Plan.window 0.2 2.5 } ] in
   let entry = { Corpus.scenario = "planted-horizon-stop"; seed = 7; plan } in
-  let path = Corpus.save ~dir entry in
+  let path, _ = Corpus.save ~dir entry in
   let finding corpus_file =
     {
       Search_report.scenario = entry.Corpus.scenario;
